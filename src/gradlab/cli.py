@@ -106,12 +106,11 @@ def _cmd_symbol(args, out):
     cfg = _load_config(args)
     rank = args.rank if args.rank is not None else cfg.ranks[0]
     cache = harness.build_cache(cfg, cfg.sizes[-1])
-    registry = spectral.named_handles(cache, rank)
-    if args.operator not in registry:
+    if args.operator not in spectral.HANDLE_NAMES:
         print(f"symbol: unknown operator {args.operator!r}; "
-              f"known: {', '.join(sorted(registry))}", file=sys.stderr)
+              f"known: {', '.join(sorted(spectral.HANDLE_NAMES))}", file=sys.stderr)
         return EXIT_USAGE
-    handle = registry[args.operator]
+    handle = spectral.handle_by_name(cache, rank, args.operator)
     if handle.symbol is None:
         print(f"symbol: {args.operator!r} has no symbol builder", file=sys.stderr)
         return EXIT_USAGE

@@ -216,7 +216,9 @@ def _d1_from_grad(phi, X, conventions):
     mono = mono + sym_insert_coefficient(n, p) * corr
     tr = mono @ fiber.trace_matrix(n, p + 1).T
     tr = fields._scale(tr, fields._conf_factor(cache, -2.0), 1)
-    rel = float(np.max(np.abs(tr))) / (float(np.max(np.abs(mono))) + _TINY)
+    # relative to the gradient, not to the output: the output vanishes on
+    # the kernel (conformal Killing tensors), the gradient does not
+    rel = float(np.max(np.abs(tr))) / (float(np.max(np.abs(X))) + _TINY)
     if rel > conventions.trace_guard:
         raise ConventionError(
             f"trace residual {rel:.3e} of the symmetrized derivative exceeds "

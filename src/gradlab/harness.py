@@ -16,7 +16,6 @@ reproducibly.
 
 import csv
 import io
-import itertools
 import json
 import os
 import platform
@@ -24,7 +23,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+import scipy
 
 from . import fiber, fields, gradients, spectral
 from .config import ExperimentConfig
@@ -166,17 +165,6 @@ def build_cache(config, size):
     return build_geometry(spec, metric, method=config.method)
 
 
-def _half_modes(n, band):
-    """Nonzero integer modes with |m_j| <= band, one per {m, -m} pair."""
-    out = []
-    for m in itertools.product(range(-band, band + 1), repeat=n):
-        if all(v == 0 for v in m):
-            continue
-        if next(v for v in m if v != 0) > 0:
-            out.append(m)
-    return out
-
-
 def band_limited_field(cache, rank, band, rng, tag="s0", amplitude=1.0):
     """Trig-polynomial field whose coefficients do not depend on the grid.
 
@@ -193,7 +181,7 @@ def band_limited_field(cache, rank, band, rng, tag="s0", amplitude=1.0):
     else:
         raise HarnessError(f"band_limited_field supports 's0'/'s' tags, not {tag!r}")
     mesh = spec.theta_mesh()
-    modes = _half_modes(spec.n, band)
+    modes = spectral.half_modes((band,) * spec.n)
     data = np.zeros(spec.shape + (t,))
     data += rng.standard_normal(t)
     for m in modes:
@@ -457,35 +445,17 @@ def run_identity_suite(config):
 # kernel experiments
 # ---------------------------------------------------------------------------
 
-def gram_pencil(cache, p, handles, basis=None):
-    """Galerkin pencil (G, M) for the stacked first-order system.
+def joint_kernel_spectrum(cache, p, names, window=None, galerkin=None):
+    """Eigenvalues and kernel count of the stacked system named by `names`.
 
-    G sums the weighted Grams of every handle's image, so its kernel is
-    exactly the intersection of the measured kernels; eigenvalues are the
-    squared singular values of the stacked operator in the weighted norms.
+    The Galerkin matrix sums the weighted Grams of every operator's image,
+    so its kernel is exactly the intersection of the measured kernels;
+    eigenvalues are the squared singular values of the stacked operator in
+    the weighted norms.  `galerkin` is the layer of (cache, p), built here
+    when not given.
     """
-    if basis is None:
-        basis = spectral.build_dealiased_basis(cache, p)
-    cols = basis.columns()
-    w = spectral.weight_vector(cache, "s0", p)
-    M = cols.T @ (cols * w[:, None])
-    G = np.zeros((basis.dim, basis.dim))
-    for h in handles:
-        applied = np.stack(
-            [h.apply_vector(cols[:, j]) for j in range(basis.dim)], axis=1
-        )
-        wc = h.codomain_weights()
-        G += applied.T @ (applied * wc[:, None])
-    return G, M, basis
-
-
-def joint_kernel_spectrum(cache, p, names, window=None):
-    """Eigenvalues and kernel count of the stacked system named by `names`."""
-    registry = spectral.named_handles(cache, p)
-    handles = [registry[name] for name in names]
-    G, M, basis = gram_pencil(cache, p, handles)
-    evals = scipy.linalg.eigh(G, M, eigvals_only=True)
-    evals = np.sort(evals)
+    gal = galerkin or spectral.Galerkin(cache, p)
+    evals = spectral.sector_spectrum(gal.joint_eigen(names))
     kc = spectral.kernel_count(evals)
     kc_win = None
     if window is not None:
@@ -498,22 +468,15 @@ def flat_joint_kernel_oracle(cache, p, names, tol=1e-10):
 
     Constants lie in the kernel of every first-order operator here; each
     nonzero sub-Nyquist mode contributes cos and sin copies of the stacked
-    symbol's nullity.
+    symbol's nullity.  Independent of assembly: pure structure-tensor algebra.
     """
     if not cache.is_flat:
         raise HarnessError("per-mode kernel oracle needs the flat metric")
     spec = cache.spec
-    n = spec.n
-    t = fiber.tracefree_dim(n, p)
-    registry = spectral.named_handles(cache, p)
-    handles = [registry[name] for name in names]
+    t = fiber.tracefree_dim(spec.n, p)
+    handles = [spectral.handle_by_name(cache, p, name) for name in names]
     total = t
-    bands = [s // 2 - 1 for s in spec.sizes]
-    for m in itertools.product(*[range(-b, b + 1) for b in bands]):
-        if all(v == 0 for v in m):
-            continue
-        if next(v for v in m if v != 0) <= 0:
-            continue
+    for m in spectral.half_modes(spectral.dealiased_bands(spec)):
         xi = np.array([
             2.0 * np.pi * mj / L for mj, L in zip(m, spec.lengths)
         ])
@@ -558,20 +521,23 @@ def _kernel_checks_for_rank(rec, config, p, caches):
     tt_raw = {}
     tt_win = {}
     psd_worst = 0.0
+    layers = {}
     for size in sizes:
         cache = caches[size]
-        rep = spectral.spectrum(spectral.d1_star_d1_handle(cache, p), n_eigs=None)
+        gal = layers[size] = spectral.Galerkin(cache, p)
+        rep = spectral.spectrum(spectral.d1_star_d1_handle(cache, p), n_eigs=None,
+                                galerkin=gal)
         ck_by_size[size] = rep.kernel
         lam = max(rep.lambda_max, 0.0)
         psd_worst = max(psd_worst, -float(rep.eigenvalues[0]) / (lam + _TINY))
-        _, kc_gram, _ = joint_kernel_spectrum(cache, p, ["d1"])
+        _, kc_gram, _ = joint_kernel_spectrum(cache, p, ["d1"], galerkin=gal)
         ck_gram_by_size[size] = kc_gram
-        _, kc_kill, _ = joint_kernel_spectrum(cache, p, ["d1", "divergence"])
+        _, kc_kill, _ = joint_kernel_spectrum(cache, p, ["d1", "divergence"], galerkin=gal)
         kill_by_size[size] = kc_kill
-        _, kc_cod, _ = joint_kernel_spectrum(cache, p, ["d2", "d3"])
+        _, kc_cod, _ = joint_kernel_spectrum(cache, p, ["d2", "d3"], galerkin=gal)
         cod_by_size[size] = kc_cod
         _, kc_tt, kc_tt_win = joint_kernel_spectrum(
-            cache, p, ["divergence"], window=50
+            cache, p, ["divergence"], window=50, galerkin=gal
         )
         tt_raw[size] = kc_tt
         tt_win[size] = kc_tt_win
@@ -597,7 +563,7 @@ def _kernel_checks_for_rank(rec, config, p, caches):
 
     cache_hi = caches[sizes[-1]]
     if cache_hi.is_flat:
-        oracle_ck = spectral.flat_kernel_oracle(cache_hi, p)
+        oracle_ck = flat_joint_kernel_oracle(cache_hi, p, ["d1"])
         if ck is not None:
             rec.flag(f"kernel.ck_mode_oracle.p{p}", A_KERNEL, ck == oracle_ck,
                      value=float(ck), detail=f"measured {ck}, per-mode oracle {oracle_ck}")
@@ -630,15 +596,9 @@ def _kernel_checks_for_rank(rec, config, p, caches):
                                f"square-injective; finite family expected: {lo} -> {hi}")
 
     if cache_hi.is_flat and ck is not None and ck > 0:
-        basis = spectral.build_dealiased_basis(cache_hi, p)
-        G, M, _ = gram_pencil(cache_hi, p, [spectral.d1_handle(cache_hi, p)], basis)
-        _, vecs = scipy.linalg.eigh(G, M)
+        # the d1 eigendecomposition of the finest grid is reused
         worst = 0.0
-        cols = basis.columns()
-        t = fiber.tracefree_dim(n, p)
-        for j in range(ck):
-            data = (cols @ vecs[:, j]).reshape(cache_hi.spec.shape + (t,))
-            phi = TensorField(cache_hi, "s0", p, data)
+        for phi in layers[sizes[-1]].lowest_fields(["d1"], ck):
             worst = max(worst, l2_norm(fields.gradient(phi)) / (l2_norm(phi) + _TINY))
         rec.check(f"kernel.parallel_fields.p{p}", A_PARALLEL, worst, "parallel",
                   "flat-torus kernel fields are parallel")

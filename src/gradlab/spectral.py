@@ -1,18 +1,33 @@
-"""Dense spectral experiments for the first-order pieces and their compositions.
+"""Spectral experiments for the first-order pieces and their compositions.
 
-Everything here is desk scale on purpose: operators are assembled as dense
-matrices (column by column, DOF-capped), eigenproblems are solved with the
-weighted symmetric LAPACK drivers, and near-kernels are counted with an
-explicit tolerance policy that refuses to report a number when there is no
-clear spectral gap.
+Eigenvalue studies run on a dealiased real trigonometric basis and are
+solved with the weighted symmetric LAPACK drivers; near-kernels are counted
+with an explicit tolerance policy that refuses to report a number when there
+is no clear spectral gap.
+
+One Galerkin layer (`Galerkin`, one per grid and rank) serves every study:
+
+* symmetry sectors: along an axis where the conformal exponent is constant
+  (every axis of a flat metric) all operators and weights commute with
+  translations, so the Galerkin matrices do not couple basis columns whose
+  wavenumbers differ in absolute value on that axis.  Columns are grouped
+  into sectors by those |m_j| and each sector is solved on its own; with no
+  such axis there is one sector, the dense pencil;
+* probing: colour c sums the c-th column of every sector, so one operator
+  application per colour serves all sectors at once.  A column's image is
+  the part of its colour's image in its sector's FFT bins, and the sector
+  blocks follow from Parseval along the invariant axes;
+* reuse: the mass matrix and each operator's Gram block are computed once
+  per layer and stacked systems add blocks.  The three pieces come from one
+  `gradients.decompose` per colour.
 
 Two discretization hazards shape the design:
 
 * the antisymmetric spectral derivative is blind to the top (Nyquist)
   frequency on an even grid, so nodal assembly of any operator built from
   first derivatives carries spurious zero modes.  Eigenvalue studies
-  therefore default to a dealiased real trigonometric basis that simply
-  excludes those modes;
+  therefore default to the dealiased basis, which simply excludes those
+  modes;
 * discretization can fake near-zero eigenvalues, so a kernel count is only
   "confirmed" when two grid resolutions agree and the gap above the counted
   cluster is at least two orders of magnitude.
@@ -184,8 +199,12 @@ class EigenResult:
     residuals: np.ndarray   # relative per-pair pencil residuals
 
 
-def _eigh_pencil(G, M, k=None, residual_tol=1e-8):
-    """Smallest eigenpairs of the symmetric pencil (G, M); M diagonal as 1-d."""
+def _eigh_pencil(G, M, k=None, residual_tol=1e-8, scale=None):
+    """Smallest eigenpairs of the symmetric pencil (G, M); M diagonal as 1-d.
+
+    Residuals are relative to `scale`, the norm of the whole pencil when G is
+    one diagonal block of it, and to the norm of G otherwise.
+    """
     G = np.asarray(G, float)
     diag = np.asarray(M).ndim == 1
     if diag:
@@ -199,7 +218,7 @@ def _eigh_pencil(G, M, k=None, residual_tol=1e-8):
         vals, vecs = scipy.linalg.eigh(G, np.asarray(M, float))
         Mv = np.asarray(M, float) @ vecs
     R = G @ vecs - Mv * vals[None, :]
-    scale = float(np.linalg.norm(G)) + _TINY
+    scale = (float(np.linalg.norm(G)) if scale is None else scale) + _TINY
     residuals = np.linalg.norm(R, axis=0) / scale
     if float(np.max(residuals, initial=0.0)) > residual_tol:
         raise SpectralError(
@@ -270,28 +289,35 @@ class DealiasedBasis:
         return np.sort(np.repeat(self.column_k2, t))
 
 
+def half_modes(bands):
+    """Nonzero integer modes with |m_j| <= bands[j], one of each {m, -m} pair.
+
+    The representative is the mode whose first nonzero entry is positive.
+    Modes come in lexicographic order, which fixes both the column order of
+    the dealiased basis and the draw order of grid-independent test fields.
+    """
+    return [
+        m for m in itertools.product(*(range(-b, b + 1) for b in bands))
+        if next((v for v in m if v != 0), 0) > 0
+    ]
+
+
+def dealiased_bands(spec):
+    """Largest sub-Nyquist mode index per axis."""
+    return [s // 2 - 1 for s in spec.sizes]
+
+
 def build_dealiased_basis(cache, rank, tag="s0"):
     spec = cache.spec
-    n = spec.n
-    mmax = [s // 2 - 1 for s in spec.sizes]
     theta = spec.theta_mesh()
     kunit = [2.0 * math.pi / L for L in spec.lengths]
-    modes, cols, k2 = [], [], []
-    for m in itertools.product(*(range(-b, b + 1) for b in mmax)):
-        nz = next((v for v in m if v != 0), 0)
-        if nz < 0:
-            continue  # half-space: cos/sin of -m duplicate those of m
-        phase = sum(mi * th for mi, th in zip(m, theta)) if any(m) else None
+    modes = [(0,) * spec.n] + half_modes(dealiased_bands(spec))
+    cols, k2 = [np.ones(spec.num_points)], [0.0]
+    for m in modes[1:]:
+        phase = sum(mi * th for mi, th in zip(m, theta))
         kk = sum((mi * ku) ** 2 for mi, ku in zip(m, kunit))
-        modes.append(m)
-        if phase is None:
-            cols.append(np.ones(spec.num_points))
-            k2.append(kk)
-            continue
-        cols.append(np.cos(phase).ravel())
-        k2.append(kk)
-        cols.append(np.sin(phase).ravel())
-        k2.append(kk)
+        cols += [np.cos(phase).ravel(), np.sin(phase).ravel()]
+        k2 += [kk, kk]
     return DealiasedBasis(
         cache=cache,
         tag=tag,
@@ -302,21 +328,183 @@ def build_dealiased_basis(cache, rank, tag="s0"):
     )
 
 
-def dealiased_pencil(handle: OperatorHandle, basis: DealiasedBasis):
-    """Galerkin matrices (G, M) of an endomorphism on the dealiased subspace."""
-    if not handle.is_endomorphism:
-        raise SpectralError(f"{handle.name} is not an endomorphism")
-    if (basis.tag, basis.rank) != (handle.domain_tag, handle.domain_rank):
-        raise SpectralError("basis bundle does not match the handle domain")
-    _check_dof(basis.dim)
-    cols = basis.columns()
-    applied = np.empty_like(cols)
-    for j in range(cols.shape[1]):
-        applied[:, j] = handle.apply_vector(cols[:, j])
-    w = handle.domain_weights()
-    G = cols.T @ (applied * w[:, None])
-    M = cols.T @ (cols * w[:, None])
-    return G, M
+# ---------------------------------------------------------------------------
+# the Galerkin layer: symmetry sectors, probed applications, Gram reuse
+# ---------------------------------------------------------------------------
+
+def invariant_axes(cache):
+    """Axes along which the conformal exponent is exactly constant.
+
+    Every operator and every weight commutes with translations along such an
+    axis; a flat metric makes every axis invariant.
+    """
+    f = cache.conf_exponent_values
+    if f is None:
+        return ()
+    return tuple(j for j in range(cache.n) if np.all(f == np.take(f, [0], axis=j)))
+
+
+# the three pieces of the gradient, all taken from one decompose per colour:
+# piece -> (codomain tag, codomain rank minus domain rank)
+_SPLIT = {"d1": ("s0", 1), "d2": ("cov_s0", 0), "d3": ("cov_s0", 0)}
+
+
+class Galerkin:
+    """Galerkin matrices of one (grid, rank) on the dealiased trace-free basis.
+
+    A basis column's sector is the tuple of |m_j| of its mode over the
+    invariant axes, and G and M are block-diagonal by sector.  `sectors[s]`
+    holds the global column indices (into `basis.columns()`) of sector s in
+    ascending order; every block list is aligned with `sectors`.  Colour c
+    is the sum of the c-th column of every sector.  Its image is cut into
+    sectors in the FFT along the invariant axes, so a block entry is
+    Re(F_s^H W F_s) / prod N_j over the sector's bins (Parseval).
+
+    Mass, Gram blocks and joint eigendecompositions are cached on the layer:
+    a suite builds one per (grid, rank) and stacked systems add blocks.
+    """
+
+    def __init__(self, cache, p):
+        spec = cache.spec
+        t = fiber.tracefree_dim(cache.n, p)
+        # refuse before sampling the basis: its scalars alone are
+        # num_points * (N - 1)^n floats
+        _check_dof(math.prod(2 * b + 1 for b in dealiased_bands(spec)) * t)
+        self.cache, self.p, self.t = cache, p, t
+        self.basis = build_dealiased_basis(cache, p)
+        self.axes = invariant_axes(cache)
+        scalar_modes = [self.basis.modes[0]]
+        scalar_modes += [m for m in self.basis.modes[1:] for _ in ("cos", "sin")]
+        by_key = {}
+        for j, m in enumerate(scalar_modes):
+            by_key.setdefault(tuple(abs(m[a]) for a in self.axes), []).append(j)
+        keys = sorted(by_key)
+        self.sectors = [
+            np.array([j * t + a for j in by_key[key] for a in range(t)]) for key in keys
+        ]
+        # FFT bins of each sector along each invariant axis: +|m_j| and -|m_j|
+        self._bins = [
+            [sorted({k, (spec.sizes[a] - k) % spec.sizes[a]}) for k, a in zip(key, self.axes)]
+            for key in keys
+        ]
+        self._norm = float(math.prod(spec.sizes[a] for a in self.axes))
+        colours = np.zeros((max(len(ix) for ix in self.sectors), spec.num_points, t))
+        for ix in self.sectors:
+            for c, col in enumerate(ix):
+                colours[c, :, col % t] += self.basis.scalars[:, col // t]
+        self.colours = colours.reshape((-1,) + spec.shape + (t,))
+        self._colour_hat = self._cut(self.colours)
+        self._mass = None
+        self._grams = {}
+        self._eigen = {}
+
+    def _take_bins(self, values, first_axis):
+        """Per-sector restriction of `values` to the sector's FFT bins."""
+        out = []
+        for bins in self._bins:
+            part = values
+            for a, b in zip(self.axes, bins):
+                part = part.take(b, axis=first_axis + a)
+            out.append(part)
+        return out
+
+    def _cut(self, images):
+        """Per-sector FFT coefficients of a stack of colour images.
+
+        images: (colours, *grid, fiber...) real.  Returns, per sector, a
+        (sector size, bins * fiber) complex array whose row c is the FFT of
+        the image of the sector's c-th column.
+        """
+        images = images.reshape(images.shape[: 1 + self.cache.n] + (-1,))
+        axes = [1 + a for a in self.axes]
+        hat = np.fft.fftn(images, axes=axes) if axes else images
+        return [part[: len(ix)].reshape(len(ix), -1)
+                for ix, part in zip(self.sectors, self._take_bins(hat, 1))]
+
+    def _pair(self, left, right, weights):
+        """Sector blocks Re(L^H W R) / prod N_j of a weighted inner product;
+        the weights are constant along the invariant axes."""
+        ws = self._take_bins(weights.reshape(self.cache.spec.shape + (-1,)), 0)
+        return [((L.conj() * w.ravel()) @ R.T).real / self._norm
+                for L, R, w in zip(left, right, ws)]
+
+    def _apply(self, handle):
+        images = [handle.apply_vector(c.ravel()) for c in self.colours]
+        return np.stack(images).reshape((len(images),) + self.cache.spec.shape + (-1,))
+
+    def mass(self):
+        """Sector blocks of the mass matrix M."""
+        if self._mass is None:
+            w = weight_vector(self.cache, "s0", self.p)
+            self._mass = self._pair(self._colour_hat, self._colour_hat, w)
+        return self._mass
+
+    def form(self, handle: OperatorHandle):
+        """Sector blocks of the bilinear form <column, handle(column)>."""
+        if not handle.is_endomorphism:
+            raise SpectralError(f"{handle.name} is not an endomorphism")
+        if (handle.cache, handle.domain_tag, handle.domain_rank) != (self.cache, "s0", self.p):
+            raise SpectralError("basis bundle does not match the handle domain")
+        images = self._cut(self._apply(handle))
+        return self._pair(self._colour_hat, images, handle.domain_weights())
+
+    def gram(self, names):
+        """Sector blocks of the stacked system named by `names`: the sum of
+        the weighted Grams of each operator's image."""
+        for name in names:
+            if name not in self._grams:
+                self._build_gram(name)
+        return [sum(blocks) for blocks in zip(*(self._grams[name] for name in names))]
+
+    def _build_gram(self, name):
+        if name in _SPLIT:
+            splits = [gradients.decompose(TensorField(self.cache, "s0", self.p, c))
+                      for c in self.colours]
+            for piece, (tag, shift) in _SPLIT.items():
+                hat = self._cut(np.stack([getattr(sp, piece).data for sp in splits]))
+                w = weight_vector(self.cache, tag, self.p + shift)
+                self._grams[piece] = self._pair(hat, hat, w)
+            return
+        handle = handle_by_name(self.cache, self.p, name)
+        hat = self._cut(self._apply(handle))
+        self._grams[name] = self._pair(hat, hat, handle.codomain_weights())
+
+    def eigen(self, blocks):
+        """One residual-gated eigensolve of (G_s, M_s) per sector; residuals
+        are relative to the norm of the whole pencil."""
+        scale = _frobenius(blocks)
+        return [_eigh_pencil(G, M, scale=scale) for G, M in zip(blocks, self.mass())]
+
+    def joint_eigen(self, names):
+        """Per-sector eigenpairs of the stacked system, solved once per layer."""
+        key = tuple(names)
+        if key not in self._eigen:
+            self._eigen[key] = self.eigen(self.gram(names))
+        return self._eigen[key]
+
+    def field(self, sector, coeffs):
+        """The field with coefficients `coeffs` on the columns of one sector."""
+        ix, t = self.sectors[sector], self.t
+        terms = self.basis.scalars[:, ix // t] * np.asarray(coeffs, float)
+        data = np.stack([terms[:, ix % t == a].sum(axis=1) for a in range(t)], axis=-1)
+        return TensorField(self.cache, "s0", self.p, data.reshape(self.cache.spec.shape + (t,)))
+
+    def lowest_fields(self, names, count):
+        """Fields of the `count` lowest eigenpairs of the stacked system."""
+        eig = self.joint_eigen(names)
+        order = sorted((float(v), s, i) for s, r in enumerate(eig)
+                       for i, v in enumerate(r.values))
+        return [self.field(s, eig[s].vectors[:, i]) for _, s, i in order[:count]]
+
+
+def _frobenius(blocks):
+    """Frobenius norm of a block-diagonal matrix given by its blocks."""
+    return math.sqrt(sum(float(np.sum(B * B)) for B in blocks))
+
+
+def sector_spectrum(results):
+    """Ascending concatenation of per-sector eigenvalues."""
+    return np.sort(np.concatenate([r.values for r in results]))
 
 
 # ---------------------------------------------------------------------------
@@ -406,43 +594,43 @@ class SpectrumReport:
 
 
 def spectrum(handle: OperatorHandle, n_eigs=50, dealiased=True,
-             theta=1e-4, floor_factor=1e-8, gap_min=100.0):
+             theta=1e-4, floor_factor=1e-8, gap_min=100.0, galerkin=None):
     """Full eigenvalue study of an endomorphism handle.
 
-    Dealiased (default) projects onto the sub-Nyquist trig basis, which is
-    the only mode in which zero counts mean anything; nodal assembly is kept
-    for demonstrating exactly that failure.
+    Dealiased (default) goes through the Galerkin layer of the handle's grid
+    and rank (`galerkin`, built here when not given), which is the only mode
+    in which zero counts mean anything; nodal assembly is kept for
+    demonstrating exactly that failure.
     """
     if not handle.is_endomorphism:
         raise SpectralError(f"{handle.name} is not an endomorphism")
     if dealiased:
-        basis = build_dealiased_basis(handle.cache, handle.domain_rank, handle.domain_tag)
-        G, M = dealiased_pencil(handle, basis)
+        gal = galerkin or Galerkin(handle.cache, handle.domain_rank)
+        blocks = gal.form(handle)
     else:
-        A = assemble(handle)
-        w = handle.domain_weights()
-        G = A * w[:, None]
-        M = w
-    scale = float(np.linalg.norm(G)) + _TINY
-    defect = float(np.linalg.norm(G - G.T)) / scale
-    G = 0.5 * (G + G.T)
-    eig = _eigh_pencil(G, M)
-    kc = kernel_count(eig.values, theta=theta, floor_factor=floor_factor, gap_min=gap_min)
-    vals = eig.values if n_eigs is None else eig.values[:n_eigs]
+        blocks = [assemble(handle) * handle.domain_weights()[:, None]]
+    defect = _frobenius([G - G.T for G in blocks]) / (_frobenius(blocks) + _TINY)
+    blocks = [0.5 * (G + G.T) for G in blocks]
+    if dealiased:
+        results = gal.eigen(blocks)
+    else:
+        results = [_eigh_pencil(blocks[0], handle.domain_weights())]
+    values = sector_spectrum(results)
+    kc = kernel_count(values, theta=theta, floor_factor=floor_factor, gap_min=gap_min)
     return SpectrumReport(
         name=handle.name,
         n=handle.n,
         rank=handle.domain_rank,
         grid=tuple(handle.grid),
-        dof=G.shape[0],
+        dof=int(values.size),
         dealiased=bool(dealiased),
         theta=theta,
         floor_factor=floor_factor,
-        eigenvalues=np.array(vals),
-        lambda_max=float(eig.values[-1]),
+        eigenvalues=np.array(values if n_eigs is None else values[:n_eigs]),
+        lambda_max=float(values[-1]),
         kernel=kc,
         symmetry_defect=defect,
-        residual_max=float(np.max(eig.residuals, initial=0.0)),
+        residual_max=max(float(np.max(r.residuals, initial=0.0)) for r in results),
     )
 
 
@@ -761,28 +949,36 @@ def deltastar_delta_handle(cache, p):
     )
 
 
+_HANDLES = {
+    "identity": identity_handle,
+    "gradient": gradient_handle,
+    "divergence": divergence_handle,
+    "d1": d1_handle,
+    "d2": d2_handle,
+    "d3": d3_handle,
+    "rough_laplacian": rough_laplacian_handle,
+    "d1_star_d1": d1_star_d1_handle,
+    "d1_star_d1_formula": lambda cache, p: d1_star_d1_handle(cache, p, route="formula"),
+    "d2_star_d2": d2_star_d2_handle,
+    "d3_star_d3": d3_star_d3_handle,
+    "sampson_tracefree": sampson_handle,
+    "weitzenbock": weitzenbock_handle,
+    "delta_deltastar": delta_deltastar_handle,
+    "deltastar_delta": deltastar_delta_handle,
+}
+HANDLE_NAMES = tuple(_HANDLES)
+
+
+def handle_by_name(cache, p, name):
+    """Build one operator of the registry; no other handle is made."""
+    if name not in _HANDLES:
+        raise SpectralError(f"unknown operator {name!r}; known: {', '.join(sorted(_HANDLES))}")
+    return _HANDLES[name](cache, p)
+
+
 def named_handles(cache, p):
     """Deterministic registry of every operator the experiments drive."""
-    out = {}
-    for h in (
-        identity_handle(cache, p),
-        gradient_handle(cache, p),
-        divergence_handle(cache, p),
-        d1_handle(cache, p),
-        d2_handle(cache, p),
-        d3_handle(cache, p),
-        rough_laplacian_handle(cache, p),
-        d1_star_d1_handle(cache, p),
-        d1_star_d1_handle(cache, p, route="formula"),
-        d2_star_d2_handle(cache, p),
-        d3_star_d3_handle(cache, p),
-        sampson_handle(cache, p),
-        weitzenbock_handle(cache, p),
-        delta_deltastar_handle(cache, p),
-        deltastar_delta_handle(cache, p),
-    ):
-        out[h.name] = h
-    return out
+    return {name: make(cache, p) for name, make in _HANDLES.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -809,31 +1005,6 @@ def mode_injectivity_scan(n, p, kmax=4):
         if sv < worst:
             worst, worst_mode = float(sv), m
     return {"min_singular_value": worst, "mode": worst_mode}
-
-
-def flat_kernel_oracle(cache, p, tol=1e-10):
-    """Predicted near-kernel dimension of the first-order composition on a
-    flat grid, by per-Fourier-mode blocks of the dealiased basis.
-
-    Constants contribute the full fiber dimension; each nonzero half-space
-    mode contributes twice the nullity of its first-order block (cosine and
-    sine copies).  Independent of assembly: pure structure-tensor algebra.
-    """
-    if not cache.is_flat:
-        raise SpectralError("the per-mode oracle applies to flat metrics only")
-    n = cache.n
-    e = fiber.embed_matrix(n, p)
-    t = fiber.tracefree_dim(n, p)
-    kunit = [2.0 * math.pi / L for L in cache.spec.lengths]
-    total = t
-    for m in itertools.product(*(range(-(s // 2 - 1), s // 2) for s in cache.spec.sizes)):
-        nz = next((v for v in m if v != 0), 0)
-        if nz <= 0:
-            continue
-        xi = np.asarray([mi * ku for mi, ku in zip(m, kunit)])
-        svals = np.linalg.svd(e.T @ _grad_block(n, t, xi), compute_uv=False)
-        total += 2 * int(np.sum(svals < tol * float(np.linalg.norm(xi))))
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -58,11 +58,12 @@ def test_criterion_01_decomposition_batch_within_budget():
     # mutual orthogonality to 1e-8, the whole batch inside two minutes
     t0 = time.perf_counter()
     worst_recon = worst_orth = 0.0
-    for metric in ("flat", "conformal"):
+    # a fixed index per metric: str hashes are salted per process
+    for metric_index, metric in enumerate(("flat", "conformal")):
         for n in (2, 3):
             cache = make_cache(n, 32, metric)
             for p in (1, 2, 3):
-                rng = np.random.default_rng([1, n, p, hash(metric) % 997])
+                rng = np.random.default_rng([1, n, p, metric_index])
                 for _ in range(50):
                     phi = fields.random_band_limited(cache, p, 8, rng)
                     sp = gradients.decompose(phi)

@@ -181,6 +181,23 @@ def test_d1_wrong_sign_raises_conformal_too():
         d1(phi, Conventions(delta_sign=-1.0))
 
 
+@pytest.mark.parametrize("p", [1, 2])
+def test_d1_accepts_conformal_killing_tensors(p):
+    # e^{2pf} times a constant lies in the d1 kernel of the conformal metric
+    # e^{2f} delta; the trace guard must not mistake a vanishing output for
+    # a convention error.  e^{2pf} is not band-limited, so the kernel is
+    # only resolved to the grid's aliasing level (1e-10 at p = 2, N = 16)
+    cache = make_cache(2, 16, "conformal", f_text="0.1*cos(x1) + 0.05*sin(x2)")
+    phi = fields.zero_field(cache, p)
+    c = np.arange(1.0, phi.data.shape[-1] + 1.0)
+    phi.data[...] = np.exp(2.0 * p * cache.conf_exponent_values)[..., None] * c
+    out = d1(phi)
+    grad = fields.gradient(phi)
+    assert l2_norm(out) <= 1e-8 * l2_norm(grad)
+    with pytest.raises(ConventionError):
+        d1(phi, Conventions(delta_sign=-1.0))
+
+
 # ---------------------------------------------------------------------------
 # the decomposition against the projector oracle
 # ---------------------------------------------------------------------------
