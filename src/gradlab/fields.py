@@ -17,12 +17,22 @@ adjoints all stay cheap and exact.  The derivation-side fact making
 the connection term of the covariant derivative of a trace-free field
 are themselves pointwise trace-free for conformal metrics.
 
+The connection is structural.  For g = e^{2f} delta the Christoffel
+symbols are Gamma^k_ij = delta_ki h_j + delta_kj h_i - delta_ij h_k with
+h = `GeometryCache.conformal_h` (read off the discrete symbols and checked
+against this form), so every connection term is sum_l h_l(x) C_l with
+constant fiber matrices C_l: one matmul over the fiber axes, then a
+contraction with h.  Flat metrics have h = None and skip the connection
+entirely.  Coordinate derivatives come from `geometry.differentiate`
+(real FFTs on the half spectrum, or the fd4 stencil).
+
 Adjoints come in two flavors, kept deliberately separate: exact
 weighted transposes of the discrete operators (machine-precision
 pairings) and independent analytic formulas (pairings agree only up to
 discretization error).  Checks never collapse the two.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -208,22 +218,47 @@ def _sym_insert_expanded(n, p):
     return np.ascontiguousarray(np.einsum("JiA,Aa->Jia", Sm, Bp))
 
 
-def _gamma_slices(cache):
-    # T_i[..., j, k] = Gamma^k_{i j}: lower label j stays, upper k is summed
-    return np.einsum("...kij->...ijk", cache.christoffel)
+@lru_cache(maxsize=None)
+def _connection_matrix(n, p, tracefree, rows, cols):
+    """Constant fiber matrix of the conformal connection term.
+
+    With Gamma^k_ij = delta_ki h_j + delta_kj h_i - delta_ij h_k, the
+    symmetric-slot term sum_jk Gamma^k_ij Q[a,j,k,b] equals sum_l h_l
+    C[l,i,a,b] with C[l,i,a,b] = Q[a,l,i,b] + delta_li sum_j Q[a,j,j,b]
+    - Q[a,i,l,b]; Q is the slot-replacement tensor in the trace-free or
+    the monomial basis.  C is returned as a matrix with the `rows` axes
+    of "liab" first and the `cols` axes second.
+    """
+    Q = _q0(n, p) if tracefree else fiber.slot_replace_tensor(n, p)
+    C = np.einsum("alib->liab", Q) - np.einsum("ailb->liab", Q)
+    C[np.arange(n), np.arange(n)] += np.einsum("ajjb->ab", Q)
+    M = np.einsum(f"liab->{rows}{cols}", C)
+    return np.ascontiguousarray(M.reshape(math.prod(M.shape[: len(rows)]), -1))
+
+
+def _connection(h, M, v, fiber_ndim):
+    """sum_l h_l (v @ M)_l: one matmul over the trailing `fiber_ndim` axes
+    of v, then the contraction with h.  Output fiber axes are flattened."""
+    lead = v.shape[: v.ndim - fiber_ndim]
+    Y = (v.reshape(lead + (-1,)) @ M).reshape(lead + (h.shape[-1], -1))
+    out = h[..., 0, None] * Y[..., 0, :]
+    for l in range(1, h.shape[-1]):
+        out += h[..., l, None] * Y[..., l, :]
+    return out
 
 
 # ---------------------------------------------------------------------------
 # gradient (covariant derivative)
 # ---------------------------------------------------------------------------
 
-def _grad_s0_apply(cache, p, c):
+def _grad_apply(cache, p, c, tracefree=True):
     spec = cache.spec
     n = spec.n
     out = np.stack([differentiate(c, i, spec, cache.method) for i in range(n)], axis=-2)
-    if not cache.is_flat:
-        T = _gamma_slices(cache)
-        out -= np.einsum("...ijk,ajkb,...b->...ia", T, _q0(n, p), c, optimize=True)
+    h = cache.conformal_h
+    if h is not None:
+        M = _connection_matrix(n, p, tracefree, "b", "lia")
+        out -= _connection(h, M, c, 1).reshape(out.shape)
     return out
 
 
@@ -233,29 +268,20 @@ def _grad_s0_transpose(cache, p, X):
     out = -sum(
         differentiate(X[..., i, :], i, spec, cache.method) for i in range(n)
     )
-    if not cache.is_flat:
-        T = _gamma_slices(cache)
-        out = out - np.einsum("...ijk,ajkb,...ia->...b", T, _q0(n, p), X, optimize=True)
+    h = cache.conformal_h
+    if h is not None:
+        out -= _connection(h, _connection_matrix(n, p, True, "ia", "lb"), X, 2)
     return out
 
 
 def gradient(phi: TensorField):
     """Covariant derivative; trace-free input stays trace-free pointwise."""
-    if phi.tag == "s0":
-        _require_conformal(phi.cache)
-        X = _grad_s0_apply(phi.cache, phi.rank, phi.data)
-        return TensorField(phi.cache, "cov_s0", phi.rank, X)
-    if phi.tag == "s":
-        cache, p, n = phi.cache, phi.rank, phi.n
-        spec = cache.spec
-        out = np.stack(
-            [differentiate(phi.data, i, spec, cache.method) for i in range(n)], axis=-2
-        )
-        Q = fiber.slot_replace_tensor(n, p)
-        T = _gamma_slices(cache)
-        out -= np.einsum("...ijk,AjkB,...B->...iA", T, Q, phi.data, optimize=True)
-        return TensorField(cache, "cov_s", p, out)
-    raise FieldError("gradient expects an 's' or 's0' field")
+    if phi.tag not in ("s", "s0"):
+        raise FieldError("gradient expects an 's' or 's0' field")
+    _require_conformal(phi.cache)
+    tracefree = phi.tag == "s0"
+    X = _grad_apply(phi.cache, phi.rank, phi.data, tracefree)
+    return TensorField(phi.cache, "cov_s0" if tracefree else "cov_s", phi.rank, X)
 
 
 def gradient_adjoint(X: TensorField):
@@ -294,7 +320,7 @@ def divergence(phi: TensorField):
         raise FieldError("divergence needs rank >= 1")
     _require_conformal(phi.cache)
     if phi.tag == "s0":
-        X = _grad_s0_apply(phi.cache, phi.rank, phi.data)
+        X = _grad_apply(phi.cache, phi.rank, phi.data)
         out = _contract_apply(phi.cache, phi.rank, X)
         return TensorField(phi.cache, "s0", phi.rank - 1, out)
     if phi.tag == "s":
@@ -331,7 +357,7 @@ def sym_derivative(phi: TensorField):
         raise FieldError("sym_derivative expects an 's0' field")
     _require_conformal(phi.cache)
     cache, p = phi.cache, phi.rank
-    X = _grad_s0_apply(cache, p, phi.data)
+    X = _grad_apply(cache, p, phi.data)
     out = np.einsum("Jia,...ia->...J", _sym_insert_expanded(cache.n, p), X, optimize=True)
     return TensorField(cache, "s", p + 1, out)
 
@@ -371,19 +397,15 @@ def rough_laplacian(phi: TensorField, route="adjoint"):
         raise FieldError(f"unknown route {route!r}")
     cache, p, n = phi.cache, phi.rank, phi.n
     spec = cache.spec
-    X = _grad_s0_apply(cache, p, phi.data)  # (*grid, j, a)
-    T = _gamma_slices(cache) if not cache.is_flat else None
-    Q0 = _q0(n, p)
-    out = np.zeros_like(phi.data)
-    for i in range(n):
-        # (nabla_i X)_{i, J}: derivative + covariant-slot + symmetric-slot terms
-        Yii = differentiate(X[..., i, :], i, spec, cache.method)
-        if T is not None:
-            Yii = Yii - np.einsum("...k,...ka->...a", T[..., i, i, :], X)
-            Yii = Yii - np.einsum(
-                "...jk,ajkb,...b->...a", T[..., i, :, :], Q0, X[..., i, :], optimize=True
-            )
-        out -= Yii
+    X = _grad_apply(cache, p, phi.data)  # (*grid, j, a)
+    # sum_i (nabla_i X)_{i, J}: derivative, covariant-slot and symmetric-slot terms
+    out = -sum(differentiate(X[..., i, :], i, spec, cache.method) for i in range(n))
+    h = cache.conformal_h
+    if h is not None:
+        # the covariant slot adds sum_i Gamma^k_ii = (2 - n) h_k, which is
+        # (2 - n) times the identity in the (i, b) x (l, a) layout
+        M = _connection_matrix(n, p, True, "ib", "la")
+        out += _connection(h, M + (2.0 - n) * np.eye(len(M)), X, 2)
     out = _scale(out, _conf_factor(cache, -2.0), 1)
     return TensorField(cache, "s0", p, out)
 

@@ -11,13 +11,17 @@ component axes after, e.g. the metric is (*grid, n, n).
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .expressions import TrigPoly
 
 TWO_PI = 2.0 * math.pi
+
+# relative deviation of the discrete Christoffel symbols from the conformal
+# structural form that GeometryCache.conformal_h accepts (roundoff)
+STRUCTURE_TOL = 1e-12
 
 
 class GeometryError(RuntimeError):
@@ -94,15 +98,24 @@ class GridSpec:
         return k
 
 
+@lru_cache(maxsize=None)
+def _half_spectrum_symbol(spec, axis):
+    """i*k on the rfft half spectrum, Nyquist bin zeroed as in `wavenumbers`."""
+    symbol = 1j * spec.wavenumbers(axis)[: spec.sizes[axis] // 2 + 1]
+    symbol.flags.writeable = False
+    return symbol
+
+
 def differentiate(values, axis, spec, method="spectral"):
     """Partial derivative along grid axis `axis` of data shaped (*grid, ...)."""
     if method == "spectral":
-        k = spec.wavenumbers(axis)
+        symbol = _half_spectrum_symbol(spec, axis)
         shape = [1] * values.ndim
-        shape[axis] = len(k)
-        fk = np.fft.fft(values, axis=axis)
-        out = np.fft.ifft(1j * k.reshape(shape) * fk, axis=axis)
-        return np.ascontiguousarray(out.real)
+        shape[axis] = len(symbol)
+        fk = np.fft.rfft(values, axis=axis)
+        fk *= symbol.reshape(shape)
+        out = np.fft.irfft(fk, n=spec.sizes[axis], axis=axis)
+        return np.ascontiguousarray(out)
     if method == "fd4":
         h = spec.spacings[axis]
         f1 = np.roll(values, -1, axis=axis)
@@ -247,6 +260,31 @@ class GeometryCache:
     def total_volume(self):
         return float(np.sum(self.weights))
 
+    @cached_property
+    def conformal_h(self):
+        """h_l = Gamma^l_ll, shape (*grid, n), or None on a flat metric.
+
+        For g = e^{2f} delta the Christoffel symbols are Gamma^k_ij =
+        delta_ki h_j + delta_kj h_i - delta_ij h_k, so every connection
+        term is linear in h.  The discrete symbols are checked against
+        that form on first use; the field operators rely on it.
+        """
+        if not self.is_conformal:
+            raise GeometryError("h is defined only for the conformal metric family")
+        if self.is_flat:
+            return None
+        gamma = self.christoffel
+        h = np.ascontiguousarray(np.einsum("...lll->...l", gamma))
+        scale = max(float(np.max(np.abs(gamma))), 1e-300)
+        err = float(np.max(np.abs(gamma - _structural_christoffel(h)))) / scale
+        if err > STRUCTURE_TOL:
+            raise GeometryError(
+                f"Christoffel symbols deviate from the conformal form by {err:.3e} "
+                f"relative to max|Gamma| (tolerance {STRUCTURE_TOL:g})"
+            )
+        h.flags.writeable = False
+        return h
+
     def diff(self, values, axis):
         return differentiate(values, axis, self.spec, self.method)
 
@@ -338,15 +376,18 @@ def conformal_christoffel_oracle(metric: MetricField, spec: GridSpec):
     """
     if metric.preset != "conformally_flat":
         raise GeometryError("oracle only applies to the conformal preset")
-    n = spec.n
     df, _ = _analytic_partials(metric.conformal_exponent, spec)
-    gamma = np.zeros(spec.shape + (n, n, n))
-    for k in range(n):
-        for i in range(n):
-            gamma[..., k, k, i] += df[..., i]
-            gamma[..., k, i, k] += df[..., i]
-            gamma[..., k, i, i] -= df[..., k]
-    return gamma
+    return _structural_christoffel(df)
+
+
+def _structural_christoffel(h):
+    """G^k_ij = delta_ki h_j + delta_kj h_i - delta_ij h_k, shape (*grid, n, n, n)."""
+    eye = np.eye(h.shape[-1])
+    return (
+        np.einsum("ki,...j->...kij", eye, h)
+        + np.einsum("kj,...i->...kij", eye, h)
+        - np.einsum("ij,...k->...kij", eye, h)
+    )
 
 
 def conformal_ricci_oracle(metric: MetricField, spec: GridSpec):

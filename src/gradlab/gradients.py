@@ -201,7 +201,7 @@ def d1(phi: TensorField, conventions: Conventions = DEFAULT_CONVENTIONS):
     (sum over all index pairs with weight 1/(p+1)).
     """
     _check_phi(phi)
-    X = fields._grad_s0_apply(phi.cache, phi.rank, phi.data)
+    X = fields._grad_apply(phi.cache, phi.rank, phi.data)
     return _d1_from_grad(phi, X, conventions)
 
 

@@ -87,7 +87,7 @@ def test_gradient_of_constant_flat():
     assert np.max(np.abs(X.data)) < 1e-12
 
 
-@pytest.mark.parametrize("metric", ["flat", "conformal", "diagonal"])
+@pytest.mark.parametrize("metric", ["flat", "conformal"])
 @pytest.mark.parametrize("method", ["spectral", "fd4"])
 def test_metric_compatibility(metric, method):
     cache = make_cache(metric=metric, method=method)
@@ -318,6 +318,8 @@ def test_operators_refuse_non_conformal_metrics():
         divergence(phi)
     with pytest.raises(FieldError):
         gradient(phi)  # s0 storage needs the conformal family
+    with pytest.raises(FieldError):
+        gradient(as_symmetric(phi))  # so does the structural connection
     with pytest.raises(FieldError):
         l2_norm(phi)
 

@@ -1,5 +1,6 @@
 """Grid, derivative, metric, and curvature tests with analytic oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -106,6 +107,25 @@ def test_derivative_matrix_antisymmetric(method):
     assert np.max(np.abs(D + D.T)) < 1e-13
 
 
+@pytest.mark.parametrize("size", [8, 10, 12, 14, 16])
+def test_spectral_derivative_real_fft_kernel(size):
+    # the half-spectrum kernel is the complex-FFT operator with the Nyquist
+    # bin zeroed: same values, and still exactly antisymmetric
+    g = grid(1, size)
+    x = g.axis_coords(0)
+    rng = np.random.default_rng(size)
+    data = rng.standard_normal((size, 3))
+    data[:, 0] += np.cos(size // 2 * x)  # pure Nyquist content
+    k = g.wavenumbers(0)
+    ref = np.fft.ifft(1j * k[:, None] * np.fft.fft(data, axis=0), axis=0).real
+    got = differentiate(data, 0, g, "spectral")
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+    D = np.stack(
+        [differentiate(col, 0, g, "spectral") for col in np.eye(size)], axis=1
+    )
+    assert np.max(np.abs(D + D.T)) < 1e-13
+
+
 def test_multi_axis_derivative_acts_on_named_axis():
     g = grid(2, 16)
     t1, t2 = g.theta_mesh()
@@ -187,6 +207,74 @@ def test_conformal_christoffel_oracle_match():
     # named component: Gamma^1_11 = d_1 f
     d1f = geometry.coordinate_derivative(metric.conformal_exponent, 0, spec)
     assert np.max(np.abs(cache.christoffel[..., 0, 0, 0] - d1f)) < 1e-10
+
+
+DIAGONAL_EXPRS = ("1 + 0.2*cos(x2)", "1 + 0.2*cos(x1)")
+
+
+@pytest.mark.parametrize("method", ["spectral", "fd4"])
+def test_christoffel_metric_compatibility_diagonal(method):
+    # d_a g_ij = Gamma^l_ai g_lj + Gamma^l_aj g_il on a non-conformal metric
+    spec = grid(2, 16)
+    metric = diagonal_metric_field(2, [parse_trig_poly(e) for e in DIAGONAL_EXPRS])
+    cache = build_geometry(spec, metric, method=method)
+    gam, g = cache.christoffel, cache.g
+    dg = np.stack([differentiate(g, a, spec, method) for a in range(2)], axis=-3)
+    rhs = np.einsum("...lai,...lj->...aij", gam, g) + np.einsum(
+        "...laj,...il->...aij", gam, g
+    )
+    assert np.max(np.abs(dg - rhs)) < 1e-10
+
+
+def _structural_christoffel(h):
+    n = h.shape[-1]
+    eye = np.eye(n)
+    return (
+        np.einsum("ki,...j->...kij", eye, h)
+        + np.einsum("kj,...i->...kij", eye, h)
+        - np.einsum("ij,...k->...kij", eye, h)
+    )
+
+
+@pytest.mark.parametrize("method", ["spectral", "fd4"])
+@pytest.mark.parametrize("metric", ["flat", "conformal"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_conformal_h_matches_christoffel(n, metric, method):
+    spec = grid(n, 8 if n == 3 else 16)
+    if metric == "flat":
+        m = flat_metric_field(n)
+    else:
+        m = conformal_metric_field(n, parse_trig_poly("0.2*cos(x1) + 0.1*sin(x2)"))
+    cache = build_geometry(spec, m, method=method)
+    h = cache.conformal_h
+    if metric == "flat":
+        assert h is None
+        return
+    gam = cache.christoffel
+    assert h.shape == spec.shape + (n,)
+    np.testing.assert_array_equal(h, np.einsum("...lll->...l", gam))
+    err = np.max(np.abs(gam - _structural_christoffel(h))) / np.max(np.abs(gam))
+    assert err <= geometry.STRUCTURE_TOL
+    assert cache.conformal_h is h  # computed and checked once
+
+
+def test_conformal_h_rejects_perturbed_christoffel():
+    spec = grid(2, 16)
+    cache = build_geometry(
+        spec, conformal_metric_field(2, parse_trig_poly("0.1*cos(x1)"))
+    )
+    gam = cache.christoffel.copy()
+    gam[3, 5, 0, 0, 1] += 1e-8 * np.max(np.abs(gam))
+    bad = dataclasses.replace(cache, christoffel=gam)
+    with pytest.raises(GeometryError):
+        bad.conformal_h
+
+
+def test_conformal_h_refuses_non_conformal_metric():
+    metric = diagonal_metric_field(2, [parse_trig_poly(e) for e in DIAGONAL_EXPRS])
+    cache = build_geometry(grid(2, 16), metric)
+    with pytest.raises(GeometryError):
+        cache.conformal_h
 
 
 def test_conformal_2d_curvature_oracles():
