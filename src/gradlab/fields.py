@@ -24,7 +24,8 @@ against this form), so every connection term is sum_l h_l(x) C_l with
 constant fiber matrices C_l: one matmul over the fiber axes, then a
 contraction with h.  Flat metrics have h = None and skip the connection
 entirely.  Coordinate derivatives come from `geometry.differentiate`
-(real FFTs on the half spectrum, or the fd4 stencil).
+(a dense circulant matrix on short axes, real FFTs on long ones, or the
+fd4 stencil).
 
 Adjoints come in two flavors, kept deliberately separate: exact
 weighted transposes of the discrete operators (machine-precision
@@ -144,13 +145,6 @@ def _require_conformal(cache):
         )
 
 
-def _conf_factor(cache, power):
-    """exp(power * f) on the grid, or None when the metric is flat."""
-    if cache.is_flat:
-        return None
-    return np.exp(power * cache.conf_exponent_values)
-
-
 def _scale(values, factor, extra_axes):
     if factor is None:
         return values
@@ -171,7 +165,7 @@ def fiber_weight_scalar(cache, tag, rank):
     _require_conformal(cache)
     q = _covariant_rank(tag, rank)
     w = cache.weights
-    factor = _conf_factor(cache, -2.0 * q)
+    factor = cache.conformal_factor(-2.0 * q)
     return w if factor is None else w * factor
 
 
@@ -301,12 +295,12 @@ def gradient_adjoint(X: TensorField):
 
 def _contract_apply(cache, p, X):
     out = -np.einsum("bia,...ia->...b", _k0(cache.n, p), X)
-    factor = _conf_factor(cache, -2.0)
+    factor = cache.conformal_factor(-2.0)
     return _scale(out, factor, 1)
 
 
 def _contract_transpose(cache, p, y):
-    y = _scale(y, _conf_factor(cache, -2.0), 1)
+    y = _scale(y, cache.conformal_factor(-2.0), 1)
     return -np.einsum("bia,...b->...ia", _k0(cache.n, p), y)
 
 
@@ -328,7 +322,7 @@ def divergence(phi: TensorField):
         X = gradient(phi).data  # (*grid, i, A) monomial
         Kc = fiber.div_contract_tensor(n, p)
         out = -np.einsum("BiA,...iA->...B", Kc, X)
-        out = _scale(out, _conf_factor(cache, -2.0), 1)
+        out = _scale(out, cache.conformal_factor(-2.0), 1)
         return TensorField(cache, "s", p - 1, out)
     raise FieldError("divergence expects an 's' or 's0' field")
 
@@ -406,7 +400,7 @@ def rough_laplacian(phi: TensorField, route="adjoint"):
         # (2 - n) times the identity in the (i, b) x (l, a) layout
         M = _connection_matrix(n, p, True, "ib", "la")
         out += _connection(h, M + (2.0 - n) * np.eye(len(M)), X, 2)
-    out = _scale(out, _conf_factor(cache, -2.0), 1)
+    out = _scale(out, cache.conformal_factor(-2.0), 1)
     return TensorField(cache, "s0", p, out)
 
 
@@ -421,7 +415,7 @@ def max_trace_residual(phi: TensorField):
     mono = phi.monomial()
     Tm = fiber.trace_matrix(phi.n, phi.rank)
     tr = mono @ Tm.T
-    factor = _conf_factor(phi.cache, -2.0)
+    factor = phi.cache.conformal_factor(-2.0)
     if factor is not None:
         tr = tr * factor.reshape(factor.shape + (1,) * (tr.ndim - factor.ndim))
     return float(np.max(np.abs(tr)))

@@ -40,6 +40,10 @@ from .fields import FieldError, TensorField, l2_inner, l2_norm
 
 _TINY = 1e-300
 
+# grid points per block in the curvature route of weitzenbock_K; one
+# block's (m, m) matrices take at most 0.8 MB up to n = 3, p = 3
+_CURVATURE_BLOCK = 1024
+
 
 class ConventionError(RuntimeError):
     """A sign or normalization convention failed its arbitration check."""
@@ -129,6 +133,24 @@ def _d1_correction_matrix(n, p):
 
 
 @lru_cache(maxsize=None)
+def _curvature_slot_matrices(n, p):
+    """Slot actions flattened for one matmul with the pointwise curvature.
+
+    S1[(j, k), (A, B)] = Q[A, j, k, B] (`fiber.slot_replace_tensor`) and
+    S2[(j, k, l, s), (A, B)] = Q2[A, j, k, l, s, B]
+    (`fiber.double_slot_replace_tensor`); S2 is None below rank 2.
+    """
+    m = fiber.sym_dim(n, p)
+    S1 = np.moveaxis(fiber.slot_replace_tensor(n, p), 0, 2).reshape(n * n, m * m)
+    S1.flags.writeable = False
+    if p < 2:
+        return S1, None
+    S2 = np.moveaxis(fiber.double_slot_replace_tensor(n, p), 0, 4).reshape(n**4, m * m)
+    S2.flags.writeable = False
+    return S1, S2
+
+
+@lru_cache(maxsize=None)
 def _d2_literal_mono(n, p):
     """(n, m_p, t_{p-1}) monomial rows of the two-term reinsertion display.
 
@@ -212,10 +234,10 @@ def _d1_from_grad(phi, X, conventions):
     )
     dphi = fields._contract_apply(cache, p, X) * conventions.delta_sign
     corr = dphi @ _d1_correction_matrix(n, p).T
-    corr = fields._scale(corr, fields._conf_factor(cache, 2.0), 1)
+    corr = fields._scale(corr, cache.conformal_factor(2.0), 1)
     mono = mono + sym_insert_coefficient(n, p) * corr
     tr = mono @ fiber.trace_matrix(n, p + 1).T
-    tr = fields._scale(tr, fields._conf_factor(cache, -2.0), 1)
+    tr = fields._scale(tr, cache.conformal_factor(-2.0), 1)
     # relative to the gradient, not to the output: the output vanishes on
     # the kernel (conformal Killing tensors), the gradient does not
     rel = float(np.max(np.abs(tr))) / (float(np.max(np.abs(X))) + _TINY)
@@ -241,7 +263,7 @@ def d2(phi: TensorField, conventions: Conventions = DEFAULT_CONVENTIONS):
 
 def _d2_from_delta(cache, p, dphi_coords, scale=1.0):
     out = -np.einsum("iab,...b->...ia", _d2_structure(cache.n, p), dphi_coords)
-    out = fields._scale(out, fields._conf_factor(cache, 2.0), 2)
+    out = fields._scale(out, cache.conformal_factor(2.0), 2)
     return out if scale == 1.0 else scale * out
 
 
@@ -254,7 +276,7 @@ def d2_insertion_oracle(phi: TensorField, conventions: Conventions = DEFAULT_CON
     mono = -(1.0 / lam) * np.einsum(
         "iAb,...b->...iA", _insertion_matrix_mono(n, p), dphi.data
     )
-    mono = fields._scale(mono, fields._conf_factor(cache, 2.0), 2)
+    mono = fields._scale(mono, cache.conformal_factor(2.0), 2)
     _, C = fiber.tracefree_basis(n, p)
     return TensorField(cache, "cov_s0", p, mono @ C.T)
 
@@ -391,7 +413,7 @@ def d1_exact_adjoint(omega: TensorField):
     om_s = TensorField(cache, "s", p + 1, omega.monomial())
     term1 = fields.sym_derivative_exact_adjoint(om_s)
     y = (om_s.data * fiber.multiplicities(n, p + 1)) @ _d1_correction_matrix(n, p)
-    y = fields._scale(y, fields._conf_factor(cache, -2.0), 1)
+    y = fields._scale(y, cache.conformal_factor(-2.0), 1)
     psi = TensorField(cache, "s0", p - 1, y)
     term2 = fields.divergence_exact_adjoint(psi)
     return term1 + sym_insert_coefficient(n, p) * term2
@@ -403,7 +425,7 @@ def d2_exact_adjoint(X: TensorField):
         raise FieldError("d2_exact_adjoint expects a 'cov_s0' field")
     cache, p = X.cache, X.rank
     y = -np.einsum("iab,...ia->...b", _d2_structure(X.n, p), X.data)
-    y = fields._scale(y, fields._conf_factor(cache, -2.0), 1)
+    y = fields._scale(y, cache.conformal_factor(-2.0), 1)
     return fields.divergence_exact_adjoint(TensorField(cache, "s0", p - 1, y))
 
 
@@ -482,28 +504,32 @@ def weitzenbock_K(phi: TensorField, route: str = "operational"):
         raise FieldError(f"unknown route {route!r}")
     cache, p, n = phi.cache, phi.rank, phi.n
     mono = phi.monomial()
-    T1 = np.einsum("...jm,...mk->...jk", cache.ricci, cache.g_inv)
-    out = np.einsum(
-        "...jk,AjkB,...B->...A", T1, fiber.slot_replace_tensor(n, p), mono,
-        optimize=True,
-    )
+    P, m = cache.spec.num_points, mono.shape[-1]
+    S1, S2 = _curvature_slot_matrices(n, p)
+    T1 = np.einsum("...jm,...mk->...jk", cache.ricci, cache.g_inv).reshape(P, n * n)
     if p >= 2:
         T2 = np.einsum(
             "...jalb,...ak,...bs->...jkls",
             cache.riemann, cache.g_inv, cache.g_inv, optimize=True,
-        )
-        out -= np.einsum(
-            "...jkls,AjklsB,...B->...A",
-            T2, fiber.double_slot_replace_tensor(n, p), mono, optimize=True,
-        )
-    return fields.field_from_monomial(cache, p, out, tag="s0")
+        ).reshape(P, n**4)
+    x = mono.reshape(P, m, 1)
+    out = np.empty_like(x)
+    # pointwise (m, m) curvature matrices and a batched matvec, one block of
+    # points at a time so that the whole (P, m, m) stack is never held
+    for b in range(0, P, _CURVATURE_BLOCK):
+        rows = slice(b, b + _CURVATURE_BLOCK)
+        K = T1[rows] @ S1
+        if p >= 2:
+            K -= T2[rows] @ S2
+        np.matmul(K.reshape(-1, m, m), x[rows], out=out[rows])
+    return fields.field_from_monomial(cache, p, out.reshape(mono.shape), tag="s0")
 
 
 def weitzenbock_q_form(phi: TensorField, route: str = "operational"):
     """Pointwise <K phi, phi> with the conformal fiber inner product."""
     K = weitzenbock_K(phi, route=route)
     q = np.sum(K.data * phi.data, axis=-1)
-    f = fields._conf_factor(phi.cache, -2.0 * phi.rank)
+    f = phi.cache.conformal_factor(-2.0 * phi.rank)
     return q if f is None else q * f
 
 

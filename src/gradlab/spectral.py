@@ -732,17 +732,6 @@ def _sampson_symbol(n, p):
     return sig
 
 
-def _stein_weiss_symbol(n, p, coefficient="auto"):
-    c = gradients.sw_coefficient(n, p, coefficient)
-    s1 = _delta_deltastar_symbol(n, p)
-    s2 = _deltastar_delta_symbol(n, p)
-
-    def sig(xi, gscale):
-        return s1(xi, gscale) - c * s2(xi, gscale)
-
-    return sig
-
-
 @dataclass(frozen=True)
 class SymbolReport:
     name: str

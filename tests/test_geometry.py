@@ -126,6 +126,56 @@ def test_spectral_derivative_real_fft_kernel(size):
     assert np.max(np.abs(D + D.T)) < 1e-13
 
 
+@pytest.mark.parametrize("size", range(8, 66, 2))
+def test_derivative_matrix_exact_circulant(size):
+    # built from one column, so exact antisymmetry and circulance hold bit
+    # for bit, not to roundoff
+    D = geometry._derivative_matrix(GridSpec(n=1, sizes=(size,), lengths=(3.7,)), 0)
+    assert np.array_equal(D, -D.T)
+    for j in range(size):
+        assert np.array_equal(D[j], np.roll(D[0], j))
+
+
+@pytest.mark.parametrize(
+    "sizes, lengths",
+    [
+        ((12,), (1.0,)),
+        ((10, 16), (2 * math.pi, 4 * math.pi)),
+        ((8, 12, 14), (1.0, 2 * math.pi, 7.3)),
+    ],
+)
+@pytest.mark.parametrize("fiber_shape", [(), (3,), (2, 5)])
+def test_dense_derivative_matches_rfft(sizes, lengths, fiber_shape, monkeypatch):
+    spec = GridSpec(n=len(sizes), sizes=sizes, lengths=lengths)
+    rng = np.random.default_rng(len(sizes) + len(fiber_shape))
+    data = rng.standard_normal(spec.shape + fiber_shape)
+    for N, theta in zip(spec.sizes, spec.theta_mesh()):
+        # Nyquist content along every axis
+        data += np.cos(N // 2 * theta).reshape(spec.shape + (1,) * len(fiber_shape))
+    dense = [differentiate(data, a, spec) for a in range(spec.n)]
+    monkeypatch.setattr(geometry, "DENSE_DIFF_MAX", 0)
+    for a in range(spec.n):
+        ref = differentiate(data, a, spec)
+        assert dense[a].shape == ref.shape
+        assert np.max(np.abs(dense[a] - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_long_axis_takes_rfft_branch(monkeypatch):
+    N = geometry.DENSE_DIFF_MAX + 2
+    spec = GridSpec(n=2, sizes=(8, N), lengths=(2 * math.pi, 5.0))
+    D = geometry._derivative_matrix(spec, 1)
+    data = np.random.default_rng(1).standard_normal((8, N, 3))
+    data += np.cos(N // 2 * spec.theta_mesh()[1])[..., None]
+
+    def refuse(spec, axis):
+        raise AssertionError("dense matrix requested above the crossover")
+
+    monkeypatch.setattr(geometry, "_derivative_matrix", refuse)
+    got = differentiate(data, 1, spec)
+    ref = np.einsum("jk,akc->ajc", D, data)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 def test_multi_axis_derivative_acts_on_named_axis():
     g = grid(2, 16)
     t1, t2 = g.theta_mesh()
@@ -234,6 +284,19 @@ def _structural_christoffel(h):
         + np.einsum("kj,...i->...kij", eye, h)
         - np.einsum("ij,...k->...kij", eye, h)
     )
+
+
+def test_conformal_factor_cached_per_power():
+    spec = grid(2, 8)
+    cache = build_geometry(
+        spec, conformal_metric_field(2, parse_trig_poly("0.2*cos(x1) + 0.1*sin(x2)"))
+    )
+    for power in (-2.0, 2.0, -6.0):
+        factor = cache.conformal_factor(power)
+        assert np.array_equal(factor, np.exp(power * cache.conf_exponent_values))
+        assert not factor.flags.writeable
+        assert cache.conformal_factor(power) is factor
+    assert build_geometry(spec, flat_metric_field(2)).conformal_factor(-2.0) is None
 
 
 @pytest.mark.parametrize("method", ["spectral", "fd4"])

@@ -483,6 +483,38 @@ def test_curvature_term_matches_pointwise_formula(n, p):
     assert rep["curvature_oracle"] < 1e-9
 
 
+def _curvature_route_einsum(phi):
+    """The curvature route as per-point einsums over the slot tensors."""
+    cache, p, n = phi.cache, phi.rank, phi.n
+    mono = phi.monomial()
+    T1 = np.einsum("...jm,...mk->...jk", cache.ricci, cache.g_inv)
+    out = np.einsum(
+        "...jk,AjkB,...B->...A", T1, fiber.slot_replace_tensor(n, p), mono,
+        optimize=True,
+    )
+    if p >= 2:
+        T2 = np.einsum(
+            "...jalb,...ak,...bs->...jkls",
+            cache.riemann, cache.g_inv, cache.g_inv, optimize=True,
+        )
+        out -= np.einsum(
+            "...jkls,AjklsB,...B->...A",
+            T2, fiber.double_slot_replace_tensor(n, p), mono, optimize=True,
+        )
+    return fields.field_from_monomial(cache, p, out, tag="s0")
+
+
+@pytest.mark.parametrize("metric", ["flat", "conformal"])
+@pytest.mark.parametrize("n,size", [(2, 16), (3, 12)])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_curvature_route_matches_einsum(n, size, p, metric):
+    cache = make_cache(n, size, metric)
+    phi = random_field(cache, p, seed=60 + p, band=3)
+    got = weitzenbock_K(phi, route="curvature").data
+    ref = _curvature_route_einsum(phi).data
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_curvature_term_2d_scalar_action(p):
     # on a conformal 2-torus the curvature term acts as p^2 K (Gauss curvature)
