@@ -5,11 +5,9 @@ catalog (flat, conformally flat, diagonal periodic).  Everything is
 sampled on a tensor-product lattice; derivatives are pseudo-spectral
 by default with a 4th-order stencil as the alternative.
 
-The spectral derivative along an axis of length N <= DENSE_DIFF_MAX is a
-cached dense circulant matrix applied as one batched matmul, built from
-its first column so that it is exactly circulant and exactly
-antisymmetric; longer axes use rfft/irfft on the half spectrum.  Both
-zero the Nyquist bin and are the same operator up to roundoff.
+The spectral derivative along an axis is a cached dense circulant
+matrix (Nyquist bin zeroed) applied as one batched matmul, built from its
+first column so that it is exactly circulant and exactly antisymmetric.
 
 Array convention: sampled data has the n grid axes first, fiber or
 component axes after, e.g. the metric is (*grid, n, n).
@@ -104,21 +102,6 @@ class GridSpec:
         return k
 
 
-# Axes longer than this take the rfft route; at or below it the dense
-# circulant matmul is faster.  Dense time over rfft/irfft time, all axes,
-# 7 fiber components, one BLAS thread on a 2-vCPU Xeon: 2-D 0.22 at N=64,
-# 0.83 at N=256, 3.1 at N=384; 3-D 0.44 at N=96; 1-D 16 at N=1024.
-DENSE_DIFF_MAX = 256
-
-
-@lru_cache(maxsize=None)
-def _half_spectrum_symbol(spec, axis):
-    """i*k on the rfft half spectrum, Nyquist bin zeroed as in `wavenumbers`."""
-    symbol = 1j * spec.wavenumbers(axis)[: spec.sizes[axis] // 2 + 1]
-    symbol.flags.writeable = False
-    return symbol
-
-
 @lru_cache(maxsize=None)
 def _derivative_matrix(spec, axis):
     """Spectral derivative along `axis` as a dense N x N matrix.
@@ -129,6 +112,8 @@ def _derivative_matrix(spec, axis):
     -c[d] is set by negation, so D is exactly circulant and exactly
     antisymmetric; filling from cot(pi (j - k)/N) directly is neither in
     floating point, and commutators of derivatives pick up the difference.
+    It holds N^2 entries, no more than one scalar field on a grid of
+    dimension >= 2.
     """
     N, L = spec.sizes[axis], spec.lengths[axis]
     d = np.arange(1, N // 2)
@@ -145,22 +130,14 @@ def differentiate(values, axis, spec, method="spectral"):
     """Partial derivative along grid axis `axis` of data shaped (*grid, ...)."""
     if method == "spectral":
         N = spec.sizes[axis]
-        if N <= DENSE_DIFF_MAX:
-            D = _derivative_matrix(spec, axis)
-            lead = math.prod(values.shape[:axis])
-            if values.ndim == axis + 1:
-                # one row-major gemm; a stack of matvecs is slower here
-                out = values.reshape(lead, N) @ D.T
-            else:
-                out = D @ values.reshape(lead, N, -1)
-            return out.reshape(values.shape)
-        symbol = _half_spectrum_symbol(spec, axis)
-        shape = [1] * values.ndim
-        shape[axis] = len(symbol)
-        fk = np.fft.rfft(values, axis=axis)
-        fk *= symbol.reshape(shape)
-        out = np.fft.irfft(fk, n=N, axis=axis)
-        return np.ascontiguousarray(out)
+        D = _derivative_matrix(spec, axis)
+        lead = math.prod(values.shape[:axis])
+        if values.ndim == axis + 1:
+            # one row-major gemm; a stack of matvecs is slower here
+            out = values.reshape(lead, N) @ D.T
+        else:
+            out = D @ values.reshape(lead, N, -1)
+        return out.reshape(values.shape)
     if method == "fd4":
         h = spec.spacings[axis]
         f1 = np.roll(values, -1, axis=axis)

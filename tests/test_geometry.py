@@ -109,8 +109,8 @@ def test_derivative_matrix_antisymmetric(method):
 
 @pytest.mark.parametrize("size", [8, 10, 12, 14, 16])
 def test_spectral_derivative_real_fft_kernel(size):
-    # the half-spectrum kernel is the complex-FFT operator with the Nyquist
-    # bin zeroed: same values, and still exactly antisymmetric
+    # the dense circulant kernel is the complex-FFT operator with the
+    # Nyquist bin zeroed: same values, and exactly antisymmetric
     g = grid(1, size)
     x = g.axis_coords(0)
     rng = np.random.default_rng(size)
@@ -136,44 +136,36 @@ def test_derivative_matrix_exact_circulant(size):
         assert np.array_equal(D[j], np.roll(D[0], j))
 
 
+def _fft_derivative(data, axis, spec):
+    # complex-FFT reference with the Nyquist bin zeroed
+    shape = [1] * data.ndim
+    shape[axis] = spec.sizes[axis]
+    symbol = (1j * spec.wavenumbers(axis)).reshape(shape)
+    return np.fft.ifft(symbol * np.fft.fft(data, axis=axis), axis=axis).real
+
+
 @pytest.mark.parametrize(
     "sizes, lengths",
     [
         ((12,), (1.0,)),
         ((10, 16), (2 * math.pi, 4 * math.pi)),
         ((8, 12, 14), (1.0, 2 * math.pi, 7.3)),
+        ((8, 300), (2 * math.pi, 5.0)),
     ],
 )
 @pytest.mark.parametrize("fiber_shape", [(), (3,), (2, 5)])
-def test_dense_derivative_matches_rfft(sizes, lengths, fiber_shape, monkeypatch):
+def test_spectral_derivative_matches_fft_reference(sizes, lengths, fiber_shape):
     spec = GridSpec(n=len(sizes), sizes=sizes, lengths=lengths)
     rng = np.random.default_rng(len(sizes) + len(fiber_shape))
     data = rng.standard_normal(spec.shape + fiber_shape)
     for N, theta in zip(spec.sizes, spec.theta_mesh()):
         # Nyquist content along every axis
         data += np.cos(N // 2 * theta).reshape(spec.shape + (1,) * len(fiber_shape))
-    dense = [differentiate(data, a, spec) for a in range(spec.n)]
-    monkeypatch.setattr(geometry, "DENSE_DIFF_MAX", 0)
     for a in range(spec.n):
-        ref = differentiate(data, a, spec)
-        assert dense[a].shape == ref.shape
-        assert np.max(np.abs(dense[a] - ref)) <= 1e-14 * np.max(np.abs(ref))
-
-
-def test_long_axis_takes_rfft_branch(monkeypatch):
-    N = geometry.DENSE_DIFF_MAX + 2
-    spec = GridSpec(n=2, sizes=(8, N), lengths=(2 * math.pi, 5.0))
-    D = geometry._derivative_matrix(spec, 1)
-    data = np.random.default_rng(1).standard_normal((8, N, 3))
-    data += np.cos(N // 2 * spec.theta_mesh()[1])[..., None]
-
-    def refuse(spec, axis):
-        raise AssertionError("dense matrix requested above the crossover")
-
-    monkeypatch.setattr(geometry, "_derivative_matrix", refuse)
-    got = differentiate(data, 1, spec)
-    ref = np.einsum("jk,akc->ajc", D, data)
-    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+        got = differentiate(data, a, spec)
+        ref = _fft_derivative(data, a, spec)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_multi_axis_derivative_acts_on_named_axis():
