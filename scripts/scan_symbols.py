@@ -1,12 +1,13 @@
-"""Scan principal symbols and assembled spectra across small cases.
+"""Scan principal symbols and Galerkin spectra across small cases.
 
 Usage:
-    python scripts/scan_symbols.py [--out OUTDIR]
+    python scripts/scan_symbols.py [--out OUTDIR] [--directions K] [--seed S]
 
 Writes, for each (n, p) with n in {2, 3, 4} and p in {1, 2}:
   symbol_n{n}_p{p}.csv    per-direction singular values of the squared symbol
-and, on the 2-torus only (dense assembly is cheap there):
-  spectrum_n2_p{p}.csv    the assembled low spectrum on a small torus
+and, on the 2-torus only:
+  spectrum_n2_p{p}.csv    the low spectrum of d1* d1 on a small torus, from
+                          the Galerkin layer on the dealiased basis
 plus the ellipticity floor (min eigenvalue over |xi|^2) per case.
 """
 

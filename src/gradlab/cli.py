@@ -14,6 +14,7 @@ import sys
 
 from . import fiber, harness, spectral
 from .config import ConfigError, apply_overrides, load_config
+from .geometry import GeometryError
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -179,7 +180,7 @@ def main(argv=None, out=sys.stdout):
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args, out)
-    except (ConfigError, harness.HarnessError) as exc:
+    except (ConfigError, GeometryError, harness.HarnessError) as exc:
         print(f"gradlab {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -8,10 +8,9 @@ Fields store fiber coordinates per grid point under one of four tags:
     "cov_s"   one covariant slot + symmetric part, (*grid, n, sym_dim)
     "cov_s0"  one covariant slot + trace-free part, (*grid, n, tracefree_dim)
 
-Differential operators are restricted to the conformal metric family
-(flat or conformally flat).  There the fiber Gram matrix in the flat
-orthonormal basis is a scalar multiple of the identity at every point,
-so trace-free storage, diagonal quadrature weights, and exact-transpose
+Every metric is flat or conformally flat (`geometry.PRESETS`).  There
+the fiber Gram matrix in the flat orthonormal basis is a scalar multiple
+of the identity at every point, so trace-free storage, diagonal quadrature weights, and exact-transpose
 adjoints all stay cheap and exact.  The derivation-side fact making
 "s0" storage lossless is that both the coordinate-derivative term and
 the connection term of the covariant derivative of a trace-free field
@@ -24,8 +23,7 @@ against this form), so every connection term is sum_l h_l(x) C_l with
 constant fiber matrices C_l: one matmul over the fiber axes, then a
 contraction with h.  Flat metrics have h = None and skip the connection
 entirely.  Coordinate derivatives come from `geometry.differentiate`
-(a dense circulant matrix on short axes, real FFTs on long ones, or the
-fd4 stencil).
+(a dense circulant matrix, or the fd4 stencil).
 
 Adjoints come in two flavors, kept deliberately separate: exact
 weighted transposes of the discrete operators (machine-precision
@@ -44,7 +42,7 @@ from .geometry import GeometryCache, differentiate
 
 
 class FieldError(RuntimeError):
-    """Raised for tag/rank mismatches or unsupported metric families."""
+    """Raised for invalid tags, ranks, shapes or routes."""
 
 
 _TAGS = ("s", "s0", "cov_s", "cov_s0")
@@ -75,10 +73,6 @@ class TensorField:
     @property
     def n(self):
         return self.cache.n
-
-    @property
-    def fiber_dim(self):
-        return self.data.shape[-1]
 
     def monomial(self):
         """Coordinates in the monomial basis, expanding trace-free storage."""
@@ -138,13 +132,6 @@ def to_tracefree(phi: TensorField):
 # conformal bookkeeping
 # ---------------------------------------------------------------------------
 
-def _require_conformal(cache):
-    if not cache.is_conformal:
-        raise FieldError(
-            "operator requires the conformal metric family (flat or conformally flat)"
-        )
-
-
 def _scale(values, factor, extra_axes):
     if factor is None:
         return values
@@ -162,7 +149,6 @@ def fiber_weight_scalar(cache, tag, rank):
     identity for trace-free tags and the multiplicity diagonal for
     monomial tags.
     """
-    _require_conformal(cache)
     q = _covariant_rank(tag, rank)
     w = cache.weights
     factor = cache.conformal_factor(-2.0 * q)
@@ -272,7 +258,6 @@ def gradient(phi: TensorField):
     """Covariant derivative; trace-free input stays trace-free pointwise."""
     if phi.tag not in ("s", "s0"):
         raise FieldError("gradient expects an 's' or 's0' field")
-    _require_conformal(phi.cache)
     tracefree = phi.tag == "s0"
     X = _grad_apply(phi.cache, phi.rank, phi.data, tracefree)
     return TensorField(phi.cache, "cov_s0" if tracefree else "cov_s", phi.rank, X)
@@ -312,7 +297,6 @@ def divergence(phi: TensorField):
     also supported (output rank p-1, tag 's')."""
     if phi.rank < 1:
         raise FieldError("divergence needs rank >= 1")
-    _require_conformal(phi.cache)
     if phi.tag == "s0":
         X = _grad_apply(phi.cache, phi.rank, phi.data)
         out = _contract_apply(phi.cache, phi.rank, X)
@@ -349,7 +333,6 @@ def sym_derivative(phi: TensorField):
     """
     if phi.tag != "s0":
         raise FieldError("sym_derivative expects an 's0' field")
-    _require_conformal(phi.cache)
     cache, p = phi.cache, phi.rank
     X = _grad_apply(cache, p, phi.data)
     out = np.einsum("Jia,...ia->...J", _sym_insert_expanded(cache.n, p), X, optimize=True)
@@ -384,7 +367,6 @@ def rough_laplacian(phi: TensorField, route="adjoint"):
     """
     if phi.tag != "s0":
         raise FieldError("rough_laplacian expects an 's0' field")
-    _require_conformal(phi.cache)
     if route == "adjoint":
         return gradient_adjoint(gradient(phi))
     if route != "formula":
@@ -421,7 +403,7 @@ def max_trace_residual(phi: TensorField):
     return float(np.max(np.abs(tr)))
 
 
-def random_band_limited(cache, rank, band, rng, tag="s0", amplitude=1.0):
+def random_band_limited(cache, rank, band, rng):
     """Gaussian random field low-passed to |k_axis| <= band per axis."""
     spec = cache.spec
     n = spec.n
@@ -436,8 +418,8 @@ def random_band_limited(cache, rank, band, rng, tag="s0", amplitude=1.0):
         mask_shape[axis] = spec.sizes[axis]
         fk *= (idx <= band).reshape(mask_shape)
     vals = np.fft.ifftn(fk, axes=tuple(range(n))).real
-    out = field_from_monomial(cache, rank, vals, tag=tag)
+    out = field_from_monomial(cache, rank, vals)
     nrm = l2_norm(out)
     if nrm > 0:
-        out = out * (amplitude / nrm)
+        out = out * (1.0 / nrm)
     return out

@@ -1,9 +1,9 @@
 """Periodic grids, derivative engines, metrics, and curvature.
 
-The manifolds are n-tori with analytic metrics from a small preset
-catalog (flat, conformally flat, diagonal periodic).  Everything is
-sampled on a tensor-product lattice; derivatives are pseudo-spectral
-by default with a 4th-order stencil as the alternative.
+The manifolds are n-tori with a flat or a conformally flat metric
+g = e^{2f} delta, f a trig polynomial.  Everything is sampled on a
+tensor-product lattice; derivatives are pseudo-spectral by default with a
+4th-order stencil as the alternative.
 
 The spectral derivative along an axis is a cached dense circulant
 matrix (Nyquist bin zeroed) applied as one batched matmul, built from its
@@ -29,7 +29,7 @@ STRUCTURE_TOL = 1e-12
 
 
 class GeometryError(RuntimeError):
-    """Raised for invalid grids, non-SPD metric samples, or bad presets."""
+    """Raised for invalid grids, bad presets, or unusable metric samples."""
 
 
 @dataclass(frozen=True)
@@ -84,10 +84,6 @@ class GridSpec:
     def theta_mesh(self):
         """Angular coordinates 2*pi*x/L per axis, full mesh, shape (*grid,)."""
         axes = [self.axis_coords(i) * (TWO_PI / self.lengths[i]) for i in range(self.n)]
-        return np.meshgrid(*axes, indexing="ij")
-
-    def coord_mesh(self):
-        axes = [self.axis_coords(i) for i in range(self.n)]
         return np.meshgrid(*axes, indexing="ij")
 
     def wavenumbers(self, axis):
@@ -178,7 +174,7 @@ def analytic_laplacian(poly: TrigPoly, spec):
 # metric presets
 # ---------------------------------------------------------------------------
 
-PRESETS = ("flat", "conformally_flat", "diagonal_periodic")
+PRESETS = ("flat", "conformally_flat")
 
 
 @dataclass(frozen=True)
@@ -188,26 +184,18 @@ class MetricField:
     preset: str
     n: int
     conformal_exponent: TrigPoly = None
-    diagonal: tuple = None
 
     def __post_init__(self):
         if self.preset not in PRESETS:
             raise GeometryError(f"unknown metric preset {self.preset!r}")
         if self.preset == "conformally_flat" and self.conformal_exponent is None:
             raise GeometryError("conformally_flat needs an exponent expression")
-        if self.preset == "diagonal_periodic":
-            if self.diagonal is None or len(self.diagonal) != self.n:
-                raise GeometryError("diagonal_periodic needs one expression per axis")
 
     @property
     def is_flat(self):
         return self.preset == "flat" or (
             self.preset == "conformally_flat" and self.conformal_exponent.is_zero
         )
-
-    @property
-    def is_conformal(self):
-        return self.preset in ("flat", "conformally_flat")
 
     def components(self, spec: GridSpec):
         if spec.n != self.n:
@@ -216,16 +204,10 @@ class MetricField:
         if self.preset == "flat":
             for i in range(self.n):
                 g[..., i, i] = 1.0
-        elif self.preset == "conformally_flat":
+        else:
             conf = np.exp(2.0 * evaluate_on_grid(self.conformal_exponent, spec))
             for i in range(self.n):
                 g[..., i, i] = conf
-        else:
-            for i in range(self.n):
-                a = evaluate_on_grid(self.diagonal[i], spec)
-                if np.min(a) <= 0:
-                    raise GeometryError(f"diagonal entry {i + 1} is not positive")
-                g[..., i, i] = a
         return g
 
 
@@ -235,10 +217,6 @@ def flat_metric_field(n):
 
 def conformal_metric_field(n, exponent: TrigPoly):
     return MetricField(preset="conformally_flat", n=n, conformal_exponent=exponent)
-
-
-def diagonal_metric_field(n, diagonal):
-    return MetricField(preset="diagonal_periodic", n=n, diagonal=tuple(diagonal))
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +242,7 @@ class GeometryCache:
     ricci: np.ndarray
     scalar_curvature: np.ndarray
     weights: np.ndarray
-    conf_exponent_values: np.ndarray = None
+    conf_exponent_values: np.ndarray
     _conformal_factors: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -274,10 +252,6 @@ class GeometryCache:
     @property
     def is_flat(self):
         return self.metric.is_flat
-
-    @property
-    def is_conformal(self):
-        return self.metric.is_conformal
 
     @cached_property
     def total_volume(self):
@@ -292,8 +266,6 @@ class GeometryCache:
         term is linear in h.  The discrete symbols are checked against
         that form on first use; the field operators rely on it.
         """
-        if not self.is_conformal:
-            raise GeometryError("h is defined only for the conformal metric family")
         if self.is_flat:
             return None
         gamma = self.christoffel
@@ -322,46 +294,55 @@ class GeometryCache:
             self._conformal_factors[power] = factor
         return factor
 
-    def diff(self, values, axis):
-        return differentiate(values, axis, self.spec, self.method)
-
 
 def build_geometry(spec: GridSpec, metric: MetricField, method="spectral"):
+    """Sample the metric on the grid, with its connection and curvature.
+
+    Raises GeometryError when a metric sample is not positive definite or
+    when any stored array is not finite, e.g. a conformal factor out of
+    floating-point range.  That check replaces numpy's overflow warnings,
+    which are silenced here.
+    """
     if method not in ("spectral", "fd4"):
         raise GeometryError(f"unknown differentiation method {method!r}")
     n = spec.n
-    g = metric.components(spec)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = metric.components(spec)
+        _require_finite(g=g)
+        eigs = np.linalg.eigvalsh(g)
+        if np.min(eigs) <= 0:
+            raise GeometryError("metric sample is not positive definite")
+        g_inv = np.linalg.inv(g)
+        sqrt_det = np.sqrt(np.linalg.det(g))
 
-    eigs = np.linalg.eigvalsh(g)
-    if np.min(eigs) <= 0:
-        raise GeometryError("metric sample is not positive definite")
-    g_inv = np.linalg.inv(g)
-    sqrt_det = np.sqrt(np.linalg.det(g))
+        # dg[..., a, i, j] = d_a g_ij
+        dg = np.stack([differentiate(g, a, spec, method) for a in range(n)], axis=-3)
+        gamma = _christoffel(g_inv, dg)
 
-    # dg[..., a, i, j] = d_a g_ij
-    dg = np.stack([differentiate(g, a, spec, method) for a in range(n)], axis=-3)
-    gamma = _christoffel(g_inv, dg)
+        dgamma = np.stack(
+            [differentiate(gamma, a, spec, method) for a in range(n)], axis=-4
+        )
+        # R^r_{s m v} = d_m G^r_{v s} - d_v G^r_{m s} + G^r_{m l} G^l_{v s} - G^r_{v l} G^l_{m s}
+        r_up = (
+            np.einsum("...mrvs->...rsmv", dgamma)
+            - np.einsum("...vrms->...rsmv", dgamma)
+            + np.einsum("...rml,...lvs->...rsmv", gamma, gamma)
+            - np.einsum("...rvl,...lms->...rsmv", gamma, gamma)
+        )
+        riemann = np.einsum("...ir,...rsmv->...ismv", g, r_up)
+        ricci = np.einsum("...msmv->...sv", r_up)
+        scalar = np.einsum("...sv,...sv->...", g_inv, ricci)
+        weights = spec.cell_volume * sqrt_det
 
-    dgamma = np.stack(
-        [differentiate(gamma, a, spec, method) for a in range(n)], axis=-4
-    )
-    # R^r_{s m v} = d_m G^r_{v s} - d_v G^r_{m s} + G^r_{m l} G^l_{v s} - G^r_{v l} G^l_{m s}
-    r_up = (
-        np.einsum("...mrvs->...rsmv", dgamma)
-        - np.einsum("...vrms->...rsmv", dgamma)
-        + np.einsum("...rml,...lvs->...rsmv", gamma, gamma)
-        - np.einsum("...rvl,...lms->...rsmv", gamma, gamma)
-    )
-    riemann = np.einsum("...ir,...rsmv->...ismv", g, r_up)
-    ricci = np.einsum("...msmv->...sv", r_up)
-    scalar = np.einsum("...sv,...sv->...", g_inv, ricci)
-    weights = spec.cell_volume * sqrt_det
-
-    conf_vals = None
     if metric.preset == "conformally_flat":
         conf_vals = evaluate_on_grid(metric.conformal_exponent, spec)
-    elif metric.preset == "flat":
+    else:
         conf_vals = np.zeros(spec.shape)
+    _require_finite(
+        g_inv=g_inv, sqrt_det=sqrt_det, christoffel=gamma, riemann=riemann,
+        ricci=ricci, scalar_curvature=scalar, weights=weights,
+        conf_exponent_values=conf_vals,
+    )
 
     return GeometryCache(
         spec=spec,
@@ -377,6 +358,15 @@ def build_geometry(spec: GridSpec, metric: MetricField, method="spectral"):
         weights=weights,
         conf_exponent_values=conf_vals,
     )
+
+
+def _require_finite(**arrays):
+    bad = [name for name, values in arrays.items() if not np.all(np.isfinite(values))]
+    if bad:
+        raise GeometryError(
+            f"metric sample gives non-finite {', '.join(bad)}; "
+            "the metric is out of floating-point range"
+        )
 
 
 def _christoffel(g_inv, dg):

@@ -44,6 +44,10 @@ _TINY = 1e-300
 # block's (m, m) matrices take at most 0.8 MB up to n = 3, p = 3
 _CURVATURE_BLOCK = 1024
 
+# largest trace residual of d1's symmetrized derivative, relative to max|X|
+# of the gradient X, that d1 accepts before raising ConventionError
+_TRACE_GUARD = 1e-6
+
 
 class ConventionError(RuntimeError):
     """A sign or normalization convention failed its arbitration check."""
@@ -60,7 +64,6 @@ class Conventions:
 
     delta_sign: float = 1.0
     d2_prefactor_scale: float = 1.0
-    trace_guard: float = 1e-6
 
 
 DEFAULT_CONVENTIONS = Conventions()
@@ -100,18 +103,10 @@ def insertion_eigenvalue(n: int, p: int) -> float:
     return (n + 2 * (p - 1)) * (n + p - 3) / (p * (n + 2 * (p - 2)))
 
 
-def sw_coefficient(n: int, p: int, which: str = "auto") -> float:
-    """Coefficient of delta*delta inside the second-order composition d1*d1.
-
-    'auto' is the value forced by the exact-transpose route for every rank;
-    'four' fixes the numerator at 4 (= 2p at p = 2) and is kept as a
-    diagnostic variant that agrees with 'auto' only at p = 2.
-    """
-    if which == "auto":
-        return 2.0 * p / ((p + 1) * (n + 2 * (p - 1)))
-    if which == "four":
-        return 4.0 / ((p + 1) * (n + 2 * (p - 1)))
-    raise FieldError(f"unknown coefficient variant {which!r}")
+def sw_coefficient(n: int, p: int) -> float:
+    """Coefficient of delta*delta inside the second-order composition d1*d1,
+    the value forced by the exact-transpose route for every rank."""
+    return 2.0 * p / ((p + 1) * (n + 2 * (p - 1)))
 
 
 def energy_coefficient(n: int, p: int) -> float:
@@ -241,10 +236,10 @@ def _d1_from_grad(phi, X, conventions):
     # relative to the gradient, not to the output: the output vanishes on
     # the kernel (conformal Killing tensors), the gradient does not
     rel = float(np.max(np.abs(tr))) / (float(np.max(np.abs(X))) + _TINY)
-    if rel > conventions.trace_guard:
+    if rel > _TRACE_GUARD:
         raise ConventionError(
             f"trace residual {rel:.3e} of the symmetrized derivative exceeds "
-            f"{conventions.trace_guard:.1e}: divergence sign or insertion "
+            f"{_TRACE_GUARD:.1e}: divergence sign or insertion "
             "normalization is inconsistent"
         )
     _, C = fiber.tracefree_basis(n, p + 1)
@@ -444,7 +439,7 @@ def d3_exact_adjoint(X: TensorField):
 # second-order compositions
 # ---------------------------------------------------------------------------
 
-def stein_weiss_d1(phi: TensorField, route: str = "formula", coefficient: str = "auto"):
+def stein_weiss_d1(phi: TensorField, route: str = "formula"):
     """Second-order composition d1* d1.
 
     route 'transpose' is the definitional oracle (exact adjoint after d1);
@@ -456,28 +451,10 @@ def stein_weiss_d1(phi: TensorField, route: str = "formula", coefficient: str = 
         return d1_exact_adjoint(d1(phi))
     if route != "formula":
         raise FieldError(f"unknown route {route!r}")
-    c = sw_coefficient(phi.n, phi.rank, coefficient)
+    c = sw_coefficient(phi.n, phi.rank)
     t1 = fields.to_tracefree(fields.divergence(fields.sym_derivative(phi)))
     t2 = fields.to_tracefree(fields.sym_derivative(fields.divergence(phi)))
     return t1 - c * t2
-
-
-def stein_weiss_checked(phi: TensorField, guard: float = 1e-6, coefficient: str = "auto"):
-    """Formula route checked against the transpose oracle.
-
-    Returns (formula_result, relative_residual); a residual beyond the
-    guard means the composition coefficient is wrong, which invalidates
-    everything downstream, so it raises ConventionError.
-    """
-    a = stein_weiss_d1(phi, route="formula", coefficient=coefficient)
-    b = stein_weiss_d1(phi, route="transpose")
-    rel = l2_norm(a - b) / (l2_norm(b) + _TINY)
-    if rel > guard:
-        raise ConventionError(
-            f"second-order composition routes disagree at {rel:.3e} "
-            f"(guard {guard:.1e})"
-        )
-    return a, rel
 
 
 def sampson(phi: TensorField):
@@ -654,13 +631,3 @@ def ahlfors_ratio(phi: TensorField):
     S = ahlfors_deformation(phi)
     om = d1(phi)
     return l2_norm(S) ** 2 / (l2_norm(om) ** 2 + _TINY)
-
-
-def double_divergence_ratio(phi: TensorField):
-    """Measured ||delta delta phi|| / ||phi||; not an identity, so reported
-    rather than asserted."""
-    _check_phi(phi)
-    if phi.rank < 2:
-        raise FieldError("double divergence needs rank >= 2")
-    dd = fields.divergence(fields.divergence(phi))
-    return l2_norm(dd) / (l2_norm(phi) + _TINY)

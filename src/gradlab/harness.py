@@ -165,7 +165,7 @@ def build_cache(config, size):
     return build_geometry(spec, metric, method=config.method)
 
 
-def band_limited_field(cache, rank, band, rng, tag="s0", amplitude=1.0):
+def band_limited_field(cache, rank, band, rng):
     """Trig-polynomial field whose coefficients do not depend on the grid.
 
     Modes are enumerated in a fixed order, so the same rng seed produces
@@ -174,19 +174,14 @@ def band_limited_field(cache, rank, band, rng, tag="s0", amplitude=1.0):
     which builds through the FFT and is much faster.
     """
     spec = cache.spec
-    if tag == "s0":
-        t = fiber.tracefree_dim(spec.n, rank)
-    elif tag == "s":
-        t = fiber.sym_dim(spec.n, rank)
-    else:
-        raise HarnessError(f"band_limited_field supports 's0'/'s' tags, not {tag!r}")
+    t = fiber.tracefree_dim(spec.n, rank)
     modes = np.array(spectral.half_modes((band,) * spec.n), dtype=float).reshape(-1, spec.n)
     # rows: the constant, then (cos, sin) coefficients per mode, in draw order
     coef = rng.standard_normal((2 * len(modes) + 1, t))
     phase = np.stack(spec.theta_mesh(), axis=-1) @ modes.T
     data = coef[0] + np.cos(phase) @ coef[1::2] + np.sin(phase) @ coef[2::2]
-    data *= amplitude / np.sqrt(2 * len(modes) + 1)
-    return TensorField(cache, tag, rank, data)
+    data *= 1.0 / np.sqrt(2 * len(modes) + 1)
+    return TensorField(cache, "s0", rank, data)
 
 
 def _unit(phi):
@@ -222,7 +217,7 @@ def _splitting_form_residual(phi):
     bug, not discretization error.
     """
     p, n = phi.rank, phi.n
-    sw = gradients.stein_weiss_d1(phi, route="formula", coefficient="auto")
+    sw = gradients.stein_weiss_d1(phi, route="formula")
     c_d = (p / (p + 1.0)) * (1.0 - 2.0 / (n + 2.0 * (p - 1.0)))
     samp = fields.to_tracefree(gradients.sampson(phi))
     dsd = fields.to_tracefree(fields.sym_derivative(fields.divergence(phi)))
@@ -319,8 +314,8 @@ def _identity_checks_for_rank(rec, config, p, caches):
     flipped_min = np.inf
     flat_k = 0.0
     for phi in sub:
-        a = gradients.stein_weiss_d1(phi, route="formula", coefficient="auto")
-        b = gradients.stein_weiss_d1(phi, route="transpose", coefficient="auto")
+        a = gradients.stein_weiss_d1(phi, route="formula")
+        b = gradients.stein_weiss_d1(phi, route="transpose")
         two_route = max(two_route, l2_norm(a - b) / (l2_norm(a) + _TINY))
         split_form = max(split_form, _splitting_form_residual(phi))
         wrep = gradients.weitzenbock_identity_report(phi)
@@ -368,8 +363,8 @@ def _identity_checks_for_rank(rec, config, p, caches):
         for size, cache in ((size_lo, cache_lo), (size_hi, cache_hi)):
             rng_r = np.random.default_rng([config.seed, 303, p])
             phi = band_limited_field(cache, p, band_r, rng_r)
-            a = gradients.stein_weiss_d1(phi, route="formula", coefficient="auto")
-            b = gradients.stein_weiss_d1(phi, route="transpose", coefficient="auto")
+            a = gradients.stein_weiss_d1(phi, route="formula")
+            b = gradients.stein_weiss_d1(phi, route="transpose")
             wrep = gradients.weitzenbock_identity_report(phi)
             u = 1.0 + 0.3 * np.cos(cache.spec.theta_mesh()[0])
             res[size] = {
@@ -609,9 +604,7 @@ def _symbol_checks_for_rank(rec, config, p, cache):
     shape = cache.spec.shape
     for _ in range(100):
         xi = rng.standard_normal(config.dimension)
-        x = None
-        if cache.is_conformal:
-            x = tuple(int(rng.integers(0, s)) for s in shape)
+        x = tuple(int(rng.integers(0, s)) for s in shape)
         srep = spectral.symbol_eval(handle, xi, x=x)
         floor = min(floor, srep.min_eigenvalue / (srep.gscale * (xi @ xi)))
         dist_max = max(dist_max, srep.distance_to_scalar)
@@ -682,8 +675,8 @@ def _residual_profile(config, p, caches):
             l2_inner(gradients.d1(phi_u), psi)
             - l2_inner(phi_u, gradients.d1_exact_adjoint(psi))
         ))
-        a = gradients.stein_weiss_d1(phi, route="formula", coefficient="auto")
-        b = gradients.stein_weiss_d1(phi, route="transpose", coefficient="auto")
+        a = gradients.stein_weiss_d1(phi, route="formula")
+        b = gradients.stein_weiss_d1(phi, route="transpose")
         prof["two_route"].append(l2_norm(a - b) / (l2_norm(a) + _TINY))
         wrep = gradients.weitzenbock_identity_report(phi)
         prof["rough_identity"].append(wrep["rough_identity"])

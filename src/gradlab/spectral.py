@@ -24,10 +24,10 @@ One Galerkin layer (`Galerkin`, one per grid and rank) serves every study:
 Two discretization hazards shape the design:
 
 * the antisymmetric spectral derivative is blind to the top (Nyquist)
-  frequency on an even grid, so nodal assembly of any operator built from
-  first derivatives carries spurious zero modes.  Eigenvalue studies
-  therefore default to the dealiased basis, which simply excludes those
-  modes;
+  frequency on an even grid, so a nodal basis (one column per grid value)
+  gives any operator built from first derivatives spurious zero modes.
+  Eigenvalue studies therefore run on the dealiased basis, which simply
+  excludes those modes;
 * discretization can fake near-zero eigenvalues, so a kernel count is only
   "confirmed" when two grid resolutions agree and the gap above the counted
   cluster is at least two orders of magnitude.
@@ -41,7 +41,7 @@ keeps the symbols exactly consistent with the discrete operators.
 import csv
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -49,7 +49,10 @@ import scipy.linalg
 from . import fiber, fields, gradients
 from .fields import TensorField
 
-DOF_CAP = 20_000
+# bytes a Galerkin layer may hold before its first solve, as estimated by
+# Galerkin._bytes_before_solve; a whole kernel run peaks at about 2.5 times
+# the estimate (flat 3-torus, N=16, rank 3: 275 MiB estimated, 700 MB RSS)
+GALERKIN_BYTES_CAP = 2**30
 _TINY = 1e-300
 
 
@@ -93,11 +96,9 @@ class OperatorHandle:
     """A named linear operator between sampled tensor bundles.
 
     `apply` acts on TensorField instances; the vector interface flattens
-    grid-major, fiber-minor.  `matrix` and `symmetrization_defect` are
-    write-once caches filled by `assemble`; everything else is fixed at
-    construction.  `symbol` maps (xi, gscale) to the principal-symbol fiber
-    matrix, where gscale is the inverse conformal factor at the evaluation
-    point; None for operators of order zero.
+    grid-major, fiber-minor.  `symbol` maps (xi, gscale) to the
+    principal-symbol fiber matrix, where gscale is the inverse conformal
+    factor at the evaluation point; None for operators of order zero.
     """
 
     name: str
@@ -107,11 +108,7 @@ class OperatorHandle:
     codomain_tag: str
     codomain_rank: int
     apply: callable
-    self_adjoint: bool = False
-    order: int = 1
     symbol: callable = None
-    matrix: np.ndarray = field(default=None, repr=False)
-    symmetrization_defect: float = None
 
     @property
     def n(self):
@@ -124,10 +121,6 @@ class OperatorHandle:
     @property
     def domain_dim(self):
         return self.cache.spec.num_points * _fiber_dim(self.n, self.domain_tag, self.domain_rank)
-
-    @property
-    def codomain_dim(self):
-        return self.cache.spec.num_points * _fiber_dim(self.n, self.codomain_tag, self.codomain_rank)
 
     @property
     def is_endomorphism(self):
@@ -150,42 +143,6 @@ class OperatorHandle:
 
     def codomain_weights(self):
         return weight_vector(self.cache, self.codomain_tag, self.codomain_rank)
-
-
-def _check_dof(*dims):
-    worst = max(dims)
-    if worst > DOF_CAP:
-        raise SpectralError(
-            f"{worst} degrees of freedom exceed the dense cap {DOF_CAP}; "
-            "shrink the grid (or the basis) before assembling"
-        )
-
-
-def assemble(handle: OperatorHandle):
-    """Dense matrix of the handle, columns = images of coefficient deltas.
-
-    Declared self-adjoint handles are symmetrized in the weighted inner
-    product afterwards; the relative defect is recorded on the handle so a
-    large value (a convention bug) cannot pass silently.
-    """
-    if handle.matrix is not None:
-        return handle.matrix
-    _check_dof(handle.domain_dim, handle.codomain_dim)
-    A = np.empty((handle.codomain_dim, handle.domain_dim))
-    e = np.zeros(handle.domain_dim)
-    for j in range(handle.domain_dim):
-        e[j] = 1.0
-        A[:, j] = handle.apply_vector(e)
-        e[j] = 0.0
-    if handle.self_adjoint:
-        w = handle.domain_weights()
-        WA = A * w[:, None]
-        scale = float(np.linalg.norm(WA)) + _TINY
-        defect = float(np.linalg.norm(WA - WA.T)) / scale
-        handle.symmetrization_defect = defect
-        A = 0.5 * (A + WA.T / w[:, None])
-    handle.matrix = A
-    return A
 
 
 # ---------------------------------------------------------------------------
@@ -230,35 +187,14 @@ def _eigh_pencil(G, M, k=None, residual_tol=1e-8, scale=None):
     return EigenResult(values=vals, vectors=vecs, residuals=residuals)
 
 
-def eigensolve(matrix, weights, k=None, symmetry_tol=1e-6):
-    """Eigenpairs of an assembled operator in the weighted inner product.
-
-    The matrix must be (numerically) self-adjoint against diag(weights);
-    gross asymmetry is a convention error, not something to average away,
-    so it raises.  Returned vectors are weighted-orthonormal.
-    """
-    A = np.asarray(matrix, float)
-    w = np.asarray(weights, float)
-    if A.shape[0] != A.shape[1] or A.shape[0] != w.size:
-        raise SpectralError("matrix and weights sizes do not match")
-    WA = A * w[:, None]
-    defect = float(np.linalg.norm(WA - WA.T)) / (float(np.linalg.norm(WA)) + _TINY)
-    if defect > symmetry_tol:
-        raise SpectralError(
-            f"matrix is not symmetric in the weighted inner product "
-            f"(relative defect {defect:.3e})"
-        )
-    G = 0.5 * (WA + WA.T)
-    return _eigh_pencil(G, w, k=k)
-
-
 # ---------------------------------------------------------------------------
 # dealiased real trigonometric basis
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
 class DealiasedBasis:
-    """Real trig functions below the Nyquist row, tensored with fiber axes.
+    """Real trig functions below the Nyquist row, tensored with the
+    trace-free fiber axes.
 
     Columns are indexed scalar-major, fiber-minor; `column_k2` holds the
     squared physical wavenumber of each scalar function, which doubles as
@@ -266,7 +202,6 @@ class DealiasedBasis:
     """
 
     cache: object
-    tag: str
     rank: int
     modes: tuple            # half-space integer mode vectors, (0,...,0) included
     scalars: np.ndarray     # (num_points, n_scalar) nodal values
@@ -277,16 +212,19 @@ class DealiasedBasis:
         return self.scalars.shape[1]
 
     @property
+    def t(self):
+        return fiber.tracefree_dim(self.cache.n, self.rank)
+
+    @property
     def dim(self):
-        return self.n_scalar * _fiber_dim(self.cache.n, self.tag, self.rank)
+        return self.n_scalar * self.t
 
     def columns(self):
-        return np.kron(self.scalars, np.eye(_fiber_dim(self.cache.n, self.tag, self.rank)))
+        return np.kron(self.scalars, np.eye(self.t))
 
     def laplace_multiset(self):
         """Sorted flat eigenvalue oracle |k|^2, one copy per fiber dimension."""
-        t = _fiber_dim(self.cache.n, self.tag, self.rank)
-        return np.sort(np.repeat(self.column_k2, t))
+        return np.sort(np.repeat(self.column_k2, self.t))
 
 
 def half_modes(bands):
@@ -307,11 +245,16 @@ def dealiased_bands(spec):
     return [s // 2 - 1 for s in spec.sizes]
 
 
-def build_dealiased_basis(cache, rank, tag="s0"):
+def dealiased_modes(spec):
+    """The zero mode, then `half_modes` of the sub-Nyquist bands."""
+    return [(0,) * spec.n] + half_modes(dealiased_bands(spec))
+
+
+def build_dealiased_basis(cache, rank):
     spec = cache.spec
     theta = spec.theta_mesh()
     kunit = [2.0 * math.pi / L for L in spec.lengths]
-    modes = [(0,) * spec.n] + half_modes(dealiased_bands(spec))
+    modes = dealiased_modes(spec)
     cols, k2 = [np.ones(spec.num_points)], [0.0]
     for m in modes[1:]:
         phase = sum(mi * th for mi, th in zip(m, theta))
@@ -320,7 +263,6 @@ def build_dealiased_basis(cache, rank, tag="s0"):
         k2 += [kk, kk]
     return DealiasedBasis(
         cache=cache,
-        tag=tag,
         rank=rank,
         modes=tuple(modes),
         scalars=np.column_stack(cols),
@@ -339,8 +281,6 @@ def invariant_axes(cache):
     axis; a flat metric makes every axis invariant.
     """
     f = cache.conf_exponent_values
-    if f is None:
-        return ()
     return tuple(j for j in range(cache.n) if np.all(f == np.take(f, [0], axis=j)))
 
 
@@ -367,14 +307,10 @@ class Galerkin:
     def __init__(self, cache, p):
         spec = cache.spec
         t = fiber.tracefree_dim(cache.n, p)
-        # refuse before sampling the basis: its scalars alone are
-        # num_points * (N - 1)^n floats
-        _check_dof(math.prod(2 * b + 1 for b in dealiased_bands(spec)) * t)
         self.cache, self.p, self.t = cache, p, t
-        self.basis = build_dealiased_basis(cache, p)
         self.axes = invariant_axes(cache)
-        scalar_modes = [self.basis.modes[0]]
-        scalar_modes += [m for m in self.basis.modes[1:] for _ in ("cos", "sin")]
+        modes = dealiased_modes(spec)
+        scalar_modes = [modes[0]] + [m for m in modes[1:] for _ in ("cos", "sin")]
         by_key = {}
         for j, m in enumerate(scalar_modes):
             by_key.setdefault(tuple(abs(m[a]) for a in self.axes), []).append(j)
@@ -388,6 +324,15 @@ class Galerkin:
             for key in keys
         ]
         self._norm = float(math.prod(spec.sizes[a] for a in self.axes))
+        # refuse before sampling the basis: it alone is num_points * (N-1)^n floats
+        need = self._bytes_before_solve(len(scalar_modes))
+        if need > GALERKIN_BYTES_CAP:
+            raise SpectralError(
+                f"the Galerkin layer would hold {need / 2**20:.0f} MiB before its first "
+                f"solve, above the {GALERKIN_BYTES_CAP / 2**20:.0f} MiB cap; shrink the "
+                "grid (or the rank) before assembling"
+            )
+        self.basis = build_dealiased_basis(cache, p)
         colours = np.zeros((max(len(ix) for ix in self.sectors), spec.num_points, t))
         for ix in self.sectors:
             for c, col in enumerate(ix):
@@ -397,6 +342,22 @@ class Galerkin:
         self._mass = None
         self._grams = {}
         self._eigen = {}
+
+    def _bytes_before_solve(self, n_scalar):
+        """Bytes the layer allocates before its first solve: the basis scalars
+        and the column list they are stacked from, the colour stack (real),
+        its FFT along the invariant axes and each sector's cut of it
+        (complex; views of the colour stack when no axis is invariant), and
+        the mass blocks."""
+        points = self.cache.spec.num_points
+        colours = max(len(ix) for ix in self.sectors) * points * self.t
+        mass = sum(len(ix) ** 2 for ix in self.sectors)
+        need = 8 * (2 * points * n_scalar + colours + mass)
+        if self.axes:
+            cut = sum(len(ix) * math.prod(len(b) for b in bins)
+                      for ix, bins in zip(self.sectors, self._bins))
+            need += 16 * (colours + cut * (points // int(self._norm)) * self.t)
+        return need
 
     def _take_bins(self, values, first_axis):
         """Per-sector restriction of `values` to the sector's FFT bins."""
@@ -571,9 +532,6 @@ class SpectrumReport:
     rank: int
     grid: tuple
     dof: int
-    dealiased: bool
-    theta: float
-    floor_factor: float
     eigenvalues: np.ndarray     # ascending, possibly truncated to n_eigs
     lambda_max: float
     kernel: KernelCount
@@ -593,39 +551,24 @@ class SpectrumReport:
         return self.kernel.gap_ratio
 
 
-def spectrum(handle: OperatorHandle, n_eigs=50, dealiased=True,
-             theta=1e-4, floor_factor=1e-8, gap_min=100.0, galerkin=None):
-    """Full eigenvalue study of an endomorphism handle.
-
-    Dealiased (default) goes through the Galerkin layer of the handle's grid
-    and rank (`galerkin`, built here when not given), which is the only mode
-    in which zero counts mean anything; nodal assembly is kept for
-    demonstrating exactly that failure.
-    """
+def spectrum(handle: OperatorHandle, n_eigs=50, galerkin=None):
+    """Full eigenvalue study of an endomorphism handle on the dealiased basis,
+    through the Galerkin layer of the handle's grid and rank (`galerkin`,
+    built here when not given)."""
     if not handle.is_endomorphism:
         raise SpectralError(f"{handle.name} is not an endomorphism")
-    if dealiased:
-        gal = galerkin or Galerkin(handle.cache, handle.domain_rank)
-        blocks = gal.form(handle)
-    else:
-        blocks = [assemble(handle) * handle.domain_weights()[:, None]]
+    gal = galerkin or Galerkin(handle.cache, handle.domain_rank)
+    blocks = gal.form(handle)
     defect = _frobenius([G - G.T for G in blocks]) / (_frobenius(blocks) + _TINY)
-    blocks = [0.5 * (G + G.T) for G in blocks]
-    if dealiased:
-        results = gal.eigen(blocks)
-    else:
-        results = [_eigh_pencil(blocks[0], handle.domain_weights())]
+    results = gal.eigen([0.5 * (G + G.T) for G in blocks])
     values = sector_spectrum(results)
-    kc = kernel_count(values, theta=theta, floor_factor=floor_factor, gap_min=gap_min)
+    kc = kernel_count(values)
     return SpectrumReport(
         name=handle.name,
         n=handle.n,
         rank=handle.domain_rank,
         grid=tuple(handle.grid),
         dof=int(values.size),
-        dealiased=bool(dealiased),
-        theta=theta,
-        floor_factor=floor_factor,
         eigenvalues=np.array(values if n_eigs is None else values[:n_eigs]),
         lambda_max=float(values[-1]),
         kernel=kc,
@@ -746,8 +689,6 @@ class SymbolReport:
 
 def _point_scale(cache, x=None):
     f = cache.conf_exponent_values
-    if f is None:
-        raise SpectralError("symbols are defined for the conformal metric family only")
     idx = (0,) * cache.n if x is None else tuple(int(v) for v in x)
     return float(np.exp(-2.0 * f[idx]))
 
@@ -791,8 +732,9 @@ def symbol_eval(handle: OperatorHandle, xi, x=None):
     )
 
 
-def symbol_sphere_scan(handle: OperatorHandle, n_dirs=64, seed=0, x=None):
-    """Symbol reports over a deterministic sample of unit covectors."""
+def symbol_sphere_scan(handle: OperatorHandle, n_dirs=64, seed=0):
+    """Symbol reports over a deterministic sample of unit covectors, at the
+    first grid point."""
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(n_dirs):
@@ -800,7 +742,7 @@ def symbol_sphere_scan(handle: OperatorHandle, n_dirs=64, seed=0, x=None):
         nrm = float(np.linalg.norm(xi))
         if nrm < 1e-8:
             continue
-        out.append(symbol_eval(handle, xi / nrm, x=x))
+        out.append(symbol_eval(handle, xi / nrm))
     return out
 
 
@@ -811,8 +753,7 @@ def symbol_sphere_scan(handle: OperatorHandle, n_dirs=64, seed=0, x=None):
 def identity_handle(cache, p):
     return OperatorHandle(
         name="identity", cache=cache, domain_tag="s0", domain_rank=p,
-        codomain_tag="s0", codomain_rank=p, apply=lambda phi: phi,
-        self_adjoint=True, order=0, symbol=None,
+        codomain_tag="s0", codomain_rank=p, apply=lambda phi: phi, symbol=None,
     )
 
 
@@ -820,7 +761,7 @@ def gradient_handle(cache, p):
     return OperatorHandle(
         name="gradient", cache=cache, domain_tag="s0", domain_rank=p,
         codomain_tag="cov_s0", codomain_rank=p, apply=fields.gradient,
-        order=1, symbol=_gradient_symbol(cache.n, p),
+        symbol=_gradient_symbol(cache.n, p),
     )
 
 
@@ -828,7 +769,7 @@ def divergence_handle(cache, p):
     return OperatorHandle(
         name="divergence", cache=cache, domain_tag="s0", domain_rank=p,
         codomain_tag="s0", codomain_rank=p - 1, apply=fields.divergence,
-        order=1, symbol=_divergence_symbol(cache.n, p),
+        symbol=_divergence_symbol(cache.n, p),
     )
 
 
@@ -836,7 +777,7 @@ def d1_handle(cache, p):
     return OperatorHandle(
         name="d1", cache=cache, domain_tag="s0", domain_rank=p,
         codomain_tag="s0", codomain_rank=p + 1, apply=gradients.d1,
-        order=1, symbol=_d1_symbol(cache.n, p),
+        symbol=_d1_symbol(cache.n, p),
     )
 
 
@@ -845,7 +786,7 @@ def d2_handle(cache, p):
     return OperatorHandle(
         name="d2", cache=cache, domain_tag="s0", domain_rank=p,
         codomain_tag="cov_s0", codomain_rank=p, apply=gradients.d2,
-        order=1, symbol=_projected_gradient_symbol(cache.n, p, P),
+        symbol=_projected_gradient_symbol(cache.n, p, P),
     )
 
 
@@ -854,16 +795,14 @@ def d3_handle(cache, p):
     return OperatorHandle(
         name="d3", cache=cache, domain_tag="s0", domain_rank=p,
         codomain_tag="cov_s0", codomain_rank=p, apply=gradients.d3,
-        order=1, symbol=_projected_gradient_symbol(cache.n, p, P),
+        symbol=_projected_gradient_symbol(cache.n, p, P),
     )
 
 
-def rough_laplacian_handle(cache, p, route="adjoint"):
+def rough_laplacian_handle(cache, p):
     return OperatorHandle(
         name="rough_laplacian", cache=cache, domain_tag="s0", domain_rank=p,
-        codomain_tag="s0", codomain_rank=p,
-        apply=lambda phi: fields.rough_laplacian(phi, route=route),
-        self_adjoint=(route == "adjoint"), order=2,
+        codomain_tag="s0", codomain_rank=p, apply=fields.rough_laplacian,
         symbol=_second_order_symbol(cache.n, p, None),
     )
 
@@ -875,7 +814,6 @@ def d1_star_d1_handle(cache, p, route="transpose"):
         name=name, cache=cache, domain_tag="s0", domain_rank=p,
         codomain_tag="s0", codomain_rank=p,
         apply=lambda phi: gradients.stein_weiss_d1(phi, route=route),
-        self_adjoint=(route == "transpose"), order=2,
         symbol=_second_order_symbol(cache.n, p, P),
     )
 
@@ -886,7 +824,6 @@ def d2_star_d2_handle(cache, p):
         name="d2_star_d2", cache=cache, domain_tag="s0", domain_rank=p,
         codomain_tag="s0", codomain_rank=p,
         apply=lambda phi: gradients.d2_exact_adjoint(gradients.d2(phi)),
-        self_adjoint=True, order=2,
         symbol=_second_order_symbol(cache.n, p, P),
     )
 
@@ -897,7 +834,6 @@ def d3_star_d3_handle(cache, p):
         name="d3_star_d3", cache=cache, domain_tag="s0", domain_rank=p,
         codomain_tag="s0", codomain_rank=p,
         apply=lambda phi: gradients.d3_exact_adjoint(gradients.d3(phi)),
-        self_adjoint=True, order=2,
         symbol=_second_order_symbol(cache.n, p, P),
     )
 
@@ -907,16 +843,15 @@ def sampson_handle(cache, p):
         name="sampson_tracefree", cache=cache, domain_tag="s0", domain_rank=p,
         codomain_tag="s0", codomain_rank=p,
         apply=lambda phi: fields.to_tracefree(gradients.sampson(phi)),
-        order=2, symbol=_sampson_symbol(cache.n, p),
+        symbol=_sampson_symbol(cache.n, p),
     )
 
 
-def weitzenbock_handle(cache, p, route="operational"):
+def weitzenbock_handle(cache, p):
     return OperatorHandle(
         name="weitzenbock", cache=cache, domain_tag="s0", domain_rank=p,
-        codomain_tag="s0", codomain_rank=p,
-        apply=lambda phi: gradients.weitzenbock_K(phi, route=route),
-        order=0, symbol=None,
+        codomain_tag="s0", codomain_rank=p, apply=gradients.weitzenbock_K,
+        symbol=None,
     )
 
 
@@ -925,7 +860,7 @@ def delta_deltastar_handle(cache, p):
         name="delta_deltastar", cache=cache, domain_tag="s0", domain_rank=p,
         codomain_tag="s0", codomain_rank=p,
         apply=lambda phi: fields.to_tracefree(fields.divergence(fields.sym_derivative(phi))),
-        order=2, symbol=_delta_deltastar_symbol(cache.n, p),
+        symbol=_delta_deltastar_symbol(cache.n, p),
     )
 
 
@@ -934,7 +869,7 @@ def deltastar_delta_handle(cache, p):
         name="deltastar_delta", cache=cache, domain_tag="s0", domain_rank=p,
         codomain_tag="s0", codomain_rank=p,
         apply=lambda phi: fields.to_tracefree(fields.sym_derivative(fields.divergence(phi))),
-        order=2, symbol=_deltastar_delta_symbol(cache.n, p),
+        symbol=_deltastar_delta_symbol(cache.n, p),
     )
 
 
@@ -965,37 +900,6 @@ def handle_by_name(cache, p, name):
     return _HANDLES[name](cache, p)
 
 
-def named_handles(cache, p):
-    """Deterministic registry of every operator the experiments drive."""
-    return {name: make(cache, p) for name, make in _HANDLES.items()}
-
-
-# ---------------------------------------------------------------------------
-# per-mode oracles for flat kernels
-# ---------------------------------------------------------------------------
-
-def mode_injectivity_scan(n, p, kmax=4):
-    """Smallest normalized singular value of the first-order trace-free
-    symmetrization block over all nonzero integer modes |m_j| <= kmax.
-
-    A strictly positive floor is the computable content of overdetermined
-    ellipticity: on the flat torus every nonzero Fourier mode is then free
-    of kernel, so zero modes can only come from constants.
-    """
-    e = fiber.embed_matrix(n, p)
-    t = fiber.tracefree_dim(n, p)
-    worst, worst_mode = math.inf, None
-    for m in itertools.product(range(-kmax, kmax + 1), repeat=n):
-        if not any(m):
-            continue
-        xi = np.asarray(m, float)
-        sv = np.linalg.svd(e.T @ _grad_block(n, t, xi), compute_uv=False)[-1]
-        sv /= float(np.linalg.norm(xi))
-        if sv < worst:
-            worst, worst_mode = float(sv), m
-    return {"min_singular_value": worst, "mode": worst_mode}
-
-
 # ---------------------------------------------------------------------------
 # CSV export
 # ---------------------------------------------------------------------------
@@ -1009,8 +913,8 @@ def spectrum_to_csv(report: SpectrumReport, path):
     return path
 
 
-def symbol_scan_to_csv(handle: OperatorHandle, path, n_dirs=64, seed=0, x=None):
-    reports = symbol_sphere_scan(handle, n_dirs=n_dirs, seed=seed, x=x)
+def symbol_scan_to_csv(handle: OperatorHandle, path, n_dirs=64, seed=0):
+    reports = symbol_sphere_scan(handle, n_dirs=n_dirs, seed=seed)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         head = ["index"] + [f"xi_{i}" for i in range(handle.n)]

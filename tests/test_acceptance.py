@@ -137,8 +137,8 @@ def test_criterion_03_adjointness_and_two_route_refinement():
     for size in (32, 64):
         cache = build_cache(cfg, size)
         phi = band_limited_field(cache, 2, 8, np.random.default_rng(11))
-        a = gradients.stein_weiss_d1(phi, route="formula", coefficient="auto")
-        b = gradients.stein_weiss_d1(phi, route="transpose", coefficient="auto")
+        a = gradients.stein_weiss_d1(phi, route="formula")
+        b = gradients.stein_weiss_d1(phi, route="transpose")
         res[size] = l2_norm(a - b) / l2_norm(a)
     print(f"two-route 32: {res[32]:.3e}, 64: {res[64]:.3e}")
     assert res[32] <= 1e-8

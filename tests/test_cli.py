@@ -125,6 +125,21 @@ def test_check_bad_override(tiny_cfg, capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("exponent,message", [
+    ("0.1*cos(x3)", "uses x3 on an n=2 grid"),
+    ("400*cos(x1)", "non-finite g"),  # e^{2f} overflows at x1 = 0
+])
+def test_check_bad_metric_is_a_usage_error(tiny_cfg, tmp_path, capsys, exponent, message):
+    code, _ = run_cli([
+        "check", "--config", str(tiny_cfg), "--out", str(tmp_path / "m"),
+        "--override", "metric.preset=conformal",
+        "--override", f"metric.conformal={exponent}",
+    ])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and message in err[0]
+
+
 # ---------------------------------------------------------------------------
 # kernel / converge / symbol
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from gradlab.geometry import (
     GridSpec,
     build_geometry,
     conformal_metric_field,
-    diagonal_metric_field,
     flat_metric_field,
 )
 
@@ -42,9 +41,6 @@ def make_cache(n=2, size=16, metric="flat", f_text="0.1*cos(x1)", method="spectr
         m = flat_metric_field(n)
     elif metric == "conformal":
         m = conformal_metric_field(n, parse_trig_poly(f_text))
-    elif metric == "diagonal":
-        exprs = [parse_trig_poly(f"1 + 0.2*cos(x{(i % n) + 1})") for i in range(1, n + 1)]
-        m = diagonal_metric_field(n, exprs)
     else:
         raise ValueError(metric)
     return build_geometry(spec, m, method=method)
@@ -309,19 +305,6 @@ def test_random_band_limited_properties():
     assert np.max(np.abs(fk[idx > 4, :, :])) < 1e-10
     with pytest.raises(FieldError):
         random_band_limited(cache, 2, 16, np.random.default_rng(0))
-
-
-def test_operators_refuse_non_conformal_metrics():
-    cache = make_cache(metric="diagonal")
-    phi = zero_field(cache, 2)
-    with pytest.raises(FieldError):
-        divergence(phi)
-    with pytest.raises(FieldError):
-        gradient(phi)  # s0 storage needs the conformal family
-    with pytest.raises(FieldError):
-        gradient(as_symmetric(phi))  # so does the structural connection
-    with pytest.raises(FieldError):
-        l2_norm(phi)
 
 
 def test_to_tracefree_projects():

@@ -18,7 +18,6 @@ from gradlab.geometry import (
     conformal_ricci_oracle,
     conformal_scalar_curvature_oracle,
     curvature_symmetry_residuals,
-    diagonal_metric_field,
     differentiate,
     flat_metric_field,
     gauss_curvature_2d_oracle,
@@ -27,6 +26,25 @@ from gradlab.geometry import (
 
 def grid(n, size, lengths=None):
     return GridSpec(n=n, sizes=(size,) * n, lengths=lengths)
+
+
+@dataclasses.dataclass(frozen=True)
+class DiagonalMetric:
+    """Test-local metric diag(a_1, ..., a_n) outside the conformal family.
+
+    build_geometry only samples a metric, so this exercises its generic
+    Christoffel and curvature code and its checks on a non-conformal metric.
+    """
+
+    exprs: tuple
+    preset = "diagonal"
+    is_flat = False
+
+    def components(self, spec):
+        g = np.zeros(spec.shape + (spec.n, spec.n))
+        for i, expr in enumerate(self.exprs):
+            g[..., i, i] = geometry.evaluate_on_grid(parse_trig_poly(expr), spec)
+        return g
 
 
 # ---------------------------------------------------------------------------
@@ -208,10 +226,9 @@ def test_conformal_zero_exponent_is_flat():
 
 
 def test_diagonal_preset_positivity_enforced():
-    g = grid(2, 16)
-    bad = diagonal_metric_field(2, [parse_trig_poly("1 + 2*cos(x1)"), parse_trig_poly("1")])
-    with pytest.raises(GeometryError):
-        bad.components(g)
+    bad = DiagonalMetric(("1 + 2*cos(x1)", "1"))
+    with pytest.raises(GeometryError, match="positive definite"):
+        build_geometry(grid(2, 16), bad)
 
 
 def test_preset_name_validation():
@@ -251,14 +268,12 @@ def test_conformal_christoffel_oracle_match():
     assert np.max(np.abs(cache.christoffel[..., 0, 0, 0] - d1f)) < 1e-10
 
 
-DIAGONAL_EXPRS = ("1 + 0.2*cos(x2)", "1 + 0.2*cos(x1)")
-
-
 @pytest.mark.parametrize("method", ["spectral", "fd4"])
 def test_christoffel_metric_compatibility_diagonal(method):
-    # d_a g_ij = Gamma^l_ai g_lj + Gamma^l_aj g_il on a non-conformal metric
+    # d_a g_ij = Gamma^l_ai g_lj + Gamma^l_aj g_il on a diagonal metric
+    # e^{2f} delta whose factor varies along both axes
     spec = grid(2, 16)
-    metric = diagonal_metric_field(2, [parse_trig_poly(e) for e in DIAGONAL_EXPRS])
+    metric = conformal_metric_field(2, parse_trig_poly("0.2*cos(x1) + 0.1*sin(x2)"))
     cache = build_geometry(spec, metric, method=method)
     gam, g = cache.christoffel, cache.g
     dg = np.stack([differentiate(g, a, spec, method) for a in range(2)], axis=-3)
@@ -326,8 +341,7 @@ def test_conformal_h_rejects_perturbed_christoffel():
 
 
 def test_conformal_h_refuses_non_conformal_metric():
-    metric = diagonal_metric_field(2, [parse_trig_poly(e) for e in DIAGONAL_EXPRS])
-    cache = build_geometry(grid(2, 16), metric)
+    cache = build_geometry(grid(2, 16), DiagonalMetric(("1 + 0.2*cos(x2)", "1 + 0.2*cos(x1)")))
     with pytest.raises(GeometryError):
         cache.conformal_h
 
@@ -365,9 +379,7 @@ def test_conformal_3d_ricci_oracle_match():
     [
         flat_metric_field(2),
         conformal_metric_field(2, parse_trig_poly("0.1*cos(x1)")),
-        diagonal_metric_field(
-            2, [parse_trig_poly("1 + 0.2*cos(x2)"), parse_trig_poly("1 + 0.1*sin(x1)")]
-        ),
+        DiagonalMetric(("1 + 0.2*cos(x2)", "1 + 0.1*sin(x1)")),
     ],
     ids=["flat", "conformal", "diagonal"],
 )
@@ -410,11 +422,16 @@ def test_fd4_curvature_error_fourth_order():
 
 
 def test_non_spd_sample_raises():
-    spec = grid(2, 16)
-    bad = geometry.MetricField(
-        preset="diagonal_periodic",
-        n=2,
-        diagonal=(parse_trig_poly("0.1 + 1*cos(4*x1)"), parse_trig_poly("1")),
-    )
+    # e^{2f} underflows to 0 at x1 = pi and overflows at x1 = 0
+    bad = conformal_metric_field(2, parse_trig_poly("400*cos(x1)"))
     with pytest.raises(GeometryError):
-        build_geometry(spec, bad)
+        build_geometry(grid(2, 16), bad)
+
+
+def test_non_finite_geometry_raises():
+    # the samples of e^{2f} are finite and positive, but det g = e^{4f}
+    # overflows, and with it the quadrature weights
+    bad = conformal_metric_field(2, parse_trig_poly("300*cos(x1)"))
+    assert np.all(np.isfinite(bad.components(grid(2, 16))))
+    with pytest.raises(GeometryError, match="non-finite .*weights"):
+        build_geometry(grid(2, 16), bad)

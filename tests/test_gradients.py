@@ -28,7 +28,6 @@ from gradlab.gradients import (
     d3,
     d3_exact_adjoint,
     decompose,
-    double_divergence_ratio,
     embed_symmetrized,
     embed_transpose,
     energy_coefficient,
@@ -37,7 +36,6 @@ from gradlab.gradients import (
     projector_components,
     projector_match_residuals,
     sampson,
-    stein_weiss_checked,
     stein_weiss_d1,
     sw_coefficient,
     weitzenbock_identity_report,
@@ -105,13 +103,11 @@ def test_prefactor_eigenvalue_relation():
 
 
 def test_sw_coefficient_variants():
+    # at rank 2 the coefficient is the fixed-numerator literal 4/(3(n+2))
     for n in (2, 3, 4):
-        assert sw_coefficient(n, 2, "auto") == pytest.approx(
-            sw_coefficient(n, 2, "four"), abs=1e-15
-        )
-    assert sw_coefficient(3, 1, "auto") == pytest.approx(1.0 / 3.0, abs=1e-15)
-    assert sw_coefficient(3, 1, "four") == pytest.approx(2.0 / 3.0, abs=1e-15)
-    assert sw_coefficient(3, 3, "auto") == pytest.approx(6.0 / 28.0, abs=1e-15)
+        assert sw_coefficient(n, 2) == pytest.approx(4.0 / (3.0 * (n + 2)), abs=1e-15)
+    assert sw_coefficient(3, 1) == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert sw_coefficient(3, 3) == pytest.approx(6.0 / 28.0, abs=1e-15)
 
 
 def test_energy_coefficient_values():
@@ -397,30 +393,30 @@ def test_d2_d3_adjoint_pairings(metric, p):
 def test_stein_weiss_two_routes_agree(metric, n, p):
     cache = make_cache(n, 32 if n == 2 else 20, metric)
     phi = random_field(cache, p, seed=30 + p, band=3)
-    _, rel = stein_weiss_checked(phi)
-    assert rel < 1e-8
+    a = stein_weiss_d1(phi, route="formula")
+    b = stein_weiss_d1(phi, route="transpose")
+    assert l2_norm(a - b) / l2_norm(b) < 1e-8
+
+
+def fixed_numerator_formula(phi):
+    """The formula route with the delta*delta coefficient's numerator fixed
+    at 4 (= 2p at p = 2) instead of sw_coefficient."""
+    n, p = phi.n, phi.rank
+    t1 = fields.to_tracefree(fields.divergence(fields.sym_derivative(phi)))
+    t2 = fields.to_tracefree(fields.sym_derivative(fields.divergence(phi)))
+    return t1 - (4.0 / ((p + 1) * (n + 2 * (p - 1)))) * t2
 
 
 def test_stein_weiss_fixed_numerator_only_matches_at_rank_two():
     cache = make_cache(2, 16, "flat")
     phi2 = random_field(cache, 2, seed=31)
-    a = stein_weiss_d1(phi2, coefficient="four")
+    a = fixed_numerator_formula(phi2)
     b = stein_weiss_d1(phi2, route="transpose")
     assert l2_norm(a - b) / l2_norm(b) < 1e-10
     phi3 = random_field(cache, 3, seed=32)
-    a = stein_weiss_d1(phi3, coefficient="four")
+    a = fixed_numerator_formula(phi3)
     b = stein_weiss_d1(phi3, route="transpose")
-    assert l2_norm(a - b) / l2_norm(b) > 1e-4  # flagged diagnostic, not an abort
-
-
-def test_stein_weiss_checked_guard_trips():
-    # the fixed-numerator variant is off at rank 3, beyond the abort guard
-    cache = make_cache(2, 16, "flat")
-    phi = random_field(cache, 3, seed=33)
-    with pytest.raises(ConventionError):
-        stein_weiss_checked(phi, coefficient="four")
-    _, rel = stein_weiss_checked(phi)  # the arbitrated coefficient passes
-    assert rel < 1e-8
+    assert l2_norm(a - b) / l2_norm(b) > 1e-4
 
 
 def test_sampson_equals_composition_split():
@@ -649,6 +645,6 @@ def test_ahlfors_ratio_is_four(metric, n):
 def test_double_divergence_is_generically_nonzero():
     cache = make_cache(2, 16, "flat")
     phi = random_field(cache, 2, seed=150)
-    r = double_divergence_ratio(phi)
+    r = l2_norm(fields.divergence(fields.divergence(phi))) / l2_norm(phi)
     assert np.isfinite(r)
     assert r > 1e-3

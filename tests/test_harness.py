@@ -83,10 +83,10 @@ def test_band_limited_field_deterministic_per_seed():
     assert np.linalg.norm(a.data - c.data) > 1e-3
 
 
-def _band_limited_loop(cache, rank, band, rng, tag):
+def _band_limited_loop(cache, rank, band, rng):
     # reference: one mode at a time, drawing (cos, sin) coefficients in turn
     spec = cache.spec
-    t = fiber.tracefree_dim(spec.n, rank) if tag == "s0" else fiber.sym_dim(spec.n, rank)
+    t = fiber.tracefree_dim(spec.n, rank)
     mesh = spec.theta_mesh()
     modes = spectral.half_modes((band,) * spec.n)
     data = np.zeros(spec.shape + (t,))
@@ -99,20 +99,13 @@ def _band_limited_loop(cache, rank, band, rng, tag):
     return data / np.sqrt(2 * len(modes) + 1)
 
 
-@pytest.mark.parametrize("tag", ["s0", "s"])
 @pytest.mark.parametrize("size", [12, 16])
-def test_band_limited_field_matches_mode_loop(size, tag):
+def test_band_limited_field_matches_mode_loop(size):
     cache = build_cache(FLAT_SMALL, size)
-    got = band_limited_field(cache, 2, 3, np.random.default_rng(9), tag=tag)
-    ref = _band_limited_loop(cache, 2, 3, np.random.default_rng(9), tag)
-    assert got.tag == tag
+    got = band_limited_field(cache, 2, 3, np.random.default_rng(9))
+    ref = _band_limited_loop(cache, 2, 3, np.random.default_rng(9))
+    assert got.tag == "s0"
     np.testing.assert_allclose(got.data, ref, rtol=0, atol=1e-14 * np.max(np.abs(ref)))
-
-
-def test_band_limited_field_rejects_unknown_tag():
-    cache = build_cache(FLAT_SMALL, 8)
-    with pytest.raises(HarnessError):
-        band_limited_field(cache, 1, 3, np.random.default_rng(0), tag="cov_s0")
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
-"""Spectral-layer tests: handle assembly against apply, weighted eigensolves
-with Fourier oracles, the kernel-count policy, dealiased-vs-nodal zero modes,
-and algebraic principal symbols checked against direct mode application."""
+"""Spectral-layer tests: Galerkin blocks against dense column-by-column
+references, weighted eigensolves with Fourier oracles, the kernel-count
+policy, dealiased-vs-nodal zero modes, and algebraic principal symbols
+checked against direct mode application."""
 
 import csv
+import itertools
 import math
 
 import numpy as np
@@ -20,10 +22,8 @@ from gradlab.geometry import (
     flat_metric_field,
 )
 from gradlab.spectral import (
-    DOF_CAP,
     Galerkin,
     SpectralError,
-    assemble,
     build_dealiased_basis,
     d1_handle,
     d1_star_d1_handle,
@@ -32,12 +32,9 @@ from gradlab.spectral import (
     delta_deltastar_handle,
     deltastar_delta_handle,
     divergence_handle,
-    eigensolve,
     gradient_handle,
     identity_handle,
     kernel_count,
-    mode_injectivity_scan,
-    named_handles,
     rough_laplacian_handle,
     sampson_handle,
     spectrum,
@@ -105,48 +102,69 @@ def test_apply_is_linear(maker):
     assert np.max(np.abs(lhs - rhs)) / scale < 1e-12
 
 
+def dense_images(handle, cols):
+    return np.column_stack([handle.apply_vector(cols[:, j]) for j in range(cols.shape[1])])
+
+
 def test_identity_assembles_to_identity():
-    cache = make_cache(2, 8)
-    A = assemble(identity_handle(cache, 1))
-    assert np.array_equal(A, np.eye(128))
+    # the Galerkin form of the identity is the mass matrix, block for block
+    cache = make_cache(2, 8, metric="conformal")
+    gal = Galerkin(cache, 1)
+    for F, M in zip(gal.form(identity_handle(cache, 1)), gal.mass()):
+        assert np.array_equal(F, M)
 
 
 @pytest.mark.parametrize("maker", [rough_laplacian_handle, d1_handle, divergence_handle])
 def test_assembled_matrix_reproduces_apply(maker):
+    # each sector block of an operator's Gram reproduces the weighted norm of
+    # the operator applied to a field synthesized on that sector
     cache = make_cache(2, 8, metric="conformal")
-    h = maker(cache, 1 if maker is not divergence_handle else 2)
-    A = assemble(h)
+    p = 1 if maker is not divergence_handle else 2
+    h = maker(cache, p)
+    gal = Galerkin(cache, p)
     rng = np.random.default_rng(7)
-    for _ in range(20):
-        v = rng.standard_normal(h.domain_dim)
-        direct = h.apply_vector(v)
-        scale = np.max(np.abs(direct)) + 1e-300
-        assert np.max(np.abs(A @ v - direct)) / scale < 1e-10
+    for s, G in enumerate(gal.gram([h.name])):
+        c = rng.standard_normal(len(gal.sectors[s]))
+        image = h.apply(gal.field(s, c))
+        direct = l2_inner(image, image)
+        assert abs(c @ G @ c - direct) <= 1e-10 * direct
 
 
 @pytest.mark.parametrize("metric", ["flat", "conformal"])
 def test_self_adjoint_assembly_defect(metric):
+    # weighted symmetry of the nodal matrices, one application per grid value
     cache = make_cache(2, 8, metric=metric)
     for maker in (rough_laplacian_handle, d1_star_d1_handle):
         h = maker(cache, 1)
-        A = assemble(h)
-        assert h.symmetrization_defect <= 1e-10
-        w = h.domain_weights()
-        WA = A * w[:, None]
+        WA = dense_images(h, np.eye(h.domain_dim)) * h.domain_weights()[:, None]
         assert np.linalg.norm(WA - WA.T) <= 1e-10 * np.linalg.norm(WA)
 
 
-def test_dof_cap_enforced():
-    cache = make_cache(2, 128)
+def test_dof_cap_enforced(monkeypatch):
+    # the size cap refuses the layer before its basis is sampled
+    def sample(*args):
+        raise AssertionError("the basis was sampled before admission")
+
+    monkeypatch.setattr(spectral, "build_dealiased_basis", sample)
     with pytest.raises(SpectralError, match="shrink"):
-        assemble(rough_laplacian_handle(cache, 2))
+        Galerkin(make_cache(2, 128), 2)
 
 
 def test_assemble_caches_matrix():
-    cache = make_cache(2, 8)
-    h = identity_handle(cache, 1)
-    A = assemble(h)
-    assert assemble(h) is A
+    # the mass, each Gram and each joint eigendecomposition are built once
+    cache = make_cache(2, 8, metric="conformal")
+    gal = Galerkin(cache, 1)
+    calls = []
+    gal_apply = gal._apply
+    gal._apply = lambda handle: calls.append(handle.name) or gal_apply(handle)
+    first = gal.gram(["d1", "rough_laplacian"])
+    eig = gal.joint_eigen(["d1", "rough_laplacian"])
+    assert calls == ["rough_laplacian"]
+    for B, again in zip(first, gal.gram(["d1", "rough_laplacian"])):
+        assert np.array_equal(B, again)
+    assert gal.joint_eigen(["d1", "rough_laplacian"]) is eig
+    assert gal.mass() is gal.mass()
+    assert calls == ["rough_laplacian"]
 
 
 # ---------------------------------------------------------------------------
@@ -155,26 +173,25 @@ def test_assemble_caches_matrix():
 
 def test_eigensolve_diagonal_matrix():
     d = np.array([3.0, -1.0, 2.0, 0.5])
-    res = eigensolve(np.diag(d), np.ones(4))
+    res = spectral._eigh_pencil(np.diag(d), np.ones(4))
     assert np.allclose(res.values, np.sort(d), atol=1e-14)
 
 
-def test_eigensolve_rejects_asymmetric():
-    A = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(SpectralError, match="symmetric"):
-        eigensolve(A, np.ones(2))
-
-
 def test_eigensolve_weighted_orthonormal_vectors():
+    # a diagonal mass (nodal basis) and a dense one (dealiased basis on a
+    # conformal metric, as in sectors without an invariant axis)
     cache = make_cache(2, 8, metric="conformal")
     h = rough_laplacian_handle(cache, 1)
-    A = assemble(h)
     w = h.domain_weights()
-    res = eigensolve(A, w, k=10)
-    gram = res.vectors.T @ (res.vectors * w[:, None])
-    assert np.max(np.abs(gram - np.eye(10))) < 1e-10
-    assert np.max(res.residuals) <= 1e-8
-    assert np.all(np.diff(res.values) >= -1e-12)
+    A = dense_images(h, np.eye(h.domain_dim))
+    cols = build_dealiased_basis(cache, 1).columns()
+    for G, M in ((A * w[:, None], w),
+                 (cols.T @ (A @ cols * w[:, None]), cols.T @ (cols * w[:, None]))):
+        res = spectral._eigh_pencil(0.5 * (G + G.T), M, k=10)
+        MV = res.vectors * M[:, None] if M.ndim == 1 else M @ res.vectors
+        assert np.max(np.abs(res.vectors.T @ MV - np.eye(10))) < 1e-10
+        assert np.max(res.residuals) <= 1e-8
+        assert np.all(np.diff(res.values) >= -1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -238,10 +255,6 @@ def test_spectrum_rejects_rectangular_handles():
 # ---------------------------------------------------------------------------
 # the sector-blocked Galerkin layer against dense column-by-column assembly
 # ---------------------------------------------------------------------------
-
-def dense_images(handle, cols):
-    return np.column_stack([handle.apply_vector(cols[:, j]) for j in range(cols.shape[1])])
-
 
 def dense_gram(handles, cols):
     """Reference Galerkin matrix of a stacked system: one application per column."""
@@ -340,6 +353,13 @@ def test_galerkin_refuses_oversized_basis():
         Galerkin(cache, 2)
 
 
+def test_galerkin_admits_flat_3torus_rank3():
+    # 23,625 basis columns, but no sector holds more than 56 of them
+    gal = Galerkin(make_cache(3, 16), 3)
+    assert gal.basis.dim == 15**3 * 7
+    assert max(len(ix) for ix in gal.sectors) == 56
+
+
 def test_galerkin_lowest_fields_are_the_flat_kernel():
     # the d1 kernel of the flat torus is the constants, one per fiber axis
     cache = make_cache(2, 12)
@@ -427,11 +447,14 @@ def test_nodal_assembly_carries_nyquist_junk():
     # the spectral derivative is blind to the Nyquist row: the nodal flat
     # Laplacian gains zero modes from the doubly-invisible corner functions
     cache = make_cache(2, 8)
-    nodal = spectrum(rough_laplacian_handle(cache, 1), dealiased=False, n_eigs=None)
-    clean = spectrum(rough_laplacian_handle(cache, 1), dealiased=True, n_eigs=None)
+    h = rough_laplacian_handle(cache, 1)
+    w = h.domain_weights()
+    WA = dense_images(h, np.eye(h.domain_dim)) * w[:, None]
+    nodal = spectral._eigh_pencil(0.5 * (WA + WA.T), w).values
+    clean = spectrum(h, n_eigs=None)
     assert clean.kernel_count == 2
-    assert nodal.kernel_count == 8  # modes with every axis index in {0, N/2}
-    assert nodal.dof == 128 and clean.dof == 98
+    assert kernel_count(nodal).count == 8  # modes with every axis index in {0, N/2}
+    assert nodal.size == 128 and clean.dof == 98
 
 
 def test_first_order_kernel_matches_second_order_kernel():
@@ -467,9 +490,8 @@ def test_second_order_symbols_match_mode_application_flat(n, p):
     theta = cache.spec.theta_mesh()
     wave = np.cos(sum(mi * th for mi, th in zip(m, theta)))
     t = fiber.tracefree_dim(n, p)
-    handles = named_handles(cache, p)
     for name in SECOND_ORDER:
-        h = handles[name]
+        h = spectral.handle_by_name(cache, p, name)
         sig = h.symbol(xi, 1.0)
         for a in range(t):
             out = h.apply(mode_field(cache, p, m, component=a)).data
@@ -498,7 +520,7 @@ def test_symbol_composition_identities(n, p):
     sA = spectral._second_order_symbol(n, p, PA)
     sB = spectral._second_order_symbol(n, p, PB)
     sC = spectral._second_order_symbol(n, p, PC)
-    c = gradients.sw_coefficient(n, p, "auto")
+    c = gradients.sw_coefficient(n, p)
     t = fiber.tracefree_dim(n, p)
     for _ in range(5):
         xi = rng.standard_normal(n)
@@ -528,13 +550,12 @@ def test_p1_composition_symbol_eigenvalues(n):
 
 def test_symbol_scaling_orders():
     cache = make_cache(2, 8, metric="conformal")
-    handles = named_handles(cache, 2)
     xi = np.array([0.4, -1.1])
     for name in SECOND_ORDER:
-        h = handles[name]
+        h = spectral.handle_by_name(cache, 2, name)
         assert np.allclose(h.symbol(3.0 * xi, 0.7), 9.0 * h.symbol(xi, 0.7), atol=1e-10)
     for name in ("gradient", "divergence", "d1", "d2", "d3"):
-        h = handles[name]
+        h = spectral.handle_by_name(cache, 2, name)
         assert np.allclose(h.symbol(3.0 * xi, 0.7), 3.0 * h.symbol(xi, 0.7), atol=1e-10)
 
 
@@ -571,10 +592,18 @@ def test_symbol_injectivity_of_first_piece():
         assert rep.min_singular_value > 1e-3
 
 
-def test_mode_injectivity_scan_floor():
+def test_mode_injectivity_floor():
+    # the first-piece symbol stays injective at every nonzero integer mode
+    # |m_j| <= 4, so flat-torus kernels come from constants only: its
+    # smallest singular value over |xi| is the square root of the d1* d1
+    # symbol's lowest eigenvalue over |xi|^2
     for (n, p) in ((2, 1), (2, 2), (3, 1), (3, 2)):
-        scan = mode_injectivity_scan(n, p, kmax=4)
-        assert scan["min_singular_value"] > 0.1
+        h = d1_star_d1_handle(make_cache(n, 8), p)
+        floor = min(
+            symbol_eval(h, np.asarray(m, float)).min_eigenvalue / float(np.dot(m, m))
+            for m in itertools.product(range(-4, 5), repeat=n) if any(m)
+        )
+        assert math.sqrt(floor) > 0.1
 
 
 def test_distance_to_scalar_is_measured_not_assumed():
@@ -636,9 +665,12 @@ def test_symbol_scan_csv(tmp_path):
     assert all(float(r[3]) > 0 for r in rows[1:])  # min singular value column
 
 
-def test_named_handles_registry_deterministic():
+def test_handle_registry_deterministic():
     cache = make_cache(2, 8)
-    names = list(named_handles(cache, 2))
-    assert names == list(named_handles(cache, 2))
+    names = list(spectral.HANDLE_NAMES)
     assert names[0] == "identity"
     assert {"d1", "d1_star_d1", "delta_deltastar", "weitzenbock"} <= set(names)
+    for name in names:
+        assert spectral.handle_by_name(cache, 2, name).name == name
+    with pytest.raises(SpectralError, match="unknown operator"):
+        spectral.handle_by_name(cache, 2, "d4")
