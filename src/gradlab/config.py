@@ -36,7 +36,6 @@ DEFAULT_TOLERANCES = {
     "ellipticity_floor": 1e-3,
     "parallel": 1e-8,
     "control_floor": 1e-3,
-    "kernel_tol": 1e-10,
 }
 
 _METRICS = ("flat", "conformal")

@@ -34,6 +34,8 @@ from .geometry import GridSpec, build_geometry, conformal_metric_field, flat_met
 REPORT_SCHEMA = "gradlab-report-v1"
 
 _TINY = 1e-300
+# singular values of a stacked flat symbol below this times |xi| count as null
+_ORACLE_RANK_TOL = 1e-10
 
 # anchor tags: one stable name per mathematical statement under test
 A_SPLIT = "three-piece-splitting"
@@ -120,34 +122,38 @@ class _Recorder:
         self.config = config
         self.records = []
 
+    def _add(self, check_id, anchor, value, tolerance, status, detail):
+        """Append a record; a non-finite value or tolerance fails it, with
+        the number named in the detail and left out of the record."""
+        bad = [f"{name} {x}" for name, x in (("value", value), ("tolerance", tolerance))
+               if x is not None and not np.isfinite(x)]
+        if bad:
+            status = "fail"
+            detail = f"non-finite {' and '.join(bad)}" + (f"; {detail}" if detail else "")
+            value = None
+            tolerance = None if tolerance is None or not np.isfinite(tolerance) else tolerance
+        self.records.append(CheckRecord(
+            check_id, anchor, None if value is None else float(value),
+            None if tolerance is None else float(tolerance), status, detail))
+
     def check(self, check_id, anchor, value, tol_name, detail=""):
-        tol = self.config.tolerance(tol_name)
-        status = "pass" if value <= tol else "fail"
-        self.records.append(CheckRecord(check_id, anchor, float(value), tol, status, detail))
+        self.bounded(check_id, anchor, value, self.config.tolerance(tol_name), detail)
 
     def bounded(self, check_id, anchor, value, tolerance, detail=""):
         status = "pass" if value <= tolerance else "fail"
-        self.records.append(
-            CheckRecord(check_id, anchor, float(value), float(tolerance), status, detail)
-        )
+        self._add(check_id, anchor, value, tolerance, status, detail)
 
     def flag(self, check_id, anchor, ok, value=None, detail=""):
-        status = "pass" if ok else "fail"
-        v = None if value is None else float(value)
-        self.records.append(CheckRecord(check_id, anchor, v, None, status, detail))
+        self._add(check_id, anchor, value, None, "pass" if ok else "fail", detail)
 
     def measure(self, check_id, anchor, value, detail=""):
-        v = None if value is None else float(value)
-        self.records.append(CheckRecord(check_id, anchor, v, None, "measured", detail))
+        self._add(check_id, anchor, value, None, "measured", detail)
 
     def indeterminate(self, check_id, anchor, value=None, detail=""):
-        v = None if value is None else float(value)
-        self.records.append(CheckRecord(check_id, anchor, v, None, "indeterminate", detail))
+        self._add(check_id, anchor, value, None, "indeterminate", detail)
 
     def abort(self, check_id, anchor, exc):
-        self.records.append(
-            CheckRecord(check_id, anchor, None, None, "fail", f"aborted: {exc!r}")
-        )
+        self._add(check_id, anchor, None, None, "fail", f"aborted: {exc!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -170,17 +176,16 @@ def band_limited_field(cache, rank, band, rng):
 
     Modes are enumerated in a fixed order, so the same rng seed produces
     samples of one continuum field on every grid size; refinement studies
-    rely on that.  For same-grid batches prefer fields.random_band_limited,
-    which builds through the FFT and is much faster.
+    rely on that.  fields.random_band_limited draws its random numbers per
+    grid point instead, so the same seed gives a different field on every
+    grid.
     """
     spec = cache.spec
     t = fiber.tracefree_dim(spec.n, rank)
-    modes = np.array(spectral.half_modes((band,) * spec.n), dtype=float).reshape(-1, spec.n)
+    modes = spectral.half_modes((band,) * spec.n)
     # rows: the constant, then (cos, sin) coefficients per mode, in draw order
     coef = rng.standard_normal((2 * len(modes) + 1, t))
-    phase = np.stack(spec.theta_mesh(), axis=-1) @ modes.T
-    data = coef[0] + np.cos(phase) @ coef[1::2] + np.sin(phase) @ coef[2::2]
-    data *= 1.0 / np.sqrt(2 * len(modes) + 1)
+    data = spectral.trig_series(spec, modes, coef) * (1.0 / np.sqrt(2 * len(modes) + 1))
     return TensorField(cache, "s0", rank, data)
 
 
@@ -453,7 +458,7 @@ def joint_kernel_spectrum(cache, p, names, window=None, galerkin=None):
     return evals, kc, kc_win
 
 
-def flat_joint_kernel_oracle(cache, p, names, tol=1e-10):
+def flat_joint_kernel_oracle(cache, p, names):
     """Count the stacked kernel mode by mode on a flat torus.
 
     Constants lie in the kernel of every first-order operator here; each
@@ -466,7 +471,7 @@ def flat_joint_kernel_oracle(cache, p, names, tol=1e-10):
     t = fiber.tracefree_dim(spec.n, p)
     handles = [spectral.handle_by_name(cache, p, name) for name in names]
     total = t
-    for m in spectral.half_modes(spectral.dealiased_bands(spec)):
+    for m in spectral.build_dealiased_basis(cache, p).modes:
         xi = np.array([
             2.0 * np.pi * mj / L for mj, L in zip(m, spec.lengths)
         ])
@@ -474,7 +479,7 @@ def flat_joint_kernel_oracle(cache, p, names, tol=1e-10):
             np.atleast_2d(np.asarray(h.symbol(xi, 1.0))) for h in handles
         ])
         sv = np.linalg.svd(mat, compute_uv=False)
-        rank = int(np.sum(sv > tol * np.linalg.norm(xi)))
+        rank = int(np.sum(sv > _ORACLE_RANK_TOL * np.linalg.norm(xi)))
         total += 2 * (t - rank)
     return total
 

@@ -50,10 +50,13 @@ from . import fiber, fields, gradients
 from .fields import TensorField
 
 # bytes a Galerkin layer may hold before its first solve, as estimated by
-# Galerkin._bytes_before_solve; a whole kernel run peaks at about 2.5 times
-# the estimate (flat 3-torus, N=16, rank 3: 275 MiB estimated, 700 MB RSS)
+# Galerkin._bytes_before_solve; a whole kernel run peaks well above the
+# estimate, in the operator images built after admission (flat 3-torus,
+# N=16, rank 3: 65 MiB estimated; `gradlab kernel` at ranks 1-3: 578 MB RSS)
 GALERKIN_BYTES_CAP = 2**30
 _TINY = 1e-300
+# largest relative pencil residual an eigensolve may leave
+_RESIDUAL_TOL = 1e-8
 
 
 class SpectralError(RuntimeError):
@@ -156,34 +159,21 @@ class EigenResult:
     residuals: np.ndarray   # relative per-pair pencil residuals
 
 
-def _eigh_pencil(G, M, k=None, residual_tol=1e-8, scale=None):
-    """Smallest eigenpairs of the symmetric pencil (G, M); M diagonal as 1-d.
+def _eigh_pencil(G, M, scale=None):
+    """Eigenpairs of the symmetric pencil (G, M), M dense positive definite.
 
     Residuals are relative to `scale`, the norm of the whole pencil when G is
     one diagonal block of it, and to the norm of G otherwise.
     """
-    G = np.asarray(G, float)
-    diag = np.asarray(M).ndim == 1
-    if diag:
-        d = np.sqrt(np.asarray(M, float))
-        if np.any(~np.isfinite(d)) or np.any(d <= 0):
-            raise SpectralError("weights must be strictly positive")
-        vals, V = scipy.linalg.eigh(G / d[:, None] / d[None, :])
-        vecs = V / d[:, None]
-        Mv = vecs * np.asarray(M, float)[:, None]
-    else:
-        vals, vecs = scipy.linalg.eigh(G, np.asarray(M, float))
-        Mv = np.asarray(M, float) @ vecs
-    R = G @ vecs - Mv * vals[None, :]
+    vals, vecs = scipy.linalg.eigh(G, M)
+    R = G @ vecs - (M @ vecs) * vals[None, :]
     scale = (float(np.linalg.norm(G)) if scale is None else scale) + _TINY
     residuals = np.linalg.norm(R, axis=0) / scale
-    if float(np.max(residuals, initial=0.0)) > residual_tol:
+    if float(np.max(residuals, initial=0.0)) > _RESIDUAL_TOL:
         raise SpectralError(
             f"eigensolve residuals up to {float(np.max(residuals)):.3e} exceed "
-            f"{residual_tol:.1e}: the pencil did not converge"
+            f"{_RESIDUAL_TOL:.1e}: the pencil did not converge"
         )
-    if k is not None:
-        vals, vecs, residuals = vals[:k], vecs[:, :k], residuals[:k]
     return EigenResult(values=vals, vectors=vecs, residuals=residuals)
 
 
@@ -191,25 +181,51 @@ def _eigh_pencil(G, M, k=None, residual_tol=1e-8, scale=None):
 # dealiased real trigonometric basis
 # ---------------------------------------------------------------------------
 
+def trig_series(spec, modes, coef):
+    """Sample a real trig series on the grid of `spec`.
+
+    Row 0 of `coef` multiplies the constant; rows 2k+1 and 2k+2 multiply
+    cos and sin of the phase m.theta of modes[k].  Trailing axes of `coef`
+    are carried through: the result has shape (*grid, *coef.shape[1:]).
+    Each (cos, sin) pair goes to the FFT bins +m and -m that lie in the
+    half spectrum of the last axis, and one real inverse FFT samples the
+    whole series, so every mode must lie strictly below the Nyquist index
+    of every axis.
+    """
+    coef = np.asarray(coef, float)
+    modes = np.asarray(modes, int).reshape(-1, spec.n)
+    if coef.shape[0] != 1 + 2 * len(modes):
+        raise SpectralError(f"{coef.shape[0]} coefficient rows; {len(modes)} modes "
+                            f"need {1 + 2 * len(modes)}")
+    if np.any(2 * np.abs(modes) >= np.asarray(spec.sizes)):
+        raise SpectralError(f"trig series modes must lie below Nyquist on {spec.sizes}")
+    npts = spec.num_points
+    hat = np.zeros(spec.shape[:-1] + (spec.sizes[-1] // 2 + 1,) + coef.shape[1:], complex)
+    hat[(0,) * spec.n] = npts * coef[0]
+    up = 0.5 * npts * (coef[1::2] - 1j * coef[2::2])
+    for sign, values in ((1, up), (-1, up.conj())):
+        keep = sign * modes[:, -1] >= 0
+        np.add.at(hat, tuple(sign * modes[keep].T), values[keep])
+    return np.fft.irfftn(hat, s=spec.shape, axes=tuple(range(spec.n)))
+
+
 @dataclass(frozen=True, eq=False)
 class DealiasedBasis:
     """Real trig functions below the Nyquist row, tensored with the
     trace-free fiber axes.
 
-    Columns are indexed scalar-major, fiber-minor; `column_k2` holds the
-    squared physical wavenumber of each scalar function, which doubles as
-    the flat Fourier oracle for the connection Laplacian.
+    Scalar functions are the constant, then cos and sin of each of `modes`
+    in turn (the row layout of `trig_series`); columns are indexed
+    scalar-major, fiber-minor.
     """
 
     cache: object
     rank: int
-    modes: tuple            # half-space integer mode vectors, (0,...,0) included
-    scalars: np.ndarray     # (num_points, n_scalar) nodal values
-    column_k2: np.ndarray   # (n_scalar,) squared wavenumber per scalar column
+    modes: tuple            # nonzero half-space integer mode vectors
 
     @property
     def n_scalar(self):
-        return self.scalars.shape[1]
+        return 1 + 2 * len(self.modes)
 
     @property
     def t(self):
@@ -220,11 +236,10 @@ class DealiasedBasis:
         return self.n_scalar * self.t
 
     def columns(self):
-        return np.kron(self.scalars, np.eye(self.t))
-
-    def laplace_multiset(self):
-        """Sorted flat eigenvalue oracle |k|^2, one copy per fiber dimension."""
-        return np.sort(np.repeat(self.column_k2, self.t))
+        """Dense (points, dim) matrix of nodal column values."""
+        spec = self.cache.spec
+        scalars = trig_series(spec, self.modes, np.eye(self.n_scalar))
+        return np.kron(scalars.reshape(spec.num_points, -1), np.eye(self.t))
 
 
 def half_modes(bands):
@@ -240,34 +255,10 @@ def half_modes(bands):
     ]
 
 
-def dealiased_bands(spec):
-    """Largest sub-Nyquist mode index per axis."""
-    return [s // 2 - 1 for s in spec.sizes]
-
-
-def dealiased_modes(spec):
-    """The zero mode, then `half_modes` of the sub-Nyquist bands."""
-    return [(0,) * spec.n] + half_modes(dealiased_bands(spec))
-
-
 def build_dealiased_basis(cache, rank):
-    spec = cache.spec
-    theta = spec.theta_mesh()
-    kunit = [2.0 * math.pi / L for L in spec.lengths]
-    modes = dealiased_modes(spec)
-    cols, k2 = [np.ones(spec.num_points)], [0.0]
-    for m in modes[1:]:
-        phase = sum(mi * th for mi, th in zip(m, theta))
-        kk = sum((mi * ku) ** 2 for mi, ku in zip(m, kunit))
-        cols += [np.cos(phase).ravel(), np.sin(phase).ravel()]
-        k2 += [kk, kk]
-    return DealiasedBasis(
-        cache=cache,
-        rank=rank,
-        modes=tuple(modes),
-        scalars=np.column_stack(cols),
-        column_k2=np.asarray(k2),
-    )
+    """The basis of every mode whose index is below Nyquist on each axis."""
+    bands = [s // 2 - 1 for s in cache.spec.sizes]
+    return DealiasedBasis(cache=cache, rank=rank, modes=tuple(half_modes(bands)))
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +300,8 @@ class Galerkin:
         t = fiber.tracefree_dim(cache.n, p)
         self.cache, self.p, self.t = cache, p, t
         self.axes = invariant_axes(cache)
-        modes = dealiased_modes(spec)
-        scalar_modes = [modes[0]] + [m for m in modes[1:] for _ in ("cos", "sin")]
+        self.basis = build_dealiased_basis(cache, p)
+        scalar_modes = [(0,) * cache.n] + [m for m in self.basis.modes for _ in ("cos", "sin")]
         by_key = {}
         for j, m in enumerate(scalar_modes):
             by_key.setdefault(tuple(abs(m[a]) for a in self.axes), []).append(j)
@@ -324,35 +315,37 @@ class Galerkin:
             for key in keys
         ]
         self._norm = float(math.prod(spec.sizes[a] for a in self.axes))
-        # refuse before sampling the basis: it alone is num_points * (N-1)^n floats
-        need = self._bytes_before_solve(len(scalar_modes))
+        width = max(len(js) for js in by_key.values())
+        need = self._bytes_before_solve(width)
         if need > GALERKIN_BYTES_CAP:
             raise SpectralError(
                 f"the Galerkin layer would hold {need / 2**20:.0f} MiB before its first "
                 f"solve, above the {GALERKIN_BYTES_CAP / 2**20:.0f} MiB cap; shrink the "
                 "grid (or the rank) before assembling"
             )
-        self.basis = build_dealiased_basis(cache, p)
-        colours = np.zeros((max(len(ix) for ix in self.sectors), spec.num_points, t))
-        for ix in self.sectors:
-            for c, col in enumerate(ix):
-                colours[c, :, col % t] += self.basis.scalars[:, col // t]
-        self.colours = colours.reshape((-1,) + spec.shape + (t,))
+        # pick[j, k] = 1 when scalar function j is the k-th one of its sector;
+        # colour k * t + a is the sum of those functions along fiber axis a
+        pick = np.zeros((len(scalar_modes), width))
+        for js in by_key.values():
+            pick[js, np.arange(len(js))] = 1.0
+        scalars = trig_series(spec, self.basis.modes, pick)
+        self.colours = np.einsum("...k,ab->ka...b", scalars, np.eye(t)).reshape(
+            (-1,) + spec.shape + (t,))
         self._colour_hat = self._cut(self.colours)
         self._mass = None
         self._grams = {}
         self._eigen = {}
 
-    def _bytes_before_solve(self, n_scalar):
-        """Bytes the layer allocates before its first solve: the basis scalars
-        and the column list they are stacked from, the colour stack (real),
-        its FFT along the invariant axes and each sector's cut of it
-        (complex; views of the colour stack when no axis is invariant), and
-        the mass blocks."""
+    def _bytes_before_solve(self, width):
+        """Bytes the layer allocates before its first solve: the synthesis
+        buffers (the 0/1 pick matrix of `width` functions per sector, the
+        series' spectrum and its samples), the colour stack (real), its FFT
+        along the invariant axes and each sector's cut of it (complex; views
+        of the colour stack when no axis is invariant), and the mass blocks."""
         points = self.cache.spec.num_points
-        colours = max(len(ix) for ix in self.sectors) * points * self.t
+        colours = width * self.t * points * self.t
         mass = sum(len(ix) ** 2 for ix in self.sectors)
-        need = 8 * (2 * points * n_scalar + colours + mass)
+        need = 8 * (self.basis.n_scalar * width + 4 * points * width + colours + mass)
         if self.axes:
             cut = sum(len(ix) * math.prod(len(b) for b in bins)
                       for ix, bins in zip(self.sectors, self._bins))
@@ -446,9 +439,10 @@ class Galerkin:
     def field(self, sector, coeffs):
         """The field with coefficients `coeffs` on the columns of one sector."""
         ix, t = self.sectors[sector], self.t
-        terms = self.basis.scalars[:, ix // t] * np.asarray(coeffs, float)
-        data = np.stack([terms[:, ix % t == a].sum(axis=1) for a in range(t)], axis=-1)
-        return TensorField(self.cache, "s0", self.p, data.reshape(self.cache.spec.shape + (t,)))
+        coef = np.zeros((self.basis.n_scalar, t))
+        coef[ix // t, ix % t] = coeffs
+        data = trig_series(self.cache.spec, self.basis.modes, coef)
+        return TensorField(self.cache, "s0", self.p, data)
 
     def lowest_fields(self, names, count):
         """Fields of the `count` lowest eigenpairs of the stacked system."""

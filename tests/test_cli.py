@@ -103,6 +103,27 @@ def test_check_failure_exit_code(tiny_cfg, tmp_path):
     assert "fail" in text
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_check_non_finite_values_fail_in_a_strict_report(tiny_cfg, tmp_path):
+    # g = e^{120} stays finite, but second-order residuals overflow to inf/nan
+    out_dir = tmp_path / "nf"
+    code, _ = run_cli([
+        "check", "--config", str(tiny_cfg), "--out", str(out_dir),
+        "--override", "metric.preset=conformal",
+        "--override", "metric.conformal=60*cos(x1)",
+    ])
+    assert code == EXIT_FAIL
+
+    def refuse(name):
+        raise ValueError(f"non-finite number {name} in the report")
+
+    text = (out_dir / "identity_report.json").read_text()
+    checks = json.loads(text, parse_constant=refuse)["checks"]
+    flagged = [r for r in checks if "non-finite" in r["detail"]]
+    assert flagged
+    assert all(r["status"] == "fail" and r["value"] is None for r in flagged)
+
+
 def test_check_missing_config(tmp_path, capsys):
     code, _ = run_cli(["check", "--config", str(tmp_path / "absent.cfg")])
     assert code == EXIT_USAGE

@@ -92,6 +92,14 @@ def test_unknown_tolerance_name_rejected():
     assert "bogus" in str(exc.value)
 
 
+def test_kernel_tol_is_not_a_tolerance():
+    # the per-mode kernel oracle's rank cut is a constant, not a config key
+    assert "kernel_tol" not in DEFAULT_TOLERANCES
+    with pytest.raises(ConfigError) as exc:
+        parse_config_text("tolerances.kernel_tol = 1e-10\n", source="inline")
+    assert "kernel_tol" in str(exc.value)
+
+
 @pytest.mark.parametrize(
     "field,value",
     [

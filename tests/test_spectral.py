@@ -102,6 +102,14 @@ def test_apply_is_linear(maker):
     assert np.max(np.abs(lhs - rhs)) / scale < 1e-12
 
 
+def laplace_multiset(basis):
+    """Sorted flat eigenvalues |k|^2 of the connection Laplacian on the basis:
+    the constant, then a cos and a sin copy per mode, times the fiber axes."""
+    kunit = 2.0 * np.pi / np.asarray(basis.cache.spec.lengths)
+    k2 = np.sum((np.asarray(basis.modes) * kunit) ** 2, axis=1)
+    return np.sort(np.repeat(np.concatenate([[0.0], k2, k2]), basis.t))
+
+
 def dense_images(handle, cols):
     return np.column_stack([handle.apply_vector(cols[:, j]) for j in range(cols.shape[1])])
 
@@ -140,14 +148,18 @@ def test_self_adjoint_assembly_defect(metric):
         assert np.linalg.norm(WA - WA.T) <= 1e-10 * np.linalg.norm(WA)
 
 
-def test_dof_cap_enforced(monkeypatch):
-    # the size cap refuses the layer before its basis is sampled
-    def sample(*args):
-        raise AssertionError("the basis was sampled before admission")
+# no invariant axis: one dense sector of 63 * 63 * 2 columns at N=64
+OVERSIZED = (2, 64, "conformal", "0.1*cos(x1)+0.05*sin(x2)")
 
-    monkeypatch.setattr(spectral, "build_dealiased_basis", sample)
+
+def test_dof_cap_enforced(monkeypatch):
+    # the size cap refuses the layer before its colours are synthesized
+    def sample(*args):
+        raise AssertionError("the colours were synthesized before admission")
+
+    monkeypatch.setattr(spectral, "trig_series", sample)
     with pytest.raises(SpectralError, match="shrink"):
-        Galerkin(make_cache(2, 128), 2)
+        Galerkin(make_cache(*OVERSIZED), 2)
 
 
 def test_assemble_caches_matrix():
@@ -173,7 +185,7 @@ def test_assemble_caches_matrix():
 
 def test_eigensolve_diagonal_matrix():
     d = np.array([3.0, -1.0, 2.0, 0.5])
-    res = spectral._eigh_pencil(np.diag(d), np.ones(4))
+    res = spectral._eigh_pencil(np.diag(d), np.eye(4))
     assert np.allclose(res.values, np.sort(d), atol=1e-14)
 
 
@@ -185,13 +197,13 @@ def test_eigensolve_weighted_orthonormal_vectors():
     w = h.domain_weights()
     A = dense_images(h, np.eye(h.domain_dim))
     cols = build_dealiased_basis(cache, 1).columns()
-    for G, M in ((A * w[:, None], w),
+    for G, M in ((A * w[:, None], np.diag(w)),
                  (cols.T @ (A @ cols * w[:, None]), cols.T @ (cols * w[:, None]))):
-        res = spectral._eigh_pencil(0.5 * (G + G.T), M, k=10)
-        MV = res.vectors * M[:, None] if M.ndim == 1 else M @ res.vectors
-        assert np.max(np.abs(res.vectors.T @ MV - np.eye(10))) < 1e-10
-        assert np.max(res.residuals) <= 1e-8
-        assert np.all(np.diff(res.values) >= -1e-12)
+        res = spectral._eigh_pencil(0.5 * (G + G.T), M)
+        vals, V, residuals = res.values[:10], res.vectors[:, :10], res.residuals[:10]
+        assert np.max(np.abs(V.T @ M @ V - np.eye(10))) < 1e-10
+        assert np.max(residuals) <= 1e-8
+        assert np.all(np.diff(vals) >= -1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +233,7 @@ def test_flat_rough_laplacian_matches_fourier_multiset():
     cache = make_cache(2, 12)
     h = rough_laplacian_handle(cache, 1)
     rep = spectrum(h, n_eigs=None)
-    basis = build_dealiased_basis(cache, 1)
-    oracle = basis.laplace_multiset()
+    oracle = laplace_multiset(build_dealiased_basis(cache, 1))
     assert rep.dof == oracle.size
     assert np.max(np.abs(rep.eigenvalues - oracle)) < 1e-8 * max(1.0, oracle[-1])
     assert rep.symmetry_defect < 1e-12
@@ -343,14 +354,20 @@ def test_galerkin_applies_once_per_colour(f_text, largest):
         h.apply = lambda phi: calls.append(1) or apply(phi)
         rep = spectrum(h, n_eigs=None, galerkin=gal)
         assert len(calls) == largest
-        oracle = gal.basis.laplace_multiset()
+        oracle = laplace_multiset(gal.basis)
         assert np.max(np.abs(rep.eigenvalues - oracle)) < 1e-8 * oracle[-1]
 
 
 def test_galerkin_refuses_oversized_basis():
-    cache = make_cache(2, 128)
     with pytest.raises(SpectralError, match="shrink"):
-        Galerkin(cache, 2)
+        Galerkin(make_cache(*OVERSIZED), 2)
+
+
+def test_galerkin_admits_flat_2torus_n128():
+    # 32,258 basis columns, but no sector holds more than 8 of them
+    gal = Galerkin(make_cache(2, 128), 2)
+    assert gal.basis.dim == 127**2 * 2
+    assert len(gal.colours) == 8
 
 
 def test_galerkin_admits_flat_3torus_rank3():
@@ -366,6 +383,39 @@ def test_galerkin_lowest_fields_are_the_flat_kernel():
     gal = Galerkin(cache, 2)
     for phi in gal.lowest_fields(["d1"], 2):
         assert np.max(np.abs(phi.data - phi.data[0, 0])) < 1e-12 * np.max(np.abs(phi.data))
+
+
+def direct_trig_series(spec, modes, coef):
+    """Reference: the series summed one cos and one sin at a time."""
+    theta = spec.theta_mesh()
+    out = np.zeros(spec.shape + coef.shape[1:]) + coef[0]
+    pad = (...,) + (None,) * (coef.ndim - 1)
+    for k, m in enumerate(modes):
+        phase = sum(mj * th for mj, th in zip(m, theta))
+        out += np.cos(phase)[pad] * coef[2 * k + 1] + np.sin(phase)[pad] * coef[2 * k + 2]
+    return out
+
+
+@pytest.mark.parametrize("sizes,trailing", [((12, 8), (3,)), ((10, 10), (2, 3)), ((8, 10, 8), (2,))])
+def test_trig_series_matches_direct_sum(sizes, trailing):
+    spec = GridSpec(n=len(sizes), sizes=sizes)
+    modes = spectral.half_modes([s // 2 - 1 for s in sizes])
+    coef = np.random.default_rng(len(sizes)).standard_normal((1 + 2 * len(modes),) + trailing)
+    got = spectral.trig_series(spec, modes, coef)
+    ref = direct_trig_series(spec, modes, coef)
+    assert got.shape == spec.shape + trailing
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_trig_series_refuses_nyquist_and_row_count():
+    spec = GridSpec(n=2, sizes=(8, 12))
+    with pytest.raises(SpectralError, match="Nyquist"):
+        spectral.trig_series(spec, [(4, 0)], np.ones(3))
+    with pytest.raises(SpectralError, match="Nyquist"):
+        spectral.trig_series(spec, [(1, -6)], np.ones(3))
+    spectral.trig_series(spec, [(3, -5)], np.ones(3))
+    with pytest.raises(SpectralError, match="rows"):
+        spectral.trig_series(spec, [(1, 0), (0, 1)], np.ones((4, 2)))
 
 
 def test_half_modes_one_per_pair():
@@ -450,7 +500,7 @@ def test_nodal_assembly_carries_nyquist_junk():
     h = rough_laplacian_handle(cache, 1)
     w = h.domain_weights()
     WA = dense_images(h, np.eye(h.domain_dim)) * w[:, None]
-    nodal = spectral._eigh_pencil(0.5 * (WA + WA.T), w).values
+    nodal = spectral._eigh_pencil(0.5 * (WA + WA.T), np.diag(w)).values
     clean = spectrum(h, n_eigs=None)
     assert clean.kernel_count == 2
     assert kernel_count(nodal).count == 8  # modes with every axis index in {0, N/2}
