@@ -143,36 +143,41 @@ def _fail(source, lineno, message):
     raise ConfigError(where + message)
 
 
+def _assign(line, source, lineno, values, tolerances):
+    """Parse one 'key = value' line into `values` (attribute -> value) or
+    `tolerances` (name -> float); errors name source:line and the key."""
+    if "=" not in line:
+        _fail(source, lineno, f"expected 'key = value', got {line!r}")
+    key, _, val = line.partition("=")
+    key, val = key.strip(), val.strip()
+    if key.startswith("tolerances."):
+        name = key[len("tolerances."):]
+        if name not in DEFAULT_TOLERANCES:
+            known = ", ".join(f"tolerances.{k}" for k in sorted(DEFAULT_TOLERANCES))
+            _fail(source, lineno, f"unknown key {key!r}; tolerance keys: {known}")
+        try:
+            tolerances[name] = float(val)
+        except ValueError:
+            _fail(source, lineno, f"bad float for {key!r}: {val!r}")
+        return
+    if key not in VALID_KEYS:
+        known = ", ".join(sorted(VALID_KEYS) + ["tolerances.<name>"])
+        _fail(source, lineno, f"unknown key {key!r}; valid keys: {known}")
+    attr, parse, _ = VALID_KEYS[key]
+    try:
+        values[attr] = parse(val)
+    except ValueError as exc:
+        _fail(source, lineno, f"bad value for {key!r}: {val!r} ({exc})")
+
+
 def parse_config_text(text, source="<config>"):
     """Parse the flat key=value format into an ExperimentConfig."""
     values = {}
     tolerances = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            _fail(source, lineno, f"expected 'key = value', got {line!r}")
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if key.startswith("tolerances."):
-            name = key[len("tolerances."):]
-            if name not in DEFAULT_TOLERANCES:
-                known = ", ".join(f"tolerances.{k}" for k in sorted(DEFAULT_TOLERANCES))
-                _fail(source, lineno, f"unknown key {key!r}; tolerance keys: {known}")
-            try:
-                tolerances[name] = float(val)
-            except ValueError:
-                _fail(source, lineno, f"bad float for {key!r}: {val!r}")
-            continue
-        if key not in VALID_KEYS:
-            known = ", ".join(sorted(VALID_KEYS) + ["tolerances.<name>"])
-            _fail(source, lineno, f"unknown key {key!r}; valid keys: {known}")
-        attr, parse, _ = VALID_KEYS[key]
-        try:
-            values[attr] = parse(val)
-        except ValueError as exc:
-            _fail(source, lineno, f"bad value for {key!r}: {val!r} ({exc})")
+        if line and not line.startswith("#"):
+            _assign(line, source, lineno, values, tolerances)
     try:
         return ExperimentConfig(**values, tolerances=tolerances)
     except ConfigError as exc:
@@ -193,27 +198,7 @@ def apply_overrides(cfg, pairs):
     merged = dataclasses.asdict(cfg)
     tolerances = dict(cfg.tolerances)
     for lineno, pair in enumerate(pairs, start=1):
-        if "=" not in pair:
-            _fail("<override>", lineno, f"expected key=value, got {pair!r}")
-        key, _, val = pair.partition("=")
-        key, val = key.strip(), val.strip()
-        if key.startswith("tolerances."):
-            name = key[len("tolerances."):]
-            if name not in DEFAULT_TOLERANCES:
-                _fail("<override>", lineno, f"unknown tolerance {name!r}")
-            try:
-                tolerances[name] = float(val)
-            except ValueError:
-                _fail("<override>", lineno, f"bad float for {key!r}: {val!r}")
-            continue
-        if key not in VALID_KEYS:
-            known = ", ".join(sorted(VALID_KEYS) + ["tolerances.<name>"])
-            _fail("<override>", lineno, f"unknown key {key!r}; valid keys: {known}")
-        attr, parse, _ = VALID_KEYS[key]
-        try:
-            merged[attr] = parse(val)
-        except ValueError as exc:
-            _fail("<override>", lineno, f"bad value for {key!r}: {val!r} ({exc})")
+        _assign(pair, "<override>", lineno, merged, tolerances)
     merged["tolerances"] = tolerances
     return ExperimentConfig(**merged)
 

@@ -7,9 +7,10 @@ storage is structural rather than penalized.  Every map between coordinate
 systems is an explicit small matrix; this keeps adjoints exact and lets each
 identity be tested against brute-force index loops.
 
-All constructions here are metric-aware: pass a MetricAtPoint to work over an
-arbitrary SPD inner product, or use the flat helpers (identity metric) that
-the field modules build on.
+Every construction here is over the flat inner product on R^n.  The lab
+only builds metrics g = e^{2f} delta, whose orthonormal frames differ from
+the flat one by a scalar, so the pointwise decomposition is the flat one;
+the field modules apply the powers of e^{2f} separately.
 """
 
 from __future__ import annotations
@@ -127,76 +128,14 @@ def restrict_matrix(n: int, p: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# metric at a point
+# trace, insertion and inner product
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MetricAtPoint:
-    """An SPD inner product on the fiber, with its inverse and volume factor."""
-
-    g: np.ndarray
-    g_inv: np.ndarray
-    sqrt_det: float
-
-    def validate(self) -> None:
-        n = self.g.shape[0]
-        if self.g.shape != (n, n) or not np.allclose(self.g, self.g.T, atol=1e-12):
-            raise ValueError("metric must be a symmetric square matrix")
-        if np.max(np.abs(self.g @ self.g_inv - np.eye(n))) > 1e-12:
-            raise ValueError("g_inv is not the inverse of g to 1e-12")
-        if np.min(np.linalg.eigvalsh(self.g)) <= 0:
-            raise ValueError("metric is not positive definite")
-        if self.sqrt_det <= 0:
-            raise ValueError("sqrt_det must be positive")
-
-
-def metric_at_point(g: np.ndarray) -> MetricAtPoint:
-    g = np.asarray(g, dtype=float)
-    mp = MetricAtPoint(g=g, g_inv=np.linalg.inv(g), sqrt_det=float(np.sqrt(np.linalg.det(g))))
-    mp.validate()
-    return mp
-
-
-def flat_metric(n: int) -> MetricAtPoint:
-    return MetricAtPoint(g=np.eye(n), g_inv=np.eye(n), sqrt_det=1.0)
-
-
-# ---------------------------------------------------------------------------
-# tensors in monomial coordinates
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FiberTensor:
-    """Symmetric p-tensor stored as one coefficient per nondecreasing index."""
-
-    n: int
-    rank: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        if self.coeffs.shape != (sym_dim(self.n, self.rank),):
-            raise ValueError("coefficient count does not match sym_dim")
-
-    def full(self) -> np.ndarray:
-        """Expand to the full (n,)*p array."""
-        out = expand_matrix(self.n, self.rank) @ self.coeffs
-        return out.reshape((self.n,) * self.rank)
-
-
-def symmetrize(T: np.ndarray) -> FiberTensor:
-    """Average a full covariant q-tensor over all slot permutations."""
-    q = T.ndim
-    if q > 6:
-        raise ValueError("symmetrize supports at most 6 slots")
-    n = T.shape[0] if q else 1
-    if q == 0:
-        return FiberTensor(n=1, rank=0, coeffs=np.asarray(T, dtype=float).reshape(1))
-    coeffs = restrict_matrix(n, q) @ np.asarray(T, dtype=float).reshape(-1)
-    return FiberTensor(n=n, rank=q, coeffs=coeffs)
-
 
 @lru_cache(maxsize=None)
-def _trace_matrix_flat(n: int, p: int) -> np.ndarray:
+def trace_matrix(n: int, p: int) -> np.ndarray:
+    """Matrix of the trace over two slots, rank p -> rank p-2 coordinates."""
+    if p < 2:
+        raise ValueError("trace needs rank >= 2")
     m_out, m_in = sym_dim(n, p - 2), sym_dim(n, p)
     pos_in = sym_index_of(n, p)
     T = np.zeros((m_out, m_in))
@@ -207,30 +146,19 @@ def _trace_matrix_flat(n: int, p: int) -> np.ndarray:
     return T
 
 
-def trace_matrix(n: int, p: int, g_inv: np.ndarray | None = None) -> np.ndarray:
-    """Matrix of the metric trace over two slots, rank p -> rank p-2 coordinates."""
-    if p < 2:
-        raise ValueError("trace needs rank >= 2")
-    if g_inv is None or np.allclose(g_inv, np.eye(n), atol=0):
-        return _trace_matrix_flat(n, p)
-    m_out, m_in = sym_dim(n, p - 2), sym_dim(n, p)
-    pos_in = sym_index_of(n, p)
-    T = np.zeros((m_out, m_in))
-    for b, K in enumerate(sym_indices(n, p - 2)):
-        for a in range(n):
-            for c in range(n):
-                T[b, pos_in[tuple(sorted((a, c) + K))]] += g_inv[a, c]
-    return T
-
-
-def trace(phi: FiberTensor, g: MetricAtPoint) -> FiberTensor:
-    """Contract the first two slots with the inverse metric."""
-    T = trace_matrix(phi.n, phi.rank, g.g_inv)
-    return FiberTensor(n=phi.n, rank=phi.rank - 2, coeffs=T @ phi.coeffs)
-
-
 @lru_cache(maxsize=None)
-def _insert_matrix_flat(n: int, q: int) -> np.ndarray:
+def insert_matrix(n: int, q: int) -> np.ndarray:
+    """Matrix of the metric insertion, rank q-2 -> rank q coordinates.
+
+    Normalization: average of delta_{J_a J_b} psi_{rest} over all index pairs
+    (a, b) with weight 1/q.  At output rank 3 this reproduces the three-term
+    cyclic average exactly; for higher ranks it is the unique totally
+    symmetric extension proportional to Sym(delta (x) psi), and it is the
+    normalization under which the first gradient is trace-free (the
+    arbitration test lives in the gradients module).
+    """
+    if q < 2:
+        raise ValueError("insertion needs output rank >= 2")
     m_out, m_in = sym_dim(n, q), sym_dim(n, q - 2)
     pos_in = sym_index_of(n, q - 2)
     M = np.zeros((m_out, m_in))
@@ -244,102 +172,12 @@ def _insert_matrix_flat(n: int, q: int) -> np.ndarray:
     return M
 
 
-def insert_matrix(n: int, q: int, g: np.ndarray | None = None) -> np.ndarray:
-    """Matrix of the metric insertion, rank q-2 -> rank q coordinates.
-
-    Normalization: average of g_{J_a J_b} psi_{rest} over all index pairs
-    (a, b) with weight 1/q.  At output rank 3 this reproduces the three-term
-    cyclic average exactly; for higher ranks it is the unique totally
-    symmetric extension proportional to Sym(g (x) psi), and it is the
-    normalization under which the first gradient is trace-free (the
-    arbitration test lives in the gradients module).
-    """
-    if q < 2:
-        raise ValueError("insertion needs output rank >= 2")
-    if g is None or np.allclose(g, np.eye(n), atol=0):
-        return _insert_matrix_flat(n, q)
-    m_out, m_in = sym_dim(n, q), sym_dim(n, q - 2)
-    pos_in = sym_index_of(n, q - 2)
-    M = np.zeros((m_out, m_in))
-    for a, J in enumerate(sym_indices(n, q)):
-        for s in range(q):
-            for t in range(s + 1, q):
-                rest = J[:s] + J[s + 1 : t] + J[t + 1 :]
-                M[a, pos_in[rest]] += g[J[s], J[t]] / q
-    return M
-
-
-def metric_insert(psi: FiberTensor, g: MetricAtPoint) -> FiberTensor:
-    """Symmetric metric insertion: rank p-1 input, rank p+1 output."""
-    q = psi.rank + 2
-    M = insert_matrix(psi.n, q, g.g)
-    return FiberTensor(n=psi.n, rank=q, coeffs=M @ psi.coeffs)
-
-
-def metric_insert_cyclic_full(psi: FiberTensor, g: MetricAtPoint) -> np.ndarray:
-    """Literal adjacent-pair cyclic insertion, returned as a full array.
-
-    For output rank 3 this equals the symmetric insertion; for higher ranks it
-    is not totally symmetric.  Kept only to measure the gap between the two
-    conventions.
-    """
-    n, q = psi.n, psi.rank + 2
-    psi_full = psi.full()
-    out = np.zeros((n,) * q)
-    idx = np.indices((n,) * q).reshape(q, -1).T
-    flat = out.reshape(-1)
-    for row, J in enumerate(idx):
-        acc = 0.0
-        for a in range(q):
-            b = (a + 1) % q
-            rest = tuple(J[c] for c in range(q) if c not in (a, b))
-            acc += g.g[J[a], J[b]] * psi_full[rest]
-        flat[row] = acc / q
-    return out
-
-
 @lru_cache(maxsize=None)
-def _gram_flat(n: int, p: int) -> np.ndarray:
+def gram_matrix(n: int, p: int) -> np.ndarray:
+    """Gram matrix of the monomial coordinates under the induced inner product."""
     G = np.diag(multiplicities(n, p))
     G.flags.writeable = False
     return G
-
-
-def gram_matrix(n: int, p: int, g_inv: np.ndarray | None = None) -> np.ndarray:
-    """Gram matrix of the monomial coordinates under the induced inner product."""
-    if g_inv is None or np.allclose(g_inv, np.eye(n), atol=0):
-        return _gram_flat(n, p)
-    if p == 0:
-        return np.eye(1)
-    E = expand_matrix(n, p)
-    K = g_inv
-    for _ in range(p - 1):
-        K = np.kron(K, g_inv)
-    return E.T @ K @ E
-
-
-def fiber_inner(phi: FiberTensor, psi: FiberTensor, g: MetricAtPoint) -> float:
-    """Full contraction of all slots with the inverse metric."""
-    if phi.rank != psi.rank or phi.n != psi.n:
-        raise ValueError("fiber_inner needs tensors of equal rank and dimension")
-    G = gram_matrix(phi.n, phi.rank, g.g_inv)
-    return float(phi.coeffs @ G @ psi.coeffs)
-
-
-def tracefree_project(phi: FiberTensor, g: MetricAtPoint) -> FiberTensor:
-    """Orthogonal projection onto the trace-free subspace.
-
-    The pure-trace part is written as a metric insertion of an unknown
-    lower-rank tensor and solved for; no closed-form coefficients are
-    transcribed, so the construction is correct for every (n, p).
-    """
-    n, p = phi.n, phi.rank
-    if p < 2:
-        return phi
-    T = trace_matrix(n, p, g.g_inv)
-    Ins = insert_matrix(n, p, g.g)
-    chi = np.linalg.solve(T @ Ins, T @ phi.coeffs)
-    return FiberTensor(n=n, rank=p, coeffs=phi.coeffs - Ins @ chi)
 
 
 # ---------------------------------------------------------------------------
@@ -367,26 +205,14 @@ def tracefree_basis(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     if p < 2:
         B = np.eye(m)
     else:
-        ns = scipy.linalg.null_space(_trace_matrix_flat(n, p))
+        ns = scipy.linalg.null_space(trace_matrix(n, p))
         if ns.shape[1] != tracefree_dim(n, p):
             raise FiberAlgebraError(f"null space dimension mismatch at (n={n}, p={p})")
-        B = _orthonormalize(ns, _gram_flat(n, p))
-    C = B.T @ _gram_flat(n, p)
+        B = _orthonormalize(ns, gram_matrix(n, p))
+    C = B.T @ gram_matrix(n, p)
     B.flags.writeable = False
     C.flags.writeable = False
     return B, C
-
-
-def tracefree_basis_metric(n: int, p: int, g: MetricAtPoint) -> np.ndarray:
-    """Basis of the g-trace-free subspace, orthonormal in the g inner product."""
-    m = sym_dim(n, p)
-    if p < 2:
-        cols = np.eye(m)
-    else:
-        cols = scipy.linalg.null_space(trace_matrix(n, p, g.g_inv))
-        if cols.shape[1] != tracefree_dim(n, p):
-            raise FiberAlgebraError("g-trace-free null space dimension mismatch")
-    return _orthonormalize(cols, gram_matrix(n, p, g.g_inv))
 
 
 # ---------------------------------------------------------------------------
@@ -483,32 +309,30 @@ def slice_first_tensor(n: int, p: int) -> np.ndarray:
 # the irreducible projectors on T* (x) S0^p
 # ---------------------------------------------------------------------------
 
-def _insert_map_columns(n: int, p: int, g: MetricAtPoint, basis_lower: np.ndarray) -> np.ndarray:
+def _insert_map_columns(n: int, p: int, basis_lower: np.ndarray) -> np.ndarray:
     """Columns (in (cov, trace-free) coordinates) of the equivariant injection
     of rank p-1 trace-free tensors into T* (x) S0^p.
 
     For psi trace-free of rank p-1 the map is
-        Sym_J(g_{i J_1} psi_{rest})  -  (2/(n+2(p-2))) (g-insert of psi_i)_J
+        Sym_J(delta_{i J_1} psi_{rest})  -  (2/(n+2(p-2))) (insert of psi_i)_J
     whose J-trace vanishes; for p = 1 the correction term is absent.
     """
-    m_p = sym_dim(n, p)
-    Bp = tracefree_basis_metric(n, p, g)
-    compress = Bp.T @ gram_matrix(n, p, g.g_inv)
+    _, compress = tracefree_basis(n, p)
+    t = compress.shape[0]
     t_low = basis_lower.shape[1]
-    cols = np.zeros((n * Bp.shape[1], t_low))
+    cols = np.zeros((n * t, t_low))
     R = restrict_matrix(n, p)
     Sl = slice_first_tensor(n, p - 1) if p >= 2 else None
-    Ins = insert_matrix(n, p, g.g) if p >= 2 else None
+    Ins = insert_matrix(n, p) if p >= 2 else None
+    eye = np.eye(n)
     for c in range(t_low):
-        psi = FiberTensor(n=n, rank=p - 1, coeffs=basis_lower[:, c])
-        psi_full = psi.full()
+        psi = basis_lower[:, c]
+        psi_full = (expand_matrix(n, p - 1) @ psi).reshape((n,) * (p - 1))
         for i in range(n):
-            outer = np.tensordot(g.g[i], psi_full, axes=0) if p >= 2 else g.g[i] * psi_full
-            mono = R @ outer.reshape(-1)
+            mono = R @ np.multiply.outer(eye[i], psi_full).reshape(-1)
             if p >= 2:
-                psi_i = np.einsum("KA,A->K", Sl[i], psi.coeffs)
-                mono = mono - (2.0 / (n + 2 * (p - 2))) * (Ins @ psi_i)
-            cols[i * Bp.shape[1] : (i + 1) * Bp.shape[1], c] = compress @ mono
+                mono = mono - (2.0 / (n + 2 * (p - 2))) * (Ins @ (Sl[i] @ psi))
+            cols[i * t : (i + 1) * t, c] = compress @ mono
     return cols
 
 
@@ -516,11 +340,10 @@ def _insert_map_columns(n: int, p: int, g: MetricAtPoint, basis_lower: np.ndarra
 class FiberProjectors:
     """Orthogonal projectors onto the three irreducible summands of T* (x) S0^p.
 
-    Matrices act on coordinates over an orthonormal basis of the fiber; use
-    to_ortho/from_ortho to map (covariant index, trace-free coordinate)
-    vectors in and out.  pi_A projects onto the embedded rank p+1 trace-free
-    tensors, pi_B onto the metric-insertion image of rank p-1, pi_C onto the
-    remainder.
+    Matrices act on (covariant index, trace-free coordinate) vectors over
+    e_i (x) the flat trace-free basis, which is orthonormal.  pi_A projects
+    onto the embedded rank p+1 trace-free tensors, pi_B onto the
+    metric-insertion image of rank p-1, pi_C onto the remainder.
     """
 
     n: int
@@ -528,14 +351,6 @@ class FiberProjectors:
     pi_A: np.ndarray
     pi_B: np.ndarray
     pi_C: np.ndarray
-    to_ortho: np.ndarray
-    from_ortho: np.ndarray
-    basis_expand: np.ndarray
-
-    def apply_coords(self, which: str, x: np.ndarray) -> np.ndarray:
-        """Apply a projector to (n * t,) coordinates over e_i (x) basis_expand."""
-        P = {"A": self.pi_A, "B": self.pi_B, "C": self.pi_C}[which]
-        return self.from_ortho @ (P @ (self.to_ortho @ x))
 
     def validate(self) -> dict:
         """Residuals for idempotency, self-adjointness, completeness, and ranks."""
@@ -569,8 +384,8 @@ def _orth_columns(cols: np.ndarray, cutoff: float = 1e-10) -> np.ndarray:
     return U[:, :r]
 
 
-def build_projectors(n: int, p: int, g: MetricAtPoint | None = None) -> FiberProjectors:
-    """Construct the three orthogonal projectors on T* (x) S0^p for a metric.
+def build_projectors(n: int, p: int) -> FiberProjectors:
+    """Construct the three orthogonal projectors on T* (x) S0^p.
 
     The rank p+1 summand is spanned by slot-regrouped trace-free tensors, the
     rank p-1 summand by trace-type insertions; both spans are orthonormalized
@@ -579,34 +394,25 @@ def build_projectors(n: int, p: int, g: MetricAtPoint | None = None) -> FiberPro
     """
     if n < 2 or p < 1:
         raise ValueError(f"need n >= 2 and p >= 1, got n={n}, p={p}")
-    if g is None:
-        g = flat_metric(n)
-    Bp = tracefree_basis_metric(n, p, g)
-    t = Bp.shape[1]
+    _, compress = tracefree_basis(n, p)
+    t = compress.shape[0]
     N = n * t
-    compress = Bp.T @ gram_matrix(n, p, g.g_inv)
-
-    # coordinates x[i, alpha] over e_i (x) Bp[:, alpha]; Gram = g_inv (x) I
-    W = np.kron(g.g_inv, np.eye(t))
-    w_eigs, w_vecs = np.linalg.eigh(W)
-    to_ortho = (w_vecs * np.sqrt(w_eigs)) @ w_vecs.T
-    from_ortho = (w_vecs / np.sqrt(w_eigs)) @ w_vecs.T
 
     # span of the embedded rank p+1 trace-free tensors
-    B_hi = tracefree_basis_metric(n, p + 1, g)
+    B_hi, _ = tracefree_basis(n, p + 1)
+    R = restrict_matrix(n, p)
     cols_A = np.zeros((N, B_hi.shape[1]))
     for c in range(B_hi.shape[1]):
-        full = FiberTensor(n=n, rank=p + 1, coeffs=B_hi[:, c]).full().reshape(n, -1)
-        R = restrict_matrix(n, p)
+        full = (expand_matrix(n, p + 1) @ B_hi[:, c]).reshape(n, -1)
         for i in range(n):
             cols_A[i * t : (i + 1) * t, c] = compress @ (R @ full[i])
 
     # span of the metric insertions of rank p-1 trace-free tensors
-    B_lo = tracefree_basis_metric(n, p - 1, g)
-    cols_B = _insert_map_columns(n, p, g, B_lo)
+    B_lo, _ = tracefree_basis(n, p - 1)
+    cols_B = _insert_map_columns(n, p, B_lo)
 
-    Qa = _orth_columns(to_ortho @ cols_A)
-    Qb = _orth_columns(to_ortho @ cols_B)
+    Qa = _orth_columns(cols_A)
+    Qb = _orth_columns(cols_B)
     if Qa.shape[1] != tracefree_dim(n, p + 1) or Qb.shape[1] != tracefree_dim(n, p - 1):
         raise FiberAlgebraError("constructed span has unexpected dimension")
     cross = float(np.max(np.abs(Qa.T @ Qb)))
@@ -616,29 +422,20 @@ def build_projectors(n: int, p: int, g: MetricAtPoint | None = None) -> FiberPro
     pi_A = Qa @ Qa.T
     pi_B = Qb @ Qb.T
     pi_C = np.eye(N) - pi_A - pi_B
-    proj = FiberProjectors(
-        n=n,
-        p=p,
-        pi_A=pi_A,
-        pi_B=pi_B,
-        pi_C=pi_C,
-        to_ortho=to_ortho,
-        from_ortho=from_ortho,
-        basis_expand=Bp,
-    )
+    proj = FiberProjectors(n=n, p=p, pi_A=pi_A, pi_B=pi_B, pi_C=pi_C)
     proj.validate()
     return proj
 
 
 @lru_cache(maxsize=None)
 def flat_projector_matrices(n: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat-metric projector matrices acting directly on (n*t,) field coordinates.
+    """Projector matrices acting directly on (n*t,) field coordinates.
 
     For the flat (and conformally rescaled) inner product the coordinate Gram
     is a positive scalar times the identity, so the projectors are plain
     symmetric matrices, constant across a grid.
     """
-    proj = build_projectors(n, p, flat_metric(n))
+    proj = build_projectors(n, p)
     for name in ("pi_A", "pi_B", "pi_C"):
         getattr(proj, name).flags.writeable = False
     return proj.pi_A, proj.pi_B, proj.pi_C

@@ -48,6 +48,14 @@ class FieldError(RuntimeError):
 _TAGS = ("s", "s0", "cov_s", "cov_s0")
 
 
+def fiber_shape(n, tag, rank):
+    """Per-point shape of a field stored under `tag`: (d,) for a symmetric
+    tensor, (n, d) with a leading covariant slot; d counts trace-free
+    coordinates for the s0 tags and monomial coordinates otherwise."""
+    d = fiber.tracefree_dim(n, rank) if "s0" in tag else fiber.sym_dim(n, rank)
+    return (n, d) if tag.startswith("cov") else (d,)
+
+
 @dataclass(frozen=True, eq=False)
 class TensorField:
     """Sampled section: fiber coordinates at every grid point."""
@@ -62,9 +70,7 @@ class TensorField:
             raise FieldError(f"unknown storage tag {self.tag!r}")
         if self.rank < 0:
             raise FieldError("rank must be >= 0")
-        n = self.cache.n
-        d = fiber.sym_dim(n, self.rank) if "s0" not in self.tag else fiber.tracefree_dim(n, self.rank)
-        expect = self.cache.spec.shape + ((n, d) if self.tag.startswith("cov") else (d,))
+        expect = self.cache.spec.shape + fiber_shape(self.cache.n, self.tag, self.rank)
         if self.data.shape != expect:
             raise FieldError(
                 f"data shape {self.data.shape} does not match {expect} for tag {self.tag!r}"
@@ -103,10 +109,8 @@ class TensorField:
 
 
 def zero_field(cache, rank, tag="s0"):
-    n = cache.n
-    d = fiber.tracefree_dim(n, rank) if "s0" in tag else fiber.sym_dim(n, rank)
-    shape = cache.spec.shape + ((n, d) if tag.startswith("cov") else (d,))
-    return TensorField(cache, tag, rank, np.zeros(shape))
+    return TensorField(cache, tag, rank,
+                       np.zeros(cache.spec.shape + fiber_shape(cache.n, tag, rank)))
 
 
 def field_from_monomial(cache, rank, mono, tag="s0"):

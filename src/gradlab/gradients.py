@@ -190,16 +190,15 @@ def _d2_structure(n, p):
 def _insertion_matrix_mono(n, p):
     """(n, m_p, t_{p-1}) monomial rows of the equivariant insertion map.
 
-    Independently coded route (averaged symmetrization plus pair-weighted
-    insertion, metric-basis compression) used as an oracle against the
-    literal display rows.
+    Independently coded route (`fiber._insert_map_columns`: averaged
+    symmetrization plus pair-weighted insertion, compressed to the trace-free
+    basis) used as an oracle against the literal display rows.
     """
-    g = fiber.flat_metric(n)
     B_low, _ = fiber.tracefree_basis(n, p - 1)
-    cols = fiber._insert_map_columns(n, p, g, B_low)
-    Bp_m = fiber.tracefree_basis_metric(n, p, g)
-    t = Bp_m.shape[1]
-    out = np.stack([Bp_m @ cols[i * t : (i + 1) * t, :] for i in range(n)])
+    cols = fiber._insert_map_columns(n, p, B_low)
+    Bp, _ = fiber.tracefree_basis(n, p)
+    t = Bp.shape[1]
+    out = np.stack([Bp @ cols[i * t : (i + 1) * t, :] for i in range(n)])
     out.flags.writeable = False
     return out
 

@@ -367,20 +367,11 @@ def _identity_checks_for_rank(rec, config, p, caches):
         res = {}
         for size, cache in ((size_lo, cache_lo), (size_hi, cache_hi)):
             rng_r = np.random.default_rng([config.seed, 303, p])
-            phi = band_limited_field(cache, p, band_r, rng_r)
-            a = gradients.stein_weiss_d1(phi, route="formula")
-            b = gradients.stein_weiss_d1(phi, route="transpose")
-            wrep = gradients.weitzenbock_identity_report(phi)
-            u = 1.0 + 0.3 * np.cos(cache.spec.theta_mesh()[0])
-            res[size] = {
-                "two_route": l2_norm(a - b) / (l2_norm(a) + _TINY),
-                "rough": wrep["rough_identity"],
-                "zeroth": gradients.zeroth_order_residual(phi, u),
-            }
+            res[size] = _discretization_residuals(band_limited_field(cache, p, band_r, rng_r))
         for name, check_id, anchor in (
             ("two_route", f"composition.two_route_refine.p{p}", A_COMP1),
-            ("rough", f"weitzenbock.rough_refine.p{p}", A_ROUGH),
-            ("zeroth", f"weitzenbock.zeroth_refine.p{p}", A_CURVATURE),
+            ("rough_identity", f"weitzenbock.rough_refine.p{p}", A_ROUGH),
+            ("zeroth_order", f"weitzenbock.zeroth_refine.p{p}", A_CURVATURE),
         ):
             lo, hi = res[size_lo][name], res[size_hi][name]
             ratio = lo / (hi + _TINY)
@@ -664,6 +655,21 @@ _DISCRETIZATION = {
 }
 
 
+def _discretization_residuals(phi):
+    """The four discretization-limited residuals of one band-limited field,
+    keyed as in _DISCRETIZATION."""
+    a = gradients.stein_weiss_d1(phi, route="formula")
+    b = gradients.stein_weiss_d1(phi, route="transpose")
+    wrep = gradients.weitzenbock_identity_report(phi)
+    u = 1.0 + 0.3 * np.cos(phi.cache.spec.theta_mesh()[0])
+    return {
+        "two_route": l2_norm(a - b) / (l2_norm(a) + _TINY),
+        "rough_identity": wrep["rough_identity"],
+        "curvature_oracle": wrep["curvature_oracle"],
+        "zeroth_order": gradients.zeroth_order_residual(phi, u),
+    }
+
+
 def _residual_profile(config, p, caches):
     prof = {name: [] for name in (*_ALGEBRAIC, *_DISCRETIZATION)}
     band = min(config.sizes[0] // 4, 4)
@@ -680,14 +686,8 @@ def _residual_profile(config, p, caches):
             l2_inner(gradients.d1(phi_u), psi)
             - l2_inner(phi_u, gradients.d1_exact_adjoint(psi))
         ))
-        a = gradients.stein_weiss_d1(phi, route="formula")
-        b = gradients.stein_weiss_d1(phi, route="transpose")
-        prof["two_route"].append(l2_norm(a - b) / (l2_norm(a) + _TINY))
-        wrep = gradients.weitzenbock_identity_report(phi)
-        prof["rough_identity"].append(wrep["rough_identity"])
-        prof["curvature_oracle"].append(wrep["curvature_oracle"])
-        u = 1.0 + 0.3 * np.cos(cache.spec.theta_mesh()[0])
-        prof["zeroth_order"].append(gradients.zeroth_order_residual(phi, u))
+        for name, r in _discretization_residuals(phi).items():
+            prof[name].append(r)
     return prof
 
 

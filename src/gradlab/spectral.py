@@ -67,11 +67,6 @@ class SpectralError(RuntimeError):
 # coefficient vectors and weights
 # ---------------------------------------------------------------------------
 
-def _fiber_dim(n, tag, rank):
-    d = fiber.tracefree_dim(n, rank) if "s0" in tag else fiber.sym_dim(n, rank)
-    return n * d if tag.startswith("cov") else d
-
-
 def weight_vector(cache, tag, rank):
     """Diagonal of the L2 Gram matrix on flattened coefficient vectors.
 
@@ -123,19 +118,16 @@ class OperatorHandle:
 
     @property
     def domain_dim(self):
-        return self.cache.spec.num_points * _fiber_dim(self.n, self.domain_tag, self.domain_rank)
+        return self.cache.spec.num_points * math.prod(
+            fields.fiber_shape(self.n, self.domain_tag, self.domain_rank))
 
     @property
     def is_endomorphism(self):
         return (self.domain_tag, self.domain_rank) == (self.codomain_tag, self.codomain_rank)
 
-    def _field_shape(self, tag, rank):
-        d = fiber.tracefree_dim(self.n, rank) if "s0" in tag else fiber.sym_dim(self.n, rank)
-        fib = (self.n, d) if tag.startswith("cov") else (d,)
-        return self.cache.spec.shape + fib
-
     def field_from_vector(self, vec):
-        data = np.asarray(vec, float).reshape(self._field_shape(self.domain_tag, self.domain_rank))
+        shape = self.grid + fields.fiber_shape(self.n, self.domain_tag, self.domain_rank)
+        data = np.asarray(vec, float).reshape(shape)
         return TensorField(self.cache, self.domain_tag, self.domain_rank, data)
 
     def apply_vector(self, vec):
@@ -412,10 +404,17 @@ class Galerkin:
 
     def _build_gram(self, name):
         if name in _SPLIT:
-            splits = [gradients.decompose(TensorField(self.cache, "s0", self.p, c))
-                      for c in self.colours]
+            # one stack per piece, filled as each colour is decomposed, so
+            # no colour's whole decomposition outlives its loop iteration
+            stacks = {piece: np.empty(self.colours.shape[:-1]
+                                      + fields.fiber_shape(self.cache.n, tag, self.p + shift))
+                      for piece, (tag, shift) in _SPLIT.items()}
+            for k, c in enumerate(self.colours):
+                sp = gradients.decompose(TensorField(self.cache, "s0", self.p, c))
+                for piece, stack in stacks.items():
+                    stack[k] = getattr(sp, piece).data
             for piece, (tag, shift) in _SPLIT.items():
-                hat = self._cut(np.stack([getattr(sp, piece).data for sp in splits]))
+                hat = self._cut(stacks.pop(piece))
                 w = weight_vector(self.cache, tag, self.p + shift)
                 self._grams[piece] = self._pair(hat, hat, w)
             return
