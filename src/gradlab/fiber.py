@@ -394,25 +394,13 @@ def build_projectors(n: int, p: int) -> FiberProjectors:
     """
     if n < 2 or p < 1:
         raise ValueError(f"need n >= 2 and p >= 1, got n={n}, p={p}")
-    _, compress = tracefree_basis(n, p)
-    t = compress.shape[0]
-    N = n * t
+    N = n * tracefree_dim(n, p)
 
-    # span of the embedded rank p+1 trace-free tensors
-    B_hi, _ = tracefree_basis(n, p + 1)
-    R = restrict_matrix(n, p)
-    cols_A = np.zeros((N, B_hi.shape[1]))
-    for c in range(B_hi.shape[1]):
-        full = (expand_matrix(n, p + 1) @ B_hi[:, c]).reshape(n, -1)
-        for i in range(n):
-            cols_A[i * t : (i + 1) * t, c] = compress @ (R @ full[i])
-
-    # span of the metric insertions of rank p-1 trace-free tensors
+    # spans of the embedded rank p+1 trace-free tensors and of the metric
+    # insertions of rank p-1 trace-free tensors
     B_lo, _ = tracefree_basis(n, p - 1)
-    cols_B = _insert_map_columns(n, p, B_lo)
-
-    Qa = _orth_columns(cols_A)
-    Qb = _orth_columns(cols_B)
+    Qa = _orth_columns(embed_matrix(n, p))
+    Qb = _orth_columns(_insert_map_columns(n, p, B_lo))
     if Qa.shape[1] != tracefree_dim(n, p + 1) or Qb.shape[1] != tracefree_dim(n, p - 1):
         raise FiberAlgebraError("constructed span has unexpected dimension")
     cross = float(np.max(np.abs(Qa.T @ Qb)))

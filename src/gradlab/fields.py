@@ -108,11 +108,6 @@ class TensorField:
             raise FieldError("field mismatch: same cache, tag, and rank required")
 
 
-def zero_field(cache, rank, tag="s0"):
-    return TensorField(cache, tag, rank,
-                       np.zeros(cache.spec.shape + fiber_shape(cache.n, tag, rank)))
-
-
 def field_from_monomial(cache, rank, mono, tag="s0"):
     """Wrap monomial-coordinate samples; tag 's0' projects trace parts away."""
     if tag == "s":
@@ -200,6 +195,11 @@ def _sym_insert_expanded(n, p):
     Sm = fiber.sym_insert_cov_tensor(n, p)
     Bp, _ = fiber.tracefree_basis(n, p)
     return np.ascontiguousarray(np.einsum("JiA,Aa->Jia", Sm, Bp))
+
+
+def _sym_apply(n, p, X):
+    """Monomial rank p+1 symmetrization of a trace-free gradient X (*grid, i, a)."""
+    return np.einsum("Jia,...ia->...J", _sym_insert_expanded(n, p), X, optimize=True)
 
 
 @lru_cache(maxsize=None)
@@ -339,8 +339,7 @@ def sym_derivative(phi: TensorField):
         raise FieldError("sym_derivative expects an 's0' field")
     cache, p = phi.cache, phi.rank
     X = _grad_apply(cache, p, phi.data)
-    out = np.einsum("Jia,...ia->...J", _sym_insert_expanded(cache.n, p), X, optimize=True)
-    return TensorField(cache, "s", p + 1, out)
+    return TensorField(cache, "s", p + 1, _sym_apply(cache.n, p, X))
 
 
 def sym_derivative_exact_adjoint(omega: TensorField):

@@ -159,17 +159,6 @@ def coordinate_derivative(poly: TrigPoly, axis, spec):
     return scale * evaluate_on_grid(poly.angular_derivative(axis), spec)
 
 
-def analytic_laplacian(poly: TrigPoly, spec):
-    """Analytic coordinate Laplacian sum_j d2/dx_j^2 sampled on the grid."""
-    out = np.zeros(spec.shape)
-    for j in range(spec.n):
-        scale = (TWO_PI / spec.lengths[j]) ** 2
-        out += scale * evaluate_on_grid(
-            poly.angular_derivative(j).angular_derivative(j), spec
-        )
-    return out
-
-
 # ---------------------------------------------------------------------------
 # metric presets
 # ---------------------------------------------------------------------------
@@ -252,10 +241,6 @@ class GeometryCache:
     @property
     def is_flat(self):
         return self.metric.is_flat
-
-    @cached_property
-    def total_volume(self):
-        return float(np.sum(self.weights))
 
     @cached_property
     def conformal_h(self):

@@ -8,9 +8,12 @@ This module realizes the corresponding first-order operators:
     d2   divergence reinserted along the metric ("cov_s0" storage)
     d3   the remainder piece ("cov_s0" storage)
 
-together with exact weighted adjoints, the second-order compositions
+together with exact weighted adjoints and the second-order compositions
 (rough Laplacian splitting, symmetrized Laplacian, the zeroth-order
-curvature term), and energy/identity diagnostics.
+curvature term).  `second_order_residuals` forms every second-order
+identity residual of one field (Weitzenbock formulas, energy identities,
+curvature-term routes) from one decomposition and one evaluation of each
+operator; it is the only place that decides how such a residual is formed.
 
 Every operator has at least two independent routes that the tests compare
 and never collapse:
@@ -223,9 +226,7 @@ def d1(phi: TensorField, conventions: Conventions = DEFAULT_CONVENTIONS):
 
 def _d1_from_grad(phi, X, conventions):
     cache, p, n = phi.cache, phi.rank, phi.n
-    mono = np.einsum(
-        "Jia,...ia->...J", fields._sym_insert_expanded(n, p), X, optimize=True
-    )
+    mono = fields._sym_apply(n, p, X)
     dphi = fields._contract_apply(cache, p, X) * conventions.delta_sign
     corr = dphi @ _d1_correction_matrix(n, p).T
     corr = fields._scale(corr, cache.conformal_factor(2.0), 1)
@@ -377,9 +378,9 @@ def projector_components(X: TensorField):
     return parts
 
 
-def projector_match_residuals(phi: TensorField, conventions=DEFAULT_CONVENTIONS):
-    """Relative mismatch of each structure-tensor piece against the projector route."""
-    sp = decompose(phi, conventions)
+def projector_match_residuals(sp: GradientSplit):
+    """Relative mismatch of each structure-tensor piece of a split against
+    the projector route applied to its gradient."""
     parts = projector_components(sp.grad)
     scale = sp.norms["grad"] + _TINY
     return {
@@ -501,103 +502,110 @@ def weitzenbock_K(phi: TensorField, route: str = "operational"):
     return fields.field_from_monomial(cache, p, out.reshape(mono.shape), tag="s0")
 
 
-def weitzenbock_q_form(phi: TensorField, route: str = "operational"):
-    """Pointwise <K phi, phi> with the conformal fiber inner product."""
-    K = weitzenbock_K(phi, route=route)
-    q = np.sum(K.data * phi.data, axis=-1)
-    f = phi.cache.conformal_factor(-2.0 * phi.rank)
-    return q if f is None else q * f
-
-
-def zeroth_order_residual(phi: TensorField, u_values: np.ndarray):
-    """||K(u phi) - u K(phi)|| / ||phi|| for a scalar u.
+def zeroth_order_residual(phi: TensorField, u_values: np.ndarray, K: TensorField):
+    """||K(u phi) - u K(phi)|| / ||phi|| for a scalar u, given K = K(phi).
 
     A genuinely zeroth-order operator commutes with pointwise scalar
     multiplication, so this must vanish under grid refinement.
     """
     up = TensorField(phi.cache, "s0", phi.rank, phi.data * u_values[..., None])
     Ku = weitzenbock_K(up)
-    uK = weitzenbock_K(phi).data * u_values[..., None]
+    uK = K.data * u_values[..., None]
     diff = TensorField(phi.cache, "s0", phi.rank, Ku.data - uK)
     return l2_norm(diff) / (l2_norm(phi) + _TINY)
 
 
-def weitzenbock_identity_report(phi: TensorField):
-    """Relative residuals of the second-order operator identities.
+def second_order_residuals(phi: TensorField, u_values=None):
+    """Every second-order identity residual of one field, from one evaluation.
 
-    'split_vs_rough' compares nabla*nabla with the sum of the three
-    exact-transpose compositions (exact up to roundoff); the other two
-    compare transpose-route compositions against analytic-formula routes
-    and carry discretization error.  'curvature_oracle' measures the
-    operational curvature term against the pointwise formula.
+    The field is decomposed once; the symmetrized derivative delta* phi and
+    the divergence delta phi are read off that gradient, and the two
+    compositions delta delta* phi and delta* delta phi, the symmetrized
+    Laplacian, nabla*nabla phi (the weighted transpose of the same
+    gradient), the three exact-transpose compositions T_i = d_i* d_i phi and
+    both curvature-term routes are each formed once.  Every operator keeps
+    the arithmetic of its standalone function (`sampson`,
+    `stein_weiss_d1`, `weitzenbock_K`), so T1 is bit-for-bit the transpose
+    route of d1* d1 and K the operational curvature term.
+
+    Keys (relative residuals):
+      reconstruction       the split's reconstruction residual
+      two_route            formula against transpose route of d1* d1
+      splitting_form       d1* d1 formula against its symmetrized-Laplacian
+                           form (algebraically equal: roundoff)
+      split_vs_rough       nabla*nabla against T1 + T2 + T3 (roundoff)
+      rough_identity, difference_identity
+                           the two Weitzenbock formulas for T1, against
+                           analytic-formula routes (discretization error)
+      curvature_oracle     operational K against the pointwise formula
+      energy, rough_energy, split_energy, q_form_route
+                           quadratic-form identities through exact
+                           first-order norms (roundoff)
+      energy_flipped       the energy identity with the opposite sign on
+                           the divergence term, NOT expected to vanish
+      flat_zero            ||K phi|| / ||phi||, zero on a flat torus
+      zeroth_order         `zeroth_order_residual`, only when u_values
+                           (a scalar field) is given
     """
     _check_phi(phi)
-    p, n = phi.rank, phi.n
-    c41 = (p + 1) * energy_coefficient(n, p)
-    lap = fields.rough_laplacian(phi)
-    K = weitzenbock_K(phi)
+    cache, p, n = phi.cache, phi.rank, phi.n
+    # the curvature route first, while few arrays are alive
+    K_orc = weitzenbock_K(phi, route="curvature")
     sp = decompose(phi)
+    X = sp.grad.data
+    ds = TensorField(cache, "s", p + 1, fields._sym_apply(n, p, X))
+    dv = TensorField(cache, "s0", p - 1, fields._contract_apply(cache, p, X))
+    dds = fields.divergence(ds)
+    dsd = fields.sym_derivative(dv)
+    t2 = fields.to_tracefree(dsd)
+    sw = fields.to_tracefree(dds) - sw_coefficient(n, p) * t2
+    samp = fields.to_tracefree((p + 1.0) * dds - float(p) * dsd)
+    lap = fields.gradient_adjoint(sp.grad)
+    K = lap - samp
     T1 = d1_exact_adjoint(sp.d1)
     T2 = d2_exact_adjoint(sp.d2)
     T3 = d3_exact_adjoint(sp.d3)
-    t2 = fields.to_tracefree(fields.sym_derivative(fields.divergence(phi)))
+    out = {"reconstruction": sp.reconstruction_residual}
+
+    out["two_route"] = l2_norm(sw - T1) / (l2_norm(sw) + _TINY)
+    c_d = (p / (p + 1.0)) * (1.0 - 2.0 / (n + 2.0 * (p - 1.0)))
+    alt = TensorField(cache, "s0", p, samp.data / (p + 1.0) + c_d * t2.data)
+    out["splitting_form"] = l2_norm(sw - alt) / (l2_norm(sw) + _TINY)
+
+    c34 = energy_coefficient(n, p)
+    c41 = (p + 1) * c34
     scale = max(l2_norm(lap), l2_norm(K), l2_norm(phi)) + _TINY
-    r_sum = l2_norm(lap - (T1 + T2 + T3)) / scale
-    r41 = l2_norm((p + 1.0) * T1 - (lap - K + c41 * t2)) / scale
-    r43 = l2_norm(float(p) * T1 - T2 - T3 - (c41 * t2 - K)) / scale
-    K_orc = weitzenbock_K(phi, route="curvature")
+    out["split_vs_rough"] = l2_norm(lap - (T1 + T2 + T3)) / scale
+    out["rough_identity"] = l2_norm((p + 1.0) * T1 - (lap - K + c41 * t2)) / scale
+    out["difference_identity"] = l2_norm(float(p) * T1 - T2 - T3 - (c41 * t2 - K)) / scale
     k_scale = max(l2_norm(K), l2_norm(K_orc), 1e-6 * scale) + _TINY
-    return {
-        "split_vs_rough": r_sum,
-        "rough_identity": r41,
-        "difference_identity": r43,
-        "curvature_oracle": l2_norm(K - K_orc) / k_scale,
-    }
+    out["curvature_oracle"] = l2_norm(K - K_orc) / k_scale
 
-
-def integral_identity_report(phi: TensorField):
-    """Quadratic-form identities evaluated through exact first-order norms.
-
-    Second-order quadratic forms are evaluated as weighted norms of the
-    discrete first-order operators (the exact-transpose convention), so
-    the identities close at roundoff.  'energy_flipped' keeps the variant
-    with the opposite sign on the divergence term as a measured quantity;
-    it is NOT expected to vanish.
-    """
-    _check_phi(phi)
-    p, n = phi.rank, phi.n
-    sp = decompose(phi)
+    # second-order quadratic forms as weighted norms of the discrete
+    # first-order operators (the exact-transpose convention)
     nG = sp.norms["grad"] ** 2
     nD1 = sp.norms["d1"] ** 2
     nD2 = sp.norms["d2"] ** 2
     nD3 = sp.norms["d3"] ** 2
-    dstar = fields.sym_derivative(phi)
-    nDs = l2_inner(dstar, dstar)
-    dv = fields.divergence(phi)
+    nDs = l2_inner(ds, ds)
     nDel = l2_inner(dv, dv)
     sampson_q = (p + 1.0) * nDs - float(p) * nDel
     K_q = nG - sampson_q
-    c34 = energy_coefficient(n, p)
-    c41 = (p + 1) * c34
-    q_pointwise = float(np.sum(weitzenbock_q_form(phi) * phi.cache.weights))
-    scale = max(nG, nD1, nDs, nDel) + _TINY
-    return {
-        "energy": abs(nD1 - (sampson_q / (p + 1) + c34 * nDel)) / scale,
-        "energy_flipped": abs(nD1 - (sampson_q / (p + 1) - c34 * nDel)) / scale,
-        "rough_energy": abs((p + 1) * nD1 - (nG - K_q + c41 * nDel)) / scale,
-        "split_energy": abs(p * nD1 - nD2 - nD3 - (c41 * nDel - K_q)) / scale,
-        "q_form_route": abs(q_pointwise - K_q) / scale,
-        "values": {
-            "grad_sq": nG,
-            "d1_sq": nD1,
-            "d2_sq": nD2,
-            "d3_sq": nD3,
-            "sym_derivative_sq": nDs,
-            "divergence_sq": nDel,
-            "sampson_q": sampson_q,
-            "curvature_q": K_q,
-        },
-    }
+    # pointwise <K phi, phi> with the conformal fiber inner product
+    q = np.sum(K.data * phi.data, axis=-1)
+    f = cache.conformal_factor(-2.0 * p)
+    q_pointwise = float(np.sum((q if f is None else q * f) * cache.weights))
+    e_scale = max(nG, nD1, nDs, nDel) + _TINY
+    out["energy"] = abs(nD1 - (sampson_q / (p + 1) + c34 * nDel)) / e_scale
+    out["energy_flipped"] = abs(nD1 - (sampson_q / (p + 1) - c34 * nDel)) / e_scale
+    out["rough_energy"] = abs((p + 1) * nD1 - (nG - K_q + c41 * nDel)) / e_scale
+    out["split_energy"] = abs(p * nD1 - nD2 - nD3 - (c41 * nDel - K_q)) / e_scale
+    out["q_form_route"] = abs(q_pointwise - K_q) / e_scale
+
+    out["flat_zero"] = l2_norm(K) / (l2_norm(phi) + _TINY)
+    if u_values is not None:
+        out["zeroth_order"] = zeroth_order_residual(phi, u_values, K)
+    return out
 
 
 # ---------------------------------------------------------------------------

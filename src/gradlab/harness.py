@@ -214,22 +214,9 @@ def _refine_tolerance(config, r_coarse):
 # identity suite
 # ---------------------------------------------------------------------------
 
-def _splitting_form_residual(phi):
-    """Compare the two algebraically equal second-order compositions.
-
-    The symmetrized-Laplacian form of the composed operator must match the
-    direct formula at roundoff for every grid; any gap is a coefficient
-    bug, not discretization error.
-    """
-    p, n = phi.rank, phi.n
-    sw = gradients.stein_weiss_d1(phi, route="formula")
-    c_d = (p / (p + 1.0)) * (1.0 - 2.0 / (n + 2.0 * (p - 1.0)))
-    samp = fields.to_tracefree(gradients.sampson(phi))
-    dsd = fields.to_tracefree(fields.sym_derivative(fields.divergence(phi)))
-    alt = TensorField(
-        phi.cache, "s0", p, samp.data / (p + 1.0) + c_d * dsd.data
-    )
-    return l2_norm(sw - alt) / (l2_norm(sw) + _TINY)
+def _zeroth_order_multiplier(cache):
+    """The scalar u of the zeroth-order residual K(u phi) - u K(phi)."""
+    return 1.0 + 0.3 * np.cos(cache.spec.theta_mesh()[0])
 
 
 def _identity_checks_for_rank(rec, config, p, caches):
@@ -244,12 +231,14 @@ def _identity_checks_for_rank(rec, config, p, caches):
 
     recon = orth = trace = 0.0
     proj = {"d1": 0.0, "d2": 0.0, "d3": 0.0}
-    for phi in batch:
+    for i, phi in enumerate(batch):
         sp = gradients.decompose(phi)
+        if i == 0:
+            sp0 = sp
         recon = max(recon, sp.reconstruction_residual)
         orth = max(orth, max(sp.orthogonality.values()))
         trace = max(trace, fields.max_trace_residual(sp.d1))
-        pm = gradients.projector_match_residuals(phi)
+        pm = gradients.projector_match_residuals(sp)
         for k in proj:
             proj[k] = max(proj[k], pm[k])
     nf = f"{len(batch)} fields"
@@ -264,12 +253,10 @@ def _identity_checks_for_rank(rec, config, p, caches):
         # the high-rank second-piece coefficient is also reported as the
         # best-fit scalar of the formula against the projector route, plus
         # the residual after removing that scalar
-        sp = gradients.decompose(batch[0])
-        parts = gradients.projector_components(sp.grad)
-        b = parts["B"]
+        b = gradients.projector_components(sp0.grad)["B"]
         denom = l2_inner(b, b) + _TINY
-        s_fit = l2_inner(sp.d2, b) / denom
-        resid = l2_norm(sp.d2 - b * s_fit) / (l2_norm(b) + _TINY)
+        s_fit = l2_inner(sp0.d2, b) / denom
+        resid = l2_norm(sp0.d2 - b * s_fit) / (l2_norm(b) + _TINY)
         rec.measure(f"oracle.d2_best_fit.p{p}", A_PIECE2, s_fit,
                     f"best-fit scalar against projector route; residual {resid:.3e}")
         rec.measure(f"oracle.d2_match.p{p}", A_PIECE2, proj["d2"],
@@ -312,42 +299,33 @@ def _identity_checks_for_rank(rec, config, p, caches):
         fields.random_band_limited(cache_hi, p, band2, rng2)
         for _ in range(min(3, config.field_count))
     ]
-    two_route = split_form = 0.0
-    wz = {"split_vs_rough": 0.0, "rough_identity": 0.0,
-          "difference_identity": 0.0, "curvature_oracle": 0.0}
-    en = {"energy": 0.0, "rough_energy": 0.0, "split_energy": 0.0, "q_form_route": 0.0}
+    worst = dict.fromkeys(
+        ("two_route", "splitting_form", "split_vs_rough", "rough_identity",
+         "difference_identity", "curvature_oracle", "flat_zero", "energy",
+         "rough_energy", "split_energy", "q_form_route"), 0.0)
     flipped_min = np.inf
-    flat_k = 0.0
     for phi in sub:
-        a = gradients.stein_weiss_d1(phi, route="formula")
-        b = gradients.stein_weiss_d1(phi, route="transpose")
-        two_route = max(two_route, l2_norm(a - b) / (l2_norm(a) + _TINY))
-        split_form = max(split_form, _splitting_form_residual(phi))
-        wrep = gradients.weitzenbock_identity_report(phi)
-        for k in wz:
-            wz[k] = max(wz[k], wrep[k])
-        irep = gradients.integral_identity_report(phi)
-        for k in en:
-            en[k] = max(en[k], irep[k])
-        flipped_min = min(flipped_min, irep["energy_flipped"])
-        if cache_hi.is_flat:
-            K = gradients.weitzenbock_K(phi)
-            flat_k = max(flat_k, l2_norm(K) / (l2_norm(phi) + _TINY))
-    rec.check(f"composition.two_route.p{p}", A_COMP1, two_route, "two_route")
-    rec.check(f"composition.splitting_form.p{p}", A_COMP_FORM, split_form, "equivalence")
-    rec.check(f"weitzenbock.split_sum.p{p}", A_ROUGH, wz["split_vs_rough"], "equivalence",
+        res = gradients.second_order_residuals(phi)
+        for k in worst:
+            worst[k] = max(worst[k], res[k])
+        flipped_min = min(flipped_min, res["energy_flipped"])
+    rec.check(f"composition.two_route.p{p}", A_COMP1, worst["two_route"], "two_route")
+    rec.check(f"composition.splitting_form.p{p}", A_COMP_FORM, worst["splitting_form"],
+              "equivalence")
+    rec.check(f"weitzenbock.split_sum.p{p}", A_ROUGH, worst["split_vs_rough"], "equivalence",
               "gradient square equals the sum of the three transpose compositions")
-    rec.check(f"weitzenbock.rough.p{p}", A_ROUGH, wz["rough_identity"], "weitzenbock")
-    rec.check(f"weitzenbock.difference.p{p}", A_QFORM, wz["difference_identity"], "weitzenbock")
-    rec.check(f"weitzenbock.curvature_oracle.p{p}", A_CURVATURE, wz["curvature_oracle"],
+    rec.check(f"weitzenbock.rough.p{p}", A_ROUGH, worst["rough_identity"], "weitzenbock")
+    rec.check(f"weitzenbock.difference.p{p}", A_QFORM, worst["difference_identity"],
+              "weitzenbock")
+    rec.check(f"weitzenbock.curvature_oracle.p{p}", A_CURVATURE, worst["curvature_oracle"],
               "weitzenbock", "operational curvature term against the pointwise formula")
     if cache_hi.is_flat:
-        rec.check(f"weitzenbock.flat_zero.p{p}", A_CURVATURE, flat_k, "flat_curvature",
-                  "curvature term vanishes on the flat torus")
-    rec.check(f"energy.straight.p{p}", A_ENERGY, en["energy"], "integral")
-    rec.check(f"energy.rough.p{p}", A_ROUGH_ENERGY, en["rough_energy"], "integral")
-    rec.check(f"energy.partition.p{p}", A_PARTITION, en["split_energy"], "integral")
-    rec.check(f"energy.quadratic_route.p{p}", A_QFORM, en["q_form_route"], "integral")
+        rec.check(f"weitzenbock.flat_zero.p{p}", A_CURVATURE, worst["flat_zero"],
+                  "flat_curvature", "curvature term vanishes on the flat torus")
+    rec.check(f"energy.straight.p{p}", A_ENERGY, worst["energy"], "integral")
+    rec.check(f"energy.rough.p{p}", A_ROUGH_ENERGY, worst["rough_energy"], "integral")
+    rec.check(f"energy.partition.p{p}", A_PARTITION, worst["split_energy"], "integral")
+    rec.check(f"energy.quadratic_route.p{p}", A_QFORM, worst["q_form_route"], "integral")
     rec.measure(f"energy.flipped.p{p}", A_ENERGY, flipped_min,
                 "opposite-sign variant of the energy identity; must stay away from zero")
     if gradients.energy_coefficient(cache_hi.n, p) > 0:
@@ -367,7 +345,8 @@ def _identity_checks_for_rank(rec, config, p, caches):
         res = {}
         for size, cache in ((size_lo, cache_lo), (size_hi, cache_hi)):
             rng_r = np.random.default_rng([config.seed, 303, p])
-            res[size] = _discretization_residuals(band_limited_field(cache, p, band_r, rng_r))
+            res[size] = gradients.second_order_residuals(
+                band_limited_field(cache, p, band_r, rng_r), _zeroth_order_multiplier(cache))
         for name, check_id, anchor in (
             ("two_route", f"composition.two_route_refine.p{p}", A_COMP1),
             ("rough_identity", f"weitzenbock.rough_refine.p{p}", A_ROUGH),
@@ -655,21 +634,6 @@ _DISCRETIZATION = {
 }
 
 
-def _discretization_residuals(phi):
-    """The four discretization-limited residuals of one band-limited field,
-    keyed as in _DISCRETIZATION."""
-    a = gradients.stein_weiss_d1(phi, route="formula")
-    b = gradients.stein_weiss_d1(phi, route="transpose")
-    wrep = gradients.weitzenbock_identity_report(phi)
-    u = 1.0 + 0.3 * np.cos(phi.cache.spec.theta_mesh()[0])
-    return {
-        "two_route": l2_norm(a - b) / (l2_norm(a) + _TINY),
-        "rough_identity": wrep["rough_identity"],
-        "curvature_oracle": wrep["curvature_oracle"],
-        "zeroth_order": gradients.zeroth_order_residual(phi, u),
-    }
-
-
 def _residual_profile(config, p, caches):
     prof = {name: [] for name in (*_ALGEBRAIC, *_DISCRETIZATION)}
     band = min(config.sizes[0] // 4, 4)
@@ -679,15 +643,13 @@ def _residual_profile(config, p, caches):
         phi = band_limited_field(cache, p, band, rng)
         psi = _unit(band_limited_field(cache, p + 1, band, rng))
         phi_u = _unit(phi)
-        sp = gradients.decompose(phi)
-        prof["reconstruction"].append(sp.reconstruction_residual)
-        prof["splitting_form"].append(_splitting_form_residual(phi))
-        prof["adjoint_transpose"].append(abs(
+        res = gradients.second_order_residuals(phi, _zeroth_order_multiplier(cache))
+        res["adjoint_transpose"] = abs(
             l2_inner(gradients.d1(phi_u), psi)
             - l2_inner(phi_u, gradients.d1_exact_adjoint(psi))
-        ))
-        for name, r in _discretization_residuals(phi).items():
-            prof[name].append(r)
+        )
+        for name, values in prof.items():
+            values.append(res[name])
     return prof
 
 

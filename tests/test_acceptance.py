@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from gradlab import fiber, fields, gradients, harness, spectral
+from gradlab import fiber, fields, gradients, spectral
 from gradlab.config import ExperimentConfig
 from gradlab.expressions import parse_trig_poly
 from gradlab.fields import TensorField, l2_inner, l2_norm
@@ -87,7 +87,7 @@ def test_criterion_02_projector_oracle_match():
                 rng = np.random.default_rng([2, n, p])
                 for _ in range(5):
                     phi = fields.random_band_limited(cache, p, 4, rng)
-                    pm = gradients.projector_match_residuals(phi)
+                    pm = gradients.projector_match_residuals(gradients.decompose(phi))
                     worst = max(worst, max(pm.values()))
     print(f"\nworst projector mismatch (p <= 2): {worst:.3e}")
     assert worst <= 1e-8
@@ -155,7 +155,8 @@ def test_criterion_04_composition_formula_equivalence():
             for p in (1, 2, 3):
                 rng = np.random.default_rng([4, size, p])
                 phi = fields.random_band_limited(cache, p, max(1, size // 4), rng)
-                worst = max(worst, harness._splitting_form_residual(phi))
+                res = gradients.second_order_residuals(phi)
+                worst = max(worst, res["splitting_form"])
     print(f"\nworst composition-form residual: {worst:.3e}")
     assert worst <= 1e-10
 
@@ -169,10 +170,9 @@ def test_criterion_05_curvature_identities_and_refinement():
         rng = np.random.default_rng([5, p])
         for _ in range(3):
             phi = fields.random_band_limited(cache, p, 6, rng)
-            wrep = gradients.weitzenbock_identity_report(phi)
-            irep = gradients.integral_identity_report(phi)
-            worst_rough = max(worst_rough, wrep["rough_identity"])
-            worst_qform = max(worst_qform, irep["q_form_route"])
+            res = gradients.second_order_residuals(phi)
+            worst_rough = max(worst_rough, res["rough_identity"])
+            worst_qform = max(worst_qform, res["q_form_route"])
             k = gradients.weitzenbock_K(phi)
             worst_k = max(worst_k, l2_norm(k) / l2_norm(phi))
     print(f"\nflat rough {worst_rough:.3e} qform {worst_qform:.3e} "
@@ -190,9 +190,10 @@ def test_criterion_05_curvature_identities_and_refinement():
     for size in (16, 32):
         cache = build_cache(cfg, size)
         phi = band_limited_field(cache, 2, 4, np.random.default_rng(19))
-        rough[size] = gradients.weitzenbock_identity_report(phi)["rough_identity"]
         u = 1.0 + 0.3 * np.cos(cache.spec.theta_mesh()[0])
-        zeroth[size] = gradients.zeroth_order_residual(phi, u)
+        res = gradients.second_order_residuals(phi, u)
+        rough[size] = res["rough_identity"]
+        zeroth[size] = res["zeroth_order"]
     print(f"conformal rough 16: {rough[16]:.3e} -> 32: {rough[32]:.3e}; "
           f"zeroth 16: {zeroth[16]:.3e} -> 32: {zeroth[32]:.3e}")
     assert rough[32] <= rough[16] / 10.0
@@ -212,9 +213,9 @@ def test_criterion_06_integral_identities():
         for p in (1, 2):
             rng = np.random.default_rng([6, n, p])
             phi = fields.random_band_limited(cache, p, band, rng)
-            irep = gradients.integral_identity_report(phi)
+            res = gradients.second_order_residuals(phi)
             for key in ("energy", "rough_energy", "split_energy", "q_form_route"):
-                worst[key] = max(worst.get(key, 0.0), irep[key])
+                worst[key] = max(worst.get(key, 0.0), res[key])
     print("\n" + " ".join(f"{k} {v:.3e}" for k, v in sorted(worst.items())))
     assert all(v <= 1e-9 for v in worst.values())
 

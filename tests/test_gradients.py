@@ -32,17 +32,16 @@ from gradlab.gradients import (
     embed_transpose,
     energy_coefficient,
     insertion_eigenvalue,
-    integral_identity_report,
     projector_components,
     projector_match_residuals,
     sampson,
+    second_order_residuals,
     stein_weiss_d1,
     sw_coefficient,
-    weitzenbock_identity_report,
     weitzenbock_K,
-    weitzenbock_q_form,
     zeroth_order_residual,
 )
+from testlib import zero_field
 
 
 def make_cache(n=2, size=16, metric="flat", f_text=None, method="spectral"):
@@ -154,7 +153,7 @@ def test_d1_output_is_tracefree(metric, p):
 
 def test_d1_constant_field_flat():
     cache = make_cache(3, 8, "flat")
-    phi = fields.zero_field(cache, 2)
+    phi = zero_field(cache, 2)
     phi.data[...] = np.array([0.3, -0.1, 0.7, 0.2, 0.05])
     sp = decompose(phi)
     assert l2_norm(sp.grad) < 1e-13
@@ -184,7 +183,7 @@ def test_d1_accepts_conformal_killing_tensors(p):
     # a convention error.  e^{2pf} is not band-limited, so the kernel is
     # only resolved to the grid's aliasing level (1e-10 at p = 2, N = 16)
     cache = make_cache(2, 16, "conformal", f_text="0.1*cos(x1) + 0.05*sin(x2)")
-    phi = fields.zero_field(cache, p)
+    phi = zero_field(cache, p)
     c = np.arange(1.0, phi.data.shape[-1] + 1.0)
     phi.data[...] = np.exp(2.0 * p * cache.conf_exponent_values)[..., None] * c
     out = d1(phi)
@@ -203,7 +202,7 @@ def test_d1_accepts_conformal_killing_tensors(p):
 def test_pieces_match_projector_route(metric, n, p):
     cache = make_cache(n, 16 if n == 2 else 12, metric)
     phi = random_field(cache, p, seed=10 * n + p, band=3)
-    res = projector_match_residuals(phi)
+    res = projector_match_residuals(decompose(phi))
     # the structure-tensor pieces equal the projector images pointwise,
     # not merely up to discretization
     assert res["d1"] < 1e-10
@@ -444,17 +443,32 @@ def test_sampson_flat_equals_rough_laplacian():
         assert l2_norm(a - b) / l2_norm(b) < 1e-8
 
 
+def _energy_values(phi):
+    """Squared weighted norms behind the energy identities."""
+    p = phi.rank
+    sp = decompose(phi)
+    ds = fields.sym_derivative(phi)
+    dv = fields.divergence(phi)
+    vals = {
+        "grad_sq": sp.norms["grad"] ** 2,
+        "d1_sq": sp.norms["d1"] ** 2,
+        "sym_derivative_sq": l2_inner(ds, ds),
+        "divergence_sq": l2_inner(dv, dv),
+    }
+    vals["sampson_q"] = (p + 1.0) * vals["sym_derivative_sq"] - float(p) * vals["divergence_sq"]
+    return vals
+
+
 def test_sampson_nonnegative_flat():
     cache = make_cache(2, 16, "flat")
     for p in (1, 2, 3):
         phi = random_field(cache, p, seed=60 + p)
-        rep = integral_identity_report(phi)
-        assert rep["values"]["sampson_q"] >= -1e-12
+        assert _energy_values(phi)["sampson_q"] >= -1e-12
 
 
 def test_constant_one_forms_in_sampson_kernel():
     cache = make_cache(2, 16, "flat")
-    phi = fields.zero_field(cache, 1)
+    phi = zero_field(cache, 1)
     phi.data[..., 0] = 0.6
     phi.data[..., 1] = -0.2
     assert l2_norm(sampson(phi)) < 1e-13
@@ -475,7 +489,7 @@ def test_curvature_term_vanishes_flat():
 def test_curvature_term_matches_pointwise_formula(n, p):
     cache = make_cache(n, 32 if n == 2 else 20, "conformal")
     phi = random_field(cache, p, seed=80 + p, band=3)
-    rep = weitzenbock_identity_report(phi)
+    rep = second_order_residuals(phi)
     assert rep["curvature_oracle"] < 1e-9
 
 
@@ -545,14 +559,14 @@ def test_curvature_term_zeroth_order_under_refinement():
         phi = fields.field_from_monomial(cache, 2, mono, tag="s0")
         mesh = cache.spec.theta_mesh()
         u = 1.0 + 0.3 * np.cos(mesh[0]) * np.sin(mesh[1])
-        vals[size] = zeroth_order_residual(phi, u)
+        vals[size] = zeroth_order_residual(phi, u, weitzenbock_K(phi))
     assert vals[32] < vals[16] / 10.0
 
 
 def test_q_form_integral_matches_quadratic_route():
     cache = make_cache(2, 32, "conformal")
     phi = random_field(cache, 2, seed=96, band=3)
-    rep = integral_identity_report(phi)
+    rep = second_order_residuals(phi)
     assert rep["q_form_route"] < 1e-9
 
 
@@ -565,7 +579,7 @@ def test_q_form_integral_matches_quadratic_route():
 def test_second_order_identities(metric, n, p):
     cache = make_cache(n, 32 if n == 2 else 20, metric)
     phi = random_field(cache, p, seed=100 + p, band=3)
-    rep = weitzenbock_identity_report(phi)
+    rep = second_order_residuals(phi)
     assert rep["split_vs_rough"] < 1e-10
     assert rep["rough_identity"] < 1e-8
     assert rep["difference_identity"] < 1e-8
@@ -576,7 +590,7 @@ def test_second_order_identities(metric, n, p):
 def test_integral_identities_close_at_roundoff(metric, n, p):
     cache = make_cache(n, 16 if n == 2 else 12, metric)
     phi = random_field(cache, p, seed=110 + p, band=3)
-    rep = integral_identity_report(phi)
+    rep = second_order_residuals(phi)
     assert rep["energy"] < 1e-12
     assert rep["rough_energy"] < 1e-12
     assert rep["split_energy"] < 1e-12
@@ -587,15 +601,16 @@ def test_energy_sign_variant_is_visibly_wrong():
     # of about twice the coefficient times ||delta phi||^2
     cache = make_cache(3, 12, "flat")
     phi = random_field(cache, 2, seed=120, band=3)
-    rep = integral_identity_report(phi)
+    rep = second_order_residuals(phi)
+    vals = _energy_values(phi)
     assert rep["energy"] < 1e-12
     assert rep["energy_flipped"] > 1e-3
-    expected = 2.0 * energy_coefficient(3, 2) * rep["values"]["divergence_sq"]
+    expected = 2.0 * energy_coefficient(3, 2) * vals["divergence_sq"]
     scale = max(
-        rep["values"]["grad_sq"],
-        rep["values"]["d1_sq"],
-        rep["values"]["sym_derivative_sq"],
-        rep["values"]["divergence_sq"],
+        vals["grad_sq"],
+        vals["d1_sq"],
+        vals["sym_derivative_sq"],
+        vals["divergence_sq"],
     )
     assert rep["energy_flipped"] == pytest.approx(expected / scale, rel=1e-10)
 
@@ -613,7 +628,7 @@ def test_corrupted_prefactor_breaks_orthogonality_not_reconstruction():
     assert sp.reconstruction_residual < 1e-13
     # the d2/d3 pair stops being orthogonal and both leave the projector images
     assert sp.orthogonality["d2_d3"] > 1e-3
-    res = projector_match_residuals(phi, bad)
+    res = projector_match_residuals(sp)
     assert res["d2"] > 1e-3
     assert res["d3"] > 1e-3
     assert res["d1"] < 1e-10  # d1 untouched by the d2 corruption

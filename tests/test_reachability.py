@@ -1,9 +1,12 @@
 """Every public module-level function of gradlab is reached by the program.
 
-A function counts as reached when some module under src/ or scripts/ uses
-its name in code (a call, an attribute, an import or a reference) outside
-its own definition; docstrings and comments do not count, and neither do
-tests: a helper that only tests call belongs in the tests.
+A function `module.name` counts as reached when some file under src/ or
+scripts/ uses it in code: as `module.name` through an imported module, by
+a `from .module import name` import, or by its bare name inside its own
+module (a call or a reference outside its definition).  A use resolves
+to the module it names, so `np.trace` or a method called `trace` does not
+reach `fiber.trace`.  Docstrings and comments do not count, and neither
+do tests: a helper that only tests call belongs in the tests.
 """
 
 import ast
@@ -11,6 +14,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "gradlab"
+MODULES = {path.stem for path in PACKAGE.glob("*.py")}
 
 # oracles still to be wired into a suite (ROADMAP item 2); a name leaves
 # this set when a suite reaches it
@@ -19,10 +23,8 @@ AWAITING_A_SUITE = {
     "geometry.conformal_ricci_oracle",
     "geometry.gauss_curvature_2d_oracle",
     "geometry.curvature_symmetry_residuals",
-    "geometry.analytic_laplacian",
     "gradients.d2_insertion_oracle",
     "gradients.ahlfors_ratio",
-    "fields.zero_field",
 }
 # library entry points documented for users rather than called by the CLI:
 # the README's config section names the format_config round trip
@@ -34,37 +36,70 @@ def _public_functions():
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in tree.body:
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                yield f"{path.stem}.{node.name}", node
+                yield f"{path.stem}.{node.name}"
+
+
+def _source_module(node):
+    """The gradlab module a from-import reads from, or None."""
+    if node.level:
+        # relative imports only occur inside the package
+        return node.module if node.module else None
+    if node.module and node.module.startswith("gradlab."):
+        return node.module.split(".", 1)[1]
+    return None
+
+
+def _uses(path, here):
+    """Qualified `module.name` uses in one file; `here` is the file's own
+    module name, or None outside the package."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    aliases = {}  # local name -> gradlab module
+    imported = {}  # local name -> qualified function name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            src = _source_module(node)
+            package = node.level or node.module == "gradlab"
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if src is None and package and alias.name in MODULES:
+                    aliases[local] = alias.name
+                elif src in MODULES:
+                    imported[local] = f"{src}.{alias.name}"
+    uses = set(imported.values())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            module = aliases.get(node.value.id)
+            if module is not None:
+                uses.add(f"{module}.{node.attr}")
+        elif isinstance(node, ast.Name):
+            if node.id in imported:
+                uses.add(imported[node.id])
+            elif here is not None:
+                uses.add(f"{here}.{node.id}")
+    return uses
 
 
 def _references():
-    """Count of every name used in code under src/ and scripts/, with each
-    function's own definition not counted as a use."""
-    counts = {}
-    for path in sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "scripts").rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Name):
-                name = node.id
-            elif isinstance(node, ast.Attribute):
-                name = node.attr
-            elif isinstance(node, ast.alias):
-                name = node.name.rsplit(".", 1)[-1]
-            else:
-                continue
-            counts[name] = counts.get(name, 0) + 1
-    return counts
+    """Every qualified name used in code under src/ and scripts/; a
+    function's own definition is not an ast.Name and is not counted."""
+    uses = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        uses |= _uses(path, path.stem)
+    for path in sorted((ROOT / "scripts").rglob("*.py")):
+        uses |= _uses(path, None)
+    return uses
 
 
 def test_every_public_function_is_reached():
-    counts = _references()
-    unreached = [q for q, node in _public_functions()
-                 if not counts.get(node.name) and q not in AWAITING_A_SUITE | LIBRARY_API]
+    uses = _references()
+    unreached = [q for q in _public_functions()
+                 if q not in uses and q not in AWAITING_A_SUITE | LIBRARY_API]
     assert not unreached, f"public functions no module or script uses: {unreached}"
 
 
 def test_allowlist_names_only_unreached_functions():
     # an oracle that a suite now reaches leaves the allowlist
-    counts = _references()
-    stale = [q for q, node in _public_functions()
-             if q in AWAITING_A_SUITE | LIBRARY_API and counts.get(node.name)]
+    uses = _references()
+    stale = [q for q in _public_functions()
+             if q in AWAITING_A_SUITE | LIBRARY_API and q in uses]
     assert not stale, f"allowlisted but reached: {stale}"

@@ -1,0 +1,29 @@
+"""Test-only helpers: reference constructions that no suite, command or
+script of the package uses, so they live beside the tests."""
+
+import numpy as np
+
+from gradlab.fields import TensorField, fiber_shape
+from gradlab.geometry import TWO_PI, evaluate_on_grid
+
+
+def zero_field(cache, rank, tag="s0"):
+    """A zero field under `tag`, to be filled in place."""
+    return TensorField(cache, tag, rank,
+                       np.zeros(cache.spec.shape + fiber_shape(cache.n, tag, rank)))
+
+
+def analytic_laplacian(poly, spec):
+    """Analytic coordinate Laplacian sum_j d2/dx_j^2 sampled on the grid."""
+    out = np.zeros(spec.shape)
+    for j in range(spec.n):
+        scale = (TWO_PI / spec.lengths[j]) ** 2
+        out += scale * evaluate_on_grid(
+            poly.angular_derivative(j).angular_derivative(j), spec
+        )
+    return out
+
+
+def total_volume(cache):
+    """Quadrature volume of the torus: the sum of the cell weights."""
+    return float(np.sum(cache.weights))
