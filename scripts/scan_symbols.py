@@ -47,7 +47,7 @@ def main(argv=None):
             if n == 2:
                 srep = spectral.spectrum(handle, n_eigs=40)
                 spectral.spectrum_to_csv(srep, out / f"spectrum_n{n}_p{p}.csv")
-                line += f", kernel {srep.kernel_count} ({srep.kernel_label})"
+                line += f", kernel {srep.kernel.count} ({srep.kernel.label})"
             print(line, flush=True)
     return 0
 

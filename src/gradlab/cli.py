@@ -107,14 +107,7 @@ def _cmd_symbol(args, out):
     cfg = _load_config(args)
     rank = args.rank if args.rank is not None else cfg.ranks[0]
     cache = harness.build_cache(cfg, cfg.sizes[-1])
-    if args.operator not in spectral.HANDLE_NAMES:
-        print(f"symbol: unknown operator {args.operator!r}; "
-              f"known: {', '.join(sorted(spectral.HANDLE_NAMES))}", file=sys.stderr)
-        return EXIT_USAGE
     handle = spectral.handle_by_name(cache, rank, args.operator)
-    if handle.symbol is None:
-        print(f"symbol: {args.operator!r} has no symbol builder", file=sys.stderr)
-        return EXIT_USAGE
     out_dir = args.out or os.environ.get("GRADLAB_OUT") or "."
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"symbol_{args.operator}_p{rank}.csv")
@@ -180,7 +173,7 @@ def main(argv=None, out=sys.stdout):
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args, out)
-    except (ConfigError, GeometryError, harness.HarnessError) as exc:
+    except (ConfigError, GeometryError, harness.HarnessError, spectral.SpectralError) as exc:
         print(f"gradlab {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

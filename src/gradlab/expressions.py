@@ -162,10 +162,6 @@ class TrigPoly:
             return np.full(shape, float(acc))
         return acc
 
-    def max_abs_bound(self):
-        """Cheap upper bound sum |c_i|, handy for positivity checks."""
-        return sum(abs(t.coeff) for t in self.terms)
-
     def to_text(self):
         """Canonical serialization; parse(to_text()) round-trips exactly."""
         if not self.terms:

@@ -221,13 +221,13 @@ def d1(phi: TensorField, conventions: Conventions = DEFAULT_CONVENTIONS):
     """
     _check_phi(phi)
     X = fields._grad_apply(phi.cache, phi.rank, phi.data)
-    return _d1_from_grad(phi, X, conventions)
+    dphi = fields._contract_apply(phi.cache, phi.rank, X) * conventions.delta_sign
+    return _d1_from_grad(phi, X, dphi)
 
 
-def _d1_from_grad(phi, X, conventions):
+def _d1_from_grad(phi, X, dphi):
     cache, p, n = phi.cache, phi.rank, phi.n
     mono = fields._sym_apply(n, p, X)
-    dphi = fields._contract_apply(cache, p, X) * conventions.delta_sign
     corr = dphi @ _d1_correction_matrix(n, p).T
     corr = fields._scale(corr, cache.conformal_factor(2.0), 1)
     mono = mono + sym_insert_coefficient(n, p) * corr
@@ -309,14 +309,17 @@ def d3(phi: TensorField, conventions: Conventions = DEFAULT_CONVENTIONS):
 class GradientSplit:
     """The three pieces of one covariant derivative, with diagnostics.
 
-    reconstruction_residual is relative and by construction at roundoff;
-    orthogonality holds pairwise relative L2 inner products of the three
-    embedded pieces, which vanish exactly when the conventions are right.
+    divergence is delta phi, the contraction of the same gradient that d1
+    and d2 are built from.  reconstruction_residual is relative and by
+    construction at roundoff; orthogonality holds pairwise relative L2
+    inner products of the three embedded pieces, which vanish exactly when
+    the conventions are right.
     """
 
     d1: TensorField
     d2: TensorField
     d3: TensorField
+    divergence: TensorField
     grad: TensorField
     reconstruction_residual: float
     orthogonality: dict
@@ -328,8 +331,8 @@ def decompose(phi: TensorField, conventions: Conventions = DEFAULT_CONVENTIONS):
     _check_phi(phi)
     cache, p = phi.cache, phi.rank
     grad = fields.gradient(phi)
-    om = _d1_from_grad(phi, grad.data, conventions)
     dphi = fields._contract_apply(cache, p, grad.data) * conventions.delta_sign
+    om = _d1_from_grad(phi, grad.data, dphi)
     d2f = TensorField(
         cache, "cov_s0", p,
         _d2_from_delta(cache, p, dphi, conventions.d2_prefactor_scale),
@@ -357,6 +360,7 @@ def decompose(phi: TensorField, conventions: Conventions = DEFAULT_CONVENTIONS):
         d1=om,
         d2=d2f,
         d3=d3f,
+        divergence=TensorField(cache, "s0", p - 1, dphi),
         grad=grad,
         reconstruction_residual=l2_norm(grad - recon) / (g_norm + _TINY),
         orthogonality=ortho,
@@ -518,11 +522,11 @@ def zeroth_order_residual(phi: TensorField, u_values: np.ndarray, K: TensorField
 def second_order_residuals(phi: TensorField, u_values=None):
     """Every second-order identity residual of one field, from one evaluation.
 
-    The field is decomposed once; the symmetrized derivative delta* phi and
-    the divergence delta phi are read off that gradient, and the two
-    compositions delta delta* phi and delta* delta phi, the symmetrized
-    Laplacian, nabla*nabla phi (the weighted transpose of the same
-    gradient), the three exact-transpose compositions T_i = d_i* d_i phi and
+    The field is decomposed once; the divergence delta phi comes with the
+    split, the symmetrized derivative delta* phi is read off its gradient,
+    and the two compositions delta delta* phi and delta* delta phi, the
+    symmetrized Laplacian, nabla*nabla phi (the weighted transpose of the
+    same gradient), the three exact-transpose compositions T_i = d_i* d_i phi and
     both curvature-term routes are each formed once.  Every operator keeps
     the arithmetic of its standalone function (`sampson`,
     `stein_weiss_d1`, `weitzenbock_K`), so T1 is bit-for-bit the transpose
@@ -554,7 +558,7 @@ def second_order_residuals(phi: TensorField, u_values=None):
     sp = decompose(phi)
     X = sp.grad.data
     ds = TensorField(cache, "s", p + 1, fields._sym_apply(n, p, X))
-    dv = TensorField(cache, "s0", p - 1, fields._contract_apply(cache, p, X))
+    dv = sp.divergence
     dds = fields.divergence(ds)
     dsd = fields.sym_derivative(dv)
     t2 = fields.to_tracefree(dsd)

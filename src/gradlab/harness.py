@@ -269,15 +269,10 @@ def _identity_checks_for_rank(rec, config, p, caches):
         phi_u = _unit(phi)
         psi = _unit(fields.random_band_limited(cache_hi, p + 1, band, rng_a))
         x2 = _unit(_random_cov_s0(cache_hi, p, band, rng_a))
-        adj_formula = max(adj_formula, abs(
-            l2_inner(gradients.d1(phi_u), psi)
-            - l2_inner(phi_u, fields.divergence(psi))
-        ))
-        adj_t1 = max(adj_t1, abs(
-            l2_inner(gradients.d1(phi_u), psi)
-            - l2_inner(phi_u, gradients.d1_exact_adjoint(psi))
-        ))
         sp = gradients.decompose(phi_u)
+        d1_psi = l2_inner(sp.d1, psi)
+        adj_formula = max(adj_formula, abs(d1_psi - l2_inner(phi_u, fields.divergence(psi))))
+        adj_t1 = max(adj_t1, abs(d1_psi - l2_inner(phi_u, gradients.d1_exact_adjoint(psi))))
         adj_t2 = max(adj_t2, abs(
             l2_inner(sp.d2, x2) - l2_inner(phi_u, gradients.d2_exact_adjoint(x2))
         ))
@@ -410,24 +405,6 @@ def run_identity_suite(config):
 # kernel experiments
 # ---------------------------------------------------------------------------
 
-def joint_kernel_spectrum(cache, p, names, window=None, galerkin=None):
-    """Eigenvalues and kernel count of the stacked system named by `names`.
-
-    The Galerkin matrix sums the weighted Grams of every operator's image,
-    so its kernel is exactly the intersection of the measured kernels;
-    eigenvalues are the squared singular values of the stacked operator in
-    the weighted norms.  `galerkin` is the layer of (cache, p), built here
-    when not given.
-    """
-    gal = galerkin or spectral.Galerkin(cache, p)
-    evals = spectral.sector_spectrum(gal.joint_eigen(names))
-    kc = spectral.kernel_count(evals)
-    kc_win = None
-    if window is not None:
-        kc_win = spectral.kernel_count(evals[: min(window, len(evals))])
-    return evals, kc, kc_win
-
-
 def flat_joint_kernel_oracle(cache, p, names):
     """Count the stacked kernel mode by mode on a flat torus.
 
@@ -495,17 +472,14 @@ def _kernel_checks_for_rank(rec, config, p, caches):
         ck_by_size[size] = rep.kernel
         lam = max(rep.lambda_max, 0.0)
         psd_worst = max(psd_worst, -float(rep.eigenvalues[0]) / (lam + _TINY))
-        _, kc_gram, _ = joint_kernel_spectrum(cache, p, ["d1"], galerkin=gal)
-        ck_gram_by_size[size] = kc_gram
-        _, kc_kill, _ = joint_kernel_spectrum(cache, p, ["d1", "divergence"], galerkin=gal)
-        kill_by_size[size] = kc_kill
-        _, kc_cod, _ = joint_kernel_spectrum(cache, p, ["d2", "d3"], galerkin=gal)
-        cod_by_size[size] = kc_cod
-        _, kc_tt, kc_tt_win = joint_kernel_spectrum(
-            cache, p, ["divergence"], window=50, galerkin=gal
-        )
-        tt_raw[size] = kc_tt
-        tt_win[size] = kc_tt_win
+        # a stacked system's Galerkin matrix sums the weighted Grams of its
+        # operators' images, so its kernel is the intersection of theirs
+        for by, names in ((ck_gram_by_size, ["d1"]), (kill_by_size, ["d1", "divergence"]),
+                          (cod_by_size, ["d2", "d3"])):
+            by[size] = spectral.kernel_count(spectral.sector_spectrum(gal.joint_eigen(names)))
+        tt = spectral.sector_spectrum(gal.joint_eigen(["divergence"]))
+        tt_raw[size] = spectral.kernel_count(tt)
+        tt_win[size] = spectral.kernel_count(tt[:50])
 
     ck = _count_stability(rec, f"kernel.ck_count.p{p}", A_KERNEL,
                           "first-piece kernel", ck_by_size)

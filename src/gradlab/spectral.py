@@ -18,8 +18,9 @@ One Galerkin layer (`Galerkin`, one per grid and rank) serves every study:
   the part of its colour's image in its sector's FFT bins, and the sector
   blocks follow from Parseval along the invariant axes;
 * reuse: the mass matrix and each operator's Gram block are computed once
-  per layer and stacked systems add blocks.  The three pieces come from one
-  `gradients.decompose` per colour.
+  per layer and stacked systems add blocks.  The four first-order images
+  of a colour (d1, d2, d3 and the divergence) come from its one
+  `gradients.decompose`; no operator handle is applied for them.
 
 Two discretization hazards shape the design:
 
@@ -32,16 +33,23 @@ Two discretization hazards shape the design:
   "confirmed" when two grid resolutions agree and the gap above the counted
   cluster is at least two orders of magnitude.
 
-Principal symbols are never extracted by finite plane-wave limits.  Each
-handle carries an algebraic builder that reuses the operator's own cached
-structure tensors with every derivative slot replaced by a covector, which
-keeps the symbols exactly consistent with the discrete operators.
+Principal symbols are never extracted by finite plane-wave limits.  With
+G(xi) the symbol of the covariant derivative on trace-free coordinates,
+every handle's symbol is one of two rules over a constant fiber matrix:
+A G(xi) at first order (A the identity, the transposed embedding of d1, a
+flat projector, or the divergence contraction times -gscale) and
+gscale G(xi)^T Q G(xi) at second order (Q the identity, a flat projector,
+or a block matrix of the structure tensors that delta delta* and
+delta* delta use).  The matrices are the operators' own cached structure
+tensors, which keeps the symbols exactly consistent with the discrete
+operators.
 """
 
 import csv
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -93,20 +101,20 @@ def weight_vector(cache, tag, rank):
 class OperatorHandle:
     """A named linear operator between sampled tensor bundles.
 
+    The domain is the trace-free ("s0") bundle of rank `domain_rank`.
     `apply` acts on TensorField instances; the vector interface flattens
     grid-major, fiber-minor.  `symbol` maps (xi, gscale) to the
     principal-symbol fiber matrix, where gscale is the inverse conformal
-    factor at the evaluation point; None for operators of order zero.
+    factor at the evaluation point.
     """
 
     name: str
     cache: object
-    domain_tag: str
     domain_rank: int
     codomain_tag: str
     codomain_rank: int
     apply: callable
-    symbol: callable = None
+    symbol: callable
 
     @property
     def n(self):
@@ -118,23 +126,22 @@ class OperatorHandle:
 
     @property
     def domain_dim(self):
-        return self.cache.spec.num_points * math.prod(
-            fields.fiber_shape(self.n, self.domain_tag, self.domain_rank))
+        return self.cache.spec.num_points * fiber.tracefree_dim(self.n, self.domain_rank)
 
     @property
     def is_endomorphism(self):
-        return (self.domain_tag, self.domain_rank) == (self.codomain_tag, self.codomain_rank)
+        return ("s0", self.domain_rank) == (self.codomain_tag, self.codomain_rank)
 
     def field_from_vector(self, vec):
-        shape = self.grid + fields.fiber_shape(self.n, self.domain_tag, self.domain_rank)
+        shape = self.grid + (fiber.tracefree_dim(self.n, self.domain_rank),)
         data = np.asarray(vec, float).reshape(shape)
-        return TensorField(self.cache, self.domain_tag, self.domain_rank, data)
+        return TensorField(self.cache, "s0", self.domain_rank, data)
 
     def apply_vector(self, vec):
         return np.asarray(self.apply(self.field_from_vector(vec)).data, float).ravel()
 
     def domain_weights(self):
-        return weight_vector(self.cache, self.domain_tag, self.domain_rank)
+        return weight_vector(self.cache, "s0", self.domain_rank)
 
     def codomain_weights(self):
         return weight_vector(self.cache, self.codomain_tag, self.codomain_rank)
@@ -267,9 +274,10 @@ def invariant_axes(cache):
     return tuple(j for j in range(cache.n) if np.all(f == np.take(f, [0], axis=j)))
 
 
-# the three pieces of the gradient, all taken from one decompose per colour:
-# piece -> (codomain tag, codomain rank minus domain rank)
-_SPLIT = {"d1": ("s0", 1), "d2": ("cov_s0", 0), "d3": ("cov_s0", 0)}
+# the first-order images a Galerkin layer forms, all taken from one
+# decompose per colour: piece -> (codomain tag, codomain rank minus domain rank)
+_SPLIT = {"d1": ("s0", 1), "d2": ("cov_s0", 0), "d3": ("cov_s0", 0),
+          "divergence": ("s0", -1)}
 
 
 class Galerkin:
@@ -281,7 +289,11 @@ class Galerkin:
     ascending order; every block list is aligned with `sectors`.  Colour c
     is the sum of the c-th column of every sector.  Its image is cut into
     sectors in the FFT along the invariant axes, so a block entry is
-    Re(F_s^H W F_s) / prod N_j over the sector's bins (Parseval).
+    Re(F_s^H W F_s) / prod N_j over the sector's bins (Parseval).  A
+    sector's cut is one gather with its flat grid index: the C-order
+    product of its bins +|m_j| and -|m_j| on the invariant axes and every
+    index on the other axes.  With no invariant axis the one sector spans
+    the whole grid and its cut is a view of the images.
 
     Mass, Gram blocks and joint eigendecompositions are cached on the layer:
     a suite builds one per (grid, rank) and stacked systems add blocks.
@@ -301,11 +313,12 @@ class Galerkin:
         self.sectors = [
             np.array([j * t + a for j in by_key[key] for a in range(t)]) for key in keys
         ]
-        # FFT bins of each sector along each invariant axis: +|m_j| and -|m_j|
-        self._bins = [
-            [sorted({k, (spec.sizes[a] - k) % spec.sizes[a]}) for k, a in zip(key, self.axes)]
-            for key in keys
-        ]
+        self._gather = []
+        for key in keys:
+            k = dict(zip(self.axes, key))
+            per_axis = [sorted({k[a], -k[a] % size}) if a in k else range(size)
+                        for a, size in enumerate(spec.sizes)]
+            self._gather.append(np.ravel_multi_index(np.ix_(*per_axis), spec.shape).ravel())
         self._norm = float(math.prod(spec.sizes[a] for a in self.axes))
         width = max(len(js) for js in by_key.values())
         need = self._bytes_before_solve(width)
@@ -339,20 +352,9 @@ class Galerkin:
         mass = sum(len(ix) ** 2 for ix in self.sectors)
         need = 8 * (self.basis.n_scalar * width + 4 * points * width + colours + mass)
         if self.axes:
-            cut = sum(len(ix) * math.prod(len(b) for b in bins)
-                      for ix, bins in zip(self.sectors, self._bins))
-            need += 16 * (colours + cut * (points // int(self._norm)) * self.t)
+            cut = sum(len(ix) * len(g) for ix, g in zip(self.sectors, self._gather))
+            need += 16 * (colours + cut * self.t)
         return need
-
-    def _take_bins(self, values, first_axis):
-        """Per-sector restriction of `values` to the sector's FFT bins."""
-        out = []
-        for bins in self._bins:
-            part = values
-            for a, b in zip(self.axes, bins):
-                part = part.take(b, axis=first_axis + a)
-            out.append(part)
-        return out
 
     def _cut(self, images):
         """Per-sector FFT coefficients of a stack of colour images.
@@ -361,18 +363,22 @@ class Galerkin:
         (sector size, bins * fiber) complex array whose row c is the FFT of
         the image of the sector's c-th column.
         """
-        images = images.reshape(images.shape[: 1 + self.cache.n] + (-1,))
-        axes = [1 + a for a in self.axes]
-        hat = np.fft.fftn(images, axes=axes) if axes else images
-        return [part[: len(ix)].reshape(len(ix), -1)
-                for ix, part in zip(self.sectors, self._take_bins(hat, 1))]
+        if not self.axes:
+            # one sector over the whole grid: its cut is a view of the images
+            return [images[: len(ix)].reshape(len(ix), -1) for ix in self.sectors]
+        spec = self.cache.spec
+        hat = np.fft.fftn(images.reshape((len(images),) + spec.shape + (-1,)),
+                          axes=[1 + a for a in self.axes])
+        hat = hat.reshape(len(images), spec.num_points, -1)
+        return [hat[: len(ix)].take(g, axis=1).reshape(len(ix), -1)
+                for ix, g in zip(self.sectors, self._gather)]
 
     def _pair(self, left, right, weights):
         """Sector blocks Re(L^H W R) / prod N_j of a weighted inner product;
         the weights are constant along the invariant axes."""
-        ws = self._take_bins(weights.reshape(self.cache.spec.shape + (-1,)), 0)
-        return [((L.conj() * w.ravel()) @ R.T).real / self._norm
-                for L, R, w in zip(left, right, ws)]
+        w = weights.reshape(self.cache.spec.num_points, -1)
+        return [((L.conj() * w.take(g, axis=0).ravel()) @ R.T).real / self._norm
+                for L, R, g in zip(left, right, self._gather)]
 
     def _apply(self, handle):
         images = [handle.apply_vector(c.ravel()) for c in self.colours]
@@ -389,38 +395,37 @@ class Galerkin:
         """Sector blocks of the bilinear form <column, handle(column)>."""
         if not handle.is_endomorphism:
             raise SpectralError(f"{handle.name} is not an endomorphism")
-        if (handle.cache, handle.domain_tag, handle.domain_rank) != (self.cache, "s0", self.p):
+        if (handle.cache, handle.domain_rank) != (self.cache, self.p):
             raise SpectralError("basis bundle does not match the handle domain")
         images = self._cut(self._apply(handle))
         return self._pair(self._colour_hat, images, handle.domain_weights())
 
     def gram(self, names):
-        """Sector blocks of the stacked system named by `names`: the sum of
-        the weighted Grams of each operator's image."""
-        for name in names:
-            if name not in self._grams:
-                self._build_gram(name)
+        """Sector blocks of the stacked system named by `names` (pieces of
+        `_SPLIT`): the sum of the weighted Grams of each operator's image."""
+        unknown = sorted(set(names) - set(_SPLIT))
+        if unknown:
+            raise SpectralError(f"no Gram blocks for {', '.join(unknown)}; "
+                                f"known: {', '.join(_SPLIT)}")
+        if not self._grams:
+            self._build_gram()
         return [sum(blocks) for blocks in zip(*(self._grams[name] for name in names))]
 
-    def _build_gram(self, name):
-        if name in _SPLIT:
-            # one stack per piece, filled as each colour is decomposed, so
-            # no colour's whole decomposition outlives its loop iteration
-            stacks = {piece: np.empty(self.colours.shape[:-1]
-                                      + fields.fiber_shape(self.cache.n, tag, self.p + shift))
-                      for piece, (tag, shift) in _SPLIT.items()}
-            for k, c in enumerate(self.colours):
-                sp = gradients.decompose(TensorField(self.cache, "s0", self.p, c))
-                for piece, stack in stacks.items():
-                    stack[k] = getattr(sp, piece).data
-            for piece, (tag, shift) in _SPLIT.items():
-                hat = self._cut(stacks.pop(piece))
-                w = weight_vector(self.cache, tag, self.p + shift)
-                self._grams[piece] = self._pair(hat, hat, w)
-            return
-        handle = handle_by_name(self.cache, self.p, name)
-        hat = self._cut(self._apply(handle))
-        self._grams[name] = self._pair(hat, hat, handle.codomain_weights())
+    def _build_gram(self):
+        # one stack per piece, filled as each colour is decomposed, so no
+        # colour's whole decomposition outlives its loop iteration
+        stacks = {piece: np.empty(self.colours.shape[:-1]
+                                  + fields.fiber_shape(self.cache.n, tag, self.p + shift))
+                  for piece, (tag, shift) in _SPLIT.items()}
+        for k, c in enumerate(self.colours):
+            sp = gradients.decompose(TensorField(self.cache, "s0", self.p, c))
+            for piece, stack in stacks.items():
+                stack[k] = getattr(sp, piece).data
+        for piece, (tag, shift) in _SPLIT.items():
+            hat = self._cut(stacks.pop(piece))
+            w = weight_vector(self.cache, tag, self.p + shift)
+            self._grams[piece] = self._pair(hat, hat, w)
+            del hat  # freed before the next piece is cut, to lower the peak
 
     def eigen(self, blocks):
         """One residual-gated eigensolve of (G_s, M_s) per sector; residuals
@@ -531,18 +536,6 @@ class SpectrumReport:
     symmetry_defect: float
     residual_max: float
 
-    @property
-    def kernel_count(self):
-        return self.kernel.count
-
-    @property
-    def kernel_label(self):
-        return self.kernel.label
-
-    @property
-    def gap_ratio(self):
-        return self.kernel.gap_ratio
-
 
 def spectrum(handle: OperatorHandle, n_eigs=50, galerkin=None):
     """Full eigenvalue study of an endomorphism handle on the dealiased basis,
@@ -574,98 +567,61 @@ def spectrum(handle: OperatorHandle, n_eigs=50, galerkin=None):
 # algebraic principal symbols
 # ---------------------------------------------------------------------------
 
-def _grad_block(n, t, xi):
-    # sigma(covariant derivative) on trace-free coordinates, rows i-major
-    return np.kron(np.asarray(xi, float).reshape(n, 1), np.eye(t))
+def _grad_block(xi, t):
+    # G(xi): sigma(covariant derivative) on trace-free coordinates, rows i-major
+    return np.kron(np.asarray(xi, float).reshape(-1, 1), np.eye(t))
 
 
-def _second_order_symbol(n, p, P=None):
-    """gscale * K(xi)^T P K(xi); P = None means the full gradient square."""
+def _first_order_symbol(A, weighted=False):
+    """sigma(xi) = A G(xi) for a constant fiber matrix A with n t columns;
+    a weighted operator (the divergence, which contracts with the inverse
+    metric) carries the factor gscale."""
+
+    def sig(xi, gscale):
+        S = A @ _grad_block(xi, A.shape[1] // len(xi))
+        return gscale * S if weighted else S
+
+    return sig
+
+
+def _second_order_symbol(Q):
+    """sigma(xi) = gscale G(xi)^T (Q G(xi)) for a constant (n t, n t) matrix Q."""
+
+    def sig(xi, gscale):
+        G = _grad_block(xi, len(Q) // len(xi))
+        return gscale * (G.T @ (Q @ G))
+
+    return sig
+
+
+@lru_cache(maxsize=None)
+def _symbol_matrices(n, p):
+    """The constant fiber matrices of the registry's symbols at (n, p).
+
+    I is the identity on T* (x) S0^p, E the transposed embedding of d1,
+    A, B, C the flat projectors and K0 the divergence contraction
+    `fields._k0` flattened to (t_{p-1}, n t).  Q1 and Q2 are the (n t, n t)
+    block matrices of delta delta* and delta* delta, with blocks
+    Q1_ij = C Kc_i Sm_j and Q2_ij = C Sm'_i k0_j built from the structure
+    tensors those operators use, so each symbol shares its operator's sign
+    and normalization; "sampson" is (p+1) Q1 - p Q2.
+    """
     t = fiber.tracefree_dim(n, p)
-
-    def sig(xi, gscale):
-        K = _grad_block(n, t, xi)
-        core = K.T @ K if P is None else K.T @ (P @ K)
-        return gscale * core
-
-    return sig
-
-
-def _d1_symbol(n, p):
-    e = fiber.embed_matrix(n, p)
-    t = fiber.tracefree_dim(n, p)
-
-    def sig(xi, gscale):
-        return e.T @ _grad_block(n, t, xi)
-
-    return sig
-
-
-def _projected_gradient_symbol(n, p, P):
-    t = fiber.tracefree_dim(n, p)
-
-    def sig(xi, gscale):
-        return P @ _grad_block(n, t, xi)
-
-    return sig
-
-
-def _gradient_symbol(n, p):
-    t = fiber.tracefree_dim(n, p)
-
-    def sig(xi, gscale):
-        return _grad_block(n, t, xi)
-
-    return sig
-
-
-def _divergence_symbol(n, p):
-    k0 = fields._k0(n, p)
-
-    def sig(xi, gscale):
-        return -gscale * np.einsum("bia,i->ba", k0, np.asarray(xi, float))
-
-    return sig
-
-
-def _delta_deltastar_symbol(n, p):
-    # reuse the cached conjugated structure tensors so the symbol shares the
-    # operators' sign and normalization conventions by construction
-    Sm = fields._sym_insert_expanded(n, p)
-    Kc = fiber.div_contract_tensor(n, p + 1)
     _, C = fiber.tracefree_basis(n, p)
-
-    def sig(xi, gscale):
-        xi = np.asarray(xi, float)
-        up = np.einsum("Jia,i->Ja", Sm, xi)
-        down = -np.einsum("BiA,i->BA", Kc, xi)
-        return -gscale * (C @ (down @ up))
-
-    return sig
-
-
-def _deltastar_delta_symbol(n, p):
-    Sm = fields._sym_insert_expanded(n, p - 1)
     k0 = fields._k0(n, p)
-    _, C = fiber.tracefree_basis(n, p)
-
-    def sig(xi, gscale):
-        xi = np.asarray(xi, float)
-        down = -np.einsum("bia,i->ba", k0, xi)
-        up = C @ np.einsum("Jia,i->Ja", Sm, xi)
-        return -gscale * (up @ down)
-
-    return sig
-
-
-def _sampson_symbol(n, p):
-    s1 = _delta_deltastar_symbol(n, p)
-    s2 = _deltastar_delta_symbol(n, p)
-
-    def sig(xi, gscale):
-        return (p + 1.0) * s1(xi, gscale) - float(p) * s2(xi, gscale)
-
-    return sig
+    Q1 = np.einsum("aB,BiA,Ajc->iajc", C, fiber.div_contract_tensor(n, p + 1),
+                   fields._sym_insert_expanded(n, p), optimize=True).reshape(n * t, n * t)
+    Q2 = np.einsum("aB,Bib,bjc->iajc", C, fields._sym_insert_expanded(n, p - 1), k0,
+                   optimize=True).reshape(n * t, n * t)
+    PA, PB, PC = fiber.flat_projector_matrices(n, p)
+    out = {
+        "I": np.eye(n * t), "E": fiber.embed_matrix(n, p).T, "A": PA, "B": PB, "C": PC,
+        "K0": k0.reshape(-1, n * t), "Q1": Q1, "Q2": Q2,
+        "sampson": (p + 1.0) * Q1 - float(p) * Q2,
+    }
+    for M in out.values():
+        M.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
@@ -694,8 +650,6 @@ def symbol_eval(handle: OperatorHandle, xi, x=None):
     scalar multiple of the identity.  The distance is reported, never
     asserted to vanish: scalarity is a hypothesis to be measured.
     """
-    if handle.symbol is None:
-        raise SpectralError(f"{handle.name} carries no symbol builder")
     xi = np.asarray(xi, float)
     if xi.shape != (handle.n,) or not np.any(xi):
         raise SpectralError("xi must be a nonzero covector of the right dimension")
@@ -743,131 +697,96 @@ def symbol_sphere_scan(handle: OperatorHandle, n_dirs=64, seed=0):
 # handle factories
 # ---------------------------------------------------------------------------
 
-def identity_handle(cache, p):
-    return OperatorHandle(
-        name="identity", cache=cache, domain_tag="s0", domain_rank=p,
-        codomain_tag="s0", codomain_rank=p, apply=lambda phi: phi, symbol=None,
-    )
-
-
 def gradient_handle(cache, p):
     return OperatorHandle(
-        name="gradient", cache=cache, domain_tag="s0", domain_rank=p,
-        codomain_tag="cov_s0", codomain_rank=p, apply=fields.gradient,
-        symbol=_gradient_symbol(cache.n, p),
+        name="gradient", cache=cache, domain_rank=p, codomain_tag="cov_s0",
+        codomain_rank=p, apply=fields.gradient,
+        symbol=_first_order_symbol(_symbol_matrices(cache.n, p)["I"]),
     )
 
 
 def divergence_handle(cache, p):
     return OperatorHandle(
-        name="divergence", cache=cache, domain_tag="s0", domain_rank=p,
-        codomain_tag="s0", codomain_rank=p - 1, apply=fields.divergence,
-        symbol=_divergence_symbol(cache.n, p),
+        name="divergence", cache=cache, domain_rank=p, codomain_tag="s0",
+        codomain_rank=p - 1, apply=fields.divergence,
+        symbol=_first_order_symbol(-_symbol_matrices(cache.n, p)["K0"], weighted=True),
     )
 
 
 def d1_handle(cache, p):
     return OperatorHandle(
-        name="d1", cache=cache, domain_tag="s0", domain_rank=p,
-        codomain_tag="s0", codomain_rank=p + 1, apply=gradients.d1,
-        symbol=_d1_symbol(cache.n, p),
+        name="d1", cache=cache, domain_rank=p, codomain_tag="s0",
+        codomain_rank=p + 1, apply=gradients.d1,
+        symbol=_first_order_symbol(_symbol_matrices(cache.n, p)["E"]),
     )
 
 
 def d2_handle(cache, p):
-    P = fiber.flat_projector_matrices(cache.n, p)[1]
     return OperatorHandle(
-        name="d2", cache=cache, domain_tag="s0", domain_rank=p,
-        codomain_tag="cov_s0", codomain_rank=p, apply=gradients.d2,
-        symbol=_projected_gradient_symbol(cache.n, p, P),
+        name="d2", cache=cache, domain_rank=p, codomain_tag="cov_s0",
+        codomain_rank=p, apply=gradients.d2,
+        symbol=_first_order_symbol(_symbol_matrices(cache.n, p)["B"]),
     )
 
 
 def d3_handle(cache, p):
-    P = fiber.flat_projector_matrices(cache.n, p)[2]
     return OperatorHandle(
-        name="d3", cache=cache, domain_tag="s0", domain_rank=p,
-        codomain_tag="cov_s0", codomain_rank=p, apply=gradients.d3,
-        symbol=_projected_gradient_symbol(cache.n, p, P),
+        name="d3", cache=cache, domain_rank=p, codomain_tag="cov_s0",
+        codomain_rank=p, apply=gradients.d3,
+        symbol=_first_order_symbol(_symbol_matrices(cache.n, p)["C"]),
+    )
+
+
+def _second_order_handle(name, cache, p, apply, matrix):
+    """An endomorphism of the trace-free rank-p bundle with the
+    second-order symbol of `_symbol_matrices(n, p)[matrix]`."""
+    return OperatorHandle(
+        name=name, cache=cache, domain_rank=p, codomain_tag="s0", codomain_rank=p,
+        apply=apply, symbol=_second_order_symbol(_symbol_matrices(cache.n, p)[matrix]),
     )
 
 
 def rough_laplacian_handle(cache, p):
-    return OperatorHandle(
-        name="rough_laplacian", cache=cache, domain_tag="s0", domain_rank=p,
-        codomain_tag="s0", codomain_rank=p, apply=fields.rough_laplacian,
-        symbol=_second_order_symbol(cache.n, p, None),
-    )
+    return _second_order_handle("rough_laplacian", cache, p, fields.rough_laplacian, "I")
 
 
 def d1_star_d1_handle(cache, p, route="transpose"):
-    P = fiber.flat_projector_matrices(cache.n, p)[0]
     name = "d1_star_d1" if route == "transpose" else "d1_star_d1_formula"
-    return OperatorHandle(
-        name=name, cache=cache, domain_tag="s0", domain_rank=p,
-        codomain_tag="s0", codomain_rank=p,
-        apply=lambda phi: gradients.stein_weiss_d1(phi, route=route),
-        symbol=_second_order_symbol(cache.n, p, P),
-    )
+    return _second_order_handle(
+        name, cache, p, lambda phi: gradients.stein_weiss_d1(phi, route=route), "A")
 
 
 def d2_star_d2_handle(cache, p):
-    P = fiber.flat_projector_matrices(cache.n, p)[1]
-    return OperatorHandle(
-        name="d2_star_d2", cache=cache, domain_tag="s0", domain_rank=p,
-        codomain_tag="s0", codomain_rank=p,
-        apply=lambda phi: gradients.d2_exact_adjoint(gradients.d2(phi)),
-        symbol=_second_order_symbol(cache.n, p, P),
-    )
+    return _second_order_handle(
+        "d2_star_d2", cache, p,
+        lambda phi: gradients.d2_exact_adjoint(gradients.d2(phi)), "B")
 
 
 def d3_star_d3_handle(cache, p):
-    P = fiber.flat_projector_matrices(cache.n, p)[2]
-    return OperatorHandle(
-        name="d3_star_d3", cache=cache, domain_tag="s0", domain_rank=p,
-        codomain_tag="s0", codomain_rank=p,
-        apply=lambda phi: gradients.d3_exact_adjoint(gradients.d3(phi)),
-        symbol=_second_order_symbol(cache.n, p, P),
-    )
+    return _second_order_handle(
+        "d3_star_d3", cache, p,
+        lambda phi: gradients.d3_exact_adjoint(gradients.d3(phi)), "C")
 
 
 def sampson_handle(cache, p):
-    return OperatorHandle(
-        name="sampson_tracefree", cache=cache, domain_tag="s0", domain_rank=p,
-        codomain_tag="s0", codomain_rank=p,
-        apply=lambda phi: fields.to_tracefree(gradients.sampson(phi)),
-        symbol=_sampson_symbol(cache.n, p),
-    )
-
-
-def weitzenbock_handle(cache, p):
-    return OperatorHandle(
-        name="weitzenbock", cache=cache, domain_tag="s0", domain_rank=p,
-        codomain_tag="s0", codomain_rank=p, apply=gradients.weitzenbock_K,
-        symbol=None,
-    )
+    return _second_order_handle(
+        "sampson_tracefree", cache, p,
+        lambda phi: fields.to_tracefree(gradients.sampson(phi)), "sampson")
 
 
 def delta_deltastar_handle(cache, p):
-    return OperatorHandle(
-        name="delta_deltastar", cache=cache, domain_tag="s0", domain_rank=p,
-        codomain_tag="s0", codomain_rank=p,
-        apply=lambda phi: fields.to_tracefree(fields.divergence(fields.sym_derivative(phi))),
-        symbol=_delta_deltastar_symbol(cache.n, p),
-    )
+    return _second_order_handle(
+        "delta_deltastar", cache, p,
+        lambda phi: fields.to_tracefree(fields.divergence(fields.sym_derivative(phi))), "Q1")
 
 
 def deltastar_delta_handle(cache, p):
-    return OperatorHandle(
-        name="deltastar_delta", cache=cache, domain_tag="s0", domain_rank=p,
-        codomain_tag="s0", codomain_rank=p,
-        apply=lambda phi: fields.to_tracefree(fields.sym_derivative(fields.divergence(phi))),
-        symbol=_deltastar_delta_symbol(cache.n, p),
-    )
+    return _second_order_handle(
+        "deltastar_delta", cache, p,
+        lambda phi: fields.to_tracefree(fields.sym_derivative(fields.divergence(phi))), "Q2")
 
 
 _HANDLES = {
-    "identity": identity_handle,
     "gradient": gradient_handle,
     "divergence": divergence_handle,
     "d1": d1_handle,
@@ -879,7 +798,6 @@ _HANDLES = {
     "d2_star_d2": d2_star_d2_handle,
     "d3_star_d3": d3_star_d3_handle,
     "sampson_tracefree": sampson_handle,
-    "weitzenbock": weitzenbock_handle,
     "delta_deltastar": delta_deltastar_handle,
     "deltastar_delta": deltastar_delta_handle,
 }

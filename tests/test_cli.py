@@ -7,7 +7,7 @@ from io import StringIO
 
 import pytest
 
-from gradlab import cli
+from gradlab import cli, spectral
 from gradlab.cli import EXIT_FAIL, EXIT_INDETERMINATE, EXIT_PASS, EXIT_USAGE
 
 
@@ -210,6 +210,16 @@ def test_symbol_writes_scan(tiny_cfg, tmp_path):
     assert code == EXIT_PASS
     assert (tmp_path / "s" / "symbol_d1_star_d1_p1.csv").exists()
     assert "min singular value" in text
+
+
+@pytest.mark.parametrize("name", spectral.HANDLE_NAMES)
+def test_symbol_scans_every_registry_operator(name, tiny_cfg, tmp_path):
+    code, _ = run_cli([
+        "symbol", "--config", str(tiny_cfg), "--out", str(tmp_path),
+        "--operator", name, "--directions", "8",
+    ])
+    assert code == EXIT_PASS
+    assert (tmp_path / f"symbol_{name}_p1.csv").exists()
 
 
 def test_symbol_unknown_operator(tiny_cfg, capsys):

@@ -214,10 +214,15 @@ def test_pieces_match_projector_route(metric, n, p):
 def test_decompose_orthogonality_and_reconstruction(metric):
     cache = make_cache(2, 16, metric)
     for p in (1, 2, 3):
-        sp = decompose(random_field(cache, p, seed=p))
+        phi = random_field(cache, p, seed=p)
+        sp = decompose(phi)
         assert sp.reconstruction_residual < 1e-13
         for v in sp.orthogonality.values():
             assert v < 1e-12
+        # the split's first piece and divergence are the standalone
+        # operators', bit for bit
+        assert np.array_equal(sp.d1.data, gradients.d1(phi).data)
+        assert np.array_equal(sp.divergence.data, fields.divergence(phi).data)
 
 
 def test_norms_pythagoras():

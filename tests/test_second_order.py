@@ -5,7 +5,7 @@ curvature term per field inside the identity suite."""
 import numpy as np
 import pytest
 
-from gradlab import fields, gradients
+from gradlab import fields, gradients, harness
 from gradlab.config import ExperimentConfig
 from gradlab.expressions import parse_trig_poly
 from gradlab.fields import TensorField, l2_inner, l2_norm
@@ -131,8 +131,9 @@ def test_one_evaluation_equals_separate_routes_exactly(metric, n, size, p):
 def test_identity_suite_decomposes_each_field_once(monkeypatch):
     # a field is tracked by object identity; the lists keep every field
     # alive so that no id is reused during the run
-    decomposed, curvature_terms = [], []
+    decomposed, curvature_terms, units, d1_calls = [], [], [], []
     decompose, weitzenbock_K = gradients.decompose, gradients.weitzenbock_K
+    d1, unit = gradients.d1, harness._unit
 
     def counting_decompose(phi, *args, **kwargs):
         decomposed.append(phi)
@@ -142,8 +143,18 @@ def test_identity_suite_decomposes_each_field_once(monkeypatch):
         curvature_terms.append((phi, route))
         return weitzenbock_K(phi, route=route)
 
+    def counting_d1(phi, *args, **kwargs):
+        d1_calls.append(args + tuple(kwargs.values()))
+        return d1(phi, *args, **kwargs)
+
+    def recording_unit(phi):
+        units.append((phi, unit(phi)))
+        return units[-1][1]
+
     monkeypatch.setattr(gradients, "decompose", counting_decompose)
     monkeypatch.setattr(gradients, "weitzenbock_K", counting_K)
+    monkeypatch.setattr(gradients, "d1", counting_d1)
+    monkeypatch.setattr(harness, "_unit", recording_unit)
     cfg = ExperimentConfig(metric="flat", dimension=2, sizes=(12, 16), ranks=(1, 2),
                            seed=3, field_count=4)
     rep = run_identity_suite(cfg)
@@ -161,3 +172,10 @@ def test_identity_suite_decomposes_each_field_once(monkeypatch):
     second_order = [phi for phi, route in curvature_terms if route == "curvature"]
     assert len(second_order) == len(cfg.ranks) * (3 + 2)
     assert all(times(phi, decomposed) == 1 for phi in second_order)
+    # the adjointness fields, the unit-normalized copies of the batch
+    # fields, are decomposed once each, and their pairings take d1 from
+    # that split: d1 itself runs only in the negative control
+    adjointness = [u for phi, u in units if times(phi, decomposed) == 1]
+    assert len(adjointness) == len(cfg.ranks) * cfg.field_count
+    assert all(times(u, decomposed) == 1 for u in adjointness)
+    assert d1_calls == [(gradients.Conventions(delta_sign=-1.0),)]

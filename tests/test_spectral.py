@@ -33,7 +33,6 @@ from gradlab.spectral import (
     deltastar_delta_handle,
     divergence_handle,
     gradient_handle,
-    identity_handle,
     kernel_count,
     rough_laplacian_handle,
     sampson_handle,
@@ -118,23 +117,31 @@ def test_identity_assembles_to_identity():
     # the Galerkin form of the identity is the mass matrix, block for block
     cache = make_cache(2, 8, metric="conformal")
     gal = Galerkin(cache, 1)
-    for F, M in zip(gal.form(identity_handle(cache, 1)), gal.mass()):
+    identity = spectral.OperatorHandle(
+        name="identity", cache=cache, domain_rank=1, codomain_tag="s0",
+        codomain_rank=1, apply=lambda phi: phi, symbol=None,
+    )
+    for F, M in zip(gal.form(identity), gal.mass()):
         assert np.array_equal(F, M)
 
 
 @pytest.mark.parametrize("maker", [rough_laplacian_handle, d1_handle, divergence_handle])
 def test_assembled_matrix_reproduces_apply(maker):
-    # each sector block of an operator's Gram reproduces the weighted norm of
-    # the operator applied to a field synthesized on that sector
+    # each sector block reproduces the operator applied to a field
+    # synthesized on that sector: a Gram block (d1, divergence) the weighted
+    # norm of the image, a form block (rough Laplacian) the pairing of the
+    # field with its image
     cache = make_cache(2, 8, metric="conformal")
     p = 1 if maker is not divergence_handle else 2
     h = maker(cache, p)
     gal = Galerkin(cache, p)
     rng = np.random.default_rng(7)
-    for s, G in enumerate(gal.gram([h.name])):
+    blocks = gal.form(h) if h.is_endomorphism else gal.gram([h.name])
+    for s, G in enumerate(blocks):
         c = rng.standard_normal(len(gal.sectors[s]))
-        image = h.apply(gal.field(s, c))
-        direct = l2_inner(image, image)
+        phi = gal.field(s, c)
+        image = h.apply(phi)
+        direct = l2_inner(phi if h.is_endomorphism else image, image)
         assert abs(c @ G @ c - direct) <= 1e-10 * direct
 
 
@@ -162,21 +169,28 @@ def test_dof_cap_enforced(monkeypatch):
         Galerkin(make_cache(*OVERSIZED), 2)
 
 
-def test_assemble_caches_matrix():
-    # the mass, each Gram and each joint eigendecomposition are built once
+def test_assemble_caches_matrix(monkeypatch):
+    # the mass, the Grams and each joint eigendecomposition are built once;
+    # every Gram comes from one decomposition per colour, through no handle
     cache = make_cache(2, 8, metric="conformal")
     gal = Galerkin(cache, 1)
     calls = []
-    gal_apply = gal._apply
-    gal._apply = lambda handle: calls.append(handle.name) or gal_apply(handle)
-    first = gal.gram(["d1", "rough_laplacian"])
-    eig = gal.joint_eigen(["d1", "rough_laplacian"])
-    assert calls == ["rough_laplacian"]
-    for B, again in zip(first, gal.gram(["d1", "rough_laplacian"])):
+    decompose = gradients.decompose
+    monkeypatch.setattr(gradients, "decompose",
+                        lambda phi: calls.append(phi) or decompose(phi))
+    monkeypatch.setattr(spectral, "handle_by_name", None)
+    gal._apply = None
+    first = gal.gram(["d1", "divergence"])
+    eig = gal.joint_eigen(["d1", "divergence"])
+    assert len(calls) == len(gal.colours)
+    for B, again in zip(first, gal.gram(["d1", "divergence"])):
         assert np.array_equal(B, again)
-    assert gal.joint_eigen(["d1", "rough_laplacian"]) is eig
+    assert gal.joint_eigen(["d1", "divergence"]) is eig
+    gal.gram(["d2", "d3"])
     assert gal.mass() is gal.mass()
-    assert calls == ["rough_laplacian"]
+    assert len(calls) == len(gal.colours)
+    with pytest.raises(SpectralError, match="rough_laplacian"):
+        gal.gram(["d1", "rough_laplacian"])
 
 
 # ---------------------------------------------------------------------------
@@ -473,24 +487,24 @@ def test_flat_t2_first_order_kernel_confirmed(p):
         cache = make_cache(2, size)
         rep = spectrum(d1_star_d1_handle(cache, p), n_eigs=None)
         assert not rep.kernel.indeterminate
-        assert rep.gap_ratio > 100.0
-        counts.append(rep.kernel_count)
-        assert rep.kernel_count == flat_joint_kernel_oracle(cache, p, ["d1"])
+        assert rep.kernel.gap_ratio > 100.0
+        counts.append(rep.kernel.count)
+        assert rep.kernel.count == flat_joint_kernel_oracle(cache, p, ["d1"])
     assert counts[0] == counts[1] == fiber.tracefree_dim(2, p)
 
 
 def test_flat_t3_first_order_kernel():
     cache = make_cache(3, 8)
     rep = spectrum(d1_star_d1_handle(cache, 1), n_eigs=None)
-    assert rep.kernel_count == 3 == flat_joint_kernel_oracle(cache, 1, ["d1"])
-    assert rep.gap_ratio > 100.0
+    assert rep.kernel.count == 3 == flat_joint_kernel_oracle(cache, 1, ["d1"])
+    assert rep.kernel.gap_ratio > 100.0
 
 
 def test_kernel_bounded_by_ck_dimension():
     for (n, p, size) in ((2, 1, 12), (2, 2, 12), (3, 1, 8)):
         cache = make_cache(n, size)
         rep = spectrum(d1_star_d1_handle(cache, p), n_eigs=None)
-        assert rep.kernel_count <= fiber.ck_dim_bound(n, p)
+        assert rep.kernel.count <= fiber.ck_dim_bound(n, p)
 
 
 def test_nodal_assembly_carries_nyquist_junk():
@@ -502,7 +516,7 @@ def test_nodal_assembly_carries_nyquist_junk():
     WA = dense_images(h, np.eye(h.domain_dim)) * w[:, None]
     nodal = spectral._eigh_pencil(0.5 * (WA + WA.T), np.diag(w)).values
     clean = spectrum(h, n_eigs=None)
-    assert clean.kernel_count == 2
+    assert clean.kernel.count == 2
     assert kernel_count(nodal).count == 8  # modes with every axis index in {0, N/2}
     assert nodal.size == 128 and clean.dof == 98
 
@@ -521,7 +535,7 @@ def test_first_order_kernel_matches_second_order_kernel():
     sq = scipy.linalg.eigh(G, M, eigvals_only=True)
     kc_first = kernel_count(sq)
     rep = spectrum(d1_star_d1_handle(cache, 1), n_eigs=None)
-    assert kc_first.count == rep.kernel_count == 2
+    assert kc_first.count == rep.kernel.count == 2
 
 
 # ---------------------------------------------------------------------------
@@ -564,12 +578,9 @@ def test_first_order_symbol_matches_mode_application():
 @pytest.mark.parametrize("n,p", [(2, 1), (3, 1), (3, 2), (4, 2), (3, 3)])
 def test_symbol_composition_identities(n, p):
     rng = np.random.default_rng(5)
-    s1 = spectral._delta_deltastar_symbol(n, p)
-    s2 = spectral._deltastar_delta_symbol(n, p)
-    PA, PB, PC = fiber.flat_projector_matrices(n, p)
-    sA = spectral._second_order_symbol(n, p, PA)
-    sB = spectral._second_order_symbol(n, p, PB)
-    sC = spectral._second_order_symbol(n, p, PC)
+    Q = spectral._symbol_matrices(n, p)
+    s1, s2, sA, sB, sC = (spectral._second_order_symbol(Q[k])
+                          for k in ("Q1", "Q2", "A", "B", "C"))
     c = gradients.sw_coefficient(n, p)
     t = fiber.tracefree_dim(n, p)
     for _ in range(5):
@@ -589,8 +600,7 @@ def test_symbol_composition_identities(n, p):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_p1_composition_symbol_eigenvalues(n):
     # closed form: (1 - 1/n)|xi|^2 along xi and |xi|^2 / 2 across it
-    PA = fiber.flat_projector_matrices(n, 1)[0]
-    sig = spectral._second_order_symbol(n, 1, PA)
+    sig = spectral._second_order_symbol(spectral._symbol_matrices(n, 1)["A"])
     xi = np.random.default_rng(n).standard_normal(n)
     k2 = float(xi @ xi)
     vals = np.sort(np.linalg.eigvalsh(sig(xi, 1.0))) / k2
@@ -661,8 +671,9 @@ def test_distance_to_scalar_is_measured_not_assumed():
     # different best-fit coefficients; the full gradient square is scalar
     n, p = 4, 2
     xi = np.array([1.0, 0.0, 0.0, 0.0])
-    s1 = spectral._delta_deltastar_symbol(n, p)(xi, 1.0)
-    s2 = spectral._deltastar_delta_symbol(n, p)(xi, 1.0)
+    Q = spectral._symbol_matrices(n, p)
+    s1 = spectral._second_order_symbol(Q["Q1"])(xi, 1.0)
+    s2 = spectral._second_order_symbol(Q["Q2"])(xi, 1.0)
 
     def dist_alpha(m):
         a = float(np.trace(m)) / m.shape[0]
@@ -672,7 +683,7 @@ def test_distance_to_scalar_is_measured_not_assumed():
     d2_, a2 = dist_alpha(s2)
     assert d1_ > 0.05 and d2_ > 0.05
     assert abs(a1 - a2) > 0.1  # no single scalar constant fits both
-    srough = spectral._second_order_symbol(n, p, None)(xi, 1.0)
+    srough = spectral._second_order_symbol(Q["I"])(xi, 1.0)
     droo, _ = dist_alpha(srough)
     assert droo < 1e-14
 
@@ -682,8 +693,6 @@ def test_symbol_eval_guards():
     h = rough_laplacian_handle(cache, 1)
     with pytest.raises(SpectralError, match="nonzero"):
         symbol_eval(h, np.zeros(2))
-    with pytest.raises(SpectralError, match="symbol"):
-        symbol_eval(identity_handle(cache, 1), np.array([1.0, 0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -718,8 +727,9 @@ def test_symbol_scan_csv(tmp_path):
 def test_handle_registry_deterministic():
     cache = make_cache(2, 8)
     names = list(spectral.HANDLE_NAMES)
-    assert names[0] == "identity"
-    assert {"d1", "d1_star_d1", "delta_deltastar", "weitzenbock"} <= set(names)
+    assert names[0] == "gradient"
+    assert {"d1", "d1_star_d1", "delta_deltastar"} <= set(names)
+    assert not {"identity", "weitzenbock"} & set(names)
     for name in names:
         assert spectral.handle_by_name(cache, 2, name).name == name
     with pytest.raises(SpectralError, match="unknown operator"):
