@@ -105,7 +105,10 @@ def _cmd_converge(args, out):
 
 def _cmd_symbol(args, out):
     cfg = _load_config(args)
-    rank = args.rank if args.rank is not None else cfg.ranks[0]
+    if args.rank is not None:
+        # --rank goes through the config's own rank validation
+        cfg = apply_overrides(cfg, [f"ranks={args.rank}"])
+    rank = cfg.ranks[0]
     cache = harness.build_cache(cfg, cfg.sizes[-1])
     handle = spectral.handle_by_name(cache, rank, args.operator)
     out_dir = args.out or os.environ.get("GRADLAB_OUT") or "."

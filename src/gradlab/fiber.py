@@ -21,7 +21,6 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 
 import numpy as np
-import scipy.linalg
 
 
 class FiberAlgebraError(RuntimeError):
@@ -205,7 +204,14 @@ def tracefree_basis(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     if p < 2:
         B = np.eye(m)
     else:
-        ns = scipy.linalg.null_space(trace_matrix(n, p))
+        # null space by SVD, with the rank cutoff of scipy.linalg.null_space
+        # (largest singular value times eps times the larger dimension); the
+        # C-contiguous copy keeps the orthonormalized basis bit for bit equal
+        # to that of scipy's null space
+        T = trace_matrix(n, p)
+        _, s, vh = np.linalg.svd(T)
+        tol = np.amax(s, initial=0.0) * np.finfo(float).eps * max(T.shape)
+        ns = np.ascontiguousarray(vh[int(np.sum(s > tol)):].T)
         if ns.shape[1] != tracefree_dim(n, p):
             raise FiberAlgebraError(f"null space dimension mismatch at (n={n}, p={p})")
         B = _orthonormalize(ns, gram_matrix(n, p))

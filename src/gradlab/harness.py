@@ -23,7 +23,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy
 
 from . import fiber, fields, gradients, spectral
 from .config import ExperimentConfig
@@ -111,7 +110,6 @@ def environment_metadata():
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.version.version,
         "system": platform.system(),
         "machine": platform.machine(),
     }
@@ -416,19 +414,14 @@ def flat_joint_kernel_oracle(cache, p, names):
         raise HarnessError("per-mode kernel oracle needs the flat metric")
     spec = cache.spec
     t = fiber.tracefree_dim(spec.n, p)
-    handles = [spectral.handle_by_name(cache, p, name) for name in names]
-    total = t
-    for m in spectral.build_dealiased_basis(cache, p).modes:
-        xi = np.array([
-            2.0 * np.pi * mj / L for mj, L in zip(m, spec.lengths)
-        ])
-        mat = np.vstack([
-            np.atleast_2d(np.asarray(h.symbol(xi, 1.0))) for h in handles
-        ])
-        sv = np.linalg.svd(mat, compute_uv=False)
-        rank = int(np.sum(sv > _ORACLE_RANK_TOL * np.linalg.norm(xi)))
-        total += 2 * (t - rank)
-    return total
+    modes = np.array(spectral.build_dealiased_basis(cache, p).modes, float)
+    xi = 2.0 * np.pi * modes / np.asarray(spec.lengths, float)
+    # the stacked symbol of every mode at once: (modes, rows, t)
+    mats = np.concatenate([spectral.handle_by_name(cache, p, name).symbol(xi, 1.0)
+                           for name in names], axis=1)
+    sv = np.linalg.svd(mats, compute_uv=False)
+    ranks = np.sum(sv > _ORACLE_RANK_TOL * np.linalg.norm(xi, axis=1)[:, None], axis=1)
+    return int(t + 2 * np.sum(t - ranks))
 
 
 def _count_stability(rec, check_id, anchor, label, by_size, detail_extra=""):

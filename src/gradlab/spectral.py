@@ -1,9 +1,8 @@
 """Spectral experiments for the first-order pieces and their compositions.
 
-Eigenvalue studies run on a dealiased real trigonometric basis and are
-solved with the weighted symmetric LAPACK drivers; near-kernels are counted
-with an explicit tolerance policy that refuses to report a number when there
-is no clear spectral gap.
+Eigenvalue studies run on a dealiased real trigonometric basis; near-kernels
+are counted with an explicit tolerance policy that refuses to report a
+number when there is no clear spectral gap.
 
 One Galerkin layer (`Galerkin`, one per grid and rank) serves every study:
 
@@ -20,7 +19,12 @@ One Galerkin layer (`Galerkin`, one per grid and rank) serves every study:
 * reuse: the mass matrix and each operator's Gram block are computed once
   per layer and stacked systems add blocks.  The four first-order images
   of a colour (d1, d2, d3 and the divergence) come from its one
-  `gradients.decompose`; no operator handle is applied for them.
+  `gradients.decompose`; no operator handle is applied for them;
+* batched solves: sectors of equal size form a group.  Each group's mass
+  blocks are reduced once per layer (batched Cholesky M = L L^T and L^{-1}),
+  and every eigensolve of the layer solves a group as one batched
+  standard problem L^{-1} G L^{-T}, gated sector by sector.  The flat
+  (diagonal) and conformal (dense) mass take the same path.
 
 Two discretization hazards shape the design:
 
@@ -52,7 +56,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from . import fiber, fields, gradients
 from .fields import TensorField
@@ -60,7 +63,7 @@ from .fields import TensorField
 # bytes a Galerkin layer may hold before its first solve, as estimated by
 # Galerkin._bytes_before_solve; a whole kernel run peaks well above the
 # estimate, in the operator images built after admission (flat 3-torus,
-# N=16, rank 3: 65 MiB estimated; `gradlab kernel` at ranks 1-3: 578 MB RSS)
+# N=16, rank 3: 74 MiB estimated; `gradlab kernel` at ranks 1-3: 431 MB RSS)
 GALERKIN_BYTES_CAP = 2**30
 _TINY = 1e-300
 # largest relative pencil residual an eigensolve may leave
@@ -158,20 +161,36 @@ class EigenResult:
     residuals: np.ndarray   # relative per-pair pencil residuals
 
 
-def _eigh_pencil(G, M, scale=None):
-    """Eigenpairs of the symmetric pencil (G, M), M dense positive definite.
+def _reduce(M):
+    """L^{-1} for the Cholesky factors M = L L^T of a stack (..., s, s) of
+    positive definite mass blocks."""
+    return np.linalg.inv(np.linalg.cholesky(M))
 
-    Residuals are relative to `scale`, the norm of the whole pencil when G is
-    one diagonal block of it, and to the norm of G otherwise.
+
+def _eigh_pencil(G, M, scale=None, Linv=None):
+    """Eigenpairs of symmetric pencils (G, M), M dense positive definite,
+    batched over any leading axes of G and M.
+
+    Each pencil is reduced to the standard problem L^{-1} G L^{-T} with
+    `Linv` = L^{-1} (computed from M when not given), solved with one
+    batched `eigh` and transformed back, so the vectors are M-orthonormal.
+    Residuals are relative to `scale`, the norm of the whole pencil when G
+    is one diagonal block of it, and to the norm of each G otherwise; every
+    pencil is gated on its own.
     """
-    vals, vecs = scipy.linalg.eigh(G, M)
-    R = G @ vecs - (M @ vecs) * vals[None, :]
-    scale = (float(np.linalg.norm(G)) if scale is None else scale) + _TINY
-    residuals = np.linalg.norm(R, axis=0) / scale
-    if float(np.max(residuals, initial=0.0)) > _RESIDUAL_TOL:
+    Linv = _reduce(M) if Linv is None else Linv
+    LinvT = np.swapaxes(Linv, -1, -2)
+    vals, Y = np.linalg.eigh(Linv @ G @ LinvT)
+    vecs = LinvT @ Y
+    R = G @ vecs - (M @ vecs) * vals[..., None, :]
+    scale = np.linalg.norm(G, axis=(-2, -1)) if scale is None else np.asarray(scale)
+    residuals = np.linalg.norm(R, axis=-2) / (scale[..., None] + _TINY)
+    worst = np.max(residuals, axis=-1, initial=0.0)
+    if np.any(worst > _RESIDUAL_TOL):
         raise SpectralError(
-            f"eigensolve residuals up to {float(np.max(residuals)):.3e} exceed "
-            f"{_RESIDUAL_TOL:.1e}: the pencil did not converge"
+            f"eigensolve residuals up to {float(np.max(worst)):.3e} exceed "
+            f"{_RESIDUAL_TOL:.1e} in {int(np.sum(worst > _RESIDUAL_TOL))} of "
+            f"{worst.size} pencils: the pencil did not converge"
         )
     return EigenResult(values=vals, vectors=vecs, residuals=residuals)
 
@@ -295,8 +314,9 @@ class Galerkin:
     index on the other axes.  With no invariant axis the one sector spans
     the whole grid and its cut is a view of the images.
 
-    Mass, Gram blocks and joint eigendecompositions are cached on the layer:
-    a suite builds one per (grid, rank) and stacked systems add blocks.
+    Mass, its reduction, Gram blocks and joint eigendecompositions are cached
+    on the layer: a suite builds one per (grid, rank) and stacked systems add
+    blocks.
     """
 
     def __init__(self, cache, p):
@@ -313,6 +333,9 @@ class Galerkin:
         self.sectors = [
             np.array([j * t + a for j in by_key[key] for a in range(t)]) for key in keys
         ]
+        sizes = np.array([len(ix) for ix in self.sectors])
+        # sectors of equal size, solved together as one batched pencil
+        self._groups = [np.flatnonzero(sizes == size) for size in np.unique(sizes)]
         self._gather = []
         for key in keys:
             k = dict(zip(self.axes, key))
@@ -337,7 +360,7 @@ class Galerkin:
         self.colours = np.einsum("...k,ab->ka...b", scalars, np.eye(t)).reshape(
             (-1,) + spec.shape + (t,))
         self._colour_hat = self._cut(self.colours)
-        self._mass = None
+        self._mass = self._mass_stacks = self._reduced = None
         self._grams = {}
         self._eigen = {}
 
@@ -346,11 +369,13 @@ class Galerkin:
         buffers (the 0/1 pick matrix of `width` functions per sector, the
         series' spectrum and its samples), the colour stack (real), its FFT
         along the invariant axes and each sector's cut of it (complex; views
-        of the colour stack when no axis is invariant), and the mass blocks."""
+        of the colour stack when no axis is invariant), the mass blocks and
+        their Cholesky reduction (one L^{-1} per sector, as large as its
+        mass block)."""
         points = self.cache.spec.num_points
         colours = width * self.t * points * self.t
         mass = sum(len(ix) ** 2 for ix in self.sectors)
-        need = 8 * (self.basis.n_scalar * width + 4 * points * width + colours + mass)
+        need = 8 * (self.basis.n_scalar * width + 4 * points * width + colours + 2 * mass)
         if self.axes:
             cut = sum(len(ix) * len(g) for ix, g in zip(self.sectors, self._gather))
             need += 16 * (colours + cut * self.t)
@@ -385,11 +410,26 @@ class Galerkin:
         return np.stack(images).reshape((len(images),) + self.cache.spec.shape + (-1,))
 
     def mass(self):
-        """Sector blocks of the mass matrix M."""
+        """Sector blocks of the mass matrix M, held as views of one stack per
+        group of equal-size sectors."""
         if self._mass is None:
             w = weight_vector(self.cache, "s0", self.p)
-            self._mass = self._pair(self._colour_hat, self._colour_hat, w)
+            blocks = self._pair(self._colour_hat, self._colour_hat, w)
+            self._mass_stacks = [np.stack([blocks[s] for s in group])
+                                 for group in self._groups]
+            self._mass = [None] * len(blocks)
+            for group, M in zip(self._groups, self._mass_stacks):
+                for k, s in enumerate(group):
+                    self._mass[s] = M[k]
         return self._mass
+
+    def _reduction(self):
+        """Per group of equal-size sectors: the stacked mass blocks and L^{-1}
+        of their Cholesky factors, computed once and shared by every solve."""
+        if self._reduced is None:
+            self.mass()
+            self._reduced = [(M, _reduce(M)) for M in self._mass_stacks]
+        return self._reduced
 
     def form(self, handle: OperatorHandle):
         """Sector blocks of the bilinear form <column, handle(column)>."""
@@ -428,10 +468,19 @@ class Galerkin:
             del hat  # freed before the next piece is cut, to lower the peak
 
     def eigen(self, blocks):
-        """One residual-gated eigensolve of (G_s, M_s) per sector; residuals
-        are relative to the norm of the whole pencil."""
+        """Eigenpairs of (G_s, M_s) for every sector s, in sector order.
+
+        Each group of equal-size sectors is one batched solve on the layer's
+        cached reduction; residuals are gated per sector, relative to the
+        norm of the whole pencil.
+        """
         scale = _frobenius(blocks)
-        return [_eigh_pencil(G, M, scale=scale) for G, M in zip(blocks, self.mass())]
+        out = [None] * len(blocks)
+        for group, (M, Linv) in zip(self._groups, self._reduction()):
+            res = _eigh_pencil(np.stack([blocks[s] for s in group]), M, scale=scale, Linv=Linv)
+            for k, s in enumerate(group):
+                out[s] = EigenResult(res.values[k], res.vectors[k], res.residuals[k])
+        return out
 
     def joint_eigen(self, names):
         """Per-sector eigenpairs of the stacked system, solved once per layer."""
@@ -568,17 +617,21 @@ def spectrum(handle: OperatorHandle, n_eigs=50, galerkin=None):
 # ---------------------------------------------------------------------------
 
 def _grad_block(xi, t):
-    # G(xi): sigma(covariant derivative) on trace-free coordinates, rows i-major
-    return np.kron(np.asarray(xi, float).reshape(-1, 1), np.eye(t))
+    """G(xi): sigma(covariant derivative) on trace-free coordinates, rows
+    i-major, for a covector xi of shape (n,) or a stack (..., n) of them."""
+    xi = np.asarray(xi, float)
+    return np.einsum("...i,ab->...iab", xi, np.eye(t)).reshape(
+        xi.shape[:-1] + (xi.shape[-1] * t, t))
 
 
 def _first_order_symbol(A, weighted=False):
     """sigma(xi) = A G(xi) for a constant fiber matrix A with n t columns;
     a weighted operator (the divergence, which contracts with the inverse
-    metric) carries the factor gscale."""
+    metric) carries the factor gscale.  A stack of covectors gives the
+    stack of symbols."""
 
     def sig(xi, gscale):
-        S = A @ _grad_block(xi, A.shape[1] // len(xi))
+        S = A @ _grad_block(xi, A.shape[1] // np.shape(xi)[-1])
         return gscale * S if weighted else S
 
     return sig
@@ -588,8 +641,8 @@ def _second_order_symbol(Q):
     """sigma(xi) = gscale G(xi)^T (Q G(xi)) for a constant (n t, n t) matrix Q."""
 
     def sig(xi, gscale):
-        G = _grad_block(xi, len(Q) // len(xi))
-        return gscale * (G.T @ (Q @ G))
+        G = _grad_block(xi, len(Q) // np.shape(xi)[-1])
+        return gscale * (np.swapaxes(G, -1, -2) @ (Q @ G))
 
     return sig
 

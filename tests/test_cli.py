@@ -3,7 +3,11 @@ report emission, exit-code policy (0 pass / 1 fail / 2 usage / 3
 indeterminate), and the byte-identical JSON guarantee through the CLI path."""
 
 import json
+import os
+import subprocess
+import sys
 from io import StringIO
+from pathlib import Path
 
 import pytest
 
@@ -227,6 +231,28 @@ def test_symbol_unknown_operator(tiny_cfg, capsys):
                        "--operator", "mystery"])
     assert code == EXIT_USAGE
     assert "mystery" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rank", [0, 7])
+def test_symbol_rank_out_of_range(rank, tiny_cfg, tmp_path, capsys):
+    # --rank is validated like a config rank: one line, exit 2, no scan
+    code, _ = run_cli(["symbol", "--config", str(tiny_cfg), "--out", str(tmp_path / "s"),
+                       "--rank", str(rank)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.strip().splitlines() == [f"gradlab symbol: ranks must be in [1, 6]: ({rank},)"]
+    assert not (tmp_path / "s").exists()
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency: the program never imports it
+    code = "import sys, gradlab.cli; print('scipy' in sys.modules)"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

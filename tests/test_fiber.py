@@ -287,6 +287,17 @@ def test_flat_gram_is_multiplicity_diagonal():
 # trace-free bases and structure tensors
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("n,p", [(n, p) for n in range(2, 6) for p in range(2, 5)])
+def test_tracefree_basis_matches_scipy_null_space_route(n, p):
+    # the numpy null space reproduces scipy's, bit for bit
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    W = fiber.gram_matrix(n, p)
+    B_ref = fiber._orthonormalize(scipy_linalg.null_space(fiber.trace_matrix(n, p)), W)
+    B, C = fiber.tracefree_basis(n, p)
+    assert np.array_equal(B, B_ref)
+    assert np.array_equal(C, B_ref.T @ W)
+
+
 @pytest.mark.parametrize("n,p", [(2, 1), (2, 2), (3, 2), (3, 3), (4, 2)])
 def test_tracefree_basis_orthonormal_left_inverse(n, p):
     B, C = fiber.tracefree_basis(n, p)

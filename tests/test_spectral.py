@@ -220,6 +220,73 @@ def test_eigensolve_weighted_orthonormal_vectors():
         assert np.all(np.diff(vals) >= -1e-12)
 
 
+def stacked_group(gal, blocks, size):
+    """The sectors of one size and their blocks and mass blocks, stacked."""
+    group = [s for s, ix in enumerate(gal.sectors) if len(ix) == size]
+    mass = gal.mass()
+    return (group, np.stack([blocks[s] for s in group]),
+            np.stack([mass[s] for s in group]))
+
+
+@pytest.mark.parametrize("metric,size,p,width", [
+    ("conformal", 24, 2, 92),   # dense mass blocks
+    ("flat", 12, 2, 8),         # diagonal mass blocks
+])
+def test_batched_eigensolve_matches_scipy_reference(metric, size, p, width):
+    gal = Galerkin(make_cache(2, size, metric=metric), p)
+    blocks = gal.gram(["d1", "divergence"])
+    scale = spectral._frobenius(blocks)
+    group, G, M = stacked_group(gal, blocks, width)
+    assert len(group) > 1
+    res = spectral._eigh_pencil(G, M, scale=scale)
+    for k in range(len(group)):
+        ref = scipy.linalg.eigh(G[k], M[k], eigvals_only=True)
+        assert np.max(np.abs(res.values[k] - ref)) <= 1e-12 * scale
+        V = res.vectors[k]
+        assert np.max(np.abs(V.T @ M[k] @ V - np.eye(width))) <= 1e-12
+    assert np.max(res.residuals) <= spectral._RESIDUAL_TOL
+
+
+@pytest.mark.parametrize("metric,size,sizes", [
+    ("conformal", 24, {46, 92}),     # the mode-0 sector first, then 11 of 92
+    ("flat", 12, {2, 4, 8}),         # sizes interleaved in sector order
+])
+def test_galerkin_eigen_keeps_sector_order(metric, size, sizes):
+    gal = Galerkin(make_cache(2, size, metric=metric), 2)
+    assert {len(ix) for ix in gal.sectors} == sizes
+    blocks = gal.gram(["d1"])
+    scale = spectral._frobenius(blocks)
+    for G, M, r in zip(blocks, gal.mass(), gal.eigen(blocks)):
+        ref = scipy.linalg.eigh(G, M, eigvals_only=True)
+        assert r.values.shape == r.residuals.shape == (len(G),)
+        assert np.max(np.abs(r.values - ref)) <= 1e-12 * scale
+        R = G @ r.vectors - M @ r.vectors * r.values
+        assert np.max(np.linalg.norm(R, axis=0)) <= 1e-12 * scale
+
+
+def test_batched_eigensolve_gates_each_sector():
+    gal = Galerkin(make_cache(2, 12), 2)
+    blocks = gal.gram(["d1"])
+    scale = spectral._frobenius(blocks)
+    _, G, M = stacked_group(gal, blocks, 8)
+    spectral._eigh_pencil(G, M, scale=scale)
+    # eigh reads one triangle: an antisymmetric part in one sector leaves
+    # that sector's pencil unsolved, and the batch is refused
+    E = np.triu(np.ones((8, 8)), 1) * 1e-6 * scale
+    G[3] += E - E.T
+    with pytest.raises(SpectralError, match=f"in 1 of {len(G)} pencils"):
+        spectral._eigh_pencil(G, M, scale=scale)
+
+
+def test_galerkin_admission_counts_the_reduction():
+    # the estimate covers the colour stack, the mass stacks and their L^{-1}
+    gal = Galerkin(make_cache(2, 16, metric="conformal"), 2)
+    held = gal.colours.nbytes + sum(M.nbytes + L.nbytes for M, L in gal._reduction())
+    assert held <= gal._bytes_before_solve(len(gal.colours) // gal.t)
+    assert sum(L.nbytes for _, L in gal._reduction()) == 8 * sum(
+        len(ix) ** 2 for ix in gal.sectors)
+
+
 # ---------------------------------------------------------------------------
 # dealiased basis and flat Fourier oracles
 # ---------------------------------------------------------------------------
@@ -541,6 +608,19 @@ def test_first_order_kernel_matches_second_order_kernel():
 # ---------------------------------------------------------------------------
 # principal symbols
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n,p", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_stacked_first_order_symbols_match_per_covector(n, p):
+    # a stack of covectors gives each covector's symbol, bit for bit
+    cache = make_cache(n, 8)
+    xi = np.random.default_rng(n + p).standard_normal((6, n))
+    for name in ("d1", "divergence", "d2", "d3"):
+        h = spectral.handle_by_name(cache, p, name)
+        stacked = h.symbol(xi, 1.0)
+        assert stacked.shape[0] == len(xi)
+        for k in range(len(xi)):
+            assert np.array_equal(stacked[k], h.symbol(xi[k], 1.0))
+
 
 SECOND_ORDER = ["rough_laplacian", "d1_star_d1", "d2_star_d2", "d3_star_d3",
                 "sampson_tracefree", "delta_deltastar", "deltastar_delta"]
