@@ -5,7 +5,8 @@ Usage:
 
 Each config gets its own subdirectory of OUTDIR (default ./reports) so the
 JSON/CSV/markdown trios never collide.  Exit status is the worst status
-seen: 0 all pass, 3 something indeterminate, 1 something failed.
+seen: 0 all pass, 3 something indeterminate, 2 a config could not run
+(usage or config error), 1 something failed.
 """
 
 import argparse
@@ -15,6 +16,9 @@ from pathlib import Path
 from gradlab import cli
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+# exit codes from least to most severe: a config that cannot run outranks
+# an indeterminate one, and a failure outranks both
+SEVERITY = (0, 3, 2, 1)
 
 
 def main(argv=None):
@@ -28,11 +32,7 @@ def main(argv=None):
         print(f"=== {config.name} -> {out_dir}")
         code = cli.main(["check", "--config", str(config), "--out", str(out_dir)])
         print(f"=== {config.name}: exit {code}")
-        # exit 1 (fail) dominates exit 3 (indeterminate) dominates 0
-        if code == 1 or worst == 1:
-            worst = 1
-        else:
-            worst = max(worst, code)
+        worst = max(worst, code, key=SEVERITY.index)
     return worst
 
 

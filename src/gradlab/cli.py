@@ -104,6 +104,9 @@ def _cmd_converge(args, out):
 
 
 def _cmd_symbol(args, out):
+    if args.directions < 1:
+        print(f"symbol: --directions must be >= 1, got {args.directions}", file=sys.stderr)
+        return EXIT_USAGE
     cfg = _load_config(args)
     if args.rank is not None:
         # --rank goes through the config's own rank validation

@@ -390,7 +390,7 @@ def rough_laplacian(phi: TensorField, route="adjoint"):
 
 
 # ---------------------------------------------------------------------------
-# diagnostics and sampling
+# diagnostics
 # ---------------------------------------------------------------------------
 
 def max_trace_residual(phi: TensorField):
@@ -405,24 +405,3 @@ def max_trace_residual(phi: TensorField):
         tr = tr * factor.reshape(factor.shape + (1,) * (tr.ndim - factor.ndim))
     return float(np.max(np.abs(tr)))
 
-
-def random_band_limited(cache, rank, band, rng):
-    """Gaussian random field low-passed to |k_axis| <= band per axis."""
-    spec = cache.spec
-    n = spec.n
-    if any(band >= s // 2 for s in spec.sizes):
-        raise FieldError("band must stay below the Nyquist index")
-    m = fiber.sym_dim(n, rank)
-    vals = rng.standard_normal(size=spec.shape + (m,))
-    fk = np.fft.fftn(vals, axes=tuple(range(n)))
-    for axis in range(n):
-        idx = np.abs(np.fft.fftfreq(spec.sizes[axis]) * spec.sizes[axis])
-        mask_shape = [1] * fk.ndim
-        mask_shape[axis] = spec.sizes[axis]
-        fk *= (idx <= band).reshape(mask_shape)
-    vals = np.fft.ifftn(fk, axes=tuple(range(n))).real
-    out = field_from_monomial(cache, rank, vals)
-    nrm = l2_norm(out)
-    if nrm > 0:
-        out = out * (1.0 / nrm)
-    return out

@@ -169,34 +169,24 @@ def build_cache(config, size):
     return build_geometry(spec, metric, method=config.method)
 
 
-def band_limited_field(cache, rank, band, rng):
+def band_limited_field(cache, rank, band, rng, tag="s0"):
     """Trig-polynomial field whose coefficients do not depend on the grid.
 
     Modes are enumerated in a fixed order, so the same rng seed produces
     samples of one continuum field on every grid size; refinement studies
-    rely on that.  fields.random_band_limited draws its random numbers per
-    grid point instead, so the same seed gives a different field on every
-    grid.
+    rely on that.  Every fiber coordinate of the storage `tag` draws its
+    own coefficients.
     """
     spec = cache.spec
-    t = fiber.tracefree_dim(spec.n, rank)
     modes = spectral.half_modes((band,) * spec.n)
     # rows: the constant, then (cos, sin) coefficients per mode, in draw order
-    coef = rng.standard_normal((2 * len(modes) + 1, t))
+    coef = rng.standard_normal((2 * len(modes) + 1,) + fields.fiber_shape(spec.n, tag, rank))
     data = spectral.trig_series(spec, modes, coef) * (1.0 / np.sqrt(2 * len(modes) + 1))
-    return TensorField(cache, "s0", rank, data)
+    return TensorField(cache, tag, rank, data)
 
 
 def _unit(phi):
     return phi * (1.0 / (l2_norm(phi) + _TINY))
-
-
-def _random_cov_s0(cache, rank, band, rng):
-    """Band-limited random field in the slot-major covariant storage."""
-    comps = [fields.random_band_limited(cache, rank, band, rng)
-             for _ in range(cache.n)]
-    data = np.stack([c.data for c in comps], axis=-2)
-    return TensorField(cache, "cov_s0", rank, data)
 
 
 def _refine_tolerance(config, r_coarse):
@@ -223,7 +213,7 @@ def _identity_checks_for_rank(rec, config, p, caches):
     band = max(1, size_hi // 4)
     rng = np.random.default_rng([config.seed, 101, p])
     batch = [
-        fields.random_band_limited(cache_hi, p, band, rng)
+        _unit(band_limited_field(cache_hi, p, band, rng))
         for _ in range(config.field_count)
     ]
 
@@ -265,8 +255,8 @@ def _identity_checks_for_rank(rec, config, p, caches):
     for i, phi in enumerate(batch):
         rng_a = np.random.default_rng([config.seed, 202, p, i])
         phi_u = _unit(phi)
-        psi = _unit(fields.random_band_limited(cache_hi, p + 1, band, rng_a))
-        x2 = _unit(_random_cov_s0(cache_hi, p, band, rng_a))
+        psi = _unit(band_limited_field(cache_hi, p + 1, band, rng_a))
+        x2 = _unit(band_limited_field(cache_hi, p, band, rng_a, tag="cov_s0"))
         sp = gradients.decompose(phi_u)
         d1_psi = l2_inner(sp.d1, psi)
         adj_formula = max(adj_formula, abs(d1_psi - l2_inner(phi_u, fields.divergence(psi))))
@@ -289,7 +279,7 @@ def _identity_checks_for_rank(rec, config, p, caches):
     band2 = min(band, 6)
     rng2 = np.random.default_rng([config.seed, 707, p])
     sub = [
-        fields.random_band_limited(cache_hi, p, band2, rng2)
+        _unit(band_limited_field(cache_hi, p, band2, rng2))
         for _ in range(min(3, config.field_count))
     ]
     worst = dict.fromkeys(
@@ -357,7 +347,7 @@ def _negative_controls(rec, config, caches):
     size = min(caches)
     cache = caches[size]
     rng = np.random.default_rng([config.seed, 404, p])
-    phi = fields.random_band_limited(cache, p, max(1, size // 4), rng)
+    phi = _unit(band_limited_field(cache, p, max(1, size // 4), rng))
     floor = config.tolerance("control_floor")
 
     corrupt = gradients.Conventions(d2_prefactor_scale=1.05)

@@ -26,6 +26,7 @@ from gradlab.harness import (
     render_json,
     run_identity_suite,
 )
+from testlib import unit_field
 
 CONFORMAL_2D = "0.1*cos(x1)"
 CONFORMAL_3D = "0.05*cos(x1)"
@@ -64,7 +65,7 @@ def test_criterion_01_decomposition_batch_within_budget():
             for p in (1, 2, 3):
                 rng = np.random.default_rng([1, n, p, metric_index])
                 for _ in range(50):
-                    phi = fields.random_band_limited(cache, p, 8, rng)
+                    phi = unit_field(cache, p, 8, rng)
                     sp = gradients.decompose(phi)
                     worst_recon = max(worst_recon, sp.reconstruction_residual)
                     worst_orth = max(worst_orth, max(sp.orthogonality.values()))
@@ -86,7 +87,7 @@ def test_criterion_02_projector_oracle_match():
             for p in (1, 2):
                 rng = np.random.default_rng([2, n, p])
                 for _ in range(5):
-                    phi = fields.random_band_limited(cache, p, 4, rng)
+                    phi = unit_field(cache, p, 4, rng)
                     pm = gradients.projector_match_residuals(gradients.decompose(phi))
                     worst = max(worst, max(pm.values()))
     print(f"\nworst projector mismatch (p <= 2): {worst:.3e}")
@@ -94,7 +95,7 @@ def test_criterion_02_projector_oracle_match():
 
     for n, size in ((2, 32), (3, 16)):
         cache = make_cache(n, size, "conformal")
-        phi = fields.random_band_limited(cache, 3, 4, np.random.default_rng(23))
+        phi = unit_field(cache, 3, 4, np.random.default_rng(23))
         sp = gradients.decompose(phi)
         b = gradients.projector_components(sp.grad)["B"]
         s_fit = l2_inner(sp.d2, b) / l2_inner(b, b)
@@ -118,10 +119,8 @@ def test_criterion_03_adjointness_and_two_route_refinement():
         cache = make_cache(n, size, metric)
         for p in (1, 2):
             rng = np.random.default_rng([3, n, p])
-            phi = fields.random_band_limited(cache, p, band, rng)
-            phi = phi * (1.0 / l2_norm(phi))
-            psi = fields.random_band_limited(cache, p + 1, band, rng)
-            psi = psi * (1.0 / l2_norm(psi))
+            phi = unit_field(cache, p, band, rng)
+            psi = unit_field(cache, p + 1, band, rng)
             pair = abs(l2_inner(gradients.d1(phi), psi)
                        - l2_inner(phi, fields.divergence(psi)))
             tr = abs(l2_inner(gradients.d1(phi), psi)
@@ -157,7 +156,7 @@ def test_criterion_04_composition_formula_equivalence():
             cache = make_cache(2, size, metric)
             for p in (1, 2, 3):
                 rng = np.random.default_rng([4, size, p])
-                phi = fields.random_band_limited(cache, p, max(1, size // 4), rng)
+                phi = unit_field(cache, p, max(1, size // 4), rng)
                 res = gradients.second_order_residuals(phi)
                 worst = max(worst, res["splitting_form"])
     print(f"\nworst composition-form residual: {worst:.3e}")
@@ -172,7 +171,7 @@ def test_criterion_05_curvature_identities_and_refinement():
     for p in (1, 2, 3):
         rng = np.random.default_rng([5, p])
         for _ in range(3):
-            phi = fields.random_band_limited(cache, p, 6, rng)
+            phi = unit_field(cache, p, 6, rng)
             res = gradients.second_order_residuals(phi)
             worst_rough = max(worst_rough, res["rough_identity"])
             worst_qform = max(worst_qform, res["q_form_route"])
@@ -215,7 +214,7 @@ def test_criterion_06_integral_identities():
         cache = make_cache(n, size, metric)
         for p in (1, 2):
             rng = np.random.default_rng([6, n, p])
-            phi = fields.random_band_limited(cache, p, band, rng)
+            phi = unit_field(cache, p, band, rng)
             res = gradients.second_order_residuals(phi)
             for key in ("energy", "rough_energy", "split_energy", "q_form_route"):
                 worst[key] = max(worst.get(key, 0.0), res[key])
@@ -318,7 +317,7 @@ def test_criterion_09_companion_divergence_kernel_facts():
 def test_criterion_10_falsifiability_fixtures():
     # deliberately corrupted conventions must be caught, loudly
     cache = make_cache(2, 16, "flat")
-    phi = fields.random_band_limited(cache, 2, 4, np.random.default_rng(29))
+    phi = unit_field(cache, 2, 4, np.random.default_rng(29))
     sp = gradients.decompose(
         phi, conventions=gradients.Conventions(d2_prefactor_scale=1.05))
     worst = max(sp.orthogonality.values())

@@ -233,6 +233,16 @@ def test_symbol_unknown_operator(tiny_cfg, capsys):
     assert "mystery" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("directions", [0, -3])
+def test_symbol_needs_a_direction(directions, tiny_cfg, tmp_path, capsys):
+    code, _ = run_cli(["symbol", "--config", str(tiny_cfg), "--out", str(tmp_path / "s"),
+                       "--directions", str(directions)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.strip().splitlines() == [f"symbol: --directions must be >= 1, got {directions}"]
+    assert not (tmp_path / "s").exists()
+
+
 @pytest.mark.parametrize("rank", [0, 7])
 def test_symbol_rank_out_of_range(rank, tiny_cfg, tmp_path, capsys):
     # --rank is validated like a config rank: one line, exit 2, no scan

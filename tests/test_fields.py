@@ -20,7 +20,6 @@ from gradlab.fields import (
     l2_inner,
     l2_norm,
     max_trace_residual,
-    random_band_limited,
     rough_laplacian,
     sym_derivative,
     sym_derivative_exact_adjoint,
@@ -32,7 +31,7 @@ from gradlab.geometry import (
     conformal_metric_field,
     flat_metric_field,
 )
-from testlib import analytic_laplacian, zero_field
+from testlib import analytic_laplacian, unit_field, zero_field
 
 
 def make_cache(n=2, size=16, metric="flat", f_text="0.1*cos(x1)", method="spectral"):
@@ -94,7 +93,7 @@ def test_metric_compatibility(metric, method):
 def test_gradient_product_rule():
     cache = make_cache(metric="conformal", size=32)
     rng = np.random.default_rng(0)
-    phi = random_band_limited(cache, 2, band=4, rng=rng)
+    phi = unit_field(cache, 2, band=4, rng=rng)
     fv = geometry.evaluate_on_grid(parse_trig_poly("cos(x1)"), cache.spec)
     lhs = gradient(TensorField(cache, "s0", 2, phi.data * fv[..., None]))
     rhs = gradient(phi).data * fv[..., None, None]
@@ -110,7 +109,7 @@ def test_gradient_s0_path_matches_generic_path():
     cache = make_cache(metric="conformal", size=16, f_text="0.2*cos(x1) + 0.1*sin(x2)")
     rng = np.random.default_rng(1)
     for p in (1, 2, 3):
-        phi0 = random_band_limited(cache, p, band=4, rng=rng)
+        phi0 = unit_field(cache, p, band=4, rng=rng)
         X_fast = gradient(phi0)
         X_genc = gradient(as_symmetric(phi0))
         B, _ = fiber.tracefree_basis(cache.n, p)
@@ -121,7 +120,7 @@ def test_gradient_s0_path_matches_generic_path():
 def test_gradient_linearity():
     cache = make_cache(metric="conformal")
     rng = np.random.default_rng(2)
-    a, b = random_band_limited(cache, 2, 4, rng), random_band_limited(cache, 2, 4, rng)
+    a, b = unit_field(cache, 2, 4, rng), unit_field(cache, 2, 4, rng)
     lhs = gradient(2.0 * a + (-3.0) * b)
     rhs = 2.0 * gradient(a) + (-3.0) * gradient(b)
     assert np.max(np.abs(lhs.data - rhs.data)) < 1e-12
@@ -153,7 +152,7 @@ def test_divergence_of_constant_is_zero():
 def test_divergence_preserves_tracefree_generic_cross_check():
     cache = make_cache(metric="conformal", size=16)
     rng = np.random.default_rng(3)
-    phi = random_band_limited(cache, 3, band=4, rng=rng)
+    phi = unit_field(cache, 3, band=4, rng=rng)
     dphi = divergence(phi)
     # independent route: contract the generic-path covariant derivative
     X = gradient(as_symmetric(phi))  # (*grid, i, A) monomial
@@ -168,7 +167,7 @@ def test_divergence_preserves_tracefree_generic_cross_check():
 def test_sym_derivative_symmetry_and_p0():
     cache = make_cache(metric="conformal")
     rng = np.random.default_rng(4)
-    phi = random_band_limited(cache, 0, band=4, rng=rng)
+    phi = unit_field(cache, 0, band=4, rng=rng)
     X = sym_derivative(phi)
     assert X.tag == "s" and X.rank == 1
     grad = gradient(phi)
@@ -183,7 +182,7 @@ def test_sym_derivative_symmetry_and_p0():
 def test_gradient_adjoint_exact_pairing(metric):
     cache = make_cache(metric=metric)
     rng = np.random.default_rng(5)
-    phi = random_band_limited(cache, 2, 4, rng)
+    phi = unit_field(cache, 2, 4, rng)
     X = TensorField(cache, "cov_s0", 2, rng.standard_normal(size=(16, 16, 2, 2)))
     lhs = l2_inner(gradient(phi), X)
     rhs = l2_inner(phi, gradient_adjoint(X))
@@ -194,8 +193,8 @@ def test_gradient_adjoint_exact_pairing(metric):
 def test_divergence_adjoint_exact_pairing(p):
     cache = make_cache(metric="conformal")
     rng = np.random.default_rng(6)
-    phi = random_band_limited(cache, p, 4, rng)
-    psi = random_band_limited(cache, p - 1, 4, rng)
+    phi = unit_field(cache, p, 4, rng)
+    psi = unit_field(cache, p - 1, 4, rng)
     lhs = l2_inner(divergence(phi), psi)
     rhs = l2_inner(phi, divergence_exact_adjoint(psi))
     assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
@@ -204,7 +203,7 @@ def test_divergence_adjoint_exact_pairing(p):
 def test_sym_derivative_adjoint_exact_pairing():
     cache = make_cache(metric="conformal")
     rng = np.random.default_rng(7)
-    phi = random_band_limited(cache, 2, 4, rng)
+    phi = unit_field(cache, 2, 4, rng)
     m3 = fiber.sym_dim(2, 3)
     omega = TensorField(cache, "s", 3, rng.standard_normal(size=(16, 16, m3)))
     lhs = l2_inner(sym_derivative(phi), omega)
@@ -218,8 +217,8 @@ def test_analytic_mutual_adjointness_of_div_and_symder():
     cache = make_cache(metric="conformal", size=32)
     rng = np.random.default_rng(8)
     p = 2
-    phi = random_band_limited(cache, p, 4, rng)
-    psi = random_band_limited(cache, p - 1, 4, rng)
+    phi = unit_field(cache, p, 4, rng)
+    psi = unit_field(cache, p - 1, 4, rng)
     lhs = l2_inner(sym_derivative(psi), as_symmetric(phi))
     rhs = l2_inner(psi, divergence(phi))
     assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs), abs(rhs))
@@ -243,7 +242,7 @@ def test_rough_laplacian_flat_eigenfunction():
 def test_rough_laplacian_routes_agree_conformal():
     cache = make_cache(metric="conformal", size=32)
     rng = np.random.default_rng(9)
-    phi = random_band_limited(cache, 2, 4, rng)
+    phi = unit_field(cache, 2, 4, rng)
     a = rough_laplacian(phi, route="adjoint")
     b = rough_laplacian(phi, route="formula")
     scale = max(l2_norm(a), 1e-30)
@@ -253,7 +252,7 @@ def test_rough_laplacian_routes_agree_conformal():
 def test_rough_laplacian_positive():
     cache = make_cache(metric="conformal")
     rng = np.random.default_rng(10)
-    phi = random_band_limited(cache, 1, 4, rng)
+    phi = unit_field(cache, 1, 4, rng)
     assert l2_inner(rough_laplacian(phi), phi) > 0
 
 
@@ -283,29 +282,16 @@ def test_l2_norm_conformal_closed_form():
 def test_l2_inner_tags_consistent():
     cache = make_cache(metric="conformal")
     rng = np.random.default_rng(11)
-    phi = random_band_limited(cache, 2, 4, rng)
-    psi = random_band_limited(cache, 2, 4, rng)
+    phi = unit_field(cache, 2, 4, rng)
+    psi = unit_field(cache, 2, 4, rng)
     assert abs(
         l2_inner(phi, psi) - l2_inner(as_symmetric(phi), as_symmetric(psi))
     ) < 1e-12 * max(1.0, abs(l2_inner(phi, psi)))
 
 
 # ---------------------------------------------------------------------------
-# sampling and restrictions
+# restrictions
 # ---------------------------------------------------------------------------
-
-def test_random_band_limited_properties():
-    cache = make_cache(metric="flat", size=32)
-    phi1 = random_band_limited(cache, 2, 4, np.random.default_rng(42))
-    phi2 = random_band_limited(cache, 2, 4, np.random.default_rng(42))
-    assert np.array_equal(phi1.data, phi2.data)
-    assert abs(l2_norm(phi1) - 1.0) < 1e-12
-    fk = np.fft.fftn(phi1.data, axes=(0, 1))
-    idx = np.abs(np.fft.fftfreq(32) * 32)
-    assert np.max(np.abs(fk[idx > 4, :, :])) < 1e-10
-    with pytest.raises(FieldError):
-        random_band_limited(cache, 2, 16, np.random.default_rng(0))
-
 
 def test_to_tracefree_projects():
     cache = make_cache(metric="flat")

@@ -7,7 +7,7 @@ import pytest
 
 from gradlab import fiber, fields, gradients
 from gradlab.expressions import parse_trig_poly
-from gradlab.fields import l2_inner, l2_norm, random_band_limited
+from gradlab.fields import l2_inner, l2_norm
 from gradlab.geometry import (
     GridSpec,
     build_geometry,
@@ -41,7 +41,7 @@ from gradlab.gradients import (
     weitzenbock_K,
     zeroth_order_residual,
 )
-from testlib import zero_field
+from testlib import unit_field, zero_field
 
 
 def make_cache(n=2, size=16, metric="flat", f_text=None, method="spectral"):
@@ -58,7 +58,7 @@ def make_cache(n=2, size=16, metric="flat", f_text=None, method="spectral"):
 
 def random_field(cache, rank, seed=0, band=4):
     rng = np.random.default_rng(seed)
-    return random_band_limited(cache, rank, band, rng)
+    return unit_field(cache, rank, band, rng)
 
 
 def full_rank2(mono, n):

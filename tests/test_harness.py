@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from gradlab import fiber, gradients, harness, spectral
+from gradlab import fiber, fields, gradients, harness, spectral
 from gradlab.config import ExperimentConfig
 from gradlab.harness import (
     PLUMBING,
@@ -29,6 +29,7 @@ from gradlab.harness import (
     run_identity_suite,
     run_suites,
 )
+from testlib import unit_field
 
 FLAT_SMALL = ExperimentConfig(
     metric="flat", dimension=2, sizes=(12, 16), ranks=(1, 2),
@@ -82,29 +83,42 @@ def test_band_limited_field_deterministic_per_seed():
     assert np.linalg.norm(a.data - c.data) > 1e-3
 
 
-def _band_limited_loop(cache, rank, band, rng):
+def test_band_limited_field_stays_in_band():
+    cache = build_cache(FLAT_SMALL, 32)
+    phi = unit_field(cache, 2, 4, np.random.default_rng(42))
+    fk = np.fft.fftn(phi.data, axes=(0, 1))
+    above = np.abs(np.fft.fftfreq(32) * 32) > 4
+    assert np.max(np.abs(fk[above])) < 1e-10
+    assert np.max(np.abs(fk[:, above])) < 1e-10
+    # the Nyquist guard is the one of the synthesizer
+    with pytest.raises(spectral.SpectralError, match="Nyquist"):
+        band_limited_field(cache, 2, 16, np.random.default_rng(0))
+
+
+def _band_limited_loop(cache, rank, band, rng, tag):
     # reference: one mode at a time, drawing (cos, sin) coefficients in turn
     spec = cache.spec
-    t = fiber.tracefree_dim(spec.n, rank)
+    shape = fields.fiber_shape(spec.n, tag, rank)
     mesh = spec.theta_mesh()
     modes = spectral.half_modes((band,) * spec.n)
-    data = np.zeros(spec.shape + (t,))
-    data += rng.standard_normal(t)
+    data = np.zeros(spec.shape + shape)
+    data += rng.standard_normal(shape)
     for m in modes:
-        phase = sum(mj * th for mj, th in zip(m, mesh))
-        a = rng.standard_normal(t)
-        b = rng.standard_normal(t)
-        data += np.cos(phase)[..., None] * a + np.sin(phase)[..., None] * b
+        phase = sum(mj * th for mj, th in zip(m, mesh)).reshape(spec.shape + (1,) * len(shape))
+        a = rng.standard_normal(shape)
+        b = rng.standard_normal(shape)
+        data += np.cos(phase) * a + np.sin(phase) * b
     return data / np.sqrt(2 * len(modes) + 1)
 
 
 @pytest.mark.parametrize("size", [12, 16])
 def test_band_limited_field_matches_mode_loop(size):
     cache = build_cache(FLAT_SMALL, size)
-    got = band_limited_field(cache, 2, 3, np.random.default_rng(9))
-    ref = _band_limited_loop(cache, 2, 3, np.random.default_rng(9))
-    assert got.tag == "s0"
-    np.testing.assert_allclose(got.data, ref, rtol=0, atol=1e-14 * np.max(np.abs(ref)))
+    for rank, tag in ((2, "s0"), (0, "s0"), (2, "cov_s0")):
+        got = band_limited_field(cache, rank, 3, np.random.default_rng(9), tag=tag)
+        ref = _band_limited_loop(cache, rank, 3, np.random.default_rng(9), tag)
+        assert (got.tag, got.rank) == (tag, rank)
+        np.testing.assert_allclose(got.data, ref, rtol=0, atol=1e-14 * np.max(np.abs(ref)))
 
 
 # ---------------------------------------------------------------------------

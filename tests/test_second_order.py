@@ -11,6 +11,7 @@ from gradlab.expressions import parse_trig_poly
 from gradlab.fields import TensorField, l2_inner, l2_norm
 from gradlab.geometry import GridSpec, build_geometry, conformal_metric_field, flat_metric_field
 from gradlab.harness import run_identity_suite
+from testlib import unit_field
 
 _TINY = 1e-300
 
@@ -119,7 +120,7 @@ def test_one_evaluation_equals_separate_routes_exactly(metric, n, size, p):
     m = (flat_metric_field(n) if metric == "flat"
          else conformal_metric_field(n, parse_trig_poly(metric)))
     cache = build_geometry(spec, m)
-    phi = fields.random_band_limited(cache, p, 3, np.random.default_rng([n, p]))
+    phi = unit_field(cache, p, 3, np.random.default_rng([n, p]))
     u = 1.0 + 0.3 * np.cos(spec.theta_mesh()[0])
     got = gradients.second_order_residuals(phi, u)
     want = _reference_residuals(phi, u)

@@ -13,7 +13,7 @@ import scipy.linalg
 
 from gradlab import fiber, fields, gradients, spectral
 from gradlab.expressions import parse_trig_poly
-from gradlab.fields import TensorField, l2_inner, random_band_limited
+from gradlab.fields import TensorField, l2_inner
 from gradlab.harness import flat_joint_kernel_oracle
 from gradlab.geometry import (
     GridSpec,

@@ -5,12 +5,18 @@ import numpy as np
 
 from gradlab.fields import TensorField, fiber_shape
 from gradlab.geometry import TWO_PI, evaluate_on_grid
+from gradlab.harness import _unit, band_limited_field
 
 
 def zero_field(cache, rank, tag="s0"):
     """A zero field under `tag`, to be filled in place."""
     return TensorField(cache, tag, rank,
                        np.zeros(cache.spec.shape + fiber_shape(cache.n, tag, rank)))
+
+
+def unit_field(cache, rank, band, rng):
+    """A band-limited trace-free test field scaled to unit L2 norm."""
+    return _unit(band_limited_field(cache, rank, band, rng))
 
 
 def analytic_laplacian(poly, spec):
