@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from gradlab import spectral
-from gradlab.geometry import GridSpec, build_geometry, flat_metric_field
+from gradlab.expressions import TrigPoly
+from gradlab.geometry import GridSpec, build_geometry
 
 
 def main(argv=None):
@@ -31,7 +32,7 @@ def main(argv=None):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for n in (2, 3, 4):
-        cache = build_geometry(GridSpec(n, (8,) * n), flat_metric_field(n))
+        cache = build_geometry(GridSpec(n, (8,) * n), TrigPoly([]))
         for p in (1, 2):
             handle = spectral.d1_star_d1_handle(cache, p)
             reports = spectral.symbol_scan_to_csv(

@@ -10,6 +10,8 @@ format_config/parse_config_text unchanged.
 import dataclasses
 from dataclasses import dataclass, field
 
+from .expressions import ExpressionError, parse_trig_poly
+
 
 class ConfigError(RuntimeError):
     """Malformed configuration; message carries line/key diagnostics."""
@@ -66,6 +68,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.metric not in _METRICS:
             raise ConfigError(f"metric.preset must be one of {_METRICS}: {self.metric!r}")
+        try:
+            parse_trig_poly(self.conformal_exponent)
+        except ExpressionError as exc:
+            raise ConfigError(
+                f"bad metric.conformal {self.conformal_exponent!r}: {exc}"
+            ) from exc
         if self.method not in _METHODS:
             raise ConfigError(f"method must be one of {_METHODS}: {self.method!r}")
         if not 2 <= self.dimension <= 5:
@@ -88,6 +96,8 @@ class ExperimentConfig:
         bad = [s for s in suites if s not in _SUITES]
         if bad or not suites:
             raise ConfigError(f"suites must be a nonempty subset of {_SUITES}: {suites}")
+        if len(set(suites)) != len(suites):
+            raise ConfigError(f"suites must be distinct: {suites}")
         for name in self.tolerances:
             if name not in DEFAULT_TOLERANCES:
                 known = ", ".join(sorted(DEFAULT_TOLERANCES))

@@ -8,10 +8,11 @@ Fields store fiber coordinates per grid point under one of four tags:
     "cov_s"   one covariant slot + symmetric part, (*grid, n, sym_dim)
     "cov_s0"  one covariant slot + trace-free part, (*grid, n, tracefree_dim)
 
-Every metric is flat or conformally flat (`geometry.PRESETS`).  There
-the fiber Gram matrix in the flat orthonormal basis is a scalar multiple
-of the identity at every point, so trace-free storage, diagonal quadrature weights, and exact-transpose
-adjoints all stay cheap and exact.  The derivation-side fact making
+Every metric is g = e^{2f} delta, given by its exponent f
+(`GeometryCache.exponent`; f = 0 is flat).  There the fiber Gram matrix
+in the flat orthonormal basis is a scalar multiple of the identity at
+every point, so trace-free storage, diagonal quadrature weights, and
+exact-transpose adjoints all stay cheap and exact.  The derivation-side fact making
 "s0" storage lossless is that both the coordinate-derivative term and
 the connection term of the covariant derivative of a trace-free field
 are themselves pointwise trace-free for conformal metrics.

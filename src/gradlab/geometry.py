@@ -1,9 +1,10 @@
 """Periodic grids, derivative engines, metrics, and curvature.
 
-The manifolds are n-tori with a flat or a conformally flat metric
-g = e^{2f} delta, f a trig polynomial.  Everything is sampled on a
-tensor-product lattice; derivatives are pseudo-spectral by default with a
-4th-order stencil as the alternative.
+The manifolds are n-tori with the metric g = e^{2f} delta, f a trig
+polynomial: the exponent f is the whole description of a metric, and
+f = 0 is the flat torus.  Everything is sampled on a tensor-product
+lattice; derivatives are pseudo-spectral by default with a 4th-order
+stencil as the alternative.
 
 The spectral derivative along an axis is a cached dense circulant
 matrix (Nyquist bin zeroed) applied as one batched matmul, built from its
@@ -29,7 +30,8 @@ STRUCTURE_TOL = 1e-12
 
 
 class GeometryError(RuntimeError):
-    """Raised for invalid grids, bad presets, or unusable metric samples."""
+    """Raised for invalid grids, an exponent that does not fit the grid, or
+    unusable metric samples."""
 
 
 @dataclass(frozen=True)
@@ -160,55 +162,6 @@ def coordinate_derivative(poly: TrigPoly, axis, spec):
 
 
 # ---------------------------------------------------------------------------
-# metric presets
-# ---------------------------------------------------------------------------
-
-PRESETS = ("flat", "conformally_flat")
-
-
-@dataclass(frozen=True)
-class MetricField:
-    """Analytic metric preset plus its sampled components."""
-
-    preset: str
-    n: int
-    conformal_exponent: TrigPoly = None
-
-    def __post_init__(self):
-        if self.preset not in PRESETS:
-            raise GeometryError(f"unknown metric preset {self.preset!r}")
-        if self.preset == "conformally_flat" and self.conformal_exponent is None:
-            raise GeometryError("conformally_flat needs an exponent expression")
-
-    @property
-    def is_flat(self):
-        return self.preset == "flat" or (
-            self.preset == "conformally_flat" and self.conformal_exponent.is_zero
-        )
-
-    def components(self, spec: GridSpec):
-        if spec.n != self.n:
-            raise GeometryError("grid dimension does not match metric dimension")
-        g = np.zeros(spec.shape + (self.n, self.n))
-        if self.preset == "flat":
-            for i in range(self.n):
-                g[..., i, i] = 1.0
-        else:
-            conf = np.exp(2.0 * evaluate_on_grid(self.conformal_exponent, spec))
-            for i in range(self.n):
-                g[..., i, i] = conf
-        return g
-
-
-def flat_metric_field(n):
-    return MetricField(preset="flat", n=n)
-
-
-def conformal_metric_field(n, exponent: TrigPoly):
-    return MetricField(preset="conformally_flat", n=n, conformal_exponent=exponent)
-
-
-# ---------------------------------------------------------------------------
 # geometry cache
 # ---------------------------------------------------------------------------
 
@@ -216,16 +169,16 @@ def conformal_metric_field(n, exponent: TrigPoly):
 class GeometryCache:
     """Immutable bundle of sampled metric data and curvature.
 
-    riemann is fully lowered, indexed (*grid, i, j, k, l) as R_{ijkl} =
-    g_{im} R^m_{jkl}; ricci is the (j, l) contraction of R^m_{jml}.
+    The metric is g = e^{2f} delta with f = `exponent`; f = 0 is the flat
+    torus.  riemann is fully lowered, indexed (*grid, i, j, k, l) as
+    R_{ijkl} = g_{im} R^m_{jkl}; ricci is the (j, l) contraction of R^m_{jml}.
     """
 
     spec: GridSpec
-    metric: MetricField
+    exponent: TrigPoly
     method: str
     g: np.ndarray
     g_inv: np.ndarray
-    sqrt_det: np.ndarray
     christoffel: np.ndarray
     riemann: np.ndarray
     ricci: np.ndarray
@@ -240,7 +193,7 @@ class GeometryCache:
 
     @property
     def is_flat(self):
-        return self.metric.is_flat
+        return self.exponent.is_zero
 
     @cached_property
     def conformal_h(self):
@@ -280,19 +233,37 @@ class GeometryCache:
         return factor
 
 
-def build_geometry(spec: GridSpec, metric: MetricField, method="spectral"):
-    """Sample the metric on the grid, with its connection and curvature.
+def build_geometry(spec: GridSpec, exponent: TrigPoly, method="spectral"):
+    """Sample g = e^{2f} delta, f = `exponent`, with its connection and curvature.
 
-    Raises GeometryError when a metric sample is not positive definite or
-    when any stored array is not finite, e.g. a conformal factor out of
-    floating-point range.  That check replaces numpy's overflow warnings,
-    which are silenced here.
+    Raises GeometryError when `exponent` uses more variables than the grid
+    has axes, and as `_metric_geometry` does for unusable samples.
     """
     if method not in ("spectral", "fd4"):
         raise GeometryError(f"unknown differentiation method {method!r}")
+    f = evaluate_on_grid(exponent, spec)
+    g = np.zeros(spec.shape + (spec.n, spec.n))
+    with np.errstate(over="ignore"):
+        conf = np.exp(2.0 * f)
+    for i in range(spec.n):
+        g[..., i, i] = conf
+    return GeometryCache(spec, exponent, method, conf_exponent_values=f,
+                         **_metric_geometry(spec, g, method))
+
+
+def _metric_geometry(spec: GridSpec, g, method):
+    """Inverse, connection, curvature and quadrature weights of metric samples.
+
+    `g` is any metric sampled on the grid, (*grid, n, n); nothing here
+    assumes the conformal form, so the curvature is an independent route
+    to the one the conformal oracles state.  Returns the GeometryCache
+    fields by name.  Raises GeometryError when a sample is not positive
+    definite or when any array is not finite, e.g. a metric out of
+    floating-point range.  That check replaces numpy's overflow warnings,
+    which are silenced here.
+    """
     n = spec.n
     with np.errstate(over="ignore", invalid="ignore"):
-        g = metric.components(spec)
         _require_finite(g=g)
         eigs = np.linalg.eigvalsh(g)
         if np.min(eigs) <= 0:
@@ -319,30 +290,10 @@ def build_geometry(spec: GridSpec, metric: MetricField, method="spectral"):
         scalar = np.einsum("...sv,...sv->...", g_inv, ricci)
         weights = spec.cell_volume * sqrt_det
 
-    if metric.preset == "conformally_flat":
-        conf_vals = evaluate_on_grid(metric.conformal_exponent, spec)
-    else:
-        conf_vals = np.zeros(spec.shape)
-    _require_finite(
-        g_inv=g_inv, sqrt_det=sqrt_det, christoffel=gamma, riemann=riemann,
-        ricci=ricci, scalar_curvature=scalar, weights=weights,
-        conf_exponent_values=conf_vals,
-    )
-
-    return GeometryCache(
-        spec=spec,
-        metric=metric,
-        method=method,
-        g=g,
-        g_inv=g_inv,
-        sqrt_det=sqrt_det,
-        christoffel=gamma,
-        riemann=riemann,
-        ricci=ricci,
-        scalar_curvature=scalar,
-        weights=weights,
-        conf_exponent_values=conf_vals,
-    )
+    out = dict(g=g, g_inv=g_inv, christoffel=gamma, riemann=riemann, ricci=ricci,
+               scalar_curvature=scalar, weights=weights)
+    _require_finite(**out)
+    return out
 
 
 def _require_finite(**arrays):
@@ -365,7 +316,7 @@ def _christoffel(g_inv, dg):
 
 
 # ---------------------------------------------------------------------------
-# closed-form oracles for the conformal preset (g = e^{2f} * identity)
+# closed-form oracles for g = e^{2f} * identity
 # ---------------------------------------------------------------------------
 
 def _analytic_partials(f: TrigPoly, spec: GridSpec):
@@ -381,14 +332,12 @@ def _analytic_partials(f: TrigPoly, spec: GridSpec):
     return df, d2f
 
 
-def conformal_christoffel_oracle(metric: MetricField, spec: GridSpec):
-    """Closed-form Christoffel symbols for the conformal preset.
+def conformal_christoffel_oracle(f: TrigPoly, spec: GridSpec):
+    """Closed-form Christoffel symbols of g = e^{2f} * identity.
 
     G^k_ij = delta^k_i f_j + delta^k_j f_i - delta_ij f_k with flat partials.
     """
-    if metric.preset != "conformally_flat":
-        raise GeometryError("oracle only applies to the conformal preset")
-    df, _ = _analytic_partials(metric.conformal_exponent, spec)
+    df, _ = _analytic_partials(f, spec)
     return _structural_christoffel(df)
 
 
@@ -402,16 +351,14 @@ def _structural_christoffel(h):
     )
 
 
-def conformal_ricci_oracle(metric: MetricField, spec: GridSpec):
+def conformal_ricci_oracle(f: TrigPoly, spec: GridSpec):
     """Closed-form Ricci tensor for g = e^{2f} * identity in any dimension.
 
     Ric_ij = -(n-2)(f_ij - f_i f_j) - (Lap f + (n-2)|grad f|^2) delta_ij,
     all derivatives taken with the flat coordinate operators.
     """
-    if metric.preset != "conformally_flat":
-        raise GeometryError("oracle only applies to the conformal preset")
     n = spec.n
-    df, d2f = _analytic_partials(metric.conformal_exponent, spec)
+    df, d2f = _analytic_partials(f, spec)
     lap = np.trace(d2f, axis1=-2, axis2=-1)
     grad_sq = np.sum(df * df, axis=-1)
     ric = -(n - 2) * (d2f - df[..., :, None] * df[..., None, :])
@@ -421,12 +368,9 @@ def conformal_ricci_oracle(metric: MetricField, spec: GridSpec):
     return ric
 
 
-def conformal_scalar_curvature_oracle(metric: MetricField, spec: GridSpec):
-    """Scalar curvature of the conformal preset; in 2d equals -2 e^{-2f} Lap f."""
-    if metric.preset != "conformally_flat":
-        raise GeometryError("oracle only applies to the conformal preset")
+def conformal_scalar_curvature_oracle(f: TrigPoly, spec: GridSpec):
+    """Scalar curvature of g = e^{2f} * identity; in 2d equals -2 e^{-2f} Lap f."""
     n = spec.n
-    f = metric.conformal_exponent
     fv = evaluate_on_grid(f, spec)
     df, d2f = _analytic_partials(f, spec)
     lap = np.trace(d2f, axis1=-2, axis2=-1)
@@ -434,11 +378,11 @@ def conformal_scalar_curvature_oracle(metric: MetricField, spec: GridSpec):
     return -2.0 * (n - 1) * np.exp(-2.0 * fv) * (lap + 0.5 * (n - 2) * grad_sq)
 
 
-def gauss_curvature_2d_oracle(metric: MetricField, spec: GridSpec):
-    """Gaussian curvature K = -e^{-2f} Lap f for the 2d conformal preset."""
+def gauss_curvature_2d_oracle(f: TrigPoly, spec: GridSpec):
+    """Gaussian curvature K = -e^{-2f} Lap f of g = e^{2f} * identity in 2d."""
     if spec.n != 2:
         raise GeometryError("Gaussian curvature oracle is 2d only")
-    return 0.5 * conformal_scalar_curvature_oracle(metric, spec)
+    return 0.5 * conformal_scalar_curvature_oracle(f, spec)
 
 
 def curvature_symmetry_residuals(cache: GeometryCache):

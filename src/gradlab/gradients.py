@@ -596,9 +596,7 @@ def second_order_residuals(phi: TensorField, u_values=None):
     sampson_q = (p + 1.0) * nDs - float(p) * nDel
     K_q = nG - sampson_q
     # pointwise <K phi, phi> with the conformal fiber inner product
-    q = np.sum(K.data * phi.data, axis=-1)
-    f = cache.conformal_factor(-2.0 * p)
-    q_pointwise = float(np.sum((q if f is None else q * f) * cache.weights))
+    q_pointwise = l2_inner(K, phi)
     e_scale = max(nG, nD1, nDs, nDel) + _TINY
     out["energy"] = abs(nD1 - (sampson_q / (p + 1) + c34 * nDel)) / e_scale
     out["energy_flipped"] = abs(nD1 - (sampson_q / (p + 1) - c34 * nDel)) / e_scale

@@ -26,9 +26,9 @@ import numpy as np
 
 from . import fiber, fields, gradients, spectral
 from .config import ExperimentConfig
-from .expressions import parse_trig_poly
+from .expressions import TrigPoly, parse_trig_poly
 from .fields import TensorField, l2_inner, l2_norm
-from .geometry import GridSpec, build_geometry, conformal_metric_field, flat_metric_field
+from .geometry import GridSpec, build_geometry
 
 REPORT_SCHEMA = "gradlab-report-v1"
 
@@ -102,9 +102,6 @@ class SuiteReport:
             out[r.status] = out.get(r.status, 0) + 1
         return out
 
-    def failures(self):
-        return [r for r in self.records if r.status == "fail"]
-
 
 def environment_metadata():
     return {
@@ -161,12 +158,10 @@ class _Recorder:
 def build_cache(config, size):
     spec = GridSpec(config.dimension, (size,) * config.dimension)
     if config.metric == "flat":
-        metric = flat_metric_field(config.dimension)
+        exponent = TrigPoly([])
     else:
-        metric = conformal_metric_field(
-            config.dimension, parse_trig_poly(config.conformal_exponent)
-        )
-    return build_geometry(spec, metric, method=config.method)
+        exponent = parse_trig_poly(config.conformal_exponent)
+    return build_geometry(spec, exponent, method=config.method)
 
 
 def band_limited_field(cache, rank, band, rng, tag="s0"):
@@ -219,6 +214,7 @@ def _identity_checks_for_rank(rec, config, p, caches):
 
     recon = orth = trace = 0.0
     proj = {"d1": 0.0, "d2": 0.0, "d3": 0.0}
+    adj_formula = adj_t1 = adj_t2 = adj_t3 = 0.0
     for i, phi in enumerate(batch):
         sp = gradients.decompose(phi)
         if i == 0:
@@ -229,6 +225,19 @@ def _identity_checks_for_rank(rec, config, p, caches):
         pm = gradients.projector_match_residuals(sp)
         for k in proj:
             proj[k] = max(proj[k], pm[k])
+        # adjointness: analytic pair and the exact discrete transposes
+        rng_a = np.random.default_rng([config.seed, 202, p, i])
+        psi = _unit(band_limited_field(cache_hi, p + 1, band, rng_a))
+        x2 = _unit(band_limited_field(cache_hi, p, band, rng_a, tag="cov_s0"))
+        d1_psi = l2_inner(sp.d1, psi)
+        adj_formula = max(adj_formula, abs(d1_psi - l2_inner(phi, fields.divergence(psi))))
+        adj_t1 = max(adj_t1, abs(d1_psi - l2_inner(phi, gradients.d1_exact_adjoint(psi))))
+        adj_t2 = max(adj_t2, abs(
+            l2_inner(sp.d2, x2) - l2_inner(phi, gradients.d2_exact_adjoint(x2))
+        ))
+        adj_t3 = max(adj_t3, abs(
+            l2_inner(sp.d3, x2) - l2_inner(phi, gradients.d3_exact_adjoint(x2))
+        ))
     nf = f"{len(batch)} fields"
     rec.check(f"decompose.reconstruction.p{p}", A_SPLIT, recon, "reconstruction", nf)
     rec.check(f"decompose.orthogonality.p{p}", A_SPLIT, orth, "orthogonality", nf)
@@ -250,23 +259,6 @@ def _identity_checks_for_rank(rec, config, p, caches):
         rec.measure(f"oracle.d2_match.p{p}", A_PIECE2, proj["d2"],
                     f"direct mismatch, gated as oracle.d2.p{p}")
 
-    # adjointness: analytic pair and the exact discrete transposes
-    adj_formula = adj_t1 = adj_t2 = adj_t3 = 0.0
-    for i, phi in enumerate(batch):
-        rng_a = np.random.default_rng([config.seed, 202, p, i])
-        phi_u = _unit(phi)
-        psi = _unit(band_limited_field(cache_hi, p + 1, band, rng_a))
-        x2 = _unit(band_limited_field(cache_hi, p, band, rng_a, tag="cov_s0"))
-        sp = gradients.decompose(phi_u)
-        d1_psi = l2_inner(sp.d1, psi)
-        adj_formula = max(adj_formula, abs(d1_psi - l2_inner(phi_u, fields.divergence(psi))))
-        adj_t1 = max(adj_t1, abs(d1_psi - l2_inner(phi_u, gradients.d1_exact_adjoint(psi))))
-        adj_t2 = max(adj_t2, abs(
-            l2_inner(sp.d2, x2) - l2_inner(phi_u, gradients.d2_exact_adjoint(x2))
-        ))
-        adj_t3 = max(adj_t3, abs(
-            l2_inner(sp.d3, x2) - l2_inner(phi_u, gradients.d3_exact_adjoint(x2))
-        ))
     rec.check(f"adjoint.formula.p{p}", A_ADJOINT, adj_formula, "adjoint_formula",
               "pairing against the divergence, unit-normalized fields")
     rec.check(f"adjoint.transpose_d1.p{p}", A_ADJOINT, adj_t1, "adjoint_transpose")

@@ -68,6 +68,12 @@ GALERKIN_BYTES_CAP = 2**30
 _TINY = 1e-300
 # largest relative pencil residual an eigensolve may leave
 _RESIDUAL_TOL = 1e-8
+# kernel-count policy (`kernel_count`): the absolute floor as a fraction of
+# the largest eigenvalue, the kernel cut as a fraction of the first
+# eigenvalue above the floor, and the least gap ratio of a determinate count
+_KERNEL_FLOOR_FACTOR = 1e-8
+_KERNEL_THETA = 1e-4
+_KERNEL_GAP_MIN = 100.0
 
 
 class SpectralError(RuntimeError):
@@ -523,9 +529,6 @@ def sector_spectrum(results):
 class KernelCount:
     count: int
     gap_ratio: float
-    lambda_ref: float      # first eigenvalue above the absolute floor; nan if none
-    floor: float
-    theta: float
     indeterminate: bool
 
     @property
@@ -533,14 +536,15 @@ class KernelCount:
         return "indeterminate" if self.indeterminate else str(self.count)
 
 
-def kernel_count(eigs, theta=1e-4, floor_factor=1e-8, gap_min=100.0):
+def kernel_count(eigs):
     """Count the near-zero cluster of an ascending non-negative spectrum.
 
     The reference scale is the first eigenvalue above an absolute floor of
-    floor_factor times the largest eigenvalue; everything below theta times
-    that reference (or below the floor itself) counts as kernel.  With a
-    gap ratio under gap_min the count is flagged indeterminate: there is no
-    cluster to speak of, and refining the grid is the only honest answer.
+    _KERNEL_FLOOR_FACTOR times the largest eigenvalue; everything below
+    _KERNEL_THETA times that reference (or below the floor itself) counts
+    as kernel.  With a gap ratio under _KERNEL_GAP_MIN the count is flagged
+    indeterminate: there is no cluster to speak of, and refining the grid
+    is the only honest answer.
     """
     e = np.asarray(eigs, float)
     if e.size == 0:
@@ -548,24 +552,17 @@ def kernel_count(eigs, theta=1e-4, floor_factor=1e-8, gap_min=100.0):
     if np.any(np.diff(e) < -1e-9 * max(abs(float(e[-1])), 1.0)):
         raise SpectralError("eigenvalues must be ascending")
     lam_max = float(e[-1])
-    floor = floor_factor * max(lam_max, 0.0)
+    floor = _KERNEL_FLOOR_FACTOR * max(lam_max, 0.0)
     above = e[e > floor]
     if above.size == 0:
-        return KernelCount(
-            count=int(e.size), gap_ratio=math.inf, lambda_ref=math.nan,
-            floor=floor, theta=theta, indeterminate=False,
-        )
-    lam_ref = float(above[0])
-    cut = max(theta * lam_ref, floor)
+        return KernelCount(count=int(e.size), gap_ratio=math.inf, indeterminate=False)
+    cut = max(_KERNEL_THETA * float(above[0]), floor)
     count = int(np.sum(e < cut))
     if count == 0:
         gap = math.inf
     else:
         gap = float(e[count]) / max(abs(float(e[count - 1])), _TINY)
-    return KernelCount(
-        count=count, gap_ratio=gap, lambda_ref=lam_ref, floor=floor,
-        theta=theta, indeterminate=bool(gap < gap_min),
-    )
+    return KernelCount(count=count, gap_ratio=gap, indeterminate=bool(gap < _KERNEL_GAP_MIN))
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,9 @@ import pytest
 
 from gradlab import fiber, fields, gradients, spectral
 from gradlab.config import ExperimentConfig
-from gradlab.expressions import parse_trig_poly
+from gradlab.expressions import TrigPoly, parse_trig_poly
 from gradlab.fields import TensorField, l2_inner, l2_norm
-from gradlab.geometry import (
-    GridSpec,
-    build_geometry,
-    conformal_metric_field,
-    flat_metric_field,
-)
+from gradlab.geometry import GridSpec, build_geometry
 from gradlab.harness import (
     band_limited_field,
     build_cache,
@@ -35,11 +30,10 @@ CONFORMAL_3D = "0.05*cos(x1)"
 def make_cache(n, size, metric):
     spec = GridSpec(n=n, sizes=(size,) * n)
     if metric == "flat":
-        m = flat_metric_field(n)
+        f = TrigPoly([])
     else:
-        m = conformal_metric_field(
-            n, parse_trig_poly(CONFORMAL_2D if n == 2 else CONFORMAL_3D))
-    return build_geometry(spec, m)
+        f = parse_trig_poly(CONFORMAL_2D if n == 2 else CONFORMAL_3D)
+    return build_geometry(spec, f)
 
 
 @pytest.fixture(scope="module")

@@ -153,6 +153,7 @@ def test_check_bad_override(tiny_cfg, capsys):
 @pytest.mark.parametrize("exponent,message", [
     ("0.1*cos(x3)", "uses x3 on an n=2 grid"),
     ("400*cos(x1)", "non-finite g"),  # e^{2f} overflows at x1 = 0
+    ("cos(", "bad metric.conformal"),  # refused at load, before any grid
 ])
 def test_check_bad_metric_is_a_usage_error(tiny_cfg, tmp_path, capsys, exponent, message):
     code, _ = run_cli([

@@ -114,6 +114,8 @@ def test_kernel_tol_is_not_a_tolerance():
         ("ranks", (7,)),
         ("method", "fem"),
         ("suites", ("identity", "mystery")),
+        ("suites", ("kernel", "kernel")),
+        ("conformal_exponent", "cos("),
         ("field_count", 0),
     ],
 )
@@ -165,7 +167,7 @@ ranks_strategy = st.lists(
 config_strategy = st.builds(
     ExperimentConfig,
     metric=st.sampled_from(["flat", "conformal"]),
-    conformal_exponent=st.sampled_from(["0.1*cos(x1)", "0.2*sin(x2)", "0.05*cos(x1)*cos(x2)"]),
+    conformal_exponent=st.sampled_from(["0.1*cos(x1)", "0.2*sin(x2)", "0.05*cos(x1 + x2)"]),
     dimension=st.integers(min_value=2, max_value=5),
     sizes=sizes_strategy,
     ranks=ranks_strategy,

@@ -8,7 +8,7 @@ import pytest
 from scipy.special import i0
 
 from gradlab import fiber, fields, geometry
-from gradlab.expressions import parse_trig_poly
+from gradlab.expressions import TrigPoly, parse_trig_poly
 from gradlab.fields import (
     FieldError,
     TensorField,
@@ -25,24 +25,19 @@ from gradlab.fields import (
     sym_derivative_exact_adjoint,
     to_tracefree,
 )
-from gradlab.geometry import (
-    GridSpec,
-    build_geometry,
-    conformal_metric_field,
-    flat_metric_field,
-)
+from gradlab.geometry import GridSpec, build_geometry
 from testlib import analytic_laplacian, unit_field, zero_field
 
 
 def make_cache(n=2, size=16, metric="flat", f_text="0.1*cos(x1)", method="spectral"):
     spec = GridSpec(n=n, sizes=(size,) * n)
     if metric == "flat":
-        m = flat_metric_field(n)
+        f = TrigPoly([])
     elif metric == "conformal":
-        m = conformal_metric_field(n, parse_trig_poly(f_text))
+        f = parse_trig_poly(f_text)
     else:
         raise ValueError(metric)
-    return build_geometry(spec, m, method=method)
+    return build_geometry(spec, f, method=method)
 
 
 def metric_as_field(cache):

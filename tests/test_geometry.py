@@ -8,18 +8,16 @@ import pytest
 from scipy.special import i0
 
 from gradlab import geometry
-from gradlab.expressions import parse_trig_poly
+from gradlab.expressions import TrigPoly, parse_trig_poly
 from gradlab.geometry import (
     GeometryError,
     GridSpec,
     build_geometry,
     conformal_christoffel_oracle,
-    conformal_metric_field,
     conformal_ricci_oracle,
     conformal_scalar_curvature_oracle,
     curvature_symmetry_residuals,
     differentiate,
-    flat_metric_field,
     gauss_curvature_2d_oracle,
 )
 from testlib import analytic_laplacian, total_volume
@@ -29,23 +27,30 @@ def grid(n, size, lengths=None):
     return GridSpec(n=n, sizes=(size,) * n, lengths=lengths)
 
 
-@dataclasses.dataclass(frozen=True)
-class DiagonalMetric:
-    """Test-local metric diag(a_1, ..., a_n) outside the conformal family.
+FLAT = TrigPoly([])
 
-    build_geometry only samples a metric, so this exercises its generic
-    Christoffel and curvature code and its checks on a non-conformal metric.
+
+def diagonal_samples(spec, exprs):
+    """Samples of diag(a_1, ..., a_n), a metric outside the conformal family."""
+    g = np.zeros(spec.shape + (spec.n, spec.n))
+    for i, expr in enumerate(exprs):
+        g[..., i, i] = geometry.evaluate_on_grid(parse_trig_poly(expr), spec)
+    return g
+
+
+def diagonal_cache(spec, exprs):
+    """A non-flat cache whose metric arrays are those of diag(a_1, ..., a_n).
+
+    build_geometry only samples e^{2f} delta, but its connection and
+    curvature code (`geometry._metric_geometry`) takes any metric samples;
+    this runs that code, and the checks that read its output, on a
+    non-conformal metric.  The exponent is the base cache's, so the cache
+    is not flat.
     """
-
-    exprs: tuple
-    preset = "diagonal"
-    is_flat = False
-
-    def components(self, spec):
-        g = np.zeros(spec.shape + (spec.n, spec.n))
-        for i, expr in enumerate(self.exprs):
-            g[..., i, i] = geometry.evaluate_on_grid(parse_trig_poly(expr), spec)
-        return g
+    base = build_geometry(spec, parse_trig_poly("0.1*cos(x1)"))
+    return dataclasses.replace(
+        base, **geometry._metric_geometry(spec, diagonal_samples(spec, exprs), "spectral")
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -208,33 +213,40 @@ def test_nonstandard_lengths_scale_derivatives():
 
 
 # ---------------------------------------------------------------------------
-# metric presets
+# metric samples
 # ---------------------------------------------------------------------------
 
 def test_flat_preset_components():
-    g = grid(2, 16)
-    m = flat_metric_field(2).components(g)
-    assert np.allclose(m[..., 0, 0], 1.0)
-    assert np.allclose(m[..., 1, 1], 1.0)
-    assert np.allclose(m[..., 0, 1], 0.0)
+    # exp(2 * 0) = 1.0 exactly: the flat samples are the identity bit for bit
+    cache = build_geometry(grid(2, 16), FLAT)
+    np.testing.assert_array_equal(cache.g, np.broadcast_to(np.eye(2), (16, 16, 2, 2)))
+    np.testing.assert_array_equal(cache.conf_exponent_values, 0.0)
+    assert cache.is_flat
 
 
 def test_conformal_zero_exponent_is_flat():
-    g = grid(2, 16)
-    m = conformal_metric_field(2, parse_trig_poly("0.0"))
-    assert m.is_flat
-    assert np.allclose(m.components(g), flat_metric_field(2).components(g))
+    spec = grid(2, 16)
+    zero = parse_trig_poly("0.0")
+    assert zero == FLAT
+    cache = build_geometry(spec, zero)
+    assert cache.is_flat and cache.conformal_h is None
+    np.testing.assert_array_equal(cache.g, build_geometry(spec, FLAT).g)
+
+
+def test_conformal_oracles_vanish_for_zero_exponent():
+    for n in (2, 3):
+        spec = grid(n, 8)
+        assert np.all(conformal_christoffel_oracle(FLAT, spec) == 0.0)
+        assert np.all(conformal_ricci_oracle(FLAT, spec) == 0.0)
+        assert np.all(conformal_scalar_curvature_oracle(FLAT, spec) == 0.0)
+    assert np.all(gauss_curvature_2d_oracle(FLAT, grid(2, 8)) == 0.0)
 
 
 def test_diagonal_preset_positivity_enforced():
-    bad = DiagonalMetric(("1 + 2*cos(x1)", "1"))
+    spec = grid(2, 16)
+    bad = diagonal_samples(spec, ("1 + 2*cos(x1)", "1"))
     with pytest.raises(GeometryError, match="positive definite"):
-        build_geometry(grid(2, 16), bad)
-
-
-def test_preset_name_validation():
-    with pytest.raises(GeometryError):
-        geometry.MetricField(preset="spherical", n=2)
+        geometry._metric_geometry(spec, bad, "spectral")
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +254,7 @@ def test_preset_name_validation():
 # ---------------------------------------------------------------------------
 
 def test_flat_cache_is_trivial():
-    cache = build_geometry(grid(2, 16), flat_metric_field(2))
+    cache = build_geometry(grid(2, 16), FLAT)
     assert np.max(np.abs(cache.christoffel)) < 1e-12
     assert np.max(np.abs(cache.riemann)) < 1e-10
     assert np.max(np.abs(cache.ricci)) < 1e-10
@@ -251,21 +263,19 @@ def test_flat_cache_is_trivial():
 
 
 def test_christoffel_symmetric_in_lower_indices():
-    cache = build_geometry(
-        grid(2, 16), conformal_metric_field(2, parse_trig_poly("0.1*cos(x1)"))
-    )
+    cache = build_geometry(grid(2, 16), parse_trig_poly("0.1*cos(x1)"))
     g = cache.christoffel
     assert np.max(np.abs(g - np.swapaxes(g, -1, -2))) < 1e-14
 
 
 def test_conformal_christoffel_oracle_match():
     spec = grid(2, 16)
-    metric = conformal_metric_field(2, parse_trig_poly("0.1*cos(x1)"))
-    cache = build_geometry(spec, metric)
-    oracle = conformal_christoffel_oracle(metric, spec)
+    f = parse_trig_poly("0.1*cos(x1)")
+    cache = build_geometry(spec, f)
+    oracle = conformal_christoffel_oracle(f, spec)
     assert np.max(np.abs(cache.christoffel - oracle)) < 1e-10
     # named component: Gamma^1_11 = d_1 f
-    d1f = geometry.coordinate_derivative(metric.conformal_exponent, 0, spec)
+    d1f = geometry.coordinate_derivative(f, 0, spec)
     assert np.max(np.abs(cache.christoffel[..., 0, 0, 0] - d1f)) < 1e-10
 
 
@@ -274,8 +284,8 @@ def test_christoffel_metric_compatibility_diagonal(method):
     # d_a g_ij = Gamma^l_ai g_lj + Gamma^l_aj g_il on a diagonal metric
     # e^{2f} delta whose factor varies along both axes
     spec = grid(2, 16)
-    metric = conformal_metric_field(2, parse_trig_poly("0.2*cos(x1) + 0.1*sin(x2)"))
-    cache = build_geometry(spec, metric, method=method)
+    f = parse_trig_poly("0.2*cos(x1) + 0.1*sin(x2)")
+    cache = build_geometry(spec, f, method=method)
     gam, g = cache.christoffel, cache.g
     dg = np.stack([differentiate(g, a, spec, method) for a in range(2)], axis=-3)
     rhs = np.einsum("...lai,...lj->...aij", gam, g) + np.einsum(
@@ -296,15 +306,13 @@ def _structural_christoffel(h):
 
 def test_conformal_factor_cached_per_power():
     spec = grid(2, 8)
-    cache = build_geometry(
-        spec, conformal_metric_field(2, parse_trig_poly("0.2*cos(x1) + 0.1*sin(x2)"))
-    )
+    cache = build_geometry(spec, parse_trig_poly("0.2*cos(x1) + 0.1*sin(x2)"))
     for power in (-2.0, 2.0, -6.0):
         factor = cache.conformal_factor(power)
         assert np.array_equal(factor, np.exp(power * cache.conf_exponent_values))
         assert not factor.flags.writeable
         assert cache.conformal_factor(power) is factor
-    assert build_geometry(spec, flat_metric_field(2)).conformal_factor(-2.0) is None
+    assert build_geometry(spec, FLAT).conformal_factor(-2.0) is None
 
 
 @pytest.mark.parametrize("method", ["spectral", "fd4"])
@@ -312,11 +320,8 @@ def test_conformal_factor_cached_per_power():
 @pytest.mark.parametrize("n", [2, 3])
 def test_conformal_h_matches_christoffel(n, metric, method):
     spec = grid(n, 8 if n == 3 else 16)
-    if metric == "flat":
-        m = flat_metric_field(n)
-    else:
-        m = conformal_metric_field(n, parse_trig_poly("0.2*cos(x1) + 0.1*sin(x2)"))
-    cache = build_geometry(spec, m, method=method)
+    f = FLAT if metric == "flat" else parse_trig_poly("0.2*cos(x1) + 0.1*sin(x2)")
+    cache = build_geometry(spec, f, method=method)
     h = cache.conformal_h
     if metric == "flat":
         assert h is None
@@ -331,9 +336,7 @@ def test_conformal_h_matches_christoffel(n, metric, method):
 
 def test_conformal_h_rejects_perturbed_christoffel():
     spec = grid(2, 16)
-    cache = build_geometry(
-        spec, conformal_metric_field(2, parse_trig_poly("0.1*cos(x1)"))
-    )
+    cache = build_geometry(spec, parse_trig_poly("0.1*cos(x1)"))
     gam = cache.christoffel.copy()
     gam[3, 5, 0, 0, 1] += 1e-8 * np.max(np.abs(gam))
     bad = dataclasses.replace(cache, christoffel=gam)
@@ -342,21 +345,20 @@ def test_conformal_h_rejects_perturbed_christoffel():
 
 
 def test_conformal_h_refuses_non_conformal_metric():
-    cache = build_geometry(grid(2, 16), DiagonalMetric(("1 + 0.2*cos(x2)", "1 + 0.2*cos(x1)")))
+    cache = diagonal_cache(grid(2, 16), ("1 + 0.2*cos(x2)", "1 + 0.2*cos(x1)"))
     with pytest.raises(GeometryError):
         cache.conformal_h
 
 
 def test_conformal_2d_curvature_oracles():
     spec = grid(2, 32)
-    metric = conformal_metric_field(2, parse_trig_poly("0.1*cos(x1)"))
-    cache = build_geometry(spec, metric)
-    scal = conformal_scalar_curvature_oracle(metric, spec)
+    f = parse_trig_poly("0.1*cos(x1)")
+    cache = build_geometry(spec, f)
+    scal = conformal_scalar_curvature_oracle(f, spec)
     assert np.max(np.abs(cache.scalar_curvature - scal)) < 1e-9
-    K = gauss_curvature_2d_oracle(metric, spec)
+    K = gauss_curvature_2d_oracle(f, spec)
     assert np.max(np.abs(cache.scalar_curvature - 2 * K)) < 1e-9
     # spec'd closed form of the same quantity
-    f = metric.conformal_exponent
     direct = -2.0 * analytic_laplacian(f, spec) * np.exp(
         -2.0 * geometry.evaluate_on_grid(f, spec)
     )
@@ -365,27 +367,22 @@ def test_conformal_2d_curvature_oracles():
 
 def test_conformal_3d_ricci_oracle_match():
     spec = grid(3, 16)
-    metric = conformal_metric_field(
-        3, parse_trig_poly("0.1*cos(x1) + 0.05*sin(x2 - x3)")
-    )
-    cache = build_geometry(spec, metric)
-    oracle = conformal_ricci_oracle(metric, spec)
+    f = parse_trig_poly("0.1*cos(x1) + 0.05*sin(x2 - x3)")
+    cache = build_geometry(spec, f)
+    oracle = conformal_ricci_oracle(f, spec)
     assert np.max(np.abs(cache.ricci - oracle)) < 1e-8
-    scal_oracle = conformal_scalar_curvature_oracle(metric, spec)
+    scal_oracle = conformal_scalar_curvature_oracle(f, spec)
     assert np.max(np.abs(cache.scalar_curvature - scal_oracle)) < 1e-8
 
 
-@pytest.mark.parametrize(
-    "metric",
-    [
-        flat_metric_field(2),
-        conformal_metric_field(2, parse_trig_poly("0.1*cos(x1)")),
-        DiagonalMetric(("1 + 0.2*cos(x2)", "1 + 0.1*sin(x1)")),
-    ],
-    ids=["flat", "conformal", "diagonal"],
-)
+@pytest.mark.parametrize("metric", ["flat", "conformal", "diagonal"])
 def test_curvature_symmetries_at_32(metric):
-    cache = build_geometry(grid(2, 32), metric)
+    spec = grid(2, 32)
+    if metric == "diagonal":
+        cache = diagonal_cache(spec, ("1 + 0.2*cos(x2)", "1 + 0.1*sin(x1)"))
+    else:
+        f = FLAT if metric == "flat" else parse_trig_poly("0.1*cos(x1)")
+        cache = build_geometry(spec, f)
     res = curvature_symmetry_residuals(cache)
     for name, value in res.items():
         assert value < 1e-9, (name, value)
@@ -394,7 +391,7 @@ def test_curvature_symmetries_at_32(metric):
 def test_conformal_volume_oracle():
     a = 0.3
     spec = grid(2, 32)
-    cache = build_geometry(spec, conformal_metric_field(2, parse_trig_poly(f"{a}*cos(x1)")))
+    cache = build_geometry(spec, parse_trig_poly(f"{a}*cos(x1)"))
     expect = (2 * math.pi) ** 2 * i0(2 * a)
     assert abs(total_volume(cache) - expect) < 1e-10 * expect
 
@@ -403,9 +400,9 @@ def test_spectral_curvature_error_drops_fast_under_refinement():
     errs = {}
     for size in (16, 32):
         spec = grid(2, size)
-        metric = conformal_metric_field(2, parse_trig_poly("0.4*cos(x1)"))
-        cache = build_geometry(spec, metric)
-        oracle = conformal_scalar_curvature_oracle(metric, spec)
+        f = parse_trig_poly("0.4*cos(x1)")
+        cache = build_geometry(spec, f)
+        oracle = conformal_scalar_curvature_oracle(f, spec)
         errs[size] = np.max(np.abs(cache.scalar_curvature - oracle))
     assert errs[16] / max(errs[32], 1e-16) > 10
 
@@ -414,9 +411,9 @@ def test_fd4_curvature_error_fourth_order():
     errs = {}
     for size in (16, 32):
         spec = grid(2, size)
-        metric = conformal_metric_field(2, parse_trig_poly("0.4*cos(x1)"))
-        cache = build_geometry(spec, metric, method="fd4")
-        oracle = conformal_scalar_curvature_oracle(metric, spec)
+        f = parse_trig_poly("0.4*cos(x1)")
+        cache = build_geometry(spec, f, method="fd4")
+        oracle = conformal_scalar_curvature_oracle(f, spec)
         errs[size] = np.max(np.abs(cache.scalar_curvature - oracle))
     ratio = errs[16] / errs[32]
     assert 10 < ratio < 24
@@ -424,15 +421,15 @@ def test_fd4_curvature_error_fourth_order():
 
 def test_non_spd_sample_raises():
     # e^{2f} underflows to 0 at x1 = pi and overflows at x1 = 0
-    bad = conformal_metric_field(2, parse_trig_poly("400*cos(x1)"))
     with pytest.raises(GeometryError):
-        build_geometry(grid(2, 16), bad)
+        build_geometry(grid(2, 16), parse_trig_poly("400*cos(x1)"))
 
 
 def test_non_finite_geometry_raises():
     # the samples of e^{2f} are finite and positive, but det g = e^{4f}
     # overflows, and with it the quadrature weights
-    bad = conformal_metric_field(2, parse_trig_poly("300*cos(x1)"))
-    assert np.all(np.isfinite(bad.components(grid(2, 16))))
+    spec = grid(2, 16)
+    f = geometry.evaluate_on_grid(parse_trig_poly("300*cos(x1)"), spec)
+    assert np.all(np.isfinite(np.exp(2.0 * f)))
     with pytest.raises(GeometryError, match="non-finite .*weights"):
-        build_geometry(grid(2, 16), bad)
+        build_geometry(spec, parse_trig_poly("300*cos(x1)"))

@@ -6,14 +6,9 @@ import numpy as np
 import pytest
 
 from gradlab import fiber, fields, gradients
-from gradlab.expressions import parse_trig_poly
+from gradlab.expressions import TrigPoly, parse_trig_poly
 from gradlab.fields import l2_inner, l2_norm
-from gradlab.geometry import (
-    GridSpec,
-    build_geometry,
-    conformal_metric_field,
-    flat_metric_field,
-)
+from gradlab.geometry import GridSpec, build_geometry
 from gradlab.gradients import (
     Conventions,
     ConventionError,
@@ -47,13 +42,13 @@ from testlib import unit_field, zero_field
 def make_cache(n=2, size=16, metric="flat", f_text=None, method="spectral"):
     spec = GridSpec(n=n, sizes=(size,) * n)
     if metric == "flat":
-        m = flat_metric_field(n)
+        f = TrigPoly([])
     else:
         # mild conformal factors keep spectral aliasing near the float floor
         if f_text is None:
             f_text = "0.1*cos(x1)" if n == 2 else "0.05*cos(x1)"
-        m = conformal_metric_field(n, parse_trig_poly(f_text))
-    return build_geometry(spec, m, method=method)
+        f = parse_trig_poly(f_text)
+    return build_geometry(spec, f, method=method)
 
 
 def random_field(cache, rank, seed=0, band=4):

@@ -7,9 +7,9 @@ import pytest
 
 from gradlab import fields, gradients, harness
 from gradlab.config import ExperimentConfig
-from gradlab.expressions import parse_trig_poly
+from gradlab.expressions import TrigPoly, parse_trig_poly
 from gradlab.fields import TensorField, l2_inner, l2_norm
-from gradlab.geometry import GridSpec, build_geometry, conformal_metric_field, flat_metric_field
+from gradlab.geometry import GridSpec, build_geometry
 from gradlab.harness import run_identity_suite
 from testlib import unit_field
 
@@ -56,13 +56,6 @@ def _weitzenbock_identity_report(phi):
     }
 
 
-def _weitzenbock_q_form(phi):
-    K = gradients.weitzenbock_K(phi)
-    q = np.sum(K.data * phi.data, axis=-1)
-    f = phi.cache.conformal_factor(-2.0 * phi.rank)
-    return q if f is None else q * f
-
-
 def _integral_identity_report(phi):
     p, n = phi.rank, phi.n
     sp = gradients.decompose(phi)
@@ -78,7 +71,7 @@ def _integral_identity_report(phi):
     K_q = nG - sampson_q
     c34 = gradients.energy_coefficient(n, p)
     c41 = (p + 1) * c34
-    q_pointwise = float(np.sum(_weitzenbock_q_form(phi) * phi.cache.weights))
+    q_pointwise = l2_inner(gradients.weitzenbock_K(phi), phi)
     scale = max(nG, nD1, nDs, nDel) + _TINY
     return {
         "energy": abs(nD1 - (sampson_q / (p + 1) + c34 * nDel)) / scale,
@@ -117,9 +110,8 @@ def _reference_residuals(phi, u_values):
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_one_evaluation_equals_separate_routes_exactly(metric, n, size, p):
     spec = GridSpec(n, (size,) * n)
-    m = (flat_metric_field(n) if metric == "flat"
-         else conformal_metric_field(n, parse_trig_poly(metric)))
-    cache = build_geometry(spec, m)
+    f = TrigPoly([]) if metric == "flat" else parse_trig_poly(metric)
+    cache = build_geometry(spec, f)
     phi = unit_field(cache, p, 3, np.random.default_rng([n, p]))
     u = 1.0 + 0.3 * np.cos(spec.theta_mesh()[0])
     got = gradients.second_order_residuals(phi, u)
@@ -173,10 +165,10 @@ def test_identity_suite_decomposes_each_field_once(monkeypatch):
     second_order = [phi for phi, route in curvature_terms if route == "curvature"]
     assert len(second_order) == len(cfg.ranks) * (3 + 2)
     assert all(times(phi, decomposed) == 1 for phi in second_order)
-    # the adjointness fields, the unit-normalized copies of the batch
-    # fields, are decomposed once each, and their pairings take d1 from
-    # that split: d1 itself runs only in the negative control
-    adjointness = [u for phi, u in units if times(phi, decomposed) == 1]
-    assert len(adjointness) == len(cfg.ranks) * cfg.field_count
-    assert all(times(u, decomposed) == 1 for u in adjointness)
+    # the adjointness pairings of a batch field read its one split: no
+    # decomposed field is normalized again into a copy, d1 itself runs only
+    # in the negative control, and per rank there is one decomposition per
+    # batch, sub-batch and refinement field, plus one control
+    assert not [u for phi, u in units if times(phi, decomposed)]
     assert d1_calls == [(gradients.Conventions(delta_sign=-1.0),)]
+    assert len(decomposed) == len(cfg.ranks) * (cfg.field_count + 3 + 2) + 1

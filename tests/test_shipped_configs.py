@@ -1,0 +1,49 @@
+"""The shipped configs keep the statuses the benchmark gates on.
+
+Each perfbench/reference/<workload>.json holds one shipped config, the
+overrides of its benchmark workload, and the exit code and status of every
+suite/check id that `gradlab check` produced per config seed.  Here the
+call for config seed 1 runs in-process and must give every check id of
+that map its status, so a status drift fails this suite before it fails a
+benchmark run.  As in the benchmark's gate, a check id the reference does
+not know (one added after the capture) is not gated.  The reference files
+are only read.
+"""
+
+import json
+from io import StringIO
+from pathlib import Path
+
+import pytest
+
+from gradlab import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+REFERENCES = sorted((ROOT / "perfbench" / "reference").glob("*.json"))
+
+
+def report_statuses(out_dir):
+    statuses = {}
+    for path in sorted(out_dir.glob("*_report.json")):
+        report = json.loads(path.read_text(encoding="utf-8"))
+        for rec in report["checks"]:
+            statuses[f"{report['suite']}/{rec['check_id']}"] = rec["status"]
+    return statuses
+
+
+def test_every_workload_has_a_reference():
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    assert [p.stem for p in REFERENCES] == sorted(w["name"] for w in bench["workloads"])
+
+
+@pytest.mark.parametrize("path", REFERENCES, ids=[p.stem for p in REFERENCES])
+def test_check_matches_reference_statuses(path, tmp_path):
+    ref = json.loads(path.read_text(encoding="utf-8"))
+    expected = ref["seeds"]["1"]
+    argv = ["check", "--config", str(ROOT / ref["config"]), "--out", str(tmp_path)]
+    for pair in [*ref["overrides"], "seed=1"]:
+        argv += ["--override", pair]
+    code = cli.main(argv, out=StringIO())
+    assert code == expected["exit"]
+    statuses = report_statuses(tmp_path)
+    assert {k: statuses.get(k) for k in expected["statuses"]} == expected["statuses"]

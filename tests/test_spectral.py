@@ -12,15 +12,10 @@ import pytest
 import scipy.linalg
 
 from gradlab import fiber, fields, gradients, spectral
-from gradlab.expressions import parse_trig_poly
+from gradlab.expressions import TrigPoly, parse_trig_poly
 from gradlab.fields import TensorField, l2_inner
 from gradlab.harness import flat_joint_kernel_oracle
-from gradlab.geometry import (
-    GridSpec,
-    build_geometry,
-    conformal_metric_field,
-    flat_metric_field,
-)
+from gradlab.geometry import GridSpec, build_geometry
 from gradlab.spectral import (
     Galerkin,
     SpectralError,
@@ -48,12 +43,12 @@ from gradlab.spectral import (
 def make_cache(n=2, size=12, metric="flat", f_text=None, method="spectral"):
     spec = GridSpec(n=n, sizes=(size,) * n)
     if metric == "flat":
-        m = flat_metric_field(n)
+        f = TrigPoly([])
     else:
         if f_text is None:
             f_text = "0.1*cos(x1)" if n == 2 else "0.05*cos(x1)"
-        m = conformal_metric_field(n, parse_trig_poly(f_text))
-    return build_geometry(spec, m, method=method)
+        f = parse_trig_poly(f_text)
+    return build_geometry(spec, f, method=method)
 
 
 def random_vec(handle, seed=0):
