@@ -8,6 +8,12 @@ Fields store fiber coordinates per grid point under one of four tags:
     "cov_s"   one covariant slot + symmetric part, (*grid, n, sym_dim)
     "cov_s0"  one covariant slot + trace-free part, (*grid, n, tracefree_dim)
 
+The data may carry leading batch axes, (*batch, *grid, *fiber): a stack of
+fields on one grid.  Every operator that `gradients.decompose` and the
+registry handles of `spectral` reach acts on each member of a stack
+independently, with the arithmetic of a single field; the L2 pairings
+(`l2_inner`, `l2_norm`) take single fields only.
+
 Every metric is g = e^{2f} delta, given by its exponent f
 (`GeometryCache.exponent`; f = 0 is flat).  There the fiber Gram matrix
 in the flat orthonormal basis is a scalar multiple of the identity at
@@ -72,14 +78,21 @@ class TensorField:
         if self.rank < 0:
             raise FieldError("rank must be >= 0")
         expect = self.cache.spec.shape + fiber_shape(self.cache.n, self.tag, self.rank)
-        if self.data.shape != expect:
+        if self.data.shape[self.data.ndim - len(expect):] != expect:
             raise FieldError(
-                f"data shape {self.data.shape} does not match {expect} for tag {self.tag!r}"
+                f"data shape {self.data.shape} does not match {expect} for tag "
+                f"{self.tag!r}, after any leading batch axes"
             )
 
     @property
     def n(self):
         return self.cache.n
+
+    @property
+    def batch_shape(self):
+        """Shape of the leading batch axes; () for a single field."""
+        fiber_ndim = 2 if self.tag.startswith("cov") else 1
+        return self.data.shape[: self.data.ndim - self.n - fiber_ndim]
 
     def monomial(self):
         """Coordinates in the monomial basis, expanding trace-free storage."""
@@ -157,6 +170,8 @@ def fiber_weight_scalar(cache, tag, rank):
 
 def l2_inner(a: TensorField, b: TensorField):
     a._compat(b)
+    if a.batch_shape or b.batch_shape:
+        raise FieldError("l2_inner pairs single fields, not batches")
     w = fiber_weight_scalar(a.cache, a.tag, a.rank)
     prod = a.data * b.data
     if a.tag in ("s", "cov_s"):
@@ -239,7 +254,8 @@ def _connection(h, M, v, fiber_ndim):
 def _grad_apply(cache, p, c, tracefree=True):
     spec = cache.spec
     n = spec.n
-    out = np.stack([differentiate(c, i, spec, cache.method) for i in range(n)], axis=-2)
+    batch = c.ndim - n - 1
+    out = np.stack([differentiate(c, i, spec, cache.method, batch) for i in range(n)], axis=-2)
     h = cache.conformal_h
     if h is not None:
         M = _connection_matrix(n, p, tracefree, "b", "lia")
@@ -250,8 +266,9 @@ def _grad_apply(cache, p, c, tracefree=True):
 def _grad_s0_transpose(cache, p, X):
     spec = cache.spec
     n = spec.n
+    batch = X.ndim - n - 2
     out = -sum(
-        differentiate(X[..., i, :], i, spec, cache.method) for i in range(n)
+        differentiate(X[..., i, :], i, spec, cache.method, batch) for i in range(n)
     )
     h = cache.conformal_h
     if h is not None:

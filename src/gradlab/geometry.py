@@ -11,7 +11,8 @@ matrix (Nyquist bin zeroed) applied as one batched matmul, built from its
 first column so that it is exactly circulant and exactly antisymmetric.
 
 Array convention: sampled data has the n grid axes first, fiber or
-component axes after, e.g. the metric is (*grid, n, n).
+component axes after, e.g. the metric is (*grid, n, n).  Field data may
+put batch axes before the grid axes; `differentiate` is told how many.
 """
 
 import math
@@ -124,11 +125,13 @@ def _derivative_matrix(spec, axis):
     return D
 
 
-def differentiate(values, axis, spec, method="spectral"):
-    """Partial derivative along grid axis `axis` of data shaped (*grid, ...)."""
+def differentiate(values, axis, spec, method="spectral", batch_ndim=0):
+    """Partial derivative along grid axis `axis` of data shaped
+    (*batch, *grid, ...), with `batch_ndim` leading batch axes."""
     if method == "spectral":
         N = spec.sizes[axis]
         D = _derivative_matrix(spec, axis)
+        axis += batch_ndim
         lead = math.prod(values.shape[:axis])
         if values.ndim == axis + 1:
             # one row-major gemm; a stack of matvecs is slower here
@@ -138,6 +141,7 @@ def differentiate(values, axis, spec, method="spectral"):
         return out.reshape(values.shape)
     if method == "fd4":
         h = spec.spacings[axis]
+        axis += batch_ndim
         f1 = np.roll(values, -1, axis=axis)
         f2 = np.roll(values, -2, axis=axis)
         b1 = np.roll(values, 1, axis=axis)

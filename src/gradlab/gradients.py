@@ -34,7 +34,7 @@ convention and watch the right checks fail.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -234,8 +234,12 @@ def _d1_from_grad(phi, X, dphi):
     tr = mono @ fiber.trace_matrix(n, p + 1).T
     tr = fields._scale(tr, cache.conformal_factor(-2.0), 1)
     # relative to the gradient, not to the output: the output vanishes on
-    # the kernel (conformal Killing tensors), the gradient does not
-    rel = float(np.max(np.abs(tr))) / (float(np.max(np.abs(X))) + _TINY)
+    # the kernel (conformal Killing tensors), the gradient does not.  Each
+    # member of a batch is held to its own gradient.
+    batch = phi.batch_shape
+    tr_max = np.max(np.abs(tr).reshape(batch + (-1,)), axis=-1)
+    x_max = np.max(np.abs(X).reshape(batch + (-1,)), axis=-1)
+    rel = float(np.max(tr_max / (x_max + _TINY)))
     if rel > _TRACE_GUARD:
         raise ConventionError(
             f"trace residual {rel:.3e} of the symmetrized derivative exceeds "
@@ -284,9 +288,7 @@ def embed_symmetrized(omega: TensorField):
     e = fiber.embed_matrix(n, p)
     t = fiber.tracefree_dim(n, p)
     flat = omega.data @ e.T
-    return TensorField(
-        cache, "cov_s0", p, flat.reshape(cache.spec.shape + (n, t))
-    )
+    return TensorField(cache, "cov_s0", p, flat.reshape(flat.shape[:-1] + (n, t)))
 
 
 def embed_transpose(X: TensorField):
@@ -296,7 +298,7 @@ def embed_transpose(X: TensorField):
         raise FieldError("embed_transpose expects a 'cov_s0' field")
     cache, p = X.cache, X.rank
     e = fiber.embed_matrix(X.n, p)
-    flat = X.data.reshape(cache.spec.shape + (-1,))
+    flat = X.data.reshape(X.data.shape[:-2] + (-1,))
     return TensorField(cache, "s0", p + 1, flat @ e)
 
 
@@ -310,10 +312,12 @@ class GradientSplit:
     """The three pieces of one covariant derivative, with diagnostics.
 
     divergence is delta phi, the contraction of the same gradient that d1
-    and d2 are built from.  reconstruction_residual is relative and by
-    construction at roundoff; orthogonality holds pairwise relative L2
-    inner products of the three embedded pieces, which vanish exactly when
-    the conventions are right.
+    and d2 are built from.  The diagnostics are computed together on first
+    read, and only for a single field: reconstruction_residual is relative
+    and by construction at roundoff; orthogonality holds pairwise relative
+    L2 inner products of the three embedded pieces, which vanish exactly
+    when the conventions are right; norms holds the L2 norms of the
+    gradient and of the embedded pieces.
     """
 
     d1: TensorField
@@ -321,13 +325,47 @@ class GradientSplit:
     d3: TensorField
     divergence: TensorField
     grad: TensorField
-    reconstruction_residual: float
-    orthogonality: dict
-    norms: dict
+
+    @cached_property
+    def _diagnostics(self):
+        emb = embed_symmetrized(self.d1)
+        d2f, d3f = self.d2, self.d3
+        recon = emb + d2f + d3f
+        g_norm = l2_norm(self.grad)
+        norms = {
+            "grad": g_norm,
+            "d1": l2_norm(emb),
+            "d2": l2_norm(d2f),
+            "d3": l2_norm(d3f),
+        }
+        # normalize cross terms by the total energy: a zero piece (possible
+        # at n = 2) must not turn roundoff/roundoff into an O(1) ratio
+        ortho = {}
+        for (na, a), (nb, b) in (
+            (("d1", emb), ("d2", d2f)),
+            (("d1", emb), ("d3", d3f)),
+            (("d2", d2f), ("d3", d3f)),
+        ):
+            ortho[f"{na}_{nb}"] = abs(l2_inner(a, b)) / (g_norm**2 + _TINY)
+        return l2_norm(self.grad - recon) / (g_norm + _TINY), ortho, norms
+
+    @property
+    def reconstruction_residual(self):
+        return self._diagnostics[0]
+
+    @property
+    def orthogonality(self):
+        return self._diagnostics[1]
+
+    @property
+    def norms(self):
+        return self._diagnostics[2]
 
 
 def decompose(phi: TensorField, conventions: Conventions = DEFAULT_CONVENTIONS):
-    """Split nabla phi into the three irreducible pieces, reusing one gradient."""
+    """Split nabla phi into the three irreducible pieces, reusing one gradient.
+
+    phi may be a batch of fields; the pieces are then batches too."""
     _check_phi(phi)
     cache, p = phi.cache, phi.rank
     grad = fields.gradient(phi)
@@ -337,34 +375,12 @@ def decompose(phi: TensorField, conventions: Conventions = DEFAULT_CONVENTIONS):
         cache, "cov_s0", p,
         _d2_from_delta(cache, p, dphi, conventions.d2_prefactor_scale),
     )
-    emb = embed_symmetrized(om)
-    d3f = grad - emb - d2f
-    recon = emb + d2f + d3f
-    g_norm = l2_norm(grad)
-    norms = {
-        "grad": g_norm,
-        "d1": l2_norm(emb),
-        "d2": l2_norm(d2f),
-        "d3": l2_norm(d3f),
-    }
-    # normalize cross terms by the total energy: a zero piece (possible at
-    # n = 2) must not turn roundoff/roundoff into an O(1) ratio
-    ortho = {}
-    for (na, a), (nb, b) in (
-        (("d1", emb), ("d2", d2f)),
-        (("d1", emb), ("d3", d3f)),
-        (("d2", d2f), ("d3", d3f)),
-    ):
-        ortho[f"{na}_{nb}"] = abs(l2_inner(a, b)) / (g_norm**2 + _TINY)
     return GradientSplit(
         d1=om,
         d2=d2f,
-        d3=d3f,
+        d3=grad - embed_symmetrized(om) - d2f,
         divergence=TensorField(cache, "s0", p - 1, dphi),
         grad=grad,
-        reconstruction_residual=l2_norm(grad - recon) / (g_norm + _TINY),
-        orthogonality=ortho,
-        norms=norms,
     )
 
 
@@ -556,6 +572,9 @@ def second_order_residuals(phi: TensorField, u_values=None):
     # the curvature route first, while few arrays are alive
     K_orc = weitzenbock_K(phi, route="curvature")
     sp = decompose(phi)
+    # the split computes its diagnostics on first read: read them while few
+    # arrays are alive
+    norms = sp.norms
     X = sp.grad.data
     ds = TensorField(cache, "s", p + 1, fields._sym_apply(n, p, X))
     dv = sp.divergence
@@ -587,10 +606,10 @@ def second_order_residuals(phi: TensorField, u_values=None):
 
     # second-order quadratic forms as weighted norms of the discrete
     # first-order operators (the exact-transpose convention)
-    nG = sp.norms["grad"] ** 2
-    nD1 = sp.norms["d1"] ** 2
-    nD2 = sp.norms["d2"] ** 2
-    nD3 = sp.norms["d3"] ** 2
+    nG = norms["grad"] ** 2
+    nD1 = norms["d1"] ** 2
+    nD2 = norms["d2"] ** 2
+    nD3 = norms["d3"] ** 2
     nDs = l2_inner(ds, ds)
     nDel = l2_inner(dv, dv)
     sampson_q = (p + 1.0) * nDs - float(p) * nDel

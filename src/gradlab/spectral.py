@@ -13,13 +13,18 @@ One Galerkin layer (`Galerkin`, one per grid and rank) serves every study:
   into sectors by those |m_j| and each sector is solved on its own; with no
   such axis there is one sector, the dense pencil;
 * probing: colour c sums the c-th column of every sector, so one operator
-  application per colour serves all sectors at once.  A column's image is
-  the part of its colour's image in its sector's FFT bins, and the sector
-  blocks follow from Parseval along the invariant axes;
+  application per colour serves all sectors at once.  Operators act on
+  batches of colours (fields with a leading batch axis), chunk by chunk
+  under a fixed byte budget, and each chunk's images go into stacks
+  preallocated for every colour.  A column's image is the part of its
+  colour's image in its sector's FFT bins, and the sector blocks follow
+  from Parseval along the invariant axes.  Images are real, so the FFT is
+  a half spectrum along the last invariant axis;
 * reuse: the mass matrix and each operator's Gram block are computed once
   per layer and stacked systems add blocks.  The four first-order images
-  of a colour (d1, d2, d3 and the divergence) come from its one
-  `gradients.decompose`; no operator handle is applied for them;
+  of a chunk of colours (d1, d2, d3 and the divergence) come from one
+  `gradients.decompose` of the chunk; no operator handle is applied for
+  them;
 * batched solves: sectors of equal size form a group.  Each group's mass
   blocks are reduced once per layer (batched Cholesky M = L L^T and L^{-1}),
   and every eigensolve of the layer solves a group as one batched
@@ -50,7 +55,6 @@ operators.
 """
 
 import csv
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -60,11 +64,19 @@ import numpy as np
 from . import fiber, fields, gradients
 from .fields import TensorField
 
-# bytes a Galerkin layer may hold before its first solve, as estimated by
-# Galerkin._bytes_before_solve; a whole kernel run peaks well above the
-# estimate, in the operator images built after admission (flat 3-torus,
-# N=16, rank 3: 74 MiB estimated; `gradlab kernel` at ranks 1-3: 431 MB RSS)
+# bytes a Galerkin layer may hold by its first solves, the Gram build
+# included, as estimated by Galerkin._bytes_before_solve; the estimate
+# bounds the layer's traced peak (flat 3-torus, N=16, rank 3: 258 MiB
+# estimated, 215 MiB traced through the kernel suite's solves)
 GALERKIN_BYTES_CAP = 2**30
+# bytes of one chunk's working set when a Galerkin layer applies an
+# operator to a batch of its colours (Galerkin._probe)
+_PROBE_BYTES = 2**23
+# arrays of the widest per-point fiber an operator forms per colour
+# (Galerkin._colour_work_bytes)
+_WORK_FLOATS = 4
+# mass-sized arrays a layer holds while it solves (Galerkin._bytes_before_solve)
+_BLOCK_ARRAYS = 18
 _TINY = 1e-300
 # largest relative pencil residual an eigensolve may leave
 _RESIDUAL_TOL = 1e-8
@@ -111,10 +123,10 @@ class OperatorHandle:
     """A named linear operator between sampled tensor bundles.
 
     The domain is the trace-free ("s0") bundle of rank `domain_rank`.
-    `apply` acts on TensorField instances; the vector interface flattens
-    grid-major, fiber-minor.  `symbol` maps (xi, gscale) to the
-    principal-symbol fiber matrix, where gscale is the inverse conformal
-    factor at the evaluation point.
+    `apply` acts on TensorField instances, single fields or batches; the
+    vector interface (one field) flattens grid-major, fiber-minor.
+    `symbol` maps (xi, gscale) to the principal-symbol fiber matrix, where
+    gscale is the inverse conformal factor at the evaluation point.
     """
 
     name: str
@@ -273,10 +285,10 @@ def half_modes(bands):
     Modes come in lexicographic order, which fixes both the column order of
     the dealiased basis and the draw order of grid-independent test fields.
     """
-    return [
-        m for m in itertools.product(*(range(-b, b + 1) for b in bands))
-        if next((v for v in m if v != 0), 0) > 0
-    ]
+    bands = np.asarray(bands, int).reshape(-1)
+    grid = np.indices(2 * bands + 1).reshape(len(bands), -1).T - bands
+    first = grid[np.arange(len(grid)), np.argmax(grid != 0, axis=1)]
+    return list(map(tuple, grid[first > 0].tolist()))
 
 
 def build_dealiased_basis(cache, rank):
@@ -300,7 +312,8 @@ def invariant_axes(cache):
 
 
 # the first-order images a Galerkin layer forms, all taken from one
-# decompose per colour: piece -> (codomain tag, codomain rank minus domain rank)
+# decompose per chunk of colours: piece -> (codomain tag, codomain rank
+# minus domain rank)
 _SPLIT = {"d1": ("s0", 1), "d2": ("cov_s0", 0), "d3": ("cov_s0", 0),
           "divergence": ("s0", -1)}
 
@@ -314,11 +327,22 @@ class Galerkin:
     ascending order; every block list is aligned with `sectors`.  Colour c
     is the sum of the c-th column of every sector.  Its image is cut into
     sectors in the FFT along the invariant axes, so a block entry is
-    Re(F_s^H W F_s) / prod N_j over the sector's bins (Parseval).  A
-    sector's cut is one gather with its flat grid index: the C-order
-    product of its bins +|m_j| and -|m_j| on the invariant axes and every
-    index on the other axes.  With no invariant axis the one sector spans
-    the whole grid and its cut is a view of the images.
+    Re(F_s^H W F_s) / prod N_j over the sector's bins (Parseval).
+
+    Images are real, so the FFT is a half spectrum: the last invariant axis
+    is the real axis of `numpy.fft.rfftn`.  On that axis a sector's cut
+    keeps only its bin +|m|, and since the bins -m are the conjugates of
+    the bins +m, a sector with |m| > 0 there counts its pairing twice.  On
+    the other invariant axes the cut keeps the bins +|m_j| and -|m_j|, and
+    every index on the other axes: one gather with a flat index into the
+    half spectrum.  The weights, constant along the invariant axes, are
+    gathered with the same bins on the full grid.  With no invariant axis
+    the one sector spans the whole grid and its cut is a view of the images.
+
+    Operators are applied to a batch of colours at a time (`_probe`): the
+    colours go in chunks whose working set stays near `_PROBE_BYTES`, and
+    each chunk's images are written into stacks preallocated for every
+    colour.
 
     Mass, its reduction, Gram blocks and joint eigendecompositions are cached
     on the layer: a suite builds one per (grid, rank) and stacked systems add
@@ -341,15 +365,26 @@ class Galerkin:
         ]
         sizes = np.array([len(ix) for ix in self.sectors])
         # sectors of equal size, solved together as one batched pencil
-        self._groups = [np.flatnonzero(sizes == size) for size in np.unique(sizes)]
-        self._gather = []
+        self._groups = [np.flatnonzero(sizes == size) for size in sorted(set(sizes.tolist()))]
+        # the half spectrum: the last invariant axis keeps bins 0..N/2
+        self._half = tuple(size // 2 + 1 if self.axes and a == self.axes[-1] else size
+                           for a, size in enumerate(spec.sizes))
+        # per sector: its gathers into the half spectrum and into the grid,
+        # and its Parseval factor (twice a nonzero bin of the real axis)
+        norm = float(math.prod(spec.sizes[a] for a in self.axes))
+        self._gather, self._weight_gather, self._parseval = [], [], []
         for key in keys:
             k = dict(zip(self.axes, key))
-            per_axis = [sorted({k[a], -k[a] % size}) if a in k else range(size)
+            per_axis = [range(size) if a not in k
+                        else [k[a]] if a == self.axes[-1]
+                        else sorted({k[a], -k[a] % size})
                         for a, size in enumerate(spec.sizes)]
-            self._gather.append(np.ravel_multi_index(np.ix_(*per_axis), spec.shape).ravel())
-        self._norm = float(math.prod(spec.sizes[a] for a in self.axes))
+            ix = np.ix_(*per_axis)
+            self._gather.append(np.ravel_multi_index(ix, self._half).ravel())
+            self._weight_gather.append(np.ravel_multi_index(ix, spec.shape).ravel())
+            self._parseval.append((2.0 if key and key[-1] > 0 else 1.0) / norm)
         width = max(len(js) for js in by_key.values())
+        self._chunk = max(1, _PROBE_BYTES // self._colour_work_bytes())
         need = self._bytes_before_solve(width)
         if need > GALERKIN_BYTES_CAP:
             raise SpectralError(
@@ -370,50 +405,99 @@ class Galerkin:
         self._grams = {}
         self._eigen = {}
 
+    def _piece_shapes(self):
+        """Per-point shape of each first-order piece's image, in `_SPLIT` order."""
+        return [fields.fiber_shape(self.cache.n, tag, self.p + shift)
+                for tag, shift in _SPLIT.values()]
+
+    def _colour_work_bytes(self):
+        """Bytes one colour takes while an operator acts on it: `_WORK_FLOATS`
+        arrays of the widest per-point fiber an operator of the registry
+        forms, the conformal connection term of a rank p + 1 monomial field
+        (n * n times its monomial dimension)."""
+        n = self.cache.n
+        widest = n * n * fiber.sym_dim(n, self.p + 1)
+        return 8 * _WORK_FLOATS * widest * self.cache.spec.num_points
+
     def _bytes_before_solve(self, width):
-        """Bytes the layer allocates before its first solve: the synthesis
-        buffers (the 0/1 pick matrix of `width` functions per sector, the
-        series' spectrum and its samples), the colour stack (real), its FFT
-        along the invariant axes and each sector's cut of it (complex; views
-        of the colour stack when no axis is invariant), the mass blocks and
-        their Cholesky reduction (one L^{-1} per sector, as large as its
-        mass block)."""
+        """Bytes the layer holds at its peak by its first solves, the Gram
+        build included.
+
+        Held throughout: the colour stack (real) and its half-spectrum cut
+        (complex; a view of the colours when no axis is invariant).  On top
+        of that, the largest of three phases: the synthesis buffers (the
+        0/1 pick matrix of `width` functions per sector, the series'
+        spectrum and its samples); the Gram build (the four piece stacks,
+        six mass-sized arrays for the mass, its reduction L^{-1} and the
+        four Gram blocks, and the larger of one chunk's working set and one
+        piece's half-spectrum cut, its FFT and the sectors' gathers); and
+        the solves (`_BLOCK_ARRAYS` mass-sized arrays: the mass, L^{-1},
+        the Gram blocks, cached eigenvectors and one batched solve's
+        working arrays).
+        """
         points = self.cache.spec.num_points
-        colours = width * self.t * points * self.t
-        mass = sum(len(ix) ** 2 for ix in self.sectors)
-        need = 8 * (self.basis.n_scalar * width + 4 * points * width + colours + 2 * mass)
+        colours = width * self.t
+        mass = 8 * sum(len(ix) ** 2 for ix in self.sectors)
+        pieces = [math.prod(shape) for shape in self._piece_shapes()]
+        held = 8 * colours * points * self.t
+        piece_cut = 0
         if self.axes:
-            cut = sum(len(ix) * len(g) for ix, g in zip(self.sectors, self._gather))
-            need += 16 * (colours + cut * self.t)
-        return need
+            bins = colours * math.prod(self._half)
+            bins += sum(len(ix) * len(g) for ix, g in zip(self.sectors, self._gather))
+            held += 16 * self.t * bins
+            piece_cut = 16 * max(pieces) * bins
+        synthesis = 8 * (self.basis.n_scalar * width + 4 * points * width)
+        chunk = min(self._chunk, colours) * self._colour_work_bytes()
+        gram = (8 * colours * points * sum(pieces) + 6 * mass
+                + max(chunk, piece_cut))
+        return held + max(synthesis, gram, _BLOCK_ARRAYS * mass)
 
     def _cut(self, images):
         """Per-sector FFT coefficients of a stack of colour images.
 
         images: (colours, *grid, fiber...) real.  Returns, per sector, a
-        (sector size, bins * fiber) complex array whose row c is the FFT of
-        the image of the sector's c-th column.
+        real (sector size, k) array whose row c holds the FFT of the image
+        of the sector's c-th column on the sector's half-spectrum bins, as
+        (real, imaginary) pairs; with no invariant axis, the image itself.
         """
         if not self.axes:
             # one sector over the whole grid: its cut is a view of the images
             return [images[: len(ix)].reshape(len(ix), -1) for ix in self.sectors]
-        spec = self.cache.spec
-        hat = np.fft.fftn(images.reshape((len(images),) + spec.shape + (-1,)),
-                          axes=[1 + a for a in self.axes])
-        hat = hat.reshape(len(images), spec.num_points, -1)
-        return [hat[: len(ix)].take(g, axis=1).reshape(len(ix), -1)
+        hat = np.fft.rfftn(images, axes=[1 + a for a in self.axes])
+        hat = hat.reshape(len(images), math.prod(self._half), -1)
+        return [hat[: len(ix)].take(g, axis=1).reshape(len(ix), -1).view(float)
                 for ix, g in zip(self.sectors, self._gather)]
 
     def _pair(self, left, right, weights):
         """Sector blocks Re(L^H W R) / prod N_j of a weighted inner product;
-        the weights are constant along the invariant axes."""
+        the weights are constant along the invariant axes.  On (real,
+        imaginary) pairs the real part is one real product, each weight
+        repeated for the two parts."""
         w = weights.reshape(self.cache.spec.num_points, -1)
-        return [((L.conj() * w.take(g, axis=0).ravel()) @ R.T).real / self._norm
-                for L, R, g in zip(left, right, self._gather)]
+        if not self.axes:
+            return [(L * w.ravel()) @ R.T for L, R in zip(left, right)]
+        out = []
+        for L, R, g, factor in zip(left, right, self._weight_gather, self._parseval):
+            wg = np.repeat(w.take(g, axis=0).ravel(), 2)
+            out.append((L * wg) @ R.T * factor)
+        return out
 
-    def _apply(self, handle):
-        images = [handle.apply_vector(c.ravel()) for c in self.colours]
-        return np.stack(images).reshape((len(images),) + self.cache.spec.shape + (-1,))
+    def _probe(self, apply, fiber_shapes):
+        """Images of every colour under `apply`, one chunk of colours at a time.
+
+        `apply` maps a batch of colour fields to one image array per entry
+        of `fiber_shapes`; returns one (colours, *grid, *fiber) stack per
+        entry, each filled chunk by chunk.
+        """
+        grid = self.cache.spec.shape
+        count = len(self.colours)
+        stacks = [np.empty((count,) + grid + shape) for shape in fiber_shapes]
+        for a in range(0, count, self._chunk):
+            chunk = slice(a, a + self._chunk)
+            phi = TensorField(self.cache, "s0", self.p, self.colours[chunk])
+            for stack, image in zip(stacks, apply(phi)):
+                stack[chunk] = image
+        return stacks
 
     def mass(self):
         """Sector blocks of the mass matrix M, held as views of one stack per
@@ -443,8 +527,8 @@ class Galerkin:
             raise SpectralError(f"{handle.name} is not an endomorphism")
         if (handle.cache, handle.domain_rank) != (self.cache, self.p):
             raise SpectralError("basis bundle does not match the handle domain")
-        images = self._cut(self._apply(handle))
-        return self._pair(self._colour_hat, images, handle.domain_weights())
+        (images,) = self._probe(lambda phi: [handle.apply(phi).data], [(self.t,)])
+        return self._pair(self._colour_hat, self._cut(images), handle.domain_weights())
 
     def gram(self, names):
         """Sector blocks of the stacked system named by `names` (pieces of
@@ -458,15 +542,13 @@ class Galerkin:
         return [sum(blocks) for blocks in zip(*(self._grams[name] for name in names))]
 
     def _build_gram(self):
-        # one stack per piece, filled as each colour is decomposed, so no
-        # colour's whole decomposition outlives its loop iteration
-        stacks = {piece: np.empty(self.colours.shape[:-1]
-                                  + fields.fiber_shape(self.cache.n, tag, self.p + shift))
-                  for piece, (tag, shift) in _SPLIT.items()}
-        for k, c in enumerate(self.colours):
-            sp = gradients.decompose(TensorField(self.cache, "s0", self.p, c))
-            for piece, stack in stacks.items():
-                stack[k] = getattr(sp, piece).data
+        # one stack per piece, filled chunk by chunk from one decompose of
+        # each chunk of colours
+        def split(phi):
+            sp = gradients.decompose(phi)
+            return [getattr(sp, piece).data for piece in _SPLIT]
+
+        stacks = dict(zip(_SPLIT, self._probe(split, self._piece_shapes())))
         for piece, (tag, shift) in _SPLIT.items():
             hat = self._cut(stacks.pop(piece))
             w = weight_vector(self.cache, tag, self.p + shift)

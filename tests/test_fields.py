@@ -65,6 +65,26 @@ def test_field_shape_validation():
     assert z.data.shape == (16, 16, 2, 2)
 
 
+def test_batch_axes_lead_the_grid():
+    cache = make_cache()
+    assert zero_field(cache, 2).batch_shape == ()
+    stack = TensorField(cache, "cov_s0", 2, np.zeros((3, 4, 16, 16, 2, 2)))
+    assert stack.batch_shape == (3, 4)
+    with pytest.raises(FieldError, match="batch"):
+        TensorField(cache, "s0", 2, np.zeros((3, 16, 16, 3)))
+
+
+def test_l2_pairings_refuse_batches():
+    cache = make_cache()
+    phi = unit_field(cache, 2, band=4, rng=np.random.default_rng(0))
+    batch = TensorField(cache, "s0", 2, np.stack([phi.data] * 3))
+    for a, b in ((batch, batch), (phi, batch), (batch, phi)):
+        with pytest.raises(FieldError, match="batch"):
+            l2_inner(a, b)
+    with pytest.raises(FieldError, match="batch"):
+        l2_norm(batch)
+
+
 # ---------------------------------------------------------------------------
 # gradient
 # ---------------------------------------------------------------------------

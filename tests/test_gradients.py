@@ -164,6 +164,24 @@ def test_d1_wrong_divergence_sign_raises():
         d1(phi, Conventions(delta_sign=-1.0))
 
 
+@pytest.mark.parametrize("metric", ["flat", "conformal"])
+def test_d1_trace_guard_holds_each_batch_member(metric):
+    # member 1 of the batch carries the wrong divergence sign.  Member 0 has
+    # a gradient 1e8 times larger, which must not hide member 1's trace
+    # residual: each member is held to its own gradient.
+    cache = make_cache(metric=metric)
+    p = 2
+    data = np.stack([random_field(cache, p, seed=s).data for s in range(3)])
+    data[0] *= 1e8
+    phi = fields.TensorField(cache, "s0", p, data)
+    X = fields._grad_apply(cache, p, data)
+    dphi = fields._contract_apply(cache, p, X)
+    assert gradients._d1_from_grad(phi, X, dphi).batch_shape == (3,)
+    dphi[1] *= -1.0
+    with pytest.raises(ConventionError, match="trace residual"):
+        gradients._d1_from_grad(phi, X, dphi)
+
+
 def test_d1_wrong_sign_raises_conformal_too():
     cache = make_cache(2, 16, "conformal")
     phi = random_field(cache, 1, seed=2)

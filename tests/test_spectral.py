@@ -6,6 +6,11 @@ checked against direct mode application."""
 import csv
 import itertools
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -166,24 +171,24 @@ def test_dof_cap_enforced(monkeypatch):
 
 def test_assemble_caches_matrix(monkeypatch):
     # the mass, the Grams and each joint eigendecomposition are built once;
-    # every Gram comes from one decomposition per colour, through no handle
+    # every Gram comes from decomposing each colour once, through no handle
     cache = make_cache(2, 8, metric="conformal")
     gal = Galerkin(cache, 1)
-    calls = []
+    decomposed = []
     decompose = gradients.decompose
     monkeypatch.setattr(gradients, "decompose",
-                        lambda phi: calls.append(phi) or decompose(phi))
+                        lambda phi: decomposed.append(len(phi.data)) or decompose(phi))
     monkeypatch.setattr(spectral, "handle_by_name", None)
-    gal._apply = None
+    monkeypatch.setattr(spectral.OperatorHandle, "apply_vector", None)
     first = gal.gram(["d1", "divergence"])
     eig = gal.joint_eigen(["d1", "divergence"])
-    assert len(calls) == len(gal.colours)
+    assert sum(decomposed) == len(gal.colours)
     for B, again in zip(first, gal.gram(["d1", "divergence"])):
         assert np.array_equal(B, again)
     assert gal.joint_eigen(["d1", "divergence"]) is eig
     gal.gram(["d2", "d3"])
     assert gal.mass() is gal.mass()
-    assert len(calls) == len(gal.colours)
+    assert sum(decomposed) == len(gal.colours)
     with pytest.raises(SpectralError, match="rough_laplacian"):
         gal.gram(["d1", "rough_laplacian"])
 
@@ -271,6 +276,40 @@ def test_batched_eigensolve_gates_each_sector():
     G[3] += E - E.T
     with pytest.raises(SpectralError, match=f"in 1 of {len(G)} pencils"):
         spectral._eigh_pencil(G, M, scale=scale)
+
+
+# flat (every axis invariant), one invariant axis fewer than n, none
+ADMISSION_CASES = [
+    (2, 12, None, 2), (3, 8, None, 1),
+    (2, 16, "0.1*cos(x1)", 2), (3, 8, "0.05*cos(x1)", 2),
+    (2, 8, "0.1*cos(x1)+0.05*sin(x2)", 1), (2, 12, "0.1*cos(x1)+0.05*sin(x2)", 2),
+]
+
+
+@pytest.mark.parametrize("n,size,f_text,p", ADMISSION_CASES)
+def test_galerkin_admission_covers_the_peak(n, size, f_text, p):
+    # the estimate bounds the traced peak of a layer's whole life in a
+    # kernel run: build, Gram build, the d1* d1 form and every solve
+    cache = make_cache(n, size, metric="flat" if f_text is None else "conformal",
+                       f_text=f_text)
+    names = (["d1"], ["d1", "divergence"], ["d2", "d3"], ["divergence"])
+
+    def run():
+        gal = Galerkin(cache, p)
+        spectrum(d1_star_d1_handle(cache, p), n_eigs=None, galerkin=gal)
+        for system in names:
+            gal.joint_eigen(system)
+        return gal
+
+    run()  # fill the per-(n, p) structure caches outside the trace
+    tracemalloc.start()
+    try:
+        gal = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    need = gal._bytes_before_solve(len(gal.colours) // gal.t)
+    assert peak <= need
 
 
 def test_galerkin_admission_counts_the_reduction():
@@ -406,6 +445,107 @@ def test_galerkin_sectors_match_dense_reference(n, p, f_text, method):
     assert np.max(np.abs(rep.eigenvalues - ref)) <= 1e-10 * ref[-1]
 
 
+def full_spectrum_blocks(gal, left, right, weights):
+    """Reference sector blocks from the full FFT along the invariant axes:
+    every sector keeps the bins +|m_j| and -|m_j| on each invariant axis and
+    every index on the others, and each pairing counts once."""
+    spec = gal.cache.spec
+    axes = [1 + a for a in gal.axes]
+    L = np.fft.fftn(left, axes=axes).reshape(len(left), spec.num_points, -1)
+    R = np.fft.fftn(right, axes=axes).reshape(len(right), spec.num_points, -1)
+    w = weights.reshape(spec.num_points, -1)
+    norm = math.prod(spec.sizes[a] for a in gal.axes)
+    out = []
+    for ix in gal.sectors:
+        j = ix[0] // gal.t
+        m = gal.basis.modes[(j - 1) // 2] if j else (0,) * spec.n
+        per_axis = [sorted({abs(m[a]), -abs(m[a]) % size}) if a in gal.axes else range(size)
+                    for a, size in enumerate(spec.sizes)]
+        g = np.ravel_multi_index(np.ix_(*per_axis), spec.shape).ravel()
+        Ls = L[: len(ix)].take(g, axis=1).reshape(len(ix), -1)
+        Rs = R[: len(ix)].take(g, axis=1).reshape(len(ix), -1)
+        out.append(((Ls.conj() * w.take(g, axis=0).ravel()) @ Rs.T).real / norm)
+    return out
+
+
+def assert_blocks_close(blocks, ref):
+    scale = max(float(np.max(np.abs(B))) for B in ref)
+    for B, R in zip(blocks, ref):
+        assert B.shape == R.shape
+        assert np.max(np.abs(B - R)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("n,f_text", [(2, None), (2, "0.1*cos(x1)"), (3, None),
+                                      (3, "0.05*cos(x1)")])
+def test_half_spectrum_blocks_match_full_spectrum(n, f_text):
+    # one, two and three invariant axes: the real axis keeps bin +|m| and
+    # counts a nonzero bin twice, the other invariant axes keep both signs
+    cache = make_cache(n, 8, metric="flat" if f_text is None else "conformal",
+                       f_text=f_text)
+    p = 2
+    gal = Galerkin(cache, p)
+    colours = gal.colours
+    assert_blocks_close(gal.mass(), full_spectrum_blocks(
+        gal, colours, colours, weight_vector(cache, "s0", p)))
+    sp = gradients.decompose(TensorField(cache, "s0", p, colours))
+    for piece, (tag, shift) in spectral._SPLIT.items():
+        images = getattr(sp, piece).data
+        assert_blocks_close(gal.gram([piece]), full_spectrum_blocks(
+            gal, images, images, weight_vector(cache, tag, p + shift)))
+    h = d1_star_d1_handle(cache, p)
+    images = h.apply(TensorField(cache, "s0", p, colours)).data
+    assert_blocks_close(gal.form(h), full_spectrum_blocks(
+        gal, colours, images, h.domain_weights()))
+
+
+# n = 2 at p = 2 has d3 = 0 identically: every output is held to the scale
+# of the gradient as well as its own
+BATCH_CASES = [(2, 1, None, "spectral"), (2, 2, "0.1*cos(x1)", "spectral"),
+               (2, 1, "0.1*cos(x1)+0.05*sin(x2)", "fd4"), (3, 2, None, "spectral"),
+               (3, 1, "0.05*cos(x1)", "spectral")]
+
+
+@pytest.mark.parametrize("n,p,f_text,method", BATCH_CASES)
+def test_batched_operators_match_single_fields(n, p, f_text, method):
+    cache = make_cache(n, 8, metric="flat" if f_text is None else "conformal",
+                       f_text=f_text, method=method)
+    t = fiber.tracefree_dim(n, p)
+    data = np.random.default_rng(5).standard_normal((3,) + cache.spec.shape + (t,))
+    batch = TensorField(cache, "s0", p, data)
+    singles = [TensorField(cache, "s0", p, d) for d in data]
+    splits = [gradients.decompose(phi) for phi in singles]
+    floor = max(float(np.max(np.abs(sp.grad.data))) for sp in splits)
+
+    def assert_stacked(got, ref):
+        ref = np.stack(ref)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-13 * max(float(np.max(np.abs(ref))), floor)
+
+    sp = gradients.decompose(batch)
+    for piece in ("grad", "d1", "d2", "d3", "divergence"):
+        assert_stacked(getattr(sp, piece).data, [getattr(one, piece).data for one in splits])
+    for name in spectral.HANDLE_NAMES:
+        h = spectral.handle_by_name(cache, p, name)
+        assert_stacked(h.apply(batch).data, [h.apply(phi).data for phi in singles])
+
+
+def test_galerkin_build_leaves_numpy_ma_unimported():
+    # numpy.ma takes ~20 ms to import, and no layer of the program needs it
+    code = ("import sys\n"
+            "from gradlab import spectral\n"
+            "from gradlab.expressions import parse_trig_poly\n"
+            "from gradlab.geometry import GridSpec, build_geometry\n"
+            "cache = build_geometry(GridSpec(2, (8, 8)), parse_trig_poly('0.1*cos(x1)'))\n"
+            "spectral.Galerkin(cache, 1)\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = str(Path(spectral.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
+
+
 def test_galerkin_stacked_gram_is_sum_of_blocks():
     cache = make_cache(2, 8, metric="conformal")
     gal = Galerkin(cache, 2)
@@ -418,18 +558,19 @@ def test_galerkin_stacked_gram_is_sum_of_blocks():
     (None, 8), ("0.1*cos(x1)", 124), ("0.1*cos(x1)+0.05*sin(x2)", 31 * 31 * 2),
 ])
 def test_galerkin_applies_once_per_colour(f_text, largest):
-    # one application per colour, and as many colours as the largest sector
+    # each colour is applied once, and there are as many colours as the
+    # largest sector has columns
     cache = make_cache(2, 32, metric="flat" if f_text is None else "conformal",
                        f_text=f_text)
     gal = Galerkin(cache, 1)
     assert len(gal.colours) == max(len(ix) for ix in gal.sectors) == largest
     if f_text is None:
-        calls = []
+        applied = []
         h = rough_laplacian_handle(cache, 1)
         apply = h.apply
-        h.apply = lambda phi: calls.append(1) or apply(phi)
+        h.apply = lambda phi: applied.append(len(phi.data)) or apply(phi)
         rep = spectrum(h, n_eigs=None, galerkin=gal)
-        assert len(calls) == largest
+        assert sum(applied) == largest
         oracle = laplace_multiset(gal.basis)
         assert np.max(np.abs(rep.eigenvalues - oracle)) < 1e-8 * oracle[-1]
 
@@ -499,6 +640,21 @@ def test_half_modes_one_per_pair():
     assert len(modes) == (5 * 3 - 1) // 2
     assert len(set(modes) | {tuple(-v for v in m) for m in modes}) == 2 * len(modes)
     assert modes == sorted(modes)
+
+
+def reference_half_modes(bands):
+    """The enumeration by definition: every mode of the box in
+    lexicographic order, kept when its first nonzero entry is positive."""
+    return [m for m in itertools.product(*(range(-b, b + 1) for b in bands))
+            if next((v for v in m if v != 0), 0) > 0]
+
+
+@pytest.mark.parametrize("bands", [[2, 1], (3, 3), [0, 2], (2, 0), [1], (0, 0),
+                                   [4, 0, 2], (3, 3, 3), [1, 2, 1, 1]])
+def test_half_modes_match_the_enumeration(bands):
+    modes = spectral.half_modes(bands)
+    assert modes == reference_half_modes(bands)
+    assert all(type(v) is int for m in modes for v in m)
 
 
 # ---------------------------------------------------------------------------
