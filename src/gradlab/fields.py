@@ -10,9 +10,11 @@ Fields store fiber coordinates per grid point under one of four tags:
 
 The data may carry leading batch axes, (*batch, *grid, *fiber): a stack of
 fields on one grid.  Every operator that `gradients.decompose` and the
-registry handles of `spectral` reach acts on each member of a stack
-independently, with the arithmetic of a single field; the L2 pairings
-(`l2_inner`, `l2_norm`) take single fields only.
+registry handles of `spectral` reach, both routes of `rough_laplacian` and
+of `gradients.weitzenbock_K`, and the projector and Ahlfors oracles of
+`gradients` act on each member of a stack independently, with the
+arithmetic of a single field; the L2 pairings (`l2_inner`, `l2_norm`) take
+single fields only.
 
 Every metric is g = e^{2f} delta, given by its exponent f
 (`GeometryCache.exponent`; f = 0 is flat).  There the fiber Gram matrix
@@ -31,6 +33,11 @@ constant fiber matrices C_l: one matmul over the fiber axes, then a
 contraction with h.  Flat metrics have h = None and skip the connection
 entirely.  Coordinate derivatives come from `geometry.differentiate`
 (a dense circulant matrix, or the fd4 stencil).
+
+Every other fiber contraction is one matmul too: the field's (n, t) fiber
+axes are merged (`_merged`) and the cached (rows, n, t) structure tensor
+is viewed as a (rows, n * t) matrix (`_slots`), so each contraction runs
+in BLAS with no second cached layout.
 
 Adjoints come in two flavors, kept deliberately separate: exact
 weighted transposes of the discrete operators (machine-precision
@@ -175,9 +182,9 @@ def l2_inner(a: TensorField, b: TensorField):
     w = fiber_weight_scalar(a.cache, a.tag, a.rank)
     prod = a.data * b.data
     if a.tag in ("s", "cov_s"):
-        prod = prod * fiber.multiplicities(a.n, a.rank)
-    fiber_axes = tuple(range(w.ndim, prod.ndim))
-    return float(np.sum(prod.sum(axis=fiber_axes) * w))
+        prod *= fiber.multiplicities(a.n, a.rank)
+    # one weighted dot over the grid points, then the fiber sum
+    return float(np.sum(w.ravel() @ prod.reshape(w.size, -1)))
 
 
 def l2_norm(a: TensorField):
@@ -213,9 +220,19 @@ def _sym_insert_expanded(n, p):
     return np.ascontiguousarray(np.einsum("JiA,Aa->Jia", Sm, Bp))
 
 
+def _slots(T):
+    """A cached (rows, n, cols) structure tensor viewed as (rows, n * cols)."""
+    return T.reshape(len(T), -1)
+
+
+def _merged(X):
+    """Fiber data (..., n, t) with its two fiber axes merged, (..., n * t)."""
+    return X.reshape(X.shape[:-2] + (-1,))
+
+
 def _sym_apply(n, p, X):
-    """Monomial rank p+1 symmetrization of a trace-free gradient X (*grid, i, a)."""
-    return np.einsum("Jia,...ia->...J", _sym_insert_expanded(n, p), X, optimize=True)
+    """Monomial rank p+1 symmetrization of a trace-free gradient X (..., i, a)."""
+    return _merged(X) @ _slots(_sym_insert_expanded(n, p)).T
 
 
 @lru_cache(maxsize=None)
@@ -301,14 +318,14 @@ def gradient_adjoint(X: TensorField):
 # ---------------------------------------------------------------------------
 
 def _contract_apply(cache, p, X):
-    out = -np.einsum("bia,...ia->...b", _k0(cache.n, p), X)
-    factor = cache.conformal_factor(-2.0)
-    return _scale(out, factor, 1)
+    out = _merged(X) @ -_slots(_k0(cache.n, p)).T
+    return _scale(out, cache.conformal_factor(-2.0), 1)
 
 
 def _contract_transpose(cache, p, y):
     y = _scale(y, cache.conformal_factor(-2.0), 1)
-    return -np.einsum("bia,...b->...ia", _k0(cache.n, p), y)
+    K = _k0(cache.n, p)
+    return (y @ -_slots(K)).reshape(y.shape[:-1] + K.shape[1:])
 
 
 def divergence(phi: TensorField):
@@ -325,9 +342,8 @@ def divergence(phi: TensorField):
         return TensorField(phi.cache, "s0", phi.rank - 1, out)
     if phi.tag == "s":
         cache, p, n = phi.cache, phi.rank, phi.n
-        X = gradient(phi).data  # (*grid, i, A) monomial
-        Kc = fiber.div_contract_tensor(n, p)
-        out = -np.einsum("BiA,...iA->...B", Kc, X)
+        X = gradient(phi).data  # (..., i, A) monomial
+        out = _merged(X) @ -_slots(fiber.div_contract_tensor(n, p)).T
         out = _scale(out, cache.conformal_factor(-2.0), 1)
         return TensorField(cache, "s", p - 1, out)
     raise FieldError("divergence expects an 's' or 's0' field")
@@ -370,7 +386,8 @@ def sym_derivative_exact_adjoint(omega: TensorField):
     w_cod = fiber_weight_scalar(cache, "s", p + 1)
     w_dom = fiber_weight_scalar(cache, "s0", p)
     y = omega.data * fiber.multiplicities(cache.n, p + 1) * w_cod[..., None]
-    X = np.einsum("Jia,...J->...ia", _sym_insert_expanded(cache.n, p), y, optimize=True)
+    S = _sym_insert_expanded(cache.n, p)
+    X = (y @ _slots(S)).reshape(y.shape[:-1] + S.shape[1:])
     Z = _grad_s0_transpose(cache, p, X)
     return TensorField(cache, "s0", p, Z / w_dom[..., None])
 
@@ -394,9 +411,12 @@ def rough_laplacian(phi: TensorField, route="adjoint"):
         raise FieldError(f"unknown route {route!r}")
     cache, p, n = phi.cache, phi.rank, phi.n
     spec = cache.spec
-    X = _grad_apply(cache, p, phi.data)  # (*grid, j, a)
+    batch = len(phi.batch_shape)
+    X = _grad_apply(cache, p, phi.data)  # (..., j, a)
     # sum_i (nabla_i X)_{i, J}: derivative, covariant-slot and symmetric-slot terms
-    out = -sum(differentiate(X[..., i, :], i, spec, cache.method) for i in range(n))
+    out = -sum(
+        differentiate(X[..., i, :], i, spec, cache.method, batch) for i in range(n)
+    )
     h = cache.conformal_h
     if h is not None:
         # the covariant slot adds sum_i Gamma^k_ii = (2 - n) h_k, which is

@@ -289,8 +289,9 @@ def _metric_geometry(spec: GridSpec, g, method):
             + np.einsum("...rml,...lvs->...rsmv", gamma, gamma)
             - np.einsum("...rvl,...lms->...rsmv", gamma, gamma)
         )
-        riemann = np.einsum("...ir,...rsmv->...ismv", g, r_up)
-        ricci = np.einsum("...msmv->...sv", r_up)
+        # C order, so that the curvature route flattens them without a copy
+        riemann = np.einsum("...ir,...rsmv->...ismv", g, r_up, order="C")
+        ricci = np.einsum("...msmv->...sv", r_up, order="C")
         scalar = np.einsum("...sv,...sv->...", g_inv, ricci)
         weights = spec.cell_volume * sqrt_det
 

@@ -184,7 +184,7 @@ def _d2_literal_mono(n, p):
 def _d2_structure(n, p):
     """K2[i, a, b]: the literal reinsertion rows compressed to trace-free bases."""
     _, Cp = fiber.tracefree_basis(n, p)
-    K2 = np.einsum("aA,iAb->iab", Cp, _d2_literal_mono(n, p))
+    K2 = np.ascontiguousarray(np.einsum("aA,iAb->iab", Cp, _d2_literal_mono(n, p)))
     K2.flags.writeable = False
     return K2
 
@@ -261,7 +261,9 @@ def d2(phi: TensorField, conventions: Conventions = DEFAULT_CONVENTIONS):
 
 
 def _d2_from_delta(cache, p, dphi_coords, scale=1.0):
-    out = -np.einsum("iab,...b->...ia", _d2_structure(cache.n, p), dphi_coords)
+    K2 = _d2_structure(cache.n, p)
+    out = dphi_coords @ -K2.reshape(-1, K2.shape[-1]).T
+    out = out.reshape(dphi_coords.shape[:-1] + K2.shape[:2])
     out = fields._scale(out, cache.conformal_factor(2.0), 2)
     return out if scale == 1.0 else scale * out
 
@@ -390,7 +392,7 @@ def projector_components(X: TensorField):
         raise FieldError("projector_components expects a 'cov_s0' field")
     cache = X.cache
     parts = {}
-    flat = X.data.reshape(cache.spec.shape + (-1,))
+    flat = fields._merged(X.data)
     for name, P in zip("ABC", fiber.flat_projector_matrices(X.n, X.rank)):
         parts[name] = TensorField(
             cache, "cov_s0", X.rank, (flat @ P.T).reshape(X.data.shape)
@@ -439,7 +441,8 @@ def d2_exact_adjoint(X: TensorField):
     if X.tag != "cov_s0":
         raise FieldError("d2_exact_adjoint expects a 'cov_s0' field")
     cache, p = X.cache, X.rank
-    y = -np.einsum("iab,...ia->...b", _d2_structure(X.n, p), X.data)
+    K2 = _d2_structure(X.n, p)
+    y = fields._merged(X.data) @ -K2.reshape(-1, K2.shape[-1])
     y = fields._scale(y, cache.conformal_factor(-2.0), 1)
     return fields.divergence_exact_adjoint(TensorField(cache, "s0", p - 1, y))
 
@@ -503,22 +506,22 @@ def weitzenbock_K(phi: TensorField, route: str = "operational"):
     mono = phi.monomial()
     P, m = cache.spec.num_points, mono.shape[-1]
     S1, S2 = _curvature_slot_matrices(n, p)
-    T1 = np.einsum("...jm,...mk->...jk", cache.ricci, cache.g_inv).reshape(P, n * n)
+    # g^{-1} = e^{-2f} delta raises each index by e^{-2f}:
+    # R_j^k = e^{-2f} R_jk and R_j^k_l^s = e^{-4f} R_jkls
+    T1 = fields._scale(cache.ricci, cache.conformal_factor(-2.0), 2).reshape(P, n * n)
     if p >= 2:
-        T2 = np.einsum(
-            "...jalb,...ak,...bs->...jkls",
-            cache.riemann, cache.g_inv, cache.g_inv, optimize=True,
-        ).reshape(P, n**4)
-    x = mono.reshape(P, m, 1)
+        T2 = fields._scale(cache.riemann, cache.conformal_factor(-4.0), 4).reshape(P, n**4)
+    x = mono.reshape(-1, P, m, 1)
     out = np.empty_like(x)
     # pointwise (m, m) curvature matrices and a batched matvec, one block of
-    # points at a time so that the whole (P, m, m) stack is never held
+    # points at a time so that the whole (P, m, m) stack is never held; the
+    # batch axes lead and share each block's matrices
     for b in range(0, P, _CURVATURE_BLOCK):
         rows = slice(b, b + _CURVATURE_BLOCK)
         K = T1[rows] @ S1
         if p >= 2:
             K -= T2[rows] @ S2
-        np.matmul(K.reshape(-1, m, m), x[rows], out=out[rows])
+        np.matmul(K.reshape(-1, m, m), x[:, rows], out=out[:, rows])
     return fields.field_from_monomial(cache, p, out.reshape(mono.shape), tag="s0")
 
 
@@ -648,7 +651,7 @@ def ahlfors_deformation(phi: TensorField):
     trg = np.einsum("...ii->...", X)
     S = S - (2.0 / n) * trg[..., None, None] * np.eye(n)
     m = fiber.sym_dim(n, 2)
-    mono = np.empty(cache.spec.shape + (m,))
+    mono = np.empty(S.shape[:-2] + (m,))
     for A, (i, j) in enumerate(fiber.sym_indices(n, 2)):
         mono[..., A] = S[..., i, j]
     return fields.field_from_monomial(cache, 2, mono, tag="s0")

@@ -543,6 +543,37 @@ def test_curvature_route_matches_einsum(n, size, p, metric):
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("n,size", [(2, 16), (3, 12)])
+def test_conformal_index_raising_matches_g_inv(n, size):
+    # g^{-1} = e^{-2f} delta, so raising an index is a scalar factor: the
+    # curvature route's e^{-2f} Ricci and e^{-4f} Riemann against the
+    # generic contractions with the sampled inverse metric
+    cache = make_cache(n, size, "conformal")
+    f2, f4 = cache.conformal_factor(-2.0), cache.conformal_factor(-4.0)
+    assert np.max(np.abs(cache.g_inv - f2[..., None, None] * np.eye(n))) <= 1e-15
+    T1 = np.einsum("...jm,...mk->...jk", cache.ricci, cache.g_inv)
+    T2 = np.einsum("...jalb,...ak,...bs->...jkls",
+                   cache.riemann, cache.g_inv, cache.g_inv, optimize=True)
+    for got, ref in ((fields._scale(cache.ricci, f2, 2), T1),
+                     (fields._scale(cache.riemann, f4, 4), T2)):
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_curvature_route_is_zero_on_zero_curvature(n, p):
+    # fd4 differentiates the constant flat metric exactly, so the sampled
+    # curvature is exactly zero and so is the route, single and stacked
+    cache = make_cache(n, 8, "flat", method="fd4")
+    assert not np.any(cache.riemann) and not np.any(cache.ricci)
+    t = fiber.tracefree_dim(n, p)
+    data = np.random.default_rng(p).standard_normal((2,) + cache.spec.shape + (t,))
+    for phi in (fields.TensorField(cache, "s0", p, data),
+                fields.TensorField(cache, "s0", p, data[0])):
+        K = weitzenbock_K(phi, route="curvature").data
+        assert K.shape == phi.data.shape and not np.any(K)
+
+
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_curvature_term_2d_scalar_action(p):
     # on a conformal 2-torus the curvature term acts as p^2 K (Gauss curvature)
@@ -681,3 +712,61 @@ def test_double_divergence_is_generically_nonzero():
     r = l2_norm(fields.divergence(fields.divergence(phi))) / l2_norm(phi)
     assert np.isfinite(r)
     assert r > 1e-3
+
+
+# ---------------------------------------------------------------------------
+# fiber contractions: each one matmul, against the einsum it replaced
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("batch", [(), (2,)], ids=["single", "stacked"])
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_fiber_contractions_match_einsum(n, p, batch):
+    cache = make_cache(n, 8, "conformal")
+    rng = np.random.default_rng(10 * n + p)
+    lead = batch + cache.spec.shape
+    t, t_low = fiber.tracefree_dim(n, p), fiber.tracefree_dim(n, p - 1)
+    X = rng.standard_normal(lead + (n, t))
+    y = rng.standard_normal(lead + (t_low,))
+    omega = rng.standard_normal(lead + (fiber.sym_dim(n, p + 1),))
+    phi_s = rng.standard_normal(lead + (fiber.sym_dim(n, p),))
+
+    def scaled(values, power, extra_axes):
+        return fields._scale(values, cache.conformal_factor(power), extra_axes)
+
+    S = fields._sym_insert_expanded(n, p)
+    K0 = fields._k0(n, p)
+    K2 = gradients._d2_structure(n, p)
+    Kc = fiber.div_contract_tensor(n, p)
+
+    # sym_derivative_exact_adjoint through the einsum
+    w_cod = fields.fiber_weight_scalar(cache, "s", p + 1)
+    w_dom = fields.fiber_weight_scalar(cache, "s0", p)
+    yy = omega * fiber.multiplicities(n, p + 1) * w_cod[..., None]
+    sym_adj = fields._grad_s0_transpose(
+        cache, p, np.einsum("Jia,...J->...ia", S, yy, optimize=True)
+    ) / w_dom[..., None]
+    # d2_exact_adjoint through the einsum
+    y2 = scaled(-np.einsum("iab,...ia->...b", K2, X), -2.0, 1)
+    d2_adj = fields.divergence_exact_adjoint(fields.TensorField(cache, "s0", p - 1, y2))
+    # the 's'-tag divergence through the einsum
+    grad_s = fields.gradient(fields.TensorField(cache, "s", p, phi_s)).data
+    div_s = scaled(-np.einsum("BiA,...iA->...B", Kc, grad_s), -2.0, 1)
+
+    pairs = [
+        (fields._sym_apply(n, p, X), np.einsum("Jia,...ia->...J", S, X, optimize=True)),
+        (fields._contract_apply(cache, p, X),
+         scaled(-np.einsum("bia,...ia->...b", K0, X), -2.0, 1)),
+        (fields._contract_transpose(cache, p, y),
+         -np.einsum("bia,...b->...ia", K0, scaled(y, -2.0, 1))),
+        (fields.sym_derivative_exact_adjoint(
+            fields.TensorField(cache, "s", p + 1, omega)).data, sym_adj),
+        (gradients._d2_from_delta(cache, p, y),
+         scaled(-np.einsum("iab,...b->...ia", K2, y), 2.0, 2)),
+        (gradients.d2_exact_adjoint(fields.TensorField(cache, "cov_s0", p, X)).data,
+         d2_adj.data),
+        (fields.divergence(fields.TensorField(cache, "s", p, phi_s)).data, div_s),
+    ]
+    for got, ref in pairs:
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))

@@ -5,9 +5,10 @@ overrides of its benchmark workload, and the exit code and status of every
 suite/check id that `gradlab check` produced per config seed.  Here the
 call for config seed 1 runs in-process and must give every check id of
 that map its status, so a status drift fails this suite before it fails a
-benchmark run.  As in the benchmark's gate, a check id the reference does
-not know (one added after the capture) is not gated.  The reference files
-are only read.
+benchmark run.  A check id the reference does not know (one added after the
+capture) has no status to keep, but it must not fail: the benchmark's gate
+only lists such ids, so this is the one place that gates them.  The
+reference files are only read.
 """
 
 import json
@@ -44,6 +45,10 @@ def test_check_matches_reference_statuses(path, tmp_path):
     for pair in [*ref["overrides"], "seed=1"]:
         argv += ["--override", pair]
     code = cli.main(argv, out=StringIO())
-    assert code == expected["exit"]
+    # the statuses first, so that a failure names the check id
     statuses = report_statuses(tmp_path)
     assert {k: statuses.get(k) for k in expected["statuses"]} == expected["statuses"]
+    unlisted_failing = [k for k, v in statuses.items()
+                        if k not in expected["statuses"] and v == "fail"]
+    assert unlisted_failing == []
+    assert code == expected["exit"]

@@ -527,6 +527,18 @@ def test_batched_operators_match_single_fields(n, p, f_text, method):
     for name in spectral.HANDLE_NAMES:
         h = spectral.handle_by_name(cache, p, name)
         assert_stacked(h.apply(batch).data, [h.apply(phi).data for phi in singles])
+    # the independent routes and oracles that no handle reaches
+    assert_stacked(fields.rough_laplacian(batch, route="formula").data,
+                   [fields.rough_laplacian(phi, route="formula").data for phi in singles])
+    assert_stacked(gradients.weitzenbock_K(batch, route="curvature").data,
+                   [gradients.weitzenbock_K(phi, route="curvature").data for phi in singles])
+    parts = gradients.projector_components(sp.grad)
+    for name in "ABC":
+        assert_stacked(parts[name].data, [gradients.projector_components(one.grad)[name].data
+                                          for one in splits])
+    if p == 1:
+        assert_stacked(gradients.ahlfors_deformation(batch).data,
+                       [gradients.ahlfors_deformation(phi).data for phi in singles])
 
 
 def test_galerkin_build_leaves_numpy_ma_unimported():
