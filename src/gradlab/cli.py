@@ -4,6 +4,11 @@ A thin shell over the other modules: it parses arguments and config files,
 dispatches to the harness, writes report files, and maps suite status to
 exit codes.  It performs no numerical work of its own.
 
+Three verbs: `info` prints the fiber dimension table, `check` runs the
+suites a config names (one suite: `--override suites=kernel`), and
+`symbol` scans a principal symbol at the config's first rank (another
+rank: `--override ranks=N`).
+
 Exit codes: 0 all mandatory checks pass, 1 failures, 2 usage/config error,
 3 indeterminate results only.
 """
@@ -87,34 +92,15 @@ def _cmd_check(args, out):
     return _exit_code(reports)
 
 
-def _cmd_kernel(args, out):
-    cfg = _load_config(args)
-    report = harness.kernel_experiment(cfg)
-    _summarize(report, out)
-    _write_reports([report], args.out, out)
-    return _exit_code([report])
-
-
-def _cmd_converge(args, out):
-    cfg = _load_config(args)
-    report = harness.convergence_study(cfg)
-    _summarize(report, out)
-    _write_reports([report], args.out, out)
-    return _exit_code([report])
-
-
 def _cmd_symbol(args, out):
     if args.directions < 1:
         print(f"symbol: --directions must be >= 1, got {args.directions}", file=sys.stderr)
         return EXIT_USAGE
     cfg = _load_config(args)
-    if args.rank is not None:
-        # --rank goes through the config's own rank validation
-        cfg = apply_overrides(cfg, [f"ranks={args.rank}"])
     rank = cfg.ranks[0]
     cache = harness.build_cache(cfg, cfg.sizes[-1])
     handle = spectral.handle_by_name(cache, rank, args.operator)
-    out_dir = args.out or os.environ.get("GRADLAB_OUT") or "."
+    out_dir = harness.output_dir(args.out)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"symbol_{args.operator}_p{rank}.csv")
     reports = spectral.symbol_scan_to_csv(
@@ -150,16 +136,11 @@ def build_parser():
 
     p_check = sub.add_parser("check", help="run the suites named in the config")
     add_common(p_check)
-    p_kernel = sub.add_parser("kernel", help="run the kernel-counting experiment")
-    add_common(p_kernel)
-    p_conv = sub.add_parser("converge", help="run the convergence study")
-    add_common(p_conv)
-    p_sym = sub.add_parser("symbol", help="scan a principal symbol over directions")
+    p_sym = sub.add_parser("symbol", help="scan a principal symbol over directions, "
+                                          "at the config's first rank")
     add_common(p_sym)
     p_sym.add_argument("--operator", default="d1_star_d1",
                        help="operator name from the handle registry")
-    p_sym.add_argument("--rank", type=int, default=None,
-                       help="tensor rank (default: first rank in the config)")
     p_sym.add_argument("--directions", type=int, default=64,
                        help="number of random unit directions")
     return parser
@@ -168,8 +149,6 @@ def build_parser():
 _COMMANDS = {
     "info": _cmd_info,
     "check": _cmd_check,
-    "kernel": _cmd_kernel,
-    "converge": _cmd_converge,
     "symbol": _cmd_symbol,
 }
 

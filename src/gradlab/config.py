@@ -5,6 +5,9 @@ deliberately trivial so configs diff cleanly and the parser has no edge
 cases worth testing beyond "unknown key" and "bad value".  Every field of
 ExperimentConfig has exactly one key, so a config round-trips through
 format_config/parse_config_text unchanged.
+
+The metric is one key: ``metric.conformal`` is the exponent f of
+g = e^{2f} delta, and its default 0 is the flat torus.
 """
 
 import dataclasses
@@ -40,7 +43,6 @@ DEFAULT_TOLERANCES = {
     "control_floor": 1e-3,
 }
 
-_METRICS = ("flat", "conformal")
 _METHODS = ("spectral", "fd4")
 _SUITES = ("identity", "kernel", "convergence")
 
@@ -49,13 +51,14 @@ _SUITES = ("identity", "kernel", "convergence")
 class ExperimentConfig:
     """Everything an experiment run depends on; value semantics, hashable-ish.
 
-    ``sizes`` must be even, >= 8, strictly increasing (the convergence
-    study additionally wants at least three).  ``tolerances`` holds only
-    the overrides; resolve through :meth:`tolerance`.
+    ``conformal_exponent`` is the trig polynomial f of the metric e^{2f}
+    delta; "0" is the flat torus.  ``sizes`` must be even, >= 8, strictly
+    increasing, and at least three when the convergence suite runs.
+    ``tolerances`` holds only the overrides; resolve through
+    :meth:`tolerance`.
     """
 
-    metric: str = "flat"
-    conformal_exponent: str = "0.1*cos(x1)"
+    conformal_exponent: str = "0"
     dimension: int = 2
     sizes: tuple = (16, 32)
     ranks: tuple = (1, 2)
@@ -66,8 +69,6 @@ class ExperimentConfig:
     tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.metric not in _METRICS:
-            raise ConfigError(f"metric.preset must be one of {_METRICS}: {self.metric!r}")
         try:
             parse_trig_poly(self.conformal_exponent)
         except ExpressionError as exc:
@@ -98,6 +99,8 @@ class ExperimentConfig:
             raise ConfigError(f"suites must be a nonempty subset of {_SUITES}: {suites}")
         if len(set(suites)) != len(suites):
             raise ConfigError(f"suites must be distinct: {suites}")
+        if "convergence" in suites and len(sizes) < 3:
+            raise ConfigError(f"the convergence suite needs >= 3 grid sizes: {sizes}")
         for name in self.tolerances:
             if name not in DEFAULT_TOLERANCES:
                 known = ", ".join(sorted(DEFAULT_TOLERANCES))
@@ -136,7 +139,6 @@ def _fmt_list(values):
 
 
 VALID_KEYS = {
-    "metric.preset": ("metric", str.strip, str),
     "metric.conformal": ("conformal_exponent", str.strip, str),
     "grid.dimension": ("dimension", int, str),
     "grid.sizes": ("sizes", _int_list, _fmt_list),

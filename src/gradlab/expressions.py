@@ -5,9 +5,10 @@ The only admissible expressions are finite sums
     c0 + c1*cos(k.x) + c2*sin(m.x) + ...
 
 with float amplitudes and integer wave vectors over variables x1, x2, ...
-Variables are angular: x<i> runs over one period, so a wave vector keeps
-the expression periodic for any torus lengths.  Evaluation takes the
-angular coordinates 2*pi*coord/length per axis; derivatives are exact.
+Variables are angular: x<i> runs over [0, 2*pi), the i-th coordinate of
+the torus (2*pi)^n, so integer wave vectors keep every expression
+periodic.  Evaluation takes those coordinates per axis; derivatives are
+exact.
 
 Parsing is a small recursive-descent scanner.  Nothing is ever eval'd.
 """
@@ -101,10 +102,6 @@ class TrigPoly:
         kept.sort(key=lambda t: (len(t.wave), t.wave, t.kind))
         self.terms = tuple(kept)
 
-    @classmethod
-    def constant(cls, value):
-        return cls([TrigTerm(float(value), "const", ())]) if value else cls([])
-
     @property
     def is_zero(self):
         return not self.terms
@@ -118,14 +115,6 @@ class TrigPoly:
 
     def __hash__(self):
         return hash(self.terms)
-
-    def __add__(self, other):
-        return TrigPoly(self.terms + other.terms)
-
-    def __mul__(self, scalar):
-        return TrigPoly(
-            [TrigTerm(t.coeff * scalar, t.kind, t.wave) for t in self.terms]
-        )
 
     def angular_derivative(self, axis):
         """d/d theta_axis, axis 0-based; exact on the term list."""

@@ -1,10 +1,11 @@
 """Periodic grids, derivative engines, metrics, and curvature.
 
-The manifolds are n-tori with the metric g = e^{2f} delta, f a trig
-polynomial: the exponent f is the whole description of a metric, and
-f = 0 is the flat torus.  Everything is sampled on a tensor-product
-lattice; derivatives are pseudo-spectral by default with a 4th-order
-stencil as the alternative.
+The manifolds are the tori (2 pi)^n with the metric g = e^{2f} delta, f a
+trig polynomial: the exponent f is the whole description of a metric, and
+f = 0 is the flat torus.  The coordinates x_i run over [0, 2 pi), so they
+are the angular variables of the trig polynomials.  Everything is sampled
+on a tensor-product lattice; derivatives are pseudo-spectral by default
+with a 4th-order stencil as the alternative.
 
 The spectral derivative along an axis is a cached dense circulant
 matrix (Nyquist bin zeroed) applied as one batched matmul, built from its
@@ -29,6 +30,9 @@ TWO_PI = 2.0 * math.pi
 # structural form that GeometryCache.conformal_h accepts (roundoff)
 STRUCTURE_TOL = 1e-12
 
+# largest lattice a GridSpec accepts, in grid points
+POINT_CAP = 2_000_000
+
 
 class GeometryError(RuntimeError):
     """Raised for invalid grids, an exponent that does not fit the grid, or
@@ -37,12 +41,10 @@ class GeometryError(RuntimeError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform periodic lattice on an n-torus."""
+    """Uniform periodic lattice on the n-torus (2*pi)^n."""
 
     n: int
     sizes: tuple
-    lengths: tuple = None
-    point_cap: int = 2_000_000
 
     def __post_init__(self):
         if self.n < 1:
@@ -52,17 +54,10 @@ class GridSpec:
             raise GeometryError(f"need {self.n} sizes, got {len(sizes)}")
         if any(s < 8 or s % 2 for s in sizes):
             raise GeometryError(f"sizes must be even and >= 8: {sizes}")
-        lengths = self.lengths
-        if lengths is None:
-            lengths = (TWO_PI,) * self.n
-        lengths = tuple(float(L) for L in lengths)
-        if len(lengths) != self.n or any(L <= 0 for L in lengths):
-            raise GeometryError(f"need {self.n} positive lengths: {lengths}")
         npts = math.prod(sizes)
-        if npts > self.point_cap:
-            raise GeometryError(f"{npts} grid points exceeds cap {self.point_cap}")
+        if npts > POINT_CAP:
+            raise GeometryError(f"{npts} grid points exceeds cap {POINT_CAP}")
         object.__setattr__(self, "sizes", sizes)
-        object.__setattr__(self, "lengths", lengths)
 
     @property
     def shape(self):
@@ -74,31 +69,16 @@ class GridSpec:
 
     @property
     def spacings(self):
-        return tuple(L / s for L, s in zip(self.lengths, self.sizes))
+        return tuple(TWO_PI / s for s in self.sizes)
 
     @property
     def cell_volume(self):
         return math.prod(self.spacings)
 
-    def axis_coords(self, axis):
-        N, L = self.sizes[axis], self.lengths[axis]
-        return np.arange(N) * (L / N)
-
     def theta_mesh(self):
-        """Angular coordinates 2*pi*x/L per axis, full mesh, shape (*grid,)."""
-        axes = [self.axis_coords(i) * (TWO_PI / self.lengths[i]) for i in range(self.n)]
+        """Angular coordinates per axis, full mesh, shape (*grid,)."""
+        axes = [np.arange(N) * (TWO_PI / N) for N in self.sizes]
         return np.meshgrid(*axes, indexing="ij")
-
-    def wavenumbers(self, axis):
-        """Spectral wavenumbers with the Nyquist bin zeroed.
-
-        Zeroing Nyquist keeps the derivative matrix real and exactly
-        antisymmetric, which the adjoint checks rely on.
-        """
-        N, L = self.sizes[axis], self.lengths[axis]
-        k = np.fft.fftfreq(N, d=1.0 / N) * (TWO_PI / L)
-        k[N // 2] = 0.0
-        return k
 
 
 @lru_cache(maxsize=None)
@@ -106,7 +86,7 @@ def _derivative_matrix(spec, axis):
     """Spectral derivative along `axis` as a dense N x N matrix.
 
     With the Nyquist bin zeroed the operator is the circulant D[j, k] =
-    c[(j - k) mod N], c[d] = (pi/L) (-1)^d cot(pi d/N) (Trefethen, Spectral
+    c[(j - k) mod N], c[d] = (1/2) (-1)^d cot(pi d/N) (Trefethen, Spectral
     Methods in MATLAB, ch. 3).  Only d < N/2 is evaluated and c[N - d] =
     -c[d] is set by negation, so D is exactly circulant and exactly
     antisymmetric; filling from cot(pi (j - k)/N) directly is neither in
@@ -114,10 +94,10 @@ def _derivative_matrix(spec, axis):
     It holds N^2 entries, no more than one scalar field on a grid of
     dimension >= 2.
     """
-    N, L = spec.sizes[axis], spec.lengths[axis]
+    N = spec.sizes[axis]
     d = np.arange(1, N // 2)
     c = np.zeros(N)
-    c[1 : N // 2] = (math.pi / L) * (-1.0) ** d / np.tan(math.pi * d / N)
+    c[1 : N // 2] = 0.5 * (-1.0) ** d / np.tan(math.pi * d / N)
     c[N // 2 + 1 :] = -c[N // 2 - 1 : 0 : -1]
     j = np.arange(N)
     D = c[(j[:, None] - j[None, :]) % N]
@@ -160,9 +140,8 @@ def evaluate_on_grid(poly: TrigPoly, spec: GridSpec):
 
 
 def coordinate_derivative(poly: TrigPoly, axis, spec):
-    """Analytic d/dx_axis on the grid: angular derivative times 2*pi/L."""
-    scale = TWO_PI / spec.lengths[axis]
-    return scale * evaluate_on_grid(poly.angular_derivative(axis), spec)
+    """Analytic d/dx_axis on the grid; the coordinates are the angles."""
+    return evaluate_on_grid(poly.angular_derivative(axis), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +309,7 @@ def _analytic_partials(f: TrigPoly, spec: GridSpec):
     for i in range(spec.n):
         gi = f.angular_derivative(i)
         for j in range(i, spec.n):
-            scale = (TWO_PI / spec.lengths[i]) * (TWO_PI / spec.lengths[j])
-            val = scale * evaluate_on_grid(gi.angular_derivative(j), spec)
+            val = evaluate_on_grid(gi.angular_derivative(j), spec)
             d2f[..., i, j] = val
             d2f[..., j, i] = val
     return df, d2f

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fiber, fields, gradients, spectral
-from .config import ExperimentConfig
-from .expressions import TrigPoly, parse_trig_poly
+from .config import VALID_KEYS, ExperimentConfig
+from .expressions import parse_trig_poly
 from .fields import TensorField, l2_inner, l2_norm
 from .geometry import GridSpec, build_geometry
 
@@ -157,11 +157,8 @@ class _Recorder:
 
 def build_cache(config, size):
     spec = GridSpec(config.dimension, (size,) * config.dimension)
-    if config.metric == "flat":
-        exponent = TrigPoly([])
-    else:
-        exponent = parse_trig_poly(config.conformal_exponent)
-    return build_geometry(spec, exponent, method=config.method)
+    return build_geometry(spec, parse_trig_poly(config.conformal_exponent),
+                          method=config.method)
 
 
 def band_limited_field(cache, rank, band, rng, tag="s0"):
@@ -191,6 +188,32 @@ def _refine_tolerance(config, r_coarse):
         config.tolerance("plateau"),
         r_coarse / config.tolerance("refinement_factor"),
     )
+
+
+def _run_suite(suite, tag, config, sizes, rank_checks, closing=None):
+    """Run one suite: build the caches of `sizes` once, call
+    `rank_checks(rec, config, p, caches)` for every configured rank, then
+    `closing(rec, config, caches)`.
+
+    A rank whose checks raise is recorded as the failed check
+    `<tag>.rank.p<p>` and the other ranks still run.  Wall time is kept
+    per rank and in total, on the report only.
+    """
+    t0 = time.perf_counter()
+    rec = _Recorder(config)
+    timing = {}
+    caches = {size: build_cache(config, size) for size in sizes}
+    for p in config.ranks:
+        tp = time.perf_counter()
+        try:
+            rank_checks(rec, config, p, caches)
+        except Exception as exc:  # noqa: BLE001 - aborted checks fail the suite
+            rec.abort(f"{tag}.rank.p{p}", PLUMBING, exc)
+        timing[f"{tag}.p{p}"] = time.perf_counter() - tp
+    if closing is not None:
+        closing(rec, config, caches)
+    timing["total"] = time.perf_counter() - t0
+    return SuiteReport(suite, config, rec.records, environment_metadata(), timing)
 
 
 # ---------------------------------------------------------------------------
@@ -335,50 +358,36 @@ def _identity_checks_for_rank(rec, config, p, caches):
 
 def _negative_controls(rec, config, caches):
     """The suite is falsifiable: corrupted conventions must be detected."""
-    p = config.ranks[0]
-    size = min(caches)
-    cache = caches[size]
-    rng = np.random.default_rng([config.seed, 404, p])
-    phi = _unit(band_limited_field(cache, p, max(1, size // 4), rng))
-    floor = config.tolerance("control_floor")
-
-    corrupt = gradients.Conventions(d2_prefactor_scale=1.05)
-    sp = gradients.decompose(phi, corrupt)
-    bad_orth = max(sp.orthogonality.values())
-    rec.flag("control.d2_scale", PLUMBING, bad_orth > floor, value=bad_orth,
-             detail="5% second-piece coefficient error must break orthogonality")
-
     try:
-        gradients.d1(phi, gradients.Conventions(delta_sign=-1.0))
-        rec.flag("control.delta_sign", PLUMBING, False,
-                 detail="flipped divergence sign was not caught by the trace guard")
-    except gradients.ConventionError as exc:
-        rec.flag("control.delta_sign", PLUMBING, True,
-                 detail=f"trace guard fired as required: {exc}")
+        p = config.ranks[0]
+        size = min(caches)
+        cache = caches[size]
+        rng = np.random.default_rng([config.seed, 404, p])
+        phi = _unit(band_limited_field(cache, p, max(1, size // 4), rng))
+        floor = config.tolerance("control_floor")
+
+        corrupt = gradients.Conventions(d2_prefactor_scale=1.05)
+        sp = gradients.decompose(phi, corrupt)
+        bad_orth = max(sp.orthogonality.values())
+        rec.flag("control.d2_scale", PLUMBING, bad_orth > floor, value=bad_orth,
+                 detail="5% second-piece coefficient error must break orthogonality")
+
+        try:
+            gradients.d1(phi, gradients.Conventions(delta_sign=-1.0))
+            rec.flag("control.delta_sign", PLUMBING, False,
+                     detail="flipped divergence sign was not caught by the trace guard")
+        except gradients.ConventionError as exc:
+            rec.flag("control.delta_sign", PLUMBING, True,
+                     detail=f"trace guard fired as required: {exc}")
+    except Exception as exc:  # noqa: BLE001
+        rec.abort("control.suite", PLUMBING, exc)
 
 
 def run_identity_suite(config):
     """Per-rank identity checks on the largest configured grid, refinement
     checks across the last two grids, and the negative-control fixtures."""
-    t0 = time.perf_counter()
-    rec = _Recorder(config)
-    timing = {}
-    caches = {}
-    for size in config.sizes[-2:]:
-        caches[size] = build_cache(config, size)
-    for p in config.ranks:
-        tp = time.perf_counter()
-        try:
-            _identity_checks_for_rank(rec, config, p, caches)
-        except Exception as exc:  # noqa: BLE001 - aborted checks fail the suite
-            rec.abort(f"identity.rank.p{p}", PLUMBING, exc)
-        timing[f"identity.p{p}"] = time.perf_counter() - tp
-    try:
-        _negative_controls(rec, config, caches)
-    except Exception as exc:  # noqa: BLE001
-        rec.abort("control.suite", PLUMBING, exc)
-    timing["total"] = time.perf_counter() - t0
-    return SuiteReport("identity", config, rec.records, environment_metadata(), timing)
+    return _run_suite("identity", "identity", config, config.sizes[-2:],
+                      _identity_checks_for_rank, _negative_controls)
 
 
 # ---------------------------------------------------------------------------
@@ -394,10 +403,9 @@ def flat_joint_kernel_oracle(cache, p, names):
     """
     if not cache.is_flat:
         raise HarnessError("per-mode kernel oracle needs the flat metric")
-    spec = cache.spec
-    t = fiber.tracefree_dim(spec.n, p)
-    modes = np.array(spectral.build_dealiased_basis(cache, p).modes, float)
-    xi = 2.0 * np.pi * modes / np.asarray(spec.lengths, float)
+    t = fiber.tracefree_dim(cache.n, p)
+    # on the torus (2 pi)^n the covector of mode m is m itself
+    xi = np.array(spectral.build_dealiased_basis(cache, p).modes, float)
     # the stacked symbol of every mode at once: (modes, rows, t)
     mats = np.concatenate([spectral.handle_by_name(cache, p, name).symbol(xi, 1.0)
                            for name in names], axis=1)
@@ -516,6 +524,7 @@ def _kernel_checks_for_rank(rec, config, p, caches):
             worst = max(worst, l2_norm(fields.gradient(phi)) / (l2_norm(phi) + _TINY))
         rec.check(f"kernel.parallel_fields.p{p}", A_PARALLEL, worst, "parallel",
                   "flat-torus kernel fields are parallel")
+    _symbol_checks_for_rank(rec, config, p, cache_hi)
 
 
 def _symbol_checks_for_rank(rec, config, p, cache):
@@ -540,30 +549,20 @@ def _symbol_checks_for_rank(rec, config, p, cache):
                 "of the identity (reported, not asserted)")
 
 
+def _signed_curvature_note(rec, config, caches):
+    rec.measure("kernel.signed_curvature_cases", A_PARALLEL, None,
+                "strictly signed-curvature compact examples are outside the "
+                "periodic metric catalog; vanishing statements are exercised "
+                "only in their flat rendering")
+
+
 def kernel_experiment(config):
     """Kernel counts for the squared first piece (with per-mode oracles on
     flat metrics), the joint divergence-free system, the divergence near-
     kernel family, and the symmetric-derivative system; plus symbol
     positivity scans."""
-    t0 = time.perf_counter()
-    rec = _Recorder(config)
-    timing = {}
-    sizes = config.sizes[-2:]
-    caches = {size: build_cache(config, size) for size in sizes}
-    for p in config.ranks:
-        tp = time.perf_counter()
-        try:
-            _kernel_checks_for_rank(rec, config, p, caches)
-            _symbol_checks_for_rank(rec, config, p, caches[sizes[-1]])
-        except Exception as exc:  # noqa: BLE001
-            rec.abort(f"kernel.rank.p{p}", PLUMBING, exc)
-        timing[f"kernel.p{p}"] = time.perf_counter() - tp
-    rec.measure("kernel.signed_curvature_cases", A_PARALLEL, None,
-                "strictly signed-curvature compact examples are outside the "
-                "periodic metric catalog; vanishing statements are exercised "
-                "only in their flat rendering")
-    timing["total"] = time.perf_counter() - t0
-    return SuiteReport("kernel", config, rec.records, environment_metadata(), timing)
+    return _run_suite("kernel", "kernel", config, config.sizes[-2:],
+                      _kernel_checks_for_rank, _signed_curvature_note)
 
 
 # ---------------------------------------------------------------------------
@@ -620,66 +619,56 @@ def _monotone_above_floor(residuals, floor):
     return all(b <= a * 1.5 for a, b in zip(relevant, relevant[1:]))
 
 
-def convergence_study(config):
-    """Residuals of every identity across at least three grids: algebraic
-    ones must be grid-independent, discretization-limited ones must reach
-    the spectral plateau or show fourth-order slopes under fd4."""
-    if len(config.sizes) < 3:
-        raise HarnessError(
-            f"convergence study needs >= 3 grid sizes, got {config.sizes}"
-        )
-    t0 = time.perf_counter()
-    rec = _Recorder(config)
-    timing = {}
-    caches = {size: build_cache(config, size) for size in config.sizes}
+def _convergence_checks_for_rank(rec, config, p, caches):
     plateau = config.tolerance("plateau")
-    for p in config.ranks:
-        tp = time.perf_counter()
-        try:
-            prof = _residual_profile(config, p, caches)
-            for name, values in sorted(prof.items()):
-                anchor = _ALGEBRAIC.get(name, (None, None))[1] or _DISCRETIZATION[name]
-                for size, r in zip(config.sizes, values):
-                    rec.measure(f"converge.residual.{name}.p{p}.N{size}", anchor, r)
-            for name, (tol_name, anchor) in sorted(_ALGEBRAIC.items()):
-                rec.check(f"converge.flat_profile.{name}.p{p}", anchor,
-                          max(prof[name]), tol_name,
-                          "grid-independent identity, worst residual over all sizes")
-            for name, anchor in sorted(_DISCRETIZATION.items()):
-                values = prof[name]
-                monotone = _monotone_above_floor(values, plateau)
-                trend = " -> ".join(f"{v:.2e}" for v in values)
-                if config.method == "spectral":
-                    if not monotone:
-                        rec.indeterminate(f"converge.plateau.{name}.p{p}", anchor,
-                                          value=values[-1],
-                                          detail=f"non-monotone residuals: {trend}")
-                    else:
-                        rec.check(f"converge.plateau.{name}.p{p}", anchor,
-                                  values[-1], "plateau", trend)
-                else:
-                    slopes = _pair_slopes(config.sizes, values)
-                    if not slopes:
-                        rec.check(f"converge.slope.{name}.p{p}", anchor,
-                                  values[-1], "plateau",
-                                  f"already at the floor: {trend}")
-                    elif not monotone:
-                        rec.indeterminate(f"converge.slope.{name}.p{p}", anchor,
-                                          value=slopes[-1],
-                                          detail=f"non-monotone residuals: {trend}")
-                    else:
-                        target = config.tolerance("slope_target")
-                        window = config.tolerance("slope_window")
-                        pairs = ", ".join(f"{s:.2f}" for s in slopes)
-                        rec.flag(f"converge.slope.{name}.p{p}", anchor,
-                                 abs(slopes[-1] - target) <= window, value=slopes[-1],
-                                 detail=f"finest-pair slope {slopes[-1]:.2f} vs "
-                                        f"{target}+-{window} (pairs {pairs}); {trend}")
-        except Exception as exc:  # noqa: BLE001
-            rec.abort(f"converge.rank.p{p}", PLUMBING, exc)
-        timing[f"converge.p{p}"] = time.perf_counter() - tp
-    timing["total"] = time.perf_counter() - t0
-    return SuiteReport("convergence", config, rec.records, environment_metadata(), timing)
+    prof = _residual_profile(config, p, caches)
+    for name, values in sorted(prof.items()):
+        anchor = _ALGEBRAIC.get(name, (None, None))[1] or _DISCRETIZATION[name]
+        for size, r in zip(config.sizes, values):
+            rec.measure(f"converge.residual.{name}.p{p}.N{size}", anchor, r)
+    for name, (tol_name, anchor) in sorted(_ALGEBRAIC.items()):
+        rec.check(f"converge.flat_profile.{name}.p{p}", anchor,
+                  max(prof[name]), tol_name,
+                  "grid-independent identity, worst residual over all sizes")
+    for name, anchor in sorted(_DISCRETIZATION.items()):
+        values = prof[name]
+        monotone = _monotone_above_floor(values, plateau)
+        trend = " -> ".join(f"{v:.2e}" for v in values)
+        if config.method == "spectral":
+            if not monotone:
+                rec.indeterminate(f"converge.plateau.{name}.p{p}", anchor,
+                                  value=values[-1],
+                                  detail=f"non-monotone residuals: {trend}")
+            else:
+                rec.check(f"converge.plateau.{name}.p{p}", anchor,
+                          values[-1], "plateau", trend)
+        else:
+            slopes = _pair_slopes(config.sizes, values)
+            if not slopes:
+                rec.check(f"converge.slope.{name}.p{p}", anchor,
+                          values[-1], "plateau",
+                          f"already at the floor: {trend}")
+            elif not monotone:
+                rec.indeterminate(f"converge.slope.{name}.p{p}", anchor,
+                                  value=slopes[-1],
+                                  detail=f"non-monotone residuals: {trend}")
+            else:
+                target = config.tolerance("slope_target")
+                window = config.tolerance("slope_window")
+                pairs = ", ".join(f"{s:.2f}" for s in slopes)
+                rec.flag(f"converge.slope.{name}.p{p}", anchor,
+                         abs(slopes[-1] - target) <= window, value=slopes[-1],
+                         detail=f"finest-pair slope {slopes[-1]:.2f} vs "
+                                f"{target}+-{window} (pairs {pairs}); {trend}")
+
+
+def convergence_study(config):
+    """Residuals of every identity across every configured grid (at least
+    three): algebraic ones must be grid-independent, discretization-limited
+    ones must reach the spectral plateau or show fourth-order slopes under
+    fd4."""
+    return _run_suite("convergence", "converge", config, config.sizes,
+                      _convergence_checks_for_rank)
 
 
 def run_suites(config):
@@ -697,18 +686,14 @@ def run_suites(config):
 # ---------------------------------------------------------------------------
 
 def _config_dict(config):
-    return {
-        "metric.preset": config.metric,
-        "metric.conformal": config.conformal_exponent,
-        "grid.dimension": config.dimension,
-        "grid.sizes": list(config.sizes),
-        "ranks": list(config.ranks),
-        "method": config.method,
-        "seed": config.seed,
-        "suites": list(config.suites),
-        "fields.count": config.field_count,
-        "tolerances": {k: config.tolerances[k] for k in sorted(config.tolerances)},
-    }
+    """The config section: one entry per config key, plus the tolerance
+    overrides."""
+    out = {}
+    for key, (attr, _, _) in VALID_KEYS.items():
+        value = getattr(config, attr)
+        out[key] = list(value) if isinstance(value, tuple) else value
+    out["tolerances"] = {k: config.tolerances[k] for k in sorted(config.tolerances)}
+    return out
 
 
 def _record_dict(r):
@@ -802,18 +787,22 @@ _FORMATS = {
 }
 
 
-def emit_report(report, format, out_dir=None):
-    """Serialize a report; returns the written path.
+def output_dir(out_dir=None):
+    """Where output files go: `out_dir`, else $GRADLAB_OUT, else the
+    working directory."""
+    return out_dir or os.environ.get("GRADLAB_OUT") or "."
 
-    The output directory defaults to GRADLAB_OUT, then the working
-    directory.  JSON output is the determinism anchor: identical seed and
-    config produce byte-identical files.
+
+def emit_report(report, format, out_dir=None):
+    """Serialize a report into `output_dir(out_dir)`; returns the written
+    path.  JSON output is the determinism anchor: identical seed and config
+    produce byte-identical files.
     """
     if format not in _FORMATS:
         raise HarnessError(f"unknown report format {format!r}; "
                            f"known: {sorted(_FORMATS)}")
     render, ext = _FORMATS[format]
-    out_dir = out_dir or os.environ.get("GRADLAB_OUT") or "."
+    out_dir = output_dir(out_dir)
     path = os.path.join(out_dir, f"{report.suite}_report.{ext}")
     content = render(report)
     try:

@@ -39,7 +39,7 @@ def make_cache(n, size, metric):
 @pytest.fixture(scope="module")
 def kernel_suite_timed():
     cfg = ExperimentConfig(
-        metric="flat", dimension=2, sizes=(16, 32), ranks=(1, 2),
+        dimension=2, sizes=(16, 32), ranks=(1, 2),
         seed=7, suites=("kernel",),
     )
     t0 = time.perf_counter()
@@ -127,7 +127,7 @@ def test_criterion_03_adjointness_and_two_route_refinement():
 
     # two-route agreement: under 1e-8 on the 32-point grid and at least
     # tenfold smaller on the 64-point grid (same continuum field)
-    cfg = ExperimentConfig(metric="conformal", dimension=2, sizes=(32, 64),
+    cfg = ExperimentConfig(conformal_exponent=CONFORMAL_2D, dimension=2, sizes=(32, 64),
                            ranks=(2,), seed=7)
     res = {}
     for size in (32, 64):
@@ -179,7 +179,7 @@ def test_criterion_05_curvature_identities_and_refinement():
 
     # conformal refinement: both discretization-limited residuals drop by
     # at least 10x from the 16-point to the 32-point grid
-    cfg = ExperimentConfig(metric="conformal", conformal_exponent=CONFORMAL_2D,
+    cfg = ExperimentConfig(conformal_exponent=CONFORMAL_2D,
                            dimension=2, sizes=(16, 32), ranks=(2,), seed=7)
     rough = {}
     zeroth = {}
@@ -278,7 +278,7 @@ def test_criterion_08_flat_torus_kernels_with_oracles(kernel_suite_timed):
     "Kept as the falsifying record of the stated expectation.",
 )
 def test_criterion_09_tt_window_strictly_increases():
-    cfg = ExperimentConfig(metric="flat", dimension=2, sizes=(16, 32),
+    cfg = ExperimentConfig(dimension=2, sizes=(16, 32),
                            ranks=(2,), seed=7)
     win = {}
     for size in (16, 32):
@@ -292,7 +292,7 @@ def test_criterion_09_companion_divergence_kernel_facts():
     # the honest version of the statement: the rank-2 family is finite and
     # matches the per-mode oracle exactly, while the rank-1 family (where
     # the fiber dimensions allow a nontrivial null space) does grow
-    cfg = ExperimentConfig(metric="flat", dimension=2, sizes=(16, 32),
+    cfg = ExperimentConfig(dimension=2, sizes=(16, 32),
                            ranks=(1, 2), seed=7)
     counts = {}
     for size in (16, 32):
@@ -323,7 +323,7 @@ def test_criterion_10_falsifiability_fixtures():
 
 
 def test_criterion_11_byte_identical_reports():
-    cfg = ExperimentConfig(metric="flat", dimension=2, sizes=(8, 12),
+    cfg = ExperimentConfig(dimension=2, sizes=(8, 12),
                            ranks=(1,), seed=5, field_count=2)
     first = render_json(run_identity_suite(cfg))
     second = render_json(run_identity_suite(cfg))

@@ -11,8 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from gradlab import cli, spectral
+from gradlab import cli, harness, spectral
 from gradlab.cli import EXIT_FAIL, EXIT_INDETERMINATE, EXIT_PASS, EXIT_USAGE
+from gradlab.config import apply_overrides, load_config
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def run_cli(argv):
@@ -25,7 +28,6 @@ def run_cli(argv):
 def tiny_cfg(tmp_path):
     path = tmp_path / "tiny.cfg"
     path.write_text(
-        "metric.preset = flat\n"
         "grid.dimension = 2\n"
         "grid.sizes = 8, 12\n"
         "ranks = 1\n"
@@ -113,7 +115,6 @@ def test_check_non_finite_values_fail_in_a_strict_report(tiny_cfg, tmp_path):
     out_dir = tmp_path / "nf"
     code, _ = run_cli([
         "check", "--config", str(tiny_cfg), "--out", str(out_dir),
-        "--override", "metric.preset=conformal",
         "--override", "metric.conformal=60*cos(x1)",
     ])
     assert code == EXIT_FAIL
@@ -136,7 +137,7 @@ def test_check_missing_config(tmp_path, capsys):
 
 def test_check_malformed_config(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
-    path.write_text("metric.preset = flat\nbogus.key = 1\n")
+    path.write_text("seed = 1\nbogus.key = 1\n")
     code, _ = run_cli(["check", "--config", str(path)])
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
@@ -158,7 +159,6 @@ def test_check_bad_override(tiny_cfg, capsys):
 def test_check_bad_metric_is_a_usage_error(tiny_cfg, tmp_path, capsys, exponent, message):
     code, _ = run_cli([
         "check", "--config", str(tiny_cfg), "--out", str(tmp_path / "m"),
-        "--override", "metric.preset=conformal",
         "--override", f"metric.conformal={exponent}",
     ])
     assert code == EXIT_USAGE
@@ -166,13 +166,56 @@ def test_check_bad_metric_is_a_usage_error(tiny_cfg, tmp_path, capsys, exponent,
     assert len(err) == 1 and message in err[0]
 
 
+def test_check_short_convergence_is_refused_at_load(tmp_path, capsys):
+    # two grid sizes cannot give a convergence study: refused before any
+    # suite runs, so no report directory appears
+    out_dir = tmp_path / "short"
+    code, text = run_cli([
+        "check", "--config", str(CONFIGS / "flat2d.cfg"), "--out", str(out_dir),
+        "--override", "suites=identity,convergence",
+    ])
+    assert code == EXIT_USAGE
+    assert text == ""
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "needs >= 3 grid sizes" in err[0]
+    assert not out_dir.exists()
+
+
+FLAT_ONLY = ("weitzenbock.flat_zero.p1", "kernel.ck_mode_oracle.p1",
+             "kernel.killing_mode_oracle.p1", "kernel.codazzi_mode_oracle.p1",
+             "kernel.parallel_fields.p1")
+
+
+@pytest.mark.parametrize("exponent,flat", [("0", True), ("0.0*cos(x2)", True),
+                                           ("0.1*cos(x1)", False)])
+def test_the_exponent_alone_says_flat(exponent, flat, tiny_cfg, tmp_path):
+    # the metric is its exponent: a zero one runs the flat-only checks, a
+    # nonzero one none of them (24/32 grids resolve the conformal identities)
+    overrides = [f"metric.conformal={exponent}", "suites=identity,kernel",
+                 "grid.sizes=24,32"]
+    cfg = apply_overrides(load_config(tiny_cfg), overrides)
+    assert harness.build_cache(cfg, 16).is_flat is flat
+    out_dir = tmp_path / "metric"
+    argv = ["check", "--config", str(tiny_cfg), "--out", str(out_dir)]
+    for pair in overrides:
+        argv += ["--override", pair]
+    assert run_cli(argv)[0] == EXIT_PASS
+    ids = set()
+    for suite in ("identity", "kernel"):
+        report = json.loads((out_dir / f"{suite}_report.json").read_text())
+        assert report["config"]["metric.conformal"] == exponent
+        ids |= {c["check_id"] for c in report["checks"]}
+    assert {i: i in ids for i in FLAT_ONLY} == dict.fromkeys(FLAT_ONLY, flat)
+
+
 # ---------------------------------------------------------------------------
-# kernel / converge / symbol
+# single suites through check, and symbol
 # ---------------------------------------------------------------------------
 
 def test_kernel_reports_constant_count(tiny_cfg, tmp_path):
     code, text = run_cli([
-        "kernel", "--config", str(tiny_cfg), "--out", str(tmp_path / "k"),
+        "check", "--config", str(tiny_cfg), "--out", str(tmp_path / "k"),
+        "--override", "suites=kernel",
     ])
     assert code == EXIT_PASS
     parsed = json.loads((tmp_path / "k" / "kernel_report.json").read_text())
@@ -182,8 +225,8 @@ def test_kernel_reports_constant_count(tiny_cfg, tmp_path):
 
 def test_kernel_rank_override_list_syntax(tiny_cfg, tmp_path):
     code, _ = run_cli([
-        "kernel", "--config", str(tiny_cfg), "--out", str(tmp_path / "k2"),
-        "--override", "ranks=[1,2]",
+        "check", "--config", str(tiny_cfg), "--out", str(tmp_path / "k2"),
+        "--override", "suites=kernel", "--override", "ranks=[1,2]",
     ])
     assert code == EXIT_PASS
     parsed = json.loads((tmp_path / "k2" / "kernel_report.json").read_text())
@@ -193,15 +236,16 @@ def test_kernel_rank_override_list_syntax(tiny_cfg, tmp_path):
 
 
 def test_converge_needs_three_sizes(tiny_cfg, capsys):
-    code, _ = run_cli(["converge", "--config", str(tiny_cfg)])
+    code, _ = run_cli(["check", "--config", str(tiny_cfg),
+                       "--override", "suites=convergence"])
     assert code == EXIT_USAGE
     assert "3" in capsys.readouterr().err
 
 
 def test_converge_runs_with_three_sizes(tiny_cfg, tmp_path):
     code, _ = run_cli([
-        "converge", "--config", str(tiny_cfg), "--out", str(tmp_path / "c"),
-        "--override", "grid.sizes=[8,12,16]",
+        "check", "--config", str(tiny_cfg), "--out", str(tmp_path / "c"),
+        "--override", "suites=convergence", "--override", "grid.sizes=[8,12,16]",
     ])
     assert code == EXIT_PASS
     assert (tmp_path / "c" / "convergence_report.json").exists()
@@ -210,7 +254,7 @@ def test_converge_runs_with_three_sizes(tiny_cfg, tmp_path):
 def test_symbol_writes_scan(tiny_cfg, tmp_path):
     code, text = run_cli([
         "symbol", "--config", str(tiny_cfg), "--out", str(tmp_path / "s"),
-        "--operator", "d1_star_d1", "--rank", "1", "--directions", "16",
+        "--operator", "d1_star_d1", "--override", "ranks=1", "--directions", "16",
     ])
     assert code == EXIT_PASS
     assert (tmp_path / "s" / "symbol_d1_star_d1_p1.csv").exists()
@@ -246,9 +290,9 @@ def test_symbol_needs_a_direction(directions, tiny_cfg, tmp_path, capsys):
 
 @pytest.mark.parametrize("rank", [0, 7])
 def test_symbol_rank_out_of_range(rank, tiny_cfg, tmp_path, capsys):
-    # --rank is validated like a config rank: one line, exit 2, no scan
+    # the rank is a config rank: one line, exit 2, no scan
     code, _ = run_cli(["symbol", "--config", str(tiny_cfg), "--out", str(tmp_path / "s"),
-                       "--rank", str(rank)])
+                       "--override", f"ranks={rank}"])
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.strip().splitlines() == [f"gradlab symbol: ranks must be in [1, 6]: ({rank},)"]

@@ -82,9 +82,9 @@ def test_evaluate_requires_enough_coordinates():
 
 
 def test_zero_and_constant_helpers():
-    z = TrigPoly.constant(0.0)
-    assert z.is_zero and z.to_text() == "0"
-    c = TrigPoly.constant(2.5)
+    for z in (TrigPoly([]), parse_trig_poly("0"), parse_trig_poly("0.0*cos(x2)")):
+        assert z.is_zero and z.to_text() == "0" and z == TrigPoly([])
+    c = parse_trig_poly("2.5")
     assert np.allclose(c.evaluate(theta_grid(1)), 2.5)
     assert max_abs_bound(c) == 2.5
 

@@ -20,11 +20,11 @@ from gradlab.geometry import (
     differentiate,
     gauss_curvature_2d_oracle,
 )
-from testlib import analytic_laplacian, total_volume
+from testlib import analytic_laplacian, axis_coords, total_volume, wavenumbers
 
 
-def grid(n, size, lengths=None):
-    return GridSpec(n=n, sizes=(size,) * n, lengths=lengths)
+def grid(n, size):
+    return GridSpec(n=n, sizes=(size,) * n)
 
 
 FLAT = TrigPoly([])
@@ -59,11 +59,13 @@ def diagonal_cache(spec, exprs):
 
 def test_grid_spec_examples():
     g1 = GridSpec(n=1, sizes=(8,))
-    assert np.allclose(g1.axis_coords(0), np.arange(8) * math.pi / 4)
+    assert np.allclose(axis_coords(g1, 0), np.arange(8) * math.pi / 4)
+    assert np.array_equal(g1.theta_mesh()[0], axis_coords(g1, 0))
     g2 = grid(2, 16)
     assert g2.num_points == 256
     assert g2.spacings == (2 * math.pi / 16,) * 2
     assert abs(g2.cell_volume - (2 * math.pi / 16) ** 2) < 1e-15
+    assert GridSpec(n=2, sizes=(2000, 1000)).num_points == geometry.POINT_CAP
 
 
 @pytest.mark.parametrize(
@@ -72,8 +74,8 @@ def test_grid_spec_examples():
         dict(n=2, sizes=(15, 16)),
         dict(n=2, sizes=(6, 8)),
         dict(n=2, sizes=(16,)),
-        dict(n=2, sizes=(16, 16), lengths=(2.0,)),
-        dict(n=2, sizes=(16, 16), lengths=(-1.0, 2.0)),
+        dict(n=1, sizes=(geometry.POINT_CAP + 2,)),
+        dict(n=2, sizes=(2000, 1002)),  # just over the point cap
         dict(n=3, sizes=(256, 256, 256)),
         dict(n=0, sizes=()),
     ],
@@ -85,7 +87,7 @@ def test_grid_spec_rejects(kwargs):
 
 def test_wavenumbers_zero_nyquist():
     g = grid(1, 8)
-    k = g.wavenumbers(0)
+    k = wavenumbers(g, 0)
     assert k[4] == 0.0
     assert np.allclose(k[[0, 1, 2, 3, 5, 6, 7]], [0, 1, 2, 3, -3, -2, -1])
 
@@ -96,7 +98,7 @@ def test_wavenumbers_zero_nyquist():
 
 def test_spectral_derivative_band_limited_exact():
     g = grid(1, 16)
-    x = g.axis_coords(0)
+    x = axis_coords(g, 0)
     got = differentiate(np.sin(x), 0, g, "spectral")
     assert np.max(np.abs(got - np.cos(x))) < 1e-12
     got3 = differentiate(np.cos(3 * x), 0, g, "spectral")
@@ -114,7 +116,7 @@ def test_fd4_fourth_order_ratio():
     errs = []
     for size in (16, 32):
         g = grid(1, size)
-        x = g.axis_coords(0)
+        x = axis_coords(g, 0)
         got = differentiate(np.sin(x), 0, g, "fd4")
         errs.append(np.max(np.abs(got - np.cos(x))))
     ratio = errs[0] / errs[1]
@@ -136,11 +138,11 @@ def test_spectral_derivative_real_fft_kernel(size):
     # the dense circulant kernel is the complex-FFT operator with the
     # Nyquist bin zeroed: same values, and exactly antisymmetric
     g = grid(1, size)
-    x = g.axis_coords(0)
+    x = axis_coords(g, 0)
     rng = np.random.default_rng(size)
     data = rng.standard_normal((size, 3))
     data[:, 0] += np.cos(size // 2 * x)  # pure Nyquist content
-    k = g.wavenumbers(0)
+    k = wavenumbers(g, 0)
     ref = np.fft.ifft(1j * k[:, None] * np.fft.fft(data, axis=0), axis=0).real
     got = differentiate(data, 0, g, "spectral")
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
@@ -154,7 +156,7 @@ def test_spectral_derivative_real_fft_kernel(size):
 def test_derivative_matrix_exact_circulant(size):
     # built from one column, so exact antisymmetry and circulance hold bit
     # for bit, not to roundoff
-    D = geometry._derivative_matrix(GridSpec(n=1, sizes=(size,), lengths=(3.7,)), 0)
+    D = geometry._derivative_matrix(GridSpec(n=1, sizes=(size,)), 0)
     assert np.array_equal(D, -D.T)
     for j in range(size):
         assert np.array_equal(D[j], np.roll(D[0], j))
@@ -164,22 +166,14 @@ def _fft_derivative(data, axis, spec):
     # complex-FFT reference with the Nyquist bin zeroed
     shape = [1] * data.ndim
     shape[axis] = spec.sizes[axis]
-    symbol = (1j * spec.wavenumbers(axis)).reshape(shape)
+    symbol = (1j * wavenumbers(spec, axis)).reshape(shape)
     return np.fft.ifft(symbol * np.fft.fft(data, axis=axis), axis=axis).real
 
 
-@pytest.mark.parametrize(
-    "sizes, lengths",
-    [
-        ((12,), (1.0,)),
-        ((10, 16), (2 * math.pi, 4 * math.pi)),
-        ((8, 12, 14), (1.0, 2 * math.pi, 7.3)),
-        ((8, 300), (2 * math.pi, 5.0)),
-    ],
-)
+@pytest.mark.parametrize("sizes", [(12,), (10, 16), (8, 12, 14), (8, 300)])
 @pytest.mark.parametrize("fiber_shape", [(), (3,), (2, 5)])
-def test_spectral_derivative_matches_fft_reference(sizes, lengths, fiber_shape):
-    spec = GridSpec(n=len(sizes), sizes=sizes, lengths=lengths)
+def test_spectral_derivative_matches_fft_reference(sizes, fiber_shape):
+    spec = GridSpec(n=len(sizes), sizes=sizes)
     rng = np.random.default_rng(len(sizes) + len(fiber_shape))
     data = rng.standard_normal(spec.shape + fiber_shape)
     for N, theta in zip(spec.sizes, spec.theta_mesh()):
@@ -200,16 +194,6 @@ def test_multi_axis_derivative_acts_on_named_axis():
     d1 = differentiate(f, 1, g, "spectral")
     assert np.max(np.abs(d0 + np.sin(t1) * np.sin(2 * t2))) < 1e-12
     assert np.max(np.abs(d1 - 2 * np.cos(t1) * np.cos(2 * t2))) < 1e-12
-
-
-def test_nonstandard_lengths_scale_derivatives():
-    g = GridSpec(n=1, sizes=(16,), lengths=(4 * math.pi,))
-    f = parse_trig_poly("cos(x1)")
-    got = geometry.coordinate_derivative(f, 0, g)
-    theta = g.theta_mesh()[0]
-    assert np.max(np.abs(got + 0.5 * np.sin(theta))) < 1e-14
-    lap = analytic_laplacian(f, g)
-    assert np.max(np.abs(lap + 0.25 * np.cos(theta))) < 1e-14
 
 
 # ---------------------------------------------------------------------------

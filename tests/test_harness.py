@@ -2,6 +2,7 @@
 test fields, joint-kernel pencils against per-mode oracles, convergence-study
 verdicts, report rendering, and the determinism contract for JSON output."""
 
+import dataclasses
 import json
 import os
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from gradlab import fiber, fields, gradients, harness, spectral
-from gradlab.config import ExperimentConfig
+from gradlab.config import ConfigError, ExperimentConfig
 from gradlab.harness import (
     PLUMBING,
     CheckRecord,
@@ -32,15 +33,15 @@ from gradlab.harness import (
 from testlib import unit_field
 
 FLAT_SMALL = ExperimentConfig(
-    metric="flat", dimension=2, sizes=(12, 16), ranks=(1, 2),
+    dimension=2, sizes=(12, 16), ranks=(1, 2),
     seed=7, suites=("identity",), field_count=3,
 )
 CONF_SMALL = ExperimentConfig(
-    metric="conformal", conformal_exponent="0.1*cos(x1)", dimension=2,
+    conformal_exponent="0.1*cos(x1)", dimension=2,
     sizes=(16, 32), ranks=(2,), seed=7, suites=("identity",), field_count=2,
 )
 KERNEL_SMALL = ExperimentConfig(
-    metric="flat", dimension=2, sizes=(8, 12), ranks=(1, 2),
+    dimension=2, sizes=(8, 12), ranks=(1, 2),
     seed=7, suites=("kernel",), field_count=2,
 )
 
@@ -164,7 +165,7 @@ def test_identity_flat_has_no_flat_zero_on_conformal(conf_identity_report):
 
 
 def test_identity_rank_three_reports_best_fit():
-    cfg = ExperimentConfig(metric="flat", dimension=2, sizes=(12, 16),
+    cfg = ExperimentConfig(dimension=2, sizes=(12, 16),
                            ranks=(3,), seed=1, field_count=2)
     rep = run_identity_suite(cfg)
     by_id = {r.check_id: r for r in rep.records}
@@ -225,7 +226,7 @@ def loop_joint_kernel_oracle(cache, p, names):
     handles = [spectral.handle_by_name(cache, p, name) for name in names]
     total = t
     for m in spectral.build_dealiased_basis(cache, p).modes:
-        xi = np.array([2.0 * np.pi * mj / L for mj, L in zip(m, cache.spec.lengths)])
+        xi = np.array(m, float)
         mat = np.vstack([h.symbol(xi, 1.0) for h in handles])
         sv = np.linalg.svd(mat, compute_uv=False)
         total += 2 * (t - int(np.sum(sv > harness._ORACLE_RANK_TOL * np.linalg.norm(xi))))
@@ -234,7 +235,7 @@ def loop_joint_kernel_oracle(cache, p, names):
 
 @pytest.mark.parametrize("n,size", [(2, 12), (3, 8)])
 def test_stacked_oracle_matches_mode_loop(n, size):
-    cache = build_cache(ExperimentConfig(metric="flat", dimension=n, sizes=(size,),
+    cache = build_cache(ExperimentConfig(dimension=n, sizes=(size,),
                                          ranks=(1,), suites=("kernel",)), size)
     for p in (1, 2):
         for names in (["d1"], ["divergence"], ["d1", "divergence"], ["d2", "d3"]):
@@ -294,13 +295,14 @@ def test_symbol_checks(kernel_report):
 # ---------------------------------------------------------------------------
 
 def test_convergence_needs_three_sizes():
-    with pytest.raises(HarnessError):
-        convergence_study(FLAT_SMALL)
+    # refused when the config is made, before any suite runs
+    with pytest.raises(ConfigError, match="needs >= 3 grid sizes"):
+        dataclasses.replace(FLAT_SMALL, suites=("identity", "convergence"))
 
 
 def test_convergence_spectral_plateaus():
-    cfg = ExperimentConfig(metric="conformal", dimension=2, sizes=(12, 16, 24),
-                           ranks=(2,), method="spectral", seed=7,
+    cfg = ExperimentConfig(conformal_exponent="0.1*cos(x1)", dimension=2,
+                           sizes=(12, 16, 24), ranks=(2,), method="spectral", seed=7,
                            suites=("convergence",))
     rep = convergence_study(cfg)
     assert rep.status == "pass"
@@ -314,7 +316,7 @@ def test_convergence_spectral_plateaus():
 
 
 def test_convergence_fd4_slopes():
-    cfg = ExperimentConfig(metric="conformal", dimension=2,
+    cfg = ExperimentConfig(conformal_exponent="0.1*cos(x1)", dimension=2,
                            sizes=(16, 24, 32, 48), ranks=(2,), method="fd4",
                            seed=7, suites=("convergence",))
     rep = convergence_study(cfg)
@@ -377,13 +379,13 @@ def test_report_dict_sorted_and_timing_free(flat_identity_report):
 
 
 def test_json_rendering_is_deterministic():
-    cfg = ExperimentConfig(metric="flat", dimension=2, sizes=(8, 12),
+    cfg = ExperimentConfig(dimension=2, sizes=(8, 12),
                            ranks=(1,), seed=3, field_count=2)
     a = render_json(run_identity_suite(cfg))
     b = render_json(run_identity_suite(cfg))
     assert a == b
     other = render_json(run_identity_suite(
-        ExperimentConfig(metric="flat", dimension=2, sizes=(8, 12),
+        ExperimentConfig(dimension=2, sizes=(8, 12),
                          ranks=(1,), seed=4, field_count=2)))
     assert other != a
 
@@ -432,7 +434,7 @@ def test_emit_report_unwritable_path(tmp_path, flat_identity_report):
 
 
 def test_run_suites_dispatch():
-    cfg = ExperimentConfig(metric="flat", dimension=2, sizes=(8, 12), ranks=(1,),
+    cfg = ExperimentConfig(dimension=2, sizes=(8, 12), ranks=(1,),
                            seed=3, suites=("identity", "kernel"), field_count=2)
     reports = run_suites(cfg)
     assert [r.suite for r in reports] == ["identity", "kernel"]

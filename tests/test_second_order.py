@@ -148,7 +148,7 @@ def test_identity_suite_decomposes_each_field_once(monkeypatch):
     monkeypatch.setattr(gradients, "weitzenbock_K", counting_K)
     monkeypatch.setattr(gradients, "d1", counting_d1)
     monkeypatch.setattr(harness, "_unit", recording_unit)
-    cfg = ExperimentConfig(metric="flat", dimension=2, sizes=(12, 16), ranks=(1, 2),
+    cfg = ExperimentConfig(dimension=2, sizes=(12, 16), ranks=(1, 2),
                            seed=3, field_count=4)
     rep = run_identity_suite(cfg)
     assert rep.status == "pass"

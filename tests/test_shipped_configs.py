@@ -9,6 +9,11 @@ benchmark run.  A check id the reference does not know (one added after the
 capture) has no status to keep, but it must not fail: the benchmark's gate
 only lists such ids, so this is the one place that gates them.  The
 reference files are only read.
+
+The shipped configs also hold to the config grammar: each one round-trips
+through format_config/parse_config_text, and each report's config section
+names exactly the config keys.  `check` is the only suite verb and a rank
+is a config override, so the retired spellings are usage errors.
 """
 
 import json
@@ -18,9 +23,11 @@ from pathlib import Path
 import pytest
 
 from gradlab import cli
+from gradlab.config import VALID_KEYS, format_config, load_config, parse_config_text
 
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCES = sorted((ROOT / "perfbench" / "reference").glob("*.json"))
+CONFIGS = sorted((ROOT / "configs").glob("*.cfg"))
 
 
 def report_statuses(out_dir):
@@ -45,6 +52,9 @@ def test_check_matches_reference_statuses(path, tmp_path):
     for pair in [*ref["overrides"], "seed=1"]:
         argv += ["--override", pair]
     code = cli.main(argv, out=StringIO())
+    for path in sorted(tmp_path.glob("*_report.json")):
+        section = json.loads(path.read_text(encoding="utf-8"))["config"]
+        assert sorted(section) == sorted([*VALID_KEYS, "tolerances"])
     # the statuses first, so that a failure names the check id
     statuses = report_statuses(tmp_path)
     assert {k: statuses.get(k) for k in expected["statuses"]} == expected["statuses"]
@@ -52,3 +62,24 @@ def test_check_matches_reference_statuses(path, tmp_path):
                         if k not in expected["statuses"] and v == "fail"]
     assert unlisted_failing == []
     assert code == expected["exit"]
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
+def test_shipped_config_round_trips(path):
+    cfg = load_config(path)
+    text = format_config(cfg)
+    assert parse_config_text(text, source="round-trip") == cfg
+    assert format_config(parse_config_text(text)) == text
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--config", "configs/flat3d.cfg"],
+    ["converge", "--config", "configs/conf2d.cfg"],
+    ["symbol", "--config", "configs/flat2d.cfg", "--rank", "1"],
+], ids=["kernel", "converge", "symbol-rank"])
+def test_retired_spellings_are_usage_errors(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--out", str(tmp_path / "out")], out=StringIO())
+    assert exc.value.code == 2
+    assert "usage: gradlab" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

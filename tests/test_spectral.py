@@ -104,8 +104,7 @@ def test_apply_is_linear(maker):
 def laplace_multiset(basis):
     """Sorted flat eigenvalues |k|^2 of the connection Laplacian on the basis:
     the constant, then a cos and a sin copy per mode, times the fiber axes."""
-    kunit = 2.0 * np.pi / np.asarray(basis.cache.spec.lengths)
-    k2 = np.sum((np.asarray(basis.modes) * kunit) ** 2, axis=1)
+    k2 = np.sum(np.asarray(basis.modes, float) ** 2, axis=1)
     return np.sort(np.repeat(np.concatenate([[0.0], k2, k2]), basis.t))
 
 

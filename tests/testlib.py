@@ -23,11 +23,26 @@ def analytic_laplacian(poly, spec):
     """Analytic coordinate Laplacian sum_j d2/dx_j^2 sampled on the grid."""
     out = np.zeros(spec.shape)
     for j in range(spec.n):
-        scale = (TWO_PI / spec.lengths[j]) ** 2
-        out += scale * evaluate_on_grid(
-            poly.angular_derivative(j).angular_derivative(j), spec
-        )
+        out += evaluate_on_grid(poly.angular_derivative(j).angular_derivative(j), spec)
     return out
+
+
+def axis_coords(spec, axis):
+    """The lattice coordinates along one axis of the torus (2*pi)^n."""
+    N = spec.sizes[axis]
+    return np.arange(N) * (TWO_PI / N)
+
+
+def wavenumbers(spec, axis):
+    """Spectral wavenumbers along one axis with the Nyquist bin zeroed.
+
+    Zeroing Nyquist keeps the derivative matrix real and exactly
+    antisymmetric, which the adjoint checks rely on.
+    """
+    N = spec.sizes[axis]
+    k = np.fft.fftfreq(N, d=1.0 / N)
+    k[N // 2] = 0.0
+    return k
 
 
 def total_volume(cache):
