@@ -221,6 +221,38 @@ def tracefree_basis(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     return B, C
 
 
+@lru_cache(maxsize=None)
+def parity_basis(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat-orthonormal basis of S0^p made of simultaneous eigenvectors of
+    the coordinate reflections.
+
+    A reflection is diagonal (+-1) on monomial coordinates, and the trace
+    pairs two equal indices, so it keeps each coordinate's parity vector
+    (the index counts mod 2): S0^p is the orthogonal sum of its parity
+    classes.  The class projector in trace-free coordinates is C D B, D the
+    0/1 diagonal of the class's monomials; its unit eigenvectors span the
+    class.  Returns (Q, parity): Q is (t, t) orthogonal in trace-free
+    coordinates with columns grouped by class in ascending parity order,
+    and parity[beta, a] is 1 when column beta is odd under x_a -> -x_a.
+    """
+    B, C = tracefree_basis(n, p)
+    odd = np.array([[I.count(a) % 2 for a in range(n)] for I in sym_indices(n, p)],
+                   int).reshape(-1, n)
+    columns, parity = [], []
+    for cls in sorted(set(map(tuple, odd.tolist()))):
+        w, V = np.linalg.eigh(C @ (np.all(odd == cls, axis=1)[:, None] * B))
+        keep = V[:, w > 0.5]
+        columns.append(keep)
+        parity += [cls] * keep.shape[1]
+    Q = np.hstack(columns)
+    if Q.shape != (B.shape[1],) * 2:
+        raise FiberAlgebraError(f"parity classes do not span S0^{p} at n={n}")
+    parity = np.array(parity, int).reshape(len(Q), n)
+    Q.flags.writeable = False
+    parity.flags.writeable = False
+    return Q, parity
+
+
 # ---------------------------------------------------------------------------
 # constant structure tensors used by the field operators
 # ---------------------------------------------------------------------------

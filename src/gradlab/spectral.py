@@ -10,26 +10,38 @@ One Galerkin layer (`Galerkin`, one per grid and rank) serves every study:
   (every axis of a flat metric) all operators and weights commute with
   translations, so the Galerkin matrices do not couple basis columns whose
   wavenumbers differ in absolute value on that axis.  Columns are grouped
-  into sectors by those |m_j| and each sector is solved on its own; with no
-  such axis there is one sector, the dense pencil;
-* probing: colour c sums the c-th column of every sector, so one operator
-  application per colour serves all sectors at once.  Operators act on
-  batches of colours (fields with a leading batch axis), chunk by chunk
-  under a fixed byte budget, and each chunk's images go into stacks
+  into sectors by those |m_a|; with no such axis there is one sector, the
+  dense pencil;
+* reflection classes: the reflections x_a -> -x_a of the invariant axes
+  are isometries too.  A fiber basis of simultaneous reflection
+  eigenvectors (`fiber.parity_basis`) pairs cos(k x_a) with the even
+  fiber columns and sin(k x_a) with the odd ones; those reduced columns
+  of a sector are the reflection-even half, and the translates by
+  pi/(2k) along each axis with k > 0 carry the same pencil, so each
+  block's spectrum counts 2^#(k_a > 0) times.  Where k_a = 0 the fiber
+  parity splits a sector into blocks.  A sector keeps (trig functions of
+  the varying axes) * t reduced columns: 62 instead of 124 for
+  `0.1*cos(x1)` at N=32, 2 instead of 8 on the flat 2-torus at rank 2;
+* probing: colour c sums the c-th reduced column of every sector, so one
+  operator application per colour serves all sectors at once.  Operators
+  act on batches of colours (fields with a leading batch axis), chunk by
+  chunk under a fixed byte budget, and each chunk's images go into stacks
   preallocated for every colour.  A column's image is the part of its
-  colour's image in its sector's FFT bins, and the sector blocks follow
+  colour's image in its sector's FFT bins, and the sector matrices follow
   from Parseval along the invariant axes.  Images are real, so the FFT is
-  a half spectrum along the last invariant axis;
+  a half spectrum along the last invariant axis.  The entries between two
+  reflection classes vanish by symmetry and are gated at roundoff;
 * reuse: the mass matrix and each operator's Gram block are computed once
   per layer and stacked systems add blocks.  The four first-order images
   of a chunk of colours (d1, d2, d3 and the divergence) come from one
   `gradients.decompose` of the chunk; no operator handle is applied for
   them;
-* batched solves: sectors of equal size form a group.  Each group's mass
-  blocks are reduced once per layer (batched Cholesky M = L L^T and L^{-1}),
-  and every eigensolve of the layer solves a group as one batched
-  standard problem L^{-1} G L^{-T}, gated sector by sector.  The flat
-  (diagonal) and conformal (dense) mass take the same path.
+* batched solves: blocks of equal size form a group, held as one stack.
+  Each group's mass blocks are reduced once per layer (batched Cholesky
+  M = L L^T and L^{-1}), and every eigensolve of the layer solves a group
+  as one batched standard problem C = L^{-1} G L^{-T}, gated block by
+  block in those reduced coordinates.  The flat (diagonal) and conformal
+  (dense) mass take the same path.
 
 Two discretization hazards shape the design:
 
@@ -55,8 +67,9 @@ operators.
 """
 
 import csv
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -66,8 +79,9 @@ from .fields import TensorField
 
 # bytes a Galerkin layer may hold by its first solves, the Gram build
 # included, as estimated by Galerkin._bytes_before_solve; the estimate
-# bounds the layer's traced peak (flat 3-torus, N=16, rank 3: 258 MiB
-# estimated, 215 MiB traced through the kernel suite's solves)
+# bounds the layer's traced peak (conformal 3-torus 0.1*cos(x1), N=12,
+# rank 3: 157 MiB estimated, 115 MiB traced through the kernel suite's
+# solves)
 GALERKIN_BYTES_CAP = 2**30
 # bytes of one chunk's working set when a Galerkin layer applies an
 # operator to a batch of its colours (Galerkin._probe)
@@ -80,6 +94,10 @@ _BLOCK_ARRAYS = 18
 _TINY = 1e-300
 # largest relative pencil residual an eigensolve may leave
 _RESIDUAL_TOL = 1e-8
+# largest entry between two reflection classes of a sector, relative to the
+# pairing's (Galerkin._pair); the classes are orthogonal, so only roundoff
+# stays below it (at most 7.4e-16 in the shipped configs' kernel suites)
+_SYMMETRY_TOL = 1e-10
 # kernel-count policy (`kernel_count`): the absolute floor as a fraction of
 # the largest eigenvalue, the kernel cut as a fraction of the first
 # eigenvalue above the floor, and the least gap ratio of a determinate count
@@ -176,7 +194,8 @@ class OperatorHandle:
 class EigenResult:
     values: np.ndarray      # ascending
     vectors: np.ndarray     # columns, orthonormal in the weighted inner product
-    residuals: np.ndarray   # relative per-pair pencil residuals
+    residuals: np.ndarray   # bounds on the relative per-pair pencil residuals
+    multiplicity: object = 1  # copies of each pencil's spectrum, per leading index
 
 
 def _reduce(M):
@@ -189,20 +208,24 @@ def _eigh_pencil(G, M, scale=None, Linv=None):
     """Eigenpairs of symmetric pencils (G, M), M dense positive definite,
     batched over any leading axes of G and M.
 
-    Each pencil is reduced to the standard problem L^{-1} G L^{-T} with
+    Each pencil is reduced to the standard problem C = L^{-1} G L^{-T} with
     `Linv` = L^{-1} (computed from M when not given), solved with one
     batched `eigh` and transformed back, so the vectors are M-orthonormal.
-    Residuals are relative to `scale`, the norm of the whole pencil when G
-    is one diagonal block of it, and to the norm of each G otherwise; every
-    pencil is gated on its own.
+    The residuals are gated in reduced coordinates: G V - M V Lambda equals
+    L (C Y - Y Lambda), and ||L||_2 <= sqrt(||M||_F), so
+    sqrt(||M||_F) ||C y - lambda y|| bounds each pair's pencil residual and
+    is never looser than it.  They are relative to `scale`, the norm of the
+    whole pencil when G is one diagonal block of it, and to the norm of
+    each G otherwise; every pencil is gated on its own.
     """
     Linv = _reduce(M) if Linv is None else Linv
     LinvT = np.swapaxes(Linv, -1, -2)
-    vals, Y = np.linalg.eigh(Linv @ G @ LinvT)
-    vecs = LinvT @ Y
-    R = G @ vecs - (M @ vecs) * vals[..., None, :]
+    C = Linv @ G @ LinvT
+    vals, Y = np.linalg.eigh(C)
+    bound = np.sqrt(np.linalg.norm(M, axis=(-2, -1)))[..., None] * np.linalg.norm(
+        C @ Y - Y * vals[..., None, :], axis=-2)
     scale = np.linalg.norm(G, axis=(-2, -1)) if scale is None else np.asarray(scale)
-    residuals = np.linalg.norm(R, axis=-2) / (scale[..., None] + _TINY)
+    residuals = bound / (scale[..., None] + _TINY)
     worst = np.max(residuals, axis=-1, initial=0.0)
     if np.any(worst > _RESIDUAL_TOL):
         raise SpectralError(
@@ -210,7 +233,7 @@ def _eigh_pencil(G, M, scale=None, Linv=None):
             f"{_RESIDUAL_TOL:.1e} in {int(np.sum(worst > _RESIDUAL_TOL))} of "
             f"{worst.size} pencils: the pencil did not converge"
         )
-    return EigenResult(values=vals, vectors=vecs, residuals=residuals)
+    return EigenResult(values=vals, vectors=LinvT @ Y, residuals=residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -298,14 +321,16 @@ def build_dealiased_basis(cache, rank):
 
 
 # ---------------------------------------------------------------------------
-# the Galerkin layer: symmetry sectors, probed applications, Gram reuse
+# the Galerkin layer: reflection classes of symmetry sectors, probed
+# applications, Gram reuse
 # ---------------------------------------------------------------------------
 
 def invariant_axes(cache):
     """Axes along which the conformal exponent is exactly constant.
 
     Every operator and every weight commutes with translations along such an
-    axis; a flat metric makes every axis invariant.
+    axis, and with the reflection x_a -> -x_a; a flat metric makes every
+    axis invariant.
     """
     f = cache.conf_exponent_values
     return tuple(j for j in range(cache.n) if np.all(f == np.take(f, [0], axis=j)))
@@ -318,35 +343,75 @@ _SPLIT = {"d1": ("s0", 1), "d2": ("cov_s0", 0), "d3": ("cov_s0", 0),
           "divergence": ("s0", -1)}
 
 
-class Galerkin:
-    """Galerkin matrices of one (grid, rank) on the dealiased trace-free basis.
+@dataclass(frozen=True, eq=False)
+class Block:
+    """One reflection class of one sector of a Galerkin layer.
 
-    A basis column's sector is the tuple of |m_j| of its mode over the
-    invariant axes, and G and M are block-diagonal by sector.  `sectors[s]`
-    holds the global column indices (into `basis.columns()`) of sector s in
-    ascending order; every block list is aligned with `sectors`.  Colour c
-    is the sum of the c-th column of every sector.  Its image is cut into
-    sectors in the FFT along the invariant axes, so a block entry is
-    Re(F_s^H W F_s) / prod N_j over the sector's bins (Parseval).
+    `columns` index the sector's reduced columns (and the layer's colours),
+    ascending; the block's spectrum counts `multiplicity` times in the full
+    dealiased basis.
+    """
+
+    sector: int
+    columns: np.ndarray
+    multiplicity: int
+
+
+def _axis_factor(size, k, odd, shifted=False):
+    """cos(k x) (even) or sin(k x) (odd) on a grid axis of `size` points,
+    or, `shifted`, its translate by pi/(2k): -sin(k x) or cos(k x)."""
+    theta = 2.0 * math.pi * np.arange(size) / size
+    if shifted:
+        return np.cos(k * theta) if odd else -np.sin(k * theta)
+    return np.sin(k * theta) if odd else np.cos(k * theta)
+
+
+class Galerkin:
+    """Galerkin matrices of one (grid, rank) on the dealiased trace-free basis,
+    reduced by the translations and reflections of the invariant axes.
+
+    A sector is a key (k_a) over the invariant axes: the basis columns whose
+    modes have |m_a| = k_a there.  Its reduced columns (u, beta) are
+    u(x) * prod_a c_a(x_a) (x) e_beta: u runs over the trig functions of the
+    varying axes (the constant, then cos and sin of each half mode), e_beta
+    over `fiber.parity_basis`, and c_a is 1 where k_a = 0, cos(k_a x_a)
+    where k_a > 0 and beta is even in a, sin(k_a x_a) where it is odd.
+    These columns are even under every reflection x_a -> -x_a with k_a > 0;
+    the odd columns are their translates by pi/(2 k_a), which commute with
+    every operator, so the sector's spectrum is the reduced one counted
+    2^#(k_a > 0) times.  On the axes with k_a = 0 the reflection parity of
+    beta splits the reduced columns into blocks (`blocks`), the classes a
+    reflection-equivariant operator does not couple.  Column (u_j, e_beta)
+    is reduced column j * t + beta of its sector, and every sector has the
+    same count of them.
+
+    Colour c is the sum of reduced column c of every sector.  Its image is
+    cut into sectors in the FFT along the invariant axes, so a sector's
+    matrix is Re(F_s^H W F_s) / prod N_a over the sector's bins (Parseval),
+    and its blocks are the diagonal blocks of its classes.  The entries
+    between classes vanish by symmetry; they are gated at roundoff.
 
     Images are real, so the FFT is a half spectrum: the last invariant axis
     is the real axis of `numpy.fft.rfftn`.  On that axis a sector's cut
-    keeps only its bin +|m|, and since the bins -m are the conjugates of
-    the bins +m, a sector with |m| > 0 there counts its pairing twice.  On
-    the other invariant axes the cut keeps the bins +|m_j| and -|m_j|, and
-    every index on the other axes: one gather with a flat index into the
-    half spectrum.  The weights, constant along the invariant axes, are
-    gathered with the same bins on the full grid.  With no invariant axis
-    the one sector spans the whole grid and its cut is a view of the images.
+    keeps only its bin +k, and since the bins -k are the conjugates of the
+    bins +k, a sector with k > 0 there counts its pairing twice.  On the
+    other invariant axes the cut keeps the bins +k_a and -k_a, and every
+    index on the varying axes.  Sectors with as many bins are gathered and
+    paired together, as one stack.  The weights, constant along the
+    invariant axes, are gathered with the same bins on the full grid.  With
+    no invariant axis the one sector spans the whole grid and its cut is a
+    view of the images.
 
     Operators are applied to a batch of colours at a time (`_probe`): the
     colours go in chunks whose working set stays near `_PROBE_BYTES`, and
     each chunk's images are written into stacks preallocated for every
     colour.
 
-    Mass, its reduction, Gram blocks and joint eigendecompositions are cached
-    on the layer: a suite builds one per (grid, rank) and stacked systems add
-    blocks.
+    Blocks of equal size form a group, and every matrix the layer returns
+    (mass, Gram, form) is a list of stacks, one per group, in `_groups`
+    order.  Mass, its reduction, Gram blocks and joint eigendecompositions
+    are cached on the layer: a suite builds one per (grid, rank) and stacked
+    systems add blocks.
     """
 
     def __init__(self, cache, p):
@@ -355,35 +420,44 @@ class Galerkin:
         self.cache, self.p, self.t = cache, p, t
         self.axes = invariant_axes(cache)
         self.basis = build_dealiased_basis(cache, p)
-        scalar_modes = [(0,) * cache.n] + [m for m in self.basis.modes for _ in ("cos", "sin")]
-        by_key = {}
-        for j, m in enumerate(scalar_modes):
-            by_key.setdefault(tuple(abs(m[a]) for a in self.axes), []).append(j)
-        keys = sorted(by_key)
-        self.sectors = [
-            np.array([j * t + a for j in by_key[key] for a in range(t)]) for key in keys
-        ]
-        sizes = np.array([len(ix) for ix in self.sectors])
-        # sectors of equal size, solved together as one batched pencil
+        bands = [size // 2 - 1 for size in spec.sizes]
+        # the trig functions of the varying axes, constant along the invariant ones
+        self._var_modes = half_modes([0 if a in self.axes else b for a, b in enumerate(bands)])
+        width = 1 + 2 * len(self._var_modes)
+        self._fiber, parity = fiber.parity_basis(cache.n, p)
+        self._parity = parity[:, list(self.axes)]
+        self.keys = list(itertools.product(*(range(bands[a] + 1) for a in self.axes)))
+        # a colour's class in a sector is the parity of its fiber column on
+        # the invariant axes with k_a = 0; it depends only on those axes
+        odd = self._parity[np.arange(width * t) % t]
+        labels, split = {}, {}
+        self.blocks = []
+        for s, key in enumerate(self.keys):
+            zero = tuple(i for i, k in enumerate(key) if k == 0)
+            if zero not in labels:
+                code = odd[:, list(zero)] @ (1 << np.arange(len(zero)))
+                labels[zero] = np.searchsorted(sorted(set(code.tolist())), code)
+            label = labels[zero]
+            self.blocks += [Block(s, np.flatnonzero(label == c), 2 ** (len(key) - len(zero)))
+                            for c in range(label.max() + 1)]
+            if label.max() > 0:
+                split[s] = label
+        # the sectors of more than one class, and the masks of their
+        # entries between classes
+        self._split = np.array(list(split), int)
+        label = np.array(list(split.values()), int).reshape(len(split), width * t)
+        self._cross = label[:, :, None] != label[:, None, :]
+        sizes = np.array([len(b.columns) for b in self.blocks])
+        # blocks of equal size, solved together as one batched pencil: their
+        # sectors, columns and multiplicities
         self._groups = [np.flatnonzero(sizes == size) for size in sorted(set(sizes.tolist()))]
+        self._group_sectors = [np.array([self.blocks[b].sector for b in g]) for g in self._groups]
+        self._group_columns = [np.stack([self.blocks[b].columns for b in g]) for g in self._groups]
+        self._mult = [np.array([self.blocks[b].multiplicity for b in g]) for g in self._groups]
         # the half spectrum: the last invariant axis keeps bins 0..N/2
         self._half = tuple(size // 2 + 1 if self.axes and a == self.axes[-1] else size
                            for a, size in enumerate(spec.sizes))
-        # per sector: its gathers into the half spectrum and into the grid,
-        # and its Parseval factor (twice a nonzero bin of the real axis)
-        norm = float(math.prod(spec.sizes[a] for a in self.axes))
-        self._gather, self._weight_gather, self._parseval = [], [], []
-        for key in keys:
-            k = dict(zip(self.axes, key))
-            per_axis = [range(size) if a not in k
-                        else [k[a]] if a == self.axes[-1]
-                        else sorted({k[a], -k[a] % size})
-                        for a, size in enumerate(spec.sizes)]
-            ix = np.ix_(*per_axis)
-            self._gather.append(np.ravel_multi_index(ix, self._half).ravel())
-            self._weight_gather.append(np.ravel_multi_index(ix, spec.shape).ravel())
-            self._parseval.append((2.0 if key and key[-1] > 0 else 1.0) / norm)
-        width = max(len(js) for js in by_key.values())
+        self._bins = self._sector_bins()
         self._chunk = max(1, _PROBE_BYTES // self._colour_work_bytes())
         need = self._bytes_before_solve(width)
         if need > GALERKIN_BYTES_CAP:
@@ -392,18 +466,64 @@ class Galerkin:
                 f"solve, above the {GALERKIN_BYTES_CAP / 2**20:.0f} MiB cap; shrink the "
                 "grid (or the rank) before assembling"
             )
-        # pick[j, k] = 1 when scalar function j is the k-th one of its sector;
-        # colour k * t + a is the sum of those functions along fiber axis a
-        pick = np.zeros((len(scalar_modes), width))
-        for js in by_key.values():
-            pick[js, np.arange(len(js))] = 1.0
-        scalars = trig_series(spec, self.basis.modes, pick)
-        self.colours = np.einsum("...k,ab->ka...b", scalars, np.eye(t)).reshape(
-            (-1,) + spec.shape + (t,))
+        self.colours = self._synthesize_colours(width)
         self._colour_hat = self._cut(self.colours)
-        self._mass = self._mass_stacks = self._reduced = None
+        self._mass = self._mass_max = self._reduced = None
         self._grams = {}
         self._eigen = {}
+
+    def _sector_bins(self):
+        """Sectors grouped by their count of FFT bins: per group the sector
+        indices, their gathers into the half spectrum and into the grid
+        (sector, bin), and their Parseval factors (twice a nonzero bin of
+        the real axis).
+
+        A sector keeps the bin +k_a of the real axis, the bins +k_a and
+        -k_a of the other invariant axes and every index of the varying
+        axes."""
+        spec = self.cache.spec
+        if not self.axes:
+            return [(np.array([0]), None, None, np.ones(1))]
+        norm = float(math.prod(spec.sizes[a] for a in self.axes))
+        by_count = {}
+        for s, key in enumerate(self.keys):
+            k = dict(zip(self.axes, key))
+            per_axis = [range(size) if a not in k
+                        else [k[a]] if a == self.axes[-1]
+                        else sorted({k[a], -k[a] % size})
+                        for a, size in enumerate(spec.sizes)]
+            ix = np.ix_(*per_axis)
+            by_count.setdefault(math.prod(map(len, per_axis)), []).append(
+                (s, np.ravel_multi_index(ix, self._half).ravel(),
+                 np.ravel_multi_index(ix, spec.shape).ravel(),
+                 (2.0 if key[-1] > 0 else 1.0) / norm))
+        return [tuple(map(np.array, zip(*entries))) for entries in by_count.values()]
+
+    def _fiber_products(self, factor):
+        """(t, *grid): per fiber column beta, the product over the invariant
+        axes of factor(i, odd), a 1-D array along the i-th invariant axis and
+        odd the parity of beta there."""
+        spec = self.cache.spec
+        out = np.ones((self.t,) + spec.shape)
+        for i, a in enumerate(self.axes):
+            view = [1] * spec.n
+            view[a] = spec.sizes[a]
+            for beta in range(self.t):
+                out[beta] *= factor(i, self._parity[beta, i]).reshape(view)
+        return out
+
+    def _synthesize_colours(self, width):
+        """The (colours, *grid, t) colour stack: colour (j, beta) is u_j times
+        the product over the invariant axes of the sum over k_a of c_a,
+        along e_beta; the sum over sectors of a product is the product of
+        the per-axis sums."""
+        spec = self.cache.spec
+        u = trig_series(spec, self._var_modes, np.eye(width))
+        sizes = [spec.sizes[a] for a in self.axes]
+        sums = self._fiber_products(lambda i, odd: 1.0 + sum(
+            _axis_factor(sizes[i], k, odd) for k in range(1, sizes[i] // 2)))
+        return np.einsum("...j,b...,ab->jb...a", u, sums, self._fiber).reshape(
+            (width * self.t,) + spec.shape + (self.t,))
 
     def _piece_shapes(self):
         """Per-point shape of each first-order piece's image, in `_SPLIT` order."""
@@ -421,66 +541,88 @@ class Galerkin:
 
     def _bytes_before_solve(self, width):
         """Bytes the layer holds at its peak by its first solves, the Gram
-        build included.
+        build included, for `width` trig functions of the varying axes.
 
         Held throughout: the colour stack (real) and its half-spectrum cut
         (complex; a view of the colours when no axis is invariant).  On top
         of that, the largest of three phases: the synthesis buffers (the
-        0/1 pick matrix of `width` functions per sector, the series'
-        spectrum and its samples); the Gram build (the four piece stacks,
-        six mass-sized arrays for the mass, its reduction L^{-1} and the
-        four Gram blocks, and the larger of one chunk's working set and one
-        piece's half-spectrum cut, its FFT and the sectors' gathers); and
-        the solves (`_BLOCK_ARRAYS` mass-sized arrays: the mass, L^{-1},
-        the Gram blocks, cached eigenvectors and one batched solve's
-        working arrays).
+        series' spectrum and samples of the `width` functions); the Gram
+        build (the four piece stacks, six mass-sized arrays for the mass,
+        its reduction L^{-1} and the four Gram blocks, one pairing's sector
+        matrices, and the larger of one chunk's working set and one piece's
+        cut: its FFT, its gather and its weighted copy); and the solves
+        (`_BLOCK_ARRAYS` mass-sized arrays: the mass, L^{-1}, the Gram
+        blocks, cached eigenvectors and one batched solve's working arrays).
         """
         points = self.cache.spec.num_points
         colours = width * self.t
-        mass = 8 * sum(len(ix) ** 2 for ix in self.sectors)
+        mass = 8 * sum(len(b.columns) ** 2 for b in self.blocks)
+        sectors = 8 * len(self.keys) * colours ** 2
         pieces = [math.prod(shape) for shape in self._piece_shapes()]
         held = 8 * colours * points * self.t
-        piece_cut = 0
         if self.axes:
             bins = colours * math.prod(self._half)
-            bins += sum(len(ix) * len(g) for ix, g in zip(self.sectors, self._gather))
             held += 16 * self.t * bins
-            piece_cut = 16 * max(pieces) * bins
-        synthesis = 8 * (self.basis.n_scalar * width + 4 * points * width)
+            piece_cut = 3 * 16 * max(pieces) * bins
+        else:
+            piece_cut = 2 * 8 * max(pieces) * colours * points
+        synthesis = 8 * (width * width + 4 * points * width)
         chunk = min(self._chunk, colours) * self._colour_work_bytes()
-        gram = (8 * colours * points * sum(pieces) + 6 * mass
+        gram = (8 * colours * points * sum(pieces) + 6 * mass + sectors
                 + max(chunk, piece_cut))
         return held + max(synthesis, gram, _BLOCK_ARRAYS * mass)
 
     def _cut(self, images):
-        """Per-sector FFT coefficients of a stack of colour images.
+        """Per group of sectors with as many bins, the FFT coefficients of a
+        stack of colour images on each sector's half-spectrum bins.
 
-        images: (colours, *grid, fiber...) real.  Returns, per sector, a
-        real (sector size, k) array whose row c holds the FFT of the image
-        of the sector's c-th column on the sector's half-spectrum bins, as
-        (real, imaginary) pairs; with no invariant axis, the image itself.
+        images: (colours, *grid, fiber...) real.  Returns, per group in
+        `_bins` order, a real (sectors, colours, k) array whose [s, c] row
+        holds the FFT of colour c's image on sector s's bins as (real,
+        imaginary) pairs; with no invariant axis, the images themselves.
         """
+        count = len(images)
         if not self.axes:
-            # one sector over the whole grid: its cut is a view of the images
-            return [images[: len(ix)].reshape(len(ix), -1) for ix in self.sectors]
+            return [images.reshape(1, count, -1)]
         hat = np.fft.rfftn(images, axes=[1 + a for a in self.axes])
-        hat = hat.reshape(len(images), math.prod(self._half), -1)
-        return [hat[: len(ix)].take(g, axis=1).reshape(len(ix), -1).view(float)
-                for ix, g in zip(self.sectors, self._gather)]
+        hat = hat.reshape(count, math.prod(self._half), -1)
+        # the gather is (colours, sectors, bins, fiber); the colour axis is
+        # moved behind the sectors as a strided view
+        return [np.take(hat, g, axis=1).swapaxes(0, 1).reshape(len(g), count, -1).view(float)
+                for _, g, _, _ in self._bins]
 
-    def _pair(self, left, right, weights):
-        """Sector blocks Re(L^H W R) / prod N_j of a weighted inner product;
-        the weights are constant along the invariant axes.  On (real,
-        imaginary) pairs the real part is one real product, each weight
-        repeated for the two parts."""
+    def _pair(self, left, right, weights, floor):
+        """Block stacks Re(L^H W R) / prod N_a of a weighted inner product,
+        one stack per group; the weights are constant along the invariant
+        axes.  On (real, imaginary) pairs the real part is one real product,
+        each weight repeated for the two parts.
+
+        Each sector's whole matrix is formed.  Its entries between two
+        reflection classes pair images that the reflections keep orthogonal,
+        so they are gated at `_SYMMETRY_TOL` of the larger of `floor` and
+        the pairing's largest entry: an operator that does not commute with
+        the reflections is refused.  The floor (the mass's largest entry)
+        measures an operator that vanishes to roundoff, such as d3 on the
+        2-torus at p >= 2, against the basis rather than its own noise.
+        """
+        count = len(self.colours)
         w = weights.reshape(self.cache.spec.num_points, -1)
-        if not self.axes:
-            return [(L * w.ravel()) @ R.T for L, R in zip(left, right)]
-        out = []
-        for L, R, g, factor in zip(left, right, self._weight_gather, self._parseval):
-            wg = np.repeat(w.take(g, axis=0).ravel(), 2)
-            out.append((L * wg) @ R.T * factor)
-        return out
+        S = np.empty((len(self.keys), count, count))
+        for (sel, _, gw, factor), L, R in zip(self._bins, left, right):
+            wg = (w.reshape(1, 1, -1) if gw is None
+                  else np.repeat(w[gw].reshape(len(sel), 1, -1), 2, axis=-1))
+            S[sel] = ((L * wg) @ R.swapaxes(1, 2)) * factor[:, None, None]
+        if self._split.size:
+            cross = float(np.max(np.abs(S[self._split][self._cross]), initial=0.0))
+            scale = max(float(np.max(np.abs(S))), floor)
+            if cross > _SYMMETRY_TOL * scale:
+                raise SpectralError(
+                    f"entries between reflection classes reach {cross / scale:.3e} of the "
+                    f"largest entry, above {_SYMMETRY_TOL:.1e}: the operator does not "
+                    "commute with the reflections of the invariant axes"
+                )
+        return [S[sec[:, None, None], ix[:, :, None], ix[:, None, :]]
+                for sec, ix in zip(self._group_sectors, self._group_columns)]
 
     def _probe(self, apply, fiber_shapes):
         """Images of every colour under `apply`, one chunk of colours at a time.
@@ -499,39 +641,40 @@ class Galerkin:
                 stack[chunk] = image
         return stacks
 
+    def norm(self, stacks):
+        """Frobenius norm of the full Galerkin matrix whose block stacks are
+        `stacks`, each block counted with its multiplicity."""
+        return math.sqrt(sum(float(np.sum(B * B, axis=(1, 2)) @ mult)
+                             for B, mult in zip(stacks, self._mult)))
+
     def mass(self):
-        """Sector blocks of the mass matrix M, held as views of one stack per
-        group of equal-size sectors."""
+        """Block stacks of the mass matrix M."""
         if self._mass is None:
             w = weight_vector(self.cache, "s0", self.p)
-            blocks = self._pair(self._colour_hat, self._colour_hat, w)
-            self._mass_stacks = [np.stack([blocks[s] for s in group])
-                                 for group in self._groups]
-            self._mass = [None] * len(blocks)
-            for group, M in zip(self._groups, self._mass_stacks):
-                for k, s in enumerate(group):
-                    self._mass[s] = M[k]
+            self._mass = self._pair(self._colour_hat, self._colour_hat, w, 0.0)
+            self._mass_max = max(float(np.max(np.abs(M))) for M in self._mass)
         return self._mass
 
     def _reduction(self):
-        """Per group of equal-size sectors: the stacked mass blocks and L^{-1}
-        of their Cholesky factors, computed once and shared by every solve."""
+        """Per group: the stacked mass blocks and L^{-1} of their Cholesky
+        factors, computed once and shared by every solve."""
         if self._reduced is None:
-            self.mass()
-            self._reduced = [(M, _reduce(M)) for M in self._mass_stacks]
+            self._reduced = [(M, _reduce(M)) for M in self.mass()]
         return self._reduced
 
     def form(self, handle: OperatorHandle):
-        """Sector blocks of the bilinear form <column, handle(column)>."""
+        """Block stacks of the bilinear form <column, handle(column)>."""
         if not handle.is_endomorphism:
             raise SpectralError(f"{handle.name} is not an endomorphism")
         if (handle.cache, handle.domain_rank) != (self.cache, self.p):
             raise SpectralError("basis bundle does not match the handle domain")
+        self.mass()
         (images,) = self._probe(lambda phi: [handle.apply(phi).data], [(self.t,)])
-        return self._pair(self._colour_hat, self._cut(images), handle.domain_weights())
+        return self._pair(self._colour_hat, self._cut(images), handle.domain_weights(),
+                          self._mass_max)
 
     def gram(self, names):
-        """Sector blocks of the stacked system named by `names` (pieces of
+        """Block stacks of the stacked system named by `names` (pieces of
         `_SPLIT`): the sum of the weighted Grams of each operator's image."""
         unknown = sorted(set(names) - set(_SPLIT))
         if unknown:
@@ -539,7 +682,7 @@ class Galerkin:
                                 f"known: {', '.join(_SPLIT)}")
         if not self._grams:
             self._build_gram()
-        return [sum(blocks) for blocks in zip(*(self._grams[name] for name in names))]
+        return [sum(stacks) for stacks in zip(*(self._grams[name] for name in names))]
 
     def _build_gram(self):
         # one stack per piece, filled chunk by chunk from one decompose of
@@ -548,59 +691,80 @@ class Galerkin:
             sp = gradients.decompose(phi)
             return [getattr(sp, piece).data for piece in _SPLIT]
 
+        self.mass()
         stacks = dict(zip(_SPLIT, self._probe(split, self._piece_shapes())))
         for piece, (tag, shift) in _SPLIT.items():
             hat = self._cut(stacks.pop(piece))
             w = weight_vector(self.cache, tag, self.p + shift)
-            self._grams[piece] = self._pair(hat, hat, w)
+            self._grams[piece] = self._pair(hat, hat, w, self._mass_max)
             del hat  # freed before the next piece is cut, to lower the peak
 
-    def eigen(self, blocks):
-        """Eigenpairs of (G_s, M_s) for every sector s, in sector order.
+    def eigen(self, stacks):
+        """Eigenpairs of (G, M) for every block, one batched result per group.
 
-        Each group of equal-size sectors is one batched solve on the layer's
-        cached reduction; residuals are gated per sector, relative to the
-        norm of the whole pencil.
+        Each group is one batched solve on the layer's cached reduction; its
+        result carries the blocks' multiplicities.  Residuals are gated per
+        block, relative to the norm of the whole pencil.
         """
-        scale = _frobenius(blocks)
-        out = [None] * len(blocks)
-        for group, (M, Linv) in zip(self._groups, self._reduction()):
-            res = _eigh_pencil(np.stack([blocks[s] for s in group]), M, scale=scale, Linv=Linv)
-            for k, s in enumerate(group):
-                out[s] = EigenResult(res.values[k], res.vectors[k], res.residuals[k])
-        return out
+        scale = self.norm(stacks)
+        return [replace(_eigh_pencil(G, M, scale=scale, Linv=Linv), multiplicity=mult)
+                for G, (M, Linv), mult in zip(stacks, self._reduction(), self._mult)]
 
     def joint_eigen(self, names):
-        """Per-sector eigenpairs of the stacked system, solved once per layer."""
+        """Per-group eigenpairs of the stacked system, solved once per layer."""
         key = tuple(names)
         if key not in self._eigen:
             self._eigen[key] = self.eigen(self.gram(names))
         return self._eigen[key]
 
-    def field(self, sector, coeffs):
-        """The field with coefficients `coeffs` on the columns of one sector."""
-        ix, t = self.sectors[sector], self.t
-        coef = np.zeros((self.basis.n_scalar, t))
-        coef[ix // t, ix % t] = coeffs
-        data = trig_series(self.cache.spec, self.basis.modes, coef)
+    def field(self, block, coeffs, copy=0):
+        """The field with coefficients `coeffs` on the columns of one block.
+
+        `copy` (below the block's multiplicity) picks one of its translates:
+        bit i translates by pi/(2k) along the i-th invariant axis with k > 0,
+        which maps the block's eigenvectors to eigenvectors of the other
+        reflection classes.
+        """
+        b = self.blocks[block]
+        spec = self.cache.spec
+        key = self.keys[b.sector]
+        moving = [i for i, k in enumerate(key) if k > 0]
+        coef = np.zeros((1 + 2 * len(self._var_modes), self.t))
+        coef[b.columns // self.t, b.columns % self.t] = coeffs
+
+        def factor(i, odd):
+            size = spec.sizes[self.axes[i]]
+            if key[i] == 0:
+                return np.ones(size)
+            return _axis_factor(size, key[i], odd, bool(copy >> moving.index(i) & 1))
+
+        series = trig_series(spec, self._var_modes, coef)
+        data = np.einsum("...b,b...,ab->...a", series, self._fiber_products(factor),
+                         self._fiber)
         return TensorField(self.cache, "s0", self.p, data)
 
     def lowest_fields(self, names, count):
-        """Fields of the `count` lowest eigenpairs of the stacked system."""
+        """Fields of the `count` lowest eigenpairs of the stacked system, each
+        block's eigenpair counted with its multiplicity (its translates)."""
         eig = self.joint_eigen(names)
-        order = sorted((float(v), s, i) for s, r in enumerate(eig)
-                       for i, v in enumerate(r.values))
-        return [self.field(s, eig[s].vectors[:, i]) for _, s, i in order[:count]]
-
-
-def _frobenius(blocks):
-    """Frobenius norm of a block-diagonal matrix given by its blocks."""
-    return math.sqrt(sum(float(np.sum(B * B)) for B in blocks))
+        vectors = {}
+        order = []
+        for r, group in zip(eig, self._groups):
+            for b, vals, V, mult in zip(group.tolist(), r.values, r.vectors, r.multiplicity):
+                vectors[b] = V
+                order += [(float(v), b, i, copy) for i, v in enumerate(vals)
+                          for copy in range(mult)]
+        order.sort()
+        return [self.field(b, vectors[b][:, i], copy) for _, b, i, copy in order[:count]]
 
 
 def sector_spectrum(results):
-    """Ascending concatenation of per-sector eigenvalues."""
-    return np.sort(np.concatenate([r.values for r in results]))
+    """Ascending eigenvalues of a layer's per-group results, each block's
+    counted with its multiplicity: the spectrum on the full dealiased basis."""
+    return np.sort(np.concatenate([
+        np.repeat(r.values.reshape(-1), np.repeat(np.reshape(r.multiplicity, -1),
+                                                  r.values.shape[-1]))
+        for r in results]))
 
 
 # ---------------------------------------------------------------------------
@@ -673,8 +837,9 @@ def spectrum(handle: OperatorHandle, n_eigs=50, galerkin=None):
         raise SpectralError(f"{handle.name} is not an endomorphism")
     gal = galerkin or Galerkin(handle.cache, handle.domain_rank)
     blocks = gal.form(handle)
-    defect = _frobenius([G - G.T for G in blocks]) / (_frobenius(blocks) + _TINY)
-    results = gal.eigen([0.5 * (G + G.T) for G in blocks])
+    transposed = [np.swapaxes(G, 1, 2) for G in blocks]
+    defect = gal.norm([G - T for G, T in zip(blocks, transposed)]) / (gal.norm(blocks) + _TINY)
+    results = gal.eigen([0.5 * (G + T) for G, T in zip(blocks, transposed)])
     values = sector_spectrum(results)
     kc = kernel_count(values)
     return SpectrumReport(

@@ -298,6 +298,41 @@ def test_tracefree_basis_matches_scipy_null_space_route(n, p):
     assert np.array_equal(C, B_ref.T @ W)
 
 
+def parity_count(n, p, cls):
+    """Monomials of rank p whose index counts have the parities `cls`."""
+    return sum(tuple(I.count(a) % 2 for a in range(n)) == cls for I in fiber.sym_indices(n, p))
+
+
+@pytest.mark.parametrize("n,p", [(n, p) for n in range(2, 5) for p in range(0, 5)])
+def test_parity_basis_diagonalizes_the_reflections(n, p):
+    # an orthonormal basis of S0^p; each column, reflected index by index as
+    # a full tensor, is itself times the sign of its recorded parity; and
+    # each class has the dimension of its monomials minus the rank p - 2
+    # ones (the trace maps a class onto the same class, surjectively)
+    Q, parity = fiber.parity_basis(n, p)
+    t = fiber.tracefree_dim(n, p)
+    assert Q.shape == (t, t) and parity.shape == (t, n)
+    assert np.max(np.abs(Q.T @ Q - np.eye(t))) < 1e-13
+    B, C = fiber.tracefree_basis(n, p)
+    for beta in range(t):
+        T = full(n, p, B @ Q[:, beta])
+        for a in range(n):
+            sign = np.ones((n,) * p)
+            for slot in range(p):
+                view = [1] * p
+                view[slot] = n
+                sign = sign * np.where(np.arange(n) == a, -1.0, 1.0).reshape(view)
+            reflected = C @ fiber.restrict_matrix(n, p) @ (sign * T).reshape(-1)
+            assert np.max(np.abs(reflected - (-1) ** parity[beta, a] * Q[:, beta])) < 1e-13
+    classes = {tuple(row) for row in parity.tolist()}
+    dims = {cls: int(np.sum(np.all(parity == cls, axis=1))) for cls in classes}
+    for cls, dim in dims.items():
+        lower = parity_count(n, p - 2, cls) if p >= 2 else 0
+        assert dim == parity_count(n, p, cls) - lower
+    assert sum(dims.values()) == t
+    assert [tuple(row) for row in parity.tolist()] == sorted(map(tuple, parity.tolist()))
+
+
 @pytest.mark.parametrize("n,p", [(2, 1), (2, 2), (3, 2), (3, 3), (4, 2)])
 def test_tracefree_basis_orthonormal_left_inverse(n, p):
     B, C = fiber.tracefree_basis(n, p)

@@ -112,6 +112,15 @@ def dense_images(handle, cols):
     return np.column_stack([handle.apply_vector(cols[:, j]) for j in range(cols.shape[1])])
 
 
+def per_block(gal, stacks):
+    """The matrices of a layer's group stacks, listed in block order."""
+    out = [None] * len(gal.blocks)
+    for group, stack in zip(gal._groups, stacks):
+        for b, B in zip(group, stack):
+            out[b] = B
+    return out
+
+
 def test_identity_assembles_to_identity():
     # the Galerkin form of the identity is the mass matrix, block for block
     cache = make_cache(2, 8, metric="conformal")
@@ -126,22 +135,23 @@ def test_identity_assembles_to_identity():
 
 @pytest.mark.parametrize("maker", [rough_laplacian_handle, d1_handle, divergence_handle])
 def test_assembled_matrix_reproduces_apply(maker):
-    # each sector block reproduces the operator applied to a field
-    # synthesized on that sector: a Gram block (d1, divergence) the weighted
-    # norm of the image, a form block (rough Laplacian) the pairing of the
-    # field with its image
+    # each block reproduces the operator applied to a field synthesized on
+    # that block, and on each of its translates: a Gram block (d1,
+    # divergence) the weighted norm of the image, a form block (rough
+    # Laplacian) the pairing of the field with its image
     cache = make_cache(2, 8, metric="conformal")
     p = 1 if maker is not divergence_handle else 2
     h = maker(cache, p)
     gal = Galerkin(cache, p)
     rng = np.random.default_rng(7)
     blocks = gal.form(h) if h.is_endomorphism else gal.gram([h.name])
-    for s, G in enumerate(blocks):
-        c = rng.standard_normal(len(gal.sectors[s]))
-        phi = gal.field(s, c)
-        image = h.apply(phi)
-        direct = l2_inner(phi if h.is_endomorphism else image, image)
-        assert abs(c @ G @ c - direct) <= 1e-10 * direct
+    for b, G in enumerate(per_block(gal, blocks)):
+        c = rng.standard_normal(len(gal.blocks[b].columns))
+        for copy in range(gal.blocks[b].multiplicity):
+            phi = gal.field(b, c, copy)
+            image = h.apply(phi)
+            direct = l2_inner(phi if h.is_endomorphism else image, image)
+            assert abs(c @ G @ c - direct) <= 1e-10 * direct
 
 
 @pytest.mark.parametrize("metric", ["flat", "conformal"])
@@ -219,22 +229,20 @@ def test_eigensolve_weighted_orthonormal_vectors():
         assert np.all(np.diff(vals) >= -1e-12)
 
 
-def stacked_group(gal, blocks, size):
-    """The sectors of one size and their blocks and mass blocks, stacked."""
-    group = [s for s, ix in enumerate(gal.sectors) if len(ix) == size]
-    mass = gal.mass()
-    return (group, np.stack([blocks[s] for s in group]),
-            np.stack([mass[s] for s in group]))
+def stacked_group(gal, stacks, size):
+    """The blocks of one size and the stacks of their matrices and masses."""
+    k = [len(gal.blocks[group[0]].columns) for group in gal._groups].index(size)
+    return gal._groups[k], stacks[k], gal.mass()[k]
 
 
 @pytest.mark.parametrize("metric,size,p,width", [
-    ("conformal", 24, 2, 92),   # dense mass blocks
-    ("flat", 12, 2, 8),         # diagonal mass blocks
+    ("conformal", 24, 2, 46),   # dense mass blocks
+    ("flat", 12, 2, 2),         # diagonal mass blocks
 ])
 def test_batched_eigensolve_matches_scipy_reference(metric, size, p, width):
     gal = Galerkin(make_cache(2, size, metric=metric), p)
     blocks = gal.gram(["d1", "divergence"])
-    scale = spectral._frobenius(blocks)
+    scale = gal.norm(blocks)
     group, G, M = stacked_group(gal, blocks, width)
     assert len(group) > 1
     res = spectral._eigh_pencil(G, M, scale=scale)
@@ -247,34 +255,109 @@ def test_batched_eigensolve_matches_scipy_reference(metric, size, p, width):
 
 
 @pytest.mark.parametrize("metric,size,sizes", [
-    ("conformal", 24, {46, 92}),     # the mode-0 sector first, then 11 of 92
-    ("flat", 12, {2, 4, 8}),         # sizes interleaved in sector order
+    ("conformal", 24, {23, 46}),     # the mode-0 sector's two classes, then 11 of 46
+    ("flat", 12, {1, 2}),            # sizes interleaved in sector order
 ])
 def test_galerkin_eigen_keeps_sector_order(metric, size, sizes):
     gal = Galerkin(make_cache(2, size, metric=metric), 2)
-    assert {len(ix) for ix in gal.sectors} == sizes
+    assert {len(b.columns) for b in gal.blocks} == sizes
     blocks = gal.gram(["d1"])
-    scale = spectral._frobenius(blocks)
-    for G, M, r in zip(blocks, gal.mass(), gal.eigen(blocks)):
-        ref = scipy.linalg.eigh(G, M, eigvals_only=True)
-        assert r.values.shape == r.residuals.shape == (len(G),)
-        assert np.max(np.abs(r.values - ref)) <= 1e-12 * scale
-        R = G @ r.vectors - M @ r.vectors * r.values
-        assert np.max(np.linalg.norm(R, axis=0)) <= 1e-12 * scale
+    scale = gal.norm(blocks)
+    for group, G, M, r in zip(gal._groups, blocks, gal.mass(), gal.eigen(blocks)):
+        assert np.array_equal(r.multiplicity, [gal.blocks[b].multiplicity for b in group])
+        for k in range(len(group)):
+            ref = scipy.linalg.eigh(G[k], M[k], eigvals_only=True)
+            assert r.values[k].shape == r.residuals[k].shape == (len(G[k]),)
+            assert np.max(np.abs(r.values[k] - ref)) <= 1e-12 * scale
+            R = G[k] @ r.vectors[k] - M[k] @ r.vectors[k] * r.values[k]
+            assert np.max(np.linalg.norm(R, axis=0)) <= 1e-12 * scale
 
 
 def test_batched_eigensolve_gates_each_sector():
     gal = Galerkin(make_cache(2, 12), 2)
     blocks = gal.gram(["d1"])
-    scale = spectral._frobenius(blocks)
-    _, G, M = stacked_group(gal, blocks, 8)
+    scale = gal.norm(blocks)
+    _, G, M = stacked_group(gal, blocks, 2)
     spectral._eigh_pencil(G, M, scale=scale)
-    # eigh reads one triangle: an antisymmetric part in one sector leaves
-    # that sector's pencil unsolved, and the batch is refused
-    E = np.triu(np.ones((8, 8)), 1) * 1e-6 * scale
+    # eigh reads one triangle: an antisymmetric part in one block leaves
+    # that block's pencil unsolved, and the batch is refused
+    E = np.triu(np.ones((2, 2)), 1) * 1e-6 * scale
     G[3] += E - E.T
     with pytest.raises(SpectralError, match=f"in 1 of {len(G)} pencils"):
         spectral._eigh_pencil(G, M, scale=scale)
+
+
+def test_reduced_residual_bounds_the_pencil_residual(monkeypatch):
+    # the gate reads sqrt(||M||_F) ||C y - lambda y|| in reduced coordinates,
+    # never below the pencil residual ||G v - lambda M v||: eigenvectors
+    # perturbed at 1e-11 stay under the gate with the bound above the exact
+    # residual, and at 1e-6 they trip it
+    rng = np.random.default_rng(11)
+    A = rng.standard_normal((4, 12, 12))
+    M = A @ A.swapaxes(1, 2) + 12.0 * np.eye(12)
+    B = rng.standard_normal((4, 12, 12))
+    G = B + B.swapaxes(1, 2)
+    eigh = np.linalg.eigh
+
+    def perturbed(eps):
+        def solve(C):
+            vals, Y = eigh(C)
+            return vals, Y + eps * rng.standard_normal(Y.shape)
+        return solve
+
+    res = spectral._eigh_pencil(G, M, scale=1.0)
+    assert np.max(res.residuals) <= 1e-12
+    for eps in (1e-11, 1e-6):
+        monkeypatch.setattr(np.linalg, "eigh", perturbed(eps))
+        if eps > spectral._RESIDUAL_TOL:
+            with pytest.raises(SpectralError, match="did not converge"):
+                spectral._eigh_pencil(G, M, scale=1.0)
+            continue
+        res = spectral._eigh_pencil(G, M, scale=1.0)
+        V = res.vectors
+        exact = np.linalg.norm(G @ V - M @ V * res.values[:, None, :], axis=-2)
+        assert np.min(exact) > 1e-13
+        assert np.all(res.residuals >= exact)
+
+
+@pytest.mark.parametrize("n,f_text,p", [(2, None, 1), (2, "0.1*cos(x1)", 2), (3, None, 2)])
+def test_symmetry_gate_refuses_a_non_equivariant_handle(n, f_text, p):
+    # a constant fiber matrix commutes with the reflections when it keeps
+    # the parity classes: one diagonal in the parity basis passes the gate,
+    # one that maps a column into a class of another parity trips it
+    cache = make_cache(n, 8, metric="flat" if f_text is None else "conformal",
+                       f_text=f_text)
+    gal = Galerkin(cache, p)
+    Q, parity = fiber.parity_basis(n, p)
+    assert np.any(parity[0, list(gal.axes)] != parity[-1, list(gal.axes)])
+
+    def constant(A):
+        return spectral.OperatorHandle(
+            name="constant", cache=cache, domain_rank=p, codomain_tag="s0",
+            codomain_rank=p, apply=lambda phi: TensorField(cache, "s0", p, phi.data @ A.T),
+            symbol=None)
+
+    equivariant = Q @ np.diag(np.arange(1.0, len(Q) + 1)) @ Q.T
+    gal.form(constant(equivariant))
+    with pytest.raises(SpectralError, match="reflections"):
+        gal.form(constant(equivariant + 0.1 * np.outer(Q[:, -1], Q[:, 0])))
+
+
+def test_lowest_fields_count_each_block_with_its_translates():
+    # on a conformal layer the d1 spectrum above the kernel comes in
+    # translate pairs: the lowest fields, partners included, are
+    # orthonormal eigenfields of the lowest values of the full spectrum
+    cache = make_cache(2, 12, metric="conformal")
+    gal = Galerkin(cache, 1)
+    count = 12
+    values = spectral.sector_spectrum(gal.joint_eigen(["d1"]))[:count]
+    low = gal.lowest_fields(["d1"], count)
+    images = [gradients.d1(phi) for phi in low]
+    mass = np.array([[l2_inner(a, b) for b in low] for a in low])
+    gram = np.array([[l2_inner(a, b) for b in images] for a in images])
+    assert np.max(np.abs(mass - np.eye(count))) < 1e-10
+    assert np.max(np.abs(gram - np.diag(values))) < 1e-10 * values[-1]
+    assert np.any(np.abs(np.diff(values[2:])) <= 1e-10 * values[-1])
 
 
 # flat (every axis invariant), one invariant axis fewer than n, none
@@ -317,7 +400,7 @@ def test_galerkin_admission_counts_the_reduction():
     held = gal.colours.nbytes + sum(M.nbytes + L.nbytes for M, L in gal._reduction())
     assert held <= gal._bytes_before_solve(len(gal.colours) // gal.t)
     assert sum(L.nbytes for _, L in gal._reduction()) == 8 * sum(
-        len(ix) ** 2 for ix in gal.sectors)
+        len(b.columns) ** 2 for b in gal.blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +422,7 @@ def test_dealiased_basis_shape_and_orthogonality():
 
 def test_dealiased_mass_matrix_conditioning_conformal():
     cache = make_cache(2, 12, metric="conformal")
-    eigs = np.concatenate([np.linalg.eigvalsh(M) for M in Galerkin(cache, 1).mass()])
+    eigs = np.concatenate([np.linalg.eigvalsh(M).ravel() for M in Galerkin(cache, 1).mass()])
     assert eigs.max() / eigs.min() < 100.0
 
 
@@ -394,14 +477,42 @@ def dense_form(handle, cols):
     return cols.T @ (dense_images(handle, cols) * handle.domain_weights()[:, None])
 
 
-def assert_sector_blocks(gal, blocks, ref):
-    """Blocks equal the reference on their sectors; the reference vanishes
-    to roundoff everywhere else."""
+def reduced_columns(gal):
+    """Every block's columns and every translate of them, synthesized through
+    `Galerkin.field`: a basis of the dealiased space listed block by block
+    and copy by copy, and the slice of each (block, copy) in it."""
+    data, where = [], {}
+    for b, block in enumerate(gal.blocks):
+        size = len(block.columns)
+        for copy in range(block.multiplicity):
+            where[b, copy] = slice(len(data), len(data) + size)
+            data += [gal.field(b, e, copy).data for e in np.eye(size)]
+    return np.stack(data), where
+
+
+def apply_stack(handle, data, chunk=128):
+    """A handle's images of a stack of fields, a chunk of them at a time."""
+    return np.concatenate([
+        handle.apply(TensorField(handle.cache, "s0", handle.domain_rank, data[a:a + chunk])).data
+        for a in range(0, len(data), chunk)])
+
+
+def pairing(left, right, weights):
+    """Weighted inner products of two stacks of sampled fields."""
+    return left.reshape(len(left), -1) @ (right.reshape(len(right), -1) * weights).T
+
+
+def assert_block_diagonal(gal, stacks, ref, where):
+    """In the basis of every block's columns and translates the reference
+    equals each block on each of its copies, and vanishes to roundoff
+    everywhere else."""
     scale = float(np.max(np.abs(ref)))
     off = np.ones(ref.shape, bool)
-    for ix, B in zip(gal.sectors, blocks):
-        assert np.max(np.abs(B - ref[np.ix_(ix, ix)])) <= 1e-12 * scale
-        off[np.ix_(ix, ix)] = False
+    for b, B in enumerate(per_block(gal, stacks)):
+        for copy in range(gal.blocks[b].multiplicity):
+            r = where[b, copy]
+            assert np.max(np.abs(B - ref[r, r])) <= 1e-12 * scale
+            off[r, r] = False
     assert np.max(np.abs(ref[off]), initial=0.0) <= 1e-12 * scale
 
 
@@ -423,31 +534,38 @@ def test_galerkin_sectors_match_dense_reference(n, p, f_text, method):
     gal = Galerkin(cache, p)
     first_invariant = {None: 0, GALERKIN_METRICS[1]: 1, GALERKIN_METRICS[2]: 2}[f_text]
     assert gal.axes == tuple(range(first_invariant, n))
-    assert np.array_equal(np.sort(np.concatenate(gal.sectors)), np.arange(gal.basis.dim))
-    cols = gal.basis.columns()
-    M = cols.T @ (cols * weight_vector(cache, "s0", p)[:, None])
-    assert_sector_blocks(gal, gal.mass(), M)
-    for names in (["d1"], ["divergence"], ["d2", "d3"]):
+    assert sum(len(b.columns) * b.multiplicity for b in gal.blocks) == gal.basis.dim
+    w = weight_vector(cache, "s0", p)
+    # the blocks on their own columns and translates
+    X, where = reduced_columns(gal)
+    assert_block_diagonal(gal, gal.mass(), pairing(X, X, w), where)
+    systems = (["d1"], ["divergence"], ["d2", "d3"])
+    for names in systems:
         handles = [spectral.handle_by_name(cache, p, name) for name in names]
-        G = dense_gram(handles, cols)
-        assert_sector_blocks(gal, gal.gram(names), G)
-        if n == 3:
-            continue
+        images = [apply_stack(h, X) for h in handles]
+        ref = sum(pairing(A, A, h.codomain_weights()) for h, A in zip(handles, images))
+        assert_block_diagonal(gal, gal.gram(names), ref, where)
+    h = d1_star_d1_handle(cache, p)
+    assert_block_diagonal(gal, gal.form(h), pairing(X, apply_stack(h, X), w), where)
+    # the spectra, with multiplicity, against the full basis of the mode table
+    cols = gal.basis.columns()
+    M = cols.T @ (cols * w[:, None])
+    for names in systems if n == 2 else ():
+        G = dense_gram([spectral.handle_by_name(cache, p, name) for name in names], cols)
         ref = scipy.linalg.eigh(G, M, eigvals_only=True)
         got = spectral.sector_spectrum(gal.joint_eigen(names))
         assert np.max(np.abs(got - ref)) <= 1e-10 * ref[-1]
-    h = d1_star_d1_handle(cache, p)
     F = dense_form(h, cols)
-    assert_sector_blocks(gal, gal.form(h), F)
     ref = scipy.linalg.eigh(0.5 * (F + F.T), M, eigvals_only=True)
     rep = spectrum(h, n_eigs=None, galerkin=gal)
     assert np.max(np.abs(rep.eigenvalues - ref)) <= 1e-10 * ref[-1]
 
 
 def full_spectrum_blocks(gal, left, right, weights):
-    """Reference sector blocks from the full FFT along the invariant axes:
-    every sector keeps the bins +|m_j| and -|m_j| on each invariant axis and
-    every index on the others, and each pairing counts once."""
+    """Reference blocks from the full FFT along the invariant axes: every
+    sector keeps the bins +k_a and -k_a on each invariant axis and every
+    index on the others, each pairing counts once, and a block is its
+    sector's matrix on the block's columns."""
     spec = gal.cache.spec
     axes = [1 + a for a in gal.axes]
     L = np.fft.fftn(left, axes=axes).reshape(len(left), spec.num_points, -1)
@@ -455,21 +573,21 @@ def full_spectrum_blocks(gal, left, right, weights):
     w = weights.reshape(spec.num_points, -1)
     norm = math.prod(spec.sizes[a] for a in gal.axes)
     out = []
-    for ix in gal.sectors:
-        j = ix[0] // gal.t
-        m = gal.basis.modes[(j - 1) // 2] if j else (0,) * spec.n
-        per_axis = [sorted({abs(m[a]), -abs(m[a]) % size}) if a in gal.axes else range(size)
+    for block in gal.blocks:
+        key = dict(zip(gal.axes, gal.keys[block.sector]))
+        per_axis = [sorted({key[a], -key[a] % size}) if a in key else range(size)
                     for a, size in enumerate(spec.sizes)]
         g = np.ravel_multi_index(np.ix_(*per_axis), spec.shape).ravel()
-        Ls = L[: len(ix)].take(g, axis=1).reshape(len(ix), -1)
-        Rs = R[: len(ix)].take(g, axis=1).reshape(len(ix), -1)
+        ix = block.columns
+        Ls = L[ix].take(g, axis=1).reshape(len(ix), -1)
+        Rs = R[ix].take(g, axis=1).reshape(len(ix), -1)
         out.append(((Ls.conj() * w.take(g, axis=0).ravel()) @ Rs.T).real / norm)
     return out
 
 
-def assert_blocks_close(blocks, ref):
+def assert_blocks_close(gal, stacks, ref):
     scale = max(float(np.max(np.abs(B))) for B in ref)
-    for B, R in zip(blocks, ref):
+    for B, R in zip(per_block(gal, stacks), ref):
         assert B.shape == R.shape
         assert np.max(np.abs(B - R)) <= 1e-13 * scale
 
@@ -484,16 +602,16 @@ def test_half_spectrum_blocks_match_full_spectrum(n, f_text):
     p = 2
     gal = Galerkin(cache, p)
     colours = gal.colours
-    assert_blocks_close(gal.mass(), full_spectrum_blocks(
+    assert_blocks_close(gal, gal.mass(), full_spectrum_blocks(
         gal, colours, colours, weight_vector(cache, "s0", p)))
     sp = gradients.decompose(TensorField(cache, "s0", p, colours))
     for piece, (tag, shift) in spectral._SPLIT.items():
         images = getattr(sp, piece).data
-        assert_blocks_close(gal.gram([piece]), full_spectrum_blocks(
+        assert_blocks_close(gal, gal.gram([piece]), full_spectrum_blocks(
             gal, images, images, weight_vector(cache, tag, p + shift)))
     h = d1_star_d1_handle(cache, p)
     images = h.apply(TensorField(cache, "s0", p, colours)).data
-    assert_blocks_close(gal.form(h), full_spectrum_blocks(
+    assert_blocks_close(gal, gal.form(h), full_spectrum_blocks(
         gal, colours, images, h.domain_weights()))
 
 
@@ -566,15 +684,16 @@ def test_galerkin_stacked_gram_is_sum_of_blocks():
 
 
 @pytest.mark.parametrize("f_text,largest", [
-    (None, 8), ("0.1*cos(x1)", 124), ("0.1*cos(x1)+0.05*sin(x2)", 31 * 31 * 2),
+    (None, 2), ("0.1*cos(x1)", 62), ("0.1*cos(x1)+0.05*sin(x2)", 31 * 31 * 2),
 ])
 def test_galerkin_applies_once_per_colour(f_text, largest):
     # each colour is applied once, and there are as many colours as the
-    # largest sector has columns
+    # largest block has columns: the trig functions of the varying axes
+    # times the fiber dimension
     cache = make_cache(2, 32, metric="flat" if f_text is None else "conformal",
                        f_text=f_text)
     gal = Galerkin(cache, 1)
-    assert len(gal.colours) == max(len(ix) for ix in gal.sectors) == largest
+    assert len(gal.colours) == max(len(b.columns) for b in gal.blocks) == largest
     if f_text is None:
         applied = []
         h = rough_laplacian_handle(cache, 1)
@@ -592,17 +711,17 @@ def test_galerkin_refuses_oversized_basis():
 
 
 def test_galerkin_admits_flat_2torus_n128():
-    # 32,258 basis columns, but no sector holds more than 8 of them
+    # 32,258 basis columns, but no block holds more than 2 of them
     gal = Galerkin(make_cache(2, 128), 2)
     assert gal.basis.dim == 127**2 * 2
-    assert len(gal.colours) == 8
+    assert len(gal.colours) == 2
 
 
 def test_galerkin_admits_flat_3torus_rank3():
-    # 23,625 basis columns, but no sector holds more than 56 of them
+    # 23,625 basis columns, but no block holds more than 7 of them
     gal = Galerkin(make_cache(3, 16), 3)
     assert gal.basis.dim == 15**3 * 7
-    assert max(len(ix) for ix in gal.sectors) == 56
+    assert max(len(b.columns) for b in gal.blocks) == 7
 
 
 def test_galerkin_lowest_fields_are_the_flat_kernel():
