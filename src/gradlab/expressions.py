@@ -110,6 +110,12 @@ class TrigPoly:
     def n_vars(self):
         return max((len(t.wave) for t in self.terms), default=0)
 
+    @property
+    def variables(self):
+        """The 0-based axes the polynomial depends on, ascending: those
+        with a nonzero wave component in some term."""
+        return tuple(sorted({i for t in self.terms for i, k in enumerate(t.wave) if k}))
+
     def __eq__(self, other):
         return isinstance(other, TrigPoly) and self.terms == other.terms
 

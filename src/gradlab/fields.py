@@ -27,17 +27,20 @@ are themselves pointwise trace-free for conformal metrics.
 
 The connection is structural.  For g = e^{2f} delta the Christoffel
 symbols are Gamma^k_ij = delta_ki h_j + delta_kj h_i - delta_ij h_k with
-h = `GeometryCache.conformal_h` (read off the discrete symbols and checked
-against this form), so every connection term is sum_l h_l(x) C_l with
-constant fiber matrices C_l: one matmul over the fiber axes, then a
-contraction with h.  Flat metrics have h = None and skip the connection
-entirely.  Coordinate derivatives come from `geometry.differentiate`
-(a dense circulant matrix, or the fd4 stencil).
+h = df = `GeometryCache.conformal_h`, sampled exactly from f, so every
+connection term is sum_l h_l(x) C_l with constant fiber matrices C_l: one
+matmul over the fiber axes, then a contraction with h.  Flat metrics have
+h = None and skip the connection entirely.  Coordinate derivatives come
+from `geometry.differentiate` (a dense circulant matrix, or the fd4
+stencil).
 
 Every other fiber contraction is one matmul too: the field's (n, t) fiber
 axes are merged (`_merged`) and the cached (rows, n, t) structure tensor
 is viewed as a (rows, n * t) matrix (`_slots`), so each contraction runs
-in BLAS with no second cached layout.
+in BLAS with no second cached layout.  The transpose of the gradient
+differentiates covariant slot i along axis i, so it takes its input slot
+by slot, each slot a contiguous array: `differentiate` would copy a
+strided X[..., i, :] view.
 
 Adjoints come in two flavors, kept deliberately separate: exact
 weighted transposes of the discrete operators (machine-precision
@@ -253,44 +256,74 @@ def _connection_matrix(n, p, tracefree, rows, cols):
     return np.ascontiguousarray(M.reshape(math.prod(M.shape[: len(rows)]), -1))
 
 
-def _connection(h, M, v, fiber_ndim):
-    """sum_l h_l (v @ M)_l: one matmul over the trailing `fiber_ndim` axes
-    of v, then the contraction with h.  Output fiber axes are flattened."""
-    lead = v.shape[: v.ndim - fiber_ndim]
-    Y = (v.reshape(lead + (-1,)) @ M).reshape(lead + (h.shape[-1], -1))
+def _contract_h(h, Y):
+    """sum_l h_l Y[..., l, :] for Y of shape (..., n, k)."""
     out = h[..., 0, None] * Y[..., 0, :]
     for l in range(1, h.shape[-1]):
         out += h[..., l, None] * Y[..., l, :]
     return out
 
 
+def _connection(h, M, v, fiber_ndim):
+    """sum_l h_l (v @ M)_l: one matmul over the trailing `fiber_ndim` axes
+    of v, then the contraction with h.  Output fiber axes are flattened."""
+    lead = v.shape[: v.ndim - fiber_ndim]
+    return _contract_h(h, (v.reshape(lead + (-1,)) @ M).reshape(lead + (h.shape[-1], -1)))
+
+
+def _slot_connection(h, M, slots):
+    """`_connection` of (..., n, t) data given slot by slot, slots[i] =
+    X[..., i, :]: the (i, a) rows of M are applied one slot at a time."""
+    n = len(slots)
+    Mi = M.reshape(n, slots[0].shape[-1], -1)
+    Y = slots[0] @ Mi[0]
+    for i in range(1, n):
+        Y += slots[i] @ Mi[i]
+    return _contract_h(h, Y.reshape(Y.shape[:-1] + (n, -1)))
+
+
 # ---------------------------------------------------------------------------
 # gradient (covariant derivative)
 # ---------------------------------------------------------------------------
 
-def _grad_apply(cache, p, c, tracefree=True):
+def _grad_apply(cache, p, c, tracefree=True, slot_axis=-2):
+    """The covariant derivative of fiber data c, with its covariant slot
+    at `slot_axis`: -2 for the (..., n, t) field layout, 0 for slot-first
+    data whose slots are contiguous."""
     spec = cache.spec
     n = spec.n
     batch = c.ndim - n - 1
-    out = np.stack([differentiate(c, i, spec, cache.method, batch) for i in range(n)], axis=-2)
+    out = np.stack([differentiate(c, i, spec, cache.method, batch) for i in range(n)],
+                   axis=slot_axis)
     h = cache.conformal_h
     if h is not None:
         M = _connection_matrix(n, p, tracefree, "b", "lia")
-        out -= _connection(h, M, c, 1).reshape(out.shape)
+        conn = _connection(h, M, c, 1).reshape(c.shape[:-1] + (n, -1))
+        out -= np.moveaxis(conn, -2, slot_axis)
     return out
 
 
-def _grad_s0_transpose(cache, p, X):
+def _grad_s0_transpose(cache, p, slots):
+    """Transpose of `_grad_apply` on trace-free data, given slot by slot:
+    slots[i] is the contiguous (..., t) covariant slot i."""
     spec = cache.spec
     n = spec.n
-    batch = X.ndim - n - 2
+    batch = slots[0].ndim - n - 1
     out = -sum(
-        differentiate(X[..., i, :], i, spec, cache.method, batch) for i in range(n)
+        differentiate(slots[i], i, spec, cache.method, batch) for i in range(n)
     )
     h = cache.conformal_h
     if h is not None:
-        out -= _connection(h, _connection_matrix(n, p, True, "ia", "lb"), X, 2)
+        out -= _slot_connection(h, _connection_matrix(n, p, True, "ia", "lb"), slots)
     return out
+
+
+def _slot_first_matmul(y, S):
+    """y @ _slots(S) for a cached (rows, n, t) structure tensor S, returned
+    slot-first, shape (n, ..., t), so that each slot is contiguous."""
+    rows, n, t = S.shape
+    out = np.matmul(y.reshape(-1, rows), np.moveaxis(S, 1, 0))
+    return out.reshape((n,) + y.shape[:-1] + (t,))
 
 
 def gradient(phi: TensorField):
@@ -307,9 +340,9 @@ def gradient_adjoint(X: TensorField):
     if X.tag != "cov_s0":
         raise FieldError("gradient_adjoint expects a 'cov_s0' field")
     cache, p = X.cache, X.rank
-    w_cod = fiber_weight_scalar(cache, "cov_s0", p)
+    w_cod = fiber_weight_scalar(cache, "cov_s0", p)[..., None]
     w_dom = fiber_weight_scalar(cache, "s0", p)
-    Z = _grad_s0_transpose(cache, p, X.data * w_cod[..., None, None])
+    Z = _grad_s0_transpose(cache, p, [X.data[..., i, :] * w_cod for i in range(X.n)])
     return TensorField(cache, "s0", p, Z / w_dom[..., None])
 
 
@@ -323,9 +356,9 @@ def _contract_apply(cache, p, X):
 
 
 def _contract_transpose(cache, p, y):
+    """Transpose of `_contract_apply`, slot-first (`_slot_first_matmul`)."""
     y = _scale(y, cache.conformal_factor(-2.0), 1)
-    K = _k0(cache.n, p)
-    return (y @ -_slots(K)).reshape(y.shape[:-1] + K.shape[1:])
+    return _slot_first_matmul(y, -_k0(cache.n, p))
 
 
 def divergence(phi: TensorField):
@@ -386,9 +419,7 @@ def sym_derivative_exact_adjoint(omega: TensorField):
     w_cod = fiber_weight_scalar(cache, "s", p + 1)
     w_dom = fiber_weight_scalar(cache, "s0", p)
     y = omega.data * fiber.multiplicities(cache.n, p + 1) * w_cod[..., None]
-    S = _sym_insert_expanded(cache.n, p)
-    X = (y @ _slots(S)).reshape(y.shape[:-1] + S.shape[1:])
-    Z = _grad_s0_transpose(cache, p, X)
+    Z = _grad_s0_transpose(cache, p, _slot_first_matmul(y, _sym_insert_expanded(cache.n, p)))
     return TensorField(cache, "s0", p, Z / w_dom[..., None])
 
 
@@ -412,17 +443,17 @@ def rough_laplacian(phi: TensorField, route="adjoint"):
     cache, p, n = phi.cache, phi.rank, phi.n
     spec = cache.spec
     batch = len(phi.batch_shape)
-    X = _grad_apply(cache, p, phi.data)  # (..., j, a)
+    X = _grad_apply(cache, p, phi.data, slot_axis=0)  # (j, ..., a)
     # sum_i (nabla_i X)_{i, J}: derivative, covariant-slot and symmetric-slot terms
     out = -sum(
-        differentiate(X[..., i, :], i, spec, cache.method, batch) for i in range(n)
+        differentiate(X[i], i, spec, cache.method, batch) for i in range(n)
     )
     h = cache.conformal_h
     if h is not None:
         # the covariant slot adds sum_i Gamma^k_ii = (2 - n) h_k, which is
         # (2 - n) times the identity in the (i, b) x (l, a) layout
         M = _connection_matrix(n, p, True, "ib", "la")
-        out += _connection(h, M + (2.0 - n) * np.eye(len(M)), X, 2)
+        out += _slot_connection(h, M + (2.0 - n) * np.eye(len(M)), X)
     out = _scale(out, cache.conformal_factor(-2.0), 1)
     return TensorField(cache, "s0", p, out)
 

@@ -131,21 +131,32 @@ def _d1_correction_matrix(n, p):
 
 
 @lru_cache(maxsize=None)
-def _curvature_slot_matrices(n, p):
-    """Slot actions flattened for one matmul with the pointwise curvature.
+def _curvature_matrix(n, p):
+    """S_T (n^2, m^2): the pointwise curvature action as a linear map of T.
 
-    S1[(j, k), (A, B)] = Q[A, j, k, B] (`fiber.slot_replace_tensor`) and
-    S2[(j, k, l, s), (A, B)] = Q2[A, j, k, l, s, B]
-    (`fiber.double_slot_replace_tensor`); S2 is None below rank 2.
+    With S1[(j, k), (A, B)] = Q[A, j, k, B] (`fiber.slot_replace_tensor`)
+    and S2[(j, k, l, s), (A, B)] = Q2[A, j, k, l, s, B]
+    (`fiber.double_slot_replace_tensor`), the action is R_j^k S1 -
+    R_j^k_l^s S2.  g^{-1} = e^{-2f} delta raises each index by e^{-2f}, and
+    the cache's closed forms (`geometry.GeometryCache`) give R_j^k =
+    -e^{-2f} ((n - 2) T + tr T delta)_jk and R_j^k_l^s = -e^{-2f}
+    (T o delta)_jkls, so the action is e^{-2f} T @ S_T with S_T = L1 S1 +
+    L2 S2, L1 and L2 the linear maps T -> -Ric and T -> T o delta.  The S2
+    term is absent below rank 2.
     """
     m = fiber.sym_dim(n, p)
-    S1 = np.moveaxis(fiber.slot_replace_tensor(n, p), 0, 2).reshape(n * n, m * m)
-    S1.flags.writeable = False
-    if p < 2:
-        return S1, None
-    S2 = np.moveaxis(fiber.double_slot_replace_tensor(n, p), 0, 4).reshape(n**4, m * m)
-    S2.flags.writeable = False
-    return S1, S2
+    eye = np.eye(n)
+    L1 = (n - 2) * np.eye(n * n) + np.outer(eye, eye)
+    S = -L1 @ np.moveaxis(fiber.slot_replace_tensor(n, p), 0, 2).reshape(n * n, m * m)
+    if p >= 2:
+        # (E_ab o delta)_jkls for the unit matrices E_ab, rows (a, b)
+        E = np.eye(n * n).reshape(n, n, n, n)
+        L2 = (np.einsum("abjl,ks->abjkls", E, eye) + np.einsum("abks,jl->abjkls", E, eye)
+              - np.einsum("abjs,kl->abjkls", E, eye) - np.einsum("abkl,js->abjkls", E, eye))
+        S2 = np.moveaxis(fiber.double_slot_replace_tensor(n, p), 0, 4).reshape(n**4, m * m)
+        S += L2.reshape(n * n, n**4) @ S2
+    S.flags.writeable = False
+    return S
 
 
 @lru_cache(maxsize=None)
@@ -231,8 +242,10 @@ def _d1_from_grad(phi, X, dphi):
     corr = dphi @ _d1_correction_matrix(n, p).T
     corr = fields._scale(corr, cache.conformal_factor(2.0), 1)
     mono = mono + sym_insert_coefficient(n, p) * corr
+    # the metric trace is e^{-2f} times the flat trace, so the flat trace
+    # vanishes with it; held in the units of X it is free of the factor
+    # e^{-2 min f}, which would amplify roundoff where f dips deep.
     tr = mono @ fiber.trace_matrix(n, p + 1).T
-    tr = fields._scale(tr, cache.conformal_factor(-2.0), 1)
     # relative to the gradient, not to the output: the output vanishes on
     # the kernel (conformal Killing tensors), the gradient does not.  Each
     # member of a batch is held to its own gradient.
@@ -494,7 +507,8 @@ def weitzenbock_K(phi: TensorField, route: str = "operational"):
 
     route 'operational' (normative): nabla*nabla phi minus the trace-free
     part of the symmetrized Laplacian.  route 'curvature': the pointwise
-    Ricci/Riemann slot action, kept as an independent oracle.
+    Ricci/Riemann slot action, e^{-2f} T @ S_T (`_curvature_matrix`) with
+    the cache's exact T, kept as an independent oracle.
     """
     _check_phi(phi)
     if route == "operational":
@@ -505,12 +519,8 @@ def weitzenbock_K(phi: TensorField, route: str = "operational"):
     cache, p, n = phi.cache, phi.rank, phi.n
     mono = phi.monomial()
     P, m = cache.spec.num_points, mono.shape[-1]
-    S1, S2 = _curvature_slot_matrices(n, p)
-    # g^{-1} = e^{-2f} delta raises each index by e^{-2f}:
-    # R_j^k = e^{-2f} R_jk and R_j^k_l^s = e^{-4f} R_jkls
-    T1 = fields._scale(cache.ricci, cache.conformal_factor(-2.0), 2).reshape(P, n * n)
-    if p >= 2:
-        T2 = fields._scale(cache.riemann, cache.conformal_factor(-4.0), 4).reshape(P, n**4)
+    S = _curvature_matrix(n, p)
+    T = fields._scale(cache.T, cache.conformal_factor(-2.0), 2).reshape(P, n * n)
     x = mono.reshape(-1, P, m, 1)
     out = np.empty_like(x)
     # pointwise (m, m) curvature matrices and a batched matvec, one block of
@@ -518,9 +528,7 @@ def weitzenbock_K(phi: TensorField, route: str = "operational"):
     # batch axes lead and share each block's matrices
     for b in range(0, P, _CURVATURE_BLOCK):
         rows = slice(b, b + _CURVATURE_BLOCK)
-        K = T1[rows] @ S1
-        if p >= 2:
-            K -= T2[rows] @ S2
+        K = T[rows] @ S
         np.matmul(K.reshape(-1, m, m), x[:, rows], out=out[:, rows])
     return fields.field_from_monomial(cache, p, out.reshape(mono.shape), tag="s0")
 

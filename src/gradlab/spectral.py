@@ -326,14 +326,14 @@ def build_dealiased_basis(cache, rank):
 # ---------------------------------------------------------------------------
 
 def invariant_axes(cache):
-    """Axes along which the conformal exponent is exactly constant.
+    """Axes the conformal exponent does not depend on (`TrigPoly.variables`).
 
     Every operator and every weight commutes with translations along such an
     axis, and with the reflection x_a -> -x_a; a flat metric makes every
     axis invariant.
     """
-    f = cache.conf_exponent_values
-    return tuple(j for j in range(cache.n) if np.all(f == np.take(f, [0], axis=j)))
+    varying = cache.exponent.variables
+    return tuple(j for j in range(cache.n) if j not in varying)
 
 
 # the first-order images a Galerkin layer forms, all taken from one

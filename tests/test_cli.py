@@ -109,14 +109,11 @@ def test_check_failure_exit_code(tiny_cfg, tmp_path):
     assert "fail" in text
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-def test_check_non_finite_values_fail_in_a_strict_report(tiny_cfg, tmp_path):
-    # g = e^{120} stays finite, but second-order residuals overflow to inf/nan
-    out_dir = tmp_path / "nf"
+def _strict_failing_checks(tiny_cfg, out_dir, *overrides):
+    """Run `check`, expect exit 1 and no aborted suite; parse the JSON strictly."""
     code, _ = run_cli([
         "check", "--config", str(tiny_cfg), "--out", str(out_dir),
-        "--override", "metric.conformal=60*cos(x1)",
-    ])
+    ] + [arg for o in overrides for arg in ("--override", o)])
     assert code == EXIT_FAIL
 
     def refuse(name):
@@ -124,9 +121,44 @@ def test_check_non_finite_values_fail_in_a_strict_report(tiny_cfg, tmp_path):
 
     text = (out_dir / "identity_report.json").read_text()
     checks = json.loads(text, parse_constant=refuse)["checks"]
+    assert not [r for r in checks if r["detail"].startswith("aborted")]
+    return checks
+
+
+def _assert_non_finite_flagged(checks):
     flagged = [r for r in checks if "non-finite" in r["detail"]]
     assert flagged
     assert all(r["status"] == "fail" and r["value"] is None for r in flagged)
+
+
+def test_check_deep_negative_exponent_runs_through(tiny_cfg, tmp_path):
+    # f dips to -60: d1's trace guard must not read the roundoff of the
+    # metric trace, amplified by e^{120}, as a convention error.  With the
+    # exact geometry the residuals stay finite, and they fail.
+    checks = _strict_failing_checks(tiny_cfg, tmp_path / "nf",
+                                    "metric.conformal=60*cos(x1)")
+    assert any(r["status"] == "fail" for r in checks)
+    assert not [r for r in checks if "non-finite" in r["detail"]]
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_check_non_finite_values_fail_in_a_strict_report(tiny_cfg, tmp_path):
+    # g = e^{400} stays finite, but second-order residuals overflow to inf/nan
+    checks = _strict_failing_checks(tiny_cfg, tmp_path / "nf",
+                                    "metric.conformal=200*cos(x1)")
+    _assert_non_finite_flagged(checks)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+def test_check_underflowing_weight_fails_in_a_strict_report(tiny_cfg, tmp_path):
+    # g = e^{400} stays finite, but the rank-2 covariant weight e^{-4f}
+    # underflows to 0, and second-order residuals turn to inf/nan
+    checks = _strict_failing_checks(tiny_cfg, tmp_path / "nf",
+                                    "metric.conformal=200", "ranks=2")
+    _assert_non_finite_flagged(checks)
 
 
 def test_check_missing_config(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Grid, derivative, metric, and curvature tests with analytic oracles."""
+"""Grid, derivative, and closed-form geometry tests, against analytic
+oracles and the reference metric route of `testlib`."""
 
 import dataclasses
 import math
@@ -13,14 +14,20 @@ from gradlab.geometry import (
     GeometryError,
     GridSpec,
     build_geometry,
-    conformal_christoffel_oracle,
-    conformal_ricci_oracle,
-    conformal_scalar_curvature_oracle,
-    curvature_symmetry_residuals,
     differentiate,
-    gauss_curvature_2d_oracle,
 )
-from testlib import analytic_laplacian, axis_coords, total_volume, wavenumbers
+from testlib import (
+    analytic_laplacian,
+    axis_coords,
+    closed_form_curvature,
+    conformal_scalar_curvature_oracle,
+    gauss_curvature_2d_oracle,
+    metric_geometry,
+    metric_samples,
+    structural_christoffel,
+    total_volume,
+    wavenumbers,
+)
 
 
 def grid(n, size):
@@ -38,19 +45,13 @@ def diagonal_samples(spec, exprs):
     return g
 
 
-def diagonal_cache(spec, exprs):
-    """A non-flat cache whose metric arrays are those of diag(a_1, ..., a_n).
+def reference(cache, method="spectral"):
+    """The reference route's geometry of the cache's metric samples."""
+    return metric_geometry(cache.spec, metric_samples(cache), method)
 
-    build_geometry only samples e^{2f} delta, but its connection and
-    curvature code (`geometry._metric_geometry`) takes any metric samples;
-    this runs that code, and the checks that read its output, on a
-    non-conformal metric.  The exponent is the base cache's, so the cache
-    is not flat.
-    """
-    base = build_geometry(spec, parse_trig_poly("0.1*cos(x1)"))
-    return dataclasses.replace(
-        base, **geometry._metric_geometry(spec, diagonal_samples(spec, exprs), "spectral")
-    )
+
+def _rel(a, b):
+    return float(np.max(np.abs(a - b))) / float(np.max(np.abs(b)))
 
 
 # ---------------------------------------------------------------------------
@@ -197,15 +198,19 @@ def test_multi_axis_derivative_acts_on_named_axis():
 
 
 # ---------------------------------------------------------------------------
-# metric samples
+# the closed-form cache
 # ---------------------------------------------------------------------------
 
 def test_flat_preset_components():
-    # exp(2 * 0) = 1.0 exactly: the flat samples are the identity bit for bit
-    cache = build_geometry(grid(2, 16), FLAT)
-    np.testing.assert_array_equal(cache.g, np.broadcast_to(np.eye(2), (16, 16, 2, 2)))
-    np.testing.assert_array_equal(cache.conf_exponent_values, 0.0)
-    assert cache.is_flat
+    # exp(0) = 1.0 and the derivatives of f = 0 are 0.0 exactly: the flat
+    # cache is exactly flat under either field method
+    spec = grid(2, 16)
+    for method in ("spectral", "fd4"):
+        cache = build_geometry(spec, FLAT, method=method)
+        assert cache.is_flat and cache.conformal_h is None
+        np.testing.assert_array_equal(cache.conf_exponent_values, 0.0)
+        assert not np.any(cache.h) and not np.any(cache.T)
+        np.testing.assert_array_equal(cache.weights, spec.cell_volume)
 
 
 def test_conformal_zero_exponent_is_flat():
@@ -214,14 +219,38 @@ def test_conformal_zero_exponent_is_flat():
     assert zero == FLAT
     cache = build_geometry(spec, zero)
     assert cache.is_flat and cache.conformal_h is None
-    np.testing.assert_array_equal(cache.g, build_geometry(spec, FLAT).g)
+    flat = build_geometry(spec, FLAT)
+    for name in ("h", "T", "weights"):
+        np.testing.assert_array_equal(getattr(cache, name), getattr(flat, name))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_cache_arrays_hold_at_most_n2_entries_per_point(n):
+    cache = build_geometry(grid(n, 8), parse_trig_poly("0.1*cos(x1) + 0.05*sin(x2)"))
+    arrays = {f.name: getattr(cache, f.name) for f in dataclasses.fields(cache)
+              if isinstance(getattr(cache, f.name), np.ndarray)}
+    assert set(arrays) == {"conf_exponent_values", "h", "T", "weights"}
+    for name, values in arrays.items():
+        assert values.size <= n * n * cache.spec.num_points, name
+        assert not values.flags.writeable, name
+
+
+def test_geometry_does_not_depend_on_the_field_method():
+    # fd4 differentiates fields only; the geometry is exact under both
+    spec = grid(3, 8)
+    f = parse_trig_poly("0.2*cos(x1) + 0.1*sin(x2 - x3)")
+    a, b = build_geometry(spec, f), build_geometry(spec, f, method="fd4")
+    for name in ("conf_exponent_values", "h", "T", "weights"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_conformal_oracles_vanish_for_zero_exponent():
     for n in (2, 3):
         spec = grid(n, 8)
-        assert np.all(conformal_christoffel_oracle(FLAT, spec) == 0.0)
-        assert np.all(conformal_ricci_oracle(FLAT, spec) == 0.0)
+        cache = build_geometry(spec, FLAT)
+        assert np.all(structural_christoffel(cache.h) == 0.0)
+        for curvature in closed_form_curvature(cache):
+            assert np.all(curvature == 0.0)
         assert np.all(conformal_scalar_curvature_oracle(FLAT, spec) == 0.0)
     assert np.all(gauss_curvature_2d_oracle(FLAT, grid(2, 8)) == 0.0)
 
@@ -230,25 +259,46 @@ def test_diagonal_preset_positivity_enforced():
     spec = grid(2, 16)
     bad = diagonal_samples(spec, ("1 + 2*cos(x1)", "1"))
     with pytest.raises(GeometryError, match="positive definite"):
-        geometry._metric_geometry(spec, bad, "spectral")
+        metric_geometry(spec, bad)
+    # e^{2f} underflows to 0 while the weights stay finite
+    with pytest.raises(GeometryError, match="positive definite"):
+        build_geometry(spec, parse_trig_poly("-400"))
 
 
 # ---------------------------------------------------------------------------
-# geometry cache: christoffel and curvature
+# the closed forms against the reference metric route
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n,size,tol", [(2, 16, 1e-11), (3, 16, 1e-11), (4, 12, 5e-8)])
+def test_closed_form_matches_reference_route(n, size, tol):
+    # the reference route differentiates samples of e^{2f} twice; its gap
+    # to the closed forms is its own discretization error (2.2e-12 at
+    # N = 16, 9.7e-9 for the 4-torus at N = 12)
+    f = parse_trig_poly({2: "0.1*cos(x1) + 0.05*sin(x2)",
+                         3: "0.1*cos(x1) + 0.05*sin(x2 - x3)",
+                         4: "0.1*cos(x1) + 0.05*sin(x2 - x4)"}[n])
+    cache = build_geometry(grid(n, size), f)
+    ref = reference(cache)
+    ricci, riemann = closed_form_curvature(cache)
+    assert _rel(ricci, ref["ricci"]) <= tol
+    assert _rel(riemann, ref["riemann"]) <= tol
+    assert _rel(structural_christoffel(cache.h), ref["christoffel"]) <= tol
+    assert _rel(cache.weights, ref["weights"]) <= 1e-15
+
 
 def test_flat_cache_is_trivial():
     cache = build_geometry(grid(2, 16), FLAT)
-    assert np.max(np.abs(cache.christoffel)) < 1e-12
-    assert np.max(np.abs(cache.riemann)) < 1e-10
-    assert np.max(np.abs(cache.ricci)) < 1e-10
+    ref = reference(cache)
+    assert np.max(np.abs(ref["christoffel"])) < 1e-12
+    assert np.max(np.abs(ref["riemann"])) < 1e-10
+    assert np.max(np.abs(ref["ricci"])) < 1e-10
     assert abs(total_volume(cache) - 4 * math.pi**2) < 1e-12
     assert np.all(cache.weights > 0)
 
 
 def test_christoffel_symmetric_in_lower_indices():
     cache = build_geometry(grid(2, 16), parse_trig_poly("0.1*cos(x1)"))
-    g = cache.christoffel
+    g = reference(cache)["christoffel"]
     assert np.max(np.abs(g - np.swapaxes(g, -1, -2))) < 1e-14
 
 
@@ -256,11 +306,11 @@ def test_conformal_christoffel_oracle_match():
     spec = grid(2, 16)
     f = parse_trig_poly("0.1*cos(x1)")
     cache = build_geometry(spec, f)
-    oracle = conformal_christoffel_oracle(f, spec)
-    assert np.max(np.abs(cache.christoffel - oracle)) < 1e-10
+    gamma = reference(cache)["christoffel"]
+    assert np.max(np.abs(gamma - structural_christoffel(cache.h))) < 1e-10
     # named component: Gamma^1_11 = d_1 f
     d1f = geometry.coordinate_derivative(f, 0, spec)
-    assert np.max(np.abs(cache.christoffel[..., 0, 0, 0] - d1f)) < 1e-10
+    assert np.max(np.abs(gamma[..., 0, 0, 0] - d1f)) < 1e-10
 
 
 @pytest.mark.parametrize("method", ["spectral", "fd4"])
@@ -269,23 +319,13 @@ def test_christoffel_metric_compatibility_diagonal(method):
     # e^{2f} delta whose factor varies along both axes
     spec = grid(2, 16)
     f = parse_trig_poly("0.2*cos(x1) + 0.1*sin(x2)")
-    cache = build_geometry(spec, f, method=method)
-    gam, g = cache.christoffel, cache.g
+    ref = reference(build_geometry(spec, f), method)
+    gam, g = ref["christoffel"], ref["g"]
     dg = np.stack([differentiate(g, a, spec, method) for a in range(2)], axis=-3)
     rhs = np.einsum("...lai,...lj->...aij", gam, g) + np.einsum(
         "...laj,...il->...aij", gam, g
     )
     assert np.max(np.abs(dg - rhs)) < 1e-10
-
-
-def _structural_christoffel(h):
-    n = h.shape[-1]
-    eye = np.eye(n)
-    return (
-        np.einsum("ki,...j->...kij", eye, h)
-        + np.einsum("kj,...i->...kij", eye, h)
-        - np.einsum("ij,...k->...kij", eye, h)
-    )
 
 
 def test_conformal_factor_cached_per_power():
@@ -310,28 +350,13 @@ def test_conformal_h_matches_christoffel(n, metric, method):
     if metric == "flat":
         assert h is None
         return
-    gam = cache.christoffel
-    assert h.shape == spec.shape + (n,)
-    np.testing.assert_array_equal(h, np.einsum("...lll->...l", gam))
-    err = np.max(np.abs(gam - _structural_christoffel(h))) / np.max(np.abs(gam))
-    assert err <= geometry.STRUCTURE_TOL
-    assert cache.conformal_h is h  # computed and checked once
-
-
-def test_conformal_h_rejects_perturbed_christoffel():
-    spec = grid(2, 16)
-    cache = build_geometry(spec, parse_trig_poly("0.1*cos(x1)"))
-    gam = cache.christoffel.copy()
-    gam[3, 5, 0, 0, 1] += 1e-8 * np.max(np.abs(gam))
-    bad = dataclasses.replace(cache, christoffel=gam)
-    with pytest.raises(GeometryError):
-        bad.conformal_h
-
-
-def test_conformal_h_refuses_non_conformal_metric():
-    cache = diagonal_cache(grid(2, 16), ("1 + 0.2*cos(x2)", "1 + 0.2*cos(x1)"))
-    with pytest.raises(GeometryError):
-        cache.conformal_h
+    assert h is cache.h and h.shape == spec.shape + (n,)
+    for i in range(n):
+        np.testing.assert_array_equal(h[..., i], geometry.coordinate_derivative(f, i, spec))
+    # the reference Christoffel symbols take the structural form in h, up
+    # to their discretization error (1.1e-4 on the 3-torus at N = 8)
+    gam = reference(cache)["christoffel"]
+    assert _rel(structural_christoffel(h), gam) < (1e-9 if n == 2 else 1e-3)
 
 
 def test_conformal_2d_curvature_oracles():
@@ -339,37 +364,67 @@ def test_conformal_2d_curvature_oracles():
     f = parse_trig_poly("0.1*cos(x1)")
     cache = build_geometry(spec, f)
     scal = conformal_scalar_curvature_oracle(f, spec)
-    assert np.max(np.abs(cache.scalar_curvature - scal)) < 1e-9
+    ref = reference(cache)["scalar_curvature"]
+    assert np.max(np.abs(ref - scal)) < 1e-9
     K = gauss_curvature_2d_oracle(f, spec)
-    assert np.max(np.abs(cache.scalar_curvature - 2 * K)) < 1e-9
+    assert np.max(np.abs(ref - 2 * K)) < 1e-9
     # spec'd closed form of the same quantity
     direct = -2.0 * analytic_laplacian(f, spec) * np.exp(
         -2.0 * geometry.evaluate_on_grid(f, spec)
     )
     assert np.max(np.abs(scal - direct)) < 1e-13
+    # the cache's: R = g^{jl} Ric_jl = e^{-2f} tr Ric
+    ricci, _ = closed_form_curvature(cache)
+    from_T = cache.conformal_factor(-2.0) * np.trace(ricci, axis1=-2, axis2=-1)
+    assert np.max(np.abs(from_T - scal)) < 1e-13
 
 
 def test_conformal_3d_ricci_oracle_match():
     spec = grid(3, 16)
     f = parse_trig_poly("0.1*cos(x1) + 0.05*sin(x2 - x3)")
     cache = build_geometry(spec, f)
-    oracle = conformal_ricci_oracle(f, spec)
-    assert np.max(np.abs(cache.ricci - oracle)) < 1e-8
+    ref = reference(cache)
+    ricci, _ = closed_form_curvature(cache)
+    assert np.max(np.abs(ref["ricci"] - ricci)) < 1e-8
     scal_oracle = conformal_scalar_curvature_oracle(f, spec)
-    assert np.max(np.abs(cache.scalar_curvature - scal_oracle)) < 1e-8
+    assert np.max(np.abs(ref["scalar_curvature"] - scal_oracle)) < 1e-8
+    from_T = cache.conformal_factor(-2.0) * np.trace(ricci, axis1=-2, axis2=-1)
+    assert np.max(np.abs(from_T - scal_oracle)) < 1e-13
+
+
+def _symmetry_residuals(R, ricci):
+    """Relative residuals of the standard curvature symmetries."""
+    scale = max(float(np.max(np.abs(R))), 1e-30)
+    rel = lambda arr: float(np.max(np.abs(arr))) / scale
+    return {
+        "antisym_last_pair": rel(R + np.einsum("...ismv->...isvm", R)),
+        "antisym_first_pair": rel(R + np.einsum("...ismv->...simv", R)),
+        "pair_interchange": rel(R - np.einsum("...ismv->...mvis", R)),
+        "first_bianchi": rel(
+            R
+            + np.einsum("...imvs->...ismv", R)
+            + np.einsum("...ivsm->...ismv", R)
+        ),
+        "ricci_symmetry": rel(ricci - np.swapaxes(ricci, -1, -2)),
+    }
 
 
 @pytest.mark.parametrize("metric", ["flat", "conformal", "diagonal"])
 def test_curvature_symmetries_at_32(metric):
     spec = grid(2, 32)
     if metric == "diagonal":
-        cache = diagonal_cache(spec, ("1 + 0.2*cos(x2)", "1 + 0.1*sin(x1)"))
+        ref = metric_geometry(spec, diagonal_samples(spec, ("1 + 0.2*cos(x2)", "1 + 0.1*sin(x1)")))
     else:
         f = FLAT if metric == "flat" else parse_trig_poly("0.1*cos(x1)")
-        cache = build_geometry(spec, f)
-    res = curvature_symmetry_residuals(cache)
+        ref = reference(build_geometry(spec, f))
+    res = _symmetry_residuals(ref["riemann"], ref["ricci"])
     for name, value in res.items():
         assert value < 1e-9, (name, value)
+    if metric == "conformal":
+        # the closed forms hold them exactly: o is built from them
+        ricci, riemann = closed_form_curvature(build_geometry(spec, parse_trig_poly("0.1*cos(x1)")))
+        for name, value in _symmetry_residuals(riemann, ricci).items():
+            assert value <= 1e-15, (name, value)
 
 
 def test_conformal_volume_oracle():
@@ -385,9 +440,9 @@ def test_spectral_curvature_error_drops_fast_under_refinement():
     for size in (16, 32):
         spec = grid(2, size)
         f = parse_trig_poly("0.4*cos(x1)")
-        cache = build_geometry(spec, f)
+        ref = reference(build_geometry(spec, f))
         oracle = conformal_scalar_curvature_oracle(f, spec)
-        errs[size] = np.max(np.abs(cache.scalar_curvature - oracle))
+        errs[size] = np.max(np.abs(ref["scalar_curvature"] - oracle))
     assert errs[16] / max(errs[32], 1e-16) > 10
 
 
@@ -396,23 +451,23 @@ def test_fd4_curvature_error_fourth_order():
     for size in (16, 32):
         spec = grid(2, size)
         f = parse_trig_poly("0.4*cos(x1)")
-        cache = build_geometry(spec, f, method="fd4")
+        ref = reference(build_geometry(spec, f), "fd4")
         oracle = conformal_scalar_curvature_oracle(f, spec)
-        errs[size] = np.max(np.abs(cache.scalar_curvature - oracle))
+        errs[size] = np.max(np.abs(ref["scalar_curvature"] - oracle))
     ratio = errs[16] / errs[32]
     assert 10 < ratio < 24
 
 
 def test_non_spd_sample_raises():
     # e^{2f} underflows to 0 at x1 = pi and overflows at x1 = 0
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match="non-finite g"):
         build_geometry(grid(2, 16), parse_trig_poly("400*cos(x1)"))
 
 
 def test_non_finite_geometry_raises():
-    # the samples of e^{2f} are finite and positive, but det g = e^{4f}
-    # overflows, and with it the quadrature weights
-    spec = grid(2, 16)
+    # on the 3-torus the samples of e^{2f} are finite and positive, but
+    # sqrt(det g) = e^{3f} overflows, and with it the quadrature weights
+    spec = grid(3, 8)
     f = geometry.evaluate_on_grid(parse_trig_poly("300*cos(x1)"), spec)
     assert np.all(np.isfinite(np.exp(2.0 * f)))
     with pytest.raises(GeometryError, match="non-finite .*weights"):

@@ -36,7 +36,13 @@ from gradlab.gradients import (
     weitzenbock_K,
     zeroth_order_residual,
 )
-from testlib import unit_field, zero_field
+from testlib import (
+    closed_form_curvature,
+    gauss_curvature_2d_oracle,
+    metric_samples,
+    unit_field,
+    zero_field,
+)
 
 
 def make_cache(n=2, size=16, metric="flat", f_text=None, method="spectral"):
@@ -293,7 +299,7 @@ def test_d2_rank2_component_display(metric):
     cache = make_cache(n, 12, metric)
     phi = random_field(cache, 2, seed=7, band=3)
     dphi = fields.divergence(phi).data  # rank-1 coords are components
-    g = cache.g
+    g = metric_samples(cache)
     pref = -n / ((n + 2.0) * (n - 1.0))
     want = np.empty(cache.spec.shape + (n, n, n))
     for i in range(n):
@@ -318,7 +324,7 @@ def test_d3_rank2_component_display(metric):
     phi = random_field(cache, 2, seed=8, band=3)
     X = cov_components(fields.gradient(phi))
     dphi = fields.divergence(phi).data
-    g = cache.g
+    g = metric_samples(cache)
     c = 1.0 / (n - 1.0)
     want = np.empty_like(X)
     for i in range(n):
@@ -512,10 +518,14 @@ def test_curvature_term_matches_pointwise_formula(n, p):
 
 
 def _curvature_route_einsum(phi):
-    """The curvature route as per-point einsums over the slot tensors."""
+    """The curvature route as per-point einsums over the slot tensors, with
+    the cache's Ricci and Riemann tensors raised by the sampled inverse
+    metric."""
     cache, p, n = phi.cache, phi.rank, phi.n
     mono = phi.monomial()
-    T1 = np.einsum("...jm,...mk->...jk", cache.ricci, cache.g_inv)
+    ricci, riemann = closed_form_curvature(cache)
+    g_inv = np.exp(-2.0 * cache.conf_exponent_values)[..., None, None] * np.eye(n)
+    T1 = np.einsum("...jm,...mk->...jk", ricci, g_inv)
     out = np.einsum(
         "...jk,AjkB,...B->...A", T1, fiber.slot_replace_tensor(n, p), mono,
         optimize=True,
@@ -523,7 +533,7 @@ def _curvature_route_einsum(phi):
     if p >= 2:
         T2 = np.einsum(
             "...jalb,...ak,...bs->...jkls",
-            cache.riemann, cache.g_inv, cache.g_inv, optimize=True,
+            riemann, g_inv, g_inv, optimize=True,
         )
         out -= np.einsum(
             "...jkls,AjklsB,...B->...A",
@@ -540,38 +550,44 @@ def test_curvature_route_matches_einsum(n, size, p, metric):
     phi = random_field(cache, p, seed=60 + p, band=3)
     got = weitzenbock_K(phi, route="curvature").data
     ref = _curvature_route_einsum(phi).data
-    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+    if metric == "flat":
+        assert not np.any(got) and not np.any(ref)
+    else:
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("n,size", [(2, 16), (3, 12)])
 def test_conformal_index_raising_matches_g_inv(n, size):
     # g^{-1} = e^{-2f} delta, so raising an index is a scalar factor: the
     # curvature route's e^{-2f} Ricci and e^{-4f} Riemann against the
-    # generic contractions with the sampled inverse metric
+    # generic contractions with the inverted metric samples
     cache = make_cache(n, size, "conformal")
     f2, f4 = cache.conformal_factor(-2.0), cache.conformal_factor(-4.0)
-    assert np.max(np.abs(cache.g_inv - f2[..., None, None] * np.eye(n))) <= 1e-15
-    T1 = np.einsum("...jm,...mk->...jk", cache.ricci, cache.g_inv)
+    g_inv = np.linalg.inv(metric_samples(cache))
+    assert np.max(np.abs(g_inv - f2[..., None, None] * np.eye(n))) <= 1e-15
+    ricci, riemann = closed_form_curvature(cache)
+    T1 = np.einsum("...jm,...mk->...jk", ricci, g_inv)
     T2 = np.einsum("...jalb,...ak,...bs->...jkls",
-                   cache.riemann, cache.g_inv, cache.g_inv, optimize=True)
-    for got, ref in ((fields._scale(cache.ricci, f2, 2), T1),
-                     (fields._scale(cache.riemann, f4, 4), T2)):
+                   riemann, g_inv, g_inv, optimize=True)
+    for got, ref in ((fields._scale(ricci, f2, 2), T1),
+                     (fields._scale(riemann, f4, 4), T2)):
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_curvature_route_is_zero_on_zero_curvature(n, p):
-    # fd4 differentiates the constant flat metric exactly, so the sampled
-    # curvature is exactly zero and so is the route, single and stacked
-    cache = make_cache(n, 8, "flat", method="fd4")
-    assert not np.any(cache.riemann) and not np.any(cache.ricci)
-    t = fiber.tracefree_dim(n, p)
-    data = np.random.default_rng(p).standard_normal((2,) + cache.spec.shape + (t,))
-    for phi in (fields.TensorField(cache, "s0", p, data),
-                fields.TensorField(cache, "s0", p, data[0])):
-        K = weitzenbock_K(phi, route="curvature").data
-        assert K.shape == phi.data.shape and not np.any(K)
+    # the flat cache is exactly flat under either field method (T = 0 and
+    # h = 0 exactly), and so is the route, single and stacked
+    for method in ("spectral", "fd4"):
+        cache = make_cache(n, 8, "flat", method=method)
+        assert not np.any(cache.T) and not np.any(cache.h)
+        t = fiber.tracefree_dim(n, p)
+        data = np.random.default_rng(p).standard_normal((2,) + cache.spec.shape + (t,))
+        for phi in (fields.TensorField(cache, "s0", p, data),
+                    fields.TensorField(cache, "s0", p, data[0])):
+            K = weitzenbock_K(phi, route="curvature").data
+            assert K.shape == phi.data.shape and not np.any(K)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
@@ -580,7 +596,7 @@ def test_curvature_term_2d_scalar_action(p):
     cache = make_cache(2, 32, "conformal", f_text="0.2*cos(x1) + 0.1*sin(x2)")
     phi = random_field(cache, p, seed=90 + p, band=3)
     K = weitzenbock_K(phi)
-    gauss = 0.5 * cache.scalar_curvature
+    gauss = gauss_curvature_2d_oracle(cache.exponent, cache.spec)
     want = fields.TensorField(
         cache, "s0", p, (p * p) * gauss[..., None] * phi.data
     )
@@ -743,8 +759,9 @@ def test_fiber_contractions_match_einsum(n, p, batch):
     w_cod = fields.fiber_weight_scalar(cache, "s", p + 1)
     w_dom = fields.fiber_weight_scalar(cache, "s0", p)
     yy = omega * fiber.multiplicities(n, p + 1) * w_cod[..., None]
+    # _grad_s0_transpose takes its input slot-first, one covariant slot each
     sym_adj = fields._grad_s0_transpose(
-        cache, p, np.einsum("Jia,...J->...ia", S, yy, optimize=True)
+        cache, p, np.einsum("Jia,...J->i...a", S, yy, optimize=True)
     ) / w_dom[..., None]
     # d2_exact_adjoint through the einsum
     y2 = scaled(-np.einsum("iab,...ia->...b", K2, X), -2.0, 1)
@@ -758,7 +775,7 @@ def test_fiber_contractions_match_einsum(n, p, batch):
         (fields._contract_apply(cache, p, X),
          scaled(-np.einsum("bia,...ia->...b", K0, X), -2.0, 1)),
         (fields._contract_transpose(cache, p, y),
-         -np.einsum("bia,...b->...ia", K0, scaled(y, -2.0, 1))),
+         -np.einsum("bia,...b->i...a", K0, scaled(y, -2.0, 1))),
         (fields.sym_derivative_exact_adjoint(
             fields.TensorField(cache, "s", p + 1, omega)).data, sym_adj),
         (gradients._d2_from_delta(cache, p, y),

@@ -16,13 +16,9 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "gradlab"
 MODULES = {path.stem for path in PACKAGE.glob("*.py")}
 
-# oracles still to be wired into a suite (ROADMAP item 2); a name leaves
+# oracles still to be wired into a suite (ROADMAP item 3); a name leaves
 # this set when a suite reaches it
 AWAITING_A_SUITE = {
-    "geometry.conformal_christoffel_oracle",
-    "geometry.conformal_ricci_oracle",
-    "geometry.gauss_curvature_2d_oracle",
-    "geometry.curvature_symmetry_residuals",
     "gradients.d2_insertion_oracle",
     "gradients.ahlfors_ratio",
 }

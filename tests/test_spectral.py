@@ -19,7 +19,8 @@ import scipy.linalg
 from gradlab import fiber, fields, gradients, spectral
 from gradlab.expressions import TrigPoly, parse_trig_poly
 from gradlab.fields import TensorField, l2_inner
-from gradlab.harness import flat_joint_kernel_oracle
+from gradlab.config import load_config
+from gradlab.harness import build_cache, flat_joint_kernel_oracle
 from gradlab.geometry import GridSpec, build_geometry
 from gradlab.spectral import (
     Galerkin,
@@ -514,6 +515,23 @@ def assert_block_diagonal(gal, stacks, ref, where):
             assert np.max(np.abs(B - ref[r, r])) <= 1e-12 * scale
             off[r, r] = False
     assert np.max(np.abs(ref[off]), initial=0.0) <= 1e-12 * scale
+
+
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.stem)
+def test_invariant_axes_read_off_the_exponent_match_the_samples(path):
+    # the symbolic axes agree with comparing samples along each axis, on
+    # every grid of every shipped config and on the Galerkin tests' metrics
+    config = load_config(path)
+    caches = [build_cache(config, size) for size in config.sizes]
+    caches += [make_cache(2, 8, "conformal", f_text=f) for f in GALERKIN_METRICS[1:]]
+    caches.append(make_cache(3, 8, "conformal", f_text="2 + 0.1*sin(x3 - x1)"))
+    for cache in caches:
+        f = cache.conf_exponent_values
+        sampled = tuple(j for j in range(cache.n) if np.all(f == np.take(f, [0], axis=j)))
+        assert spectral.invariant_axes(cache) == sampled
 
 
 # flat: every axis invariant; cos(x1): the other axes; with sin(x2) the
