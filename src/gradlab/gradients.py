@@ -281,18 +281,19 @@ def _d2_from_delta(cache, p, dphi_coords, scale=1.0):
     return out if scale == 1.0 else scale * out
 
 
-def d2_insertion_oracle(phi: TensorField, conventions: Conventions = DEFAULT_CONVENTIONS):
-    """Independent route to d2: -(1/lambda) times the insertion of the divergence."""
-    _check_phi(phi)
-    cache, p, n = phi.cache, phi.rank, phi.n
-    dphi = fields.divergence(phi) * conventions.delta_sign
+def d2_insertion_oracle(dphi: TensorField):
+    """Independent route to d2 from the divergence dphi = delta phi of a
+    rank-p field: -(1/lambda) times the equivariant insertion of dphi."""
+    if dphi.tag != "s0":
+        raise FieldError("d2_insertion_oracle expects the 's0' divergence of a field")
+    cache, n, p = dphi.cache, dphi.n, dphi.rank + 1
     lam = insertion_eigenvalue(n, p)
-    mono = -(1.0 / lam) * np.einsum(
-        "iAb,...b->...iA", _insertion_matrix_mono(n, p), dphi.data
-    )
-    mono = fields._scale(mono, cache.conformal_factor(2.0), 2)
+    E = _insertion_matrix_mono(n, p)
+    mono = -(1.0 / lam) * (dphi.data @ E.reshape(-1, E.shape[-1]).T)
+    mono = fields._scale(mono, cache.conformal_factor(2.0), 1)
     _, C = fiber.tracefree_basis(n, p)
-    return TensorField(cache, "cov_s0", p, mono @ C.T)
+    out = mono.reshape(-1, C.shape[1]) @ C.T
+    return TensorField(cache, "cov_s0", p, out.reshape(dphi.data.shape[:-1] + (n, -1)))
 
 
 def embed_symmetrized(omega: TensorField):
@@ -345,7 +346,6 @@ class GradientSplit:
     def _diagnostics(self):
         emb = embed_symmetrized(self.d1)
         d2f, d3f = self.d2, self.d3
-        recon = emb + d2f + d3f
         g_norm = l2_norm(self.grad)
         norms = {
             "grad": g_norm,
@@ -362,6 +362,9 @@ class GradientSplit:
             (("d2", d2f), ("d3", d3f)),
         ):
             ortho[f"{na}_{nb}"] = abs(l2_inner(a, b)) / (g_norm**2 + _TINY)
+        # the reconstruction last, so that emb is dropped once summed in
+        recon = emb + d2f + d3f
+        del emb
         return l2_norm(self.grad - recon) / (g_norm + _TINY), ortho, norms
 
     @property
@@ -399,29 +402,31 @@ def decompose(phi: TensorField, conventions: Conventions = DEFAULT_CONVENTIONS):
     )
 
 
+def _projector_parts(X: TensorField):
+    """The A, B and C parts of a 'cov_s0' field under the constant fiber
+    projectors, formed one at a time as they are drawn."""
+    flat = fields._merged(X.data)
+    for P in fiber.flat_projector_matrices(X.n, X.rank):
+        yield TensorField(X.cache, "cov_s0", X.rank, (flat @ P.T).reshape(X.data.shape))
+
+
 def projector_components(X: TensorField):
     """Split a 'cov_s0' field with the constant fiber projectors (oracle route)."""
     if X.tag != "cov_s0":
         raise FieldError("projector_components expects a 'cov_s0' field")
-    cache = X.cache
-    parts = {}
-    flat = fields._merged(X.data)
-    for name, P in zip("ABC", fiber.flat_projector_matrices(X.n, X.rank)):
-        parts[name] = TensorField(
-            cache, "cov_s0", X.rank, (flat @ P.T).reshape(X.data.shape)
-        )
-    return parts
+    return dict(zip("ABC", _projector_parts(X)))
 
 
 def projector_match_residuals(sp: GradientSplit):
     """Relative mismatch of each structure-tensor piece of a split against
-    the projector route applied to its gradient."""
-    parts = projector_components(sp.grad)
+    the projector route applied to its gradient.  The projector parts are
+    formed one at a time, each dropped after its residual is read."""
+    parts = _projector_parts(sp.grad)
     scale = sp.norms["grad"] + _TINY
     return {
-        "d1": l2_norm(embed_symmetrized(sp.d1) - parts["A"]) / scale,
-        "d2": l2_norm(sp.d2 - parts["B"]) / scale,
-        "d3": l2_norm(sp.d3 - parts["C"]) / scale,
+        "d1": l2_norm(embed_symmetrized(sp.d1) - next(parts)) / scale,
+        "d2": l2_norm(sp.d2 - next(parts)) / scale,
+        "d3": l2_norm(sp.d3 - next(parts)) / scale,
     }
 
 
@@ -559,6 +564,16 @@ def second_order_residuals(phi: TensorField, u_values=None):
     `stein_weiss_d1`, `weitzenbock_K`), so T1 is bit-for-bit the transpose
     route of d1* d1 and K the operational curvature term.
 
+    Each array is dropped right after its last read, and the work runs in
+    the order that keeps the fewest arrays alive: T1, T2, nabla*nabla phi
+    and delta* phi first, each piece of the split dropped once read; the
+    compositions of delta* phi and delta phi next; T3, whose temporaries
+    are the largest, when d3 phi is all that is left of the split; the
+    pointwise curvature route and the zeroth-order residual last, beside
+    phi and K alone.  The order changes no floating-point operation, and
+    the traced peak is about 7 gradients of phi (14 when every
+    intermediate lived until the return).
+
     Keys (relative residuals):
       reconstruction       the split's reconstruction residual
       two_route            formula against transpose route of d1* d1
@@ -580,40 +595,53 @@ def second_order_residuals(phi: TensorField, u_values=None):
     """
     _check_phi(phi)
     cache, p, n = phi.cache, phi.rank, phi.n
-    # the curvature route first, while few arrays are alive
-    K_orc = weitzenbock_K(phi, route="curvature")
     sp = decompose(phi)
     # the split computes its diagnostics on first read: read them while few
     # arrays are alive
     norms = sp.norms
-    X = sp.grad.data
-    ds = TensorField(cache, "s", p + 1, fields._sym_apply(n, p, X))
-    dv = sp.divergence
+    out = {"reconstruction": sp.reconstruction_residual}
+    grad, d1f, d2f, d3f, dv = sp.grad, sp.d1, sp.d2, sp.d3, sp.divergence
+    del sp
+    T1 = d1_exact_adjoint(d1f)
+    del d1f
+    T2 = d2_exact_adjoint(d2f)
+    del d2f
+    lap = fields.gradient_adjoint(grad)
+    ds = TensorField(cache, "s", p + 1, fields._sym_apply(n, p, grad.data))
+    del grad
+    nDs = l2_inner(ds, ds)
+    nDel = l2_inner(dv, dv)
     dds = fields.divergence(ds)
+    del ds
     dsd = fields.sym_derivative(dv)
+    del dv
     t2 = fields.to_tracefree(dsd)
     sw = fields.to_tracefree(dds) - sw_coefficient(n, p) * t2
     samp = fields.to_tracefree((p + 1.0) * dds - float(p) * dsd)
-    lap = fields.gradient_adjoint(sp.grad)
-    K = lap - samp
-    T1 = d1_exact_adjoint(sp.d1)
-    T2 = d2_exact_adjoint(sp.d2)
-    T3 = d3_exact_adjoint(sp.d3)
-    out = {"reconstruction": sp.reconstruction_residual}
+    del dds, dsd
 
     out["two_route"] = l2_norm(sw - T1) / (l2_norm(sw) + _TINY)
     c_d = (p / (p + 1.0)) * (1.0 - 2.0 / (n + 2.0 * (p - 1.0)))
     alt = TensorField(cache, "s0", p, samp.data / (p + 1.0) + c_d * t2.data)
     out["splitting_form"] = l2_norm(sw - alt) / (l2_norm(sw) + _TINY)
+    del sw, alt
 
+    K = lap - samp
+    del samp
+    T3 = d3_exact_adjoint(d3f)
+    del d3f
     c34 = energy_coefficient(n, p)
     c41 = (p + 1) * c34
     scale = max(l2_norm(lap), l2_norm(K), l2_norm(phi)) + _TINY
     out["split_vs_rough"] = l2_norm(lap - (T1 + T2 + T3)) / scale
     out["rough_identity"] = l2_norm((p + 1.0) * T1 - (lap - K + c41 * t2)) / scale
     out["difference_identity"] = l2_norm(float(p) * T1 - T2 - T3 - (c41 * t2 - K)) / scale
+    del lap, T1, T2, T3, t2
+
+    K_orc = weitzenbock_K(phi, route="curvature")
     k_scale = max(l2_norm(K), l2_norm(K_orc), 1e-6 * scale) + _TINY
     out["curvature_oracle"] = l2_norm(K - K_orc) / k_scale
+    del K_orc
 
     # second-order quadratic forms as weighted norms of the discrete
     # first-order operators (the exact-transpose convention)
@@ -621,8 +649,6 @@ def second_order_residuals(phi: TensorField, u_values=None):
     nD1 = norms["d1"] ** 2
     nD2 = norms["d2"] ** 2
     nD3 = norms["d3"] ** 2
-    nDs = l2_inner(ds, ds)
-    nDel = l2_inner(dv, dv)
     sampson_q = (p + 1.0) * nDs - float(p) * nDel
     K_q = nG - sampson_q
     # pointwise <K phi, phi> with the conformal fiber inner product
@@ -644,17 +670,17 @@ def second_order_residuals(phi: TensorField, u_values=None):
 # measured diagnostics
 # ---------------------------------------------------------------------------
 
-def ahlfors_deformation(phi: TensorField):
-    """Trace-free deformation tensor of a 1-form, built from components.
+def ahlfors_deformation(grad: TensorField):
+    """Trace-free deformation tensor of a 1-form, from its covariant
+    derivative `grad` (a 'cov_s0' field of rank 1), built from components.
 
     Independent of d1's structure tensors: symmetrize the covariant
     derivative by hand and subtract the conformal trace along the metric.
     The conformal factors of trace and metric cancel pointwise.
     """
-    if phi.tag != "s0" or phi.rank != 1:
-        raise FieldError("ahlfors_deformation expects an 's0' field of rank 1")
-    cache, n = phi.cache, phi.n
-    X = fields.gradient(phi).data
+    if grad.tag != "cov_s0" or grad.rank != 1:
+        raise FieldError("ahlfors_deformation expects the gradient of a 1-form")
+    X, n = grad.data, grad.n
     S = X + np.swapaxes(X, -1, -2)
     trg = np.einsum("...ii->...", X)
     S = S - (2.0 / n) * trg[..., None, None] * np.eye(n)
@@ -662,11 +688,12 @@ def ahlfors_deformation(phi: TensorField):
     mono = np.empty(S.shape[:-2] + (m,))
     for A, (i, j) in enumerate(fiber.sym_indices(n, 2)):
         mono[..., A] = S[..., i, j]
-    return fields.field_from_monomial(cache, 2, mono, tag="s0")
+    return fields.field_from_monomial(grad.cache, 2, mono, tag="s0")
 
 
-def ahlfors_ratio(phi: TensorField):
-    """Measured ||S phi||^2 / ||d1 phi||^2 for 1-forms (expected constant 4)."""
-    S = ahlfors_deformation(phi)
-    om = d1(phi)
-    return l2_norm(S) ** 2 / (l2_norm(om) ** 2 + _TINY)
+def ahlfors_ratio(sp: GradientSplit):
+    """Measured ||S phi||^2 / ||d1 phi||^2 of a 1-form phi (expected constant
+    4), read off its split: S is `ahlfors_deformation` of the split's
+    gradient and d1 phi its first piece."""
+    S = ahlfors_deformation(sp.grad)
+    return l2_norm(S) ** 2 / (l2_norm(sp.d1) ** 2 + _TINY)

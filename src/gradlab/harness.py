@@ -235,19 +235,32 @@ def _identity_checks_for_rank(rec, config, p, caches):
         for _ in range(config.field_count)
     ]
 
-    recon = orth = trace = 0.0
+    recon = orth = trace = insertion = ahlfors = 0.0
     proj = {"d1": 0.0, "d2": 0.0, "d3": 0.0}
     adj_formula = adj_t1 = adj_t2 = adj_t3 = 0.0
     for i, phi in enumerate(batch):
         sp = gradients.decompose(phi)
-        if i == 0:
-            sp0 = sp
         recon = max(recon, sp.reconstruction_residual)
         orth = max(orth, max(sp.orthogonality.values()))
         trace = max(trace, fields.max_trace_residual(sp.d1))
         pm = gradients.projector_match_residuals(sp)
         for k in proj:
             proj[k] = max(proj[k], pm[k])
+        if i == 0 and p >= 3:
+            # the high-rank second-piece coefficient is also reported as the
+            # best-fit scalar of the formula against the projector route,
+            # plus the residual after removing that scalar
+            b = gradients.projector_components(sp.grad)["B"]
+            denom = l2_inner(b, b) + _TINY
+            s_fit = l2_inner(sp.d2, b) / denom
+            fit_resid = l2_norm(sp.d2 - b * s_fit) / (l2_norm(b) + _TINY)
+            del b
+        # the second piece through the insertion eigenvalue, against the
+        # split's literal coefficients
+        insertion = max(insertion, l2_norm(
+            gradients.d2_insertion_oracle(sp.divergence) - sp.d2) / (sp.norms["grad"] + _TINY))
+        if p == 1:
+            ahlfors = max(ahlfors, abs(gradients.ahlfors_ratio(sp) - 4.0))
         # adjointness: analytic pair and the exact discrete transposes
         rng_a = np.random.default_rng([config.seed, 202, p, i])
         psi = _unit(band_limited_field(cache_hi, p + 1, band, rng_a))
@@ -261,7 +274,10 @@ def _identity_checks_for_rank(rec, config, p, caches):
         adj_t3 = max(adj_t3, abs(
             l2_inner(sp.d3, x2) - l2_inner(phi, gradients.d3_exact_adjoint(x2))
         ))
-    nf = f"{len(batch)} fields"
+    # nothing of the batch outlives its loop: the second-order sub-batch
+    # below starts from the scalars alone
+    del batch, phi, sp, psi, x2
+    nf = f"{config.field_count} fields"
     rec.check(f"decompose.reconstruction.p{p}", A_SPLIT, recon, "reconstruction", nf)
     rec.check(f"decompose.orthogonality.p{p}", A_SPLIT, orth, "orthogonality", nf)
     rec.check(f"decompose.trace.p{p}", A_SPLIT, trace, "trace_residual",
@@ -269,18 +285,16 @@ def _identity_checks_for_rank(rec, config, p, caches):
     rec.check(f"oracle.d1.p{p}", A_SPLIT, proj["d1"], "projector_match", nf)
     rec.check(f"oracle.d3.p{p}", A_SPLIT, proj["d3"], "projector_match", nf)
     rec.check(f"oracle.d2.p{p}", A_PIECE2, proj["d2"], "projector_match", nf)
+    rec.check(f"oracle.d2_insertion.p{p}", A_PIECE2, insertion, "projector_match",
+              f"{nf}: second piece as the divergence's insertion over its eigenvalue")
     if p >= 3:
-        # the high-rank second-piece coefficient is also reported as the
-        # best-fit scalar of the formula against the projector route, plus
-        # the residual after removing that scalar
-        b = gradients.projector_components(sp0.grad)["B"]
-        denom = l2_inner(b, b) + _TINY
-        s_fit = l2_inner(sp0.d2, b) / denom
-        resid = l2_norm(sp0.d2 - b * s_fit) / (l2_norm(b) + _TINY)
         rec.measure(f"oracle.d2_best_fit.p{p}", A_PIECE2, s_fit,
-                    f"best-fit scalar against projector route; residual {resid:.3e}")
+                    f"best-fit scalar against projector route; residual {fit_resid:.3e}")
         rec.measure(f"oracle.d2_match.p{p}", A_PIECE2, proj["d2"],
                     f"direct mismatch, gated as oracle.d2.p{p}")
+    if p == 1:
+        rec.check(f"oracle.ahlfors.p{p}", A_SPLIT, ahlfors, "equivalence",
+                  f"{nf}: |ratio - 4| of the hand-built deformation tensor to d1")
 
     rec.check(f"adjoint.formula.p{p}", A_ADJOINT, adj_formula, "adjoint_formula",
               "pairing against the divergence, unit-normalized fields")

@@ -148,9 +148,11 @@ def test_identity_records_unique_and_complete(flat_identity_report):
             "composition.two_route", "composition.splitting_form",
             "weitzenbock.rough", "weitzenbock.curvature_oracle",
             "weitzenbock.flat_zero", "energy.straight", "energy.partition",
-            "composition.two_route_refine",
+            "composition.two_route_refine", "oracle.d2_insertion",
         ):
             assert f"{stem}.p{p}" in ids
+    # the Ahlfors cross-check of d1 is a rank-1 record
+    assert [i for i in ids if i.startswith("oracle.ahlfors.")] == ["oracle.ahlfors.p1"]
 
 
 def test_identity_controls_present_and_passing(flat_identity_report):
@@ -180,6 +182,20 @@ def test_identity_rank_three_reports_best_fit():
     gate = by_id["oracle.d2.p3"]
     assert gate.status == "pass"
     assert gate.value == match.value
+
+
+def test_insertion_eigenvalue_is_pinned_by_the_identity_suite(monkeypatch):
+    # d2 vanishes on a 2-torus at p >= 2, so the 3-torus pins every rank
+    cfg = ExperimentConfig(dimension=3, sizes=(8, 10), ranks=(1, 2, 3),
+                           seed=3, field_count=1)
+    ids = [f"oracle.d2_insertion.p{p}" for p in cfg.ranks]
+    by_id = {r.check_id: r for r in run_identity_suite(cfg).records}
+    assert [by_id[i].status for i in ids] == ["pass"] * 3
+    eigenvalue = gradients.insertion_eigenvalue
+    monkeypatch.setattr(gradients, "insertion_eigenvalue",
+                        lambda n, p: eigenvalue(n, p) * (1.0 + 1e-6))
+    by_id = {r.check_id: r for r in run_identity_suite(cfg).records}
+    assert [by_id[i].status for i in ids] == ["fail"] * 3
 
 
 def test_identity_abort_is_contained(monkeypatch):

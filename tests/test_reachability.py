@@ -18,10 +18,7 @@ MODULES = {path.stem for path in PACKAGE.glob("*.py")}
 
 # oracles still to be wired into a suite (ROADMAP item 3); a name leaves
 # this set when a suite reaches it
-AWAITING_A_SUITE = {
-    "gradients.d2_insertion_oracle",
-    "gradients.ahlfors_ratio",
-}
+AWAITING_A_SUITE = set()
 # library entry points documented for users rather than called by the CLI:
 # the README's config section names the format_config round trip
 LIBRARY_API = {"config.format_config"}

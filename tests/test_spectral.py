@@ -672,8 +672,8 @@ def test_batched_operators_match_single_fields(n, p, f_text, method):
         assert_stacked(parts[name].data, [gradients.projector_components(one.grad)[name].data
                                           for one in splits])
     if p == 1:
-        assert_stacked(gradients.ahlfors_deformation(batch).data,
-                       [gradients.ahlfors_deformation(phi).data for phi in singles])
+        assert_stacked(gradients.ahlfors_deformation(sp.grad).data,
+                       [gradients.ahlfors_deformation(one.grad).data for one in splits])
 
 
 def test_galerkin_build_leaves_numpy_ma_unimported():
