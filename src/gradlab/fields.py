@@ -45,7 +45,14 @@ strided X[..., i, :] view.
 Adjoints come in two flavors, kept deliberately separate: exact
 weighted transposes of the discrete operators (machine-precision
 pairings) and independent analytic formulas (pairings agree only up to
-discretization error).  Checks never collapse the two.
+discretization error).  Checks never collapse the two.  Every exact
+adjoint into rank p ends in the same weighted gradient transpose,
+Gᵀ(w slots) / w_dom (`_weighted_grad_transpose`): `gradient_adjoint`
+here, and the adjoints of d1, d2 and d3 in `gradients`, which fold the
+transposes of their fiber maps into one slot-first input first, so that
+each adjoint differentiates n times.  The tests keep the unfused
+compositions, with exact adjoints of the divergence and the symmetrized
+derivative, as the reference.
 """
 
 import math
@@ -309,12 +316,24 @@ def _grad_s0_transpose(cache, p, slots):
     spec = cache.spec
     n = spec.n
     batch = slots[0].ndim - n - 1
-    out = -sum(
-        differentiate(slots[i], i, spec, cache.method, batch) for i in range(n)
-    )
+    out = differentiate(slots[0], 0, spec, cache.method, batch)
+    for i in range(1, n):
+        out += differentiate(slots[i], i, spec, cache.method, batch)
+    np.negative(out, out=out)
     h = cache.conformal_h
     if h is not None:
         out -= _slot_connection(h, _connection_matrix(n, p, True, "ia", "lb"), slots)
+    return out
+
+
+def _weighted_grad_transpose(cache, p, slots):
+    """Gᵀ(w_cod slots) / w_dom, the last step of every exact adjoint into
+    trace-free rank p: G is `_grad_apply`, w_cod the weight of covariant
+    rank p + 1 and w_dom that of rank p.  slots is a slot-first
+    (n, ..., t) array, each slot contiguous; it is weighted in place."""
+    slots *= fiber_weight_scalar(cache, "cov_s0", p)[..., None]
+    out = _grad_s0_transpose(cache, p, slots)
+    out /= fiber_weight_scalar(cache, "s0", p)[..., None]
     return out
 
 
@@ -339,11 +358,9 @@ def gradient_adjoint(X: TensorField):
     """Exact weighted adjoint of `gradient` on trace-free storage."""
     if X.tag != "cov_s0":
         raise FieldError("gradient_adjoint expects a 'cov_s0' field")
-    cache, p = X.cache, X.rank
-    w_cod = fiber_weight_scalar(cache, "cov_s0", p)[..., None]
-    w_dom = fiber_weight_scalar(cache, "s0", p)
-    Z = _grad_s0_transpose(cache, p, [X.data[..., i, :] * w_cod for i in range(X.n)])
-    return TensorField(cache, "s0", p, Z / w_dom[..., None])
+    # one slot-first copy, which the transpose weights in place
+    slots = np.moveaxis(X.data, -2, 0).copy()
+    return TensorField(X.cache, "s0", X.rank, _weighted_grad_transpose(X.cache, X.rank, slots))
 
 
 # ---------------------------------------------------------------------------
@@ -353,12 +370,6 @@ def gradient_adjoint(X: TensorField):
 def _contract_apply(cache, p, X):
     out = _merged(X) @ -_slots(_k0(cache.n, p)).T
     return _scale(out, cache.conformal_factor(-2.0), 1)
-
-
-def _contract_transpose(cache, p, y):
-    """Transpose of `_contract_apply`, slot-first (`_slot_first_matmul`)."""
-    y = _scale(y, cache.conformal_factor(-2.0), 1)
-    return _slot_first_matmul(y, -_k0(cache.n, p))
 
 
 def divergence(phi: TensorField):
@@ -382,20 +393,6 @@ def divergence(phi: TensorField):
     raise FieldError("divergence expects an 's' or 's0' field")
 
 
-def divergence_exact_adjoint(psi: TensorField):
-    """Exact weighted adjoint of `divergence`, rank p-1 -> rank p."""
-    if psi.tag != "s0":
-        raise FieldError("divergence_exact_adjoint expects an 's0' field")
-    cache = psi.cache
-    p = psi.rank + 1
-    w_cod = fiber_weight_scalar(cache, "s0", p - 1)
-    w_dom = fiber_weight_scalar(cache, "s0", p)
-    Z = _grad_s0_transpose(
-        cache, p, _contract_transpose(cache, p, psi.data * w_cod[..., None])
-    )
-    return TensorField(cache, "s0", p, Z / w_dom[..., None])
-
-
 def sym_derivative(phi: TensorField):
     """Full symmetrization of the covariant derivative, rank p -> p+1.
 
@@ -407,20 +404,6 @@ def sym_derivative(phi: TensorField):
     cache, p = phi.cache, phi.rank
     X = _grad_apply(cache, p, phi.data)
     return TensorField(cache, "s", p + 1, _sym_apply(cache.n, p, X))
-
-
-def sym_derivative_exact_adjoint(omega: TensorField):
-    """Exact weighted adjoint of `sym_derivative`, rank p+1 -> rank p."""
-    if omega.tag != "s":
-        raise FieldError("sym_derivative_exact_adjoint expects an 's' field")
-    cache, p = omega.cache, omega.rank - 1
-    if p < 0:
-        raise FieldError("rank mismatch")
-    w_cod = fiber_weight_scalar(cache, "s", p + 1)
-    w_dom = fiber_weight_scalar(cache, "s0", p)
-    y = omega.data * fiber.multiplicities(cache.n, p + 1) * w_cod[..., None]
-    Z = _grad_s0_transpose(cache, p, _slot_first_matmul(y, _sym_insert_expanded(cache.n, p)))
-    return TensorField(cache, "s0", p, Z / w_dom[..., None])
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,12 @@ def sw_coefficient(n: int, p: int) -> float:
     return 2.0 * p / ((p + 1) * (n + 2 * (p - 1)))
 
 
+def d2_composition_coefficient(n: int, p: int) -> float:
+    """kappa in d2* d2 phi = kappa (delta* delta phi)_0, the trace-free
+    part of the symmetrized derivative of the divergence."""
+    return p * d2_prefactor(n, p)
+
+
 def energy_coefficient(n: int, p: int) -> float:
     """Coefficient of ||delta phi||^2 in the first-gradient energy identity."""
     return p * (n + 2 * (p - 2)) / ((p + 1) * (n + 2 * (p - 1)))
@@ -307,17 +313,6 @@ def embed_symmetrized(omega: TensorField):
     return TensorField(cache, "cov_s0", p, flat.reshape(flat.shape[:-1] + (n, t)))
 
 
-def embed_transpose(X: TensorField):
-    """Pointwise transpose of embed_symmetrized; also its exact weighted adjoint,
-    since domain and codomain carry the same conformal weight."""
-    if X.tag != "cov_s0":
-        raise FieldError("embed_transpose expects a 'cov_s0' field")
-    cache, p = X.cache, X.rank
-    e = fiber.embed_matrix(X.n, p)
-    flat = X.data.reshape(X.data.shape[:-2] + (-1,))
-    return TensorField(cache, "s0", p + 1, flat @ e)
-
-
 def d3(phi: TensorField, conventions: Conventions = DEFAULT_CONVENTIONS):
     """Remainder piece: the covariant derivative minus the other two parts."""
     return decompose(phi, conventions).d3
@@ -434,46 +429,87 @@ def projector_match_residuals(sp: GradientSplit):
 # exact weighted adjoints
 # ---------------------------------------------------------------------------
 
-def d1_exact_adjoint(omega: TensorField):
-    """Exact weighted adjoint of d1 (at default conventions), rank p+1 -> p.
+# At default conventions each piece is a constant fiber map applied to the
+# gradient, so its exact adjoint applies that map's transpose (the pieces'
+# sums and differences folded into one cached structure tensor) and then
+# the one weighted gradient transpose: n derivatives per adjoint.
 
-    Composed from exact pieces: the adjoint of the symmetrized derivative
-    plus the coefficient times the adjoint of the divergence applied to
-    the pointwise insertion transpose.  Pairings close at roundoff.
+@lru_cache(maxsize=None)
+def _d1_transpose_structure(n, p):
+    """(t_{p+1}, n, t_p): d1's pointwise map from the gradient, transposed.
+
+    At default conventions the conformal factors of the divergence and of
+    its reinsertion cancel, so d1 phi = C F X for the gradient X with the
+    constant F = S + c Dcorr (-K0): the symmetrization, plus the insertion
+    coefficient times the flat pair insertion of the divergence
+    contraction.  Its transpose in the trace-free basis is
+    B^T diag(mult) F.
     """
+    K0 = fields._k0(n, p)
+    F = fields._sym_insert_expanded(n, p) + sym_insert_coefficient(n, p) * np.einsum(
+        "Jb,bia->Jia", _d1_correction_matrix(n, p), -K0)
+    B, _ = fiber.tracefree_basis(n, p + 1)
+    A = np.einsum("Jc,J,Jia->cia", B, fiber.multiplicities(n, p + 1), F)
+    A.flags.writeable = False
+    return A
+
+
+@lru_cache(maxsize=None)
+def _d2_transpose_structure(n, p):
+    """(n t_p, n, t_p): d2's pointwise map from the gradient, transposed:
+    the reinsertion rows K2 after the divergence contraction K0 (their
+    signs and conformal factors cancel)."""
+    K2 = _d2_structure(n, p)
+    K0 = fields._k0(n, p)
+    A = (K2.reshape(-1, K2.shape[-1]) @ fields._slots(K0)).reshape((-1,) + K0.shape[1:])
+    A.flags.writeable = False
+    return A
+
+
+@lru_cache(maxsize=None)
+def _d3_transpose_structure(n, p):
+    """(n t_p, n, t_p): d3 = the gradient minus the embedded d1 and d2, so
+    its transpose is the identity minus theirs."""
+    t = fiber.tracefree_dim(n, p)
+    A1 = _d1_transpose_structure(n, p)
+    A = (np.eye(n * t) - fiber.embed_matrix(n, p) @ fields._slots(A1)
+         - fields._slots(_d2_transpose_structure(n, p)))
+    A = A.reshape(n * t, n, t)
+    A.flags.writeable = False
+    return A
+
+
+def _exact_adjoint(cache, p, y, A):
+    """The exact adjoint into rank p of a first-order piece whose pointwise
+    map from the gradient has the transpose A (rows, n, t_p), applied to
+    fiber data y (..., rows): one slot-first matmul, one weighted gradient
+    transpose."""
+    slots = fields._slot_first_matmul(y, A)
+    return TensorField(cache, "s0", p, fields._weighted_grad_transpose(cache, p, slots))
+
+
+def d1_exact_adjoint(omega: TensorField):
+    """Exact weighted adjoint of d1 (at default conventions), rank p+1 -> p."""
     if omega.tag != "s0" or omega.rank < 2:
         raise FieldError("d1_exact_adjoint expects an 's0' field of rank >= 2")
-    cache, n = omega.cache, omega.n
     p = omega.rank - 1
-    om_s = TensorField(cache, "s", p + 1, omega.monomial())
-    term1 = fields.sym_derivative_exact_adjoint(om_s)
-    y = (om_s.data * fiber.multiplicities(n, p + 1)) @ _d1_correction_matrix(n, p)
-    y = fields._scale(y, cache.conformal_factor(-2.0), 1)
-    psi = TensorField(cache, "s0", p - 1, y)
-    term2 = fields.divergence_exact_adjoint(psi)
-    return term1 + sym_insert_coefficient(n, p) * term2
+    return _exact_adjoint(omega.cache, p, omega.data, _d1_transpose_structure(omega.n, p))
 
 
 def d2_exact_adjoint(X: TensorField):
     """Exact weighted adjoint of d2 (at default conventions)."""
     if X.tag != "cov_s0":
         raise FieldError("d2_exact_adjoint expects a 'cov_s0' field")
-    cache, p = X.cache, X.rank
-    K2 = _d2_structure(X.n, p)
-    y = fields._merged(X.data) @ -K2.reshape(-1, K2.shape[-1])
-    y = fields._scale(y, cache.conformal_factor(-2.0), 1)
-    return fields.divergence_exact_adjoint(TensorField(cache, "s0", p - 1, y))
+    return _exact_adjoint(X.cache, X.rank, fields._merged(X.data),
+                          _d2_transpose_structure(X.n, X.rank))
 
 
 def d3_exact_adjoint(X: TensorField):
     """Exact weighted adjoint of d3 (at default conventions)."""
     if X.tag != "cov_s0":
         raise FieldError("d3_exact_adjoint expects a 'cov_s0' field")
-    return (
-        fields.gradient_adjoint(X)
-        - d1_exact_adjoint(embed_transpose(X))
-        - d2_exact_adjoint(X)
-    )
+    return _exact_adjoint(X.cache, X.rank, fields._merged(X.data),
+                          _d3_transpose_structure(X.n, X.rank))
 
 
 # ---------------------------------------------------------------------------
@@ -567,8 +603,8 @@ def second_order_residuals(phi: TensorField, u_values=None):
     Each array is dropped right after its last read, and the work runs in
     the order that keeps the fewest arrays alive: T1, T2, nabla*nabla phi
     and delta* phi first, each piece of the split dropped once read; the
-    compositions of delta* phi and delta phi next; T3, whose temporaries
-    are the largest, when d3 phi is all that is left of the split; the
+    compositions of delta* phi and delta phi next; T3 when d3 phi is all
+    that is left of the split; the
     pointwise curvature route and the zeroth-order residual last, beside
     phi and K alone.  The order changes no floating-point operation, and
     the traced peak is about 7 gradients of phi (14 when every
@@ -580,6 +616,10 @@ def second_order_residuals(phi: TensorField, u_values=None):
       splitting_form       d1* d1 formula against its symmetrized-Laplacian
                            form (algebraically equal: roundoff)
       split_vs_rough       nabla*nabla against T1 + T2 + T3 (roundoff)
+      d2_composition       T2 against its formula kappa (delta* delta phi)_0
+                           (`d2_composition_coefficient`), on the
+                           split_vs_rough scale, which does not vanish
+                           with T2
       rough_identity, difference_identity
                            the two Weitzenbock formulas for T1, against
                            analytic-formula routes (discretization error)
@@ -636,6 +676,7 @@ def second_order_residuals(phi: TensorField, u_values=None):
     out["split_vs_rough"] = l2_norm(lap - (T1 + T2 + T3)) / scale
     out["rough_identity"] = l2_norm((p + 1.0) * T1 - (lap - K + c41 * t2)) / scale
     out["difference_identity"] = l2_norm(float(p) * T1 - T2 - T3 - (c41 * t2 - K)) / scale
+    out["d2_composition"] = l2_norm(T2 - d2_composition_coefficient(n, p) * t2) / scale
     del lap, T1, T2, T3, t2
 
     K_orc = weitzenbock_K(phi, route="curvature")

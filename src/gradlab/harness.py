@@ -42,6 +42,7 @@ A_PIECE2 = "second-piece-coefficient"
 A_ADJOINT = "adjoint-pair"
 A_COMP1 = "first-composition"
 A_COMP_FORM = "composition-splitting-form"
+A_COMP2 = "second-composition"
 A_ENERGY = "energy-identity"
 A_ROUGH = "rough-composition-identity"
 A_ROUGH_ENERGY = "rough-energy"
@@ -312,9 +313,9 @@ def _identity_checks_for_rank(rec, config, p, caches):
         for _ in range(min(3, config.field_count))
     ]
     worst = dict.fromkeys(
-        ("two_route", "splitting_form", "split_vs_rough", "rough_identity",
-         "difference_identity", "curvature_oracle", "flat_zero", "energy",
-         "rough_energy", "split_energy", "q_form_route"), 0.0)
+        ("two_route", "splitting_form", "split_vs_rough", "d2_composition",
+         "rough_identity", "difference_identity", "curvature_oracle", "flat_zero",
+         "energy", "rough_energy", "split_energy", "q_form_route"), 0.0)
     flipped_min = np.inf
     for phi in sub:
         res = gradients.second_order_residuals(phi)
@@ -324,6 +325,8 @@ def _identity_checks_for_rank(rec, config, p, caches):
     rec.check(f"composition.two_route.p{p}", A_COMP1, worst["two_route"], "two_route")
     rec.check(f"composition.splitting_form.p{p}", A_COMP_FORM, worst["splitting_form"],
               "equivalence")
+    rec.check(f"composition.d2.p{p}", A_COMP2, worst["d2_composition"], "two_route",
+              "d2*d2 against kappa (delta* delta phi)_0, on the split_sum scale")
     rec.check(f"weitzenbock.split_sum.p{p}", A_ROUGH, worst["split_vs_rough"], "equivalence",
               "gradient square equals the sum of the three transpose compositions")
     rec.check(f"weitzenbock.rough.p{p}", A_ROUGH, worst["rough_identity"], "weitzenbock")

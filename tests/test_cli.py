@@ -4,6 +4,7 @@ indeterminate), and the byte-identical JSON guarantee through the CLI path."""
 
 import json
 import os
+import platform
 import subprocess
 import sys
 from io import StringIO
@@ -340,6 +341,33 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "False"
+
+
+_HEAP_PROBE = """
+import io, resource
+import numpy as np
+from gradlab import cli
+cli.main(["info", "--n", "2", "--p", "1"], out=io.StringIO())
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(64):
+    a, b, c = np.ones(1 << 17), np.ones(1 << 17), np.ones(1 << 18)
+    del a, b, c
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.system() != "Linux" or platform.libc_ver()[0] != "glibc",
+                    reason="the heap policy pins glibc's allocator")
+def test_heap_policy_reuses_freed_temporaries():
+    # 64 rounds of two 1 MiB and one 2 MiB arrays touch 65,536 fresh pages
+    # when every free unmaps or trims (about 63,500 faults without the
+    # policy); with it the pages of the first round are reused
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", _HEAP_PROBE], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert int(out.stdout.strip().splitlines()[-1]) < 5000
 
 
 # ---------------------------------------------------------------------------

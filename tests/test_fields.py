@@ -13,7 +13,6 @@ from gradlab.fields import (
     FieldError,
     TensorField,
     divergence,
-    divergence_exact_adjoint,
     field_from_monomial,
     gradient,
     gradient_adjoint,
@@ -22,11 +21,17 @@ from gradlab.fields import (
     max_trace_residual,
     rough_laplacian,
     sym_derivative,
-    sym_derivative_exact_adjoint,
     to_tracefree,
 )
 from gradlab.geometry import GridSpec, build_geometry
-from testlib import analytic_laplacian, metric_samples, unit_field, zero_field
+from testlib import (
+    analytic_laplacian,
+    divergence_exact_adjoint,
+    metric_samples,
+    sym_derivative_exact_adjoint,
+    unit_field,
+    zero_field,
+)
 
 
 def make_cache(n=2, size=16, metric="flat", f_text="0.1*cos(x1)", method="spectral"):

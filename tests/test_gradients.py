@@ -24,7 +24,6 @@ from gradlab.gradients import (
     d3_exact_adjoint,
     decompose,
     embed_symmetrized,
-    embed_transpose,
     energy_coefficient,
     insertion_eigenvalue,
     projector_components,
@@ -38,8 +37,15 @@ from gradlab.gradients import (
 )
 from testlib import (
     closed_form_curvature,
+    d1_exact_adjoint_unfused,
+    d2_exact_adjoint_unfused,
+    d3_exact_adjoint_unfused,
+    divergence_exact_adjoint,
+    embed_transpose,
     gauss_curvature_2d_oracle,
+    gradient_adjoint_unfused,
     metric_samples,
+    sym_derivative_exact_adjoint,
     unit_field,
     zero_field,
 )
@@ -381,6 +387,72 @@ def test_embed_isometry_and_roundtrip():
 # ---------------------------------------------------------------------------
 # exact adjoints: pairings close at roundoff
 # ---------------------------------------------------------------------------
+
+_FUSED = [
+    ("d1", d1_exact_adjoint, d1_exact_adjoint_unfused),
+    ("d2", d2_exact_adjoint, d2_exact_adjoint_unfused),
+    ("d3", d3_exact_adjoint, d3_exact_adjoint_unfused),
+    ("grad", fields.gradient_adjoint, gradient_adjoint_unfused),
+]
+
+
+def _adjoint_input(cache, name, p, rng, batch):
+    """A random input of the exact adjoint `name` into rank p."""
+    n = cache.n
+    if name == "d1":
+        shape, tag, rank = (fiber.tracefree_dim(n, p + 1),), "s0", p + 1
+    else:
+        shape, tag, rank = (n, fiber.tracefree_dim(n, p)), "cov_s0", p
+    data = rng.standard_normal(batch + cache.spec.shape + shape)
+    return fields.TensorField(cache, tag, rank, data)
+
+
+@pytest.mark.parametrize("batch", [(), (2,)], ids=["single", "stacked"])
+@pytest.mark.parametrize("metric", ["flat", "conformal"])
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_fused_adjoints_match_unfused_compositions(n, p, metric, batch):
+    # each fused adjoint sums its pieces before one weighted transpose; the
+    # unfused route transposes every piece and sums afterwards.  The scale
+    # is the gradient adjoint of the same input, since d3* vanishes on the
+    # 2-torus at p >= 2
+    cache = make_cache(n, 8, metric)
+    rng = np.random.default_rng(100 * n + 10 * p + len(batch))
+    for name, fused, unfused in _FUSED:
+        x = _adjoint_input(cache, name, p, rng, batch)
+        ref = unfused(x)
+        got = fused(x)
+        assert got.tag == "s0" and got.rank == p
+        assert got.data.shape == ref.data.shape == batch + cache.spec.shape + (
+            fiber.tracefree_dim(n, p),)
+        scale = np.max(np.abs(gradient_adjoint_unfused(
+            embed_symmetrized(x) if name == "d1" else x).data))
+        assert np.max(np.abs(got.data - ref.data)) <= 1e-14 * scale, name
+
+
+@pytest.mark.parametrize("metric", ["flat", "conformal"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_each_exact_adjoint_is_one_gradient_transpose(monkeypatch, n, metric):
+    # one derivative per axis: every adjoint differentiates its summed
+    # slots once, never each piece on its own
+    cache = make_cache(n, 8, metric)
+    rng = np.random.default_rng(n)
+    calls = []
+    differentiate = fields.differentiate
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return differentiate(*args, **kwargs)
+
+    monkeypatch.setattr(fields, "differentiate", counted)
+    axes = {}
+    for name, fused, _ in _FUSED:
+        x = _adjoint_input(cache, name, 2, rng, ())
+        calls.clear()
+        fused(x)
+        axes[name] = sorted(calls)
+    assert axes == {name: list(range(n)) for name, _, _ in _FUSED}
+
 
 @pytest.mark.parametrize("metric", ["flat", "conformal"])
 @pytest.mark.parametrize("n,p", [(2, 1), (2, 2), (3, 2)])
@@ -755,7 +827,7 @@ def test_fiber_contractions_match_einsum(n, p, batch):
     K2 = gradients._d2_structure(n, p)
     Kc = fiber.div_contract_tensor(n, p)
 
-    # sym_derivative_exact_adjoint through the einsum
+    # the unfused adjoint of the symmetrized derivative through the einsum
     w_cod = fields.fiber_weight_scalar(cache, "s", p + 1)
     w_dom = fields.fiber_weight_scalar(cache, "s0", p)
     yy = omega * fiber.multiplicities(n, p + 1) * w_cod[..., None]
@@ -763,9 +835,9 @@ def test_fiber_contractions_match_einsum(n, p, batch):
     sym_adj = fields._grad_s0_transpose(
         cache, p, np.einsum("Jia,...J->i...a", S, yy, optimize=True)
     ) / w_dom[..., None]
-    # d2_exact_adjoint through the einsum
+    # d2_exact_adjoint through the einsum and the unfused divergence adjoint
     y2 = scaled(-np.einsum("iab,...ia->...b", K2, X), -2.0, 1)
-    d2_adj = fields.divergence_exact_adjoint(fields.TensorField(cache, "s0", p - 1, y2))
+    d2_adj = divergence_exact_adjoint(fields.TensorField(cache, "s0", p - 1, y2))
     # the 's'-tag divergence through the einsum
     grad_s = fields.gradient(fields.TensorField(cache, "s", p, phi_s)).data
     div_s = scaled(-np.einsum("BiA,...iA->...B", Kc, grad_s), -2.0, 1)
@@ -774,9 +846,7 @@ def test_fiber_contractions_match_einsum(n, p, batch):
         (fields._sym_apply(n, p, X), np.einsum("Jia,...ia->...J", S, X, optimize=True)),
         (fields._contract_apply(cache, p, X),
          scaled(-np.einsum("bia,...ia->...b", K0, X), -2.0, 1)),
-        (fields._contract_transpose(cache, p, y),
-         -np.einsum("bia,...b->i...a", K0, scaled(y, -2.0, 1))),
-        (fields.sym_derivative_exact_adjoint(
+        (sym_derivative_exact_adjoint(
             fields.TensorField(cache, "s", p + 1, omega)).data, sym_adj),
         (gradients._d2_from_delta(cache, p, y),
          scaled(-np.einsum("iab,...b->...ia", K2, y), 2.0, 2)),

@@ -145,7 +145,7 @@ def test_identity_records_unique_and_complete(flat_identity_report):
             "decompose.reconstruction", "decompose.orthogonality",
             "decompose.trace", "oracle.d1", "oracle.d2", "oracle.d3",
             "adjoint.formula", "adjoint.transpose_d1",
-            "composition.two_route", "composition.splitting_form",
+            "composition.two_route", "composition.splitting_form", "composition.d2",
             "weitzenbock.rough", "weitzenbock.curvature_oracle",
             "weitzenbock.flat_zero", "energy.straight", "energy.partition",
             "composition.two_route_refine", "oracle.d2_insertion",
@@ -194,6 +194,19 @@ def test_insertion_eigenvalue_is_pinned_by_the_identity_suite(monkeypatch):
     eigenvalue = gradients.insertion_eigenvalue
     monkeypatch.setattr(gradients, "insertion_eigenvalue",
                         lambda n, p: eigenvalue(n, p) * (1.0 + 1e-6))
+    by_id = {r.check_id: r for r in run_identity_suite(cfg).records}
+    assert [by_id[i].status for i in ids] == ["fail"] * 3
+
+
+def test_d2_composition_coefficient_is_pinned_by_the_identity_suite(monkeypatch):
+    cfg = ExperimentConfig(dimension=3, sizes=(8, 10), ranks=(1, 2, 3),
+                           seed=3, field_count=1)
+    ids = [f"composition.d2.p{p}" for p in cfg.ranks]
+    by_id = {r.check_id: r for r in run_identity_suite(cfg).records}
+    assert [by_id[i].status for i in ids] == ["pass"] * 3
+    kappa = gradients.d2_composition_coefficient
+    monkeypatch.setattr(gradients, "d2_composition_coefficient",
+                        lambda n, p: kappa(n, p) * (1.0 + 1e-6))
     by_id = {r.check_id: r for r in run_identity_suite(cfg).records}
     assert [by_id[i].status for i in ids] == ["fail"] * 3
 

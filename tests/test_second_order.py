@@ -49,12 +49,14 @@ def _weitzenbock_identity_report(phi):
     r_sum = l2_norm(lap - (T1 + T2 + T3)) / scale
     r41 = l2_norm((p + 1.0) * T1 - (lap - K + c41 * t2)) / scale
     r43 = l2_norm(float(p) * T1 - T2 - T3 - (c41 * t2 - K)) / scale
+    r_d2 = l2_norm(T2 - gradients.d2_composition_coefficient(n, p) * t2) / scale
     K_orc = gradients.weitzenbock_K(phi, route="curvature")
     k_scale = max(l2_norm(K), l2_norm(K_orc), 1e-6 * scale) + _TINY
     return {
         "split_vs_rough": r_sum,
         "rough_identity": r41,
         "difference_identity": r43,
+        "d2_composition": r_d2,
         "curvature_oracle": l2_norm(K - K_orc) / k_scale,
     }
 

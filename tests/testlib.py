@@ -3,7 +3,8 @@ script of the package uses, so they live beside the tests."""
 
 import numpy as np
 
-from gradlab.fields import TensorField, fiber_shape
+from gradlab import fiber, fields, gradients
+from gradlab.fields import TensorField, fiber_shape, fiber_weight_scalar
 from gradlab.geometry import (
     TWO_PI, GeometryError, _require_finite, differentiate, evaluate_on_grid,
 )
@@ -19,6 +20,82 @@ def zero_field(cache, rank, tag="s0"):
 def unit_field(cache, rank, band, rng):
     """A band-limited trace-free test field scaled to unit L2 norm."""
     return _unit(band_limited_field(cache, rank, band, rng))
+
+
+# ---------------------------------------------------------------------------
+# the unfused exact adjoints: each first-order transpose formed on its own,
+# one weighted gradient transpose per piece, and the compositions summed
+# afterwards; the package's adjoints fuse each composition into one
+# transpose and are tested against these
+# ---------------------------------------------------------------------------
+
+def divergence_exact_adjoint(psi: TensorField):
+    """Exact weighted adjoint of `fields.divergence`, rank p-1 -> rank p."""
+    cache = psi.cache
+    p = psi.rank + 1
+    w_cod = fiber_weight_scalar(cache, "s0", p - 1)
+    w_dom = fiber_weight_scalar(cache, "s0", p)
+    y = fields._scale(psi.data * w_cod[..., None], cache.conformal_factor(-2.0), 1)
+    Z = fields._grad_s0_transpose(cache, p, fields._slot_first_matmul(y, -fields._k0(cache.n, p)))
+    return TensorField(cache, "s0", p, Z / w_dom[..., None])
+
+
+def sym_derivative_exact_adjoint(omega: TensorField):
+    """Exact weighted adjoint of `fields.sym_derivative`, rank p+1 -> rank p."""
+    cache, p = omega.cache, omega.rank - 1
+    w_cod = fiber_weight_scalar(cache, "s", p + 1)
+    w_dom = fiber_weight_scalar(cache, "s0", p)
+    y = omega.data * fiber.multiplicities(cache.n, p + 1) * w_cod[..., None]
+    Z = fields._grad_s0_transpose(
+        cache, p, fields._slot_first_matmul(y, fields._sym_insert_expanded(cache.n, p)))
+    return TensorField(cache, "s0", p, Z / w_dom[..., None])
+
+
+def gradient_adjoint_unfused(X: TensorField):
+    """`fields.gradient_adjoint` with each weighted slot its own array."""
+    cache, p = X.cache, X.rank
+    w_cod = fiber_weight_scalar(cache, "cov_s0", p)[..., None]
+    w_dom = fiber_weight_scalar(cache, "s0", p)
+    Z = fields._grad_s0_transpose(cache, p, [X.data[..., i, :] * w_cod for i in range(X.n)])
+    return TensorField(cache, "s0", p, Z / w_dom[..., None])
+
+
+def d1_exact_adjoint_unfused(omega: TensorField):
+    """d1* as the adjoint of the symmetrized derivative plus the insertion
+    coefficient times the adjoint of the divergence applied to the
+    pointwise insertion transpose."""
+    cache, n = omega.cache, omega.n
+    p = omega.rank - 1
+    om_s = TensorField(cache, "s", p + 1, omega.monomial())
+    term1 = sym_derivative_exact_adjoint(om_s)
+    y = (om_s.data * fiber.multiplicities(n, p + 1)) @ gradients._d1_correction_matrix(n, p)
+    y = fields._scale(y, cache.conformal_factor(-2.0), 1)
+    term2 = divergence_exact_adjoint(TensorField(cache, "s0", p - 1, y))
+    return term1 + gradients.sym_insert_coefficient(n, p) * term2
+
+
+def d2_exact_adjoint_unfused(X: TensorField):
+    """d2* as the adjoint of the divergence after the reinsertion transpose."""
+    cache, p = X.cache, X.rank
+    K2 = gradients._d2_structure(X.n, p)
+    y = fields._merged(X.data) @ -K2.reshape(-1, K2.shape[-1])
+    y = fields._scale(y, cache.conformal_factor(-2.0), 1)
+    return divergence_exact_adjoint(TensorField(cache, "s0", p - 1, y))
+
+
+def embed_transpose(X: TensorField):
+    """Pointwise transpose of `gradients.embed_symmetrized`; also its exact
+    weighted adjoint, since domain and codomain carry the same conformal
+    weight."""
+    e = fiber.embed_matrix(X.n, X.rank)
+    return TensorField(X.cache, "s0", X.rank + 1, fields._merged(X.data) @ e)
+
+
+def d3_exact_adjoint_unfused(X: TensorField):
+    """d3* = nabla* - d1* (embedding transpose) - d2*."""
+    return (gradient_adjoint_unfused(X)
+            - d1_exact_adjoint_unfused(embed_transpose(X))
+            - d2_exact_adjoint_unfused(X))
 
 
 def analytic_laplacian(poly, spec):
