@@ -10,13 +10,14 @@ identity be tested against brute-force index loops.
 Every construction here is over the flat inner product on R^n.  The lab
 only builds metrics g = e^{2f} delta, whose orthonormal frames differ from
 the flat one by a scalar, so the pointwise decomposition is the flat one;
-the field modules apply the powers of e^{2f} separately.
+the field modules apply the powers of e^{2f} separately.  The irreducible
+projectors on T* (x) S0^p are gated where they are built (span dimensions
+and orthogonality); the tests check the projector identities.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
@@ -374,68 +375,27 @@ def _insert_map_columns(n: int, p: int, basis_lower: np.ndarray) -> np.ndarray:
     return cols
 
 
-@dataclass(frozen=True)
-class FiberProjectors:
-    """Orthogonal projectors onto the three irreducible summands of T* (x) S0^p.
-
-    Matrices act on (covariant index, trace-free coordinate) vectors over
-    e_i (x) the flat trace-free basis, which is orthonormal.  pi_A projects
-    onto the embedded rank p+1 trace-free tensors, pi_B onto the
-    metric-insertion image of rank p-1, pi_C onto the remainder.
-    """
-
-    n: int
-    p: int
-    pi_A: np.ndarray
-    pi_B: np.ndarray
-    pi_C: np.ndarray
-
-    def validate(self) -> dict:
-        """Residuals for idempotency, self-adjointness, completeness, and ranks."""
-        out = {}
-        N = self.pi_A.shape[0]
-        eye = np.eye(N)
-        for name, P in (("A", self.pi_A), ("B", self.pi_B), ("C", self.pi_C)):
-            out[f"idempotent_{name}"] = float(np.max(np.abs(P @ P - P)))
-            out[f"symmetric_{name}"] = float(np.max(np.abs(P - P.T)))
-            out[f"rank_{name}"] = int(round(np.trace(P)))
-        out["completeness"] = float(np.max(np.abs(self.pi_A + self.pi_B + self.pi_C - eye)))
-        out["cross_AB"] = float(np.max(np.abs(self.pi_A @ self.pi_B)))
-        out["cross_AC"] = float(np.max(np.abs(self.pi_A @ self.pi_C)))
-        out["cross_BC"] = float(np.max(np.abs(self.pi_B @ self.pi_C)))
-        expected = {
-            "A": tracefree_dim(self.n, self.p + 1),
-            "B": tracefree_dim(self.n, self.p - 1),
-        }
-        expected["C"] = self.n * tracefree_dim(self.n, self.p) - expected["A"] - expected["B"]
-        for name, dim in expected.items():
-            if out[f"rank_{name}"] != dim:
-                raise FiberAlgebraError(
-                    f"projector {name} rank {out[f'rank_{name}']} != expected {dim}"
-                )
-        return out
-
-
 def _orth_columns(cols: np.ndarray, cutoff: float = 1e-10) -> np.ndarray:
     U, s, _ = np.linalg.svd(cols, full_matrices=False)
     r = int(np.sum(s > cutoff * s[0]))
     return U[:, :r]
 
 
-def build_projectors(n: int, p: int) -> FiberProjectors:
-    """Construct the three orthogonal projectors on T* (x) S0^p.
+@lru_cache(maxsize=None)
+def flat_projector_matrices(n: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orthogonal projectors (pi_A, pi_B, pi_C) onto the three irreducible
+    summands of T* (x) S0^p, acting on (n*t,) field coordinates over the
+    orthonormal e_i (x) flat trace-free basis: pi_A onto the embedded rank
+    p+1 trace-free tensors, pi_B onto the metric-insertion image of rank
+    p-1, pi_C onto the remainder.  The conformal coordinate Gram is a
+    scalar times the identity, so they are constant across a grid.
 
-    The rank p+1 summand is spanned by slot-regrouped trace-free tensors, the
-    rank p-1 summand by trace-type insertions; both spans are orthonormalized
-    by SVD (cutoff 1e-10) and must come out mutually orthogonal to 1e-8,
-    otherwise the fiber algebra is inconsistent and this raises.
+    Both spans are orthonormalized by SVD (cutoff 1e-10); each must have
+    its summand's dimension and the two must be orthogonal to 1e-8, or
+    the fiber algebra is inconsistent and this raises.
     """
     if n < 2 or p < 1:
         raise ValueError(f"need n >= 2 and p >= 1, got n={n}, p={p}")
-    N = n * tracefree_dim(n, p)
-
-    # spans of the embedded rank p+1 trace-free tensors and of the metric
-    # insertions of rank p-1 trace-free tensors
     B_lo, _ = tracefree_basis(n, p - 1)
     Qa = _orth_columns(embed_matrix(n, p))
     Qb = _orth_columns(_insert_map_columns(n, p, B_lo))
@@ -447,24 +407,10 @@ def build_projectors(n: int, p: int) -> FiberProjectors:
 
     pi_A = Qa @ Qa.T
     pi_B = Qb @ Qb.T
-    pi_C = np.eye(N) - pi_A - pi_B
-    proj = FiberProjectors(n=n, p=p, pi_A=pi_A, pi_B=pi_B, pi_C=pi_C)
-    proj.validate()
-    return proj
-
-
-@lru_cache(maxsize=None)
-def flat_projector_matrices(n: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Projector matrices acting directly on (n*t,) field coordinates.
-
-    For the flat (and conformally rescaled) inner product the coordinate Gram
-    is a positive scalar times the identity, so the projectors are plain
-    symmetric matrices, constant across a grid.
-    """
-    proj = build_projectors(n, p)
-    for name in ("pi_A", "pi_B", "pi_C"):
-        getattr(proj, name).flags.writeable = False
-    return proj.pi_A, proj.pi_B, proj.pi_C
+    pi_C = np.eye(n * tracefree_dim(n, p)) - pi_A - pi_B
+    for P in (pi_A, pi_B, pi_C):
+        P.flags.writeable = False
+    return pi_A, pi_B, pi_C
 
 
 @lru_cache(maxsize=None)

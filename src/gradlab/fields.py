@@ -10,8 +10,8 @@ Fields store fiber coordinates per grid point under one of four tags:
 
 The data may carry leading batch axes, (*batch, *grid, *fiber): a stack of
 fields on one grid.  Every operator that `gradients.decompose` and the
-registry handles of `spectral` reach, both routes of `rough_laplacian` and
-of `gradients.weitzenbock_K`, and the projector and Ahlfors oracles of
+registry handles of `spectral` reach, both routes of
+`gradients.weitzenbock_K`, and the projector and Ahlfors oracles of
 `gradients` act on each member of a stack independently, with the
 arithmetic of a single field; the L2 pairings (`l2_inner`, `l2_norm`) take
 single fields only.
@@ -42,11 +42,14 @@ differentiates covariant slot i along axis i, so it takes its input slot
 by slot, each slot a contiguous array: `differentiate` would copy a
 strided X[..., i, :] view.
 
-Adjoints come in two flavors, kept deliberately separate: exact
-weighted transposes of the discrete operators (machine-precision
-pairings) and independent analytic formulas (pairings agree only up to
-discretization error).  Checks never collapse the two.  Every exact
-adjoint into rank p ends in the same weighted gradient transpose,
+Each operator has one implementation here.  Adjoints are exact weighted
+transposes of the discrete operators (machine-precision pairings).  The
+independent analytic formulas they are checked against agree only up to
+discretization error; the identity suite forms them, and the formula route
+of the rough Laplacian (the second covariant derivative contracted with
+the inverse metric) lives with the tests as
+`testlib.rough_laplacian_formula`.  Checks never collapse the two.  Every
+exact adjoint into rank p ends in the same weighted gradient transpose,
 Gᵀ(w slots) / w_dom (`_weighted_grad_transpose`): `gradient_adjoint`
 here, and the adjoints of d1, d2 and d3 in `gradients`, which fold the
 transposes of their fiber maps into one slot-first input first, so that
@@ -293,20 +296,18 @@ def _slot_connection(h, M, slots):
 # gradient (covariant derivative)
 # ---------------------------------------------------------------------------
 
-def _grad_apply(cache, p, c, tracefree=True, slot_axis=-2):
-    """The covariant derivative of fiber data c, with its covariant slot
-    at `slot_axis`: -2 for the (..., n, t) field layout, 0 for slot-first
-    data whose slots are contiguous."""
+def _grad_apply(cache, p, c, tracefree=True):
+    """The covariant derivative of fiber data c, in the (..., n, t) field
+    layout."""
     spec = cache.spec
     n = spec.n
     batch = c.ndim - n - 1
     out = np.stack([differentiate(c, i, spec, cache.method, batch) for i in range(n)],
-                   axis=slot_axis)
+                   axis=-2)
     h = cache.conformal_h
     if h is not None:
         M = _connection_matrix(n, p, tracefree, "b", "lia")
-        conn = _connection(h, M, c, 1).reshape(c.shape[:-1] + (n, -1))
-        out -= np.moveaxis(conn, -2, slot_axis)
+        out -= _connection(h, M, c, 1).reshape(c.shape[:-1] + (n, -1))
     return out
 
 
@@ -407,38 +408,15 @@ def sym_derivative(phi: TensorField):
 
 
 # ---------------------------------------------------------------------------
-# rough Laplacian, two independent routes
+# rough Laplacian
 # ---------------------------------------------------------------------------
 
-def rough_laplacian(phi: TensorField, route="adjoint"):
-    """Connection Laplacian nabla* nabla.
-
-    route 'adjoint': exact weighted transpose of the discrete gradient.
-    route 'formula': second covariant derivative contracted with the
-    inverse metric, an independent discretization.
-    """
+def rough_laplacian(phi: TensorField):
+    """Connection Laplacian nabla* nabla: the exact weighted transpose of
+    the discrete gradient applied to the gradient."""
     if phi.tag != "s0":
         raise FieldError("rough_laplacian expects an 's0' field")
-    if route == "adjoint":
-        return gradient_adjoint(gradient(phi))
-    if route != "formula":
-        raise FieldError(f"unknown route {route!r}")
-    cache, p, n = phi.cache, phi.rank, phi.n
-    spec = cache.spec
-    batch = len(phi.batch_shape)
-    X = _grad_apply(cache, p, phi.data, slot_axis=0)  # (j, ..., a)
-    # sum_i (nabla_i X)_{i, J}: derivative, covariant-slot and symmetric-slot terms
-    out = -sum(
-        differentiate(X[i], i, spec, cache.method, batch) for i in range(n)
-    )
-    h = cache.conformal_h
-    if h is not None:
-        # the covariant slot adds sum_i Gamma^k_ii = (2 - n) h_k, which is
-        # (2 - n) times the identity in the (i, b) x (l, a) layout
-        M = _connection_matrix(n, p, True, "ib", "la")
-        out += _slot_connection(h, M + (2.0 - n) * np.eye(len(M)), X)
-    out = _scale(out, cache.conformal_factor(-2.0), 1)
-    return TensorField(cache, "s0", p, out)
+    return gradient_adjoint(gradient(phi))
 
 
 # ---------------------------------------------------------------------------

@@ -15,22 +15,24 @@ identity residual of one field (Weitzenbock formulas, energy identities,
 curvature-term routes) from one decomposition and one evaluation of each
 operator; it is the only place that decides how such a residual is formed.
 
-Every operator has at least two independent routes that the tests compare
-and never collapse:
+Every operator has one implementation here, checked against independent
+routes by a suite or by the tests:
 
   * d1/d2/d3 from explicit structure tensors  vs  constant fiber projectors
-    applied to the same discrete covariant derivative;
+    applied to the same covariant derivative (`projector_match_residuals`);
   * d2 literal coefficients  vs  the equivariant-insertion image of the
-    divergence scaled by the contraction eigenvalue;
-  * second-order compositions from analytic formulas  vs  exact-transpose
-    compositions of the discrete first-order pieces;
+    divergence scaled by the contraction eigenvalue (`d2_insertion_oracle`);
+  * second-order compositions as exact transposes of the first-order
+    pieces  vs  analytic formulas, formed in `second_order_residuals`; the
+    tests keep the formula routes of d1* d1 and nabla* nabla and the
+    unfused adjoints in `testlib`;
   * the curvature term operationally (nabla*nabla - Delta_S)  vs  the
-    pointwise Ricci/Riemann formula.
+    pointwise Ricci/Riemann formula (the two routes of `weitzenbock_K`).
 
 Sign and normalization conventions are pinned by arbitration checks that
 raise ConventionError instead of silently projecting away a discrepancy.
-The `Conventions` knobs exist so negative-control tests can corrupt a
-convention and watch the right checks fail.
+The identity suite's negative controls corrupt one split after the fact
+(a scaled d2, a flipped divergence) and watch the right checks fail.
 """
 
 from dataclasses import dataclass
@@ -54,22 +56,6 @@ _TRACE_GUARD = 1e-6
 
 class ConventionError(RuntimeError):
     """A sign or normalization convention failed its arbitration check."""
-
-
-@dataclass(frozen=True)
-class Conventions:
-    """Sign/prefactor knobs; defaults are the arbitrated conventions.
-
-    Non-default values are for negative controls only: a corrupted
-    convention must break the matching arbitration or orthogonality
-    check, while leaving by-definition identities intact.
-    """
-
-    delta_sign: float = 1.0
-    d2_prefactor_scale: float = 1.0
-
-
-DEFAULT_CONVENTIONS = Conventions()
 
 
 def _check_phi(phi: TensorField):
@@ -227,7 +213,7 @@ def _insertion_matrix_mono(n, p):
 # the three first-order pieces
 # ---------------------------------------------------------------------------
 
-def d1(phi: TensorField, conventions: Conventions = DEFAULT_CONVENTIONS):
+def d1(phi: TensorField):
     """Trace-free symmetrized derivative, rank p -> p+1.
 
     The metric-insertion correction must cancel the trace of the
@@ -238,8 +224,7 @@ def d1(phi: TensorField, conventions: Conventions = DEFAULT_CONVENTIONS):
     """
     _check_phi(phi)
     X = fields._grad_apply(phi.cache, phi.rank, phi.data)
-    dphi = fields._contract_apply(phi.cache, phi.rank, X) * conventions.delta_sign
-    return _d1_from_grad(phi, X, dphi)
+    return _d1_from_grad(phi, X, fields._contract_apply(phi.cache, phi.rank, X))
 
 
 def _d1_from_grad(phi, X, dphi):
@@ -269,22 +254,18 @@ def _d1_from_grad(phi, X, dphi):
     return TensorField(cache, "s0", p + 1, mono @ C.T)
 
 
-def d2(phi: TensorField, conventions: Conventions = DEFAULT_CONVENTIONS):
+def d2(phi: TensorField):
     """Divergence-reinsertion part of the covariant derivative."""
     _check_phi(phi)
-    dphi = fields.divergence(phi) * conventions.delta_sign
-    data = _d2_from_delta(
-        phi.cache, phi.rank, dphi.data, conventions.d2_prefactor_scale
-    )
+    data = _d2_from_delta(phi.cache, phi.rank, fields.divergence(phi).data)
     return TensorField(phi.cache, "cov_s0", phi.rank, data)
 
 
-def _d2_from_delta(cache, p, dphi_coords, scale=1.0):
+def _d2_from_delta(cache, p, dphi_coords):
     K2 = _d2_structure(cache.n, p)
     out = dphi_coords @ -K2.reshape(-1, K2.shape[-1]).T
     out = out.reshape(dphi_coords.shape[:-1] + K2.shape[:2])
-    out = fields._scale(out, cache.conformal_factor(2.0), 2)
-    return out if scale == 1.0 else scale * out
+    return fields._scale(out, cache.conformal_factor(2.0), 2)
 
 
 def d2_insertion_oracle(dphi: TensorField):
@@ -313,9 +294,9 @@ def embed_symmetrized(omega: TensorField):
     return TensorField(cache, "cov_s0", p, flat.reshape(flat.shape[:-1] + (n, t)))
 
 
-def d3(phi: TensorField, conventions: Conventions = DEFAULT_CONVENTIONS):
+def d3(phi: TensorField):
     """Remainder piece: the covariant derivative minus the other two parts."""
-    return decompose(phi, conventions).d3
+    return decompose(phi).d3
 
 
 @dataclass(frozen=True)
@@ -375,19 +356,16 @@ class GradientSplit:
         return self._diagnostics[2]
 
 
-def decompose(phi: TensorField, conventions: Conventions = DEFAULT_CONVENTIONS):
+def decompose(phi: TensorField):
     """Split nabla phi into the three irreducible pieces, reusing one gradient.
 
     phi may be a batch of fields; the pieces are then batches too."""
     _check_phi(phi)
     cache, p = phi.cache, phi.rank
     grad = fields.gradient(phi)
-    dphi = fields._contract_apply(cache, p, grad.data) * conventions.delta_sign
+    dphi = fields._contract_apply(cache, p, grad.data)
     om = _d1_from_grad(phi, grad.data, dphi)
-    d2f = TensorField(
-        cache, "cov_s0", p,
-        _d2_from_delta(cache, p, dphi, conventions.d2_prefactor_scale),
-    )
+    d2f = TensorField(cache, "cov_s0", p, _d2_from_delta(cache, p, dphi))
     return GradientSplit(
         d1=om,
         d2=d2f,
@@ -429,8 +407,7 @@ def projector_match_residuals(sp: GradientSplit):
 # exact weighted adjoints
 # ---------------------------------------------------------------------------
 
-# At default conventions each piece is a constant fiber map applied to the
-# gradient, so its exact adjoint applies that map's transpose (the pieces'
+# Each piece is a constant fiber map applied to the gradient, so its exact adjoint applies that map's transpose (the pieces'
 # sums and differences folded into one cached structure tensor) and then
 # the one weighted gradient transpose: n derivatives per adjoint.
 
@@ -438,8 +415,7 @@ def projector_match_residuals(sp: GradientSplit):
 def _d1_transpose_structure(n, p):
     """(t_{p+1}, n, t_p): d1's pointwise map from the gradient, transposed.
 
-    At default conventions the conformal factors of the divergence and of
-    its reinsertion cancel, so d1 phi = C F X for the gradient X with the
+    The conformal factors of the divergence and of its reinsertion cancel, so d1 phi = C F X for the gradient X with the
     constant F = S + c Dcorr (-K0): the symmetrization, plus the insertion
     coefficient times the flat pair insertion of the divergence
     contraction.  Its transpose in the trace-free basis is
@@ -489,7 +465,7 @@ def _exact_adjoint(cache, p, y, A):
 
 
 def d1_exact_adjoint(omega: TensorField):
-    """Exact weighted adjoint of d1 (at default conventions), rank p+1 -> p."""
+    """Exact weighted adjoint of d1, rank p+1 -> p."""
     if omega.tag != "s0" or omega.rank < 2:
         raise FieldError("d1_exact_adjoint expects an 's0' field of rank >= 2")
     p = omega.rank - 1
@@ -497,7 +473,7 @@ def d1_exact_adjoint(omega: TensorField):
 
 
 def d2_exact_adjoint(X: TensorField):
-    """Exact weighted adjoint of d2 (at default conventions)."""
+    """Exact weighted adjoint of d2."""
     if X.tag != "cov_s0":
         raise FieldError("d2_exact_adjoint expects a 'cov_s0' field")
     return _exact_adjoint(X.cache, X.rank, fields._merged(X.data),
@@ -505,7 +481,7 @@ def d2_exact_adjoint(X: TensorField):
 
 
 def d3_exact_adjoint(X: TensorField):
-    """Exact weighted adjoint of d3 (at default conventions)."""
+    """Exact weighted adjoint of d3."""
     if X.tag != "cov_s0":
         raise FieldError("d3_exact_adjoint expects a 'cov_s0' field")
     return _exact_adjoint(X.cache, X.rank, fields._merged(X.data),
@@ -515,24 +491,6 @@ def d3_exact_adjoint(X: TensorField):
 # ---------------------------------------------------------------------------
 # second-order compositions
 # ---------------------------------------------------------------------------
-
-def stein_weiss_d1(phi: TensorField, route: str = "formula"):
-    """Second-order composition d1* d1.
-
-    route 'transpose' is the definitional oracle (exact adjoint after d1);
-    route 'formula' is the trace-free projection of
-    delta(delta* phi) - c delta*(delta phi) with c = sw_coefficient.
-    """
-    _check_phi(phi)
-    if route == "transpose":
-        return d1_exact_adjoint(d1(phi))
-    if route != "formula":
-        raise FieldError(f"unknown route {route!r}")
-    c = sw_coefficient(phi.n, phi.rank)
-    t1 = fields.to_tracefree(fields.divergence(fields.sym_derivative(phi)))
-    t2 = fields.to_tracefree(fields.sym_derivative(fields.divergence(phi)))
-    return t1 - c * t2
-
 
 def sampson(phi: TensorField):
     """Symmetrized Laplacian (p+1) delta delta* - p delta* delta, tag 's'."""
@@ -596,9 +554,9 @@ def second_order_residuals(phi: TensorField, u_values=None):
     symmetrized Laplacian, nabla*nabla phi (the weighted transpose of the
     same gradient), the three exact-transpose compositions T_i = d_i* d_i phi and
     both curvature-term routes are each formed once.  Every operator keeps
-    the arithmetic of its standalone function (`sampson`,
-    `stein_weiss_d1`, `weitzenbock_K`), so T1 is bit-for-bit the transpose
-    route of d1* d1 and K the operational curvature term.
+    the arithmetic of its standalone function (`sampson`, `weitzenbock_K`),
+    so T1 is bit-for-bit d1_exact_adjoint(d1(phi)), the d1* d1 of
+    `spectral.d1_star_d1_handle`, and K the operational curvature term.
 
     Each array is dropped right after its last read, and the work runs in
     the order that keeps the fewest arrays alive: T1, T2, nabla*nabla phi
@@ -612,7 +570,9 @@ def second_order_residuals(phi: TensorField, u_values=None):
 
     Keys (relative residuals):
       reconstruction       the split's reconstruction residual
-      two_route            formula against transpose route of d1* d1
+      two_route            formula route of d1* d1, the trace-free part of
+                           delta delta* phi - c delta* delta phi
+                           (c = `sw_coefficient`), against T1
       splitting_form       d1* d1 formula against its symmetrized-Laplacian
                            form (algebraically equal: roundoff)
       split_vs_rough       nabla*nabla against T1 + T2 + T3 (roundoff)

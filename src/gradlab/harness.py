@@ -373,6 +373,17 @@ def _identity_checks_for_rank(rec, config, p, caches):
                         f"{size_lo}->{size_hi}: {lo:.3e} -> {hi:.3e} (ratio {ratio:.1f})")
 
 
+# factor on the second piece in the d2_scale negative control
+_CONTROL_D2_SCALE = 1.05
+
+
+def _scaled_d2_split(sp, scale):
+    """sp with d2 times `scale` and d3 re-formed in the order of `decompose`."""
+    d2f = scale * sp.d2
+    d3f = sp.grad - gradients.embed_symmetrized(sp.d1) - d2f
+    return gradients.GradientSplit(sp.d1, d2f, d3f, sp.divergence, sp.grad)
+
+
 def _negative_controls(rec, config, caches):
     """The suite is falsifiable: corrupted conventions must be detected."""
     try:
@@ -382,15 +393,14 @@ def _negative_controls(rec, config, caches):
         rng = np.random.default_rng([config.seed, 404, p])
         phi = _unit(band_limited_field(cache, p, max(1, size // 4), rng))
         floor = config.tolerance("control_floor")
+        sp = gradients.decompose(phi)
 
-        corrupt = gradients.Conventions(d2_prefactor_scale=1.05)
-        sp = gradients.decompose(phi, corrupt)
-        bad_orth = max(sp.orthogonality.values())
+        bad_orth = max(_scaled_d2_split(sp, _CONTROL_D2_SCALE).orthogonality.values())
         rec.flag("control.d2_scale", PLUMBING, bad_orth > floor, value=bad_orth,
                  detail="5% second-piece coefficient error must break orthogonality")
 
         try:
-            gradients.d1(phi, gradients.Conventions(delta_sign=-1.0))
+            gradients._d1_from_grad(phi, sp.grad.data, -sp.divergence.data)
             rec.flag("control.delta_sign", PLUMBING, False,
                      detail="flipped divergence sign was not caught by the trace guard")
         except gradients.ConventionError as exc:

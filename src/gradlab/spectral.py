@@ -1047,10 +1047,10 @@ def rough_laplacian_handle(cache, p):
     return _second_order_handle("rough_laplacian", cache, p, fields.rough_laplacian, "I")
 
 
-def d1_star_d1_handle(cache, p, route="transpose"):
-    name = "d1_star_d1" if route == "transpose" else "d1_star_d1_formula"
+def d1_star_d1_handle(cache, p):
     return _second_order_handle(
-        name, cache, p, lambda phi: gradients.stein_weiss_d1(phi, route=route), "A")
+        "d1_star_d1", cache, p,
+        lambda phi: gradients.d1_exact_adjoint(gradients.d1(phi)), "A")
 
 
 def d2_star_d2_handle(cache, p):
@@ -1091,7 +1091,6 @@ _HANDLES = {
     "d3": d3_handle,
     "rough_laplacian": rough_laplacian_handle,
     "d1_star_d1": d1_star_d1_handle,
-    "d1_star_d1_formula": lambda cache, p: d1_star_d1_handle(cache, p, route="formula"),
     "d2_star_d2": d2_star_d2_handle,
     "d3_star_d3": d3_star_d3_handle,
     "sampson_tracefree": sampson_handle,

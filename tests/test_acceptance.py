@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from gradlab import fiber, fields, gradients, spectral
+from gradlab import fiber, fields, gradients, harness, spectral
 from gradlab.config import ExperimentConfig
 from gradlab.expressions import TrigPoly, parse_trig_poly
 from gradlab.fields import TensorField, l2_inner, l2_norm
@@ -21,7 +21,7 @@ from gradlab.harness import (
     render_json,
     run_identity_suite,
 )
-from testlib import unit_field
+from testlib import d1_star_d1_formula, unit_field
 
 CONFORMAL_2D = "0.1*cos(x1)"
 CONFORMAL_3D = "0.05*cos(x1)"
@@ -133,8 +133,8 @@ def test_criterion_03_adjointness_and_two_route_refinement():
     for size in (32, 64):
         cache = build_cache(cfg, size)
         phi = band_limited_field(cache, 2, 8, np.random.default_rng(11))
-        a = gradients.stein_weiss_d1(phi, route="formula")
-        b = gradients.stein_weiss_d1(phi, route="transpose")
+        a = d1_star_d1_formula(phi)
+        b = gradients.d1_exact_adjoint(gradients.d1(phi))
         res[size] = l2_norm(a - b) / l2_norm(a)
     print(f"two-route 32: {res[32]:.3e}, 64: {res[64]:.3e}")
     assert res[32] <= 1e-8
@@ -312,14 +312,12 @@ def test_criterion_10_falsifiability_fixtures():
     # deliberately corrupted conventions must be caught, loudly
     cache = make_cache(2, 16, "flat")
     phi = unit_field(cache, 2, 4, np.random.default_rng(29))
-    sp = gradients.decompose(
-        phi, conventions=gradients.Conventions(d2_prefactor_scale=1.05))
-    worst = max(sp.orthogonality.values())
+    sp = gradients.decompose(phi)
+    worst = max(harness._scaled_d2_split(sp, 1.05).orthogonality.values())
     print(f"\ncorrupted prefactor: orthogonality {worst:.3e}")
     assert worst > 1e-3
     with pytest.raises(gradients.ConventionError):
-        gradients.decompose(
-            phi, conventions=gradients.Conventions(delta_sign=-1.0))
+        gradients._d1_from_grad(phi, sp.grad.data, -sp.divergence.data)
 
 
 def test_criterion_11_byte_identical_reports():

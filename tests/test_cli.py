@@ -311,6 +311,15 @@ def test_symbol_unknown_operator(tiny_cfg, capsys):
     assert "mystery" in capsys.readouterr().err
 
 
+def test_symbol_has_no_formula_route_operator(tiny_cfg, capsys):
+    # d1* d1 has one implementation; its formula route is a test reference
+    code, _ = run_cli(["symbol", "--config", str(tiny_cfg),
+                       "--operator", "d1_star_d1_formula"])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("gradlab symbol: unknown operator 'd1_star_d1_formula'; known: ")
+
+
 @pytest.mark.parametrize("directions", [0, -3])
 def test_symbol_needs_a_direction(directions, tiny_cfg, tmp_path, capsys):
     code, _ = run_cli(["symbol", "--config", str(tiny_cfg), "--out", str(tmp_path / "s"),

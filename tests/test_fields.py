@@ -28,6 +28,7 @@ from testlib import (
     analytic_laplacian,
     divergence_exact_adjoint,
     metric_samples,
+    rough_laplacian_formula,
     sym_derivative_exact_adjoint,
     unit_field,
     zero_field,
@@ -262,17 +263,17 @@ def test_rough_laplacian_flat_eigenfunction():
     data = np.zeros((16, 16, 2))
     data[..., 0] = np.cos(t1)
     phi = TensorField(cache, "s0", 2, data)
-    for route in ("adjoint", "formula"):
-        got = rough_laplacian(phi, route=route)
-        assert np.max(np.abs(got.data - phi.data)) < 1e-11, route
+    for route in (rough_laplacian, rough_laplacian_formula):
+        got = route(phi)
+        assert np.max(np.abs(got.data - phi.data)) < 1e-11, route.__name__
 
 
 def test_rough_laplacian_routes_agree_conformal():
     cache = make_cache(metric="conformal", size=32)
     rng = np.random.default_rng(9)
     phi = unit_field(cache, 2, 4, rng)
-    a = rough_laplacian(phi, route="adjoint")
-    b = rough_laplacian(phi, route="formula")
+    a = rough_laplacian(phi)
+    b = rough_laplacian_formula(phi)
     scale = max(l2_norm(a), 1e-30)
     assert l2_norm(a - b) / scale < 1e-10
 

@@ -5,12 +5,11 @@ negative controls with corrupted conventions."""
 import numpy as np
 import pytest
 
-from gradlab import fiber, fields, gradients
+from gradlab import fiber, fields, gradients, harness
 from gradlab.expressions import TrigPoly, parse_trig_poly
 from gradlab.fields import l2_inner, l2_norm
 from gradlab.geometry import GridSpec, build_geometry
 from gradlab.gradients import (
-    Conventions,
     ConventionError,
     ahlfors_deformation,
     ahlfors_ratio,
@@ -30,7 +29,6 @@ from gradlab.gradients import (
     projector_match_residuals,
     sampson,
     second_order_residuals,
-    stein_weiss_d1,
     sw_coefficient,
     weitzenbock_K,
     zeroth_order_residual,
@@ -38,6 +36,7 @@ from gradlab.gradients import (
 from testlib import (
     closed_form_curvature,
     d1_exact_adjoint_unfused,
+    d1_star_d1_formula,
     d2_exact_adjoint_unfused,
     d3_exact_adjoint_unfused,
     divergence_exact_adjoint,
@@ -169,11 +168,18 @@ def test_d1_constant_field_flat():
     assert l2_norm(sp.d3) < 1e-13
 
 
+def d1_flipped_divergence(phi):
+    """d1 with the sign of the divergence flipped, as the negative control
+    forms it."""
+    sp = decompose(phi)
+    return gradients._d1_from_grad(phi, sp.grad.data, -sp.divergence.data)
+
+
 def test_d1_wrong_divergence_sign_raises():
     cache = make_cache(2, 16, "flat")
     phi = random_field(cache, 2, seed=1)
     with pytest.raises(ConventionError):
-        d1(phi, Conventions(delta_sign=-1.0))
+        d1_flipped_divergence(phi)
 
 
 @pytest.mark.parametrize("metric", ["flat", "conformal"])
@@ -198,7 +204,7 @@ def test_d1_wrong_sign_raises_conformal_too():
     cache = make_cache(2, 16, "conformal")
     phi = random_field(cache, 1, seed=2)
     with pytest.raises(ConventionError):
-        d1(phi, Conventions(delta_sign=-1.0))
+        d1_flipped_divergence(phi)
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -215,7 +221,7 @@ def test_d1_accepts_conformal_killing_tensors(p):
     grad = fields.gradient(phi)
     assert l2_norm(out) <= 1e-8 * l2_norm(grad)
     with pytest.raises(ConventionError):
-        d1(phi, Conventions(delta_sign=-1.0))
+        d1_flipped_divergence(phi)
 
 
 # ---------------------------------------------------------------------------
@@ -488,8 +494,8 @@ def test_d2_d3_adjoint_pairings(metric, p):
 def test_stein_weiss_two_routes_agree(metric, n, p):
     cache = make_cache(n, 32 if n == 2 else 20, metric)
     phi = random_field(cache, p, seed=30 + p, band=3)
-    a = stein_weiss_d1(phi, route="formula")
-    b = stein_weiss_d1(phi, route="transpose")
+    a = d1_star_d1_formula(phi)
+    b = d1_exact_adjoint(d1(phi))
     assert l2_norm(a - b) / l2_norm(b) < 1e-8
 
 
@@ -506,11 +512,11 @@ def test_stein_weiss_fixed_numerator_only_matches_at_rank_two():
     cache = make_cache(2, 16, "flat")
     phi2 = random_field(cache, 2, seed=31)
     a = fixed_numerator_formula(phi2)
-    b = stein_weiss_d1(phi2, route="transpose")
+    b = d1_exact_adjoint(d1(phi2))
     assert l2_norm(a - b) / l2_norm(b) < 1e-10
     phi3 = random_field(cache, 3, seed=32)
     a = fixed_numerator_formula(phi3)
-    b = stein_weiss_d1(phi3, route="transpose")
+    b = d1_exact_adjoint(d1(phi3))
     assert l2_norm(a - b) / l2_norm(b) > 1e-4
 
 
@@ -525,7 +531,7 @@ def test_sampson_equals_composition_split():
         coef = (p / (p + 1.0)) * (1.0 - 2.0 / (n + 2.0 * (p - 1)))
         t2 = fields.to_tracefree(fields.sym_derivative(fields.divergence(phi)))
         lhs = lhs + coef * t2
-        rhs = stein_weiss_d1(phi, route="formula")
+        rhs = d1_star_d1_formula(phi)
         assert l2_norm(lhs - rhs) / (l2_norm(rhs) + 1e-300) < 1e-10
 
 
@@ -759,8 +765,7 @@ def test_energy_sign_variant_is_visibly_wrong():
 def test_corrupted_prefactor_breaks_orthogonality_not_reconstruction():
     cache = make_cache(2, 16, "flat")
     phi = random_field(cache, 2, seed=130)
-    bad = Conventions(d2_prefactor_scale=1.05)
-    sp = decompose(phi, bad)
+    sp = harness._scaled_d2_split(decompose(phi), 1.05)
     # reconstruction is by definition and must stay exact
     assert sp.reconstruction_residual < 1e-13
     # the d2/d3 pair stops being orthogonal and both leave the projector images
@@ -774,8 +779,7 @@ def test_corrupted_prefactor_breaks_orthogonality_not_reconstruction():
 def test_corrupted_prefactor_detected_by_insertion_oracle():
     cache = make_cache(2, 16, "flat")
     phi = random_field(cache, 2, seed=131)
-    bad = Conventions(d2_prefactor_scale=1.05)
-    a = d2(phi, bad)
+    a = 1.05 * d2(phi)
     b = d2_insertion_oracle(fields.divergence(phi))  # the arbitrated convention
     assert l2_norm(a - b) / l2_norm(b) > 1e-3
 

@@ -184,31 +184,57 @@ def test_identity_rank_three_reports_best_fit():
     assert gate.value == match.value
 
 
-def test_insertion_eigenvalue_is_pinned_by_the_identity_suite(monkeypatch):
-    # d2 vanishes on a 2-torus at p >= 2, so the 3-torus pins every rank
-    cfg = ExperimentConfig(dimension=3, sizes=(8, 10), ranks=(1, 2, 3),
-                           seed=3, field_count=1)
-    ids = [f"oracle.d2_insertion.p{p}" for p in cfg.ranks]
-    by_id = {r.check_id: r for r in run_identity_suite(cfg).records}
-    assert [by_id[i].status for i in ids] == ["pass"] * 3
-    eigenvalue = gradients.insertion_eigenvalue
-    monkeypatch.setattr(gradients, "insertion_eigenvalue",
-                        lambda n, p: eigenvalue(n, p) * (1.0 + 1e-6))
-    by_id = {r.check_id: r for r in run_identity_suite(cfg).records}
-    assert [by_id[i].status for i in ids] == ["fail"] * 3
+def _clear_structure_caches():
+    """Empty the lru_caches that fold coefficients into structure tensors."""
+    for module in (gradients, fields, spectral):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
 
 
-def test_d2_composition_coefficient_is_pinned_by_the_identity_suite(monkeypatch):
-    cfg = ExperimentConfig(dimension=3, sizes=(8, 10), ranks=(1, 2, 3),
-                           seed=3, field_count=1)
-    ids = [f"composition.d2.p{p}" for p in cfg.ranks]
-    by_id = {r.check_id: r for r in run_identity_suite(cfg).records}
-    assert [by_id[i].status for i in ids] == ["pass"] * 3
-    kappa = gradients.d2_composition_coefficient
-    monkeypatch.setattr(gradients, "d2_composition_coefficient",
-                        lambda n, p: kappa(n, p) * (1.0 + 1e-6))
-    by_id = {r.check_id: r for r in run_identity_suite(cfg).records}
-    assert [by_id[i].status for i in ids] == ["fail"] * 3
+# d3 vanishes on a 2-torus at p >= 2 and energy_coefficient(2, 1) = 0, so
+# only a 3-torus lets every rank pin every coefficient
+MUTATION_CFG = ExperimentConfig(dimension=3, sizes=(8, 10), ranks=(1, 2, 3),
+                                seed=3, field_count=1)
+
+
+@pytest.mark.parametrize("name", ["d2_prefactor", "sw_coefficient", "energy_coefficient",
+                                  "insertion_eigenvalue", "d2_composition_coefficient"])
+def test_coefficient_mutation_fails_every_rank(name, monkeypatch):
+    # each closed-form coefficient, scaled by 1 + 1e-6, must make at least
+    # one check of every rank fail, and must not abort a rank or the controls
+    assert run_identity_suite(MUTATION_CFG).status == "pass"
+    coefficient = getattr(gradients, name)
+    _clear_structure_caches()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(gradients, name, lambda n, p: coefficient(n, p) * (1.0 + 1e-6))
+            records = run_identity_suite(MUTATION_CFG).records
+    finally:
+        _clear_structure_caches()
+    assert [r.check_id for r in records if r.detail.startswith("aborted")] == []
+    for p in MUTATION_CFG.ranks:
+        failed = [r.check_id for r in records
+                  if r.check_id.endswith(f".p{p}") and r.status == "fail"]
+        assert failed, f"{name} pins nothing at rank {p}"
+
+
+def _controls(report):
+    return {r.check_id: r for r in report.records if r.check_id.startswith("control.")}
+
+
+def test_delta_sign_control_fails_without_the_trace_guard(monkeypatch):
+    monkeypatch.setattr(gradients, "_TRACE_GUARD", float("inf"))
+    controls = _controls(run_identity_suite(FLAT_SMALL))
+    assert controls["control.delta_sign"].status == "fail"
+    assert controls["control.d2_scale"].status == "pass"
+
+
+def test_d2_scale_control_fails_without_the_corruption(monkeypatch):
+    monkeypatch.setattr(harness, "_CONTROL_D2_SCALE", 1.0)
+    controls = _controls(run_identity_suite(FLAT_SMALL))
+    assert controls["control.d2_scale"].status == "fail"
+    assert controls["control.delta_sign"].status == "pass"
 
 
 def test_identity_abort_is_contained(monkeypatch):

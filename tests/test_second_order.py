@@ -14,7 +14,7 @@ from gradlab.expressions import TrigPoly, parse_trig_poly
 from gradlab.fields import TensorField, l2_inner, l2_norm
 from gradlab.geometry import GridSpec, build_geometry
 from gradlab.harness import run_identity_suite
-from testlib import unit_field
+from testlib import d1_star_d1_formula, unit_field
 
 _TINY = 1e-300
 
@@ -25,7 +25,7 @@ _TINY = 1e-300
 
 def _splitting_form_residual(phi):
     p, n = phi.rank, phi.n
-    sw = gradients.stein_weiss_d1(phi, route="formula")
+    sw = d1_star_d1_formula(phi)
     c_d = (p / (p + 1.0)) * (1.0 - 2.0 / (n + 2.0 * (p - 1.0)))
     samp = fields.to_tracefree(gradients.sampson(phi))
     dsd = fields.to_tracefree(fields.sym_derivative(fields.divergence(phi)))
@@ -96,8 +96,8 @@ def _zeroth_order_residual(phi, u_values):
 
 
 def _reference_residuals(phi, u_values):
-    a = gradients.stein_weiss_d1(phi, route="formula")
-    b = gradients.stein_weiss_d1(phi, route="transpose")
+    a = d1_star_d1_formula(phi)
+    b = gradients.d1_exact_adjoint(gradients.d1(phi))
     out = {
         "reconstruction": gradients.decompose(phi).reconstruction_residual,
         "two_route": l2_norm(a - b) / (l2_norm(a) + _TINY),
@@ -141,9 +141,9 @@ def test_identity_suite_decomposes_each_field_once(monkeypatch):
         curvature_terms.append((phi, route))
         return weitzenbock_K(phi, route=route)
 
-    def counting_d1(phi, *args, **kwargs):
-        d1_calls.append(args + tuple(kwargs.values()))
-        return d1(phi, *args, **kwargs)
+    def counting_d1(phi):
+        d1_calls.append(phi)
+        return d1(phi)
 
     def recording_unit(phi):
         units.append((phi, unit(phi)))
@@ -171,11 +171,12 @@ def test_identity_suite_decomposes_each_field_once(monkeypatch):
     assert len(second_order) == len(cfg.ranks) * (3 + 2)
     assert all(times(phi, decomposed) == 1 for phi in second_order)
     # the adjointness pairings of a batch field read its one split: no
-    # decomposed field is normalized again into a copy, d1 itself runs only
-    # in the negative control, and per rank there is one decomposition per
-    # batch, sub-batch and refinement field, plus one control
+    # decomposed field is normalized again into a copy, d1 itself never
+    # runs (the negative controls corrupt the control field's one split),
+    # and per rank there is one decomposition per batch, sub-batch and
+    # refinement field, plus one control
     assert not [u for phi, u in units if times(phi, decomposed)]
-    assert d1_calls == [(gradients.Conventions(delta_sign=-1.0),)]
+    assert d1_calls == []
     assert len(decomposed) == len(cfg.ranks) * (cfg.field_count + 3 + 2) + 1
 
 

@@ -44,6 +44,7 @@ from gradlab.spectral import (
     symbol_sphere_scan,
     weight_vector,
 )
+from testlib import rough_laplacian_formula
 
 
 def make_cache(n=2, size=12, metric="flat", f_text=None, method="spectral"):
@@ -663,8 +664,8 @@ def test_batched_operators_match_single_fields(n, p, f_text, method):
         h = spectral.handle_by_name(cache, p, name)
         assert_stacked(h.apply(batch).data, [h.apply(phi).data for phi in singles])
     # the independent routes and oracles that no handle reaches
-    assert_stacked(fields.rough_laplacian(batch, route="formula").data,
-                   [fields.rough_laplacian(phi, route="formula").data for phi in singles])
+    assert_stacked(rough_laplacian_formula(batch).data,
+                   [rough_laplacian_formula(phi).data for phi in singles])
     assert_stacked(gradients.weitzenbock_K(batch, route="curvature").data,
                    [gradients.weitzenbock_K(phi, route="curvature").data for phi in singles])
     parts = gradients.projector_components(sp.grad)

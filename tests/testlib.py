@@ -98,6 +98,63 @@ def d3_exact_adjoint_unfused(X: TensorField):
             - d2_exact_adjoint_unfused(X))
 
 
+# ---------------------------------------------------------------------------
+# the formula routes of the second-order compositions, each formed on its own
+# ---------------------------------------------------------------------------
+
+def rough_laplacian_formula(phi: TensorField):
+    """nabla* nabla as the second covariant derivative contracted with the
+    inverse metric: a discretization independent of `fields.rough_laplacian`,
+    the exact weighted transpose of the gradient."""
+    cache, p, n = phi.cache, phi.rank, phi.n
+    spec = cache.spec
+    batch = len(phi.batch_shape)
+    # the gradient slot-first, (j, ..., a), each slot contiguous
+    X = np.ascontiguousarray(np.moveaxis(fields._grad_apply(cache, p, phi.data), -2, 0))
+    # sum_i (nabla_i X)_{i, J}: derivative, covariant-slot and symmetric-slot terms
+    out = -sum(differentiate(X[i], i, spec, cache.method, batch) for i in range(n))
+    h = cache.conformal_h
+    if h is not None:
+        # the covariant slot adds sum_i Gamma^k_ii = (2 - n) h_k, which is
+        # (2 - n) times the identity in the (i, b) x (l, a) layout
+        M = fields._connection_matrix(n, p, True, "ib", "la")
+        out += fields._slot_connection(h, M + (2.0 - n) * np.eye(len(M)), X)
+    out = fields._scale(out, cache.conformal_factor(-2.0), 1)
+    return TensorField(cache, "s0", p, out)
+
+
+def d1_star_d1_formula(phi: TensorField):
+    """d1* d1 as the trace-free projection of delta(delta* phi) - c
+    delta*(delta phi), c = `gradients.sw_coefficient`; the transpose route
+    is d1_exact_adjoint(d1(phi))."""
+    c = gradients.sw_coefficient(phi.n, phi.rank)
+    t1 = fields.to_tracefree(fields.divergence(fields.sym_derivative(phi)))
+    t2 = fields.to_tracefree(fields.sym_derivative(fields.divergence(phi)))
+    return t1 - c * t2
+
+
+# ---------------------------------------------------------------------------
+# the fiber projectors' identities
+# ---------------------------------------------------------------------------
+
+def projector_residuals(n, p):
+    """Residuals of idempotency, self-adjointness, completeness and mutual
+    orthogonality of `fiber.flat_projector_matrices(n, p)`, and the rank
+    (trace) of each projector."""
+    projectors = dict(zip("ABC", fiber.flat_projector_matrices(n, p)))
+    out = {}
+    for name, P in projectors.items():
+        out[f"idempotent_{name}"] = float(np.max(np.abs(P @ P - P)))
+        out[f"symmetric_{name}"] = float(np.max(np.abs(P - P.T)))
+        out[f"rank_{name}"] = int(round(np.trace(P)))
+    A, B, C = projectors.values()
+    out["completeness"] = float(np.max(np.abs(A + B + C - np.eye(len(A)))))
+    out["cross_AB"] = float(np.max(np.abs(A @ B)))
+    out["cross_AC"] = float(np.max(np.abs(A @ C)))
+    out["cross_BC"] = float(np.max(np.abs(B @ C)))
+    return out
+
+
 def analytic_laplacian(poly, spec):
     """Analytic coordinate Laplacian sum_j d2/dx_j^2 sampled on the grid."""
     out = np.zeros(spec.shape)
