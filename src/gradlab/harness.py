@@ -473,10 +473,12 @@ def _kernel_checks_for_rank(rec, config, p, caches):
     tt_raw = {}
     tt_win = {}
     psd_worst = 0.0
-    layers = {}
     for size in sizes:
         cache = caches[size]
-        gal = layers[size] = spectral.Galerkin(cache, p)
+        # only the finest layer is read after the loop, so the coarser one
+        # is dropped before the next is built
+        gal = None
+        gal = spectral.Galerkin(cache, p)
         rep = spectral.spectrum(spectral.d1_star_d1_handle(cache, p), n_eigs=None,
                                 galerkin=gal)
         ck_by_size[size] = rep.kernel
@@ -547,7 +549,7 @@ def _kernel_checks_for_rank(rec, config, p, caches):
     if cache_hi.is_flat and ck is not None and ck > 0:
         # the d1 eigendecomposition of the finest grid is reused
         worst = 0.0
-        for phi in layers[sizes[-1]].lowest_fields(["d1"], ck):
+        for phi in gal.lowest_fields(["d1"], ck):
             worst = max(worst, l2_norm(fields.gradient(phi)) / (l2_norm(phi) + _TINY))
         rec.check(f"kernel.parallel_fields.p{p}", A_PARALLEL, worst, "parallel",
                   "flat-torus kernel fields are parallel")

@@ -25,17 +25,17 @@ One Galerkin layer (`Galerkin`, one per grid and rank) serves every study:
 * probing: colour c sums the c-th reduced column of every sector, so one
   operator application per colour serves all sectors at once.  Operators
   act on batches of colours (fields with a leading batch axis), chunk by
-  chunk under a fixed byte budget, and each chunk's images go into stacks
-  preallocated for every colour.  A column's image is the part of its
+  chunk under a fixed byte budget.  A column's image is the part of its
   colour's image in its sector's FFT bins, and the sector matrices follow
   from Parseval along the invariant axes.  Images are real, so the FFT is
-  a half spectrum along the last invariant axis.  The entries between two
+  a half spectrum along the last invariant axis, taken chunk by chunk
+  into cut stacks preallocated for every colour.  The entries between two
   reflection classes vanish by symmetry and are gated at roundoff;
 * reuse: the mass matrix and each operator's Gram block are computed once
-  per layer and stacked systems add blocks.  The four first-order images
-  of a chunk of colours (d1, d2, d3 and the divergence) come from one
-  `gradients.decompose` of the chunk; no operator handle is applied for
-  them;
+  per layer and stacked systems add blocks.  The four first-order pieces
+  (d1, d2, d3 and the divergence) are constant fiber maps of the gradient
+  paired with its weight, so their Grams come from one cut stack of
+  `fields.gradient` images; no operator handle is applied for them;
 * batched solves: blocks of equal size form a group, held as one stack.
   Each group's mass blocks are reduced once per layer (batched Cholesky
   M = L L^T and L^{-1}), and every eigensolve of the layer solves a group
@@ -80,7 +80,7 @@ from .fields import TensorField
 # bytes a Galerkin layer may hold by its first solves, the Gram build
 # included, as estimated by Galerkin._bytes_before_solve; the estimate
 # bounds the layer's traced peak (conformal 3-torus 0.1*cos(x1), N=12,
-# rank 3: 157 MiB estimated, 115 MiB traced through the kernel suite's
+# rank 3: 84 MiB estimated, 80 MiB traced through the kernel suite's
 # solves)
 GALERKIN_BYTES_CAP = 2**30
 # bytes of one chunk's working set when a Galerkin layer applies an
@@ -108,28 +108,6 @@ _KERNEL_GAP_MIN = 100.0
 
 class SpectralError(RuntimeError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# coefficient vectors and weights
-# ---------------------------------------------------------------------------
-
-def weight_vector(cache, tag, rank):
-    """Diagonal of the L2 Gram matrix on flattened coefficient vectors.
-
-    Matches fields.l2_inner exactly: cell volume times metric density times
-    the conformal fiber factor, with monomial multiplicities where the
-    storage uses monomial coordinates.
-    """
-    w = fields.fiber_weight_scalar(cache, tag, rank)
-    n = cache.n
-    if "s0" in tag:
-        fib = np.ones(fiber.tracefree_dim(n, rank))
-    else:
-        fib = fiber.multiplicities(n, rank).astype(float)
-    if tag.startswith("cov"):
-        fib = np.tile(fib, n)
-    return np.outer(w.ravel(), fib).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -178,12 +156,6 @@ class OperatorHandle:
 
     def apply_vector(self, vec):
         return np.asarray(self.apply(self.field_from_vector(vec)).data, float).ravel()
-
-    def domain_weights(self):
-        return weight_vector(self.cache, "s0", self.domain_rank)
-
-    def codomain_weights(self):
-        return weight_vector(self.cache, self.codomain_tag, self.codomain_rank)
 
 
 # ---------------------------------------------------------------------------
@@ -336,11 +308,11 @@ def invariant_axes(cache):
     return tuple(j for j in range(cache.n) if j not in varying)
 
 
-# the first-order images a Galerkin layer forms, all taken from one
-# decompose per chunk of colours: piece -> (codomain tag, codomain rank
-# minus domain rank)
-_SPLIT = {"d1": ("s0", 1), "d2": ("cov_s0", 0), "d3": ("cov_s0", 0),
-          "divergence": ("s0", -1)}
+# piece -> the (rows, n, t) map M of the gradient X whose image M X the
+# Galerkin layer pairs: the maps the exact adjoints of d1, d2 and d3
+# transpose, and K0 for the divergence e^{-2f} (-K0 X) (`_build_gram`)
+_SPLIT = {"d1": gradients._d1_transpose_structure, "d2": gradients._d2_transpose_structure,
+          "d3": gradients._d3_transpose_structure, "divergence": fields._k0}
 
 
 @dataclass(frozen=True, eq=False)
@@ -399,13 +371,15 @@ class Galerkin:
     index on the varying axes.  Sectors with as many bins are gathered and
     paired together, as one stack.  The weights, constant along the
     invariant axes, are gathered with the same bins on the full grid.  With
-    no invariant axis the one sector spans the whole grid and its cut is a
-    view of the images.
+    no invariant axis the one sector spans the whole grid and its cut is
+    the images themselves.
 
     Operators are applied to a batch of colours at a time (`_probe`): the
     colours go in chunks whose working set stays near `_PROBE_BYTES`, and
-    each chunk's images are written into stacks preallocated for every
-    colour.
+    each chunk's images are cut as soon as they exist, into cut stacks
+    preallocated for every colour.  The four first-order pieces' Grams
+    come from one such stack, of the gradient, through each piece's map
+    (`_SPLIT`), one piece at a time.
 
     Blocks of equal size form a group, and every matrix the layer returns
     (mass, Gram, form) is a list of stacks, one per group, in `_groups`
@@ -467,7 +441,9 @@ class Galerkin:
                 "grid (or the rank) before assembling"
             )
         self.colours = self._synthesize_colours(width)
-        self._colour_hat = self._cut(self.colours)
+        # with no invariant axis the colours are their own cut, as a view
+        self._colour_hat = (self._probe(lambda phi: [phi.data], [t])[0] if self.axes
+                            else [self.colours.reshape(1, width * t, -1, 1, t)])
         self._mass = self._mass_max = self._reduced = None
         self._grams = {}
         self._eigen = {}
@@ -483,7 +459,8 @@ class Galerkin:
         axes."""
         spec = self.cache.spec
         if not self.axes:
-            return [(np.array([0]), None, None, np.ones(1))]
+            every = np.arange(spec.num_points).reshape(1, -1)
+            return [(np.array([0]), every, every, np.ones(1))]
         norm = float(math.prod(spec.sizes[a] for a in self.axes))
         by_count = {}
         for s, key in enumerate(self.keys):
@@ -525,11 +502,6 @@ class Galerkin:
         return np.einsum("...j,b...,ab->jb...a", u, sums, self._fiber).reshape(
             (width * self.t,) + spec.shape + (self.t,))
 
-    def _piece_shapes(self):
-        """Per-point shape of each first-order piece's image, in `_SPLIT` order."""
-        return [fields.fiber_shape(self.cache.n, tag, self.p + shift)
-                for tag, shift in _SPLIT.values()]
-
     def _colour_work_bytes(self):
         """Bytes one colour takes while an operator acts on it: `_WORK_FLOATS`
         arrays of the widest per-point fiber an operator of the registry
@@ -543,59 +515,66 @@ class Galerkin:
         """Bytes the layer holds at its peak by its first solves, the Gram
         build included, for `width` trig functions of the varying axes.
 
-        Held throughout: the colour stack (real) and its half-spectrum cut
-        (complex; a view of the colours when no axis is invariant).  On top
-        of that, the largest of three phases: the synthesis buffers (the
-        series' spectrum and samples of the `width` functions); the Gram
-        build (the four piece stacks, six mass-sized arrays for the mass,
-        its reduction L^{-1} and the four Gram blocks, one pairing's sector
-        matrices, and the larger of one chunk's working set and one piece's
-        cut: its FFT, its gather and its weighted copy); and the solves
+        A cut stack (`_cut_stacks`) takes `cut` bytes per fiber value.
+        Held throughout: the colour stack and its cut (a view of the
+        colours when no axis is invariant).  On top of that, the largest of
+        three phases: the synthesis buffers (the series' spectrum and
+        samples of the `width` functions); the Gram build (the cut gradient
+        stack, six mass-sized arrays for the mass, L^{-1} and the four Gram
+        blocks, and the larger of probing, one chunk's working set with the
+        FFT, its intermediate and its gather, and pairing, one piece's cut,
+        its weighted copy and two sector-matrix arrays); and the solves
         (`_BLOCK_ARRAYS` mass-sized arrays: the mass, L^{-1}, the Gram
         blocks, cached eigenvectors and one batched solve's working arrays).
         """
         points = self.cache.spec.num_points
         colours = width * self.t
+        grad = self.cache.n * self.t
         mass = 8 * sum(len(b.columns) ** 2 for b in self.blocks)
         sectors = 8 * len(self.keys) * colours ** 2
-        pieces = [math.prod(shape) for shape in self._piece_shapes()]
-        held = 8 * colours * points * self.t
-        if self.axes:
-            bins = colours * math.prod(self._half)
-            held += 16 * self.t * bins
-            piece_cut = 3 * 16 * max(pieces) * bins
-        else:
-            piece_cut = 2 * 8 * max(pieces) * colours * points
+        cut = 8 * colours * (2 if self.axes else 1) * sum(g.size for _, g, _, _ in self._bins)
+        held = 8 * colours * points * self.t + (cut * self.t if self.axes else 0)
+        fft = 3 * 16 * math.prod(self._half) * grad if self.axes else 0
+        probe = min(self._chunk, colours) * (self._colour_work_bytes() + fft)
+        pairing = 2 * cut * grad + 2 * sectors
+        gram = cut * grad + 6 * mass + max(probe, pairing)
         synthesis = 8 * (width * width + 4 * points * width)
-        chunk = min(self._chunk, colours) * self._colour_work_bytes()
-        gram = (8 * colours * points * sum(pieces) + 6 * mass + sectors
-                + max(chunk, piece_cut))
         return held + max(synthesis, gram, _BLOCK_ARRAYS * mass)
 
-    def _cut(self, images):
-        """Per group of sectors with as many bins, the FFT coefficients of a
-        stack of colour images on each sector's half-spectrum bins.
+    def _cut(self, images, out, rows):
+        """Write the half-spectrum cut of a chunk of colour images into the
+        per-group stacks `out` (`_cut_stacks`) at the colour rows `rows`.
 
-        images: (colours, *grid, fiber...) real.  Returns, per group in
-        `_bins` order, a real (sectors, colours, k) array whose [s, c] row
-        holds the FFT of colour c's image on sector s's bins as (real,
-        imaginary) pairs; with no invariant axis, the images themselves.
+        images: (chunk, *grid, width) real.  Row [s, c] of a group's stack
+        holds the FFT of colour c's image on sector s's bins, as (bins,
+        parts, width) with the parts (real, imaginary); with no invariant
+        axis it holds the image itself, with one part.
         """
         count = len(images)
         if not self.axes:
-            return [images.reshape(1, count, -1)]
+            out[0][0, rows] = images.reshape(count, -1, 1, images.shape[-1])
+            return
         hat = np.fft.rfftn(images, axes=[1 + a for a in self.axes])
         hat = hat.reshape(count, math.prod(self._half), -1)
-        # the gather is (colours, sectors, bins, fiber); the colour axis is
-        # moved behind the sectors as a strided view
-        return [np.take(hat, g, axis=1).swapaxes(0, 1).reshape(len(g), count, -1).view(float)
-                for _, g, _, _ in self._bins]
+        for stack, (_, g, _, _) in zip(out, self._bins):
+            # the gather is (chunk, sectors, bins, width); the colour axis is
+            # moved behind the sectors as a strided view
+            part = np.take(hat, g, axis=1).swapaxes(0, 1)
+            stack[:, rows, :, 0] = part.real
+            stack[:, rows, :, 1] = part.imag
+
+    def _cut_stacks(self, width):
+        """Empty per-group cut stacks for every colour, `width` fiber values
+        per point: (sectors, colours, bins, parts, width), in `_bins` order."""
+        parts = 2 if self.axes else 1
+        return [np.empty((len(sel), len(self.colours), g.shape[1], parts, width))
+                for sel, g, _, _ in self._bins]
 
     def _pair(self, left, right, weights, floor):
-        """Block stacks Re(L^H W R) / prod N_a of a weighted inner product,
-        one stack per group; the weights are constant along the invariant
-        axes.  On (real, imaginary) pairs the real part is one real product,
-        each weight repeated for the two parts.
+        """Block stacks Re(L^H W R) / prod N_a of a weighted inner product of
+        two cuts, one stack per group; `weights` is a scalar per grid point,
+        constant along the invariant axes.  On (real, imaginary) parts the
+        real part is one real product, each weight applied to both parts.
 
         Each sector's whole matrix is formed.  Its entries between two
         reflection classes pair images that the reflections keep orthogonal,
@@ -606,12 +585,12 @@ class Galerkin:
         2-torus at p >= 2, against the basis rather than its own noise.
         """
         count = len(self.colours)
-        w = weights.reshape(self.cache.spec.num_points, -1)
+        w = weights.reshape(-1)
         S = np.empty((len(self.keys), count, count))
         for (sel, _, gw, factor), L, R in zip(self._bins, left, right):
-            wg = (w.reshape(1, 1, -1) if gw is None
-                  else np.repeat(w[gw].reshape(len(sel), 1, -1), 2, axis=-1))
-            S[sel] = ((L * wg) @ R.swapaxes(1, 2)) * factor[:, None, None]
+            wL = (L * w[gw].reshape(len(sel), 1, -1, 1, 1)).reshape(len(sel), count, -1)
+            S[sel] = (wL @ R.reshape(len(sel), count, -1).swapaxes(1, 2)) * factor[:, None, None]
+            del wL  # freed before the next one is formed
         if self._split.size:
             cross = float(np.max(np.abs(S[self._split][self._cross]), initial=0.0))
             scale = max(float(np.max(np.abs(S))), floor)
@@ -624,21 +603,20 @@ class Galerkin:
         return [S[sec[:, None, None], ix[:, :, None], ix[:, None, :]]
                 for sec, ix in zip(self._group_sectors, self._group_columns)]
 
-    def _probe(self, apply, fiber_shapes):
-        """Images of every colour under `apply`, one chunk of colours at a time.
+    def _probe(self, apply, widths):
+        """Cut images of every colour under `apply`, one chunk of colours at
+        a time.
 
-        `apply` maps a batch of colour fields to one image array per entry
-        of `fiber_shapes`; returns one (colours, *grid, *fiber) stack per
-        entry, each filled chunk by chunk.
+        `apply` maps a batch of colour fields to one (chunk, *grid, width)
+        image array per entry of `widths`; returns, per entry, the per-group
+        cut stacks (`_cut_stacks`).
         """
-        grid = self.cache.spec.shape
-        count = len(self.colours)
-        stacks = [np.empty((count,) + grid + shape) for shape in fiber_shapes]
-        for a in range(0, count, self._chunk):
-            chunk = slice(a, a + self._chunk)
-            phi = TensorField(self.cache, "s0", self.p, self.colours[chunk])
-            for stack, image in zip(stacks, apply(phi)):
-                stack[chunk] = image
+        stacks = [self._cut_stacks(width) for width in widths]
+        for a in range(0, len(self.colours), self._chunk):
+            rows = slice(a, a + self._chunk)
+            phi = TensorField(self.cache, "s0", self.p, self.colours[rows])
+            for out, images in zip(stacks, apply(phi)):
+                self._cut(images, out, rows)
         return stacks
 
     def norm(self, stacks):
@@ -650,7 +628,7 @@ class Galerkin:
     def mass(self):
         """Block stacks of the mass matrix M."""
         if self._mass is None:
-            w = weight_vector(self.cache, "s0", self.p)
+            w = fields.fiber_weight_scalar(self.cache, "s0", self.p)
             self._mass = self._pair(self._colour_hat, self._colour_hat, w, 0.0)
             self._mass_max = max(float(np.max(np.abs(M))) for M in self._mass)
         return self._mass
@@ -669,9 +647,9 @@ class Galerkin:
         if (handle.cache, handle.domain_rank) != (self.cache, self.p):
             raise SpectralError("basis bundle does not match the handle domain")
         self.mass()
-        (images,) = self._probe(lambda phi: [handle.apply(phi).data], [(self.t,)])
-        return self._pair(self._colour_hat, self._cut(images), handle.domain_weights(),
-                          self._mass_max)
+        (images,) = self._probe(lambda phi: [handle.apply(phi).data], [self.t])
+        return self._pair(self._colour_hat, images,
+                          fields.fiber_weight_scalar(self.cache, "s0", self.p), self._mass_max)
 
     def gram(self, names):
         """Block stacks of the stacked system named by `names` (pieces of
@@ -685,19 +663,21 @@ class Galerkin:
         return [sum(stacks) for stacks in zip(*(self._grams[name] for name in names))]
 
     def _build_gram(self):
-        # one stack per piece, filled chunk by chunk from one decompose of
-        # each chunk of colours
-        def split(phi):
-            sp = gradients.decompose(phi)
-            return [getattr(sp, piece).data for piece in _SPLIT]
-
+        # the FFT acts on the grid axes, so a piece's cut is M times the
+        # gradient's; every piece pairs with the gradient's weight, which
+        # for the divergence is its rank p-1 weight times e^{-4f} (the sign
+        # of -K0 drops out of a Gram)
+        n, p = self.cache.n, self.p
         self.mass()
-        stacks = dict(zip(_SPLIT, self._probe(split, self._piece_shapes())))
-        for piece, (tag, shift) in _SPLIT.items():
-            hat = self._cut(stacks.pop(piece))
-            w = weight_vector(self.cache, tag, self.p + shift)
+        (grad,) = self._probe(lambda phi: [fields._merged(fields.gradient(phi).data)],
+                              [n * self.t])
+        w = fields.fiber_weight_scalar(self.cache, "cov_s0", p)
+        for piece, structure in _SPLIT.items():
+            M = fields._slots(structure(n, p))
+            hat = [(X.reshape(-1, X.shape[-1]) @ M.T).reshape(X.shape[:-1] + (-1,))
+                   for X in grad]
             self._grams[piece] = self._pair(hat, hat, w, self._mass_max)
-            del hat  # freed before the next piece is cut, to lower the peak
+            del hat
 
     def eigen(self, stacks):
         """Eigenpairs of (G, M) for every block, one batched result per group.

@@ -11,7 +11,7 @@ import pytest
 from gradlab import fiber, fields, gradients, harness, spectral
 from gradlab.config import ExperimentConfig
 from gradlab.expressions import TrigPoly, parse_trig_poly
-from gradlab.fields import TensorField, l2_inner, l2_norm
+from gradlab.fields import l2_inner, l2_norm
 from gradlab.geometry import GridSpec, build_geometry
 from gradlab.harness import (
     band_limited_field,

@@ -328,6 +328,31 @@ def test_kernel_experiment_counts(kernel_report):
     assert by_id["kernel.tt_counts.p2"].value == 2.0
 
 
+def test_kernel_suite_puts_every_colour_through_the_d1_trace_guard(monkeypatch):
+    # a layer's Gram build probes the gradient only, so d1's trace guard
+    # (`gradients._d1_from_grad`) runs in the d1* d1 form of the suite: once
+    # for every colour of every layer
+    guarded, colours = {}, {}
+    d1_from_grad = gradients._d1_from_grad
+
+    def counted(phi, X, dphi):
+        key = (phi.cache.spec.sizes, phi.rank)
+        guarded[key] = guarded.get(key, 0) + int(np.prod(phi.batch_shape))
+        return d1_from_grad(phi, X, dphi)
+
+    class Layer(spectral.Galerkin):
+        def __init__(self, cache, p):
+            super().__init__(cache, p)
+            colours[(cache.spec.sizes, p)] = len(self.colours)
+
+    monkeypatch.setattr(gradients, "_d1_from_grad", counted)
+    monkeypatch.setattr(spectral, "Galerkin", Layer)
+    cfg = dataclasses.replace(KERNEL_SMALL, conformal_exponent="0.1*cos(x1)")
+    assert kernel_experiment(cfg).status == "pass"
+    assert len(colours) == len(cfg.sizes) * len(cfg.ranks)
+    assert guarded == colours
+
+
 def test_kernel_experiment_parallel_fields(kernel_report):
     by_id = {r.check_id: r for r in kernel_report.records}
     for p in (1, 2):

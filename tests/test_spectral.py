@@ -28,23 +28,25 @@ from gradlab.spectral import (
     build_dealiased_basis,
     d1_handle,
     d1_star_d1_handle,
-    d2_star_d2_handle,
-    d3_star_d3_handle,
     delta_deltastar_handle,
-    deltastar_delta_handle,
     divergence_handle,
-    gradient_handle,
     kernel_count,
     rough_laplacian_handle,
-    sampson_handle,
     spectrum,
     spectrum_to_csv,
     symbol_eval,
     symbol_scan_to_csv,
     symbol_sphere_scan,
+)
+from testlib import (
+    PIECES,
+    codomain_weights,
+    domain_weights,
+    galerkin_form_reference,
+    galerkin_grams_reference,
+    rough_laplacian_formula,
     weight_vector,
 )
-from testlib import rough_laplacian_formula
 
 
 def make_cache(n=2, size=12, metric="flat", f_text=None, method="spectral"):
@@ -162,7 +164,7 @@ def test_self_adjoint_assembly_defect(metric):
     cache = make_cache(2, 8, metric=metric)
     for maker in (rough_laplacian_handle, d1_star_d1_handle):
         h = maker(cache, 1)
-        WA = dense_images(h, np.eye(h.domain_dim)) * h.domain_weights()[:, None]
+        WA = dense_images(h, np.eye(h.domain_dim)) * domain_weights(h)[:, None]
         assert np.linalg.norm(WA - WA.T) <= 1e-10 * np.linalg.norm(WA)
 
 
@@ -182,24 +184,25 @@ def test_dof_cap_enforced(monkeypatch):
 
 def test_assemble_caches_matrix(monkeypatch):
     # the mass, the Grams and each joint eigendecomposition are built once;
-    # every Gram comes from decomposing each colour once, through no handle
+    # every Gram comes from the gradient of each colour, taken once, through
+    # no handle
     cache = make_cache(2, 8, metric="conformal")
     gal = Galerkin(cache, 1)
-    decomposed = []
-    decompose = gradients.decompose
-    monkeypatch.setattr(gradients, "decompose",
-                        lambda phi: decomposed.append(len(phi.data)) or decompose(phi))
+    probed = []
+    gradient = fields.gradient
+    monkeypatch.setattr(fields, "gradient",
+                        lambda phi: probed.append(len(phi.data)) or gradient(phi))
     monkeypatch.setattr(spectral, "handle_by_name", None)
     monkeypatch.setattr(spectral.OperatorHandle, "apply_vector", None)
     first = gal.gram(["d1", "divergence"])
     eig = gal.joint_eigen(["d1", "divergence"])
-    assert sum(decomposed) == len(gal.colours)
+    assert sum(probed) == len(gal.colours)
     for B, again in zip(first, gal.gram(["d1", "divergence"])):
         assert np.array_equal(B, again)
     assert gal.joint_eigen(["d1", "divergence"]) is eig
     gal.gram(["d2", "d3"])
     assert gal.mass() is gal.mass()
-    assert sum(decomposed) == len(gal.colours)
+    assert sum(probed) == len(gal.colours)
     with pytest.raises(SpectralError, match="rough_laplacian"):
         gal.gram(["d1", "rough_laplacian"])
 
@@ -219,7 +222,7 @@ def test_eigensolve_weighted_orthonormal_vectors():
     # conformal metric, as in sectors without an invariant axis)
     cache = make_cache(2, 8, metric="conformal")
     h = rough_laplacian_handle(cache, 1)
-    w = h.domain_weights()
+    w = domain_weights(h)
     A = dense_images(h, np.eye(h.domain_dim))
     cols = build_dealiased_basis(cache, 1).columns()
     for G, M in ((A * w[:, None], np.diag(w)),
@@ -471,12 +474,12 @@ def dense_gram(handles, cols):
     G = np.zeros((cols.shape[1], cols.shape[1]))
     for h in handles:
         A = dense_images(h, cols)
-        G += A.T @ (A * h.codomain_weights()[:, None])
+        G += A.T @ (A * codomain_weights(h)[:, None])
     return G
 
 
 def dense_form(handle, cols):
-    return cols.T @ (dense_images(handle, cols) * handle.domain_weights()[:, None])
+    return cols.T @ (dense_images(handle, cols) * domain_weights(handle)[:, None])
 
 
 def reduced_columns(gal):
@@ -562,7 +565,7 @@ def test_galerkin_sectors_match_dense_reference(n, p, f_text, method):
     for names in systems:
         handles = [spectral.handle_by_name(cache, p, name) for name in names]
         images = [apply_stack(h, X) for h in handles]
-        ref = sum(pairing(A, A, h.codomain_weights()) for h, A in zip(handles, images))
+        ref = sum(pairing(A, A, codomain_weights(h)) for h, A in zip(handles, images))
         assert_block_diagonal(gal, gal.gram(names), ref, where)
     h = d1_star_d1_handle(cache, p)
     assert_block_diagonal(gal, gal.form(h), pairing(X, apply_stack(h, X), w), where)
@@ -624,14 +627,69 @@ def test_half_spectrum_blocks_match_full_spectrum(n, f_text):
     assert_blocks_close(gal, gal.mass(), full_spectrum_blocks(
         gal, colours, colours, weight_vector(cache, "s0", p)))
     sp = gradients.decompose(TensorField(cache, "s0", p, colours))
-    for piece, (tag, shift) in spectral._SPLIT.items():
+    grad_scale = max(float(np.max(np.abs(B))) for B in full_spectrum_blocks(
+        gal, sp.grad.data, sp.grad.data, weight_vector(cache, "cov_s0", p)))
+    for piece, (tag, shift) in PIECES.items():
         images = getattr(sp, piece).data
-        assert_blocks_close(gal, gal.gram([piece]), full_spectrum_blocks(
-            gal, images, images, weight_vector(cache, tag, p + shift)))
+        ref = full_spectrum_blocks(gal, images, images, weight_vector(cache, tag, p + shift))
+        if n == 2 and piece == "d3":
+            # d3 vanishes identically on the 2-torus at p >= 2: both routes
+            # hold roundoff only, which is all there is to compare
+            for B in per_block(gal, gal.gram([piece])) + ref:
+                assert np.max(np.abs(B), initial=0.0) <= 1e-28 * grad_scale
+            continue
+        assert_blocks_close(gal, gal.gram([piece]), ref)
     h = d1_star_d1_handle(cache, p)
     images = h.apply(TensorField(cache, "s0", p, colours)).data
     assert_blocks_close(gal, gal.form(h), full_spectrum_blocks(
-        gal, colours, images, h.domain_weights()))
+        gal, colours, images, domain_weights(h)))
+
+
+# every axis invariant, all but x1, all but x1 and x2 (none at n = 2)
+REFERENCE_METRICS = [None, "0.1*cos(x1)", "0.1*cos(x1)+0.05*sin(x2)"]
+
+
+@pytest.mark.parametrize("f_text", REFERENCE_METRICS)
+@pytest.mark.parametrize("n,size,p", [(2, 8, 1), (2, 8, 2), (2, 8, 3), (3, 8, 1), (3, 8, 2),
+                                      (3, 8, 3)])
+def test_gradient_stack_grams_match_the_piece_route(n, size, p, f_text, monkeypatch):
+    # the Grams from one cut gradient stack, the mass and the d1* d1 form,
+    # each probed in several chunks, against decomposing every colour at
+    # once, one whole-stack cut per piece and each piece's own weight
+    cache = make_cache(n, size, metric="flat" if f_text is None else "conformal",
+                       f_text=f_text)
+    first = Galerkin(cache, p)
+    count = len(first.colours)
+    chunk = max(1, (count - 1) // 2)
+    monkeypatch.setattr(spectral, "_PROBE_BYTES", chunk * first._colour_work_bytes())
+    gal = Galerkin(cache, p)
+    assert gal._chunk == chunk < count
+    ref = galerkin_grams_reference(gal)
+    scale = max(float(np.max(np.abs(B))) for B in ref["grad"])
+    for piece in PIECES:
+        for B, R in zip(gal.gram([piece]), ref[piece]):
+            assert np.max(np.abs(B - R)) <= 1e-13 * scale
+    masses = galerkin_form_reference(gal, spectral.OperatorHandle(
+        name="identity", cache=cache, domain_rank=p, codomain_tag="s0",
+        codomain_rank=p, apply=lambda phi: phi, symbol=None))
+    for M, R in zip(gal.mass(), masses):
+        assert np.max(np.abs(M - R)) <= 1e-13 * max(float(np.max(np.abs(R))) for R in masses)
+    h = d1_star_d1_handle(cache, p)
+    for F, R in zip(gal.form(h), galerkin_form_reference(gal, h)):
+        assert np.max(np.abs(F - R)) <= 1e-13 * scale
+
+
+def test_divergence_pairs_with_the_gradient_weight():
+    # the divergence e^{-2f} (-K0 X) is paired with the weight of rank p-1;
+    # that weight times e^{-4f} is the weight of the gradient, so every
+    # piece of a layer's Gram build shares one scalar weight
+    for f_text in ("0.1*cos(x1)", "0.1*cos(x1)+0.05*sin(x2)"):
+        cache = make_cache(2, 16, metric="conformal", f_text=f_text)
+        for p in (1, 2, 3):
+            low = fields.fiber_weight_scalar(cache, "s0", p - 1)
+            low = low * cache.conformal_factor(-2.0) ** 2
+            grad = fields.fiber_weight_scalar(cache, "cov_s0", p)
+            assert np.max(np.abs(low - grad) / grad) <= 1e-15
 
 
 # n = 2 at p = 2 has d3 = 0 identically: every output is held to the scale
@@ -879,7 +937,7 @@ def test_nodal_assembly_carries_nyquist_junk():
     # Laplacian gains zero modes from the doubly-invisible corner functions
     cache = make_cache(2, 8)
     h = rough_laplacian_handle(cache, 1)
-    w = h.domain_weights()
+    w = domain_weights(h)
     WA = dense_images(h, np.eye(h.domain_dim)) * w[:, None]
     nodal = spectral._eigh_pencil(0.5 * (WA + WA.T), np.diag(w)).values
     clean = spectrum(h, n_eigs=None)
@@ -896,7 +954,7 @@ def test_first_order_kernel_matches_second_order_kernel():
     basis = build_dealiased_basis(cache, 1)
     cols = basis.columns()
     applied = np.column_stack([h1.apply_vector(cols[:, j]) for j in range(cols.shape[1])])
-    wc = h1.codomain_weights()
+    wc = codomain_weights(h1)
     G = applied.T @ (applied * wc[:, None])       # Gram of d1 images
     M = cols.T @ (cols * weight_vector(cache, "s0", 1)[:, None])
     sq = scipy.linalg.eigh(G, M, eigvals_only=True)

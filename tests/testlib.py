@@ -134,6 +134,90 @@ def d1_star_d1_formula(phi: TensorField):
 
 
 # ---------------------------------------------------------------------------
+# dense weights of the nodal vectors of a handle's bundles
+# ---------------------------------------------------------------------------
+
+def weight_vector(cache, tag, rank):
+    """Diagonal of the L2 Gram matrix on flattened coefficient vectors.
+
+    Matches fields.l2_inner exactly: cell volume times metric density times
+    the conformal fiber factor, with monomial multiplicities where the
+    storage uses monomial coordinates.
+    """
+    w = fiber_weight_scalar(cache, tag, rank)
+    n = cache.n
+    if "s0" in tag:
+        fib = np.ones(fiber.tracefree_dim(n, rank))
+    else:
+        fib = fiber.multiplicities(n, rank).astype(float)
+    if tag.startswith("cov"):
+        fib = np.tile(fib, n)
+    return np.outer(w.ravel(), fib).ravel()
+
+
+def domain_weights(handle):
+    return weight_vector(handle.cache, "s0", handle.domain_rank)
+
+
+def codomain_weights(handle):
+    return weight_vector(handle.cache, handle.codomain_tag, handle.codomain_rank)
+
+
+# ---------------------------------------------------------------------------
+# the piece route of the Galerkin layer: every colour decomposed at once,
+# one image stack per piece, each cut whole and paired with its own
+# weight; `spectral.Galerkin` pairs one cut gradient stack through each
+# piece's constant map instead and is tested against this
+# ---------------------------------------------------------------------------
+
+# piece of a split -> (codomain tag, codomain rank minus domain rank)
+PIECES = {"d1": ("s0", 1), "d2": ("cov_s0", 0), "d3": ("cov_s0", 0),
+          "divergence": ("s0", -1)}
+
+
+def whole_stack_cut(gal, images):
+    """The half-spectrum cut of a whole (colours, *grid, *fiber) stack of
+    images in the layout of `Galerkin._cut_stacks`: one FFT of the stack
+    along the invariant axes and one gather per group of sectors; with no
+    invariant axis, the images themselves."""
+    count = len(images)
+    spec = gal.cache.spec
+    images = images.reshape((count,) + spec.shape + (-1,))
+    if not gal.axes:
+        return [images.reshape(1, count, -1, 1, images.shape[-1])]
+    hat = np.fft.rfftn(images, axes=[1 + a for a in gal.axes])
+    hat = hat.reshape(count, int(np.prod(gal._half)), -1)
+    out = []
+    for _, g, _, _ in gal._bins:
+        part = np.take(hat, g, axis=1).swapaxes(0, 1)
+        out.append(np.stack([part.real, part.imag], axis=3))
+    return out
+
+
+def galerkin_grams_reference(gal):
+    """Per piece of `PIECES`, and for the gradient itself, the Gram block
+    stacks of the layer by the piece route."""
+    cache, p = gal.cache, gal.p
+    floor = max(float(np.max(np.abs(M))) for M in gal.mass())
+    sp = gradients.decompose(TensorField(cache, "s0", p, gal.colours))
+    out = {}
+    for piece, (tag, shift) in dict(PIECES, grad=("cov_s0", 0)).items():
+        hat = whole_stack_cut(gal, getattr(sp, piece).data)
+        out[piece] = gal._pair(hat, hat, fiber_weight_scalar(cache, tag, p + shift), floor)
+    return out
+
+
+def galerkin_form_reference(gal, handle):
+    """The form blocks of an endomorphism handle from the whole-stack cuts
+    of the colours and of their images."""
+    cache, p = gal.cache, gal.p
+    floor = max(float(np.max(np.abs(M))) for M in gal.mass())
+    images = handle.apply(TensorField(cache, "s0", p, gal.colours)).data
+    return gal._pair(whole_stack_cut(gal, gal.colours), whole_stack_cut(gal, images),
+                     fiber_weight_scalar(cache, "s0", p), floor)
+
+
+# ---------------------------------------------------------------------------
 # the fiber projectors' identities
 # ---------------------------------------------------------------------------
 
