@@ -29,13 +29,16 @@ One Galerkin layer (`Galerkin`, one per grid and rank) serves every study:
   colour's image in its sector's FFT bins, and the sector matrices follow
   from Parseval along the invariant axes.  Images are real, so the FFT is
   a half spectrum along the last invariant axis, taken chunk by chunk
-  into cut stacks preallocated for every colour.  The entries between two
-  reflection classes vanish by symmetry and are gated at roundoff;
+  into cut stacks preallocated for every colour.  Each chunk's images are
+  scaled by the square root of their weight before the cut (the weight is
+  constant along the invariant axes), so every Galerkin matrix is a plain
+  product of two cuts.  The entries between two reflection classes vanish
+  by symmetry and are gated at roundoff;
 * reuse: the mass matrix and each operator's Gram block are computed once
   per layer and stacked systems add blocks.  The four first-order pieces
   (d1, d2, d3 and the divergence) are constant fiber maps of the gradient
-  paired with its weight, so their Grams come from one cut stack of
-  `fields.gradient` images; no operator handle is applied for them;
+  paired with its weight, so their Grams come from one weighted cut stack
+  of `fields.gradient` images; no operator handle is applied for them;
 * batched solves: blocks of equal size form a group, held as one stack.
   Each group's mass blocks are reduced once per layer (batched Cholesky
   M = L L^T and L^{-1}), and every eigensolve of the layer solves a group
@@ -80,7 +83,7 @@ from .fields import TensorField
 # bytes a Galerkin layer may hold by its first solves, the Gram build
 # included, as estimated by Galerkin._bytes_before_solve; the estimate
 # bounds the layer's traced peak (conformal 3-torus 0.1*cos(x1), N=12,
-# rank 3: 84 MiB estimated, 80 MiB traced through the kernel suite's
+# rank 3: 64 MiB estimated, 63 MiB traced through the kernel suite's
 # solves)
 GALERKIN_BYTES_CAP = 2**30
 # bytes of one chunk's working set when a Galerkin layer applies an
@@ -176,28 +179,25 @@ def _reduce(M):
     return np.linalg.inv(np.linalg.cholesky(M))
 
 
-def _eigh_pencil(G, M, scale=None, Linv=None):
+def _eigh_pencil(G, M, scale, Linv):
     """Eigenpairs of symmetric pencils (G, M), M dense positive definite,
     batched over any leading axes of G and M.
 
     Each pencil is reduced to the standard problem C = L^{-1} G L^{-T} with
-    `Linv` = L^{-1} (computed from M when not given), solved with one
-    batched `eigh` and transformed back, so the vectors are M-orthonormal.
-    The residuals are gated in reduced coordinates: G V - M V Lambda equals
-    L (C Y - Y Lambda), and ||L||_2 <= sqrt(||M||_F), so
-    sqrt(||M||_F) ||C y - lambda y|| bounds each pair's pencil residual and
-    is never looser than it.  They are relative to `scale`, the norm of the
-    whole pencil when G is one diagonal block of it, and to the norm of
-    each G otherwise; every pencil is gated on its own.
+    `Linv` = L^{-1} (`_reduce(M)`), solved with one batched `eigh` and
+    transformed back, so the vectors are M-orthonormal.  The residuals are
+    gated in reduced coordinates: G V - M V Lambda equals L (C Y - Y Lambda),
+    and ||L||_2 <= sqrt(||M||_F), so sqrt(||M||_F) ||C y - lambda y||
+    bounds each pair's pencil residual and is never looser than it.  They
+    are relative to `scale`, the norm of the whole pencil (a scalar, or one
+    per pencil), and every pencil is gated on its own.
     """
-    Linv = _reduce(M) if Linv is None else Linv
     LinvT = np.swapaxes(Linv, -1, -2)
     C = Linv @ G @ LinvT
     vals, Y = np.linalg.eigh(C)
     bound = np.sqrt(np.linalg.norm(M, axis=(-2, -1)))[..., None] * np.linalg.norm(
         C @ Y - Y * vals[..., None, :], axis=-2)
-    scale = np.linalg.norm(G, axis=(-2, -1)) if scale is None else np.asarray(scale)
-    residuals = bound / (scale[..., None] + _TINY)
+    residuals = bound / (np.asarray(scale)[..., None] + _TINY)
     worst = np.max(residuals, axis=-1, initial=0.0)
     if np.any(worst > _RESIDUAL_TOL):
         raise SpectralError(
@@ -357,9 +357,11 @@ class Galerkin:
     is reduced column j * t + beta of its sector, and every sector has the
     same count of them.
 
-    Colour c is the sum of reduced column c of every sector.  Its image is
-    cut into sectors in the FFT along the invariant axes, so a sector's
-    matrix is Re(F_s^H W F_s) / prod N_a over the sector's bins (Parseval),
+    Colour c is the sum of reduced column c of every sector.  Its image,
+    scaled by the square root of its weight W, is cut into sectors in the
+    FFT along the invariant axes.  W is constant along those axes, so a
+    sector's matrix is Re(F_s^H W F_s) / prod N_a = Re(H_s^H H_s) / prod N_a
+    over the sector's bins (Parseval), H_s the cut of the scaled images,
     and its blocks are the diagonal blocks of its classes.  The entries
     between classes vanish by symmetry; they are gated at roundoff.
 
@@ -369,17 +371,16 @@ class Galerkin:
     bins +k, a sector with k > 0 there counts its pairing twice.  On the
     other invariant axes the cut keeps the bins +k_a and -k_a, and every
     index on the varying axes.  Sectors with as many bins are gathered and
-    paired together, as one stack.  The weights, constant along the
-    invariant axes, are gathered with the same bins on the full grid.  With
-    no invariant axis the one sector spans the whole grid and its cut is
-    the images themselves.
+    paired together, as one stack.  With no invariant axis the one sector
+    spans the whole grid and its cut is the scaled images themselves.
 
     Operators are applied to a batch of colours at a time (`_probe`): the
     colours go in chunks whose working set stays near `_PROBE_BYTES`, and
-    each chunk's images are cut as soon as they exist, into cut stacks
-    preallocated for every colour.  The four first-order pieces' Grams
-    come from one such stack, of the gradient, through each piece's map
-    (`_SPLIT`), one piece at a time.
+    each chunk's images are scaled and cut as soon as they exist, into cut
+    stacks preallocated for every colour; the colours' own cut is probed
+    the same way.  The four first-order pieces' Grams come from one such
+    stack, of the gradient, through each piece's map (`_SPLIT`), one piece
+    at a time: a constant fiber map commutes with the scalar weight.
 
     Blocks of equal size form a group, and every matrix the layer returns
     (mass, Gram, form) is a list of stacks, one per group, in `_groups`
@@ -393,7 +394,6 @@ class Galerkin:
         t = fiber.tracefree_dim(cache.n, p)
         self.cache, self.p, self.t = cache, p, t
         self.axes = invariant_axes(cache)
-        self.basis = build_dealiased_basis(cache, p)
         bands = [size // 2 - 1 for size in spec.sizes]
         # the trig functions of the varying axes, constant along the invariant ones
         self._var_modes = half_modes([0 if a in self.axes else b for a, b in enumerate(bands)])
@@ -441,26 +441,20 @@ class Galerkin:
                 "grid (or the rank) before assembling"
             )
         self.colours = self._synthesize_colours(width)
-        # with no invariant axis the colours are their own cut, as a view
-        self._colour_hat = (self._probe(lambda phi: [phi.data], [t])[0] if self.axes
-                            else [self.colours.reshape(1, width * t, -1, 1, t)])
+        self._colour_hat = self._probe(lambda phi: phi.data, "s0", t)
         self._mass = self._mass_max = self._reduced = None
         self._grams = {}
         self._eigen = {}
 
     def _sector_bins(self):
         """Sectors grouped by their count of FFT bins: per group the sector
-        indices, their gathers into the half spectrum and into the grid
-        (sector, bin), and their Parseval factors (twice a nonzero bin of
-        the real axis).
+        indices, their gathers into the half spectrum (sector, bin) and
+        their Parseval factors (twice a nonzero bin of the real axis).
 
         A sector keeps the bin +k_a of the real axis, the bins +k_a and
         -k_a of the other invariant axes and every index of the varying
-        axes."""
+        axes; with no invariant axis the one sector keeps every point."""
         spec = self.cache.spec
-        if not self.axes:
-            every = np.arange(spec.num_points).reshape(1, -1)
-            return [(np.array([0]), every, every, np.ones(1))]
         norm = float(math.prod(spec.sizes[a] for a in self.axes))
         by_count = {}
         for s, key in enumerate(self.keys):
@@ -469,11 +463,9 @@ class Galerkin:
                         else [k[a]] if a == self.axes[-1]
                         else sorted({k[a], -k[a] % size})
                         for a, size in enumerate(spec.sizes)]
-            ix = np.ix_(*per_axis)
             by_count.setdefault(math.prod(map(len, per_axis)), []).append(
-                (s, np.ravel_multi_index(ix, self._half).ravel(),
-                 np.ravel_multi_index(ix, spec.shape).ravel(),
-                 (2.0 if key[-1] > 0 else 1.0) / norm))
+                (s, np.ravel_multi_index(np.ix_(*per_axis), self._half).ravel(),
+                 (2.0 if key and key[-1] > 0 else 1.0) / norm))
         return [tuple(map(np.array, zip(*entries))) for entries in by_count.values()]
 
     def _fiber_products(self, factor):
@@ -516,14 +508,13 @@ class Galerkin:
         build included, for `width` trig functions of the varying axes.
 
         A cut stack (`_cut_stacks`) takes `cut` bytes per fiber value.
-        Held throughout: the colour stack and its cut (a view of the
-        colours when no axis is invariant).  On top of that, the largest of
-        three phases: the synthesis buffers (the series' spectrum and
-        samples of the `width` functions); the Gram build (the cut gradient
-        stack, six mass-sized arrays for the mass, L^{-1} and the four Gram
-        blocks, and the larger of probing, one chunk's working set with the
-        FFT, its intermediate and its gather, and pairing, one piece's cut,
-        its weighted copy and two sector-matrix arrays); and the solves
+        Held throughout: the colour stack and its cut.  On top of that, the
+        largest of three phases: the synthesis buffers (the series' spectrum
+        and samples of the `width` functions); the Gram build (the cut
+        gradient stack, six mass-sized arrays for the mass, L^{-1} and the
+        four Gram blocks, and the larger of probing, one chunk's working set
+        with the FFT, its intermediate and its gather, and pairing, one
+        piece's cut and two sector-matrix arrays); and the solves
         (`_BLOCK_ARRAYS` mass-sized arrays: the mass, L^{-1}, the Gram
         blocks, cached eigenvectors and one batched solve's working arrays).
         """
@@ -532,11 +523,11 @@ class Galerkin:
         grad = self.cache.n * self.t
         mass = 8 * sum(len(b.columns) ** 2 for b in self.blocks)
         sectors = 8 * len(self.keys) * colours ** 2
-        cut = 8 * colours * (2 if self.axes else 1) * sum(g.size for _, g, _, _ in self._bins)
-        held = 8 * colours * points * self.t + (cut * self.t if self.axes else 0)
+        cut = 8 * colours * (2 if self.axes else 1) * sum(g.size for _, g, _ in self._bins)
+        held = (8 * colours * points + cut) * self.t
         fft = 3 * 16 * math.prod(self._half) * grad if self.axes else 0
         probe = min(self._chunk, colours) * (self._colour_work_bytes() + fft)
-        pairing = 2 * cut * grad + 2 * sectors
+        pairing = cut * grad + 2 * sectors
         gram = cut * grad + 6 * mass + max(probe, pairing)
         synthesis = 8 * (width * width + 4 * points * width)
         return held + max(synthesis, gram, _BLOCK_ARRAYS * mass)
@@ -545,10 +536,11 @@ class Galerkin:
         """Write the half-spectrum cut of a chunk of colour images into the
         per-group stacks `out` (`_cut_stacks`) at the colour rows `rows`.
 
-        images: (chunk, *grid, width) real.  Row [s, c] of a group's stack
-        holds the FFT of colour c's image on sector s's bins, as (bins,
-        parts, width) with the parts (real, imaginary); with no invariant
-        axis it holds the image itself, with one part.
+        images: (chunk, *grid, width) real, already scaled by the root of
+        their weight (`_probe`).  Row [s, c] of a group's stack holds the FFT
+        of colour c's image on sector s's bins, as (bins, parts, width) with
+        the parts (real, imaginary); with no invariant axis it holds the
+        image itself, with one part.
         """
         count = len(images)
         if not self.axes:
@@ -556,7 +548,7 @@ class Galerkin:
             return
         hat = np.fft.rfftn(images, axes=[1 + a for a in self.axes])
         hat = hat.reshape(count, math.prod(self._half), -1)
-        for stack, (_, g, _, _) in zip(out, self._bins):
+        for stack, (_, g, _) in zip(out, self._bins):
             # the gather is (chunk, sectors, bins, width); the colour axis is
             # moved behind the sectors as a strided view
             part = np.take(hat, g, axis=1).swapaxes(0, 1)
@@ -568,13 +560,15 @@ class Galerkin:
         per point: (sectors, colours, bins, parts, width), in `_bins` order."""
         parts = 2 if self.axes else 1
         return [np.empty((len(sel), len(self.colours), g.shape[1], parts, width))
-                for sel, g, _, _ in self._bins]
+                for sel, g, _ in self._bins]
 
-    def _pair(self, left, right, weights, floor):
-        """Block stacks Re(L^H W R) / prod N_a of a weighted inner product of
-        two cuts, one stack per group; `weights` is a scalar per grid point,
-        constant along the invariant axes.  On (real, imaginary) parts the
-        real part is one real product, each weight applied to both parts.
+    def _pair(self, left, right, floor):
+        """Block stacks Re(L^H R) / prod N_a of two cuts, one stack per
+        group: a plain product, since the cuts carry the square root of
+        their weight (`_probe`).  On (real, imaginary) parts the real part
+        is one real product, and no operand is copied.  A cut paired with
+        itself is one symmetric product, so the mass and the Grams are
+        exactly symmetric.
 
         Each sector's whole matrix is formed.  Its entries between two
         reflection classes pair images that the reflections keep orthogonal,
@@ -585,12 +579,10 @@ class Galerkin:
         2-torus at p >= 2, against the basis rather than its own noise.
         """
         count = len(self.colours)
-        w = weights.reshape(-1)
         S = np.empty((len(self.keys), count, count))
-        for (sel, _, gw, factor), L, R in zip(self._bins, left, right):
-            wL = (L * w[gw].reshape(len(sel), 1, -1, 1, 1)).reshape(len(sel), count, -1)
-            S[sel] = (wL @ R.reshape(len(sel), count, -1).swapaxes(1, 2)) * factor[:, None, None]
-            del wL  # freed before the next one is formed
+        for (sel, _, factor), L, R in zip(self._bins, left, right):
+            L, R = (X.reshape(len(sel), count, -1) for X in (L, R))
+            S[sel] = (L @ R.swapaxes(1, 2)) * factor[:, None, None]
         if self._split.size:
             cross = float(np.max(np.abs(S[self._split][self._cross]), initial=0.0))
             scale = max(float(np.max(np.abs(S))), floor)
@@ -603,20 +595,24 @@ class Galerkin:
         return [S[sec[:, None, None], ix[:, :, None], ix[:, None, :]]
                 for sec, ix in zip(self._group_sectors, self._group_columns)]
 
-    def _probe(self, apply, widths):
+    def _probe(self, apply, tag, width):
         """Cut images of every colour under `apply`, one chunk of colours at
-        a time.
+        a time: the per-group cut stacks (`_cut_stacks`).
 
-        `apply` maps a batch of colour fields to one (chunk, *grid, width)
-        image array per entry of `widths`; returns, per entry, the per-group
-        cut stacks (`_cut_stacks`).
+        `apply` maps a batch of colour fields to a (chunk, *grid, width)
+        image array on the rank-p bundle `tag` ("s0" or "cov_s0").  Each
+        chunk's images are scaled by the square root of that bundle's
+        weight, in real space, before they are cut.  The weight is constant
+        along the invariant axes the FFT transforms, so the cut is the
+        weight's root times the cut of the images, and a constant fiber map
+        of the cut (`_build_gram`) keeps that factor.
         """
-        stacks = [self._cut_stacks(width) for width in widths]
+        root = np.sqrt(fields.fiber_weight_scalar(self.cache, tag, self.p))[..., None]
+        stacks = self._cut_stacks(width)
         for a in range(0, len(self.colours), self._chunk):
             rows = slice(a, a + self._chunk)
             phi = TensorField(self.cache, "s0", self.p, self.colours[rows])
-            for out, images in zip(stacks, apply(phi)):
-                self._cut(images, out, rows)
+            self._cut(apply(phi) * root, stacks, rows)
         return stacks
 
     def norm(self, stacks):
@@ -628,8 +624,7 @@ class Galerkin:
     def mass(self):
         """Block stacks of the mass matrix M."""
         if self._mass is None:
-            w = fields.fiber_weight_scalar(self.cache, "s0", self.p)
-            self._mass = self._pair(self._colour_hat, self._colour_hat, w, 0.0)
+            self._mass = self._pair(self._colour_hat, self._colour_hat, 0.0)
             self._mass_max = max(float(np.max(np.abs(M))) for M in self._mass)
         return self._mass
 
@@ -647,9 +642,8 @@ class Galerkin:
         if (handle.cache, handle.domain_rank) != (self.cache, self.p):
             raise SpectralError("basis bundle does not match the handle domain")
         self.mass()
-        (images,) = self._probe(lambda phi: [handle.apply(phi).data], [self.t])
-        return self._pair(self._colour_hat, images,
-                          fields.fiber_weight_scalar(self.cache, "s0", self.p), self._mass_max)
+        images = self._probe(lambda phi: handle.apply(phi).data, "s0", self.t)
+        return self._pair(self._colour_hat, images, self._mass_max)
 
     def gram(self, names):
         """Block stacks of the stacked system named by `names` (pieces of
@@ -664,19 +658,18 @@ class Galerkin:
 
     def _build_gram(self):
         # the FFT acts on the grid axes, so a piece's cut is M times the
-        # gradient's; every piece pairs with the gradient's weight, which
-        # for the divergence is its rank p-1 weight times e^{-4f} (the sign
-        # of -K0 drops out of a Gram)
+        # gradient's, weight included; every piece pairs with the gradient's
+        # weight, which for the divergence is its rank p-1 weight times
+        # e^{-4f} (the sign of -K0 drops out of a Gram)
         n, p = self.cache.n, self.p
         self.mass()
-        (grad,) = self._probe(lambda phi: [fields._merged(fields.gradient(phi).data)],
-                              [n * self.t])
-        w = fields.fiber_weight_scalar(self.cache, "cov_s0", p)
+        grad = self._probe(lambda phi: fields._merged(fields.gradient(phi).data),
+                           "cov_s0", n * self.t)
         for piece, structure in _SPLIT.items():
             M = fields._slots(structure(n, p))
             hat = [(X.reshape(-1, X.shape[-1]) @ M.T).reshape(X.shape[:-1] + (-1,))
                    for X in grad]
-            self._grams[piece] = self._pair(hat, hat, w, self._mass_max)
+            self._grams[piece] = self._pair(hat, hat, self._mass_max)
             del hat
 
     def eigen(self, stacks):

@@ -126,15 +126,19 @@ def per_block(gal, stacks):
 
 
 def test_identity_assembles_to_identity():
-    # the Galerkin form of the identity is the mass matrix, block for block
+    # the Galerkin form of the identity is the colours' cut paired with an
+    # equal copy of itself, bit for bit; the mass pairs the cut with itself,
+    # one symmetric product, so it is exactly symmetric
     cache = make_cache(2, 8, metric="conformal")
     gal = Galerkin(cache, 1)
     identity = spectral.OperatorHandle(
         name="identity", cache=cache, domain_rank=1, codomain_tag="s0",
         codomain_rank=1, apply=lambda phi: phi, symbol=None,
     )
-    for F, M in zip(gal.form(identity), gal.mass()):
-        assert np.array_equal(F, M)
+    copy = gal._pair(gal._colour_hat, [X.copy() for X in gal._colour_hat], 0.0)
+    for F, C, M in zip(gal.form(identity), copy, gal.mass()):
+        assert np.array_equal(F, C)
+        assert np.array_equal(M, M.swapaxes(1, 2))
 
 
 @pytest.mark.parametrize("maker", [rough_laplacian_handle, d1_handle, divergence_handle])
@@ -213,7 +217,8 @@ def test_assemble_caches_matrix(monkeypatch):
 
 def test_eigensolve_diagonal_matrix():
     d = np.array([3.0, -1.0, 2.0, 0.5])
-    res = spectral._eigh_pencil(np.diag(d), np.eye(4))
+    res = spectral._eigh_pencil(np.diag(d), np.eye(4), scale=np.linalg.norm(d),
+                                Linv=np.eye(4))
     assert np.allclose(res.values, np.sort(d), atol=1e-14)
 
 
@@ -227,7 +232,8 @@ def test_eigensolve_weighted_orthonormal_vectors():
     cols = build_dealiased_basis(cache, 1).columns()
     for G, M in ((A * w[:, None], np.diag(w)),
                  (cols.T @ (A @ cols * w[:, None]), cols.T @ (cols * w[:, None]))):
-        res = spectral._eigh_pencil(0.5 * (G + G.T), M)
+        G = 0.5 * (G + G.T)
+        res = spectral._eigh_pencil(G, M, scale=np.linalg.norm(G), Linv=spectral._reduce(M))
         vals, V, residuals = res.values[:10], res.vectors[:, :10], res.residuals[:10]
         assert np.max(np.abs(V.T @ M @ V - np.eye(10))) < 1e-10
         assert np.max(residuals) <= 1e-8
@@ -250,7 +256,7 @@ def test_batched_eigensolve_matches_scipy_reference(metric, size, p, width):
     scale = gal.norm(blocks)
     group, G, M = stacked_group(gal, blocks, width)
     assert len(group) > 1
-    res = spectral._eigh_pencil(G, M, scale=scale)
+    res = spectral._eigh_pencil(G, M, scale=scale, Linv=spectral._reduce(M))
     for k in range(len(group)):
         ref = scipy.linalg.eigh(G[k], M[k], eigvals_only=True)
         assert np.max(np.abs(res.values[k] - ref)) <= 1e-12 * scale
@@ -283,13 +289,14 @@ def test_batched_eigensolve_gates_each_sector():
     blocks = gal.gram(["d1"])
     scale = gal.norm(blocks)
     _, G, M = stacked_group(gal, blocks, 2)
-    spectral._eigh_pencil(G, M, scale=scale)
+    Linv = spectral._reduce(M)
+    spectral._eigh_pencil(G, M, scale=scale, Linv=Linv)
     # eigh reads one triangle: an antisymmetric part in one block leaves
     # that block's pencil unsolved, and the batch is refused
     E = np.triu(np.ones((2, 2)), 1) * 1e-6 * scale
     G[3] += E - E.T
     with pytest.raises(SpectralError, match=f"in 1 of {len(G)} pencils"):
-        spectral._eigh_pencil(G, M, scale=scale)
+        spectral._eigh_pencil(G, M, scale=scale, Linv=Linv)
 
 
 def test_reduced_residual_bounds_the_pencil_residual(monkeypatch):
@@ -302,6 +309,7 @@ def test_reduced_residual_bounds_the_pencil_residual(monkeypatch):
     M = A @ A.swapaxes(1, 2) + 12.0 * np.eye(12)
     B = rng.standard_normal((4, 12, 12))
     G = B + B.swapaxes(1, 2)
+    Linv = spectral._reduce(M)
     eigh = np.linalg.eigh
 
     def perturbed(eps):
@@ -310,15 +318,15 @@ def test_reduced_residual_bounds_the_pencil_residual(monkeypatch):
             return vals, Y + eps * rng.standard_normal(Y.shape)
         return solve
 
-    res = spectral._eigh_pencil(G, M, scale=1.0)
+    res = spectral._eigh_pencil(G, M, scale=1.0, Linv=Linv)
     assert np.max(res.residuals) <= 1e-12
     for eps in (1e-11, 1e-6):
         monkeypatch.setattr(np.linalg, "eigh", perturbed(eps))
         if eps > spectral._RESIDUAL_TOL:
             with pytest.raises(SpectralError, match="did not converge"):
-                spectral._eigh_pencil(G, M, scale=1.0)
+                spectral._eigh_pencil(G, M, scale=1.0, Linv=Linv)
             continue
-        res = spectral._eigh_pencil(G, M, scale=1.0)
+        res = spectral._eigh_pencil(G, M, scale=1.0, Linv=Linv)
         V = res.vectors
         exact = np.linalg.norm(G @ V - M @ V * res.values[:, None, :], axis=-2)
         assert np.min(exact) > 1e-13
@@ -370,6 +378,7 @@ ADMISSION_CASES = [
     (2, 12, None, 2), (3, 8, None, 1),
     (2, 16, "0.1*cos(x1)", 2), (3, 8, "0.05*cos(x1)", 2),
     (2, 8, "0.1*cos(x1)+0.05*sin(x2)", 1), (2, 12, "0.1*cos(x1)+0.05*sin(x2)", 2),
+    (3, 8, "0.1*cos(x1)+0.05*sin(x2)", 2),
 ]
 
 
@@ -397,6 +406,26 @@ def test_galerkin_admission_covers_the_peak(n, size, f_text, p):
         tracemalloc.stop()
     need = gal._bytes_before_solve(len(gal.colours) // gal.t)
     assert peak <= need
+
+
+def test_gram_pairing_allocates_no_operand_sized_array():
+    # the cuts carry the root of their weight, so a pairing forms only
+    # sector matrices: every sector's whole matrix, a group's product and
+    # its Parseval-scaled copy, and the blocks it returns; a weighted copy
+    # of an operand, as large as a group's share of the cut, breaks this
+    cache = make_cache(3, 8, metric="conformal", f_text="0.1*cos(x1)")
+    gal = Galerkin(cache, 2)
+    grad = gal._probe(lambda phi: fields._merged(fields.gradient(phi).data), "cov_s0",
+                      cache.n * gal.t)
+    sectors = 8 * len(gal.keys) * len(gal.colours) ** 2
+    assert 3 * sectors + 2**16 < max(X.nbytes for X in grad)
+    tracemalloc.start()
+    try:
+        gal._pair(grad, grad, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * sectors + 2**16
 
 
 def test_galerkin_admission_counts_the_reduction():
@@ -556,7 +585,8 @@ def test_galerkin_sectors_match_dense_reference(n, p, f_text, method):
     gal = Galerkin(cache, p)
     first_invariant = {None: 0, GALERKIN_METRICS[1]: 1, GALERKIN_METRICS[2]: 2}[f_text]
     assert gal.axes == tuple(range(first_invariant, n))
-    assert sum(len(b.columns) * b.multiplicity for b in gal.blocks) == gal.basis.dim
+    basis = build_dealiased_basis(cache, p)
+    assert sum(len(b.columns) * b.multiplicity for b in gal.blocks) == basis.dim
     w = weight_vector(cache, "s0", p)
     # the blocks on their own columns and translates
     X, where = reduced_columns(gal)
@@ -570,7 +600,7 @@ def test_galerkin_sectors_match_dense_reference(n, p, f_text, method):
     h = d1_star_d1_handle(cache, p)
     assert_block_diagonal(gal, gal.form(h), pairing(X, apply_stack(h, X), w), where)
     # the spectra, with multiplicity, against the full basis of the mode table
-    cols = gal.basis.columns()
+    cols = basis.columns()
     M = cols.T @ (cols * w[:, None])
     for names in systems if n == 2 else ():
         G = dense_gram([spectral.handle_by_name(cache, p, name) for name in names], cols)
@@ -778,7 +808,7 @@ def test_galerkin_applies_once_per_colour(f_text, largest):
         h.apply = lambda phi: applied.append(len(phi.data)) or apply(phi)
         rep = spectrum(h, n_eigs=None, galerkin=gal)
         assert sum(applied) == largest
-        oracle = laplace_multiset(gal.basis)
+        oracle = laplace_multiset(build_dealiased_basis(cache, 1))
         assert np.max(np.abs(rep.eigenvalues - oracle)) < 1e-8 * oracle[-1]
 
 
@@ -789,15 +819,17 @@ def test_galerkin_refuses_oversized_basis():
 
 def test_galerkin_admits_flat_2torus_n128():
     # 32,258 basis columns, but no block holds more than 2 of them
-    gal = Galerkin(make_cache(2, 128), 2)
-    assert gal.basis.dim == 127**2 * 2
+    cache = make_cache(2, 128)
+    gal = Galerkin(cache, 2)
+    assert build_dealiased_basis(cache, 2).dim == 127**2 * 2
     assert len(gal.colours) == 2
 
 
 def test_galerkin_admits_flat_3torus_rank3():
     # 23,625 basis columns, but no block holds more than 7 of them
-    gal = Galerkin(make_cache(3, 16), 3)
-    assert gal.basis.dim == 15**3 * 7
+    cache = make_cache(3, 16)
+    gal = Galerkin(cache, 3)
+    assert build_dealiased_basis(cache, 3).dim == 15**3 * 7
     assert max(len(b.columns) for b in gal.blocks) == 7
 
 
@@ -939,7 +971,9 @@ def test_nodal_assembly_carries_nyquist_junk():
     h = rough_laplacian_handle(cache, 1)
     w = domain_weights(h)
     WA = dense_images(h, np.eye(h.domain_dim)) * w[:, None]
-    nodal = spectral._eigh_pencil(0.5 * (WA + WA.T), np.diag(w)).values
+    G = 0.5 * (WA + WA.T)
+    nodal = spectral._eigh_pencil(G, np.diag(w), scale=np.linalg.norm(G),
+                                  Linv=spectral._reduce(np.diag(w))).values
     clean = spectrum(h, n_eigs=None)
     assert clean.kernel.count == 2
     assert kernel_count(nodal).count == 8  # modes with every axis index in {0, N/2}

@@ -166,7 +166,8 @@ def codomain_weights(handle):
 # ---------------------------------------------------------------------------
 # the piece route of the Galerkin layer: every colour decomposed at once,
 # one image stack per piece, each cut whole and paired with its own
-# weight; `spectral.Galerkin` pairs one cut gradient stack through each
+# weight, applied whole to the left image; `spectral.Galerkin` pairs one
+# cut gradient stack, scaled by the root of its weight, through each
 # piece's constant map instead and is tested against this
 # ---------------------------------------------------------------------------
 
@@ -188,33 +189,39 @@ def whole_stack_cut(gal, images):
     hat = np.fft.rfftn(images, axes=[1 + a for a in gal.axes])
     hat = hat.reshape(count, int(np.prod(gal._half)), -1)
     out = []
-    for _, g, _, _ in gal._bins:
+    for _, g, _ in gal._bins:
         part = np.take(hat, g, axis=1).swapaxes(0, 1)
         out.append(np.stack([part.real, part.imag], axis=3))
     return out
+
+
+def weighted_pairing(gal, left, right, tag, rank):
+    """The layer's blocks of the pairing of two image stacks on the bundle
+    (`tag`, `rank`): the left one times its weight, the right one bare,
+    each cut whole."""
+    w = fiber_weight_scalar(gal.cache, tag, rank)
+    left = left * w.reshape(w.shape + (1,) * (left.ndim - 1 - w.ndim))
+    floor = max(float(np.max(np.abs(M))) for M in gal.mass())
+    return gal._pair(whole_stack_cut(gal, left), whole_stack_cut(gal, right), floor)
 
 
 def galerkin_grams_reference(gal):
     """Per piece of `PIECES`, and for the gradient itself, the Gram block
     stacks of the layer by the piece route."""
     cache, p = gal.cache, gal.p
-    floor = max(float(np.max(np.abs(M))) for M in gal.mass())
     sp = gradients.decompose(TensorField(cache, "s0", p, gal.colours))
     out = {}
     for piece, (tag, shift) in dict(PIECES, grad=("cov_s0", 0)).items():
-        hat = whole_stack_cut(gal, getattr(sp, piece).data)
-        out[piece] = gal._pair(hat, hat, fiber_weight_scalar(cache, tag, p + shift), floor)
+        images = getattr(sp, piece).data
+        out[piece] = weighted_pairing(gal, images, images, tag, p + shift)
     return out
 
 
 def galerkin_form_reference(gal, handle):
     """The form blocks of an endomorphism handle from the whole-stack cuts
     of the colours and of their images."""
-    cache, p = gal.cache, gal.p
-    floor = max(float(np.max(np.abs(M))) for M in gal.mass())
-    images = handle.apply(TensorField(cache, "s0", p, gal.colours)).data
-    return gal._pair(whole_stack_cut(gal, gal.colours), whole_stack_cut(gal, images),
-                     fiber_weight_scalar(cache, "s0", p), floor)
+    images = handle.apply(TensorField(gal.cache, "s0", gal.p, gal.colours)).data
+    return weighted_pairing(gal, gal.colours, images, "s0", gal.p)
 
 
 # ---------------------------------------------------------------------------
