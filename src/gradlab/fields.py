@@ -27,11 +27,13 @@ are themselves pointwise trace-free for conformal metrics.
 
 The connection is structural.  For g = e^{2f} delta the Christoffel
 symbols are Gamma^k_ij = delta_ki h_j + delta_kj h_i - delta_ij h_k with
-h = df = `GeometryCache.conformal_h`, sampled exactly from f, so every
-connection term is sum_l h_l(x) C_l with constant fiber matrices C_l: one
-matmul over the fiber axes, then a contraction with h.  Flat metrics have
-h = None and skip the connection entirely.  Coordinate derivatives come
-from `geometry.differentiate` (a dense circulant matrix, or the fd4
+h = df (`GeometryCache.h`), sampled exactly from f, so every connection
+term is sum_l h_l(x) C[l] with one cached constant fiber tensor C
+(`_connection_tensor`).  h_l is exactly 0 on every axis f does not depend
+on, so the sum runs over the axes it does (`TrigPoly.variables`): per
+axis one matmul by C[l], scaled by h_l in place and subtracted.  A flat
+metric depends on no axis, and the sum is empty.  Coordinate derivatives
+come from `geometry.differentiate` (a dense circulant matrix, or the fd4
 stencil).
 
 Every other fiber contraction is one matmul too: the field's (n, t) fiber
@@ -58,7 +60,6 @@ compositions, with exact adjoints of the divergence and the symmetrized
 derivative, as the reference.
 """
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -249,47 +250,21 @@ def _sym_apply(n, p, X):
 
 
 @lru_cache(maxsize=None)
-def _connection_matrix(n, p, tracefree, rows, cols):
-    """Constant fiber matrix of the conformal connection term.
+def _connection_tensor(n, p, tracefree):
+    """Constant fiber tensor C[l, i, a, b] of the conformal connection term.
 
     With Gamma^k_ij = delta_ki h_j + delta_kj h_i - delta_ij h_k, the
     symmetric-slot term sum_jk Gamma^k_ij Q[a,j,k,b] equals sum_l h_l
     C[l,i,a,b] with C[l,i,a,b] = Q[a,l,i,b] + delta_li sum_j Q[a,j,j,b]
     - Q[a,i,l,b]; Q is the slot-replacement tensor in the trace-free or
-    the monomial basis.  C is returned as a matrix with the `rows` axes
-    of "liab" first and the `cols` axes second.
+    the monomial basis.  Read-only.
     """
     Q = _q0(n, p) if tracefree else fiber.slot_replace_tensor(n, p)
     C = np.einsum("alib->liab", Q) - np.einsum("ailb->liab", Q)
     C[np.arange(n), np.arange(n)] += np.einsum("ajjb->ab", Q)
-    M = np.einsum(f"liab->{rows}{cols}", C)
-    return np.ascontiguousarray(M.reshape(math.prod(M.shape[: len(rows)]), -1))
-
-
-def _contract_h(h, Y):
-    """sum_l h_l Y[..., l, :] for Y of shape (..., n, k)."""
-    out = h[..., 0, None] * Y[..., 0, :]
-    for l in range(1, h.shape[-1]):
-        out += h[..., l, None] * Y[..., l, :]
-    return out
-
-
-def _connection(h, M, v, fiber_ndim):
-    """sum_l h_l (v @ M)_l: one matmul over the trailing `fiber_ndim` axes
-    of v, then the contraction with h.  Output fiber axes are flattened."""
-    lead = v.shape[: v.ndim - fiber_ndim]
-    return _contract_h(h, (v.reshape(lead + (-1,)) @ M).reshape(lead + (h.shape[-1], -1)))
-
-
-def _slot_connection(h, M, slots):
-    """`_connection` of (..., n, t) data given slot by slot, slots[i] =
-    X[..., i, :]: the (i, a) rows of M are applied one slot at a time."""
-    n = len(slots)
-    Mi = M.reshape(n, slots[0].shape[-1], -1)
-    Y = slots[0] @ Mi[0]
-    for i in range(1, n):
-        Y += slots[i] @ Mi[i]
-    return _contract_h(h, Y.reshape(Y.shape[:-1] + (n, -1)))
+    C = np.ascontiguousarray(C)
+    C.flags.writeable = False
+    return C
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +279,12 @@ def _grad_apply(cache, p, c, tracefree=True):
     batch = c.ndim - n - 1
     out = np.stack([differentiate(c, i, spec, cache.method, batch) for i in range(n)],
                    axis=-2)
-    h = cache.conformal_h
-    if h is not None:
-        M = _connection_matrix(n, p, tracefree, "b", "lia")
-        out -= _connection(h, M, c, 1).reshape(c.shape[:-1] + (n, -1))
+    # h_l = 0 on every axis f does not depend on: a flat metric adds nothing
+    for l in cache.exponent.variables:
+        C = _connection_tensor(n, p, tracefree)[l]
+        Y = c @ C.reshape(-1, c.shape[-1]).T
+        Y *= cache.h[..., l, None]
+        out -= Y.reshape(out.shape)
     return out
 
 
@@ -321,9 +298,13 @@ def _grad_s0_transpose(cache, p, slots):
     for i in range(1, n):
         out += differentiate(slots[i], i, spec, cache.method, batch)
     np.negative(out, out=out)
-    h = cache.conformal_h
-    if h is not None:
-        out -= _slot_connection(h, _connection_matrix(n, p, True, "ia", "lb"), slots)
+    for l in cache.exponent.variables:
+        C = _connection_tensor(n, p, True)[l]
+        Y = slots[0] @ C[0]
+        for i in range(1, n):
+            Y += slots[i] @ C[i]
+        Y *= cache.h[..., l, None]
+        out -= Y
     return out
 
 
@@ -368,8 +349,9 @@ def gradient_adjoint(X: TensorField):
 # divergence and symmetrized derivative
 # ---------------------------------------------------------------------------
 
-def _contract_apply(cache, p, X):
-    out = _merged(X) @ -_slots(_k0(cache.n, p)).T
+def _contract_apply(cache, p, X, tracefree=True):
+    K = _k0(cache.n, p) if tracefree else fiber.div_contract_tensor(cache.n, p)
+    out = _merged(X) @ -_slots(K).T
     return _scale(out, cache.conformal_factor(-2.0), 1)
 
 
@@ -381,17 +363,12 @@ def divergence(phi: TensorField):
     also supported (output rank p-1, tag 's')."""
     if phi.rank < 1:
         raise FieldError("divergence needs rank >= 1")
-    if phi.tag == "s0":
-        X = _grad_apply(phi.cache, phi.rank, phi.data)
-        out = _contract_apply(phi.cache, phi.rank, X)
-        return TensorField(phi.cache, "s0", phi.rank - 1, out)
-    if phi.tag == "s":
-        cache, p, n = phi.cache, phi.rank, phi.n
-        X = gradient(phi).data  # (..., i, A) monomial
-        out = _merged(X) @ -_slots(fiber.div_contract_tensor(n, p)).T
-        out = _scale(out, cache.conformal_factor(-2.0), 1)
-        return TensorField(cache, "s", p - 1, out)
-    raise FieldError("divergence expects an 's' or 's0' field")
+    if phi.tag not in ("s", "s0"):
+        raise FieldError("divergence expects an 's' or 's0' field")
+    tracefree = phi.tag == "s0"
+    X = _grad_apply(phi.cache, phi.rank, phi.data, tracefree)
+    out = _contract_apply(phi.cache, phi.rank, X, tracefree)
+    return TensorField(phi.cache, phi.tag, phi.rank - 1, out)
 
 
 def sym_derivative(phi: TensorField):

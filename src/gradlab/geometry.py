@@ -188,12 +188,6 @@ class GeometryCache:
     def is_flat(self):
         return self.exponent.is_zero
 
-    @property
-    def conformal_h(self):
-        """h = df, shape (*grid, n), or None on a flat metric, whose
-        connection terms the field operators skip."""
-        return None if self.is_flat else self.h
-
     def conformal_factor(self, power):
         """exp(power * f) on the grid, or None when the metric is flat.
 

@@ -472,7 +472,7 @@ def _kernel_checks_for_rank(rec, config, p, caches):
     cod_by_size = {}
     tt_raw = {}
     tt_win = {}
-    psd_worst = 0.0
+    psd_worst = symmetry_worst = 0.0
     for size in sizes:
         cache = caches[size]
         # only the finest layer is read after the loop, so the coarser one
@@ -484,6 +484,7 @@ def _kernel_checks_for_rank(rec, config, p, caches):
         ck_by_size[size] = rep.kernel
         lam = max(rep.lambda_max, 0.0)
         psd_worst = max(psd_worst, -float(rep.eigenvalues[0]) / (lam + _TINY))
+        symmetry_worst = max(symmetry_worst, rep.symmetry_defect)
         # a stacked system's Galerkin matrix sums the weighted Grams of its
         # operators' images, so its kernel is the intersection of theirs
         for by, names in ((ck_gram_by_size, ["d1"]), (kill_by_size, ["d1", "divergence"]),
@@ -497,6 +498,8 @@ def _kernel_checks_for_rank(rec, config, p, caches):
                           "first-piece kernel", ck_by_size)
     rec.bounded(f"kernel.psd.p{p}", A_ELLIPTIC, psd_worst, 1e-9,
                 "most negative eigenvalue relative to the largest")
+    rec.check(f"kernel.form_symmetry.p{p}", A_ADJOINT, symmetry_worst, "adjoint_transpose",
+              "d1*d1 form: ||G - G^T|| / ||G||, worst over the grids")
     agree = all(ck_by_size[s].count == ck_gram_by_size[s].count for s in sizes)
     rec.flag(f"kernel.first_order_agreement.p{p}", A_KERNEL, agree,
              detail="squared-operator and stacked-Gram kernel counts agree")

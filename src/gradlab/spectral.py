@@ -145,10 +145,6 @@ class OperatorHandle:
         return self.cache.spec.shape
 
     @property
-    def domain_dim(self):
-        return self.cache.spec.num_points * fiber.tracefree_dim(self.n, self.domain_rank)
-
-    @property
     def is_endomorphism(self):
         return ("s0", self.domain_rank) == (self.codomain_tag, self.codomain_rank)
 
@@ -261,10 +257,6 @@ class DealiasedBasis:
     @property
     def t(self):
         return fiber.tracefree_dim(self.cache.n, self.rank)
-
-    @property
-    def dim(self):
-        return self.n_scalar * self.t
 
     def columns(self):
         """Dense (points, dim) matrix of nodal column values."""
@@ -495,10 +487,12 @@ class Galerkin:
             (width * self.t,) + spec.shape + (self.t,))
 
     def _colour_work_bytes(self):
-        """Bytes one colour takes while an operator acts on it: `_WORK_FLOATS`
-        arrays of the widest per-point fiber an operator of the registry
-        forms, the conformal connection term of a rank p + 1 monomial field
-        (n * n times its monomial dimension)."""
+        """Bytes one colour takes while an operator acts on it, bounded by
+        `_WORK_FLOATS` arrays of n * n times the monomial dimension of rank
+        p + 1 per point.  The widest per-point fiber an operator of the
+        registry forms is n times that dimension: the gradient of a rank
+        p + 1 monomial field, and its connection term, formed one axis at a
+        time."""
         n = self.cache.n
         widest = n * n * fiber.sym_dim(n, self.p + 1)
         return 8 * _WORK_FLOATS * widest * self.cache.spec.num_points
@@ -582,7 +576,10 @@ class Galerkin:
         S = np.empty((len(self.keys), count, count))
         for (sel, _, factor), L, R in zip(self._bins, left, right):
             L, R = (X.reshape(len(sel), count, -1) for X in (L, R))
-            S[sel] = (L @ R.swapaxes(1, 2)) * factor[:, None, None]
+            prod = L @ R.swapaxes(1, 2)
+            prod *= factor[:, None, None]
+            S[sel] = prod
+            del prod  # before the next group's product exists
         if self._split.size:
             cross = float(np.max(np.abs(S[self._split][self._cross]), initial=0.0))
             scale = max(float(np.max(np.abs(S))), floor)

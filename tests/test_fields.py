@@ -13,6 +13,7 @@ from gradlab.fields import (
     FieldError,
     TensorField,
     divergence,
+    fiber_shape,
     field_from_monomial,
     gradient,
     gradient_adjoint,
@@ -35,7 +36,16 @@ from testlib import (
 )
 
 
+# conformal metrics of the structure tests: f along the leading axis of a
+# 2-torus, and f along the middle axis of a 3-torus, where h_l vanishes on
+# the first and last axes, so the connection must take h_l on exactly the
+# axes f depends on
+CONFORMAL = ("conformal", "conformal_x2")
+
+
 def make_cache(n=2, size=16, metric="flat", f_text="0.1*cos(x1)", method="spectral"):
+    if metric == "conformal_x2":
+        n, metric, f_text = 3, "conformal", "0.1*cos(x2)"
     spec = GridSpec(n=n, sizes=(size,) * n)
     if metric == "flat":
         f = TrigPoly([])
@@ -103,7 +113,7 @@ def test_gradient_of_constant_flat():
     assert np.max(np.abs(X.data)) < 1e-12
 
 
-@pytest.mark.parametrize("metric", ["flat", "conformal"])
+@pytest.mark.parametrize("metric", ["flat", *CONFORMAL])
 @pytest.mark.parametrize("method", ["spectral", "fd4"])
 def test_metric_compatibility(metric, method):
     cache = make_cache(metric=metric, method=method)
@@ -203,16 +213,34 @@ def test_sym_derivative_symmetry_and_p0():
     assert np.max(np.abs(X.data - grad.data[..., :, 0])) < 1e-13
 
 
+def test_flat_cache_forms_no_connection_product(monkeypatch):
+    # f = 0 depends on no axis, so the connection loop is empty: a NaN
+    # connection tensor reaches neither the gradient nor its transpose.  On
+    # the conformal control it reaches both.
+    tensor = fields._connection_tensor
+    monkeypatch.setattr(fields, "_connection_tensor",
+                        lambda *key: np.full_like(tensor(*key), np.nan))
+    for metric, finite in (("flat", True), ("conformal", False)):
+        cache = make_cache(metric=metric)
+        rng = np.random.default_rng(11)
+        phi = unit_field(cache, 2, 4, rng)
+        shape = cache.spec.shape + fiber_shape(cache.n, "cov_s0", 2)
+        X = TensorField(cache, "cov_s0", 2, rng.standard_normal(size=shape))
+        assert np.all(np.isfinite(gradient(phi).data)) == finite, metric
+        assert np.all(np.isfinite(gradient_adjoint(X).data)) == finite, metric
+
+
 # ---------------------------------------------------------------------------
 # adjoints: exact transposes and analytic pairings
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("metric", ["flat", "conformal"])
+@pytest.mark.parametrize("metric", ["flat", *CONFORMAL])
 def test_gradient_adjoint_exact_pairing(metric):
     cache = make_cache(metric=metric)
     rng = np.random.default_rng(5)
     phi = unit_field(cache, 2, 4, rng)
-    X = TensorField(cache, "cov_s0", 2, rng.standard_normal(size=(16, 16, 2, 2)))
+    shape = cache.spec.shape + fiber_shape(cache.n, "cov_s0", 2)
+    X = TensorField(cache, "cov_s0", 2, rng.standard_normal(size=shape))
     lhs = l2_inner(gradient(phi), X)
     rhs = l2_inner(phi, gradient_adjoint(X))
     assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
@@ -220,24 +248,26 @@ def test_gradient_adjoint_exact_pairing(metric):
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_divergence_adjoint_exact_pairing(p):
-    cache = make_cache(metric="conformal")
-    rng = np.random.default_rng(6)
-    phi = unit_field(cache, p, 4, rng)
-    psi = unit_field(cache, p - 1, 4, rng)
-    lhs = l2_inner(divergence(phi), psi)
-    rhs = l2_inner(phi, divergence_exact_adjoint(psi))
-    assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
+    for metric in CONFORMAL:
+        cache = make_cache(metric=metric)
+        rng = np.random.default_rng(6)
+        phi = unit_field(cache, p, 4, rng)
+        psi = unit_field(cache, p - 1, 4, rng)
+        lhs = l2_inner(divergence(phi), psi)
+        rhs = l2_inner(phi, divergence_exact_adjoint(psi))
+        assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs)), metric
 
 
 def test_sym_derivative_adjoint_exact_pairing():
-    cache = make_cache(metric="conformal")
-    rng = np.random.default_rng(7)
-    phi = unit_field(cache, 2, 4, rng)
-    m3 = fiber.sym_dim(2, 3)
-    omega = TensorField(cache, "s", 3, rng.standard_normal(size=(16, 16, m3)))
-    lhs = l2_inner(sym_derivative(phi), omega)
-    rhs = l2_inner(phi, sym_derivative_exact_adjoint(omega))
-    assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
+    for metric in CONFORMAL:
+        cache = make_cache(metric=metric)
+        rng = np.random.default_rng(7)
+        phi = unit_field(cache, 2, 4, rng)
+        shape = cache.spec.shape + fiber_shape(cache.n, "s", 3)
+        omega = TensorField(cache, "s", 3, rng.standard_normal(size=shape))
+        lhs = l2_inner(sym_derivative(phi), omega)
+        rhs = l2_inner(phi, sym_derivative_exact_adjoint(omega))
+        assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs)), metric
 
 
 def test_analytic_mutual_adjointness_of_div_and_symder():
@@ -269,13 +299,14 @@ def test_rough_laplacian_flat_eigenfunction():
 
 
 def test_rough_laplacian_routes_agree_conformal():
-    cache = make_cache(metric="conformal", size=32)
-    rng = np.random.default_rng(9)
-    phi = unit_field(cache, 2, 4, rng)
-    a = rough_laplacian(phi)
-    b = rough_laplacian_formula(phi)
-    scale = max(l2_norm(a), 1e-30)
-    assert l2_norm(a - b) / scale < 1e-10
+    for metric in CONFORMAL:
+        cache = make_cache(metric=metric, size=32)
+        rng = np.random.default_rng(9)
+        phi = unit_field(cache, 2, 4, rng)
+        a = rough_laplacian(phi)
+        b = rough_laplacian_formula(phi)
+        scale = max(l2_norm(a), 1e-30)
+        assert l2_norm(a - b) / scale < 1e-10, metric
 
 
 def test_rough_laplacian_positive():

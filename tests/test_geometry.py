@@ -207,7 +207,7 @@ def test_flat_preset_components():
     spec = grid(2, 16)
     for method in ("spectral", "fd4"):
         cache = build_geometry(spec, FLAT, method=method)
-        assert cache.is_flat and cache.conformal_h is None
+        assert cache.is_flat and cache.exponent.variables == ()
         np.testing.assert_array_equal(cache.conf_exponent_values, 0.0)
         assert not np.any(cache.h) and not np.any(cache.T)
         np.testing.assert_array_equal(cache.weights, spec.cell_volume)
@@ -218,7 +218,7 @@ def test_conformal_zero_exponent_is_flat():
     zero = parse_trig_poly("0.0")
     assert zero == FLAT
     cache = build_geometry(spec, zero)
-    assert cache.is_flat and cache.conformal_h is None
+    assert cache.is_flat and cache.exponent.variables == ()
     flat = build_geometry(spec, FLAT)
     for name in ("h", "T", "weights"):
         np.testing.assert_array_equal(getattr(cache, name), getattr(flat, name))
@@ -346,11 +346,11 @@ def test_conformal_h_matches_christoffel(n, metric, method):
     spec = grid(n, 8 if n == 3 else 16)
     f = FLAT if metric == "flat" else parse_trig_poly("0.2*cos(x1) + 0.1*sin(x2)")
     cache = build_geometry(spec, f, method=method)
-    h = cache.conformal_h
+    h = cache.h
     if metric == "flat":
-        assert h is None
+        assert cache.exponent.variables == () and not np.any(h)
         return
-    assert h is cache.h and h.shape == spec.shape + (n,)
+    assert h.shape == spec.shape + (n,)
     for i in range(n):
         np.testing.assert_array_equal(h[..., i], geometry.coordinate_derivative(f, i, spec))
     # the reference Christoffel symbols take the structural form in h, up

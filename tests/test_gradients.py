@@ -55,9 +55,11 @@ def make_cache(n=2, size=16, metric="flat", f_text=None, method="spectral"):
     if metric == "flat":
         f = TrigPoly([])
     else:
-        # mild conformal factors keep spectral aliasing near the float floor
+        # mild conformal factors keep spectral aliasing near the float floor;
+        # "conformal_x2" varies along a non-leading axis only
         if f_text is None:
-            f_text = "0.1*cos(x1)" if n == 2 else "0.05*cos(x1)"
+            x = "x2" if metric == "conformal_x2" else "x1"
+            f_text = f"0.1*cos({x})" if n == 2 else f"0.05*cos({x})"
         f = parse_trig_poly(f_text)
     return build_geometry(spec, f, method=method)
 
@@ -460,7 +462,7 @@ def test_each_exact_adjoint_is_one_gradient_transpose(monkeypatch, n, metric):
     assert axes == {name: list(range(n)) for name, _, _ in _FUSED}
 
 
-@pytest.mark.parametrize("metric", ["flat", "conformal"])
+@pytest.mark.parametrize("metric", ["flat", "conformal", "conformal_x2"])
 @pytest.mark.parametrize("n,p", [(2, 1), (2, 2), (3, 2)])
 def test_d1_adjoint_pairing(metric, n, p):
     cache = make_cache(n, 12, metric)
@@ -471,7 +473,7 @@ def test_d1_adjoint_pairing(metric, n, p):
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
-@pytest.mark.parametrize("metric", ["flat", "conformal"])
+@pytest.mark.parametrize("metric", ["flat", "conformal", "conformal_x2"])
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_d2_d3_adjoint_pairings(metric, p):
     cache = make_cache(2, 12, metric)

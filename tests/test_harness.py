@@ -322,10 +322,27 @@ def test_kernel_experiment_counts(kernel_report):
         assert by_id[f"kernel.codazzi_count.p{p}"].value == 2.0
         assert by_id[f"kernel.ck_mode_oracle.p{p}"].status == "pass"
         assert by_id[f"kernel.psd.p{p}"].status == "pass"
+        assert by_id[f"kernel.form_symmetry.p{p}"].status == "pass"
     # rank-1 divergence near-kernel grows with the grid; rank 2 stays finite
     assert by_id["kernel.tt_growth.p1"].status == "pass"
     assert by_id["kernel.tt_growth.p2"].status == "measured"
     assert by_id["kernel.tt_counts.p2"].value == 2.0
+
+
+def test_form_symmetry_fails_an_asymmetric_form(monkeypatch):
+    # the d1*d1 form is symmetric to roundoff; an upper triangle raised by
+    # 1e-9 of the largest entry is a defect far above adjoint_transpose
+    form = spectral.Galerkin.form
+
+    def skewed(self, handle):
+        return [G + 1e-9 * np.max(np.abs(G)) * np.triu(np.ones_like(G), 1)
+                for G in form(self, handle)]
+
+    monkeypatch.setattr(spectral.Galerkin, "form", skewed)
+    by_id = {r.check_id: r for r in kernel_experiment(KERNEL_SMALL).records}
+    for p in KERNEL_SMALL.ranks:
+        rec = by_id[f"kernel.form_symmetry.p{p}"]
+        assert rec.status == "fail" and rec.value > rec.tolerance
 
 
 def test_kernel_suite_puts_every_colour_through_the_d1_trace_guard(monkeypatch):

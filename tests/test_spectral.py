@@ -40,7 +40,9 @@ from gradlab.spectral import (
 )
 from testlib import (
     PIECES,
+    basis_dim,
     codomain_weights,
+    domain_dim,
     domain_weights,
     galerkin_form_reference,
     galerkin_grams_reference,
@@ -61,7 +63,7 @@ def make_cache(n=2, size=12, metric="flat", f_text=None, method="spectral"):
 
 
 def random_vec(handle, seed=0):
-    return np.random.default_rng(seed).standard_normal(handle.domain_dim)
+    return np.random.default_rng(seed).standard_normal(domain_dim(handle))
 
 
 def mode_field(cache, p, m, part="cos", component=0):
@@ -97,7 +99,7 @@ def test_apply_is_linear(maker):
     cache = make_cache(2, 8, metric="conformal")
     h = maker(cache, 2)
     rng = np.random.default_rng(1)
-    u, v = rng.standard_normal(h.domain_dim), rng.standard_normal(h.domain_dim)
+    u, v = rng.standard_normal(domain_dim(h)), rng.standard_normal(domain_dim(h))
     a, b = 0.7, -1.3
     lhs = h.apply_vector(a * u + b * v)
     rhs = a * h.apply_vector(u) + b * h.apply_vector(v)
@@ -168,7 +170,7 @@ def test_self_adjoint_assembly_defect(metric):
     cache = make_cache(2, 8, metric=metric)
     for maker in (rough_laplacian_handle, d1_star_d1_handle):
         h = maker(cache, 1)
-        WA = dense_images(h, np.eye(h.domain_dim)) * domain_weights(h)[:, None]
+        WA = dense_images(h, np.eye(domain_dim(h))) * domain_weights(h)[:, None]
         assert np.linalg.norm(WA - WA.T) <= 1e-10 * np.linalg.norm(WA)
 
 
@@ -228,7 +230,7 @@ def test_eigensolve_weighted_orthonormal_vectors():
     cache = make_cache(2, 8, metric="conformal")
     h = rough_laplacian_handle(cache, 1)
     w = domain_weights(h)
-    A = dense_images(h, np.eye(h.domain_dim))
+    A = dense_images(h, np.eye(domain_dim(h)))
     cols = build_dealiased_basis(cache, 1).columns()
     for G, M in ((A * w[:, None], np.diag(w)),
                  (cols.T @ (A @ cols * w[:, None]), cols.T @ (cols * w[:, None]))):
@@ -410,9 +412,9 @@ def test_galerkin_admission_covers_the_peak(n, size, f_text, p):
 
 def test_gram_pairing_allocates_no_operand_sized_array():
     # the cuts carry the root of their weight, so a pairing forms only
-    # sector matrices: every sector's whole matrix, a group's product and
-    # its Parseval-scaled copy, and the blocks it returns; a weighted copy
-    # of an operand, as large as a group's share of the cut, breaks this
+    # sector matrices: every sector's whole matrix, a group's product,
+    # scaled in place, and the blocks it returns; a weighted copy of an
+    # operand, as large as a group's share of the cut, breaks this
     cache = make_cache(3, 8, metric="conformal", f_text="0.1*cos(x1)")
     gal = Galerkin(cache, 2)
     grad = gal._probe(lambda phi: fields._merged(fields.gradient(phi).data), "cov_s0",
@@ -446,7 +448,7 @@ def test_dealiased_basis_shape_and_orthogonality():
     basis = build_dealiased_basis(cache, 1)
     # 11 sub-Nyquist frequencies per axis
     assert basis.n_scalar == 11 * 11
-    assert basis.dim == 11 * 11 * 2
+    assert basis_dim(basis) == 11 * 11 * 2
     w = weight_vector(cache, "s0", 1)
     cols = basis.columns()
     M = cols.T @ (cols * w[:, None])
@@ -586,7 +588,7 @@ def test_galerkin_sectors_match_dense_reference(n, p, f_text, method):
     first_invariant = {None: 0, GALERKIN_METRICS[1]: 1, GALERKIN_METRICS[2]: 2}[f_text]
     assert gal.axes == tuple(range(first_invariant, n))
     basis = build_dealiased_basis(cache, p)
-    assert sum(len(b.columns) * b.multiplicity for b in gal.blocks) == basis.dim
+    assert sum(len(b.columns) * b.multiplicity for b in gal.blocks) == basis_dim(basis)
     w = weight_vector(cache, "s0", p)
     # the blocks on their own columns and translates
     X, where = reduced_columns(gal)
@@ -821,7 +823,7 @@ def test_galerkin_admits_flat_2torus_n128():
     # 32,258 basis columns, but no block holds more than 2 of them
     cache = make_cache(2, 128)
     gal = Galerkin(cache, 2)
-    assert build_dealiased_basis(cache, 2).dim == 127**2 * 2
+    assert basis_dim(build_dealiased_basis(cache, 2)) == 127**2 * 2
     assert len(gal.colours) == 2
 
 
@@ -829,7 +831,7 @@ def test_galerkin_admits_flat_3torus_rank3():
     # 23,625 basis columns, but no block holds more than 7 of them
     cache = make_cache(3, 16)
     gal = Galerkin(cache, 3)
-    assert build_dealiased_basis(cache, 3).dim == 15**3 * 7
+    assert basis_dim(build_dealiased_basis(cache, 3)) == 15**3 * 7
     assert max(len(b.columns) for b in gal.blocks) == 7
 
 
@@ -970,7 +972,7 @@ def test_nodal_assembly_carries_nyquist_junk():
     cache = make_cache(2, 8)
     h = rough_laplacian_handle(cache, 1)
     w = domain_weights(h)
-    WA = dense_images(h, np.eye(h.domain_dim)) * w[:, None]
+    WA = dense_images(h, np.eye(domain_dim(h))) * w[:, None]
     G = 0.5 * (WA + WA.T)
     nodal = spectral._eigh_pencil(G, np.diag(w), scale=np.linalg.norm(G),
                                   Linv=spectral._reduce(np.diag(w))).values

@@ -113,12 +113,11 @@ def rough_laplacian_formula(phi: TensorField):
     X = np.ascontiguousarray(np.moveaxis(fields._grad_apply(cache, p, phi.data), -2, 0))
     # sum_i (nabla_i X)_{i, J}: derivative, covariant-slot and symmetric-slot terms
     out = -sum(differentiate(X[i], i, spec, cache.method, batch) for i in range(n))
-    h = cache.conformal_h
-    if h is not None:
-        # the covariant slot adds sum_i Gamma^k_ii = (2 - n) h_k, which is
-        # (2 - n) times the identity in the (i, b) x (l, a) layout
-        M = fields._connection_matrix(n, p, True, "ib", "la")
-        out += fields._slot_connection(h, M + (2.0 - n) * np.eye(len(M)), X)
+    for l in cache.exponent.variables:
+        # the symmetric slots add sum_i X_i C[l, i]^T, and the covariant
+        # slot adds sum_i Gamma^k_ii = (2 - n) h_k, on slot k = l
+        C = fields._connection_tensor(n, p, True)[l]
+        out += cache.h[..., l, None] * (sum(X[i] @ C[i].T for i in range(n)) + (2.0 - n) * X[l])
     out = fields._scale(out, cache.conformal_factor(-2.0), 1)
     return TensorField(cache, "s0", p, out)
 
@@ -153,6 +152,17 @@ def weight_vector(cache, tag, rank):
     if tag.startswith("cov"):
         fib = np.tile(fib, n)
     return np.outer(w.ravel(), fib).ravel()
+
+
+def domain_dim(handle):
+    """Length of a handle's domain vectors: grid points times the trace-free
+    fiber dimension."""
+    return handle.cache.spec.num_points * fiber.tracefree_dim(handle.n, handle.domain_rank)
+
+
+def basis_dim(basis):
+    """Columns of a `spectral.DealiasedBasis`: trig functions times fiber."""
+    return basis.n_scalar * basis.t
 
 
 def domain_weights(handle):
