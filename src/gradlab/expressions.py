@@ -116,6 +116,14 @@ class TrigPoly:
         with a nonzero wave component in some term."""
         return tuple(sorted({i for t in self.terms for i, k in enumerate(t.wave) if k}))
 
+    def is_even_in(self, axis):
+        """Whether the polynomial is exactly even in x_axis (0-based): it
+        equals itself with every wave component on that axis negated."""
+        return self == TrigPoly([
+            TrigTerm(t.coeff, t.kind,
+                     tuple(-k if i == axis else k for i, k in enumerate(t.wave)))
+            for t in self.terms])
+
     def __eq__(self, other):
         return isinstance(other, TrigPoly) and self.terms == other.terms
 

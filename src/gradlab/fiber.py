@@ -254,6 +254,18 @@ def parity_basis(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     return Q, parity
 
 
+@lru_cache(maxsize=None)
+def reflection_matrix(n: int, p: int, axis: int) -> np.ndarray:
+    """The reflection x_axis -> -x_axis on S0^p in trace-free coordinates:
+    C D B, D the diagonal of (-1)^(count of `axis`) over the monomial
+    coordinates.  The coordinates are flat-orthonormal, so it is orthogonal."""
+    B, C = tracefree_basis(n, p)
+    sign = np.array([(-1.0) ** I.count(axis) for I in sym_indices(n, p)])
+    R = C @ (sign[:, None] * B)
+    R.flags.writeable = False
+    return R
+
+
 # ---------------------------------------------------------------------------
 # constant structure tensors used by the field operators
 # ---------------------------------------------------------------------------

@@ -231,15 +231,14 @@ def _identity_checks_for_rank(rec, config, p, caches):
     size_hi = config.sizes[-1]
     band = max(1, size_hi // 4)
     rng = np.random.default_rng([config.seed, 101, p])
-    batch = [
-        _unit(band_limited_field(cache_hi, p, band, rng))
-        for _ in range(config.field_count)
-    ]
 
     recon = orth = trace = insertion = ahlfors = 0.0
     proj = {"d1": 0.0, "d2": 0.0, "d3": 0.0}
     adj_formula = adj_t1 = adj_t2 = adj_t3 = 0.0
-    for i, phi in enumerate(batch):
+    for i in range(config.field_count):
+        # each field is drawn as its turn comes, from the one stream, and
+        # nothing of an iteration outlives it
+        phi = _unit(band_limited_field(cache_hi, p, band, rng))
         sp = gradients.decompose(phi)
         recon = max(recon, sp.reconstruction_residual)
         orth = max(orth, max(sp.orthogonality.values()))
@@ -275,9 +274,7 @@ def _identity_checks_for_rank(rec, config, p, caches):
         adj_t3 = max(adj_t3, abs(
             l2_inner(sp.d3, x2) - l2_inner(phi, gradients.d3_exact_adjoint(x2))
         ))
-    # nothing of the batch outlives its loop: the second-order sub-batch
-    # below starts from the scalars alone
-    del batch, phi, sp, psi, x2
+        del phi, sp, psi, x2
     nf = f"{config.field_count} fields"
     rec.check(f"decompose.reconstruction.p{p}", A_SPLIT, recon, "reconstruction", nf)
     rec.check(f"decompose.orthogonality.p{p}", A_SPLIT, orth, "orthogonality", nf)
@@ -564,15 +561,23 @@ def _symbol_checks_for_rank(rec, config, p, cache):
     reported but never asserted (it is genuinely nonzero at higher rank)."""
     handle = spectral.d1_star_d1_handle(cache, p)
     rng = np.random.default_rng([config.seed, 505, p])
-    floor = np.inf
-    dist_max = 0.0
-    shape = cache.spec.shape
+    xi, points = [], []
     for _ in range(100):
-        xi = rng.standard_normal(config.dimension)
-        x = tuple(int(rng.integers(0, s)) for s in shape)
-        srep = spectral.symbol_eval(handle, xi, x=x)
-        floor = min(floor, srep.min_eigenvalue / (srep.gscale * (xi @ xi)))
-        dist_max = max(dist_max, srep.distance_to_scalar)
+        xi.append(rng.standard_normal(config.dimension))
+        points.append([int(rng.integers(0, s)) for s in cache.spec.shape])
+    # the samples as one stack: one symbol call and one batched eigvalsh, with
+    # `spectral.symbol_eval`'s scalar distance and symmetry guard per sample
+    xi = np.array(xi)
+    gscale = np.exp(-2.0 * cache.conf_exponent_values[tuple(np.array(points).T)])
+    mat = handle.symbol(xi, gscale[:, None, None])
+    size = np.linalg.norm(mat, axis=(1, 2)) + _TINY
+    alpha = np.trace(mat, axis1=1, axis2=2) / mat.shape[-1]
+    dist_max = float(np.max(np.linalg.norm(mat - alpha[:, None, None] * np.eye(mat.shape[-1]),
+                                           axis=(1, 2)) / size))
+    symmetric = np.linalg.norm(mat - mat.swapaxes(1, 2), axis=(1, 2)) / size < 1e-10
+    lowest = np.linalg.eigvalsh(mat[symmetric])[:, 0]
+    floor = float(np.min(lowest / (gscale * np.sum(xi * xi, axis=1))[symmetric],
+                         initial=np.inf))
     rec.flag(f"symbol.positive.p{p}", A_ELLIPTIC,
              floor >= config.tolerance("ellipticity_floor"), value=floor,
              detail="min eigenvalue of the squared symbol over |xi|^2, 100 samples")

@@ -19,21 +19,28 @@ One Galerkin layer (`Galerkin`, one per grid and rank) serves every study:
   of a sector are the reflection-even half, and the translates by
   pi/(2k) along each axis with k > 0 carry the same pencil, so each
   block's spectrum counts 2^#(k_a > 0) times.  Where k_a = 0 the fiber
-  parity splits a sector into blocks.  A sector keeps (trig functions of
-  the varying axes) * t reduced columns: 62 instead of 124 for
-  `0.1*cos(x1)` at N=32, 2 instead of 8 on the flat 2-torus at rank 2;
-* probing: colour c sums the c-th reduced column of every sector, so one
-  operator application per colour serves all sectors at once.  Operators
-  act on batches of colours (fields with a leading batch axis), chunk by
-  chunk under a fixed byte budget.  A column's image is the part of its
-  colour's image in its sector's FFT bins, and the sector matrices follow
-  from Parseval along the invariant axes.  Images are real, so the FFT is
-  a half spectrum along the last invariant axis, taken chunk by chunk
-  into cut stacks preallocated for every colour.  Each chunk's images are
-  scaled by the square root of their weight before the cut (the weight is
-  constant along the invariant axes), so every Galerkin matrix is a plain
-  product of two cuts.  The entries between two reflection classes vanish
-  by symmetry and are gated at roundoff;
+  parity splits a sector into blocks.  A varying axis the exponent is
+  exactly even in (a mirror axis, `TrigPoly.is_even_in`) has an isometric
+  reflection as well: the trig functions of the varying axes are products
+  of one cos or sin per axis, and the parity of such a function times its
+  fiber column's splits every sector into classes of half the size.  A
+  block of `0.1*cos(x1)` at N=32 has 31 columns (124 without either
+  reflection), one of the flat 2-torus at rank 2 has 2 (8 without);
+* probing: colour c sums the c-th column of every class of every sector,
+  so one operator application per colour serves all blocks at once.
+  Operators act on batches of colours (fields with a leading batch axis),
+  synthesized chunk by chunk under a fixed byte budget.  A chunk's images
+  are scaled by the square root of their weight, split into their class
+  parts by (1 +- R_a*)/2 on each mirror axis and kept on half of it (a
+  point stands for itself and its mirror image), and cut into the
+  sectors' FFT bins; the class matrices follow from Parseval along the
+  invariant axes.  Images are real, so the FFT is a half spectrum along
+  the last invariant axis, written into cut stacks preallocated for every
+  colour.  The weight is constant along the invariant axes and even on
+  the mirror axes, so every Galerkin matrix is a plain product of two
+  cuts.  Each operator must commute with every R_a* on one colour, and
+  the entries between the blocks of a class must vanish, both to
+  roundoff, or the layer refuses it;
 * reuse: the mass matrix and each operator's Gram block are computed once
   per layer and stacked systems add blocks.  The four first-order pieces
   (d1, d2, d3 and the divergence) are constant fiber maps of the gradient
@@ -83,14 +90,15 @@ from .fields import TensorField
 # bytes a Galerkin layer may hold by its first solves, the Gram build
 # included, as estimated by Galerkin._bytes_before_solve; the estimate
 # bounds the layer's traced peak (conformal 3-torus 0.1*cos(x1), N=12,
-# rank 3: 64 MiB estimated, 63 MiB traced through the kernel suite's
+# rank 3: 33 MiB estimated, 32 MiB traced through the kernel suite's
 # solves)
 GALERKIN_BYTES_CAP = 2**30
 # bytes of one chunk's working set when a Galerkin layer applies an
 # operator to a batch of its colours (Galerkin._probe)
-_PROBE_BYTES = 2**23
+_PROBE_BYTES = 2**22
 # arrays of the widest per-point fiber an operator forms per colour
-# (Galerkin._colour_work_bytes)
+# (Galerkin._colour_work_bytes); the registry's handles trace at most 3.5
+# of them (sampson_tracefree on the 2-torus)
 _WORK_FLOATS = 4
 # mass-sized arrays a layer holds while it solves (Galerkin._bytes_before_solve)
 _BLOCK_ARRAYS = 18
@@ -98,8 +106,12 @@ _TINY = 1e-300
 # largest relative pencil residual an eigensolve may leave
 _RESIDUAL_TOL = 1e-8
 # largest entry between two reflection classes of a sector, relative to the
-# pairing's (Galerkin._pair); the classes are orthogonal, so only roundoff
-# stays below it (at most 7.4e-16 in the shipped configs' kernel suites)
+# pairing's (Galerkin._pair), and largest defect of an operator's
+# commutation with the reflection of a mirror axis on one colour, relative
+# to the image (Galerkin._gate); the classes are orthogonal and the
+# operators equivariant, so only roundoff stays below it (at most 7.4e-16
+# between classes and 7.1e-16 in commutation in the shipped configs' kernel
+# suites)
 _SYMMETRY_TOL = 1e-10
 # kernel-count policy (`kernel_count`): the absolute floor as a fraction of
 # the largest eigenvalue, the kernel cut as a fraction of the first
@@ -300,6 +312,14 @@ def invariant_axes(cache):
     return tuple(j for j in range(cache.n) if j not in varying)
 
 
+def mirror_axes(cache):
+    """Varying axes the conformal exponent is exactly even in
+    (`TrigPoly.is_even_in`): the reflection x_a -> -x_a is an isometry
+    there, so every operator and every weight commutes with it."""
+    f = cache.exponent
+    return tuple(a for a in f.variables if f.is_even_in(a))
+
+
 # piece -> the (rows, n, t) map M of the gradient X whose image M X the
 # Galerkin layer pairs: the maps the exact adjoints of d1, d2 and d3
 # transpose, and K0 for the divergence e^{-2f} (-K0 X) (`_build_gram`)
@@ -311,12 +331,15 @@ _SPLIT = {"d1": gradients._d1_transpose_structure, "d2": gradients._d2_transpose
 class Block:
     """One reflection class of one sector of a Galerkin layer.
 
-    `columns` index the sector's reduced columns (and the layer's colours),
-    ascending; the block's spectrum counts `multiplicity` times in the full
-    dealiased basis.
+    `part` is the class under the reflections of the mirror axes, `rows`
+    the block's rows in the class (its colours) and `columns` the sector's
+    reduced columns in the block, both ascending; the block's spectrum
+    counts `multiplicity` times in the full dealiased basis.
     """
 
     sector: int
+    part: int
+    rows: np.ndarray
     columns: np.ndarray
     multiplicity: int
 
@@ -330,49 +353,83 @@ def _axis_factor(size, k, odd, shifted=False):
     return np.sin(k * theta) if odd else np.cos(k * theta)
 
 
+def _axis_functions(size):
+    """(2b + 1, size): the trig functions below Nyquist on one grid axis,
+    b = size // 2 - 1: the constant, then cos(k x) and sin(k x) for
+    k = 1..b.  Row i is odd under x -> -x when i > 0 is even."""
+    theta = 2.0 * math.pi * np.arange(size) / size
+    k = np.arange(1, size // 2)[:, None]
+    out = np.ones((2 * len(k) + 1, size))
+    out[1::2] = np.cos(k * theta)
+    out[2::2] = np.sin(k * theta)
+    return out
+
+
+def _mirror(data, axis, R):
+    """The reflection x_axis -> -x_axis of one field (*grid, width): an
+    index flip along that grid axis times the fiber matrix R."""
+    size = data.shape[axis]
+    return np.take(data, -np.arange(size) % size, axis=axis) @ R.T
+
+
 class Galerkin:
     """Galerkin matrices of one (grid, rank) on the dealiased trace-free basis,
-    reduced by the translations and reflections of the invariant axes.
+    reduced by the translations of the invariant axes and the reflections
+    of every axis the metric is even in.
 
     A sector is a key (k_a) over the invariant axes: the basis columns whose
     modes have |m_a| = k_a there.  Its reduced columns (u, beta) are
-    u(x) * prod_a c_a(x_a) (x) e_beta: u runs over the trig functions of the
-    varying axes (the constant, then cos and sin of each half mode), e_beta
+    u(x) * prod_a c_a(x_a) (x) e_beta: u runs over the products over the
+    varying axes of one trig function per axis (`_axis_functions`), e_beta
     over `fiber.parity_basis`, and c_a is 1 where k_a = 0, cos(k_a x_a)
     where k_a > 0 and beta is even in a, sin(k_a x_a) where it is odd.
     These columns are even under every reflection x_a -> -x_a with k_a > 0;
     the odd columns are their translates by pi/(2 k_a), which commute with
     every operator, so the sector's spectrum is the reduced one counted
-    2^#(k_a > 0) times.  On the axes with k_a = 0 the reflection parity of
-    beta splits the reduced columns into blocks (`blocks`), the classes a
-    reflection-equivariant operator does not couple.  Column (u_j, e_beta)
-    is reduced column j * t + beta of its sector, and every sector has the
-    same count of them.
+    2^#(k_a > 0) times.  Column (u_j, e_beta) is reduced column j * t + beta
+    of its sector, and every sector has the same count of them.
 
-    Colour c is the sum of reduced column c of every sector.  Its image,
-    scaled by the square root of its weight W, is cut into sectors in the
-    FFT along the invariant axes.  W is constant along those axes, so a
-    sector's matrix is Re(F_s^H W F_s) / prod N_a = Re(H_s^H H_s) / prod N_a
-    over the sector's bins (Parseval), H_s the cut of the scaled images,
-    and its blocks are the diagonal blocks of its classes.  The entries
-    between classes vanish by symmetry; they are gated at roundoff.
+    Reflection classes.  On a mirror axis (`mirror_axes`) a reduced column
+    has the parity of u there times that of e_beta; the parities on the
+    mirror axes split every sector's reduced columns into classes (`part`,
+    bit i the parity on the i-th mirror axis), the same in every sector.
+    On the invariant axes with k_a = 0 the parity of beta splits each class
+    further into blocks (`blocks`).  No reflection-equivariant operator
+    couples two blocks.
+
+    Probing.  Colour c sums column c of every class of every sector
+    (`_colours`), so there are as many colours as the largest class has
+    columns.  A colour's image is scaled by the square root of its weight
+    W, split into its class parts by (1 +- R_a*)/2 on each mirror axis
+    (`_fold`), R_a* the reflection, and each part is cut into sectors in
+    the FFT along the invariant axes.  A class part is determined by its
+    values on half of each mirror axis, where a point stands for itself
+    and its mirror image.  W is constant along the invariant axes and even
+    on the mirror axes, so the matrix of a class of a sector is
+    Re(H^H H) / prod N_a over the sector's bins (Parseval), H the cut of
+    the class parts, and its blocks are diagonal blocks of it.  Entries
+    between classes are not formed: each operator is gated to commute with
+    every R_a* on one colour, and the entries between the blocks of a class
+    are gated at roundoff.
 
     Images are real, so the FFT is a half spectrum: the last invariant axis
     is the real axis of `numpy.fft.rfftn`.  On that axis a sector's cut
     keeps only its bin +k, and since the bins -k are the conjugates of the
     bins +k, a sector with k > 0 there counts its pairing twice.  On the
     other invariant axes the cut keeps the bins +k_a and -k_a, and every
-    index on the varying axes.  Sectors with as many bins are gathered and
-    paired together, as one stack.  With no invariant axis the one sector
-    spans the whole grid and its cut is the scaled images themselves.
+    index of the (halved) varying axes.  Sectors with as many bins are
+    gathered and paired together, as one stack.  With no invariant axis
+    the one sector spans the whole grid and its cut is the class parts
+    themselves.
 
     Operators are applied to a batch of colours at a time (`_probe`): the
-    colours go in chunks whose working set stays near `_PROBE_BYTES`, and
-    each chunk's images are scaled and cut as soon as they exist, into cut
-    stacks preallocated for every colour; the colours' own cut is probed
-    the same way.  The four first-order pieces' Grams come from one such
-    stack, of the gradient, through each piece's map (`_SPLIT`), one piece
-    at a time: a constant fiber map commutes with the scalar weight.
+    colours are synthesized and applied in chunks whose working set stays
+    near `_PROBE_BYTES`, and each chunk's images are folded and cut as soon
+    as they exist, into cut stacks preallocated for every colour; the
+    colours' own cut is probed the same way.  The four first-order pieces'
+    Grams come from one such stack, of the gradient, through each piece's
+    map (`_SPLIT`), one piece at a time: a constant fiber map commutes with
+    the scalar weight and with the reflections.
 
     Blocks of equal size form a group, and every matrix the layer returns
     (mass, Gram, form) is a list of stacks, one per group, in `_groups`
@@ -386,53 +443,82 @@ class Galerkin:
         t = fiber.tracefree_dim(cache.n, p)
         self.cache, self.p, self.t = cache, p, t
         self.axes = invariant_axes(cache)
-        bands = [size // 2 - 1 for size in spec.sizes]
-        # the trig functions of the varying axes, constant along the invariant ones
-        self._var_modes = half_modes([0 if a in self.axes else b for a, b in enumerate(bands)])
-        width = 1 + 2 * len(self._var_modes)
+        self.mirrors = mirror_axes(cache)
+        self._tables = [_axis_functions(size) for a, size in enumerate(spec.sizes)
+                        if a not in self.axes]
+        self._width = width = math.prod(len(T) for T in self._tables)
         self._fiber, parity = fiber.parity_basis(cache.n, p)
         self._parity = parity[:, list(self.axes)]
+        bands = [size // 2 - 1 for size in spec.sizes]
         self.keys = list(itertools.product(*(range(bands[a] + 1) for a in self.axes)))
-        # a colour's class in a sector is the parity of its fiber column on
-        # the invariant axes with k_a = 0; it depends only on those axes
-        odd = self._parity[np.arange(width * t) % t]
+        # the class of reduced column j * t + beta: bit i is its parity on
+        # the i-th mirror axis, u_j's there times beta's
+        j, beta = np.divmod(np.arange(width * t), t)
+        varying = [a for a in range(cache.n) if a not in self.axes]
+        index = dict(zip(varying, np.unravel_index(j, [len(T) for T in self._tables])
+                         if varying else ()))
+        code = np.zeros(width * t, int)
+        for i, a in enumerate(self.mirrors):
+            J = index[a]
+            code |= (((J > 0) & (J % 2 == 0)) ^ (parity[beta, a] == 1)) << i
+        self._classes = [np.flatnonzero(code == q) for q in range(2 ** len(self.mirrors))]
+        self.colour_count = max(map(len, self._classes))
+        # colour c sums column c of every class; -1 where a class has fewer
+        self._colour_columns = np.full((self.colour_count, len(self._classes)), -1)
+        for q, cols in enumerate(self._classes):
+            self._colour_columns[:len(cols), q] = cols
+        # a class's blocks in a sector are the parities of its fiber columns
+        # on the invariant axes with k_a = 0; they depend only on those axes:
+        # per class, the block label of each of its rows and each block's rows
         labels, split = {}, {}
         self.blocks = []
         for s, key in enumerate(self.keys):
             zero = tuple(i for i, k in enumerate(key) if k == 0)
             if zero not in labels:
-                code = odd[:, list(zero)] @ (1 << np.arange(len(zero)))
-                labels[zero] = np.searchsorted(sorted(set(code.tolist())), code)
-            label = labels[zero]
-            self.blocks += [Block(s, np.flatnonzero(label == c), 2 ** (len(key) - len(zero)))
-                            for c in range(label.max() + 1)]
-            if label.max() > 0:
-                split[s] = label
-        # the sectors of more than one class, and the masks of their
-        # entries between classes
+                code = self._parity[beta][:, list(zero)] @ (1 << np.arange(len(zero)))
+                labels[zero] = []
+                for cols in self._classes:
+                    label = np.unique(code[cols], return_inverse=True)[1]
+                    labels[zero].append((label, [np.flatnonzero(label == c)
+                                                 for c in range(label.max(initial=-1) + 1)]))
+            for q, (cols, (label, rows)) in enumerate(zip(self._classes, labels[zero])):
+                self.blocks += [Block(s, q, r, cols[r], 2 ** (len(key) - len(zero)))
+                                for r in rows]
+                if len(rows) > 1:
+                    split[s * len(self._classes) + q] = label
+        # the classes of more than one block, as cells (sector * classes +
+        # part) of `_pair`, and the masks of their entries between blocks
         self._split = np.array(list(split), int)
-        label = np.array(list(split.values()), int).reshape(len(split), width * t)
-        self._cross = label[:, :, None] != label[:, None, :]
+        label = np.full((len(split), self.colour_count), -1)
+        for row, values in zip(label, split.values()):
+            row[:len(values)] = values
+        self._cross = ((label[:, :, None] != label[:, None, :])
+                       & (label[:, :, None] >= 0) & (label[:, None, :] >= 0))
         sizes = np.array([len(b.columns) for b in self.blocks])
         # blocks of equal size, solved together as one batched pencil: their
-        # sectors, columns and multiplicities
+        # cells, their rows in their cells and their multiplicities
         self._groups = [np.flatnonzero(sizes == size) for size in sorted(set(sizes.tolist()))]
-        self._group_sectors = [np.array([self.blocks[b].sector for b in g]) for g in self._groups]
-        self._group_columns = [np.stack([self.blocks[b].columns for b in g]) for g in self._groups]
+        self._group_cells = [np.array([self.blocks[b].sector * len(self._classes)
+                                       + self.blocks[b].part for b in g]) for g in self._groups]
+        self._group_rows = [np.stack([self.blocks[b].rows for b in g]) for g in self._groups]
         self._mult = [np.array([self.blocks[b].multiplicity for b in g]) for g in self._groups]
-        # the half spectrum: the last invariant axis keeps bins 0..N/2
-        self._half = tuple(size // 2 + 1 if self.axes and a == self.axes[-1] else size
-                           for a, size in enumerate(spec.sizes))
+        # the half spectrum: the last invariant axis keeps bins 0..N/2, and
+        # each mirror axis its points 0..N/2
+        self._half = tuple(size // 2 + 1 if a in self.mirrors or (self.axes and a == self.axes[-1])
+                           else size for a, size in enumerate(spec.sizes))
         self._bins = self._sector_bins()
         self._chunk = max(1, _PROBE_BYTES // self._colour_work_bytes())
-        need = self._bytes_before_solve(width)
+        need = self._bytes_before_solve()
         if need > GALERKIN_BYTES_CAP:
             raise SpectralError(
                 f"the Galerkin layer would hold {need / 2**20:.0f} MiB before its first "
                 f"solve, above the {GALERKIN_BYTES_CAP / 2**20:.0f} MiB cap; shrink the "
                 "grid (or the rank) before assembling"
             )
-        self.colours = self._synthesize_colours(width)
+        # per fiber column, the sum over sectors of the invariant axes' factors
+        sizes = [spec.sizes[a] for a in self.axes]
+        self._sums = self._fiber_products(lambda i, odd: 1.0 + sum(
+            _axis_factor(sizes[i], k, odd) for k in range(1, sizes[i] // 2)))
         self._colour_hat = self._probe(lambda phi: phi.data, "s0", t)
         self._mass = self._mass_max = self._reduced = None
         self._grams = {}
@@ -444,28 +530,31 @@ class Galerkin:
         their Parseval factors (twice a nonzero bin of the real axis).
 
         A sector keeps the bin +k_a of the real axis, the bins +k_a and
-        -k_a of the other invariant axes and every index of the varying
-        axes; with no invariant axis the one sector keeps every point."""
+        -k_a of the other invariant axes and every index of the (halved)
+        varying axes; with no invariant axis the one sector keeps every
+        point."""
         spec = self.cache.spec
         norm = float(math.prod(spec.sizes[a] for a in self.axes))
         by_count = {}
         for s, key in enumerate(self.keys):
             k = dict(zip(self.axes, key))
-            per_axis = [range(size) if a not in k
+            per_axis = [range(half) if a not in k
                         else [k[a]] if a == self.axes[-1]
                         else sorted({k[a], -k[a] % size})
-                        for a, size in enumerate(spec.sizes)]
+                        for a, (size, half) in enumerate(zip(spec.sizes, self._half))]
             by_count.setdefault(math.prod(map(len, per_axis)), []).append(
                 (s, np.ravel_multi_index(np.ix_(*per_axis), self._half).ravel(),
                  (2.0 if key and key[-1] > 0 else 1.0) / norm))
         return [tuple(map(np.array, zip(*entries))) for entries in by_count.values()]
 
     def _fiber_products(self, factor):
-        """(t, *grid): per fiber column beta, the product over the invariant
-        axes of factor(i, odd), a 1-D array along the i-th invariant axis and
-        odd the parity of beta there."""
+        """(t, *grid), of size 1 along the varying axes: per fiber column
+        beta, the product over the invariant axes of factor(i, odd), a 1-D
+        array along the i-th invariant axis and odd the parity of beta
+        there."""
         spec = self.cache.spec
-        out = np.ones((self.t,) + spec.shape)
+        out = np.ones((self.t,) + tuple(size if a in self.axes else 1
+                                        for a, size in enumerate(spec.sizes)))
         for i, a in enumerate(self.axes):
             view = [1] * spec.n
             view[a] = spec.sizes[a]
@@ -473,87 +562,132 @@ class Galerkin:
                 out[beta] *= factor(i, self._parity[beta, i]).reshape(view)
         return out
 
-    def _synthesize_colours(self, width):
-        """The (colours, *grid, t) colour stack: colour (j, beta) is u_j times
-        the product over the invariant axes of the sum over k_a of c_a,
-        along e_beta; the sum over sectors of a product is the product of
-        the per-axis sums."""
-        spec = self.cache.spec
-        u = trig_series(spec, self._var_modes, np.eye(width))
-        sizes = [spec.sizes[a] for a in self.axes]
-        sums = self._fiber_products(lambda i, odd: 1.0 + sum(
-            _axis_factor(sizes[i], k, odd) for k in range(1, sizes[i] // 2)))
-        return np.einsum("...j,b...,ab->jb...a", u, sums, self._fiber).reshape(
-            (width * self.t,) + spec.shape + (self.t,))
+    def _series(self, coef, products):
+        """Fields sum over (j, beta) of coef[..., j, beta] u_j products[beta]
+        e_beta in trace-free coordinates, (..., *grid, t): u_j the products
+        of the varying axes' trig functions, `products` from
+        `_fiber_products`.  The varying axes are summed one at a time."""
+        lead = coef.shape[:-2]
+        x = coef.reshape(lead + tuple(len(T) for T in self._tables) + (self.t,))
+        for i, T in enumerate(self._tables):
+            x = np.moveaxis(np.tensordot(x, T, axes=(len(lead) + i, 0)), -1, len(lead) + i)
+        view = tuple(1 if a in self.axes else size
+                     for a, size in enumerate(self.cache.spec.sizes))
+        x = x.reshape(lead + view + (self.t,)) * np.moveaxis(products, 0, -1)
+        return x @ self._fiber.T
+
+    def _colours(self, rows, spare=0):
+        """The (chunk, *grid, t) colour fields of the colour slice `rows`,
+        followed by `spare` zero fields: colour c sums column c of each
+        class over every sector, and the sum over sectors of a product is
+        the product of the per-axis sums."""
+        table = self._colour_columns[rows]
+        coef = np.zeros((len(table) + spare, self._width * self.t))
+        c, q = np.nonzero(table >= 0)
+        coef[c, table[c, q]] = 1.0
+        return self._series(coef.reshape(len(coef), -1, self.t), self._sums)
 
     def _colour_work_bytes(self):
         """Bytes one colour takes while an operator acts on it, bounded by
-        `_WORK_FLOATS` arrays of n * n times the monomial dimension of rank
-        p + 1 per point.  The widest per-point fiber an operator of the
-        registry forms is n times that dimension: the gradient of a rank
-        p + 1 monomial field, and its connection term, formed one axis at a
-        time."""
+        `_WORK_FLOATS` arrays of the widest per-point fiber an operator of
+        the registry forms: n times the monomial dimension of rank p + 1,
+        the gradient of a rank p + 1 monomial field and its connection
+        term."""
         n = self.cache.n
-        widest = n * n * fiber.sym_dim(n, self.p + 1)
+        widest = n * fiber.sym_dim(n, self.p + 1)
         return 8 * _WORK_FLOATS * widest * self.cache.spec.num_points
 
-    def _bytes_before_solve(self, width):
+    def _bytes_before_solve(self):
         """Bytes the layer holds at its peak by its first solves, the Gram
-        build included, for `width` trig functions of the varying axes.
+        build included.
 
         A cut stack (`_cut_stacks`) takes `cut` bytes per fiber value.
-        Held throughout: the colour stack and its cut.  On top of that, the
-        largest of three phases: the synthesis buffers (the series' spectrum
-        and samples of the `width` functions); the Gram build (the cut
-        gradient stack, six mass-sized arrays for the mass, L^{-1} and the
-        four Gram blocks, and the larger of probing, one chunk's working set
-        with the FFT, its intermediate and its gather, and pairing, one
-        piece's cut and two sector-matrix arrays); and the solves
-        (`_BLOCK_ARRAYS` mass-sized arrays: the mass, L^{-1}, the Gram
-        blocks, cached eigenvectors and one batched solve's working arrays).
+        Held throughout: the colours' cut.  On top of that, the larger of
+        two phases: the Gram build (the cut gradient stack, six mass-sized
+        arrays for the mass, L^{-1} and the four Gram blocks, and the
+        larger of probing, one chunk's colours, operator work, folded
+        parts, FFT and gather, and pairing, one piece's cut and two arrays
+        of class matrices); and the solves (`_BLOCK_ARRAYS` mass-sized
+        arrays: the mass, L^{-1}, the Gram blocks, cached eigenvectors and
+        one batched solve's working arrays).
         """
         points = self.cache.spec.num_points
-        colours = width * self.t
         grad = self.cache.n * self.t
+        classes = len(self._classes)
         mass = 8 * sum(len(b.columns) ** 2 for b in self.blocks)
-        sectors = 8 * len(self.keys) * colours ** 2
-        cut = 8 * colours * (2 if self.axes else 1) * sum(g.size for _, g, _ in self._bins)
-        held = (8 * colours * points + cut) * self.t
-        fft = 3 * 16 * math.prod(self._half) * grad if self.axes else 0
-        probe = min(self._chunk, colours) * (self._colour_work_bytes() + fft)
-        pairing = cut * grad + 2 * sectors
+        cells = 8 * len(self.keys) * classes * self.colour_count ** 2
+        cut = 8 * classes * self.colour_count * (2 if self.axes else 1) * sum(
+            g.size for _, g, _ in self._bins)
+        fold = 8 * grad * (4 * points + (6 if self.axes else 0) * classes * math.prod(self._half))
+        probe = min(self._chunk, self.colour_count) * (self._colour_work_bytes() + fold)
+        pairing = cut * grad + 2 * cells
         gram = cut * grad + 6 * mass + max(probe, pairing)
-        synthesis = 8 * (width * width + 4 * points * width)
-        return held + max(synthesis, gram, _BLOCK_ARRAYS * mass)
+        return cut * self.t + max(gram, _BLOCK_ARRAYS * mass)
 
-    def _cut(self, images, out, rows):
-        """Write the half-spectrum cut of a chunk of colour images into the
-        per-group stacks `out` (`_cut_stacks`) at the colour rows `rows`.
+    def _fold(self, images, tag):
+        """The class parts of a chunk of images (chunk, *grid, width) on the
+        rank-p bundle `tag`: (classes, chunk, *grid, width) with each mirror
+        axis halved.  On mirror axis a the parts are (1 +- R_a*) / 2 of the
+        previous ones, R_a* the index flip there times the fiber sign of
+        the bundle (the slot's for "cov_s0" times C D B on S0^p), kept on
+        points 0..N/2 and scaled by the root of the count of points each
+        stands for (itself and its mirror image), so a plain product of two
+        parts is their pairing on the whole axis."""
+        parts = images[None]
+        for a in self.mirrors:
+            size = self.cache.spec.sizes[a]
+            half = np.arange(size // 2 + 1)
+            weight = np.where(half == -half % size, 0.5, math.sqrt(0.5))
+            weight = weight.reshape((-1,) + (1,) * (self.cache.n - a))
+            here = np.take(parts, half, axis=2 + a)
+            there = np.take(parts, -half % size, axis=2 + a) @ self._reflection(tag, a).T
+            parts = np.empty((2 * len(here),) + here.shape[1:])
+            np.add(here, there, out=parts[:len(here)])
+            np.subtract(here, there, out=parts[len(here):])
+            del here, there
+            parts *= weight
+        return parts
 
-        images: (chunk, *grid, width) real, already scaled by the root of
-        their weight (`_probe`).  Row [s, c] of a group's stack holds the FFT
-        of colour c's image on sector s's bins, as (bins, parts, width) with
-        the parts (real, imaginary); with no invariant axis it holds the
-        image itself, with one part.
+    def _reflection(self, tag, axis):
+        """The fiber matrix of x_axis -> -x_axis on the rank-p bundle `tag`."""
+        R = fiber.reflection_matrix(self.cache.n, self.p, axis)
+        if tag == "s0":
+            return R
+        slot = np.ones(self.cache.n)
+        slot[axis] = -1.0
+        return np.kron(np.diag(slot), R)
+
+    def _cut(self, parts, out, rows):
+        """Write the half-spectrum cut of a chunk's class parts (`_fold`) into
+        the per-group stacks `out` (`_cut_stacks`) at the colour rows `rows`.
+
+        parts: (classes, chunk, *grid, width) real, already scaled by the
+        root of their weight (`_probe`).  Row [s, q, c] of a group's stack
+        holds the FFT of class part q of colour c's image on sector s's
+        bins, as (bins, parts, width) with the parts (real, imaginary);
+        with no invariant axis it holds the class part itself, with one
+        part.
         """
-        count = len(images)
+        classes, count = parts.shape[:2]
         if not self.axes:
-            out[0][0, rows] = images.reshape(count, -1, 1, images.shape[-1])
+            out[0][0, :, rows] = parts.reshape(classes, count, -1, 1, parts.shape[-1])
             return
-        hat = np.fft.rfftn(images, axes=[1 + a for a in self.axes])
-        hat = hat.reshape(count, math.prod(self._half), -1)
+        hat = np.fft.rfftn(parts, axes=[2 + a for a in self.axes])
+        hat = hat.reshape(classes, count, math.prod(self._half), -1)
         for stack, (_, g, _) in zip(out, self._bins):
-            # the gather is (chunk, sectors, bins, width); the colour axis is
-            # moved behind the sectors as a strided view
-            part = np.take(hat, g, axis=1).swapaxes(0, 1)
-            stack[:, rows, :, 0] = part.real
-            stack[:, rows, :, 1] = part.imag
+            # the gather is (classes, chunk, sectors, bins, width); the
+            # sector axis is moved in front as a strided view
+            part = np.moveaxis(np.take(hat, g, axis=2), 2, 0)
+            stack[:, :, rows, :, 0] = part.real
+            stack[:, :, rows, :, 1] = part.imag
 
     def _cut_stacks(self, width):
         """Empty per-group cut stacks for every colour, `width` fiber values
-        per point: (sectors, colours, bins, parts, width), in `_bins` order."""
+        per point: (sectors, classes, colours, bins, parts, width), in
+        `_bins` order."""
         parts = 2 if self.axes else 1
-        return [np.empty((len(sel), len(self.colours), g.shape[1], parts, width))
+        shape = (len(self._classes), self.colour_count)
+        return [np.empty((len(sel),) + shape + (g.shape[1], parts, width))
                 for sel, g, _ in self._bins]
 
     def _pair(self, left, right, floor):
@@ -564,22 +698,26 @@ class Galerkin:
         itself is one symmetric product, so the mass and the Grams are
         exactly symmetric.
 
-        Each sector's whole matrix is formed.  Its entries between two
-        reflection classes pair images that the reflections keep orthogonal,
-        so they are gated at `_SYMMETRY_TOL` of the larger of `floor` and
-        the pairing's largest entry: an operator that does not commute with
-        the reflections is refused.  The floor (the mass's largest entry)
-        measures an operator that vanishes to roundoff, such as d3 on the
-        2-torus at p >= 2, against the basis rather than its own noise.
+        Each class's whole matrix in each sector (a cell) is formed.  Its
+        entries between two blocks pair images that the reflections of the
+        invariant axes keep orthogonal, so they are gated at
+        `_SYMMETRY_TOL` of the larger of `floor` and the pairing's largest
+        entry: an operator that does not commute with those reflections is
+        refused.  The floor (the mass's largest entry) measures an operator
+        that vanishes to roundoff, such as d3 on the 2-torus at p >= 2,
+        against the basis rather than its own noise.  A block that is a
+        whole class is a leading square of its cell, taken with no gather
+        index; only groups of blocks that split a class are gathered.
         """
-        count = len(self.colours)
-        S = np.empty((len(self.keys), count, count))
+        classes, count = len(self._classes), self.colour_count
+        S = np.empty((len(self.keys), classes, count, count))
         for (sel, _, factor), L, R in zip(self._bins, left, right):
-            L, R = (X.reshape(len(sel), count, -1) for X in (L, R))
+            L, R = (X.reshape(len(sel) * classes, count, -1) for X in (L, R))
             prod = L @ R.swapaxes(1, 2)
-            prod *= factor[:, None, None]
-            S[sel] = prod
+            prod *= np.repeat(factor, classes)[:, None, None]
+            S[sel] = prod.reshape(len(sel), classes, count, count)
             del prod  # before the next group's product exists
+        S = S.reshape(-1, count, count)
         if self._split.size:
             cross = float(np.max(np.abs(S[self._split][self._cross]), initial=0.0))
             scale = max(float(np.max(np.abs(S))), floor)
@@ -589,8 +727,14 @@ class Galerkin:
                     f"largest entry, above {_SYMMETRY_TOL:.1e}: the operator does not "
                     "commute with the reflections of the invariant axes"
                 )
-        return [S[sec[:, None, None], ix[:, :, None], ix[:, None, :]]
-                for sec, ix in zip(self._group_sectors, self._group_columns)]
+        out = []
+        for cells, rows in zip(self._group_cells, self._group_rows):
+            size = rows.shape[1]
+            if np.array_equal(rows, np.broadcast_to(np.arange(size), rows.shape)):
+                out.append(S[cells, :size, :size])
+            else:
+                out.append(S[cells[:, None, None], rows[:, :, None], rows[:, None, :]])
+        return out
 
     def _probe(self, apply, tag, width):
         """Cut images of every colour under `apply`, one chunk of colours at
@@ -598,19 +742,52 @@ class Galerkin:
 
         `apply` maps a batch of colour fields to a (chunk, *grid, width)
         image array on the rank-p bundle `tag` ("s0" or "cov_s0").  Each
-        chunk's images are scaled by the square root of that bundle's
-        weight, in real space, before they are cut.  The weight is constant
-        along the invariant axes the FFT transforms, so the cut is the
-        weight's root times the cut of the images, and a constant fiber map
-        of the cut (`_build_gram`) keeps that factor.
+        chunk's colours are synthesized here, and its images are scaled by
+        the square root of that bundle's weight, in real space, folded into
+        class parts (`_fold`) and cut.  The weight is constant along the
+        invariant axes the FFT transforms and even on the mirror axes, so
+        the cut is the weight's root times the cut of the parts, and a
+        constant fiber map of the cut (`_build_gram`) keeps that factor.
+
+        The last chunk also carries the last colour's reflection on each
+        mirror axis: the class parts are images of the classes only when
+        the operator commutes with those reflections, so its image of a
+        reflected colour must be the reflected image to `_SYMMETRY_TOL` of
+        the larger of the image and the colour, or the layer raises.
         """
         root = np.sqrt(fields.fiber_weight_scalar(self.cache, tag, self.p))[..., None]
         stacks = self._cut_stacks(width)
-        for a in range(0, len(self.colours), self._chunk):
+        for a in range(0, self.colour_count, self._chunk):
             rows = slice(a, a + self._chunk)
-            phi = TensorField(self.cache, "s0", self.p, self.colours[rows])
-            self._cut(apply(phi) * root, stacks, rows)
+            gate = self.mirrors if a + self._chunk >= self.colour_count else ()
+            colours = self._colours(rows, len(gate))
+            count = len(colours) - len(gate)
+            last = colours[count - 1]
+            for i, m in enumerate(gate):
+                colours[count + i] = _mirror(last, m, self._reflection("s0", m))
+            images = apply(TensorField(self.cache, "s0", self.p, colours))
+            if gate:
+                self._gate(images[count - 1], images[count:], tag,
+                           max(float(np.max(np.abs(last))), _TINY))
+            images = images[:count]
+            images *= root  # in place: the images are the probe's own
+            self._cut(self._fold(images, tag), stacks, rows)
         return stacks
+
+    def _gate(self, image, mirrored, tag, floor):
+        """Refuse an operator whose images `mirrored` of the reflections of
+        one colour differ from the reflections of its image `image` by more
+        than `_SYMMETRY_TOL` of the larger of the image and `floor`."""
+        scale = max(float(np.max(np.abs(image))), floor)
+        for m, got in zip(self.mirrors, mirrored):
+            defect = float(np.max(np.abs(got - _mirror(image, m, self._reflection(tag, m)))))
+            if defect > _SYMMETRY_TOL * scale:
+                raise SpectralError(
+                    f"the image of a reflected colour differs from the reflected image by "
+                    f"{defect / scale:.3e} of its largest entry, above {_SYMMETRY_TOL:.1e}: "
+                    "the operator does not commute with the reflections of the mirror axes "
+                    f"(x{m + 1} here)"
+                )
 
     def norm(self, stacks):
         """Frobenius norm of the full Galerkin matrix whose block stacks are
@@ -699,8 +876,8 @@ class Galerkin:
         spec = self.cache.spec
         key = self.keys[b.sector]
         moving = [i for i, k in enumerate(key) if k > 0]
-        coef = np.zeros((1 + 2 * len(self._var_modes), self.t))
-        coef[b.columns // self.t, b.columns % self.t] = coeffs
+        coef = np.zeros(self._width * self.t)
+        coef[b.columns] = coeffs
 
         def factor(i, odd):
             size = spec.sizes[self.axes[i]]
@@ -708,9 +885,7 @@ class Galerkin:
                 return np.ones(size)
             return _axis_factor(size, key[i], odd, bool(copy >> moving.index(i) & 1))
 
-        series = trig_series(spec, self._var_modes, coef)
-        data = np.einsum("...b,b...,ab->...a", series, self._fiber_products(factor),
-                         self._fiber)
+        data = self._series(coef.reshape(-1, self.t), self._fiber_products(factor))
         return TensorField(self.cache, "s0", self.p, data)
 
     def lowest_fields(self, names, count):

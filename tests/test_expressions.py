@@ -132,3 +132,25 @@ def test_derivative_matches_finite_difference(poly, axis):
     exact = poly.angular_derivative(axis).evaluate(th)
     scale = max(1.0, max_abs_bound(poly) * 10)
     assert np.allclose(fd, exact, atol=1e-4 * scale)
+
+
+@pytest.mark.parametrize("text,axis,even", [
+    ("cos(x1)", 0, True), ("cos(x1+x2) + cos(x1-x2)", 0, True), ("sin(x1)", 0, False),
+    ("cos(x1+x2)", 0, False), ("0.1*cos(x1) + 0.05*sin(x2)", 0, True),
+    ("0.1*cos(x1) + 0.05*sin(x2)", 1, False), ("sin(x1)", 1, True), ("2", 0, True),
+    ("0.5*cos(x1+x2) + 0.25*cos(x1-x2)", 0, False),
+])
+def test_even_in_compares_the_terms_with_the_axis_negated(text, axis, even):
+    assert parse_trig_poly(text).is_even_in(axis) is even
+
+
+@settings(max_examples=40, deadline=None)
+@given(trig_polys(), st.integers(0, 2))
+def test_even_in_matches_the_reflected_samples(poly, axis):
+    # the symbolic query agrees with sampling: a polynomial is even in an
+    # axis exactly when its values at x_axis and -x_axis agree
+    th = theta_grid(3, size=8)
+    flipped = list(th)
+    flipped[axis] = -th[axis]
+    gap = np.max(np.abs(poly.evaluate(flipped) - poly.evaluate(th)))
+    assert poly.is_even_in(axis) == bool(gap <= 1e-12 * max(1.0, max_abs_bound(poly)))

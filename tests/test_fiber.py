@@ -299,6 +299,17 @@ def test_tracefree_basis_matches_scipy_null_space_route(n, p):
     assert np.array_equal(C, B_ref.T @ W)
 
 
+@pytest.mark.parametrize("n,p", [(n, p) for n in range(2, 5) for p in range(0, 4)])
+def test_reflection_matrix_is_the_parity_sign(n, p):
+    # C D B on the monomial signs equals the parity basis's sign diagonal
+    # (-1)^parity in trace-free coordinates, and is an orthogonal involution
+    Q, parity = fiber.parity_basis(n, p)
+    for a in range(n):
+        R = fiber.reflection_matrix(n, p, a)
+        assert np.max(np.abs(R - Q @ np.diag((-1.0) ** parity[:, a]) @ Q.T)) < 1e-13
+        assert np.max(np.abs(R @ R.T - np.eye(len(R)))) < 1e-13
+
+
 def parity_count(n, p, cls):
     """Monomials of rank p whose index counts have the parities `cls`."""
     return sum(tuple(I.count(a) % 2 for a in range(n)) == cls for I in fiber.sym_indices(n, p))

@@ -348,7 +348,8 @@ def test_form_symmetry_fails_an_asymmetric_form(monkeypatch):
 def test_kernel_suite_puts_every_colour_through_the_d1_trace_guard(monkeypatch):
     # a layer's Gram build probes the gradient only, so d1's trace guard
     # (`gradients._d1_from_grad`) runs in the d1* d1 form of the suite: once
-    # for every colour of every layer
+    # for every colour of every layer, and once for the last colour's
+    # reflection on each mirror axis
     guarded, colours = {}, {}
     d1_from_grad = gradients._d1_from_grad
 
@@ -360,7 +361,7 @@ def test_kernel_suite_puts_every_colour_through_the_d1_trace_guard(monkeypatch):
     class Layer(spectral.Galerkin):
         def __init__(self, cache, p):
             super().__init__(cache, p)
-            colours[(cache.spec.sizes, p)] = len(self.colours)
+            colours[(cache.spec.sizes, p)] = self.colour_count + len(self.mirrors)
 
     monkeypatch.setattr(gradients, "_d1_from_grad", counted)
     monkeypatch.setattr(spectral, "Galerkin", Layer)

@@ -41,6 +41,7 @@ from gradlab.spectral import (
 from testlib import (
     PIECES,
     basis_dim,
+    class_parts,
     codomain_weights,
     domain_dim,
     domain_weights,
@@ -183,7 +184,7 @@ def test_dof_cap_enforced(monkeypatch):
     def sample(*args):
         raise AssertionError("the colours were synthesized before admission")
 
-    monkeypatch.setattr(spectral, "trig_series", sample)
+    monkeypatch.setattr(spectral.Galerkin, "_series", sample)
     with pytest.raises(SpectralError, match="shrink"):
         Galerkin(make_cache(*OVERSIZED), 2)
 
@@ -191,7 +192,8 @@ def test_dof_cap_enforced(monkeypatch):
 def test_assemble_caches_matrix(monkeypatch):
     # the mass, the Grams and each joint eigendecomposition are built once;
     # every Gram comes from the gradient of each colour, taken once, through
-    # no handle
+    # no handle; the last colour's reflection on the mirror axis x1 is the
+    # one more field the gradient sees
     cache = make_cache(2, 8, metric="conformal")
     gal = Galerkin(cache, 1)
     probed = []
@@ -202,13 +204,14 @@ def test_assemble_caches_matrix(monkeypatch):
     monkeypatch.setattr(spectral.OperatorHandle, "apply_vector", None)
     first = gal.gram(["d1", "divergence"])
     eig = gal.joint_eigen(["d1", "divergence"])
-    assert sum(probed) == len(gal.colours)
+    assert gal.mirrors == (0,)
+    assert sum(probed) == gal.colour_count + 1
     for B, again in zip(first, gal.gram(["d1", "divergence"])):
         assert np.array_equal(B, again)
     assert gal.joint_eigen(["d1", "divergence"]) is eig
     gal.gram(["d2", "d3"])
     assert gal.mass() is gal.mass()
-    assert sum(probed) == len(gal.colours)
+    assert sum(probed) == gal.colour_count + 1
     with pytest.raises(SpectralError, match="rough_laplacian"):
         gal.gram(["d1", "rough_laplacian"])
 
@@ -249,7 +252,7 @@ def stacked_group(gal, stacks, size):
 
 
 @pytest.mark.parametrize("metric,size,p,width", [
-    ("conformal", 24, 2, 46),   # dense mass blocks
+    ("conformal", 24, 2, 23),   # dense mass blocks
     ("flat", 12, 2, 2),         # diagonal mass blocks
 ])
 def test_batched_eigensolve_matches_scipy_reference(metric, size, p, width):
@@ -268,7 +271,8 @@ def test_batched_eigensolve_matches_scipy_reference(metric, size, p, width):
 
 
 @pytest.mark.parametrize("metric,size,sizes", [
-    ("conformal", 24, {23, 46}),     # the mode-0 sector's two classes, then 11 of 46
+    # the mode-0 sector's x1-classes split in two, then 11 of 23 in each class
+    ("conformal", 24, {11, 12, 23}),
     ("flat", 12, {1, 2}),            # sizes interleaved in sector order
 ])
 def test_galerkin_eigen_keeps_sector_order(metric, size, sizes):
@@ -358,6 +362,43 @@ def test_symmetry_gate_refuses_a_non_equivariant_handle(n, f_text, p):
         gal.form(constant(equivariant + 0.1 * np.outer(Q[:, -1], Q[:, 0])))
 
 
+@pytest.mark.parametrize("n,f_text,p", [(2, "0.1*cos(x1)", 1), (2, "0.1*cos(x1)+0.05*sin(x2)", 2),
+                                        (3, "0.05*cos(x1)", 1)])
+def test_mirror_gate_refuses_a_reflection_breaking_handle(n, f_text, p):
+    # multiplying by a function even in x1 commutes with its reflection and
+    # passes; one odd in x1 keeps every translation and fiber class but
+    # moves each class of the mirror axis into the other, and is refused
+    # before any entry between those classes would be needed
+    cache = make_cache(n, 8, metric="conformal", f_text=f_text)
+    gal = Galerkin(cache, p)
+    assert gal.mirrors == (0,)
+    x1 = cache.spec.theta_mesh()[0][..., None]
+
+    def multiply(u):
+        return spectral.OperatorHandle(
+            name="multiply", cache=cache, domain_rank=p, codomain_tag="s0",
+            codomain_rank=p, apply=lambda phi: TensorField(cache, "s0", p, u * phi.data),
+            symbol=None)
+
+    gal.form(multiply(1.0 + 0.1 * np.cos(x1)))
+    with pytest.raises(SpectralError, match="reflections of the mirror axes"):
+        gal.form(multiply(1.0 + 0.1 * np.sin(x1)))
+
+
+@pytest.mark.parametrize("f_text,mirrors,sizes", [
+    ("0.1*cos(x1)", (0,), {11, 12, 23}),
+    # not even in x1: no mirror axis, so x1's functions stay in one class
+    ("0.1*sin(x1)", (), {23, 46}),
+])
+def test_mirror_classes_halve_only_even_axes(f_text, mirrors, sizes):
+    cache = make_cache(2, 24, metric="conformal", f_text=f_text)
+    gal = Galerkin(cache, 2)
+    assert gal.mirrors == mirrors
+    assert {len(b.columns) for b in gal.blocks} == sizes
+    assert gal.colour_count == max(sizes)
+    assert sum(len(b.columns) * b.multiplicity for b in gal.blocks) == 23 * 23 * 2
+
+
 def test_lowest_fields_count_each_block_with_its_translates():
     # on a conformal layer the d1 spectrum above the kernel comes in
     # translate pairs: the lowest fields, partners included, are
@@ -406,20 +447,19 @@ def test_galerkin_admission_covers_the_peak(n, size, f_text, p):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    need = gal._bytes_before_solve(len(gal.colours) // gal.t)
-    assert peak <= need
+    assert peak <= gal._bytes_before_solve()
 
 
 def test_gram_pairing_allocates_no_operand_sized_array():
     # the cuts carry the root of their weight, so a pairing forms only
-    # sector matrices: every sector's whole matrix, a group's product,
-    # scaled in place, and the blocks it returns; a weighted copy of an
-    # operand, as large as a group's share of the cut, breaks this
+    # class matrices: every class's whole matrix in every sector, a group's
+    # product, scaled in place, and the blocks it returns; a weighted copy
+    # of an operand, as large as a group's share of the cut, breaks this
     cache = make_cache(3, 8, metric="conformal", f_text="0.1*cos(x1)")
     gal = Galerkin(cache, 2)
     grad = gal._probe(lambda phi: fields._merged(fields.gradient(phi).data), "cov_s0",
                       cache.n * gal.t)
-    sectors = 8 * len(gal.keys) * len(gal.colours) ** 2
+    sectors = 8 * len(gal.keys) * len(gal._classes) * gal.colour_count ** 2
     assert 3 * sectors + 2**16 < max(X.nbytes for X in grad)
     tracemalloc.start()
     try:
@@ -431,10 +471,11 @@ def test_gram_pairing_allocates_no_operand_sized_array():
 
 
 def test_galerkin_admission_counts_the_reduction():
-    # the estimate covers the colour stack, the mass stacks and their L^{-1}
+    # the estimate covers the colours' cut, the mass stacks and their L^{-1}
     gal = Galerkin(make_cache(2, 16, metric="conformal"), 2)
-    held = gal.colours.nbytes + sum(M.nbytes + L.nbytes for M, L in gal._reduction())
-    assert held <= gal._bytes_before_solve(len(gal.colours) // gal.t)
+    held = sum(X.nbytes for X in gal._colour_hat)
+    held += sum(M.nbytes + L.nbytes for M, L in gal._reduction())
+    assert held <= gal._bytes_before_solve()
     assert sum(L.nbytes for _, L in gal._reduction()) == 8 * sum(
         len(b.columns) ** 2 for b in gal.blocks)
 
@@ -567,6 +608,10 @@ def test_invariant_axes_read_off_the_exponent_match_the_samples(path):
         f = cache.conf_exponent_values
         sampled = tuple(j for j in range(cache.n) if np.all(f == np.take(f, [0], axis=j)))
         assert spectral.invariant_axes(cache) == sampled
+        # and the mirror axes agree with comparing f with its reflection
+        even = tuple(j for j in range(cache.n) if j not in sampled and np.max(np.abs(
+            f - np.take(f, -np.arange(f.shape[j]) % f.shape[j], axis=j))) <= 1e-13)
+        assert spectral.mirror_axes(cache) == even
 
 
 # flat: every axis invariant; cos(x1): the other axes; with sin(x2) the
@@ -615,15 +660,19 @@ def test_galerkin_sectors_match_dense_reference(n, p, f_text, method):
     assert np.max(np.abs(rep.eigenvalues - ref)) <= 1e-10 * ref[-1]
 
 
-def full_spectrum_blocks(gal, left, right, weights):
-    """Reference blocks from the full FFT along the invariant axes: every
-    sector keeps the bins +k_a and -k_a on each invariant axis and every
-    index on the others, each pairing counts once, and a block is its
-    sector's matrix on the block's columns."""
+def full_spectrum_blocks(gal, left, right, weights, tag, rank):
+    """Reference blocks from the whole grid: each image stack split into its
+    reflection classes on the bundle (`tag`, `rank`) (`class_parts`), the
+    full FFT along the invariant axes, every sector keeping the bins +k_a
+    and -k_a on each invariant axis and every index on the others, each
+    pairing counted once; a block is its class's matrix in its sector on
+    the block's rows (the colours holding its columns)."""
     spec = gal.cache.spec
-    axes = [1 + a for a in gal.axes]
-    L = np.fft.fftn(left, axes=axes).reshape(len(left), spec.num_points, -1)
-    R = np.fft.fftn(right, axes=axes).reshape(len(right), spec.num_points, -1)
+    axes = [2 + a for a in gal.axes]
+    shape = (len(left),) + spec.shape + (-1,)
+    L, R = (np.fft.fftn(class_parts(gal, X.reshape(shape), tag, rank), axes=axes)
+            for X in (left, right))
+    L, R = (X.reshape(X.shape[:2] + (spec.num_points, -1)) for X in (L, R))
     w = weights.reshape(spec.num_points, -1)
     norm = math.prod(spec.sizes[a] for a in gal.axes)
     out = []
@@ -632,9 +681,10 @@ def full_spectrum_blocks(gal, left, right, weights):
         per_axis = [sorted({key[a], -key[a] % size}) if a in key else range(size)
                     for a, size in enumerate(spec.sizes)]
         g = np.ravel_multi_index(np.ix_(*per_axis), spec.shape).ravel()
-        ix = block.columns
-        Ls = L[ix].take(g, axis=1).reshape(len(ix), -1)
-        Rs = R[ix].take(g, axis=1).reshape(len(ix), -1)
+        ix = block.rows
+        assert np.array_equal(gal._classes[block.part][ix], block.columns)
+        Ls = L[block.part, ix].take(g, axis=1).reshape(len(ix), -1)
+        Rs = R[block.part, ix].take(g, axis=1).reshape(len(ix), -1)
         out.append(((Ls.conj() * w.take(g, axis=0).ravel()) @ Rs.T).real / norm)
     return out
 
@@ -650,20 +700,22 @@ def assert_blocks_close(gal, stacks, ref):
                                       (3, "0.05*cos(x1)")])
 def test_half_spectrum_blocks_match_full_spectrum(n, f_text):
     # one, two and three invariant axes: the real axis keeps bin +|m| and
-    # counts a nonzero bin twice, the other invariant axes keep both signs
+    # counts a nonzero bin twice, the other invariant axes keep both signs;
+    # the mirror axis x1 keeps half its points, each standing for its image
     cache = make_cache(n, 8, metric="flat" if f_text is None else "conformal",
                        f_text=f_text)
     p = 2
     gal = Galerkin(cache, p)
-    colours = gal.colours
+    colours = gal._colours(slice(None))
     assert_blocks_close(gal, gal.mass(), full_spectrum_blocks(
-        gal, colours, colours, weight_vector(cache, "s0", p)))
+        gal, colours, colours, weight_vector(cache, "s0", p), "s0", p))
     sp = gradients.decompose(TensorField(cache, "s0", p, colours))
     grad_scale = max(float(np.max(np.abs(B))) for B in full_spectrum_blocks(
-        gal, sp.grad.data, sp.grad.data, weight_vector(cache, "cov_s0", p)))
+        gal, sp.grad.data, sp.grad.data, weight_vector(cache, "cov_s0", p), "cov_s0", p))
     for piece, (tag, shift) in PIECES.items():
         images = getattr(sp, piece).data
-        ref = full_spectrum_blocks(gal, images, images, weight_vector(cache, tag, p + shift))
+        ref = full_spectrum_blocks(gal, images, images, weight_vector(cache, tag, p + shift),
+                                   tag, p + shift)
         if n == 2 and piece == "d3":
             # d3 vanishes identically on the 2-torus at p >= 2: both routes
             # hold roundoff only, which is all there is to compare
@@ -674,7 +726,7 @@ def test_half_spectrum_blocks_match_full_spectrum(n, f_text):
     h = d1_star_d1_handle(cache, p)
     images = h.apply(TensorField(cache, "s0", p, colours)).data
     assert_blocks_close(gal, gal.form(h), full_spectrum_blocks(
-        gal, colours, images, domain_weights(h)))
+        gal, colours, images, domain_weights(h), "s0", p))
 
 
 # every axis invariant, all but x1, all but x1 and x2 (none at n = 2)
@@ -691,7 +743,7 @@ def test_gradient_stack_grams_match_the_piece_route(n, size, p, f_text, monkeypa
     cache = make_cache(n, size, metric="flat" if f_text is None else "conformal",
                        f_text=f_text)
     first = Galerkin(cache, p)
-    count = len(first.colours)
+    count = first.colour_count
     chunk = max(1, (count - 1) // 2)
     monkeypatch.setattr(spectral, "_PROBE_BYTES", chunk * first._colour_work_bytes())
     gal = Galerkin(cache, p)
@@ -793,16 +845,17 @@ def test_galerkin_stacked_gram_is_sum_of_blocks():
 
 
 @pytest.mark.parametrize("f_text,largest", [
-    (None, 2), ("0.1*cos(x1)", 62), ("0.1*cos(x1)+0.05*sin(x2)", 31 * 31 * 2),
+    (None, 2), ("0.1*cos(x1)", 31), ("0.1*cos(x1)+0.05*sin(x2)", 31 * 31),
 ])
 def test_galerkin_applies_once_per_colour(f_text, largest):
     # each colour is applied once, and there are as many colours as the
     # largest block has columns: the trig functions of the varying axes
-    # times the fiber dimension
+    # times the fiber dimension, halved by the reflection of x1 where the
+    # metric is even in it
     cache = make_cache(2, 32, metric="flat" if f_text is None else "conformal",
                        f_text=f_text)
     gal = Galerkin(cache, 1)
-    assert len(gal.colours) == max(len(b.columns) for b in gal.blocks) == largest
+    assert gal.colour_count == max(len(b.columns) for b in gal.blocks) == largest
     if f_text is None:
         applied = []
         h = rough_laplacian_handle(cache, 1)
@@ -824,7 +877,7 @@ def test_galerkin_admits_flat_2torus_n128():
     cache = make_cache(2, 128)
     gal = Galerkin(cache, 2)
     assert basis_dim(build_dealiased_basis(cache, 2)) == 127**2 * 2
-    assert len(gal.colours) == 2
+    assert gal.colour_count == 2
 
 
 def test_galerkin_admits_flat_3torus_rank3():

@@ -175,10 +175,11 @@ def codomain_weights(handle):
 
 # ---------------------------------------------------------------------------
 # the piece route of the Galerkin layer: every colour decomposed at once,
-# one image stack per piece, each cut whole and paired with its own
-# weight, applied whole to the left image; `spectral.Galerkin` pairs one
-# cut gradient stack, scaled by the root of its weight, through each
-# piece's constant map instead and is tested against this
+# one image stack per piece, each split into reflection classes on the
+# whole grid, cut whole and paired with its own weight, applied whole to
+# the left image; `spectral.Galerkin` pairs one cut gradient stack, scaled
+# by the root of its weight and folded onto half of each mirror axis,
+# through each piece's constant map instead and is tested against this
 # ---------------------------------------------------------------------------
 
 # piece of a split -> (codomain tag, codomain rank minus domain rank)
@@ -186,22 +187,57 @@ PIECES = {"d1": ("s0", 1), "d2": ("cov_s0", 0), "d3": ("cov_s0", 0),
           "divergence": ("s0", -1)}
 
 
-def whole_stack_cut(gal, images):
+def reflection(n, tag, rank, axis):
+    """The fiber matrix of x_axis -> -x_axis on the bundle (`tag`, `rank`),
+    diagonal in the parity basis: -1 on the columns odd in `axis`, and on
+    the slot `axis` of a covector."""
+    Q, parity = fiber.parity_basis(n, rank)
+    R = Q @ np.diag(1.0 - 2.0 * parity[:, axis]) @ Q.T
+    if tag.startswith("cov"):
+        slot = np.ones(n)
+        slot[axis] = -1.0
+        R = np.kron(np.diag(slot), R)
+    return R
+
+
+def class_parts(gal, images, tag, rank):
+    """The reflection classes of a (colours, *grid, width) stack of images on
+    the bundle (`tag`, `rank`), on the whole grid: (classes, colours, *grid,
+    width), class q the product over the mirror axes a of (1 +- R_a*) / 2,
+    the sign - where bit i of q (the i-th mirror axis) is set."""
+    parts = images[None]
+    for a in gal.mirrors:
+        size = gal.cache.spec.sizes[a]
+        flipped = np.take(parts, -np.arange(size) % size, axis=2 + a)
+        flipped = flipped @ reflection(gal.cache.n, tag, rank, a).T
+        parts = np.concatenate([(parts + flipped) / 2, (parts - flipped) / 2])
+    return parts
+
+
+def whole_stack_cut(gal, images, tag, rank):
     """The half-spectrum cut of a whole (colours, *grid, *fiber) stack of
-    images in the layout of `Galerkin._cut_stacks`: one FFT of the stack
-    along the invariant axes and one gather per group of sectors; with no
-    invariant axis, the images themselves."""
+    images in the layout of `Galerkin._cut_stacks`: its class parts, kept on
+    points 0..N/2 of each mirror axis times the root of the count of points
+    each stands for, one FFT along the invariant axes and one gather per
+    group of sectors; with no invariant axis, the kept parts themselves."""
     count = len(images)
     spec = gal.cache.spec
-    images = images.reshape((count,) + spec.shape + (-1,))
+    parts = class_parts(gal, images.reshape((count,) + spec.shape + (-1,)), tag, rank)
+    for a in gal.mirrors:
+        size = spec.sizes[a]
+        half = np.arange(size // 2 + 1)
+        weight = np.sqrt(np.where(2 * half % size == 0, 1.0, 2.0))
+        parts = np.take(parts, half, axis=2 + a) * weight.reshape(
+            (-1,) + (1,) * (spec.n - a))
+    classes = len(parts)
     if not gal.axes:
-        return [images.reshape(1, count, -1, 1, images.shape[-1])]
-    hat = np.fft.rfftn(images, axes=[1 + a for a in gal.axes])
-    hat = hat.reshape(count, int(np.prod(gal._half)), -1)
+        return [parts.reshape(1, classes, count, -1, 1, parts.shape[-1])]
+    hat = np.fft.rfftn(parts, axes=[2 + a for a in gal.axes])
+    hat = hat.reshape(classes, count, int(np.prod(gal._half)), -1)
     out = []
     for _, g, _ in gal._bins:
-        part = np.take(hat, g, axis=1).swapaxes(0, 1)
-        out.append(np.stack([part.real, part.imag], axis=3))
+        part = np.moveaxis(np.take(hat, g, axis=2), 2, 0)
+        out.append(np.stack([part.real, part.imag], axis=4))
     return out
 
 
@@ -212,14 +248,15 @@ def weighted_pairing(gal, left, right, tag, rank):
     w = fiber_weight_scalar(gal.cache, tag, rank)
     left = left * w.reshape(w.shape + (1,) * (left.ndim - 1 - w.ndim))
     floor = max(float(np.max(np.abs(M))) for M in gal.mass())
-    return gal._pair(whole_stack_cut(gal, left), whole_stack_cut(gal, right), floor)
+    return gal._pair(whole_stack_cut(gal, left, tag, rank),
+                     whole_stack_cut(gal, right, tag, rank), floor)
 
 
 def galerkin_grams_reference(gal):
     """Per piece of `PIECES`, and for the gradient itself, the Gram block
     stacks of the layer by the piece route."""
     cache, p = gal.cache, gal.p
-    sp = gradients.decompose(TensorField(cache, "s0", p, gal.colours))
+    sp = gradients.decompose(TensorField(cache, "s0", p, gal._colours(slice(None))))
     out = {}
     for piece, (tag, shift) in dict(PIECES, grad=("cov_s0", 0)).items():
         images = getattr(sp, piece).data
@@ -230,8 +267,9 @@ def galerkin_grams_reference(gal):
 def galerkin_form_reference(gal, handle):
     """The form blocks of an endomorphism handle from the whole-stack cuts
     of the colours and of their images."""
-    images = handle.apply(TensorField(gal.cache, "s0", gal.p, gal.colours)).data
-    return weighted_pairing(gal, gal.colours, images, "s0", gal.p)
+    colours = gal._colours(slice(None))
+    images = handle.apply(TensorField(gal.cache, "s0", gal.p, colours)).data
+    return weighted_pairing(gal, colours, images, "s0", gal.p)
 
 
 # ---------------------------------------------------------------------------
