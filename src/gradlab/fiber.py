@@ -4,8 +4,12 @@ A rank-p symmetric tensor over an n-dimensional inner-product space is stored
 as one coefficient per nondecreasing multi-index ("monomial coordinates").
 The trace-free subspace carries a fixed orthonormalized basis, so trace-free
 storage is structural rather than penalized.  Every map between coordinate
-systems is an explicit small matrix; this keeps adjoints exact and lets each
-identity be tested against brute-force index loops.
+systems is an explicit small matrix; this keeps adjoints exact.  Where a
+slot operation sends a monomial index is recorded once, in one integer
+table per (n, p), and every slot tensor is scattered from it, so each is
+sized by its output.  The brute-force index loops, which work out each
+index move for themselves through full n^p tensors, live in the tests as
+the references these tensors are checked against.
 
 Every construction here is over the flat inner product on R^n.  The lab
 only builds metrics g = e^{2f} delta, whose orthonormal frames differ from
@@ -81,50 +85,45 @@ def sym_index_of(n: int, p: int) -> dict:
     return {idx: a for a, idx in enumerate(sym_indices(n, p))}
 
 
-def multiplicity(index: tuple[int, ...]) -> int:
-    """Number of distinct permutations of a multi-index."""
-    m = math.factorial(len(index))
-    for i in set(index):
-        m //= math.factorial(index.count(i))
-    return m
+@lru_cache(maxsize=None)
+def _index_table(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The one record of how a slot operation moves a monomial index.
+
+    Returns (up, counts), read-only integer arrays.  up[K, i] is the
+    position in sym_indices(n, p) of sorted((i,) + K), for each rank p-1
+    index K and axis i (no rows at p = 0).  Read backwards it removes a
+    slot: where A = up[K, i], K is A with one i taken out and up[K, k] is
+    A with that slot replaced by k.  counts[A, a] is the number of slots
+    of index A that hold a.  Every slot tensor below is scattered from
+    these two arrays.
+    """
+    pos = sym_index_of(n, p)
+    lower = sym_indices(n, p - 1) if p else ()
+    up = np.array([[pos[tuple(sorted((i,) + K))] for i in range(n)] for K in lower],
+                  int).reshape(-1, n)
+    idx = np.array(sym_indices(n, p), int).reshape(sym_dim(n, p), p)
+    counts = np.sum(idx[:, :, None] == np.arange(n), axis=1)
+    up.flags.writeable = False
+    counts.flags.writeable = False
+    return up, counts
+
+
+def _pair_positions(n: int, p: int) -> np.ndarray:
+    """P[K, a, b]: position in sym_indices(n, p) of sorted((a, b) + K), for
+    each rank p-2 index K."""
+    up_low, _ = _index_table(n, p - 1)
+    up, _ = _index_table(n, p)
+    return up[up_low[:, :, None], np.arange(n)]
 
 
 @lru_cache(maxsize=None)
 def multiplicities(n: int, p: int) -> np.ndarray:
-    out = np.array([multiplicity(I) for I in sym_indices(n, p)], dtype=float)
+    """Number of distinct permutations of each monomial index: p! / prod_a c_a!."""
+    _, counts = _index_table(n, p)
+    factorials = np.array([math.factorial(k) for k in range(p + 1)])
+    out = math.factorial(p) / np.prod(factorials[counts], axis=1)
     out.flags.writeable = False
     return out
-
-
-@lru_cache(maxsize=None)
-def expand_matrix(n: int, p: int) -> np.ndarray:
-    """(n^p, m) matrix taking monomial coordinates to the full tensor (flattened)."""
-    m = sym_dim(n, p)
-    E = np.zeros((n**p, m))
-    pos = sym_index_of(n, p)
-    for flat in range(n**p):
-        J = np.unravel_index(flat, (n,) * p) if p else ()
-        E[flat, pos[tuple(sorted(J))]] = 1.0
-    E.flags.writeable = False
-    return E
-
-
-@lru_cache(maxsize=None)
-def restrict_matrix(n: int, p: int) -> np.ndarray:
-    """(m, n^p) matrix averaging a full tensor onto monomial coordinates.
-
-    Applied to any full tensor this returns the monomial coordinates of its
-    full symmetrization; composed with expand_matrix it is the identity.
-    """
-    m = sym_dim(n, p)
-    R = np.zeros((m, n**p))
-    pos = sym_index_of(n, p)
-    for flat in range(n**p):
-        J = np.unravel_index(flat, (n,) * p) if p else ()
-        I = tuple(sorted(J))
-        R[pos[I], flat] = 1.0 / multiplicity(I)
-    R.flags.writeable = False
-    return R
 
 
 # ---------------------------------------------------------------------------
@@ -136,12 +135,10 @@ def trace_matrix(n: int, p: int) -> np.ndarray:
     """Matrix of the trace over two slots, rank p -> rank p-2 coordinates."""
     if p < 2:
         raise ValueError("trace needs rank >= 2")
-    m_out, m_in = sym_dim(n, p - 2), sym_dim(n, p)
-    pos_in = sym_index_of(n, p)
-    T = np.zeros((m_out, m_in))
-    for b, K in enumerate(sym_indices(n, p - 2)):
-        for a in range(n):
-            T[b, pos_in[tuple(sorted((a, a) + K))]] += 1.0
+    ax = np.arange(n)
+    doubled = _pair_positions(n, p)[:, ax, ax]
+    T = np.zeros((len(doubled), sym_dim(n, p)))
+    T[np.arange(len(doubled))[:, None], doubled] = 1.0
     T.flags.writeable = False
     return T
 
@@ -155,19 +152,16 @@ def insert_matrix(n: int, q: int) -> np.ndarray:
     cyclic average exactly; for higher ranks it is the unique totally
     symmetric extension proportional to Sym(delta (x) psi), and it is the
     normalization under which the first gradient is trace-free (the
-    arbitration test lives in the gradients module).
+    arbitration test lives in the gradients module).  Index K + (i, i)
+    has C(c_i, 2) slot pairs holding (i, i), c_i its count of i.
     """
     if q < 2:
         raise ValueError("insertion needs output rank >= 2")
-    m_out, m_in = sym_dim(n, q), sym_dim(n, q - 2)
-    pos_in = sym_index_of(n, q - 2)
-    M = np.zeros((m_out, m_in))
-    for a, J in enumerate(sym_indices(n, q)):
-        for s in range(q):
-            for t in range(s + 1, q):
-                if J[s] == J[t]:
-                    rest = J[:s] + J[s + 1 : t] + J[t + 1 :]
-                    M[a, pos_in[rest]] += 1.0 / q
+    ax = np.arange(n)
+    doubled = _pair_positions(n, q)[:, ax, ax]
+    c = _index_table(n, q)[1][doubled, ax]
+    M = np.zeros((sym_dim(n, q), len(doubled)))
+    M[doubled, np.arange(len(doubled))[:, None]] = (c * (c - 1) // 2) / q
     M.flags.writeable = False
     return M
 
@@ -237,8 +231,7 @@ def parity_basis(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     and parity[beta, a] is 1 when column beta is odd under x_a -> -x_a.
     """
     B, C = tracefree_basis(n, p)
-    odd = np.array([[I.count(a) % 2 for a in range(n)] for I in sym_indices(n, p)],
-                   int).reshape(-1, n)
+    odd = _index_table(n, p)[1] % 2
     columns, parity = [], []
     for cls in sorted(set(map(tuple, odd.tolist()))):
         w, V = np.linalg.eigh(C @ (np.all(odd == cls, axis=1)[:, None] * B))
@@ -260,7 +253,7 @@ def reflection_matrix(n: int, p: int, axis: int) -> np.ndarray:
     C D B, D the diagonal of (-1)^(count of `axis`) over the monomial
     coordinates.  The coordinates are flat-orthonormal, so it is orthogonal."""
     B, C = tracefree_basis(n, p)
-    sign = np.array([(-1.0) ** I.count(axis) for I in sym_indices(n, p)])
+    sign = (-1.0) ** _index_table(n, p)[1][:, axis]
     R = C @ (sign[:, None] * B)
     R.flags.writeable = False
     return R
@@ -276,53 +269,23 @@ def slot_replace_tensor(n: int, p: int) -> np.ndarray:
 
     For any n x n matrix T (e.g. a Christoffel slice), the symmetric-slot
     action  phi_J -> sum_a T^k_{J_a} phi_{J|a->k}  is  einsum('jk,AjkB,B->A',
-    T, Q, phi).
+    T, Q, phi).  The c_j(A) slots of A = K + j holding j all give B = K + k.
     """
-    m = sym_dim(n, p)
-    pos = sym_index_of(n, p)
+    up, counts = _index_table(n, p)
+    m, ax = len(counts), np.arange(n)
     Q = np.zeros((m, n, n, m))
-    for A, J in enumerate(sym_indices(n, p)):
-        for a in range(p):
-            for k in range(n):
-                B = pos[tuple(sorted(J[:a] + (k,) + J[a + 1 :]))]
-                Q[A, J[a], k, B] += 1.0
+    Q[up[:, :, None], ax[:, None], ax, up[:, None, :]] = counts[up, ax][:, :, None]
     Q.flags.writeable = False
     return Q
-
-
-@lru_cache(maxsize=None)
-def double_slot_replace_tensor(n: int, p: int) -> np.ndarray:
-    """Q2[A,j,k,l,s,B]: sum over ordered slot pairs a != b of
-    T^{k s}_{J_a J_b} phi_{J|a->k, b->s}, as einsum('jkls,AjklsB,B->A', T, Q2, phi)."""
-    m = sym_dim(n, p)
-    pos = sym_index_of(n, p)
-    Q2 = np.zeros((m, n, n, n, n, m))
-    for A, J in enumerate(sym_indices(n, p)):
-        for a in range(p):
-            for b in range(p):
-                if a == b:
-                    continue
-                for k in range(n):
-                    for s in range(n):
-                        L = list(J)
-                        L[a] = k
-                        L[b] = s
-                        B = pos[tuple(sorted(L))]
-                        Q2[A, J[a], k, J[b], s, B] += 1.0
-    Q2.flags.writeable = False
-    return Q2
 
 
 @lru_cache(maxsize=None)
 def div_contract_tensor(n: int, p: int) -> np.ndarray:
     """Kc[B,i,A]: (flat) contraction of a covariant slot into symmetric slots,
     X_{i, iK} summed over i, rank p -> rank p-1 coordinates."""
-    m_out, m_in = sym_dim(n, p - 1), sym_dim(n, p)
-    pos_in = sym_index_of(n, p)
-    Kc = np.zeros((m_out, n, m_in))
-    for B, K in enumerate(sym_indices(n, p - 1)):
-        for i in range(n):
-            Kc[B, i, pos_in[tuple(sorted((i,) + K))]] += 1.0
+    up, _ = _index_table(n, p)
+    Kc = np.zeros((len(up), n, sym_dim(n, p)))
+    Kc[np.arange(len(up))[:, None], np.arange(n), up] = 1.0
     Kc.flags.writeable = False
     return Kc
 
@@ -330,61 +293,38 @@ def div_contract_tensor(n: int, p: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def sym_insert_cov_tensor(n: int, p: int) -> np.ndarray:
     """Sm[J,i,A]: symmetrization of a covariant slot into symmetric slots,
-    (1/(p+1)) sum_a X_{J_a, J\\a}, rank (1, p) -> rank p+1 coordinates."""
-    m_out, m_in = sym_dim(n, p + 1), sym_dim(n, p)
-    pos_in = sym_index_of(n, p)
-    Sm = np.zeros((m_out, n, m_in))
-    for Jidx, J in enumerate(sym_indices(n, p + 1)):
-        for a in range(p + 1):
-            rest = J[:a] + J[a + 1 :]
-            Sm[Jidx, J[a], pos_in[rest]] += 1.0 / (p + 1)
+    (1/(p+1)) sum_a X_{J_a, J\\a}, rank (1, p) -> rank p+1 coordinates.
+    The c_i(J) slots of J = A + i holding i each leave A."""
+    up, counts = _index_table(n, p + 1)
+    ax = np.arange(n)
+    Sm = np.zeros((len(counts), n, len(up)))
+    Sm[up, ax, np.arange(len(up))[:, None]] = counts[up, ax] / (p + 1)
     Sm.flags.writeable = False
     return Sm
-
-
-@lru_cache(maxsize=None)
-def slice_first_tensor(n: int, p: int) -> np.ndarray:
-    """Sl[i,K,A]: fix the first slot of a symmetric rank-p tensor to i,
-    leaving rank p-1 coordinates."""
-    m_out, m_in = sym_dim(n, p - 1), sym_dim(n, p)
-    pos_in = sym_index_of(n, p)
-    Sl = np.zeros((n, m_out, m_in))
-    for i in range(n):
-        for K, Kidx in sym_index_of(n, p - 1).items():
-            Sl[i, Kidx, pos_in[tuple(sorted((i,) + K))]] = 1.0
-    Sl.flags.writeable = False
-    return Sl
 
 
 # ---------------------------------------------------------------------------
 # the irreducible projectors on T* (x) S0^p
 # ---------------------------------------------------------------------------
 
-def _insert_map_columns(n: int, p: int, basis_lower: np.ndarray) -> np.ndarray:
+def _insert_map_columns(n: int, p: int) -> np.ndarray:
     """Columns (in (cov, trace-free) coordinates) of the equivariant injection
     of rank p-1 trace-free tensors into T* (x) S0^p.
 
     For psi trace-free of rank p-1 the map is
         Sym_J(delta_{i J_1} psi_{rest})  -  (2/(n+2(p-2))) (insert of psi_i)_J
-    whose J-trace vanishes; for p = 1 the correction term is absent.
+    whose J-trace vanishes; for p = 1 the correction term is absent.  In
+    slot tensors it is C_p (Sm - c Ins Kc) B_{p-1}, with psi_i = Kc_i psi
+    the slice of psi at first index i.
     """
-    _, compress = tracefree_basis(n, p)
-    t = compress.shape[0]
-    t_low = basis_lower.shape[1]
-    cols = np.zeros((n * t, t_low))
-    R = restrict_matrix(n, p)
-    Sl = slice_first_tensor(n, p - 1) if p >= 2 else None
-    Ins = insert_matrix(n, p) if p >= 2 else None
-    eye = np.eye(n)
-    for c in range(t_low):
-        psi = basis_lower[:, c]
-        psi_full = (expand_matrix(n, p - 1) @ psi).reshape((n,) * (p - 1))
-        for i in range(n):
-            mono = R @ np.multiply.outer(eye[i], psi_full).reshape(-1)
-            if p >= 2:
-                mono = mono - (2.0 / (n + 2 * (p - 2))) * (Ins @ (Sl[i] @ psi))
-            cols[i * t : (i + 1) * t, c] = compress @ mono
-    return cols
+    mono = sym_insert_cov_tensor(n, p - 1)
+    if p >= 2:
+        Kc = div_contract_tensor(n, p - 1)
+        Ins = insert_matrix(n, p) @ Kc.reshape(len(Kc), -1)
+        mono = mono - (2.0 / (n + 2 * (p - 2))) * Ins.reshape(mono.shape)
+    B_low, _ = tracefree_basis(n, p - 1)
+    _, C = tracefree_basis(n, p)
+    return np.einsum("aJ,JiA,Ac->iac", C, mono, B_low, optimize=True).reshape(n * len(C), -1)
 
 
 def _orth_columns(cols: np.ndarray, cutoff: float = 1e-10) -> np.ndarray:
@@ -408,9 +348,8 @@ def flat_projector_matrices(n: int, p: int) -> tuple[np.ndarray, np.ndarray, np.
     """
     if n < 2 or p < 1:
         raise ValueError(f"need n >= 2 and p >= 1, got n={n}, p={p}")
-    B_lo, _ = tracefree_basis(n, p - 1)
     Qa = _orth_columns(embed_matrix(n, p))
-    Qb = _orth_columns(_insert_map_columns(n, p, B_lo))
+    Qb = _orth_columns(_insert_map_columns(n, p))
     if Qa.shape[1] != tracefree_dim(n, p + 1) or Qb.shape[1] != tracefree_dim(n, p - 1):
         raise FiberAlgebraError("constructed span has unexpected dimension")
     cross = float(np.max(np.abs(Qa.T @ Qb)))
@@ -428,15 +367,12 @@ def flat_projector_matrices(n: int, p: int) -> tuple[np.ndarray, np.ndarray, np.
 @lru_cache(maxsize=None)
 def embed_matrix(n: int, p: int) -> np.ndarray:
     """(n*t_p, t_{p+1}) isometric slot-regrouping of trace-free rank p+1 tensors
-    into T* (x) S0^p over the fixed flat bases."""
+    into T* (x) S0^p over the fixed flat bases: C_p Kc B_{p+1}, Kc the
+    `div_contract_tensor` of rank p+1, whose rows (K, i) read coefficient
+    sorted((i,) + K), gathered here straight from the index table."""
     B_hi, _ = tracefree_basis(n, p + 1)
     _, C_p = tracefree_basis(n, p)
-    t = C_p.shape[0]
-    R = restrict_matrix(n, p)
-    out = np.zeros((n * t, B_hi.shape[1]))
-    for c in range(B_hi.shape[1]):
-        full = (expand_matrix(n, p + 1) @ B_hi[:, c]).reshape(n, -1)
-        for i in range(n):
-            out[i * t : (i + 1) * t, c] = C_p @ (R @ full[i])
+    up, _ = _index_table(n, p + 1)
+    out = np.einsum("aK,Kic->iac", C_p, B_hi[up], optimize=True).reshape(n * len(C_p), -1)
     out.flags.writeable = False
     return out

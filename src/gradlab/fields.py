@@ -214,7 +214,8 @@ def _q0(n, p):
     """Slot-replacement tensor conjugated into the trace-free basis."""
     Q = fiber.slot_replace_tensor(n, p)
     B, C = fiber.tracefree_basis(n, p)
-    return np.ascontiguousarray(np.einsum("aA,AjkB,Bb->ajkb", C, Q, B))
+    t = len(C)
+    return ((C @ Q.reshape(len(Q), -1)).reshape(-1, len(B)) @ B).reshape(t, n, n, t)
 
 
 @lru_cache(maxsize=None)
@@ -223,7 +224,7 @@ def _k0(n, p):
     Kc = fiber.div_contract_tensor(n, p)
     Bp, _ = fiber.tracefree_basis(n, p)
     _, Cl = fiber.tracefree_basis(n, p - 1)
-    return np.ascontiguousarray(np.einsum("bB,BiA,Aa->bia", Cl, Kc, Bp))
+    return (Cl @ (Kc.reshape(-1, len(Bp)) @ Bp).reshape(len(Kc), -1)).reshape(len(Cl), n, -1)
 
 
 @lru_cache(maxsize=None)

@@ -45,9 +45,9 @@ from .fields import FieldError, TensorField, l2_inner, l2_norm
 
 _TINY = 1e-300
 
-# grid points per block in the curvature route of weitzenbock_K; one
-# block's (m, m) matrices take at most 0.8 MB up to n = 3, p = 3
-_CURVATURE_BLOCK = 1024
+# bytes of the pointwise (m, m) curvature matrices that the curvature route
+# of weitzenbock_K holds at once; a block has budget // (8 m^2) points
+_CURVATURE_BYTES = 1 << 20
 
 # largest trace residual of d1's symmetrized derivative, relative to max|X|
 # of the gradient X, that d1 accepts before raising ConventionError
@@ -127,26 +127,43 @@ def _curvature_matrix(n, p):
     """S_T (n^2, m^2): the pointwise curvature action as a linear map of T.
 
     With S1[(j, k), (A, B)] = Q[A, j, k, B] (`fiber.slot_replace_tensor`)
-    and S2[(j, k, l, s), (A, B)] = Q2[A, j, k, l, s, B]
-    (`fiber.double_slot_replace_tensor`), the action is R_j^k S1 -
-    R_j^k_l^s S2.  g^{-1} = e^{-2f} delta raises each index by e^{-2f}, and
-    the cache's closed forms (`geometry.GeometryCache`) give R_j^k =
-    -e^{-2f} ((n - 2) T + tr T delta)_jk and R_j^k_l^s = -e^{-2f}
+    and S2[(j, k, l, s), (A, B)] the sum over ordered slot pairs a != b of
+    J_A holding (j, l) whose replacement by (k, s) gives B, the action is
+    R_j^k S1 - R_j^k_l^s S2.  g^{-1} = e^{-2f} delta raises each index by
+    e^{-2f}, and the cache's closed forms (`geometry.GeometryCache`) give
+    R_j^k = -e^{-2f} ((n - 2) T + tr T delta)_jk and R_j^k_l^s = -e^{-2f}
     (T o delta)_jkls, so the action is e^{-2f} T @ S_T with S_T = L1 S1 +
-    L2 S2, L1 and L2 the linear maps T -> -Ric and T -> T o delta.  The S2
-    term is absent below rank 2.
+    L2 S2, L1 and L2 the linear maps T -> -Ric and T -> T o delta.
+
+    Summed over the slots, with c_a the counts of an index and K + a the
+    index K with one more a, row (a, b) of S_T is
+      -(n + p - 3) c_a(K + a)  at (K + a, K + b)  and
+      -(p - 1) c_b(K + b)  at (K + b, K + a), over rank p-1 indices K,
+      -p on the diagonal of rows (a, a),
+      w(K, a, b)  at (K + a + b, K + k + k)  for every axis k,  and
+      w(K, k, k)  at (K + k + k, K + a + b),  over rank p-2 indices K,
+    w(K, a, b) = c_a (c_b - delta_ab) at K + a + b the number of ordered
+    slot pairs holding (a, b); the last two lines are absent below rank 2.
+    Each line is scattered from `fiber`'s index table into the (n, n, m, m)
+    output, so nothing larger than S_T is formed.
     """
-    m = fiber.sym_dim(n, p)
-    eye = np.eye(n)
-    L1 = (n - 2) * np.eye(n * n) + np.outer(eye, eye)
-    S = -L1 @ np.moveaxis(fiber.slot_replace_tensor(n, p), 0, 2).reshape(n * n, m * m)
+    up, counts = fiber._index_table(n, p)
+    m, ax = len(counts), np.arange(n)
+    a, b = ax[:, None], ax                      # row (a, b)
+    S = np.zeros((n, n, m, m))
+    Ka, Kb = up[:, :, None], up[:, None, :]     # K + a, K + b
+    ca = counts[up, ax][:, :, None]             # c_a(K + a)
+    np.add.at(S, (a, b, Ka, Kb), -(n + p - 3.0) * ca)
+    np.add.at(S, (a, b, Kb, Ka), -(p - 1.0) * np.swapaxes(ca, 1, 2))
+    S[a, a, np.arange(m), np.arange(m)] -= p
     if p >= 2:
-        # (E_ab o delta)_jkls for the unit matrices E_ab, rows (a, b)
-        E = np.eye(n * n).reshape(n, n, n, n)
-        L2 = (np.einsum("abjl,ks->abjkls", E, eye) + np.einsum("abks,jl->abjkls", E, eye)
-              - np.einsum("abjs,kl->abjkls", E, eye) - np.einsum("abkl,js->abjkls", E, eye))
-        S2 = np.moveaxis(fiber.double_slot_replace_tensor(n, p), 0, 4).reshape(n**4, m * m)
-        S += L2.reshape(n * n, n**4) @ S2
+        Kab = fiber._pair_positions(n, p)       # K + a + b
+        w = counts[Kab, a] * (counts[Kab, b] - (a == b))
+        Kkk = Kab[:, ax, ax][:, None, None, :]  # K + k + k on a last axis
+        a, b, Kab = a[..., None], b[..., None], Kab[..., None]
+        np.add.at(S, (a, b, Kab, Kkk), w[..., None])
+        np.add.at(S, (a, b, Kkk, Kab), np.diagonal(w, axis1=1, axis2=2)[:, None, None, :])
+    S = S.reshape(n * n, m * m)
     S.flags.writeable = False
     return S
 
@@ -196,12 +213,13 @@ def _d2_structure(n, p):
 def _insertion_matrix_mono(n, p):
     """(n, m_p, t_{p-1}) monomial rows of the equivariant insertion map.
 
-    Independently coded route (`fiber._insert_map_columns`: averaged
-    symmetrization plus pair-weighted insertion, compressed to the trace-free
-    basis) used as an oracle against the literal display rows.
+    Independently coded route (`fiber._insert_map_columns`: the slot
+    symmetrization minus the pair-weighted insertion of the sliced tensor,
+    both scattered from the fiber's index table and compressed to the
+    trace-free basis) used as an oracle against the literal display rows,
+    whose loop works out its index moves for itself.
     """
-    B_low, _ = fiber.tracefree_basis(n, p - 1)
-    cols = fiber._insert_map_columns(n, p, B_low)
+    cols = fiber._insert_map_columns(n, p)
     Bp, _ = fiber.tracefree_basis(n, p)
     t = Bp.shape[1]
     out = np.stack([Bp @ cols[i * t : (i + 1) * t, :] for i in range(n)])
@@ -525,8 +543,9 @@ def weitzenbock_K(phi: TensorField, route: str = "operational"):
     # pointwise (m, m) curvature matrices and a batched matvec, one block of
     # points at a time so that the whole (P, m, m) stack is never held; the
     # batch axes lead and share each block's matrices
-    for b in range(0, P, _CURVATURE_BLOCK):
-        rows = slice(b, b + _CURVATURE_BLOCK)
+    block = max(_CURVATURE_BYTES // (8 * m * m), 1)
+    for b in range(0, P, block):
+        rows = slice(b, b + block)
         K = T[rows] @ S
         np.matmul(K.reshape(-1, m, m), x[:, rows], out=out[:, rows])
     return fields.field_from_monomial(cache, p, out.reshape(mono.shape), tag="s0")

@@ -283,17 +283,23 @@ def half_modes(bands):
     The representative is the mode whose first nonzero entry is positive.
     Modes come in lexicographic order, which fixes both the column order of
     the dealiased basis and the draw order of grid-independent test fields.
+    Returns a tuple of tuples, built once per bands.
     """
-    bands = np.asarray(bands, int).reshape(-1)
+    return _half_modes(tuple(map(int, np.ravel(bands))))
+
+
+@lru_cache(maxsize=None)
+def _half_modes(bands):
+    bands = np.array(bands, int)
     grid = np.indices(2 * bands + 1).reshape(len(bands), -1).T - bands
     first = grid[np.arange(len(grid)), np.argmax(grid != 0, axis=1)]
-    return list(map(tuple, grid[first > 0].tolist()))
+    return tuple(map(tuple, grid[first > 0].tolist()))
 
 
 def build_dealiased_basis(cache, rank):
     """The basis of every mode whose index is below Nyquist on each axis."""
     bands = [s // 2 - 1 for s in cache.spec.sizes]
-    return DealiasedBasis(cache=cache, rank=rank, modes=tuple(half_modes(bands)))
+    return DealiasedBasis(cache=cache, rank=rank, modes=half_modes(bands))
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,20 @@ constructions they check.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradlab import fiber
-from testlib import projector_residuals
+from gradlab import fiber, gradients
+from testlib import (
+    curvature_matrix_loop, div_contract_tensor_loop, double_slot_replace_tensor,
+    embed_matrix_loop, expand_matrix, insert_map_columns_loop, insert_matrix_loop,
+    multiplicities_loop, parity_loop, projector_residuals, restrict_matrix,
+    slice_first_tensor, slot_replace_tensor_loop, sym_insert_cov_tensor_loop,
+    trace_matrix_loop,
+)
 
 
 # flat, test-local references for the pointwise readings the library does
@@ -22,12 +29,12 @@ from testlib import projector_residuals
 
 def full(n, p, coeffs):
     """Expand monomial coordinates to the full (n,)*p array."""
-    return (fiber.expand_matrix(n, p) @ coeffs).reshape((n,) * p)
+    return (expand_matrix(n, p) @ coeffs).reshape((n,) * p)
 
 
 def symmetrize(T):
     """Monomial coordinates of the average of T over all slot permutations."""
-    return fiber.restrict_matrix(T.shape[0], T.ndim) @ T.reshape(-1)
+    return restrict_matrix(T.shape[0], T.ndim) @ T.reshape(-1)
 
 
 def tracefree_project(coeffs, n, p):
@@ -334,7 +341,7 @@ def test_parity_basis_diagonalizes_the_reflections(n, p):
                 view = [1] * p
                 view[slot] = n
                 sign = sign * np.where(np.arange(n) == a, -1.0, 1.0).reshape(view)
-            reflected = C @ fiber.restrict_matrix(n, p) @ (sign * T).reshape(-1)
+            reflected = C @ restrict_matrix(n, p) @ (sign * T).reshape(-1)
             assert np.max(np.abs(reflected - (-1) ** parity[beta, a] * Q[:, beta])) < 1e-13
     classes = {tuple(row) for row in parity.tolist()}
     dims = {cls: int(np.sum(np.all(parity == cls, axis=1))) for cls in classes}
@@ -369,14 +376,14 @@ def test_slot_replace_tensor_oracle():
     expect_full = np.zeros_like(a)
     for s in range(p):
         expect_full += np.moveaxis(np.tensordot(a, T, axes=([s], [1])), -1, s)
-    expect = fiber.restrict_matrix(n, p) @ expect_full.reshape(-1)
+    expect = restrict_matrix(n, p) @ expect_full.reshape(-1)
     assert np.allclose(got, expect, atol=1e-12)
 
 
 def test_double_slot_replace_tensor_oracle():
     rng = np.random.default_rng(13)
     n, p = 3, 2
-    Q2 = fiber.double_slot_replace_tensor(n, p)
+    Q2 = double_slot_replace_tensor(n, p)
     T = rng.normal(size=(n, n, n, n))  # T[j,k,l,s] plays T^{k s}_{j l}
     phi = random_tensor(rng, n, p)
     got = np.einsum("jkls,AjklsB,B->A", T, Q2, phi)
@@ -403,7 +410,7 @@ def test_cov_contract_and_symmetrize_tensors():
     n, p = 3, 2
     X = rng.normal(size=(n,) + (n,) * p)  # X[i, J], symmetric part irrelevant
     Xs = (X + np.transpose(X, (0, 2, 1))) / 2
-    mono = np.stack([fiber.restrict_matrix(n, p) @ Xs[i].reshape(-1) for i in range(n)])
+    mono = np.stack([restrict_matrix(n, p) @ Xs[i].reshape(-1) for i in range(n)])
     Kc = fiber.div_contract_tensor(n, p)
     got = np.einsum("BiA,iA->B", Kc, mono)
     expect = np.array([sum(Xs[i, i, k] for i in range(n)) for k in range(n)])
@@ -417,12 +424,60 @@ def test_slice_first_tensor_oracle():
     rng = np.random.default_rng(15)
     n, p = 3, 3
     phi = random_tensor(rng, n, p)
-    Sl = fiber.slice_first_tensor(n, p)
+    Sl = slice_first_tensor(n, p)
     a = full(n, p, phi)
     for i in range(n):
         got = np.einsum("KA,A->K", Sl[i], phi)
-        expect = fiber.restrict_matrix(n, p - 1) @ a[i].reshape(-1)
+        expect = restrict_matrix(n, p - 1) @ a[i].reshape(-1)
         assert np.allclose(got, expect, atol=1e-14)
+
+
+@pytest.mark.parametrize("n,p", [(n, p) for n in range(2, 6) for p in range(0, 5)])
+def test_table_built_tensors_match_the_loops(n, p):
+    # the integer and count tensors, the reflections and the curvature
+    # action are equal entry for entry; the symmetrization and insertion
+    # weights are one division where the loops add 1/(p+1) or 1/q
+    # repeatedly, and the embedding and insertion columns contract in
+    # another order than the full-tensor loops, so those agree to roundoff
+    exact = [(fiber.multiplicities(n, p), multiplicities_loop(n, p)),
+             (fiber._index_table(n, p)[1] % 2, parity_loop(n, p)),
+             (fiber.slot_replace_tensor(n, p), slot_replace_tensor_loop(n, p))]
+    close = [(fiber.sym_insert_cov_tensor(n, p), sym_insert_cov_tensor_loop(n, p)),
+             (fiber.embed_matrix(n, p), embed_matrix_loop(n, p))]
+    B, C = fiber.tracefree_basis(n, p)
+    for a in range(n):
+        sign = (-1.0) ** parity_loop(n, p)[:, a]
+        exact.append((fiber.reflection_matrix(n, p, a), C @ (sign[:, None] * B)))
+    if p >= 1:
+        exact += [(fiber.div_contract_tensor(n, p), div_contract_tensor_loop(n, p)),
+                  (np.moveaxis(fiber.div_contract_tensor(n, p), 1, 0), slice_first_tensor(n, p)),
+                  (gradients._curvature_matrix(n, p), curvature_matrix_loop(n, p))]
+        close.append((fiber._insert_map_columns(n, p), insert_map_columns_loop(n, p)))
+    if p >= 2:
+        exact.append((fiber.trace_matrix(n, p), trace_matrix_loop(n, p)))
+        close.append((fiber.insert_matrix(n, p), insert_matrix_loop(n, p)))
+    for got, ref in exact:
+        assert got.shape == ref.shape and np.array_equal(got, ref)
+    for got, ref in close:
+        assert got.shape == ref.shape and np.max(np.abs(got - ref)) <= 1e-15
+
+
+@pytest.mark.parametrize("build,n,p", [(fiber.embed_matrix, 5, 6),
+                                       (gradients._curvature_matrix, 6, 4)])
+def test_slot_builders_are_sized_by_their_output(build, n, p):
+    # no builder forms an n^p-row array or an n^4 m^2 one: a fresh build
+    # peaks at four outputs plus 1 MiB.  The trace-free bases of ranks p and
+    # p + 1 are structures of their own, sized m^2, so they are built first
+    build.cache_clear()
+    for q in (p, p + 1):
+        fiber.tracefree_basis(n, q)
+    tracemalloc.start()
+    try:
+        out = build(n, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * out.nbytes + 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +491,7 @@ def _frame_action(R, p):
     for _ in range(p):
         K = np.kron(K, R)
     B, C = fiber.tracefree_basis(n, p)
-    rho = C @ fiber.restrict_matrix(n, p) @ K @ fiber.expand_matrix(n, p) @ B
+    rho = C @ restrict_matrix(n, p) @ K @ expand_matrix(n, p) @ B
     return np.kron(R, rho)
 
 
@@ -476,7 +531,7 @@ def test_projector_A_membership():
     B_hi, _ = fiber.tracefree_basis(n, p + 1)
     _, compress = fiber.tracefree_basis(n, p)
     Phi = full(n, p + 1, B_hi @ rng.normal(size=B_hi.shape[1])).reshape(n, -1)
-    R = fiber.restrict_matrix(n, p)
+    R = restrict_matrix(n, p)
     x = np.concatenate([compress @ (R @ Phi[i]) for i in range(n)])
     assert np.allclose(pi_A @ x, x, atol=1e-9)
     assert np.max(np.abs(pi_B @ x)) < 1e-9
@@ -487,7 +542,7 @@ def test_insert_map_scale():
     # for p >= 2 and lambda = n for p = 1; checked numerically
     for n, p in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (3, 1), (2, 1)]:
         B_lo, _ = fiber.tracefree_basis(n, p - 1)
-        cols = fiber._insert_map_columns(n, p, B_lo)
+        cols = fiber._insert_map_columns(n, p)
         Bp, _ = fiber.tracefree_basis(n, p)
         t = Bp.shape[1]
         # tau: contract the covariant slot with the first symmetric slot

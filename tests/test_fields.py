@@ -29,7 +29,9 @@ from testlib import (
     analytic_laplacian,
     divergence_exact_adjoint,
     metric_samples,
+    restrict_matrix,
     rough_laplacian_formula,
+    slice_first_tensor,
     sym_derivative_exact_adjoint,
     unit_field,
     zero_field,
@@ -58,7 +60,7 @@ def make_cache(n=2, size=16, metric="flat", f_text="0.1*cos(x1)", method="spectr
 
 def metric_as_field(cache):
     n = cache.n
-    R = fiber.restrict_matrix(n, 2)
+    R = restrict_matrix(n, 2)
     mono = metric_samples(cache).reshape(cache.spec.shape + (n * n,)) @ R.T
     return TensorField(cache, "s", 2, mono)
 
@@ -195,7 +197,7 @@ def test_divergence_preserves_tracefree_generic_cross_check():
     # independent route: contract the generic-path covariant derivative
     X = gradient(as_symmetric(phi))  # (*grid, i, A) monomial
     n = cache.n
-    Sl = fiber.slice_first_tensor(n, 3)
+    Sl = slice_first_tensor(n, 3)
     g_inv = np.linalg.inv(metric_samples(cache))
     ginv_contract = np.einsum("...ij,jKA,...iA->...K", g_inv, Sl, X.data)
     expect = field_from_monomial(cache, 2, -ginv_contract, tag="s0")

@@ -40,6 +40,7 @@ from testlib import (
     d2_exact_adjoint_unfused,
     d3_exact_adjoint_unfused,
     divergence_exact_adjoint,
+    double_slot_replace_tensor,
     embed_transpose,
     gauss_curvature_2d_oracle,
     gradient_adjoint_unfused,
@@ -617,7 +618,7 @@ def _curvature_route_einsum(phi):
         )
         out -= np.einsum(
             "...jkls,AjklsB,...B->...A",
-            T2, fiber.double_slot_replace_tensor(n, p), mono, optimize=True,
+            T2, double_slot_replace_tensor(n, p), mono, optimize=True,
         )
     return fields.field_from_monomial(cache, p, out, tag="s0")
 

@@ -933,7 +933,7 @@ def test_half_modes_one_per_pair():
     modes = spectral.half_modes([2, 1])
     assert len(modes) == (5 * 3 - 1) // 2
     assert len(set(modes) | {tuple(-v for v in m) for m in modes}) == 2 * len(modes)
-    assert modes == sorted(modes)
+    assert list(modes) == sorted(modes)
 
 
 def reference_half_modes(bands):
@@ -947,8 +947,10 @@ def reference_half_modes(bands):
                                    [4, 0, 2], (3, 3, 3), [1, 2, 1, 1]])
 def test_half_modes_match_the_enumeration(bands):
     modes = spectral.half_modes(bands)
-    assert modes == reference_half_modes(bands)
+    assert list(modes) == reference_half_modes(bands)
     assert all(type(v) is int for m in modes for v in m)
+    # built once per bands, and immutable: every draw shares it
+    assert spectral.half_modes(list(bands)) is modes and isinstance(modes, tuple)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Test-only helpers: reference constructions that no suite, command or
 script of the package uses, so they live beside the tests."""
 
+import math
+from functools import lru_cache
+
 import numpy as np
 
 from gradlab import fiber, fields, gradients
@@ -270,6 +273,206 @@ def galerkin_form_reference(gal, handle):
     colours = gal._colours(slice(None))
     images = handle.apply(TensorField(gal.cache, "s0", gal.p, colours)).data
     return weighted_pairing(gal, colours, images, "s0", gal.p)
+
+
+# ---------------------------------------------------------------------------
+# brute-force index loops: the references of the fiber's slot tensors, which
+# the package scatters from one index table; each loop works out for itself
+# where a slot operation sends a monomial index
+# ---------------------------------------------------------------------------
+
+def multiplicity(index):
+    """Number of distinct permutations of a multi-index."""
+    m = math.factorial(len(index))
+    for i in set(index):
+        m //= math.factorial(index.count(i))
+    return m
+
+
+def multiplicities_loop(n, p):
+    return np.array([multiplicity(I) for I in fiber.sym_indices(n, p)], dtype=float)
+
+
+def parity_loop(n, p):
+    """(m, n) index counts mod 2 of each monomial coordinate."""
+    return np.array([[I.count(a) % 2 for a in range(n)] for I in fiber.sym_indices(n, p)],
+                    int).reshape(-1, n)
+
+
+@lru_cache(maxsize=None)
+def expand_matrix(n, p):
+    """(n^p, m) matrix taking monomial coordinates to the full tensor (flattened)."""
+    m = fiber.sym_dim(n, p)
+    E = np.zeros((n**p, m))
+    pos = fiber.sym_index_of(n, p)
+    for flat in range(n**p):
+        J = np.unravel_index(flat, (n,) * p) if p else ()
+        E[flat, pos[tuple(sorted(J))]] = 1.0
+    E.flags.writeable = False
+    return E
+
+
+@lru_cache(maxsize=None)
+def restrict_matrix(n, p):
+    """(m, n^p) matrix averaging a full tensor onto monomial coordinates.
+
+    Applied to any full tensor this returns the monomial coordinates of its
+    full symmetrization; composed with expand_matrix it is the identity.
+    """
+    m = fiber.sym_dim(n, p)
+    R = np.zeros((m, n**p))
+    pos = fiber.sym_index_of(n, p)
+    for flat in range(n**p):
+        J = np.unravel_index(flat, (n,) * p) if p else ()
+        I = tuple(sorted(J))
+        R[pos[I], flat] = 1.0 / multiplicity(I)
+    R.flags.writeable = False
+    return R
+
+
+def trace_matrix_loop(n, p):
+    m_out, m_in = fiber.sym_dim(n, p - 2), fiber.sym_dim(n, p)
+    pos_in = fiber.sym_index_of(n, p)
+    T = np.zeros((m_out, m_in))
+    for b, K in enumerate(fiber.sym_indices(n, p - 2)):
+        for a in range(n):
+            T[b, pos_in[tuple(sorted((a, a) + K))]] += 1.0
+    return T
+
+
+def insert_matrix_loop(n, q):
+    m_out, m_in = fiber.sym_dim(n, q), fiber.sym_dim(n, q - 2)
+    pos_in = fiber.sym_index_of(n, q - 2)
+    M = np.zeros((m_out, m_in))
+    for a, J in enumerate(fiber.sym_indices(n, q)):
+        for s in range(q):
+            for t in range(s + 1, q):
+                if J[s] == J[t]:
+                    rest = J[:s] + J[s + 1 : t] + J[t + 1 :]
+                    M[a, pos_in[rest]] += 1.0 / q
+    return M
+
+
+def slot_replace_tensor_loop(n, p):
+    m = fiber.sym_dim(n, p)
+    pos = fiber.sym_index_of(n, p)
+    Q = np.zeros((m, n, n, m))
+    for A, J in enumerate(fiber.sym_indices(n, p)):
+        for a in range(p):
+            for k in range(n):
+                B = pos[tuple(sorted(J[:a] + (k,) + J[a + 1 :]))]
+                Q[A, J[a], k, B] += 1.0
+    return Q
+
+
+def double_slot_replace_tensor(n, p):
+    """Q2[A,j,k,l,s,B]: sum over ordered slot pairs a != b of
+    T^{k s}_{J_a J_b} phi_{J|a->k, b->s}, as einsum('jkls,AjklsB,B->A', T, Q2, phi)."""
+    m = fiber.sym_dim(n, p)
+    pos = fiber.sym_index_of(n, p)
+    Q2 = np.zeros((m, n, n, n, n, m))
+    for A, J in enumerate(fiber.sym_indices(n, p)):
+        for a in range(p):
+            for b in range(p):
+                if a == b:
+                    continue
+                for k in range(n):
+                    for s in range(n):
+                        L = list(J)
+                        L[a] = k
+                        L[b] = s
+                        B = pos[tuple(sorted(L))]
+                        Q2[A, J[a], k, J[b], s, B] += 1.0
+    return Q2
+
+
+def div_contract_tensor_loop(n, p):
+    m_out, m_in = fiber.sym_dim(n, p - 1), fiber.sym_dim(n, p)
+    pos_in = fiber.sym_index_of(n, p)
+    Kc = np.zeros((m_out, n, m_in))
+    for B, K in enumerate(fiber.sym_indices(n, p - 1)):
+        for i in range(n):
+            Kc[B, i, pos_in[tuple(sorted((i,) + K))]] += 1.0
+    return Kc
+
+
+def sym_insert_cov_tensor_loop(n, p):
+    m_out, m_in = fiber.sym_dim(n, p + 1), fiber.sym_dim(n, p)
+    pos_in = fiber.sym_index_of(n, p)
+    Sm = np.zeros((m_out, n, m_in))
+    for Jidx, J in enumerate(fiber.sym_indices(n, p + 1)):
+        for a in range(p + 1):
+            rest = J[:a] + J[a + 1 :]
+            Sm[Jidx, J[a], pos_in[rest]] += 1.0 / (p + 1)
+    return Sm
+
+
+def slice_first_tensor(n, p):
+    """Sl[i,K,A]: fix the first slot of a symmetric rank-p tensor to i,
+    leaving rank p-1 coordinates."""
+    m_out, m_in = fiber.sym_dim(n, p - 1), fiber.sym_dim(n, p)
+    pos_in = fiber.sym_index_of(n, p)
+    Sl = np.zeros((n, m_out, m_in))
+    for i in range(n):
+        for K, Kidx in fiber.sym_index_of(n, p - 1).items():
+            Sl[i, Kidx, pos_in[tuple(sorted((i,) + K))]] = 1.0
+    return Sl
+
+
+def embed_matrix_loop(n, p):
+    """`fiber.embed_matrix` through the full rank p+1 tensor: each trace-free
+    basis tensor expanded, sliced at its first index and restricted."""
+    B_hi, _ = fiber.tracefree_basis(n, p + 1)
+    _, C_p = fiber.tracefree_basis(n, p)
+    t = C_p.shape[0]
+    R = restrict_matrix(n, p)
+    out = np.zeros((n * t, B_hi.shape[1]))
+    for c in range(B_hi.shape[1]):
+        full = (expand_matrix(n, p + 1) @ B_hi[:, c]).reshape(n, -1)
+        for i in range(n):
+            out[i * t : (i + 1) * t, c] = C_p @ (R @ full[i])
+    return out
+
+
+def insert_map_columns_loop(n, p):
+    """`fiber._insert_map_columns` through full tensors: the symmetrization
+    of e_i (x) psi restricted from the full rank p tensor, minus the
+    insertion of psi sliced at first index i."""
+    basis_lower, _ = fiber.tracefree_basis(n, p - 1)
+    _, compress = fiber.tracefree_basis(n, p)
+    t = compress.shape[0]
+    cols = np.zeros((n * t, basis_lower.shape[1]))
+    R = restrict_matrix(n, p)
+    Sl = slice_first_tensor(n, p - 1) if p >= 2 else None
+    Ins = insert_matrix_loop(n, p) if p >= 2 else None
+    eye = np.eye(n)
+    for c in range(basis_lower.shape[1]):
+        psi = basis_lower[:, c]
+        psi_full = (expand_matrix(n, p - 1) @ psi).reshape((n,) * (p - 1))
+        for i in range(n):
+            mono = R @ np.multiply.outer(eye[i], psi_full).reshape(-1)
+            if p >= 2:
+                mono = mono - (2.0 / (n + 2 * (p - 2))) * (Ins @ (Sl[i] @ psi))
+            cols[i * t : (i + 1) * t, c] = compress @ mono
+    return cols
+
+
+def curvature_matrix_loop(n, p):
+    """`gradients._curvature_matrix` as L1 S1 + L2 S2 over the loop slot
+    tensors: S1 = Q reshaped to (n^2, m^2), S2 = Q2 to (n^4, m^2), L1 the
+    map T -> -Ric and L2 the map T -> T o delta."""
+    m = fiber.sym_dim(n, p)
+    eye = np.eye(n)
+    L1 = (n - 2) * np.eye(n * n) + np.outer(eye, eye)
+    S = -L1 @ np.moveaxis(slot_replace_tensor_loop(n, p), 0, 2).reshape(n * n, m * m)
+    if p >= 2:
+        # (E_ab o delta)_jkls for the unit matrices E_ab, rows (a, b)
+        E = np.eye(n * n).reshape(n, n, n, n)
+        L2 = (np.einsum("abjl,ks->abjkls", E, eye) + np.einsum("abks,jl->abjkls", E, eye)
+              - np.einsum("abjs,kl->abjkls", E, eye) - np.einsum("abkl,js->abjkls", E, eye))
+        S2 = np.moveaxis(double_slot_replace_tensor(n, p), 0, 4).reshape(n**4, m * m)
+        S += L2.reshape(n * n, n**4) @ S2
+    return S
 
 
 # ---------------------------------------------------------------------------
