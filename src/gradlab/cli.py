@@ -4,10 +4,9 @@ A thin shell over the other modules: it parses arguments and config files,
 dispatches to the harness, writes report files, and maps suite status to
 exit codes.  It performs no numerical work of its own.
 
-Three verbs: `info` prints the fiber dimension table, `check` runs the
-suites a config names (one suite: `--override suites=kernel`), and
-`symbol` scans a principal symbol at the config's first rank (another
-rank: `--override ranks=N`).
+Two verbs: `info` prints the fiber dimension table, and `check` runs the
+suites a config names (one suite: `--override suites=kernel`, other
+ranks: `--override ranks=N`).
 
 Exit codes: 0 all mandatory checks pass, 1 failures, 2 usage/config error,
 3 indeterminate results only.
@@ -17,7 +16,6 @@ Exit codes: 0 all mandatory checks pass, 1 failures, 2 usage/config error,
 
 import argparse
 import ctypes
-import os
 import sys
 
 from . import fiber, harness, spectral
@@ -124,29 +122,6 @@ def _cmd_check(args, out):
     return _exit_code(reports)
 
 
-def _cmd_symbol(args, out):
-    if args.directions < 1:
-        print(f"symbol: --directions must be >= 1, got {args.directions}", file=sys.stderr)
-        return EXIT_USAGE
-    cfg = _load_config(args)
-    rank = cfg.ranks[0]
-    cache = harness.build_cache(cfg, cfg.sizes[-1])
-    handle = spectral.handle_by_name(cache, rank, args.operator)
-    out_dir = harness.output_dir(args.out)
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"symbol_{args.operator}_p{rank}.csv")
-    reports = spectral.symbol_scan_to_csv(
-        handle, path, n_dirs=args.directions, seed=cfg.seed
-    )
-    min_sv = min(r.min_singular_value for r in reports)
-    dist = max(r.distance_to_scalar for r in reports)
-    print(f"[symbol] {args.operator} p={rank}: {args.directions} directions, "
-          f"min singular value {min_sv:.6e}, max distance to scalar {dist:.6e}",
-          file=out)
-    print(f"  wrote {path}", file=out)
-    return EXIT_PASS
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="gradlab",
@@ -159,29 +134,18 @@ def build_parser():
     p_info.add_argument("--n", type=int, required=True, help="base dimension (2..8)")
     p_info.add_argument("--p", type=int, required=True, help="max tensor rank (0..6)")
 
-    def add_common(p):
-        p.add_argument("--config", required=True, help="path to a key=value config")
-        p.add_argument("--out", default=None,
-                       help="output directory (default: $GRADLAB_OUT or '.')")
-        p.add_argument("--override", action="append", default=[],
-                       metavar="KEY=VALUE", help="config override, repeatable")
-
     p_check = sub.add_parser("check", help="run the suites named in the config")
-    add_common(p_check)
-    p_sym = sub.add_parser("symbol", help="scan a principal symbol over directions, "
-                                          "at the config's first rank")
-    add_common(p_sym)
-    p_sym.add_argument("--operator", default="d1_star_d1",
-                       help="operator name from the handle registry")
-    p_sym.add_argument("--directions", type=int, default=64,
-                       help="number of random unit directions")
+    p_check.add_argument("--config", required=True, help="path to a key=value config")
+    p_check.add_argument("--out", default=None,
+                         help="output directory (default: $GRADLAB_OUT or '.')")
+    p_check.add_argument("--override", action="append", default=[],
+                         metavar="KEY=VALUE", help="config override, repeatable")
     return parser
 
 
 _COMMANDS = {
     "info": _cmd_info,
     "check": _cmd_check,
-    "symbol": _cmd_symbol,
 }
 
 

@@ -166,21 +166,17 @@ def insert_matrix(n: int, q: int) -> np.ndarray:
     return M
 
 
-@lru_cache(maxsize=None)
-def gram_matrix(n: int, p: int) -> np.ndarray:
-    """Gram matrix of the monomial coordinates under the induced inner product."""
-    G = np.diag(multiplicities(n, p))
-    G.flags.writeable = False
-    return G
-
-
 # ---------------------------------------------------------------------------
 # trace-free bases
 # ---------------------------------------------------------------------------
 
-def _orthonormalize(columns: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    """Symmetric (Loewdin) orthonormalization of columns w.r.t. a Gram matrix."""
-    M = columns.T @ gram @ columns
+def _orthonormalize(columns: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Symmetric (Loewdin) orthonormalization of columns w.r.t. the diagonal
+    Gram matrix of `weights`.  The weighted columns are laid out in C order,
+    as a product with the dense diagonal would leave them: the layout picks
+    the summation order of the next product, so M stays bit for bit that
+    of the dense route."""
+    M = np.multiply(columns.T, weights, order="C") @ columns
     w, V = np.linalg.eigh(M)
     if np.min(w) <= 1e-12 * np.max(w):
         raise FiberAlgebraError("degenerate span in orthonormalization")
@@ -192,7 +188,8 @@ def tracefree_basis(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Fixed flat-orthonormal basis of the trace-free subspace.
 
     Returns (expand, compress): expand is (m, t) with orthonormal columns in
-    the flat induced inner product; compress = expand^T @ Gram is its left
+    the flat induced inner product; compress = expand^T W, W the diagonal
+    Gram matrix of the monomial coordinates (`multiplicities`), is its left
     inverse, and expand @ compress is the flat trace-free projection.
     """
     m = sym_dim(n, p)
@@ -209,8 +206,8 @@ def tracefree_basis(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
         ns = np.ascontiguousarray(vh[int(np.sum(s > tol)):].T)
         if ns.shape[1] != tracefree_dim(n, p):
             raise FiberAlgebraError(f"null space dimension mismatch at (n={n}, p={p})")
-        B = _orthonormalize(ns, gram_matrix(n, p))
-    C = B.T @ gram_matrix(n, p)
+        B = _orthonormalize(ns, multiplicities(n, p))
+    C = np.multiply(B.T, multiplicities(n, p), order="C")
     B.flags.writeable = False
     C.flags.writeable = False
     return B, C

@@ -10,7 +10,7 @@ Fields store fiber coordinates per grid point under one of four tags:
 
 The data may carry leading batch axes, (*batch, *grid, *fiber): a stack of
 fields on one grid.  Every operator that `gradients.decompose` and the
-registry handles of `spectral` reach, both routes of
+operator handles of `spectral` reach, both routes of
 `gradients.weitzenbock_K`, and the projector and Ahlfors oracles of
 `gradients` act on each member of a stack independently, with the
 arithmetic of a single field; the L2 pairings (`l2_inner`, `l2_norm`) take

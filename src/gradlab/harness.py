@@ -476,8 +476,7 @@ def _kernel_checks_for_rank(rec, config, p, caches):
         # is dropped before the next is built
         gal = None
         gal = spectral.Galerkin(cache, p)
-        rep = spectral.spectrum(spectral.d1_star_d1_handle(cache, p), n_eigs=None,
-                                galerkin=gal)
+        rep = spectral.spectrum(spectral.d1_star_d1_handle(cache, p), galerkin=gal)
         ck_by_size[size] = rep.kernel
         lam = max(rep.lambda_max, 0.0)
         psd_worst = max(psd_worst, -float(rep.eigenvalues[0]) / (lam + _TINY))
@@ -565,8 +564,9 @@ def _symbol_checks_for_rank(rec, config, p, cache):
     for _ in range(100):
         xi.append(rng.standard_normal(config.dimension))
         points.append([int(rng.integers(0, s)) for s in cache.spec.shape])
-    # the samples as one stack: one symbol call and one batched eigvalsh, with
-    # `spectral.symbol_eval`'s scalar distance and symmetry guard per sample
+    # the samples as one stack: one symbol call and one batched eigvalsh;
+    # gscale is e^{-2f} at each sample's grid point, and a sample's lowest
+    # eigenvalue counts only where its symbol is symmetric to 1e-10
     xi = np.array(xi)
     gscale = np.exp(-2.0 * cache.conf_exponent_values[tuple(np.array(points).T)])
     mat = handle.symbol(xi, gscale[:, None, None])

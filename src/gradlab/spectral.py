@@ -66,17 +66,15 @@ Two discretization hazards shape the design:
 
 Principal symbols are never extracted by finite plane-wave limits.  With
 G(xi) the symbol of the covariant derivative on trace-free coordinates,
-every handle's symbol is one of two rules over a constant fiber matrix:
-A G(xi) at first order (A the identity, the transposed embedding of d1, a
-flat projector, or the divergence contraction times -gscale) and
-gscale G(xi)^T Q G(xi) at second order (Q the identity, a flat projector,
-or a block matrix of the structure tensors that delta delta* and
-delta* delta use).  The matrices are the operators' own cached structure
-tensors, which keeps the symbols exactly consistent with the discrete
-operators.
+the gradient's symbol is G(xi) itself, each first-order piece's is
+A G(xi) (A the transposed embedding of d1, a flat projector, or the
+divergence contraction times -gscale) and that of d1* d1 is
+gscale G(xi)^T A G(xi), A the flat projector onto the first piece.  Each
+A is its operator's own cached structure tensor, which keeps the symbols
+exactly consistent with the discrete operators.  The kernel suite reads
+them: its symbol positivity records and the flat per-mode kernel oracle.
 """
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -97,8 +95,10 @@ GALERKIN_BYTES_CAP = 2**30
 # operator to a batch of its colours (Galerkin._probe)
 _PROBE_BYTES = 2**22
 # arrays of the widest per-point fiber an operator forms per colour
-# (Galerkin._colour_work_bytes); the registry's handles trace at most 3.5
-# of them (sampson_tracefree on the 2-torus)
+# (Galerkin._colour_work_bytes); one chunk's application, its output
+# included, traces at most 2.9 of them (d1* d1 on the flat 2-torus at rank
+# 1; the gradient 1.7, the rough Laplacian 2.4; 2- and 3-tori, flat and
+# conformal, ranks 1-3)
 _WORK_FLOATS = 4
 # mass-sized arrays a layer holds while it solves (Galerkin._bytes_before_solve)
 _BLOCK_ARRAYS = 18
@@ -595,10 +595,10 @@ class Galerkin:
 
     def _colour_work_bytes(self):
         """Bytes one colour takes while an operator acts on it, bounded by
-        `_WORK_FLOATS` arrays of the widest per-point fiber an operator of
-        the registry forms: n times the monomial dimension of rank p + 1,
-        the gradient of a rank p + 1 monomial field and its connection
-        term."""
+        `_WORK_FLOATS` arrays of the widest per-point fiber an operator
+        applied to the layer forms: n times the monomial dimension of rank
+        p + 1, the gradient of a rank p + 1 monomial field and its
+        connection term."""
         n = self.cache.n
         widest = n * fiber.sym_dim(n, self.p + 1)
         return 8 * _WORK_FLOATS * widest * self.cache.spec.num_points
@@ -973,14 +973,14 @@ class SpectrumReport:
     rank: int
     grid: tuple
     dof: int
-    eigenvalues: np.ndarray     # ascending, possibly truncated to n_eigs
+    eigenvalues: np.ndarray     # ascending, the whole spectrum
     lambda_max: float
     kernel: KernelCount
     symmetry_defect: float
     residual_max: float
 
 
-def spectrum(handle: OperatorHandle, n_eigs=50, galerkin=None):
+def spectrum(handle: OperatorHandle, galerkin=None):
     """Full eigenvalue study of an endomorphism handle on the dealiased basis,
     through the Galerkin layer of the handle's grid and rank (`galerkin`,
     built here when not given)."""
@@ -999,7 +999,7 @@ def spectrum(handle: OperatorHandle, n_eigs=50, galerkin=None):
         rank=handle.domain_rank,
         grid=tuple(handle.grid),
         dof=int(values.size),
-        eigenvalues=np.array(values if n_eigs is None else values[:n_eigs]),
+        eigenvalues=values,
         lambda_max=float(values[-1]),
         kernel=kc,
         symmetry_defect=defect,
@@ -1042,114 +1042,15 @@ def _second_order_symbol(Q):
     return sig
 
 
-@lru_cache(maxsize=None)
-def _symbol_matrices(n, p):
-    """The constant fiber matrices of the registry's symbols at (n, p).
-
-    I is the identity on T* (x) S0^p, E the transposed embedding of d1,
-    A, B, C the flat projectors and K0 the divergence contraction
-    `fields._k0` flattened to (t_{p-1}, n t).  Q1 and Q2 are the (n t, n t)
-    block matrices of delta delta* and delta* delta, with blocks
-    Q1_ij = C Kc_i Sm_j and Q2_ij = C Sm'_i k0_j built from the structure
-    tensors those operators use, so each symbol shares its operator's sign
-    and normalization; "sampson" is (p+1) Q1 - p Q2.
-    """
-    t = fiber.tracefree_dim(n, p)
-    _, C = fiber.tracefree_basis(n, p)
-    k0 = fields._k0(n, p)
-    Q1 = np.einsum("aB,BiA,Ajc->iajc", C, fiber.div_contract_tensor(n, p + 1),
-                   fields._sym_insert_expanded(n, p), optimize=True).reshape(n * t, n * t)
-    Q2 = np.einsum("aB,Bib,bjc->iajc", C, fields._sym_insert_expanded(n, p - 1), k0,
-                   optimize=True).reshape(n * t, n * t)
-    PA, PB, PC = fiber.flat_projector_matrices(n, p)
-    out = {
-        "I": np.eye(n * t), "E": fiber.embed_matrix(n, p).T, "A": PA, "B": PB, "C": PC,
-        "K0": k0.reshape(-1, n * t), "Q1": Q1, "Q2": Q2,
-        "sampson": (p + 1.0) * Q1 - float(p) * Q2,
-    }
-    for M in out.values():
-        M.flags.writeable = False
-    return out
-
-
-@dataclass(frozen=True)
-class SymbolReport:
-    name: str
-    xi: np.ndarray
-    gscale: float
-    matrix: np.ndarray
-    min_singular_value: float
-    min_eigenvalue: float           # nan when the matrix is not square-symmetric
-    distance_to_scalar: float       # nan when the matrix is not square
-    scalar_coefficient: float       # Frobenius-best scalar; nan when not square
-
-
-def _point_scale(cache, x=None):
-    f = cache.conf_exponent_values
-    idx = (0,) * cache.n if x is None else tuple(int(v) for v in x)
-    return float(np.exp(-2.0 * f[idx]))
-
-
-def symbol_eval(handle: OperatorHandle, xi, x=None):
-    """Principal symbol of the handle at covector xi and grid point x.
-
-    Returns the fiber matrix together with its smallest singular value, its
-    smallest eigenvalue when symmetric, and its distance to the nearest
-    scalar multiple of the identity.  The distance is reported, never
-    asserted to vanish: scalarity is a hypothesis to be measured.
-    """
-    xi = np.asarray(xi, float)
-    if xi.shape != (handle.n,) or not np.any(xi):
-        raise SpectralError("xi must be a nonzero covector of the right dimension")
-    gscale = _point_scale(handle.cache, x)
-    mat = np.asarray(handle.symbol(xi, gscale), float)
-    svals = np.linalg.svd(mat, compute_uv=False)
-    min_sv = float(svals[-1]) if svals.size else 0.0
-    min_eig = math.nan
-    dist = math.nan
-    alpha = math.nan
-    if mat.shape[0] == mat.shape[1]:
-        dim = mat.shape[0]
-        alpha = float(np.trace(mat)) / dim
-        dist = float(np.linalg.norm(mat - alpha * np.eye(dim))) / (float(np.linalg.norm(mat)) + _TINY)
-        sym_defect = float(np.linalg.norm(mat - mat.T)) / (float(np.linalg.norm(mat)) + _TINY)
-        if sym_defect < 1e-10:
-            min_eig = float(np.linalg.eigvalsh(mat)[0])
-    return SymbolReport(
-        name=handle.name,
-        xi=xi,
-        gscale=gscale,
-        matrix=mat,
-        min_singular_value=min_sv,
-        min_eigenvalue=min_eig,
-        distance_to_scalar=dist,
-        scalar_coefficient=alpha,
-    )
-
-
-def symbol_sphere_scan(handle: OperatorHandle, n_dirs=64, seed=0):
-    """Symbol reports over a deterministic sample of unit covectors, at the
-    first grid point."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n_dirs):
-        xi = rng.standard_normal(handle.n)
-        nrm = float(np.linalg.norm(xi))
-        if nrm < 1e-8:
-            continue
-        out.append(symbol_eval(handle, xi / nrm))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # handle factories
 # ---------------------------------------------------------------------------
 
 def gradient_handle(cache, p):
+    t = fiber.tracefree_dim(cache.n, p)
     return OperatorHandle(
         name="gradient", cache=cache, domain_rank=p, codomain_tag="cov_s0",
-        codomain_rank=p, apply=fields.gradient,
-        symbol=_first_order_symbol(_symbol_matrices(cache.n, p)["I"]),
+        codomain_rank=p, apply=fields.gradient, symbol=lambda xi, gscale: _grad_block(xi, t),
     )
 
 
@@ -1157,7 +1058,7 @@ def divergence_handle(cache, p):
     return OperatorHandle(
         name="divergence", cache=cache, domain_rank=p, codomain_tag="s0",
         codomain_rank=p - 1, apply=fields.divergence,
-        symbol=_first_order_symbol(-_symbol_matrices(cache.n, p)["K0"], weighted=True),
+        symbol=_first_order_symbol(-fields._slots(fields._k0(cache.n, p)), weighted=True),
     )
 
 
@@ -1165,7 +1066,7 @@ def d1_handle(cache, p):
     return OperatorHandle(
         name="d1", cache=cache, domain_rank=p, codomain_tag="s0",
         codomain_rank=p + 1, apply=gradients.d1,
-        symbol=_first_order_symbol(_symbol_matrices(cache.n, p)["E"]),
+        symbol=_first_order_symbol(fiber.embed_matrix(cache.n, p).T),
     )
 
 
@@ -1173,7 +1074,7 @@ def d2_handle(cache, p):
     return OperatorHandle(
         name="d2", cache=cache, domain_rank=p, codomain_tag="cov_s0",
         codomain_rank=p, apply=gradients.d2,
-        symbol=_first_order_symbol(_symbol_matrices(cache.n, p)["B"]),
+        symbol=_first_order_symbol(fiber.flat_projector_matrices(cache.n, p)[1]),
     )
 
 
@@ -1181,74 +1082,30 @@ def d3_handle(cache, p):
     return OperatorHandle(
         name="d3", cache=cache, domain_rank=p, codomain_tag="cov_s0",
         codomain_rank=p, apply=gradients.d3,
-        symbol=_first_order_symbol(_symbol_matrices(cache.n, p)["C"]),
+        symbol=_first_order_symbol(fiber.flat_projector_matrices(cache.n, p)[2]),
     )
-
-
-def _second_order_handle(name, cache, p, apply, matrix):
-    """An endomorphism of the trace-free rank-p bundle with the
-    second-order symbol of `_symbol_matrices(n, p)[matrix]`."""
-    return OperatorHandle(
-        name=name, cache=cache, domain_rank=p, codomain_tag="s0", codomain_rank=p,
-        apply=apply, symbol=_second_order_symbol(_symbol_matrices(cache.n, p)[matrix]),
-    )
-
-
-def rough_laplacian_handle(cache, p):
-    return _second_order_handle("rough_laplacian", cache, p, fields.rough_laplacian, "I")
 
 
 def d1_star_d1_handle(cache, p):
-    return _second_order_handle(
-        "d1_star_d1", cache, p,
-        lambda phi: gradients.d1_exact_adjoint(gradients.d1(phi)), "A")
+    """d1* d1, the kernel suite's endomorphism of the trace-free rank-p
+    bundle, with symbol gscale G(xi)^T pi_A G(xi), pi_A the flat projector
+    onto the first piece."""
+    return OperatorHandle(
+        name="d1_star_d1", cache=cache, domain_rank=p, codomain_tag="s0", codomain_rank=p,
+        apply=lambda phi: gradients.d1_exact_adjoint(gradients.d1(phi)),
+        symbol=_second_order_symbol(fiber.flat_projector_matrices(cache.n, p)[0]),
+    )
 
 
-def d2_star_d2_handle(cache, p):
-    return _second_order_handle(
-        "d2_star_d2", cache, p,
-        lambda phi: gradients.d2_exact_adjoint(gradients.d2(phi)), "B")
-
-
-def d3_star_d3_handle(cache, p):
-    return _second_order_handle(
-        "d3_star_d3", cache, p,
-        lambda phi: gradients.d3_exact_adjoint(gradients.d3(phi)), "C")
-
-
-def sampson_handle(cache, p):
-    return _second_order_handle(
-        "sampson_tracefree", cache, p,
-        lambda phi: fields.to_tracefree(gradients.sampson(phi)), "sampson")
-
-
-def delta_deltastar_handle(cache, p):
-    return _second_order_handle(
-        "delta_deltastar", cache, p,
-        lambda phi: fields.to_tracefree(fields.divergence(fields.sym_derivative(phi))), "Q1")
-
-
-def deltastar_delta_handle(cache, p):
-    return _second_order_handle(
-        "deltastar_delta", cache, p,
-        lambda phi: fields.to_tracefree(fields.sym_derivative(fields.divergence(phi))), "Q2")
-
-
+# the gradient and its four pieces; the flat per-mode kernel oracle looks
+# up the pieces by name
 _HANDLES = {
     "gradient": gradient_handle,
     "divergence": divergence_handle,
     "d1": d1_handle,
     "d2": d2_handle,
     "d3": d3_handle,
-    "rough_laplacian": rough_laplacian_handle,
-    "d1_star_d1": d1_star_d1_handle,
-    "d2_star_d2": d2_star_d2_handle,
-    "d3_star_d3": d3_star_d3_handle,
-    "sampson_tracefree": sampson_handle,
-    "delta_deltastar": delta_deltastar_handle,
-    "deltastar_delta": deltastar_delta_handle,
 }
-HANDLE_NAMES = tuple(_HANDLES)
 
 
 def handle_by_name(cache, p, name):
@@ -1256,31 +1113,3 @@ def handle_by_name(cache, p, name):
     if name not in _HANDLES:
         raise SpectralError(f"unknown operator {name!r}; known: {', '.join(sorted(_HANDLES))}")
     return _HANDLES[name](cache, p)
-
-
-# ---------------------------------------------------------------------------
-# CSV export
-# ---------------------------------------------------------------------------
-
-def spectrum_to_csv(report: SpectrumReport, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "eigenvalue"])
-        for i, v in enumerate(np.asarray(report.eigenvalues)):
-            w.writerow([i, f"{float(v):.17e}"])
-    return path
-
-
-def symbol_scan_to_csv(handle: OperatorHandle, path, n_dirs=64, seed=0):
-    reports = symbol_sphere_scan(handle, n_dirs=n_dirs, seed=seed)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        head = ["index"] + [f"xi_{i}" for i in range(handle.n)]
-        w.writerow(head + ["min_singular_value", "min_eigenvalue",
-                           "distance_to_scalar", "scalar_coefficient"])
-        for i, r in enumerate(reports):
-            row = [i] + [f"{v:.17e}" for v in r.xi]
-            row += [f"{r.min_singular_value:.17e}", f"{r.min_eigenvalue:.17e}",
-                    f"{r.distance_to_scalar:.17e}", f"{r.scalar_coefficient:.17e}"]
-            w.writerow(row)
-    return reports

@@ -218,7 +218,10 @@ def test_criterion_06_integral_identities():
 
 def test_criterion_07_ellipticity_and_spectra():
     # squared-symbol ellipticity over 100 random directions (and points,
-    # when the metric varies), for n in {2, 3, 4} and p in {1, 2}
+    # when the metric varies), for n in {2, 3, 4} and p in {1, 2}, one
+    # stacked symbol call per case: the floor min eig sigma(d1* d1)(xi) /
+    # (gscale |xi|^2) is the same in every direction, 1/2 on the 2-torus
+    # and 1/(p+1) for n >= 3
     floors = {}
     dists = {}
     for metric in ("flat", "conformal"):
@@ -227,27 +230,28 @@ def test_criterion_07_ellipticity_and_spectra():
             for p in (1, 2):
                 handle = spectral.d1_star_d1_handle(cache, p)
                 rng = np.random.default_rng([7, n, p])
-                floor, dist = np.inf, 0.0
-                for _ in range(100):
-                    xi = rng.standard_normal(n)
-                    x = None
-                    if metric == "conformal":
-                        x = tuple(int(rng.integers(0, s)) for s in cache.spec.shape)
-                    srep = spectral.symbol_eval(handle, xi, x=x)
-                    floor = min(floor, srep.min_eigenvalue / (srep.gscale * (xi @ xi)))
-                    dist = max(dist, srep.distance_to_scalar)
-                floors[(metric, n, p)] = floor
-                dists[(metric, n, p)] = dist
+                xi = rng.standard_normal((100, n))
+                points = rng.integers(0, 8, size=(100, n))
+                gscale = np.exp(-2.0 * cache.conf_exponent_values[tuple(points.T)])
+                mat = handle.symbol(xi, gscale[:, None, None])
+                lowest = np.linalg.eigvalsh(mat)[:, 0]
+                floors[(metric, n, p)] = float(np.min(lowest / (gscale * np.sum(xi * xi, axis=1))))
+                alpha = np.trace(mat, axis1=1, axis2=2) / mat.shape[-1]
+                dists[(metric, n, p)] = float(np.max(
+                    np.linalg.norm(mat - alpha[:, None, None] * np.eye(mat.shape[-1]), axis=(1, 2))
+                    / np.linalg.norm(mat, axis=(1, 2))))
     for key in sorted(floors):
         print(f"\n{key}: floor {floors[key]:.4f}, distance-to-scalar {dists[key]:.3e}")
-    assert min(floors.values()) >= 1e-3  # a uniform positive constant
+    for (metric, n, p), floor in floors.items():
+        expect = 0.5 if n == 2 else 1.0 / (p + 1)
+        assert abs(floor - expect) <= 1e-12 * expect, (metric, n, p, floor)
     assert all(np.isfinite(v) for v in dists.values())  # reported, not asserted
 
     # assembled spectra of the squared operator stay numerically psd
     for metric in ("flat", "conformal"):
         cache = make_cache(2, 12, metric)
         for p in (1, 2):
-            rep = spectral.spectrum(spectral.d1_star_d1_handle(cache, p), n_eigs=None)
+            rep = spectral.spectrum(spectral.d1_star_d1_handle(cache, p))
             assert rep.eigenvalues[0] >= -1e-9 * rep.lambda_max
 
 

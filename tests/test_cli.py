@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from gradlab import cli, harness, spectral
+from gradlab import cli, harness
 from gradlab.cli import EXIT_FAIL, EXIT_INDETERMINATE, EXIT_PASS, EXIT_USAGE
 from gradlab.config import apply_overrides, load_config
 
@@ -242,7 +242,7 @@ def test_the_exponent_alone_says_flat(exponent, flat, tiny_cfg, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# single suites through check, and symbol
+# single suites through check
 # ---------------------------------------------------------------------------
 
 def test_kernel_reports_constant_count(tiny_cfg, tmp_path):
@@ -284,60 +284,14 @@ def test_converge_runs_with_three_sizes(tiny_cfg, tmp_path):
     assert (tmp_path / "c" / "convergence_report.json").exists()
 
 
-def test_symbol_writes_scan(tiny_cfg, tmp_path):
-    code, text = run_cli([
-        "symbol", "--config", str(tiny_cfg), "--out", str(tmp_path / "s"),
-        "--operator", "d1_star_d1", "--override", "ranks=1", "--directions", "16",
-    ])
-    assert code == EXIT_PASS
-    assert (tmp_path / "s" / "symbol_d1_star_d1_p1.csv").exists()
-    assert "min singular value" in text
-
-
-@pytest.mark.parametrize("name", spectral.HANDLE_NAMES)
-def test_symbol_scans_every_registry_operator(name, tiny_cfg, tmp_path):
-    code, _ = run_cli([
-        "symbol", "--config", str(tiny_cfg), "--out", str(tmp_path),
-        "--operator", name, "--directions", "8",
-    ])
-    assert code == EXIT_PASS
-    assert (tmp_path / f"symbol_{name}_p1.csv").exists()
-
-
-def test_symbol_unknown_operator(tiny_cfg, capsys):
-    code, _ = run_cli(["symbol", "--config", str(tiny_cfg),
-                       "--operator", "mystery"])
-    assert code == EXIT_USAGE
-    assert "mystery" in capsys.readouterr().err
-
-
-def test_symbol_has_no_formula_route_operator(tiny_cfg, capsys):
-    # d1* d1 has one implementation; its formula route is a test reference
-    code, _ = run_cli(["symbol", "--config", str(tiny_cfg),
-                       "--operator", "d1_star_d1_formula"])
-    assert code == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err.startswith("gradlab symbol: unknown operator 'd1_star_d1_formula'; known: ")
-
-
-@pytest.mark.parametrize("directions", [0, -3])
-def test_symbol_needs_a_direction(directions, tiny_cfg, tmp_path, capsys):
-    code, _ = run_cli(["symbol", "--config", str(tiny_cfg), "--out", str(tmp_path / "s"),
-                       "--directions", str(directions)])
-    assert code == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err.strip().splitlines() == [f"symbol: --directions must be >= 1, got {directions}"]
-    assert not (tmp_path / "s").exists()
-
-
 @pytest.mark.parametrize("rank", [0, 7])
-def test_symbol_rank_out_of_range(rank, tiny_cfg, tmp_path, capsys):
-    # the rank is a config rank: one line, exit 2, no scan
-    code, _ = run_cli(["symbol", "--config", str(tiny_cfg), "--out", str(tmp_path / "s"),
+def test_rank_out_of_range_is_a_usage_error(rank, tiny_cfg, tmp_path, capsys):
+    # the rank is a config rank: one line, exit 2, no report
+    code, _ = run_cli(["check", "--config", str(tiny_cfg), "--out", str(tmp_path / "s"),
                        "--override", f"ranks={rank}"])
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
-    assert err.strip().splitlines() == [f"gradlab symbol: ranks must be in [1, 6]: ({rank},)"]
+    assert err.strip().splitlines() == [f"gradlab check: ranks must be in [1, 6]: ({rank},)"]
     assert not (tmp_path / "s").exists()
 
 

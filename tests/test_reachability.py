@@ -29,8 +29,8 @@ AWAITING_A_SUITE = set()
 LIBRARY_API = {"config.format_config"}
 # methods and properties no program code names, with the reason each stays
 UNREACHED_METHODS = {
-    # perfbench/tracing.py patches it to count applications; ROADMAP item 6
-    # removes it after the benchmark-only change
+    # perfbench/tracing.py patches it to count applications, so it stays
+    # until the program records its own spans (ROADMAP item 7)
     "spectral.OperatorHandle.apply_vector",
 }
 

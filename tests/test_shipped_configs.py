@@ -75,8 +75,9 @@ def test_shipped_config_round_trips(path):
 @pytest.mark.parametrize("argv", [
     ["kernel", "--config", "configs/flat3d.cfg"],
     ["converge", "--config", "configs/conf2d.cfg"],
+    ["symbol", "--config", "configs/flat2d.cfg"],
     ["symbol", "--config", "configs/flat2d.cfg", "--rank", "1"],
-], ids=["kernel", "converge", "symbol-rank"])
+], ids=["kernel", "converge", "symbol", "symbol-rank"])
 def test_retired_spellings_are_usage_errors(argv, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main([*argv, "--out", str(tmp_path / "out")], out=StringIO())

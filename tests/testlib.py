@@ -6,7 +6,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from gradlab import fiber, fields, gradients
+from gradlab import fiber, fields, gradients, spectral
 from gradlab.fields import TensorField, fiber_shape, fiber_weight_scalar
 from gradlab.geometry import (
     TWO_PI, GeometryError, _require_finite, differentiate, evaluate_on_grid,
@@ -133,6 +133,37 @@ def d1_star_d1_formula(phi: TensorField):
     t1 = fields.to_tracefree(fields.divergence(fields.sym_derivative(phi)))
     t2 = fields.to_tracefree(fields.sym_derivative(fields.divergence(phi)))
     return t1 - c * t2
+
+
+# ---------------------------------------------------------------------------
+# second-order operators that no suite builds: the rough Laplacian as a
+# Galerkin endomorphism, and the symbol matrices of delta delta* and
+# delta* delta
+# ---------------------------------------------------------------------------
+
+def rough_laplacian_handle(cache, p):
+    """nabla* nabla on the trace-free rank-p bundle; its symbol is
+    gscale |xi|^2 times the identity."""
+    n = cache.n
+    return spectral.OperatorHandle(
+        name="rough_laplacian", cache=cache, domain_rank=p, codomain_tag="s0",
+        codomain_rank=p, apply=fields.rough_laplacian,
+        symbol=spectral._second_order_symbol(np.eye(n * fiber.tracefree_dim(n, p))))
+
+
+def delta_symbol_matrices(n, p):
+    """(Q1, Q2): the (n t, n t) fiber matrices whose second-order symbols
+    gscale G(xi)^T Q G(xi) are those of delta delta* and delta* delta on
+    trace-free coordinates, with blocks Q1_ij = C Kc_i Sm_j and
+    Q2_ij = C Sm'_i k0_j built from the structure tensors those operators
+    use, so each shares its operator's sign and normalization."""
+    t = fiber.tracefree_dim(n, p)
+    _, C = fiber.tracefree_basis(n, p)
+    Q1 = np.einsum("aB,BiA,Ajc->iajc", C, fiber.div_contract_tensor(n, p + 1),
+                   fields._sym_insert_expanded(n, p), optimize=True).reshape(n * t, n * t)
+    Q2 = np.einsum("aB,Bib,bjc->iajc", C, fields._sym_insert_expanded(n, p - 1),
+                   fields._k0(n, p), optimize=True).reshape(n * t, n * t)
+    return Q1, Q2
 
 
 # ---------------------------------------------------------------------------
