@@ -165,36 +165,8 @@ class TrigPoly:
             return np.full(shape, float(acc))
         return acc
 
-    def to_text(self):
-        """Canonical serialization; parse(to_text()) round-trips exactly."""
-        if not self.terms:
-            return "0"
-        parts = []
-        for t in self.terms:
-            mag = repr(abs(t.coeff))
-            if t.kind == "const":
-                body = mag
-            else:
-                arg_parts = []
-                for i, k in enumerate(t.wave):
-                    if k == 0:
-                        continue
-                    name = f"x{i + 1}"
-                    piece = name if abs(k) == 1 else f"{abs(k)}*{name}"
-                    arg_parts.append(("-" if k < 0 else "+", piece))
-                arg = arg_parts[0][1] if arg_parts[0][0] == "+" else "-" + arg_parts[0][1]
-                for sign, piece in arg_parts[1:]:
-                    arg += sign + piece
-                body = f"{mag}*{t.kind}({arg})"
-            sign = "-" if t.coeff < 0 else "+"
-            parts.append((sign, body))
-        text = parts[0][1] if parts[0][0] == "+" else "-" + parts[0][1]
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
-
     def __repr__(self):
-        return f"TrigPoly({self.to_text()})"
+        return f"TrigPoly({self.terms!r})"
 
 
 class _Parser:

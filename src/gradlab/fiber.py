@@ -22,14 +22,28 @@ and orthogonality); the tests check the projector identities.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import combinations_with_replacement
+from types import MappingProxyType
 
 import numpy as np
 
 
 class FiberAlgebraError(RuntimeError):
     """Internal inconsistency in the fiber algebra (signals a bug, not data)."""
+
+
+def _frozen_cache(build):
+    """`lru_cache` for a builder of shared structure: every array it returns,
+    alone or in a tuple, is made read-only, so that no caller can change
+    what the next one reads."""
+    @wraps(build)
+    def frozen(*key):
+        out = build(*key)
+        for a in out if isinstance(out, tuple) else (out,):
+            a.flags.writeable = False
+        return out
+    return lru_cache(maxsize=None)(frozen)
 
 
 # ---------------------------------------------------------------------------
@@ -81,11 +95,12 @@ def sym_indices(n: int, p: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def sym_index_of(n: int, p: int) -> dict:
-    return {idx: a for a, idx in enumerate(sym_indices(n, p))}
+def sym_index_of(n: int, p: int) -> MappingProxyType:
+    """Position of each index tuple in sym_indices(n, p), read-only."""
+    return MappingProxyType({idx: a for a, idx in enumerate(sym_indices(n, p))})
 
 
-@lru_cache(maxsize=None)
+@_frozen_cache
 def _index_table(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     """The one record of how a slot operation moves a monomial index.
 
@@ -103,8 +118,6 @@ def _index_table(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
                   int).reshape(-1, n)
     idx = np.array(sym_indices(n, p), int).reshape(sym_dim(n, p), p)
     counts = np.sum(idx[:, :, None] == np.arange(n), axis=1)
-    up.flags.writeable = False
-    counts.flags.writeable = False
     return up, counts
 
 
@@ -116,21 +129,19 @@ def _pair_positions(n: int, p: int) -> np.ndarray:
     return up[up_low[:, :, None], np.arange(n)]
 
 
-@lru_cache(maxsize=None)
+@_frozen_cache
 def multiplicities(n: int, p: int) -> np.ndarray:
     """Number of distinct permutations of each monomial index: p! / prod_a c_a!."""
     _, counts = _index_table(n, p)
     factorials = np.array([math.factorial(k) for k in range(p + 1)])
-    out = math.factorial(p) / np.prod(factorials[counts], axis=1)
-    out.flags.writeable = False
-    return out
+    return math.factorial(p) / np.prod(factorials[counts], axis=1)
 
 
 # ---------------------------------------------------------------------------
 # trace, insertion and inner product
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@_frozen_cache
 def trace_matrix(n: int, p: int) -> np.ndarray:
     """Matrix of the trace over two slots, rank p -> rank p-2 coordinates."""
     if p < 2:
@@ -139,11 +150,10 @@ def trace_matrix(n: int, p: int) -> np.ndarray:
     doubled = _pair_positions(n, p)[:, ax, ax]
     T = np.zeros((len(doubled), sym_dim(n, p)))
     T[np.arange(len(doubled))[:, None], doubled] = 1.0
-    T.flags.writeable = False
     return T
 
 
-@lru_cache(maxsize=None)
+@_frozen_cache
 def insert_matrix(n: int, q: int) -> np.ndarray:
     """Matrix of the metric insertion, rank q-2 -> rank q coordinates.
 
@@ -162,7 +172,6 @@ def insert_matrix(n: int, q: int) -> np.ndarray:
     c = _index_table(n, q)[1][doubled, ax]
     M = np.zeros((sym_dim(n, q), len(doubled)))
     M[doubled, np.arange(len(doubled))[:, None]] = (c * (c - 1) // 2) / q
-    M.flags.writeable = False
     return M
 
 
@@ -183,7 +192,7 @@ def _orthonormalize(columns: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return columns @ (V / np.sqrt(w)) @ V.T
 
 
-@lru_cache(maxsize=None)
+@_frozen_cache
 def tracefree_basis(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Fixed flat-orthonormal basis of the trace-free subspace.
 
@@ -207,13 +216,10 @@ def tracefree_basis(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
         if ns.shape[1] != tracefree_dim(n, p):
             raise FiberAlgebraError(f"null space dimension mismatch at (n={n}, p={p})")
         B = _orthonormalize(ns, multiplicities(n, p))
-    C = np.multiply(B.T, multiplicities(n, p), order="C")
-    B.flags.writeable = False
-    C.flags.writeable = False
-    return B, C
+    return B, np.multiply(B.T, multiplicities(n, p), order="C")
 
 
-@lru_cache(maxsize=None)
+@_frozen_cache
 def parity_basis(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Flat-orthonormal basis of S0^p made of simultaneous eigenvectors of
     the coordinate reflections.
@@ -238,29 +244,24 @@ def parity_basis(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     Q = np.hstack(columns)
     if Q.shape != (B.shape[1],) * 2:
         raise FiberAlgebraError(f"parity classes do not span S0^{p} at n={n}")
-    parity = np.array(parity, int).reshape(len(Q), n)
-    Q.flags.writeable = False
-    parity.flags.writeable = False
-    return Q, parity
+    return Q, np.array(parity, int).reshape(len(Q), n)
 
 
-@lru_cache(maxsize=None)
+@_frozen_cache
 def reflection_matrix(n: int, p: int, axis: int) -> np.ndarray:
     """The reflection x_axis -> -x_axis on S0^p in trace-free coordinates:
     C D B, D the diagonal of (-1)^(count of `axis`) over the monomial
     coordinates.  The coordinates are flat-orthonormal, so it is orthogonal."""
     B, C = tracefree_basis(n, p)
     sign = (-1.0) ** _index_table(n, p)[1][:, axis]
-    R = C @ (sign[:, None] * B)
-    R.flags.writeable = False
-    return R
+    return C @ (sign[:, None] * B)
 
 
 # ---------------------------------------------------------------------------
 # constant structure tensors used by the field operators
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@_frozen_cache
 def slot_replace_tensor(n: int, p: int) -> np.ndarray:
     """Q[A,j,k,B]: sum over slots of T^k_{J_a} phi_{J with a -> k} in coordinates.
 
@@ -272,22 +273,20 @@ def slot_replace_tensor(n: int, p: int) -> np.ndarray:
     m, ax = len(counts), np.arange(n)
     Q = np.zeros((m, n, n, m))
     Q[up[:, :, None], ax[:, None], ax, up[:, None, :]] = counts[up, ax][:, :, None]
-    Q.flags.writeable = False
     return Q
 
 
-@lru_cache(maxsize=None)
+@_frozen_cache
 def div_contract_tensor(n: int, p: int) -> np.ndarray:
     """Kc[B,i,A]: (flat) contraction of a covariant slot into symmetric slots,
     X_{i, iK} summed over i, rank p -> rank p-1 coordinates."""
     up, _ = _index_table(n, p)
     Kc = np.zeros((len(up), n, sym_dim(n, p)))
     Kc[np.arange(len(up))[:, None], np.arange(n), up] = 1.0
-    Kc.flags.writeable = False
     return Kc
 
 
-@lru_cache(maxsize=None)
+@_frozen_cache
 def sym_insert_cov_tensor(n: int, p: int) -> np.ndarray:
     """Sm[J,i,A]: symmetrization of a covariant slot into symmetric slots,
     (1/(p+1)) sum_a X_{J_a, J\\a}, rank (1, p) -> rank p+1 coordinates.
@@ -296,7 +295,6 @@ def sym_insert_cov_tensor(n: int, p: int) -> np.ndarray:
     ax = np.arange(n)
     Sm = np.zeros((len(counts), n, len(up)))
     Sm[up, ax, np.arange(len(up))[:, None]] = counts[up, ax] / (p + 1)
-    Sm.flags.writeable = False
     return Sm
 
 
@@ -330,7 +328,7 @@ def _orth_columns(cols: np.ndarray, cutoff: float = 1e-10) -> np.ndarray:
     return U[:, :r]
 
 
-@lru_cache(maxsize=None)
+@_frozen_cache
 def flat_projector_matrices(n: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Orthogonal projectors (pi_A, pi_B, pi_C) onto the three irreducible
     summands of T* (x) S0^p, acting on (n*t,) field coordinates over the
@@ -356,12 +354,10 @@ def flat_projector_matrices(n: int, p: int) -> tuple[np.ndarray, np.ndarray, np.
     pi_A = Qa @ Qa.T
     pi_B = Qb @ Qb.T
     pi_C = np.eye(n * tracefree_dim(n, p)) - pi_A - pi_B
-    for P in (pi_A, pi_B, pi_C):
-        P.flags.writeable = False
     return pi_A, pi_B, pi_C
 
 
-@lru_cache(maxsize=None)
+@_frozen_cache
 def embed_matrix(n: int, p: int) -> np.ndarray:
     """(n*t_p, t_{p+1}) isometric slot-regrouping of trace-free rank p+1 tensors
     into T* (x) S0^p over the fixed flat bases: C_p Kc B_{p+1}, Kc the
@@ -370,6 +366,4 @@ def embed_matrix(n: int, p: int) -> np.ndarray:
     B_hi, _ = tracefree_basis(n, p + 1)
     _, C_p = tracefree_basis(n, p)
     up, _ = _index_table(n, p + 1)
-    out = np.einsum("aK,Kic->iac", C_p, B_hi[up], optimize=True).reshape(n * len(C_p), -1)
-    out.flags.writeable = False
-    return out
+    return np.einsum("aK,Kic->iac", C_p, B_hi[up], optimize=True).reshape(n * len(C_p), -1)

@@ -10,9 +10,9 @@ Fields store fiber coordinates per grid point under one of four tags:
 
 The data may carry leading batch axes, (*batch, *grid, *fiber): a stack of
 fields on one grid.  Every operator that `gradients.decompose` and the
-operator handles of `spectral` reach, both routes of
-`gradients.weitzenbock_K`, and the projector and Ahlfors oracles of
-`gradients` act on each member of a stack independently, with the
+operator handles of `spectral` reach, `gradients.weitzenbock_K` and its
+oracle `gradients.curvature_action`, and the projector and Ahlfors oracles
+of `gradients` act on each member of a stack independently, with the
 arithmetic of a single field; the L2 pairings (`l2_inner`, `l2_norm`) take
 single fields only.
 
@@ -61,7 +61,6 @@ derivative, as the reference.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -209,7 +208,7 @@ def l2_norm(a: TensorField):
 # cached conjugated structure tensors
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@fiber._frozen_cache
 def _q0(n, p):
     """Slot-replacement tensor conjugated into the trace-free basis."""
     Q = fiber.slot_replace_tensor(n, p)
@@ -218,7 +217,7 @@ def _q0(n, p):
     return ((C @ Q.reshape(len(Q), -1)).reshape(-1, len(B)) @ B).reshape(t, n, n, t)
 
 
-@lru_cache(maxsize=None)
+@fiber._frozen_cache
 def _k0(n, p):
     """Covariant-slot contraction conjugated into trace-free bases."""
     Kc = fiber.div_contract_tensor(n, p)
@@ -227,7 +226,7 @@ def _k0(n, p):
     return (Cl @ (Kc.reshape(-1, len(Bp)) @ Bp).reshape(len(Kc), -1)).reshape(len(Cl), n, -1)
 
 
-@lru_cache(maxsize=None)
+@fiber._frozen_cache
 def _sym_insert_expanded(n, p):
     """Full symmetrization of (i, trace-free rank p) into monomial rank p+1."""
     Sm = fiber.sym_insert_cov_tensor(n, p)
@@ -250,7 +249,7 @@ def _sym_apply(n, p, X):
     return _merged(X) @ _slots(_sym_insert_expanded(n, p)).T
 
 
-@lru_cache(maxsize=None)
+@fiber._frozen_cache
 def _connection_tensor(n, p, tracefree):
     """Constant fiber tensor C[l, i, a, b] of the conformal connection term.
 
@@ -258,14 +257,12 @@ def _connection_tensor(n, p, tracefree):
     symmetric-slot term sum_jk Gamma^k_ij Q[a,j,k,b] equals sum_l h_l
     C[l,i,a,b] with C[l,i,a,b] = Q[a,l,i,b] + delta_li sum_j Q[a,j,j,b]
     - Q[a,i,l,b]; Q is the slot-replacement tensor in the trace-free or
-    the monomial basis.  Read-only.
+    the monomial basis.
     """
     Q = _q0(n, p) if tracefree else fiber.slot_replace_tensor(n, p)
     C = np.einsum("alib->liab", Q) - np.einsum("ailb->liab", Q)
     C[np.arange(n), np.arange(n)] += np.einsum("ajjb->ab", Q)
-    C = np.ascontiguousarray(C)
-    C.flags.writeable = False
-    return C
+    return np.ascontiguousarray(C)
 
 
 # ---------------------------------------------------------------------------

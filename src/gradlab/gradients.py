@@ -12,8 +12,9 @@ together with exact weighted adjoints and the second-order compositions
 (rough Laplacian splitting, symmetrized Laplacian, the zeroth-order
 curvature term).  `second_order_residuals` forms every second-order
 identity residual of one field (Weitzenbock formulas, energy identities,
-curvature-term routes) from one decomposition and one evaluation of each
-operator; it is the only place that decides how such a residual is formed.
+the curvature term against its oracle) from one decomposition and one
+evaluation of each operator; it is the only place that decides how such a
+residual is formed.
 
 Every operator has one implementation here, checked against independent
 routes by a suite or by the tests:
@@ -26,8 +27,9 @@ routes by a suite or by the tests:
     pieces  vs  analytic formulas, formed in `second_order_residuals`; the
     tests keep the formula routes of d1* d1 and nabla* nabla and the
     unfused adjoints in `testlib`;
-  * the curvature term operationally (nabla*nabla - Delta_S)  vs  the
-    pointwise Ricci/Riemann formula (the two routes of `weitzenbock_K`).
+  * the curvature term operationally (nabla*nabla - Delta_S,
+    `weitzenbock_K`)  vs  the pointwise Ricci/Riemann formula
+    (`curvature_action`).
 
 Sign and normalization conventions are pinned by arbitration checks that
 raise ConventionError instead of silently projecting away a discrepancy.
@@ -36,7 +38,7 @@ The identity suite's negative controls corrupt one split after the fact
 """
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -44,10 +46,6 @@ from . import fiber, fields
 from .fields import FieldError, TensorField, l2_inner, l2_norm
 
 _TINY = 1e-300
-
-# bytes of the pointwise (m, m) curvature matrices that the curvature route
-# of weitzenbock_K holds at once; a block has budget // (8 m^2) points
-_CURVATURE_BYTES = 1 << 20
 
 # largest trace residual of d1's symmetrized derivative, relative to max|X|
 # of the gradient X, that d1 accepts before raising ConventionError
@@ -113,16 +111,14 @@ def energy_coefficient(n: int, p: int) -> float:
 # constant structure matrices
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@fiber._frozen_cache
 def _d1_correction_matrix(n, p):
     """Monomial rank p+1 <- trace-free rank p-1: flat metric pair insertion."""
     B_low, _ = fiber.tracefree_basis(n, p - 1)
-    M = fiber.insert_matrix(n, p + 1) @ B_low
-    M.flags.writeable = False
-    return M
+    return fiber.insert_matrix(n, p + 1) @ B_low
 
 
-@lru_cache(maxsize=None)
+@fiber._frozen_cache
 def _curvature_matrix(n, p):
     """S_T (n^2, m^2): the pointwise curvature action as a linear map of T.
 
@@ -134,6 +130,9 @@ def _curvature_matrix(n, p):
     R_j^k = -e^{-2f} ((n - 2) T + tr T delta)_jk and R_j^k_l^s = -e^{-2f}
     (T o delta)_jkls, so the action is e^{-2f} T @ S_T with S_T = L1 S1 +
     L2 S2, L1 and L2 the linear maps T -> -Ric and T -> T o delta.
+    `curvature_action` reads S_T as (n, n, m, m): the (m, m) block S_T[j, k]
+    is the action of T_jk, and only the blocks of entries of T that are
+    not identically 0 are read.
 
     Summed over the slots, with c_a the counts of an index and K + a the
     index K with one more a, row (a, b) of S_T is
@@ -163,12 +162,10 @@ def _curvature_matrix(n, p):
         a, b, Kab = a[..., None], b[..., None], Kab[..., None]
         np.add.at(S, (a, b, Kab, Kkk), w[..., None])
         np.add.at(S, (a, b, Kkk, Kab), np.diagonal(w, axis1=1, axis2=2)[:, None, None, :])
-    S = S.reshape(n * n, m * m)
-    S.flags.writeable = False
-    return S
+    return S.reshape(n * n, m * m)
 
 
-@lru_cache(maxsize=None)
+@fiber._frozen_cache
 def _d2_literal_mono(n, p):
     """(n, m_p, t_{p-1}) monomial rows of the two-term reinsertion display.
 
@@ -195,21 +192,17 @@ def _d2_literal_mono(n, p):
                     corr[i, A, pos_low[tuple(sorted((i,) + rest))]] += 1.0
     comb = main if p == 1 else main - (2.0 / (n + 2 * (p - 2))) * corr
     B_low, _ = fiber.tracefree_basis(n, p - 1)
-    M = d2_prefactor(n, p) * np.einsum("iAB,Bb->iAb", comb, B_low)
-    M.flags.writeable = False
-    return M
+    return d2_prefactor(n, p) * np.einsum("iAB,Bb->iAb", comb, B_low)
 
 
-@lru_cache(maxsize=None)
+@fiber._frozen_cache
 def _d2_structure(n, p):
     """K2[i, a, b]: the literal reinsertion rows compressed to trace-free bases."""
     _, Cp = fiber.tracefree_basis(n, p)
-    K2 = np.ascontiguousarray(np.einsum("aA,iAb->iab", Cp, _d2_literal_mono(n, p)))
-    K2.flags.writeable = False
-    return K2
+    return np.ascontiguousarray(np.einsum("aA,iAb->iab", Cp, _d2_literal_mono(n, p)))
 
 
-@lru_cache(maxsize=None)
+@fiber._frozen_cache
 def _insertion_matrix_mono(n, p):
     """(n, m_p, t_{p-1}) monomial rows of the equivariant insertion map.
 
@@ -222,9 +215,7 @@ def _insertion_matrix_mono(n, p):
     cols = fiber._insert_map_columns(n, p)
     Bp, _ = fiber.tracefree_basis(n, p)
     t = Bp.shape[1]
-    out = np.stack([Bp @ cols[i * t : (i + 1) * t, :] for i in range(n)])
-    out.flags.writeable = False
-    return out
+    return np.stack([Bp @ cols[i * t : (i + 1) * t, :] for i in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +420,7 @@ def projector_match_residuals(sp: GradientSplit):
 # sums and differences folded into one cached structure tensor) and then
 # the one weighted gradient transpose: n derivatives per adjoint.
 
-@lru_cache(maxsize=None)
+@fiber._frozen_cache
 def _d1_transpose_structure(n, p):
     """(t_{p+1}, n, t_p): d1's pointwise map from the gradient, transposed.
 
@@ -443,24 +434,20 @@ def _d1_transpose_structure(n, p):
     F = fields._sym_insert_expanded(n, p) + sym_insert_coefficient(n, p) * np.einsum(
         "Jb,bia->Jia", _d1_correction_matrix(n, p), -K0)
     B, _ = fiber.tracefree_basis(n, p + 1)
-    A = np.einsum("Jc,J,Jia->cia", B, fiber.multiplicities(n, p + 1), F)
-    A.flags.writeable = False
-    return A
+    return np.einsum("Jc,J,Jia->cia", B, fiber.multiplicities(n, p + 1), F)
 
 
-@lru_cache(maxsize=None)
+@fiber._frozen_cache
 def _d2_transpose_structure(n, p):
     """(n t_p, n, t_p): d2's pointwise map from the gradient, transposed:
     the reinsertion rows K2 after the divergence contraction K0 (their
     signs and conformal factors cancel)."""
     K2 = _d2_structure(n, p)
     K0 = fields._k0(n, p)
-    A = (K2.reshape(-1, K2.shape[-1]) @ fields._slots(K0)).reshape((-1,) + K0.shape[1:])
-    A.flags.writeable = False
-    return A
+    return (K2.reshape(-1, K2.shape[-1]) @ fields._slots(K0)).reshape((-1,) + K0.shape[1:])
 
 
-@lru_cache(maxsize=None)
+@fiber._frozen_cache
 def _d3_transpose_structure(n, p):
     """(n t_p, n, t_p): d3 = the gradient minus the embedded d1 and d2, so
     its transpose is the identity minus theirs."""
@@ -468,9 +455,7 @@ def _d3_transpose_structure(n, p):
     A1 = _d1_transpose_structure(n, p)
     A = (np.eye(n * t) - fiber.embed_matrix(n, p) @ fields._slots(A1)
          - fields._slots(_d2_transpose_structure(n, p)))
-    A = A.reshape(n * t, n, t)
-    A.flags.writeable = False
-    return A
+    return A.reshape(n * t, n, t)
 
 
 def _exact_adjoint(cache, p, y, A):
@@ -519,36 +504,39 @@ def sampson(phi: TensorField):
     return (p + 1.0) * a - float(p) * b
 
 
-def weitzenbock_K(phi: TensorField, route: str = "operational"):
-    """Zeroth-order curvature term relating the two second-order Laplacians.
+def weitzenbock_K(phi: TensorField):
+    """Zeroth-order curvature term relating the two second-order Laplacians:
+    nabla*nabla phi minus the trace-free part of the symmetrized Laplacian."""
+    _check_phi(phi)
+    lap = fields.rough_laplacian(phi)
+    return lap - fields.to_tracefree(sampson(phi))
 
-    route 'operational' (normative): nabla*nabla phi minus the trace-free
-    part of the symmetrized Laplacian.  route 'curvature': the pointwise
-    Ricci/Riemann slot action, e^{-2f} T @ S_T (`_curvature_matrix`) with
-    the cache's exact T, kept as an independent oracle.
+
+def curvature_action(phi: TensorField):
+    """The pointwise Ricci/Riemann slot action e^{-2f} T @ S_T
+    (`_curvature_matrix`) with the cache's exact T, the oracle of
+    `weitzenbock_K`.
+
+    T = Hess f - df (x) df + (1/2) |df|^2 delta is exactly 0 where f
+    depends on no axis, and T_jk off the diagonal is exactly 0 unless f
+    depends on both axes j and k.  The sum runs over the other entries:
+    per entry one matmul by S_T[j, k], scaled by e^{-2f} T_jk.  A flat
+    metric has no such entry, and the sum is empty.
     """
     _check_phi(phi)
-    if route == "operational":
-        lap = fields.rough_laplacian(phi)
-        return lap - fields.to_tracefree(sampson(phi))
-    if route != "curvature":
-        raise FieldError(f"unknown route {route!r}")
     cache, p, n = phi.cache, phi.rank, phi.n
     mono = phi.monomial()
-    P, m = cache.spec.num_points, mono.shape[-1]
-    S = _curvature_matrix(n, p)
-    T = fields._scale(cache.T, cache.conformal_factor(-2.0), 2).reshape(P, n * n)
-    x = mono.reshape(-1, P, m, 1)
-    out = np.empty_like(x)
-    # pointwise (m, m) curvature matrices and a batched matvec, one block of
-    # points at a time so that the whole (P, m, m) stack is never held; the
-    # batch axes lead and share each block's matrices
-    block = max(_CURVATURE_BYTES // (8 * m * m), 1)
-    for b in range(0, P, block):
-        rows = slice(b, b + block)
-        K = T[rows] @ S
-        np.matmul(K.reshape(-1, m, m), x[:, rows], out=out[:, rows])
-    return fields.field_from_monomial(cache, p, out.reshape(mono.shape), tag="s0")
+    m = mono.shape[-1]
+    out = np.zeros_like(mono)
+    v = cache.exponent.variables
+    entries = [(j, k) for j in range(n) for k in range(n)
+               if v and (j == k or (j in v and k in v))]
+    for j, k in entries:
+        S = _curvature_matrix(n, p).reshape(n, n, m, m)[j, k]
+        Y = mono @ S.T
+        Y *= (cache.conformal_factor(-2.0) * cache.T[..., j, k])[..., None]
+        out += Y
+    return fields.field_from_monomial(cache, p, out, tag="s0")
 
 
 def zeroth_order_residual(phi: TensorField, u_values: np.ndarray, K: TensorField):
@@ -571,21 +559,21 @@ def second_order_residuals(phi: TensorField, u_values=None):
     split, the symmetrized derivative delta* phi is read off its gradient,
     and the two compositions delta delta* phi and delta* delta phi, the
     symmetrized Laplacian, nabla*nabla phi (the weighted transpose of the
-    same gradient), the three exact-transpose compositions T_i = d_i* d_i phi and
-    both curvature-term routes are each formed once.  Every operator keeps
-    the arithmetic of its standalone function (`sampson`, `weitzenbock_K`),
-    so T1 is bit-for-bit d1_exact_adjoint(d1(phi)), the d1* d1 of
-    `spectral.d1_star_d1_handle`, and K the operational curvature term.
+    same gradient), the three exact-transpose compositions T_i = d_i* d_i
+    phi, the curvature term and its pointwise oracle are each formed once.
+    Every operator keeps the arithmetic of its standalone function
+    (`sampson`, `weitzenbock_K`, `curvature_action`), so T1 is bit-for-bit
+    d1_exact_adjoint(d1(phi)), the d1* d1 of `spectral.d1_star_d1_handle`,
+    and K the operational curvature term.
 
     Each array is dropped right after its last read, and the work runs in
     the order that keeps the fewest arrays alive: T1, T2, nabla*nabla phi
     and delta* phi first, each piece of the split dropped once read; the
     compositions of delta* phi and delta phi next; T3 when d3 phi is all
-    that is left of the split; the
-    pointwise curvature route and the zeroth-order residual last, beside
-    phi and K alone.  The order changes no floating-point operation, and
-    the traced peak is about 7 gradients of phi (14 when every
-    intermediate lived until the return).
+    that is left of the split; the pointwise oracle and the zeroth-order
+    residual last, beside phi and K alone.  The order changes no
+    floating-point operation, and the traced peak is about 7 gradients of
+    phi (14 when every intermediate lived until the return).
 
     Keys (relative residuals):
       reconstruction       the split's reconstruction residual
@@ -658,7 +646,7 @@ def second_order_residuals(phi: TensorField, u_values=None):
     out["d2_composition"] = l2_norm(T2 - d2_composition_coefficient(n, p) * t2) / scale
     del lap, T1, T2, T3, t2
 
-    K_orc = weitzenbock_K(phi, route="curvature")
+    K_orc = curvature_action(phi)
     k_scale = max(l2_norm(K), l2_norm(K_orc), 1e-6 * scale) + _TINY
     out["curvature_oracle"] = l2_norm(K - K_orc) / k_scale
     del K_orc

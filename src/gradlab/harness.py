@@ -438,15 +438,13 @@ def flat_joint_kernel_oracle(cache, p, names):
     return int(t + 2 * np.sum(t - ranks))
 
 
-def _count_stability(rec, check_id, anchor, label, by_size, detail_extra=""):
+def _count_stability(rec, check_id, anchor, label, by_size):
     """Confirmation policy: a count is confirmed when the two finest grids
     agree and neither is gap-indeterminate."""
     sizes = sorted(by_size)
     kcs = [by_size[s] for s in sizes]
     detail = ", ".join(f"{s}->{by_size[s].label} (gap {by_size[s].gap_ratio:.2e})"
                        for s in sizes)
-    if detail_extra:
-        detail = f"{detail}; {detail_extra}"
     if any(k.indeterminate for k in kcs):
         rec.indeterminate(check_id, anchor, value=float(kcs[-1].count),
                           detail=f"{label} gap did not resolve: {detail}")

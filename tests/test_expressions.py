@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradlab.expressions import ExpressionError, TrigPoly, TrigTerm, parse_trig_poly
+from testlib import trig_text
 
 
 def theta_grid(n, size=16):
@@ -83,7 +84,7 @@ def test_evaluate_requires_enough_coordinates():
 
 def test_zero_and_constant_helpers():
     for z in (TrigPoly([]), parse_trig_poly("0"), parse_trig_poly("0.0*cos(x2)")):
-        assert z.is_zero and z.to_text() == "0" and z == TrigPoly([])
+        assert z.is_zero and trig_text(z) == "0" and z == TrigPoly([])
     c = parse_trig_poly("2.5")
     assert np.allclose(c.evaluate(theta_grid(1)), 2.5)
     assert max_abs_bound(c) == 2.5
@@ -113,7 +114,7 @@ def trig_polys(draw):
 @settings(max_examples=80, deadline=None)
 @given(trig_polys())
 def test_serialization_round_trip(poly):
-    again = parse_trig_poly(poly.to_text()) if not poly.is_zero else poly
+    again = parse_trig_poly(trig_text(poly)) if not poly.is_zero else poly
     assert again == poly
     th = theta_grid(3, size=8)
     assert np.allclose(again.evaluate(th), poly.evaluate(th), atol=1e-12)

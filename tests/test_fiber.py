@@ -8,12 +8,13 @@ constructions they check.
 import itertools
 import math
 import tracemalloc
+from types import MappingProxyType
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradlab import fiber, gradients
+from gradlab import fiber, fields, geometry, gradients, spectral
 from testlib import (
     curvature_matrix_loop, div_contract_tensor_loop, double_slot_replace_tensor,
     embed_matrix_loop, expand_matrix, insert_map_columns_loop, insert_matrix_loop,
@@ -465,6 +466,46 @@ def test_table_built_tensors_match_the_loops(n, p):
         assert got.shape == ref.shape and np.array_equal(got, ref)
     for got, ref in close:
         assert got.shape == ref.shape and np.max(np.abs(got - ref)) <= 1e-15
+
+
+# every lru_cache builder of the modules that cache structure, with small
+# arguments; a cached builder that a module gains must be named here
+CACHED_BUILDERS = {
+    **{f"fiber.{name}": (3, 2) for name in (
+        "sym_indices", "sym_index_of", "_index_table", "multiplicities", "trace_matrix",
+        "insert_matrix", "tracefree_basis", "parity_basis", "slot_replace_tensor",
+        "div_contract_tensor", "sym_insert_cov_tensor", "flat_projector_matrices",
+        "embed_matrix")},
+    "fiber.reflection_matrix": (3, 2, 0),
+    **{f"fields.{name}": (3, 2) for name in ("_q0", "_k0", "_sym_insert_expanded")},
+    "fields._connection_tensor": (3, 2, True),
+    **{f"gradients.{name}": (3, 2) for name in (
+        "_d1_correction_matrix", "_curvature_matrix", "_d2_literal_mono", "_d2_structure",
+        "_insertion_matrix_mono", "_d1_transpose_structure", "_d2_transpose_structure",
+        "_d3_transpose_structure")},
+    "geometry._derivative_matrix": (geometry.GridSpec(2, (8, 8)), 0),
+    "spectral._half_modes": ((2, 2),),
+}
+
+
+def _read_only(value):
+    if isinstance(value, np.ndarray):
+        return not value.flags.writeable
+    if isinstance(value, tuple):
+        return all(_read_only(v) for v in value)
+    return isinstance(value, (int, MappingProxyType))
+
+
+def test_every_cached_builder_returns_read_only_data():
+    # a cached result is shared by every caller, so no caller may write it
+    modules = {m.__name__.rsplit(".", 1)[-1]: m for m in (fiber, fields, gradients, geometry,
+                                                         spectral)}
+    cached = {f"{key}.{name}" for key, module in modules.items()
+              for name, obj in vars(module).items() if hasattr(obj, "cache_info")}
+    assert cached == set(CACHED_BUILDERS)
+    for key, args in CACHED_BUILDERS.items():
+        module, name = key.split(".")
+        assert _read_only(getattr(modules[module], name)(*args)), key
 
 
 @pytest.mark.parametrize("build,n,p", [(fiber.embed_matrix, 5, 6),

@@ -13,6 +13,7 @@ from gradlab.gradients import (
     ConventionError,
     ahlfors_deformation,
     ahlfors_ratio,
+    curvature_action,
     d1,
     d1_exact_adjoint,
     d2,
@@ -35,6 +36,7 @@ from gradlab.gradients import (
 )
 from testlib import (
     closed_form_curvature,
+    curvature_action_blocked,
     d1_exact_adjoint_unfused,
     d1_star_d1_formula,
     d2_exact_adjoint_unfused,
@@ -629,7 +631,7 @@ def _curvature_route_einsum(phi):
 def test_curvature_route_matches_einsum(n, size, p, metric):
     cache = make_cache(n, size, metric)
     phi = random_field(cache, p, seed=60 + p, band=3)
-    got = weitzenbock_K(phi, route="curvature").data
+    got = curvature_action(phi).data
     ref = _curvature_route_einsum(phi).data
     if metric == "flat":
         assert not np.any(got) and not np.any(ref)
@@ -667,8 +669,39 @@ def test_curvature_route_is_zero_on_zero_curvature(n, p):
         data = np.random.default_rng(p).standard_normal((2,) + cache.spec.shape + (t,))
         for phi in (fields.TensorField(cache, "s0", p, data),
                     fields.TensorField(cache, "s0", p, data[0])):
-            K = weitzenbock_K(phi, route="curvature").data
+            K = curvature_action(phi).data
             assert K.shape == phi.data.shape and not np.any(K)
+
+
+@pytest.mark.parametrize("f_text", ["0", "0.1*cos(x1)", "0.1*cos(x1)+0.05*sin(x2)"])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_curvature_action_matches_blocked_route(f_text, p):
+    # the sum over the entries of T against every entry at once, in
+    # pointwise (m, m) matrices, single and stacked.  Only the last metric
+    # has an off-diagonal T_12 that acts: on a 2-torus it acts as 0 on
+    # S0^p, so only this 3-torus catches a sum that skips entries
+    cache = build_geometry(GridSpec(3, (12,) * 3), parse_trig_poly(f_text))
+    rng = np.random.default_rng(40 + p)
+    batch = np.stack([unit_field(cache, p, 3, rng).data for _ in range(2)])
+    for data in (batch, batch[0]):
+        phi = fields.TensorField(cache, "s0", p, data)
+        got, ref = curvature_action(phi).data, curvature_action_blocked(phi).data
+        assert got.shape == ref.shape == data.shape
+        if cache.is_flat:
+            assert not np.any(got) and not np.any(ref)
+        else:
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_flat_cache_reads_no_curvature_matrix(monkeypatch):
+    # f = 0 makes every entry of T exactly 0, so the sum is empty: a NaN
+    # S_T reaches no output.  On the conformal control it reaches it
+    matrix = gradients._curvature_matrix
+    monkeypatch.setattr(gradients, "_curvature_matrix",
+                        lambda *key: np.full_like(matrix(*key), np.nan))
+    for metric, finite in (("flat", True), ("conformal", False)):
+        phi = random_field(make_cache(metric=metric), 2, seed=11)
+        assert np.all(np.isfinite(curvature_action(phi).data)) == finite, metric
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])

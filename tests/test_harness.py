@@ -219,6 +219,27 @@ def test_coefficient_mutation_fails_every_rank(name, monkeypatch):
         assert failed, f"{name} pins nothing at rank {p}"
 
 
+# the curvature oracle reads S_T only where T is not 0, so the sweep of the
+# curvature matrix needs a conformal metric (MUTATION_CFG is flat)
+CURVATURE_MUTATION_CFG = ExperimentConfig(
+    conformal_exponent="0.1*cos(x1)+0.05*sin(x2)", dimension=2, sizes=(24, 32),
+    ranks=(1, 2, 3), seed=7, field_count=2)
+
+
+def test_curvature_matrix_mutation_fails_the_curvature_oracle(monkeypatch):
+    # the cached curvature matrix, scaled by 1 + 1e-6, must fail exactly the
+    # curvature oracle of every rank, by that factor, and abort nothing
+    assert run_identity_suite(CURVATURE_MUTATION_CFG).status == "pass"
+    matrix = gradients._curvature_matrix
+    monkeypatch.setattr(gradients, "_curvature_matrix",
+                        lambda n, p: matrix(n, p) * (1.0 + 1e-6))
+    records = run_identity_suite(CURVATURE_MUTATION_CFG).records
+    assert [r.check_id for r in records if r.detail.startswith("aborted")] == []
+    failed = {r.check_id: f"{r.value:.2e}" for r in records if r.status == "fail"}
+    assert failed == {f"weitzenbock.curvature_oracle.p{p}": "1.00e-06"
+                      for p in CURVATURE_MUTATION_CFG.ranks}
+
+
 def _controls(report):
     return {r.check_id: r for r in report.records if r.check_id.startswith("control.")}
 

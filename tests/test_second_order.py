@@ -50,7 +50,7 @@ def _weitzenbock_identity_report(phi):
     r41 = l2_norm((p + 1.0) * T1 - (lap - K + c41 * t2)) / scale
     r43 = l2_norm(float(p) * T1 - T2 - T3 - (c41 * t2 - K)) / scale
     r_d2 = l2_norm(T2 - gradients.d2_composition_coefficient(n, p) * t2) / scale
-    K_orc = gradients.weitzenbock_K(phi, route="curvature")
+    K_orc = gradients.curvature_action(phi)
     k_scale = max(l2_norm(K), l2_norm(K_orc), 1e-6 * scale) + _TINY
     return {
         "split_vs_rough": r_sum,
@@ -131,15 +131,20 @@ def test_identity_suite_decomposes_each_field_once(monkeypatch):
     # alive so that no id is reused during the run
     decomposed, curvature_terms, units, d1_calls = [], [], [], []
     decompose, weitzenbock_K = gradients.decompose, gradients.weitzenbock_K
+    curvature_action = gradients.curvature_action
     d1, unit = gradients.d1, harness._unit
 
     def counting_decompose(phi, *args, **kwargs):
         decomposed.append(phi)
         return decompose(phi, *args, **kwargs)
 
-    def counting_K(phi, route="operational"):
-        curvature_terms.append((phi, route))
-        return weitzenbock_K(phi, route=route)
+    def counting_K(phi):
+        curvature_terms.append((phi, "operational"))
+        return weitzenbock_K(phi)
+
+    def counting_action(phi):
+        curvature_terms.append((phi, "curvature"))
+        return curvature_action(phi)
 
     def counting_d1(phi):
         d1_calls.append(phi)
@@ -151,6 +156,7 @@ def test_identity_suite_decomposes_each_field_once(monkeypatch):
 
     monkeypatch.setattr(gradients, "decompose", counting_decompose)
     monkeypatch.setattr(gradients, "weitzenbock_K", counting_K)
+    monkeypatch.setattr(gradients, "curvature_action", counting_action)
     monkeypatch.setattr(gradients, "d1", counting_d1)
     monkeypatch.setattr(harness, "_unit", recording_unit)
     cfg = ExperimentConfig(dimension=2, sizes=(12, 16), ranks=(1, 2),
@@ -165,7 +171,7 @@ def test_identity_suite_decomposes_each_field_once(monkeypatch):
     K_fields = [phi for phi, _ in curvature_terms]
     assert all(times(phi, K_fields) == 1 for phi in K_fields)
     # sub-batch (3 per rank) and refinement fields (2 per rank) carry the
-    # pointwise curvature route; each is decomposed once and its
+    # pointwise oracle, curvature_action; each is decomposed once and its
     # operational term comes from that same pass, not from weitzenbock_K
     second_order = [phi for phi, route in curvature_terms if route == "curvature"]
     assert len(second_order) == len(cfg.ranks) * (3 + 2)
@@ -199,4 +205,4 @@ def test_second_order_peak_is_a_few_gradients():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 10 * grad_bytes, f.to_text()
+        assert peak <= 10 * grad_bytes, f

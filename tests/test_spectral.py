@@ -803,8 +803,8 @@ def test_batched_operators_match_single_fields(n, p, f_text, method):
     # the independent routes and oracles that no handle reaches
     assert_stacked(rough_laplacian_formula(batch).data,
                    [rough_laplacian_formula(phi).data for phi in singles])
-    assert_stacked(gradients.weitzenbock_K(batch, route="curvature").data,
-                   [gradients.weitzenbock_K(phi, route="curvature").data for phi in singles])
+    assert_stacked(gradients.curvature_action(batch).data,
+                   [gradients.curvature_action(phi).data for phi in singles])
     parts = gradients.projector_components(sp.grad)
     for name in "ABC":
         assert_stacked(parts[name].data, [gradients.projector_components(one.grad)[name].data

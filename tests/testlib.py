@@ -135,6 +135,26 @@ def d1_star_d1_formula(phi: TensorField):
     return t1 - c * t2
 
 
+def curvature_action_blocked(phi):
+    """`gradients.curvature_action` as pointwise (m, m) matrices K = e^{-2f}
+    T @ S_T summed over every entry of T in one matmul, applied as a
+    batched matvec one block of points at a time (1 MiB of matrices at
+    once); the batch axes lead and share each block's matrices."""
+    cache, p, n = phi.cache, phi.rank, phi.n
+    mono = phi.monomial()
+    P, m = cache.spec.num_points, mono.shape[-1]
+    S = gradients._curvature_matrix(n, p)
+    T = fields._scale(cache.T, cache.conformal_factor(-2.0), 2).reshape(P, n * n)
+    x = mono.reshape(-1, P, m, 1)
+    out = np.empty_like(x)
+    block = max((1 << 20) // (8 * m * m), 1)
+    for b in range(0, P, block):
+        rows = slice(b, b + block)
+        K = T[rows] @ S
+        np.matmul(K.reshape(-1, m, m), x[:, rows], out=out[:, rows])
+    return fields.field_from_monomial(cache, p, out.reshape(mono.shape), tag="s0")
+
+
 # ---------------------------------------------------------------------------
 # second-order operators that no suite builds: the rough Laplacian as a
 # Galerkin endomorphism, and the symbol matrices of delta delta* and
@@ -526,6 +546,35 @@ def projector_residuals(n, p):
     out["cross_AC"] = float(np.max(np.abs(A @ C)))
     out["cross_BC"] = float(np.max(np.abs(B @ C)))
     return out
+
+
+def trig_text(poly):
+    """Canonical text of a `TrigPoly`: parse_trig_poly(trig_text(f)) == f."""
+    if not poly.terms:
+        return "0"
+    parts = []
+    for t in poly.terms:
+        mag = repr(abs(t.coeff))
+        if t.kind == "const":
+            body = mag
+        else:
+            arg_parts = []
+            for i, k in enumerate(t.wave):
+                if k == 0:
+                    continue
+                name = f"x{i + 1}"
+                piece = name if abs(k) == 1 else f"{abs(k)}*{name}"
+                arg_parts.append(("-" if k < 0 else "+", piece))
+            arg = arg_parts[0][1] if arg_parts[0][0] == "+" else "-" + arg_parts[0][1]
+            for sign, piece in arg_parts[1:]:
+                arg += sign + piece
+            body = f"{mag}*{t.kind}({arg})"
+        sign = "-" if t.coeff < 0 else "+"
+        parts.append((sign, body))
+    text = parts[0][1] if parts[0][0] == "+" else "-" + parts[0][1]
+    for sign, body in parts[1:]:
+        text += f" {sign} {body}"
+    return text
 
 
 def analytic_laplacian(poly, spec):
