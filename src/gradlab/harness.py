@@ -361,7 +361,9 @@ def _identity_checks_for_rank(rec, config, p, caches):
                 band_limited_field(cache, p, band_r, rng_r), _zeroth_order_multiplier(cache))
         for name, check_id, anchor in (
             ("two_route", f"composition.two_route_refine.p{p}", A_COMP1),
+            ("d2_composition", f"composition.d2_refine.p{p}", A_COMP2),
             ("rough_identity", f"weitzenbock.rough_refine.p{p}", A_ROUGH),
+            ("difference_identity", f"weitzenbock.difference_refine.p{p}", A_QFORM),
             ("zeroth_order", f"weitzenbock.zeroth_refine.p{p}", A_CURVATURE),
         ):
             lo, hi = res[size_lo][name], res[size_hi][name]
@@ -544,7 +546,7 @@ def _kernel_checks_for_rank(rec, config, p, caches):
                                f"square-injective; finite family expected: {lo} -> {hi}")
 
     if cache_hi.is_flat and ck is not None and ck > 0:
-        # the d1 eigendecomposition of the finest grid is reused
+        # the finest layer solves its d1 system once more, for the vectors
         worst = 0.0
         for phi in gal.lowest_fields(["d1"], ck):
             worst = max(worst, l2_norm(fields.gradient(phi)) / (l2_norm(phi) + _TINY))

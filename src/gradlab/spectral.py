@@ -45,7 +45,12 @@ One Galerkin layer (`Galerkin`, one per grid and rank) serves every study:
   per layer and stacked systems add blocks.  The four first-order pieces
   (d1, d2, d3 and the divergence) are constant fiber maps of the gradient
   paired with its weight, so their Grams come from one weighted cut stack
-  of `fields.gradient` images; no operator handle is applied for them;
+  of `fields.gradient` images; no operator handle is applied for them.
+  Each piece's map is applied to that stack a run of sectors at a time,
+  and each run is paired at once into the class matrices, so no whole
+  piece cut exists.  Eigendecompositions are not kept: the kernel counts
+  read only eigenvalues, and the one reader of eigenvectors
+  (`Galerkin.lowest_fields`) solves its own system;
 * batched solves: blocks of equal size form a group, held as one stack.
   Each group's mass blocks are reduced once per layer (batched Cholesky
   M = L L^T and L^{-1}), and every eigensolve of the layer solves a group
@@ -88,12 +93,16 @@ from .fields import TensorField
 # bytes a Galerkin layer may hold by its first solves, the Gram build
 # included, as estimated by Galerkin._bytes_before_solve; the estimate
 # bounds the layer's traced peak (conformal 3-torus 0.1*cos(x1), N=12,
-# rank 3: 33 MiB estimated, 32 MiB traced through the kernel suite's
+# rank 3: 23 MiB estimated, 21 MiB traced through the kernel suite's
 # solves)
 GALERKIN_BYTES_CAP = 2**30
 # bytes of one chunk's working set when a Galerkin layer applies an
-# operator to a batch of its colours (Galerkin._probe)
-_PROBE_BYTES = 2**22
+# operator to a batch of its colours (Galerkin._probe); at 4 MiB the d1* d1
+# form's probe set the layer's peak on the conformal 2-torus at N=32, rank
+# 2, and at 2 MiB (chunks of 8 colours there, 14 at N=24) it traces 1.5
+# MiB above its cut stacks instead of 3.0, and the layer 3.3 MiB instead
+# of 4.4
+_PROBE_BYTES = 2**21
 # arrays of the widest per-point fiber an operator forms per colour
 # (Galerkin._colour_work_bytes); one chunk's application, its output
 # included, traces at most 2.9 of them (d1* d1 on the flat 2-torus at rank
@@ -378,6 +387,14 @@ def _mirror(data, axis, R):
     return np.take(data, -np.arange(size) % size, axis=axis) @ R.T
 
 
+def _mapped(X, fiber_map):
+    """Fiber data X (..., width) under a constant fiber map (rows, width),
+    as one product; X itself when there is no map."""
+    if fiber_map is None:
+        return X
+    return (X.reshape(-1, X.shape[-1]) @ fiber_map.T).reshape(X.shape[:-1] + (-1,))
+
+
 class Galerkin:
     """Galerkin matrices of one (grid, rank) on the dealiased trace-free basis,
     reduced by the translations of the invariant axes and the reflections
@@ -424,7 +441,9 @@ class Galerkin:
     bins +k, a sector with k > 0 there counts its pairing twice.  On the
     other invariant axes the cut keeps the bins +k_a and -k_a, and every
     index of the (halved) varying axes.  Sectors with as many bins are
-    gathered and paired together, as one stack.  With no invariant axis
+    gathered together, as one stack, and are consecutive in `keys`, so
+    each such group is one contiguous run of the pairing's class
+    matrices.  With no invariant axis
     the one sector spans the whole grid and its cut is the class parts
     themselves.
 
@@ -434,14 +453,15 @@ class Galerkin:
     as they exist, into cut stacks preallocated for every colour; the
     colours' own cut is probed the same way.  The four first-order pieces'
     Grams come from one such stack, of the gradient, through each piece's
-    map (`_SPLIT`), one piece at a time: a constant fiber map commutes with
-    the scalar weight and with the reflections.
+    map (`_SPLIT`), one piece and one run of sectors at a time (`_pair`):
+    a constant fiber map commutes with the scalar weight and with the
+    reflections.
 
     Blocks of equal size form a group, and every matrix the layer returns
     (mass, Gram, form) is a list of stacks, one per group, in `_groups`
-    order.  Mass, its reduction, Gram blocks and joint eigendecompositions
-    are cached on the layer: a suite builds one per (grid, rank) and stacked
-    systems add blocks.
+    order.  Mass, its reduction and Gram blocks are cached on the layer: a
+    suite builds one per (grid, rank) and stacked systems add blocks.
+    Eigendecompositions are solved on each call and not kept.
     """
 
     def __init__(self, cache, p):
@@ -456,7 +476,11 @@ class Galerkin:
         self._fiber, parity = fiber.parity_basis(cache.n, p)
         self._parity = parity[:, list(self.axes)]
         bands = [size // 2 - 1 for size in spec.sizes]
-        self.keys = list(itertools.product(*(range(bands[a] + 1) for a in self.axes)))
+        # a sector's count of FFT bins doubles with each k_a > 0 off the real
+        # (last invariant) axis; sorting by that count makes each group of
+        # sectors with as many bins (`_sector_bins`) one contiguous run
+        self.keys = sorted(itertools.product(*(range(bands[a] + 1) for a in self.axes)),
+                           key=lambda key: sum(k > 0 for k in key[:-1]))
         # the class of reduced column j * t + beta: bit i is its parity on
         # the i-th mirror axis, u_j's there times beta's
         j, beta = np.divmod(np.arange(width * t), t)
@@ -528,11 +552,11 @@ class Galerkin:
         self._colour_hat = self._probe(lambda phi: phi.data, "s0", t)
         self._mass = self._mass_max = self._reduced = None
         self._grams = {}
-        self._eigen = {}
 
     def _sector_bins(self):
-        """Sectors grouped by their count of FFT bins: per group the sector
-        indices, their gathers into the half spectrum (sector, bin) and
+        """Sectors grouped by their count of FFT bins: per group the range
+        of its sector indices (the groups are contiguous and in order, see
+        `keys`), their gathers into the half spectrum (sector, bin) and
         their Parseval factors (twice a nonzero bin of the real axis).
 
         A sector keeps the bin +k_a of the real axis, the bins +k_a and
@@ -551,7 +575,11 @@ class Galerkin:
             by_count.setdefault(math.prod(map(len, per_axis)), []).append(
                 (s, np.ravel_multi_index(np.ix_(*per_axis), self._half).ravel(),
                  (2.0 if key and key[-1] > 0 else 1.0) / norm))
-        return [tuple(map(np.array, zip(*entries))) for entries in by_count.values()]
+        out = []
+        for entries in by_count.values():
+            sel, g, factor = map(np.array, zip(*entries))
+            out.append((range(sel[0], sel[-1] + 1), g, factor))
+        return out
 
     def _fiber_products(self, factor):
         """(t, *grid), of size 1 along the varying axes: per fiber column
@@ -603,6 +631,14 @@ class Galerkin:
         widest = n * fiber.sym_dim(n, self.p + 1)
         return 8 * _WORK_FLOATS * widest * self.cache.spec.num_points
 
+    def _run(self, bins, width):
+        """Sectors of a group with `bins` bins each that a pairing maps and
+        multiplies at once (`_pair`), when its cuts carry `width` fiber
+        values per point: as many as keep one run's cut no larger than the
+        class-matrix array S the pairing fills, and at least one."""
+        parts = 2 if self.axes else 1
+        return max(1, len(self.keys) * self.colour_count // (bins * parts * width))
+
     def _bytes_before_solve(self):
         """Bytes the layer holds at its peak by its first solves, the Gram
         build included.
@@ -611,22 +647,42 @@ class Galerkin:
         Held throughout: the colours' cut.  On top of that, the larger of
         two phases: the Gram build (the cut gradient stack, six mass-sized
         arrays for the mass, L^{-1} and the four Gram blocks, and the
-        larger of probing, one chunk's colours, operator work, folded
-        parts, FFT and gather, and pairing, one piece's cut and two arrays
-        of class matrices); and the solves (`_BLOCK_ARRAYS` mass-sized
-        arrays: the mass, L^{-1}, the Gram blocks, cached eigenvectors and
-        one batched solve's working arrays).
+        larger of probing and pairing); and the solves (`_BLOCK_ARRAYS`
+        mass-sized arrays: the mass, L^{-1}, the Gram blocks and one
+        batched solve's working arrays).
+
+        Probing holds one chunk's colours with the operator's work
+        (`_colour_work_bytes`) and, per colour beyond its image, its folded
+        class parts (`_fold`) and either, with an invariant axis, their
+        half spectrum twice (`numpy.fft.rfftn` holds two complex arrays at
+        once; one group's gather replaces one of them in `_cut`), or, with
+        none, what each mirror axis's fold holds beside its new parts: the
+        two halves and the reflection, and from the second axis on the
+        previous parts.  A traced fold and cut of the gradient reads 0.93
+        to 1.02 of that on flat, conformal and two-axis 2- and 3-tori at
+        ranks 1-3, beside about 2 KiB of FFT scratch per chunk.  Pairing
+        holds the class-matrix array S, the largest run of one piece's
+        mapped cut (`_run`) and a second S-sized array for the gate and the
+        gather of the blocks.
         """
-        points = self.cache.spec.num_points
+        sizes = self.cache.spec.sizes
         grad = self.cache.n * self.t
         classes = len(self._classes)
+        parts = 2 if self.axes else 1
         mass = 8 * sum(len(b.columns) ** 2 for b in self.blocks)
         cells = 8 * len(self.keys) * classes * self.colour_count ** 2
-        cut = 8 * classes * self.colour_count * (2 if self.axes else 1) * sum(
-            g.size for _, g, _ in self._bins)
-        fold = 8 * grad * (4 * points + (6 if self.axes else 0) * classes * math.prod(self._half))
+        cut = 8 * classes * self.colour_count * parts * sum(g.size for _, g, _ in self._bins)
+        folded = classes * math.prod(half if a in self.mirrors else size
+                                     for a, (size, half) in enumerate(zip(sizes, self._half)))
+        spectrum = classes * math.prod(self._half)
+        fold = 8 * grad * ((folded if self.mirrors else 0) + (
+            4 * spectrum if self.axes else min(len(self.mirrors), 2) * folded))
         probe = min(self._chunk, self.colour_count) * (self._colour_work_bytes() + fold)
-        pairing = cut * grad + 2 * cells
+        widths = [len(structure(self.cache.n, self.p)) for structure in _SPLIT.values()]
+        run = max(8 * classes * self.colour_count * parts * g.shape[1] * width
+                  * min(len(sel), self._run(g.shape[1], width))
+                  for sel, g, _ in self._bins for width in widths)
+        pairing = run + 2 * cells
         gram = cut * grad + 6 * mass + max(probe, pairing)
         return cut * self.t + max(gram, _BLOCK_ARRAYS * mass)
 
@@ -696,17 +752,23 @@ class Galerkin:
         return [np.empty((len(sel),) + shape + (g.shape[1], parts, width))
                 for sel, g, _ in self._bins]
 
-    def _pair(self, left, right, floor):
-        """Block stacks Re(L^H R) / prod N_a of two cuts, one stack per
+    def _pair(self, left, right, floor, fiber_map=None):
+        """Block stacks Re(L^H R) / prod N_a of two cuts, or of their images
+        under a constant fiber map `fiber_map` (rows, width), one stack per
         group: a plain product, since the cuts carry the square root of
-        their weight (`_probe`).  On (real, imaginary) parts the real part
-        is one real product, and no operand is copied.  A cut paired with
-        itself is one symmetric product, so the mass and the Grams are
-        exactly symmetric.
+        their weight (`_probe`) and a constant fiber map keeps that factor.
+        On (real, imaginary) parts the real part is one real product, and
+        no operand is copied.  A cut paired with itself is one symmetric
+        product, so the mass and the Grams are exactly symmetric.
 
-        Each class's whole matrix in each sector (a cell) is formed.  Its
-        entries between two blocks pair images that the reflections of the
-        invariant axes keep orthogonal, so they are gated at
+        Each class's whole matrix in each sector (a cell) is formed, into
+        one array S of cells (sector * classes + part) in which each group
+        of sectors is a contiguous run.  A group is paired a run of sectors
+        at a time (`_run`): the run's cut is mapped, multiplied into its
+        cells with `out=` and scaled there, so no whole mapped cut and no
+        product beside S ever exists.  A cell's entries between two blocks
+        pair images that the reflections of the invariant axes keep
+        orthogonal, so they are gated at
         `_SYMMETRY_TOL` of the larger of `floor` and the pairing's largest
         entry: an operator that does not commute with those reflections is
         refused.  The floor (the mass's largest entry) measures an operator
@@ -716,14 +778,17 @@ class Galerkin:
         index; only groups of blocks that split a class are gathered.
         """
         classes, count = len(self._classes), self.colour_count
-        S = np.empty((len(self.keys), classes, count, count))
-        for (sel, _, factor), L, R in zip(self._bins, left, right):
-            L, R = (X.reshape(len(sel) * classes, count, -1) for X in (L, R))
-            prod = L @ R.swapaxes(1, 2)
-            prod *= np.repeat(factor, classes)[:, None, None]
-            S[sel] = prod.reshape(len(sel), classes, count, count)
-            del prod  # before the next group's product exists
-        S = S.reshape(-1, count, count)
+        S = np.empty((len(self.keys) * classes, count, count))
+        for (sel, g, factor), L, R in zip(self._bins, left, right):
+            step = self._run(g.shape[1], L.shape[-1] if fiber_map is None else len(fiber_map))
+            for a in range(0, len(sel), step):
+                b = min(a + step, len(sel))
+                into = S[(sel.start + a) * classes:(sel.start + b) * classes]
+                run = _mapped(L[a:b], fiber_map).reshape(len(into), count, -1)
+                other = run if R is L else _mapped(R[a:b], fiber_map).reshape(run.shape)
+                np.matmul(run, other.swapaxes(1, 2), out=into)
+                into *= np.repeat(factor[a:b], classes)[:, None, None]
+                del run, other  # before the next run's map exists
         if self._split.size:
             cross = float(np.max(np.abs(S[self._split][self._cross]), initial=0.0))
             scale = max(float(np.max(np.abs(S))), floor)
@@ -846,11 +911,8 @@ class Galerkin:
         grad = self._probe(lambda phi: fields._merged(fields.gradient(phi).data),
                            "cov_s0", n * self.t)
         for piece, structure in _SPLIT.items():
-            M = fields._slots(structure(n, p))
-            hat = [(X.reshape(-1, X.shape[-1]) @ M.T).reshape(X.shape[:-1] + (-1,))
-                   for X in grad]
-            self._grams[piece] = self._pair(hat, hat, self._mass_max)
-            del hat
+            self._grams[piece] = self._pair(grad, grad, self._mass_max,
+                                            fields._slots(structure(n, p)))
 
     def eigen(self, stacks):
         """Eigenpairs of (G, M) for every block, one batched result per group.
@@ -864,11 +926,10 @@ class Galerkin:
                 for G, (M, Linv), mult in zip(stacks, self._reduction(), self._mult)]
 
     def joint_eigen(self, names):
-        """Per-group eigenpairs of the stacked system, solved once per layer."""
-        key = tuple(names)
-        if key not in self._eigen:
-            self._eigen[key] = self.eigen(self.gram(names))
-        return self._eigen[key]
+        """Per-group eigenpairs of the stacked system, solved on each call:
+        the kernel counts read only their values, so the layer holds no
+        eigenvectors between solves."""
+        return self.eigen(self.gram(names))
 
     def field(self, block, coeffs, copy=0):
         """The field with coefficients `coeffs` on the columns of one block.
@@ -896,7 +957,8 @@ class Galerkin:
 
     def lowest_fields(self, names, count):
         """Fields of the `count` lowest eigenpairs of the stacked system, each
-        block's eigenpair counted with its multiplicity (its translates)."""
+        block's eigenpair counted with its multiplicity (its translates),
+        from a solve of its own."""
         eig = self.joint_eigen(names)
         vectors = {}
         order = []

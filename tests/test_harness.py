@@ -240,6 +240,31 @@ def test_curvature_matrix_mutation_fails_the_curvature_oracle(monkeypatch):
                       for p in CURVATURE_MUTATION_CFG.ranks}
 
 
+# a conformal 3-torus whose coarse grid resolves the refinement field well
+# enough that the d2 companion sees a 1e-6 change of kappa at rank 1
+REFINE_MUTATION_CFG = ExperimentConfig(
+    conformal_exponent="0.1*cos(x1)", dimension=3, sizes=(16, 24), ranks=(1,),
+    seed=7, field_count=1)
+
+
+def test_d2_coefficient_mutation_fails_the_d2_refinement_companion(monkeypatch):
+    # composition.d2_refine reads the d2*d2 residual the refinement pass
+    # already holds on both grids; with kappa scaled by 1 + 1e-6 the finer
+    # grid keeps the 1e-6 defect (1.8e-7 here) while the rule asks for a
+    # tenth of the coarse residual (5.8e-7), so the companion fails
+    def refine(report):
+        return {r.check_id: r.status for r in report.records if "_refine" in r.check_id}
+
+    clean = refine(run_identity_suite(REFINE_MUTATION_CFG))
+    assert set(clean.values()) == {"pass"}
+    assert {"composition.d2_refine.p1", "weitzenbock.difference_refine.p1"} <= set(clean)
+    kappa = gradients.d2_composition_coefficient
+    monkeypatch.setattr(gradients, "d2_composition_coefficient",
+                        lambda n, p: kappa(n, p) * (1.0 + 1e-6))
+    mutated = refine(run_identity_suite(REFINE_MUTATION_CFG))
+    assert {k for k, v in mutated.items() if v == "fail"} == {"composition.d2_refine.p1"}
+
+
 def _controls(report):
     return {r.check_id: r for r in report.records if r.check_id.startswith("control.")}
 

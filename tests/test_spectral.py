@@ -185,10 +185,11 @@ def test_dof_cap_enforced(monkeypatch):
 
 
 def test_assemble_caches_matrix(monkeypatch):
-    # the mass, the Grams and each joint eigendecomposition are built once;
-    # every Gram comes from the gradient of each colour, taken once, through
-    # no handle; the last colour's reflection on the mirror axis x1 is the
-    # one more field the gradient sees
+    # the mass and the Grams are built once, and a joint eigendecomposition
+    # solved again from them gives the same values bit for bit; every Gram
+    # comes from the gradient of each colour, taken once, through no handle;
+    # the last colour's reflection on the mirror axis x1 is the one more
+    # field the gradient sees
     cache = make_cache(2, 8, metric="conformal")
     gal = Galerkin(cache, 1)
     probed = []
@@ -203,7 +204,8 @@ def test_assemble_caches_matrix(monkeypatch):
     assert sum(probed) == gal.colour_count + 1
     for B, again in zip(first, gal.gram(["d1", "divergence"])):
         assert np.array_equal(B, again)
-    assert gal.joint_eigen(["d1", "divergence"]) is eig
+    for r, again in zip(eig, gal.joint_eigen(["d1", "divergence"])):
+        assert np.array_equal(r.values, again.values)
     gal.gram(["d2", "d3"])
     assert gal.mass() is gal.mass()
     assert sum(probed) == gal.colour_count + 1
@@ -447,22 +449,51 @@ def test_galerkin_admission_covers_the_peak(n, size, f_text, p):
 
 def test_gram_pairing_allocates_no_operand_sized_array():
     # the cuts carry the root of their weight, so a pairing forms only
-    # class matrices: every class's whole matrix in every sector, a group's
-    # product, scaled in place, and the blocks it returns; a weighted copy
-    # of an operand, as large as a group's share of the cut, breaks this
+    # class matrices: every class's whole matrix in every sector, each run's
+    # product written into it in place, and the blocks it returns; a
+    # weighted copy of an operand, as large as a group's share of the cut,
+    # breaks this
     cache = make_cache(3, 8, metric="conformal", f_text="0.1*cos(x1)")
     gal = Galerkin(cache, 2)
     grad = gal._probe(lambda phi: fields._merged(fields.gradient(phi).data), "cov_s0",
                       cache.n * gal.t)
     sectors = 8 * len(gal.keys) * len(gal._classes) * gal.colour_count ** 2
-    assert 3 * sectors + 2**16 < max(X.nbytes for X in grad)
+    assert 2 * sectors + 2**16 < max(X.nbytes for X in grad)
     tracemalloc.start()
     try:
         gal._pair(grad, grad, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * sectors + 2**16
+    assert peak <= 2 * sectors + 2**16
+
+
+def test_gram_build_maps_one_run_of_sectors_at_a_time():
+    # each piece's map is applied to the gradient's cut a run of sectors at
+    # a time, and each run is paired at once, so beside the gradient's cut
+    # stack the Gram build holds one run's mapped cut, the class-matrix
+    # array S, one more S-sized array for the gate and the gather, and the
+    # four Grams it returns, each no larger than S; a whole piece's cut
+    # (here as large as the gradient's, 4.4 S) breaks this, and the
+    # gradient's probe, in chunks of `_PROBE_BYTES`, stays under it too
+    cache = make_cache(2, 32, metric="conformal")
+    gal = Galerkin(cache, 2)
+    gal.mass()
+    stacks = gal._cut_stacks(cache.n * gal.t)
+    cut = sum(X.nbytes for X in stacks)
+    run = max(X[:gal._run(X.shape[3], X.shape[-1])].nbytes for X in stacks)
+    cells = 8 * len(gal.keys) * len(gal._classes) * gal.colour_count ** 2
+    assert run <= cells < cut
+    del stacks
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        gal._build_gram()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert sorted(gal._grams) == sorted(spectral._SPLIT)
+    assert peak <= cut + run + 5 * cells
 
 
 def test_galerkin_admission_counts_the_reduction():
