@@ -9,8 +9,8 @@ Fields store fiber coordinates per grid point under one of four tags:
     "cov_s0"  one covariant slot + trace-free part, (*grid, n, tracefree_dim)
 
 The data may carry leading batch axes, (*batch, *grid, *fiber): a stack of
-fields on one grid.  Every operator that `gradients.decompose` and the
-operator handles of `spectral` reach, `gradients.weitzenbock_K` and its
+fields on one grid.  Every operator that `gradients.decompose` and
+`spectral.d1_star_d1_handle` reach, `gradients.weitzenbock_K` and its
 oracle `gradients.curvature_action`, and the projector and Ahlfors oracles
 of `gradients` act on each member of a stack independently, with the
 arithmetic of a single field; the L2 pairings (`l2_inner`, `l2_norm`) take
@@ -134,22 +134,15 @@ class TensorField:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return TensorField(self.cache, self.tag, self.rank, -self.data)
-
     def _compat(self, other):
         if self.cache is not other.cache or self.tag != other.tag or self.rank != other.rank:
             raise FieldError("field mismatch: same cache, tag, and rank required")
 
 
-def field_from_monomial(cache, rank, mono, tag="s0"):
-    """Wrap monomial-coordinate samples; tag 's0' projects trace parts away."""
-    if tag == "s":
-        return TensorField(cache, "s", rank, mono)
-    if tag == "s0":
-        _, C = fiber.tracefree_basis(cache.n, rank)
-        return TensorField(cache, "s0", rank, mono @ C.T)
-    raise FieldError(f"unsupported construction tag {tag!r}")
+def field_from_monomial(cache, rank, mono):
+    """The trace-free field of monomial-coordinate samples, traces projected away."""
+    _, C = fiber.tracefree_basis(cache.n, rank)
+    return TensorField(cache, "s0", rank, mono @ C.T)
 
 
 def to_tracefree(phi: TensorField):

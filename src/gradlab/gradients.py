@@ -8,7 +8,8 @@ This module realizes the corresponding first-order operators:
     d2   divergence reinserted along the metric ("cov_s0" storage)
     d3   the remainder piece ("cov_s0" storage)
 
-together with exact weighted adjoints and the second-order compositions
+all three from one gradient (`decompose`; d1 also alone, `d1`), together
+with exact weighted adjoints and the second-order compositions
 (rough Laplacian splitting, symmetrized Laplacian, the zeroth-order
 curvature term).  `second_order_residuals` forms every second-order
 identity residual of one field (Weitzenbock formulas, energy identities,
@@ -263,13 +264,6 @@ def _d1_from_grad(phi, X, dphi):
     return TensorField(cache, "s0", p + 1, mono @ C.T)
 
 
-def d2(phi: TensorField):
-    """Divergence-reinsertion part of the covariant derivative."""
-    _check_phi(phi)
-    data = _d2_from_delta(phi.cache, phi.rank, fields.divergence(phi).data)
-    return TensorField(phi.cache, "cov_s0", phi.rank, data)
-
-
 def _d2_from_delta(cache, p, dphi_coords):
     K2 = _d2_structure(cache.n, p)
     out = dphi_coords @ -K2.reshape(-1, K2.shape[-1]).T
@@ -301,11 +295,6 @@ def embed_symmetrized(omega: TensorField):
     t = fiber.tracefree_dim(n, p)
     flat = omega.data @ e.T
     return TensorField(cache, "cov_s0", p, flat.reshape(flat.shape[:-1] + (n, t)))
-
-
-def d3(phi: TensorField):
-    """Remainder piece: the covariant derivative minus the other two parts."""
-    return decompose(phi).d3
 
 
 @dataclass(frozen=True)
@@ -536,7 +525,7 @@ def curvature_action(phi: TensorField):
         Y = mono @ S.T
         Y *= (cache.conformal_factor(-2.0) * cache.T[..., j, k])[..., None]
         out += Y
-    return fields.field_from_monomial(cache, p, out, tag="s0")
+    return fields.field_from_monomial(cache, p, out)
 
 
 def zeroth_order_residual(phi: TensorField, u_values: np.ndarray, K: TensorField):
@@ -696,7 +685,7 @@ def ahlfors_deformation(grad: TensorField):
     mono = np.empty(S.shape[:-2] + (m,))
     for A, (i, j) in enumerate(fiber.sym_indices(n, 2)):
         mono[..., A] = S[..., i, j]
-    return fields.field_from_monomial(grad.cache, 2, mono, tag="s0")
+    return fields.field_from_monomial(grad.cache, 2, mono)
 
 
 def ahlfors_ratio(sp: GradientSplit):

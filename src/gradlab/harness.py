@@ -433,8 +433,7 @@ def flat_joint_kernel_oracle(cache, p, names):
     # on the torus (2 pi)^n the covector of mode m is m itself
     xi = np.array(spectral.build_dealiased_basis(cache, p).modes, float)
     # the stacked symbol of every mode at once: (modes, rows, t)
-    mats = np.concatenate([spectral.handle_by_name(cache, p, name).symbol(xi, 1.0)
-                           for name in names], axis=1)
+    mats = spectral.flat_piece_symbols(cache.n, p, names, xi)
     sv = np.linalg.svd(mats, compute_uv=False)
     ranks = np.sum(sv > _ORACLE_RANK_TOL * np.linalg.norm(xi, axis=1)[:, None], axis=1)
     return int(t + 2 * np.sum(t - ranks))

@@ -200,7 +200,7 @@ def test_divergence_preserves_tracefree_generic_cross_check():
     Sl = slice_first_tensor(n, 3)
     g_inv = np.linalg.inv(metric_samples(cache))
     ginv_contract = np.einsum("...ij,jKA,...iA->...K", g_inv, Sl, X.data)
-    expect = field_from_monomial(cache, 2, -ginv_contract, tag="s0")
+    expect = field_from_monomial(cache, 2, -ginv_contract)
     assert np.max(np.abs(dphi.data - expect.data)) < 1e-11
     assert max_trace_residual(dphi) < 1e-11
 

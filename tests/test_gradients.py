@@ -16,11 +16,9 @@ from gradlab.gradients import (
     curvature_action,
     d1,
     d1_exact_adjoint,
-    d2,
     d2_exact_adjoint,
     d2_insertion_oracle,
     d2_prefactor,
-    d3,
     d3_exact_adjoint,
     decompose,
     embed_symmetrized,
@@ -281,14 +279,14 @@ def test_d3_vanishes_for_rank2_in_two_dimensions():
     cache = make_cache(2, 16, "conformal")
     for p in (2, 3):
         phi = random_field(cache, p, seed=p)
-        assert l2_norm(d3(phi)) / l2_norm(fields.gradient(phi)) < 1e-12
+        assert l2_norm(decompose(phi).d3) / l2_norm(fields.gradient(phi)) < 1e-12
 
 
 def test_d3_curl_part_in_two_dimensions_rank1():
     # at n = 2, p = 1 the remainder is the antisymmetric (curl) part
     cache = make_cache(2, 16, "flat")
     phi = random_field(cache, 1, seed=4)
-    d3f = d3(phi)
+    d3f = decompose(phi).d3
     comp = d3f.data  # (.., i, j): rank-1 trace-free basis is the identity
     sym = comp + np.swapaxes(comp, -1, -2)
     assert np.max(np.abs(sym)) < 1e-12 * (np.max(np.abs(comp)) + 1e-300)
@@ -303,7 +301,7 @@ def test_d3_curl_part_in_two_dimensions_rank1():
 def test_d2_matches_insertion_oracle_fieldwise(metric, p):
     cache = make_cache(2, 16, metric)
     phi = random_field(cache, p, seed=p)
-    a = d2(phi)
+    a = decompose(phi).d2
     b = d2_insertion_oracle(fields.divergence(phi))
     assert l2_norm(a - b) / (l2_norm(a) + 1e-300) < 1e-12
 
@@ -327,7 +325,7 @@ def test_d2_rank2_component_display(metric):
                     + g[..., i, k] * dphi[..., j]
                     - (2.0 / n) * g[..., j, k] * dphi[..., i]
                 )
-    got = cov_components(d2(phi))
+    got = cov_components(decompose(phi).d2)
     assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want))
 
 
@@ -352,7 +350,7 @@ def test_d3_rank2_component_display(metric):
                     - (X[..., j, k, i] - c * g[..., k, i] * dphi[..., j])
                     - (X[..., k, i, j] - c * g[..., i, j] * dphi[..., k])
                 ) / 3.0
-    got = cov_components(d3(phi))
+    got = cov_components(decompose(phi).d3)
     assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want) + 1e-300)
 
 
@@ -367,9 +365,9 @@ def test_d2_zero_for_divergence_free_field():
          differentiate(u, 0, cache.spec, "spectral")],
         axis=-1,
     )
-    phi = fields.field_from_monomial(cache, 1, comp, tag="s0")
+    phi = fields.field_from_monomial(cache, 1, comp)
     assert l2_norm(fields.divergence(phi)) < 1e-12
-    assert l2_norm(d2(phi)) < 1e-12
+    assert l2_norm(decompose(phi).d2) < 1e-12
 
 
 def test_d2_best_fit_scalar_is_one():
@@ -482,10 +480,11 @@ def test_d2_d3_adjoint_pairings(metric, p):
     cache = make_cache(2, 12, metric)
     phi = random_field(cache, p, seed=23, band=3)
     X = fields.gradient(random_field(cache, p, seed=24, band=3))
-    assert l2_inner(d2(phi), X) == pytest.approx(
+    sp = decompose(phi)
+    assert l2_inner(sp.d2, X) == pytest.approx(
         l2_inner(phi, d2_exact_adjoint(X)), rel=1e-12, abs=1e-14
     )
-    assert l2_inner(d3(phi), X) == pytest.approx(
+    assert l2_inner(sp.d3, X) == pytest.approx(
         l2_inner(phi, d3_exact_adjoint(X)), rel=1e-12, abs=1e-14
     )
 
@@ -622,7 +621,7 @@ def _curvature_route_einsum(phi):
             "...jkls,AjklsB,...B->...A",
             T2, double_slot_replace_tensor(n, p), mono, optimize=True,
         )
-    return fields.field_from_monomial(cache, p, out, tag="s0")
+    return fields.field_from_monomial(cache, p, out)
 
 
 @pytest.mark.parametrize("metric", ["flat", "conformal"])
@@ -735,7 +734,7 @@ def test_curvature_term_zeroth_order_under_refinement():
             [evaluate_on_grid(parse_trig_poly(t), cache.spec) for t in comp_texts],
             axis=-1,
         )
-        phi = fields.field_from_monomial(cache, 2, mono, tag="s0")
+        phi = fields.field_from_monomial(cache, 2, mono)
         mesh = cache.spec.theta_mesh()
         u = 1.0 + 0.3 * np.cos(mesh[0]) * np.sin(mesh[1])
         vals[size] = zeroth_order_residual(phi, u, weitzenbock_K(phi))
@@ -815,7 +814,7 @@ def test_corrupted_prefactor_breaks_orthogonality_not_reconstruction():
 def test_corrupted_prefactor_detected_by_insertion_oracle():
     cache = make_cache(2, 16, "flat")
     phi = random_field(cache, 2, seed=131)
-    a = 1.05 * d2(phi)
+    a = 1.05 * decompose(phi).d2
     b = d2_insertion_oracle(fields.divergence(phi))  # the arbitrated convention
     assert l2_norm(a - b) / l2_norm(b) > 1e-3
 

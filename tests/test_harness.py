@@ -322,13 +322,13 @@ def test_joint_kernel_matches_per_mode_oracle():
 
 
 def loop_joint_kernel_oracle(cache, p, names):
-    """Reference: the per-mode oracle one covector at a time."""
+    """Reference: the per-mode oracle one covector and one piece at a time."""
     t = fiber.tracefree_dim(cache.n, p)
-    handles = [spectral.handle_by_name(cache, p, name) for name in names]
     total = t
     for m in spectral.build_dealiased_basis(cache, p).modes:
         xi = np.array(m, float)
-        mat = np.vstack([h.symbol(xi, 1.0) for h in handles])
+        mat = np.vstack([spectral.flat_piece_symbols(cache.n, p, [name], xi)
+                         for name in names])
         sv = np.linalg.svd(mat, compute_uv=False)
         total += 2 * (t - int(np.sum(sv > harness._ORACLE_RANK_TOL * np.linalg.norm(xi))))
     return total
@@ -342,6 +342,23 @@ def test_stacked_oracle_matches_mode_loop(n, size):
         for names in (["d1"], ["divergence"], ["d1", "divergence"], ["d2", "d3"]):
             assert (flat_joint_kernel_oracle(cache, p, names)
                     == loop_joint_kernel_oracle(cache, p, names))
+
+
+def test_oracle_builds_no_operator_handle(monkeypatch):
+    # the oracle reads the pieces' constant symbol matrices, so it runs with
+    # no handle to build; every kernel is the constants alone, t of them,
+    # since d1's symbol and the stacked symbol of d2 and d3 are injective
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle built an operator handle")
+
+    monkeypatch.setattr(spectral, "OperatorHandle", refuse)
+    counts = {(2, 1): 2, (2, 2): 2, (2, 3): 2, (3, 1): 3, (3, 2): 5, (3, 3): 7}
+    for n, size in ((2, 12), (3, 8)):
+        cache = build_cache(ExperimentConfig(dimension=n, sizes=(size,),
+                                             ranks=(1,), suites=("kernel",)), size)
+        for p in (1, 2, 3):
+            for names in (["d1"], ["d1", "divergence"], ["d2", "d3"]):
+                assert flat_joint_kernel_oracle(cache, p, names) == counts[n, p]
 
 
 def test_joint_kernel_is_intersection():

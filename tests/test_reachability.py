@@ -27,6 +27,10 @@ AWAITING_A_SUITE = set()
 # library entry points documented for users rather than called by the CLI:
 # the README's config section names the format_config round trip
 LIBRARY_API = {"config.format_config"}
+# handle factories only perfbench/selftest.py builds, to check that a handle
+# made after its tracer is installed captures the wrapped operators; they
+# go when that check reads `spectral.d1_star_d1_handle` (ROADMAP item 5)
+BENCHMARK_API = {"spectral.d1_handle", "spectral.gradient_handle"}
 # methods and properties no program code names, with the reason each stays
 UNREACHED_METHODS = {
     # perfbench/tracing.py patches it to count applications, so it stays
@@ -116,7 +120,7 @@ def _references():
 def test_every_public_function_is_reached():
     uses = _references()
     unreached = [q for q in _public_functions()
-                 if q not in uses and q not in AWAITING_A_SUITE | LIBRARY_API]
+                 if q not in uses and q not in AWAITING_A_SUITE | LIBRARY_API | BENCHMARK_API]
     assert not unreached, f"public functions no module or script uses: {unreached}"
 
 
@@ -124,7 +128,7 @@ def test_allowlist_names_only_unreached_functions():
     # an oracle that a suite now reaches leaves the allowlist
     uses = _references()
     stale = [q for q in _public_functions()
-             if q in AWAITING_A_SUITE | LIBRARY_API and q in uses]
+             if q in AWAITING_A_SUITE | LIBRARY_API | BENCHMARK_API and q in uses]
     assert not stale, f"allowlisted but reached: {stale}"
 
 

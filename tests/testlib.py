@@ -152,22 +152,29 @@ def curvature_action_blocked(phi):
         rows = slice(b, b + block)
         K = T[rows] @ S
         np.matmul(K.reshape(-1, m, m), x[:, rows], out=out[:, rows])
-    return fields.field_from_monomial(cache, p, out.reshape(mono.shape), tag="s0")
+    return fields.field_from_monomial(cache, p, out.reshape(mono.shape))
 
 
 # ---------------------------------------------------------------------------
-# second-order operators that no suite builds: the rough Laplacian as a
-# Galerkin endomorphism, and the symbol matrices of delta delta* and
-# delta* delta
+# operators that no suite builds as handles: the first-order pieces of a
+# split, the rough Laplacian as a Galerkin endomorphism, and the symbol
+# matrices of delta delta* and delta* delta
 # ---------------------------------------------------------------------------
+
+def piece_handle(cache, p, name):
+    """One first-order piece of `gradients.decompose` (a name of `PIECES`)
+    on the trace-free rank-p bundle; its codomain is read from `PIECES`."""
+    return spectral.OperatorHandle(
+        name=name, cache=cache, domain_rank=p,
+        apply=lambda phi: getattr(gradients.decompose(phi), name), symbol=None)
+
 
 def rough_laplacian_handle(cache, p):
     """nabla* nabla on the trace-free rank-p bundle; its symbol is
     gscale |xi|^2 times the identity."""
     n = cache.n
     return spectral.OperatorHandle(
-        name="rough_laplacian", cache=cache, domain_rank=p, codomain_tag="s0",
-        codomain_rank=p, apply=fields.rough_laplacian,
+        name="rough_laplacian", cache=cache, domain_rank=p, apply=fields.rough_laplacian,
         symbol=spectral._second_order_symbol(np.eye(n * fiber.tracefree_dim(n, p))))
 
 
@@ -224,7 +231,10 @@ def domain_weights(handle):
 
 
 def codomain_weights(handle):
-    return weight_vector(handle.cache, handle.codomain_tag, handle.codomain_rank)
+    """The codomain's weights: a piece's bundle from `PIECES`, and the
+    domain's own for an endomorphism."""
+    tag, shift = PIECES.get(handle.name, ("s0", 0))
+    return weight_vector(handle.cache, tag, handle.domain_rank + shift)
 
 
 # ---------------------------------------------------------------------------
