@@ -20,10 +20,14 @@ Every metric is g = e^{2f} delta, given by its exponent f
 (`GeometryCache.exponent`; f = 0 is flat).  There the fiber Gram matrix
 in the flat orthonormal basis is a scalar multiple of the identity at
 every point, so trace-free storage, diagonal quadrature weights, and
-exact-transpose adjoints all stay cheap and exact.  The derivation-side fact making
-"s0" storage lossless is that both the coordinate-derivative term and
-the connection term of the covariant derivative of a trace-free field
-are themselves pointwise trace-free for conformal metrics.
+exact-transpose adjoints all stay cheap and exact.  On a flat metric
+(`GeometryCache.conformal_factor` is None) every weight is the cell
+volume: a trace-free L2 pairing is the cell volume times one dot of the
+data, and the two weights of an exact adjoint cancel.  The
+derivation-side fact making "s0" storage lossless is that both the
+coordinate-derivative term and the connection term of the covariant
+derivative of a trace-free field are themselves pointwise trace-free for
+conformal metrics.
 
 The connection is structural.  For g = e^{2f} delta the Christoffel
 symbols are Gamma^k_ij = delta_ki h_j + delta_kj h_i - delta_ij h_k with
@@ -52,7 +56,8 @@ of the rough Laplacian (the second covariant derivative contracted with
 the inverse metric) lives with the tests as
 `testlib.rough_laplacian_formula`.  Checks never collapse the two.  Every
 exact adjoint into rank p ends in the same weighted gradient transpose,
-Gᵀ(w slots) / w_dom (`_weighted_grad_transpose`): `gradient_adjoint`
+Gᵀ(w slots) / w_dom (`_weighted_grad_transpose`, Gᵀ alone on a flat
+metric): `gradient_adjoint`
 here, and the adjoints of d1, d2 and d3 in `gradients`, which fold the
 transposes of their fiber maps into one slot-first input first, so that
 each adjoint differentiates n times.  The tests keep the unfused
@@ -168,6 +173,12 @@ def _covariant_rank(tag, rank):
     return rank + (1 if tag.startswith("cov") else 0)
 
 
+def _weight_factor(cache, tag, rank):
+    """e^{-2qf}, q the total covariant rank, or None on a flat metric, where
+    every weight is the cell volume."""
+    return cache.conformal_factor(-2.0 * _covariant_rank(tag, rank))
+
+
 def fiber_weight_scalar(cache, tag, rank):
     """Scalar spatial weight: cell volume * sqrt(det g) * e^{-2qf}.
 
@@ -175,16 +186,21 @@ def fiber_weight_scalar(cache, tag, rank):
     identity for trace-free tags and the multiplicity diagonal for
     monomial tags.
     """
-    q = _covariant_rank(tag, rank)
     w = cache.weights
-    factor = cache.conformal_factor(-2.0 * q)
+    factor = _weight_factor(cache, tag, rank)
     return w if factor is None else w * factor
 
 
 def l2_inner(a: TensorField, b: TensorField):
+    """The L2 pairing of two single fields.  On a flat metric a trace-free
+    pairing is the cell volume times one dot of the data, since every
+    weight is the cell volume and the fiber weight is the identity;
+    otherwise it is one weighted dot over the grid points."""
     a._compat(b)
     if a.batch_shape or b.batch_shape:
         raise FieldError("l2_inner pairs single fields, not batches")
+    if a.tag in ("s0", "cov_s0") and _weight_factor(a.cache, a.tag, a.rank) is None:
+        return float(a.cache.spec.cell_volume * np.vdot(a.data, b.data))
     w = fiber_weight_scalar(a.cache, a.tag, a.rank)
     prod = a.data * b.data
     if a.tag in ("s", "cov_s"):
@@ -303,7 +319,11 @@ def _weighted_grad_transpose(cache, p, slots):
     """Gᵀ(w_cod slots) / w_dom, the last step of every exact adjoint into
     trace-free rank p: G is `_grad_apply`, w_cod the weight of covariant
     rank p + 1 and w_dom that of rank p.  slots is a slot-first
-    (n, ..., t) array, each slot contiguous; it is weighted in place."""
+    (n, ..., t) array, each slot contiguous; on a conformal metric it is
+    weighted in place.  On a flat metric both weights are the cell volume
+    and cancel, so this is Gᵀ alone and slots is left as it is."""
+    if _weight_factor(cache, "s0", p) is None:
+        return _grad_s0_transpose(cache, p, slots)
     slots *= fiber_weight_scalar(cache, "cov_s0", p)[..., None]
     out = _grad_s0_transpose(cache, p, slots)
     out /= fiber_weight_scalar(cache, "s0", p)[..., None]

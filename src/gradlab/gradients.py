@@ -234,10 +234,19 @@ def d1(phi: TensorField):
     """
     _check_phi(phi)
     X = fields._grad_apply(phi.cache, phi.rank, phi.data)
-    return _d1_from_grad(phi, X, fields._contract_apply(phi.cache, phi.rank, X))
+    return _d1_from_grad(phi, X, fields._contract_apply(phi.cache, phi.rank, X))[0]
+
+
+def _abs_max(a, batch):
+    """max|a| over each member of a batch, with no |a| temporary."""
+    a = a.reshape(batch + (-1,))
+    return np.maximum(a.max(axis=-1), -a.min(axis=-1))
 
 
 def _d1_from_grad(phi, X, dphi):
+    """d1 of phi from its gradient X and divergence dphi, and the trace
+    residual of the symmetrized derivative before projection, relative to
+    max|X| and worst over a batch; ConventionError above _TRACE_GUARD."""
     cache, p, n = phi.cache, phi.rank, phi.n
     mono = fields._sym_apply(n, p, X)
     corr = dphi @ _d1_correction_matrix(n, p).T
@@ -251,9 +260,7 @@ def _d1_from_grad(phi, X, dphi):
     # the kernel (conformal Killing tensors), the gradient does not.  Each
     # member of a batch is held to its own gradient.
     batch = phi.batch_shape
-    tr_max = np.max(np.abs(tr).reshape(batch + (-1,)), axis=-1)
-    x_max = np.max(np.abs(X).reshape(batch + (-1,)), axis=-1)
-    rel = float(np.max(tr_max / (x_max + _TINY)))
+    rel = float(np.max(_abs_max(tr, batch) / (_abs_max(X, batch) + _TINY)))
     if rel > _TRACE_GUARD:
         raise ConventionError(
             f"trace residual {rel:.3e} of the symmetrized derivative exceeds "
@@ -261,7 +268,7 @@ def _d1_from_grad(phi, X, dphi):
             "normalization is inconsistent"
         )
     _, C = fiber.tracefree_basis(n, p + 1)
-    return TensorField(cache, "s0", p + 1, mono @ C.T)
+    return TensorField(cache, "s0", p + 1, mono @ C.T), rel
 
 
 def _d2_from_delta(cache, p, dphi_coords):
@@ -307,7 +314,10 @@ class GradientSplit:
     and by construction at roundoff; orthogonality holds pairwise relative
     L2 inner products of the three embedded pieces, which vanish exactly
     when the conventions are right; norms holds the L2 norms of the
-    gradient and of the embedded pieces.
+    gradient and of the embedded pieces.  insertion_trace is the trace
+    residual of d1's symmetrized derivative before it was projected,
+    relative to max|X| of the gradient (worst over a batch): d1's guard
+    let it through, and the metric insertion makes it roundoff.
     """
 
     d1: TensorField
@@ -315,6 +325,7 @@ class GradientSplit:
     d3: TensorField
     divergence: TensorField
     grad: TensorField
+    insertion_trace: float
 
     @cached_property
     def _diagnostics(self):
@@ -362,7 +373,7 @@ def decompose(phi: TensorField):
     cache, p = phi.cache, phi.rank
     grad = fields.gradient(phi)
     dphi = fields._contract_apply(cache, p, grad.data)
-    om = _d1_from_grad(phi, grad.data, dphi)
+    om, trace = _d1_from_grad(phi, grad.data, dphi)
     d2f = TensorField(cache, "cov_s0", p, _d2_from_delta(cache, p, dphi))
     return GradientSplit(
         d1=om,
@@ -370,6 +381,7 @@ def decompose(phi: TensorField):
         d3=grad - embed_symmetrized(om) - d2f,
         divergence=TensorField(cache, "s0", p - 1, dphi),
         grad=grad,
+        insertion_trace=trace,
     )
 
 

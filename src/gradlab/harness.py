@@ -232,7 +232,7 @@ def _identity_checks_for_rank(rec, config, p, caches):
     band = max(1, size_hi // 4)
     rng = np.random.default_rng([config.seed, 101, p])
 
-    recon = orth = trace = insertion = ahlfors = 0.0
+    recon = orth = trace = insertion_trace = insertion = ahlfors = 0.0
     proj = {"d1": 0.0, "d2": 0.0, "d3": 0.0}
     adj_formula = adj_t1 = adj_t2 = adj_t3 = 0.0
     for i in range(config.field_count):
@@ -243,6 +243,7 @@ def _identity_checks_for_rank(rec, config, p, caches):
         recon = max(recon, sp.reconstruction_residual)
         orth = max(orth, max(sp.orthogonality.values()))
         trace = max(trace, fields.max_trace_residual(sp.d1))
+        insertion_trace = max(insertion_trace, sp.insertion_trace)
         pm = gradients.projector_match_residuals(sp)
         for k in proj:
             proj[k] = max(proj[k], pm[k])
@@ -280,6 +281,8 @@ def _identity_checks_for_rank(rec, config, p, caches):
     rec.check(f"decompose.orthogonality.p{p}", A_SPLIT, orth, "orthogonality", nf)
     rec.check(f"decompose.trace.p{p}", A_SPLIT, trace, "trace_residual",
               "first piece stays trace-free")
+    rec.check(f"decompose.insertion_trace.p{p}", A_SPLIT, insertion_trace, "trace_residual",
+              f"{nf}: symmetrized derivative's trace before projection, relative to max|X|")
     rec.check(f"oracle.d1.p{p}", A_SPLIT, proj["d1"], "projector_match", nf)
     rec.check(f"oracle.d3.p{p}", A_SPLIT, proj["d3"], "projector_match", nf)
     rec.check(f"oracle.d2.p{p}", A_PIECE2, proj["d2"], "projector_match", nf)
@@ -380,7 +383,8 @@ def _scaled_d2_split(sp, scale):
     """sp with d2 times `scale` and d3 re-formed in the order of `decompose`."""
     d2f = scale * sp.d2
     d3f = sp.grad - gradients.embed_symmetrized(sp.d1) - d2f
-    return gradients.GradientSplit(sp.d1, d2f, d3f, sp.divergence, sp.grad)
+    return gradients.GradientSplit(sp.d1, d2f, d3f, sp.divergence, sp.grad,
+                                   sp.insertion_trace)
 
 
 def _negative_controls(rec, config, caches):

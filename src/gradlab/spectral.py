@@ -233,7 +233,8 @@ def trig_series(spec, modes, coef):
     Each (cos, sin) pair goes to the FFT bins +m and -m that lie in the
     half spectrum of the last axis, and one real inverse FFT samples the
     whole series, so every mode must lie strictly below the Nyquist index
-    of every axis.
+    of every axis.  The modes are distinct representatives of their {m, -m}
+    pairs (`half_modes`), so no two of them share a bin.
     """
     coef = np.asarray(coef, float)
     modes = np.asarray(modes, int).reshape(-1, spec.n)
@@ -248,7 +249,10 @@ def trig_series(spec, modes, coef):
     up = 0.5 * npts * (coef[1::2] - 1j * coef[2::2])
     for sign, values in ((1, up), (-1, up.conj())):
         keep = sign * modes[:, -1] >= 0
-        np.add.at(hat, tuple(sign * modes[keep].T), values[keep])
+        # the bins are distinct, so one fancy-index add places them all; it
+        # adds to the zero bins rather than assigning, so that a -0.0 part
+        # of a conjugate lands as +0.0, as an accumulation would place it
+        hat[tuple(sign * modes[keep].T)] += values[keep]
     return np.fft.irfftn(hat, s=spec.shape, axes=tuple(range(spec.n)))
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import i0
 
-from gradlab import fiber, fields, geometry
+from gradlab import fiber, fields, geometry, gradients
 from gradlab.expressions import TrigPoly, parse_trig_poly
 from gradlab.fields import (
     FieldError,
@@ -28,12 +28,14 @@ from gradlab.geometry import GridSpec, build_geometry
 from testlib import (
     analytic_laplacian,
     divergence_exact_adjoint,
+    l2_inner_weighted,
     metric_samples,
     restrict_matrix,
     rough_laplacian_formula,
     slice_first_tensor,
     sym_derivative_exact_adjoint,
     unit_field,
+    weighted_grad_transpose_reference,
     zero_field,
 )
 
@@ -230,6 +232,95 @@ def test_flat_cache_forms_no_connection_product(monkeypatch):
         X = TensorField(cache, "cov_s0", 2, rng.standard_normal(size=shape))
         assert np.all(np.isfinite(gradient(phi).data)) == finite, metric
         assert np.all(np.isfinite(gradient_adjoint(X).data)) == finite, metric
+
+
+# ---------------------------------------------------------------------------
+# quadrature weights: one number on a flat metric
+# ---------------------------------------------------------------------------
+
+def random_pair(cache, tag, rank, seed):
+    rng = np.random.default_rng(seed)
+    shape = cache.spec.shape + fiber_shape(cache.n, tag, rank)
+    return (TensorField(cache, tag, rank, rng.standard_normal(shape)),
+            TensorField(cache, tag, rank, rng.standard_normal(shape)))
+
+
+def random_slots(cache, p, batch, seed):
+    """A slot-first (n, *batch, *grid, t) input of the weighted transpose."""
+    t = fiber.tracefree_dim(cache.n, p)
+    shape = (cache.n,) + batch + cache.spec.shape + (t,)
+    return np.random.default_rng(seed).standard_normal(shape)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("tag", ["s0", "cov_s0"])
+def test_flat_pairing_matches_the_weighted_route(n, tag):
+    # every weight of a flat metric is the cell volume, so the pairing is
+    # one dot.  Errors are relative to |a| |b|, the scale of the summed
+    # products.  The dot is held to the exactly rounded sum at 1e-15; the
+    # weighted route is itself up to 1.1e-15 from that sum (rank 1 on the
+    # 3-torus), so the two routes are held to twice that
+    cache = make_cache(n, 12 if n == 3 else 16)
+    for rank in (1, 2, 3):
+        a, b = random_pair(cache, tag, rank, seed=rank)
+        scale = math.sqrt(l2_inner_weighted(a, a) * l2_inner_weighted(b, b))
+        for u, v in ((a, b), (a, a)):
+            exact = cache.spec.cell_volume * math.fsum((u.data * v.data).ravel().tolist())
+            assert abs(l2_inner(u, v) - exact) <= 1e-15 * scale
+            assert abs(l2_inner(u, v) - l2_inner_weighted(u, v)) <= 2e-15 * scale
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("batch", [(), (2,)])
+def test_flat_weighted_transpose_matches_the_weighted_route(n, batch):
+    # w_cod and w_dom are both the cell volume and cancel; the input is not
+    # weighted in place
+    cache = make_cache(n, 12 if n == 3 else 16)
+    for p in (1, 2, 3):
+        slots = random_slots(cache, p, batch, seed=p)
+        before = slots.copy()
+        got = fields._weighted_grad_transpose(cache, p, slots)
+        ref = weighted_grad_transpose_reference(cache, p, before)
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+        np.testing.assert_array_equal(slots, before)
+
+
+@pytest.mark.parametrize("metric", CONFORMAL)
+def test_conformal_pairing_and_transpose_are_the_weighted_routes(metric):
+    # a conformal metric keeps the weighted arithmetic bit for bit
+    cache = make_cache(metric=metric)
+    for tag, rank in (("s0", 2), ("cov_s0", 2), ("s", 2), ("cov_s", 1)):
+        a, b = random_pair(cache, tag, rank, seed=rank)
+        assert l2_inner(a, b) == l2_inner_weighted(a, b), tag
+    for p in (1, 2):
+        slots = random_slots(cache, p, (2,), seed=p)
+        ref = weighted_grad_transpose_reference(cache, p, slots)
+        np.testing.assert_array_equal(fields._weighted_grad_transpose(cache, p, slots), ref)
+
+
+def test_flat_adjoint_reads_no_weight_array(monkeypatch):
+    # on a flat metric the exact adjoints and the trace-free pairings never
+    # form a weight array; on the conformal control every one of them does
+    calls = []
+    weight = fields.fiber_weight_scalar
+
+    def counted(*args):
+        calls.append(args[1:])
+        return weight(*args)
+
+    monkeypatch.setattr(fields, "fiber_weight_scalar", counted)
+    for metric, reads in (("flat", False), ("conformal", True)):
+        cache = make_cache(metric=metric)
+        phi = unit_field(cache, 2, 4, np.random.default_rng(12))
+        X, _ = random_pair(cache, "cov_s0", 2, seed=12)
+        psi, _ = random_pair(cache, "s0", 3, seed=13)
+        for adjoint, arg in ((gradient_adjoint, X), (gradients.d1_exact_adjoint, psi),
+                             (gradients.d2_exact_adjoint, X),
+                             (gradients.d3_exact_adjoint, X)):
+            calls.clear()
+            l2_inner(phi, adjoint(arg))
+            l2_inner(X, X)
+            assert bool(calls) == reads, (metric, adjoint.__name__)
 
 
 # ---------------------------------------------------------------------------

@@ -175,7 +175,7 @@ def d1_flipped_divergence(phi):
     """d1 with the sign of the divergence flipped, as the negative control
     forms it."""
     sp = decompose(phi)
-    return gradients._d1_from_grad(phi, sp.grad.data, -sp.divergence.data)
+    return gradients._d1_from_grad(phi, sp.grad.data, -sp.divergence.data)[0]
 
 
 def test_d1_wrong_divergence_sign_raises():
@@ -197,10 +197,34 @@ def test_d1_trace_guard_holds_each_batch_member(metric):
     phi = fields.TensorField(cache, "s0", p, data)
     X = fields._grad_apply(cache, p, data)
     dphi = fields._contract_apply(cache, p, X)
-    assert gradients._d1_from_grad(phi, X, dphi).batch_shape == (3,)
+    assert gradients._d1_from_grad(phi, X, dphi)[0].batch_shape == (3,)
     dphi[1] *= -1.0
     with pytest.raises(ConventionError, match="trace residual"):
         gradients._d1_from_grad(phi, X, dphi)
+
+
+def test_trace_guard_maxima_are_the_abs_maxima():
+    # max|a| per batch member read as max(max a, -min a), bit for bit
+    a = np.random.default_rng(4).standard_normal((3, 8, 8, 5))
+    a[1] *= 1e-9
+    a[2] = -np.abs(a[2])
+    ref = np.max(np.abs(a).reshape(3, -1), axis=-1)
+    assert gradients._abs_max(a, (3,)).tobytes() == ref.tobytes()
+    assert gradients._abs_max(a[0], ()).tobytes() == np.max(np.abs(a[0])).tobytes()
+
+
+@pytest.mark.parametrize("metric", ["flat", "conformal"])
+def test_split_carries_the_insertion_trace(metric):
+    # the split's insertion trace is d1's pre-projection trace residual,
+    # worst over a batch, and sits at roundoff
+    cache = make_cache(metric=metric)
+    data = np.stack([random_field(cache, 2, seed=s).data for s in range(3)])
+    phi = fields.TensorField(cache, "s0", 2, data)
+    sp = decompose(phi)
+    worst = max(decompose(fields.TensorField(cache, "s0", 2, d)).insertion_trace
+                for d in data)
+    assert sp.insertion_trace == worst
+    assert 0.0 < sp.insertion_trace < 1e-14
 
 
 def test_d1_wrong_sign_raises_conformal_too():

@@ -219,6 +219,33 @@ def test_coefficient_mutation_fails_every_rank(name, monkeypatch):
         assert failed, f"{name} pins nothing at rank {p}"
 
 
+def test_insertion_coefficient_mutation_fails_the_insertion_trace(monkeypatch):
+    # sym_insert_coefficient scaled by 1 + 1e-6 leaves a trace in d1's
+    # symmetrized derivative that the projection onto S0 hides: at p2 and
+    # p3 it stays under d1's guard (1e-6) and only the insertion trace
+    # record sees it; at p1 it exceeds the guard, which aborts the rank and
+    # the controls, both drawn at p1
+    clean = run_identity_suite(MUTATION_CFG)
+    assert clean.status == "pass"
+    assert all(r.value < 1e-15 for r in clean.records
+               if r.check_id.startswith("decompose.insertion_trace."))
+    coefficient = gradients.sym_insert_coefficient
+    _clear_structure_caches()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(gradients, "sym_insert_coefficient",
+                      lambda n, p: coefficient(n, p) * (1.0 + 1e-6))
+            records = run_identity_suite(MUTATION_CFG).records
+    finally:
+        _clear_structure_caches()
+    aborted = [r.check_id for r in records if r.detail.startswith("aborted")]
+    assert aborted == ["identity.rank.p1", "control.suite"]
+    failed = {r.check_id: r.value for r in records
+              if r.status == "fail" and r.check_id not in aborted}
+    assert sorted(failed) == ["decompose.insertion_trace.p2", "decompose.insertion_trace.p3"]
+    assert all(1e-7 < v < 1e-6 for v in failed.values())
+
+
 # the curvature oracle reads S_T only where T is not 0, so the sweep of the
 # curvature matrix needs a conformal metric (MUTATION_CFG is flat)
 CURVATURE_MUTATION_CFG = ExperimentConfig(

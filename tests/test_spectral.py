@@ -42,6 +42,7 @@ from testlib import (
     piece_handle,
     rough_laplacian_formula,
     rough_laplacian_handle,
+    trig_series_add_at,
     weight_vector,
 )
 
@@ -939,6 +940,23 @@ def test_trig_series_matches_direct_sum(sizes, trailing):
     ref = direct_trig_series(spec, modes, coef)
     assert got.shape == spec.shape + trailing
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("sizes", [(12, 8), (8, 10, 8)])
+def test_trig_series_places_bins_as_add_at_does(sizes):
+    # the half-space modes below Nyquist fill distinct bins, so placing them
+    # by one fancy index gives the bytes of the accumulating reference; the
+    # modes come as a list, and those whose last entry is 0 fill a bin from
+    # each of +m and -m.  The unit rows have exact zeros, whose conjugates
+    # are -0.0
+    spec = GridSpec(n=len(sizes), sizes=sizes)
+    modes = [list(m) for m in spectral.half_modes([s // 2 - 1 for s in sizes])]
+    assert any(m[-1] == 0 for m in modes) and any(m[-1] < 0 for m in modes)
+    rows = 1 + 2 * len(modes)
+    for coef in (np.random.default_rng(len(sizes)).standard_normal((rows, 2, 3)),
+                 np.eye(rows)[:, :7]):
+        got = spectral.trig_series(spec, modes, coef)
+        assert got.tobytes() == trig_series_add_at(spec, modes, coef).tobytes()
 
 
 def test_trig_series_refuses_nyquist_and_row_count():

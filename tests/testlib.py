@@ -102,6 +102,47 @@ def d3_exact_adjoint_unfused(X: TensorField):
 
 
 # ---------------------------------------------------------------------------
+# the weighted routes of the pairing and of the gradient transpose, which
+# read the weight array at every grid point on every metric; on a flat
+# metric the package reads one number, the cell volume, instead
+# ---------------------------------------------------------------------------
+
+def l2_inner_weighted(a: TensorField, b: TensorField):
+    """`fields.l2_inner` through the weight array: one weighted dot over
+    the grid points, then the fiber sum."""
+    w = fiber_weight_scalar(a.cache, a.tag, a.rank)
+    prod = a.data * b.data
+    if a.tag in ("s", "cov_s"):
+        prod *= fiber.multiplicities(a.n, a.rank)
+    return float(np.sum(w.ravel() @ prod.reshape(w.size, -1)))
+
+
+def weighted_grad_transpose_reference(cache, p, slots):
+    """`fields._weighted_grad_transpose` with both weights applied: the
+    slot-first input times w_cod, Gᵀ, then divided by w_dom.  slots is
+    left as it is."""
+    weighted = slots * fiber_weight_scalar(cache, "cov_s0", p)[..., None]
+    out = fields._grad_s0_transpose(cache, p, weighted)
+    out /= fiber_weight_scalar(cache, "s0", p)[..., None]
+    return out
+
+
+def trig_series_add_at(spec, modes, coef):
+    """`spectral.trig_series` with every coefficient accumulated into its
+    FFT bin by `np.add.at`."""
+    coef = np.asarray(coef, float)
+    modes = np.asarray(modes, int).reshape(-1, spec.n)
+    npts = spec.num_points
+    hat = np.zeros(spec.shape[:-1] + (spec.sizes[-1] // 2 + 1,) + coef.shape[1:], complex)
+    hat[(0,) * spec.n] = npts * coef[0]
+    up = 0.5 * npts * (coef[1::2] - 1j * coef[2::2])
+    for sign, values in ((1, up), (-1, up.conj())):
+        keep = sign * modes[:, -1] >= 0
+        np.add.at(hat, tuple(sign * modes[keep].T), values[keep])
+    return np.fft.irfftn(hat, s=spec.shape, axes=tuple(range(spec.n)))
+
+
+# ---------------------------------------------------------------------------
 # the formula routes of the second-order compositions, each formed on its own
 # ---------------------------------------------------------------------------
 
@@ -200,9 +241,10 @@ def delta_symbol_matrices(n, p):
 def weight_vector(cache, tag, rank):
     """Diagonal of the L2 Gram matrix on flattened coefficient vectors.
 
-    Matches fields.l2_inner exactly: cell volume times metric density times
-    the conformal fiber factor, with monomial multiplicities where the
-    storage uses monomial coordinates.
+    Matches the weighted route of fields.l2_inner (`l2_inner_weighted`):
+    cell volume times metric density times the conformal fiber factor,
+    with monomial multiplicities where the storage uses monomial
+    coordinates.
     """
     w = fiber_weight_scalar(cache, tag, rank)
     n = cache.n
