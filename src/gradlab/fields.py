@@ -22,8 +22,9 @@ in the flat orthonormal basis is a scalar multiple of the identity at
 every point, so trace-free storage, diagonal quadrature weights, and
 exact-transpose adjoints all stay cheap and exact.  On a flat metric
 (`GeometryCache.conformal_factor` is None) every weight is the cell
-volume: a trace-free L2 pairing is the cell volume times one dot of the
-data, and the two weights of an exact adjoint cancel.  The
+volume: an L2 pairing is the cell volume times numpy's own sum of
+products of the data, the same at every BLAS thread count, and the two
+weights of an exact adjoint cancel.  The
 derivation-side fact making "s0" storage lossless is that both the
 coordinate-derivative term and the connection term of the covariant
 derivative of a trace-free field are themselves pointwise trace-free for
@@ -192,15 +193,19 @@ def fiber_weight_scalar(cache, tag, rank):
 
 
 def l2_inner(a: TensorField, b: TensorField):
-    """The L2 pairing of two single fields.  On a flat metric a trace-free
-    pairing is the cell volume times one dot of the data, since every
-    weight is the cell volume and the fiber weight is the identity;
-    otherwise it is one weighted dot over the grid points."""
+    """The L2 pairing of two single fields: one weighted dot over the grid
+    points, or on a flat metric, where every weight is the cell volume, the
+    products of the data (times a monomial fiber's multiplicities) summed per
+    slice of the first grid axis (`numpy.einsum`) and then over the slices,
+    not by a BLAS dot, so the same at every thread count."""
     a._compat(b)
     if a.batch_shape or b.batch_shape:
         raise FieldError("l2_inner pairs single fields, not batches")
-    if a.tag in ("s0", "cov_s0") and _weight_factor(a.cache, a.tag, a.rank) is None:
-        return float(a.cache.spec.cell_volume * np.vdot(a.data, b.data))
+    if _weight_factor(a.cache, a.tag, a.rank) is None:
+        rows = [X.reshape(len(X), -1, X.shape[-1]) for X in (a.data, b.data)]
+        per_row = (np.einsum("ijk,ijk,k->i", *rows, fiber.multiplicities(a.n, a.rank))
+                   if a.tag in ("s", "cov_s") else np.einsum("ijk,ijk->i", *rows))
+        return float(a.cache.spec.cell_volume * per_row.sum())
     w = fiber_weight_scalar(a.cache, a.tag, a.rank)
     prod = a.data * b.data
     if a.tag in ("s", "cov_s"):

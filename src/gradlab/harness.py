@@ -5,9 +5,11 @@ Every numerical claim the package makes is driven from here as a check
 record: {check id, anchor, value, tolerance, status}.  Anchors are stable
 tags naming the mathematical statement a check exercises ("plumbing" for
 infrastructure checks); each check id carries exactly one anchor.  Reports
-are deterministic: a fixed seed and config reproduce byte-identical JSON.
-Wall-clock timing is kept on the in-memory report and printed by the CLI
-but never serialized, precisely to protect that contract.
+are deterministic: a fixed seed and config reproduce byte-identical JSON,
+at any BLAS thread count (no reported value goes through a threaded
+reduction whose order depends on it).  Wall-clock timing is kept on the
+in-memory report and printed by the CLI but never serialized, precisely to
+protect that contract.
 
 Runs are single-process; records are emitted in a deterministic order and
 serialized sorted by check id, so independently produced reports merge
@@ -15,6 +17,7 @@ reproducibly.
 """
 
 import csv
+import functools
 import io
 import json
 import os
@@ -388,29 +391,36 @@ def _scaled_d2_split(sp, scale):
 
 
 def _negative_controls(rec, config, caches):
-    """The suite is falsifiable: corrupted conventions must be detected."""
-    try:
-        p = config.ranks[0]
-        size = min(caches)
-        cache = caches[size]
+    """The suite is falsifiable: corrupted conventions must be detected.
+    Each control runs in a `try` of its own (a failed draw of their shared
+    field is retried), so a fault that aborts one leaves the other's record."""
+    p, size = config.ranks[0], min(caches)
+
+    @functools.cache
+    def control_field():
         rng = np.random.default_rng([config.seed, 404, p])
-        phi = _unit(band_limited_field(cache, p, max(1, size // 4), rng))
-        floor = config.tolerance("control_floor")
-        sp = gradients.decompose(phi)
+        return _unit(band_limited_field(caches[size], p, max(1, size // 4), rng))
 
-        bad_orth = max(_scaled_d2_split(sp, _CONTROL_D2_SCALE).orthogonality.values())
-        rec.flag("control.d2_scale", PLUMBING, bad_orth > floor, value=bad_orth,
+    try:
+        bad_orth = max(_scaled_d2_split(gradients.decompose(control_field()),
+                                        _CONTROL_D2_SCALE).orthogonality.values())
+        rec.flag("control.d2_scale", PLUMBING, bad_orth > config.tolerance("control_floor"),
+                 value=bad_orth,
                  detail="5% second-piece coefficient error must break orthogonality")
-
-        try:
-            gradients._d1_from_grad(phi, sp.grad.data, -sp.divergence.data)
-            rec.flag("control.delta_sign", PLUMBING, False,
-                     detail="flipped divergence sign was not caught by the trace guard")
-        except gradients.ConventionError as exc:
-            rec.flag("control.delta_sign", PLUMBING, True,
-                     detail=f"trace guard fired as required: {exc}")
     except Exception as exc:  # noqa: BLE001
-        rec.abort("control.suite", PLUMBING, exc)
+        rec.abort("control.d2_scale", PLUMBING, exc)
+    try:
+        # the gradient and the divergence with the arithmetic of `decompose`
+        phi = control_field()
+        grad = fields.gradient(phi).data
+        gradients._d1_from_grad(phi, grad, -fields._contract_apply(phi.cache, p, grad))
+        rec.flag("control.delta_sign", PLUMBING, False,
+                 detail="flipped divergence sign was not caught by the trace guard")
+    except gradients.ConventionError as exc:
+        rec.flag("control.delta_sign", PLUMBING, True,
+                 detail=f"trace guard fired as required: {exc}")
+    except Exception as exc:  # noqa: BLE001
+        rec.abort("control.delta_sign", PLUMBING, exc)
 
 
 def run_identity_suite(config):

@@ -4,59 +4,22 @@ Eigenvalue studies run on a dealiased real trigonometric basis; near-kernels
 are counted with an explicit tolerance policy that refuses to report a
 number when there is no clear spectral gap.
 
-One Galerkin layer (`Galerkin`, one per grid and rank) serves every study:
-
-* symmetry sectors: along an axis where the conformal exponent is constant
-  (every axis of a flat metric) all operators and weights commute with
-  translations, so the Galerkin matrices do not couple basis columns whose
-  wavenumbers differ in absolute value on that axis.  Columns are grouped
-  into sectors by those |m_a|; with no such axis there is one sector, the
-  dense pencil;
-* reflection classes: the reflections x_a -> -x_a of the invariant axes
-  are isometries too.  A fiber basis of simultaneous reflection
-  eigenvectors (`fiber.parity_basis`) pairs cos(k x_a) with the even
-  fiber columns and sin(k x_a) with the odd ones; those reduced columns
-  of a sector are the reflection-even half, and the translates by
-  pi/(2k) along each axis with k > 0 carry the same pencil, so each
-  block's spectrum counts 2^#(k_a > 0) times.  Where k_a = 0 the fiber
-  parity splits a sector into blocks.  A varying axis the exponent is
-  exactly even in (a mirror axis, `TrigPoly.is_even_in`) has an isometric
-  reflection as well: the trig functions of the varying axes are products
-  of one cos or sin per axis, and the parity of such a function times its
-  fiber column's splits every sector into classes of half the size.  A
-  block of `0.1*cos(x1)` at N=32 has 31 columns (124 without either
-  reflection), one of the flat 2-torus at rank 2 has 2 (8 without);
-* probing: colour c sums the c-th column of every class of every sector,
-  so one operator application per colour serves all blocks at once.
-  Operators act on batches of colours (fields with a leading batch axis),
-  synthesized chunk by chunk under a fixed byte budget.  A chunk's images
-  are scaled by the square root of their weight, split into their class
-  parts by (1 +- R_a*)/2 on each mirror axis and kept on half of it (a
-  point stands for itself and its mirror image), and cut into the
-  sectors' FFT bins; the class matrices follow from Parseval along the
-  invariant axes.  Images are real, so the FFT is a half spectrum along
-  the last invariant axis, written into cut stacks preallocated for every
-  colour.  The weight is constant along the invariant axes and even on
-  the mirror axes, so every Galerkin matrix is a plain product of two
-  cuts.  Each operator must commute with every R_a* on one colour, and
-  the entries between the blocks of a class must vanish, both to
-  roundoff, or the layer refuses it;
-* reuse: the mass matrix and each operator's Gram block are computed once
-  per layer and stacked systems add blocks.  The four first-order pieces
-  (d1, d2, d3 and the divergence) are constant fiber maps of the gradient
-  paired with its weight, so their Grams come from one weighted cut stack
-  of `fields.gradient` images; no operator handle is applied for them.
-  Each piece's map is applied to that stack a run of sectors at a time,
-  and each run is paired at once into the class matrices, so no whole
-  piece cut exists.  Eigendecompositions are not kept: the kernel counts
-  read only eigenvalues, and the one reader of eigenvectors
-  (`Galerkin.lowest_fields`) solves its own system;
-* batched solves: blocks of equal size form a group, held as one stack.
-  Each group's mass blocks are reduced once per layer (batched Cholesky
-  M = L L^T and L^{-1}), and every eigensolve of the layer solves a group
-  as one batched standard problem C = L^{-1} G L^{-T}, gated block by
-  block in those reduced coordinates.  The flat (diagonal) and conformal
-  (dense) mass take the same path.
+One Galerkin layer (`Galerkin`, one per grid and rank) serves every study.
+It reduces the dealiased basis by the isometries the metric keeps.
+Translations along the invariant axes, where the conformal exponent is
+constant (every axis of a flat metric), split it into sectors; the
+reflections of those axes and of the mirror axes, where the exponent is
+even (`TrigPoly.is_even_in`), split each sector into reflection classes
+and blocks.  A block of `0.1*cos(x1)` at N=32 has 31 columns (124 without
+the reflections), one of the flat 2-torus at rank 2 has 2 (8 without).
+Each operator is applied once per colour (the sum of one column of every
+class of every sector), a chunk of colours at a time.  The images are
+weighted, folded into class parts and cut into the sectors' FFT bins, and
+every Galerkin matrix is a plain product of two cuts (Parseval).  The four
+first-order pieces' Grams come from one cut stack of gradient images,
+through each piece's constant fiber map, a run of sectors at a time.
+Blocks of equal size are solved as one batched pencil on a cached
+Cholesky reduction.  An allocation plan (`allocation.plan`) sizes the layer.
 
 Two discretization hazards shape the design:
 
@@ -69,15 +32,11 @@ Two discretization hazards shape the design:
   "confirmed" when two grid resolutions agree and the gap above the counted
   cluster is at least two orders of magnitude.
 
-Principal symbols are never extracted by finite plane-wave limits.  With
-G(xi) the symbol of the covariant derivative on trace-free coordinates,
-each first-order piece's on a flat torus is A G(xi) (`flat_piece_symbols`;
-A the transposed embedding of d1, a flat projector, or the divergence
-contraction -K0) and that of d1* d1 is gscale G(xi)^T A G(xi), A the flat
-projector onto the first piece.  Each A is its operator's own cached
-structure tensor, which keeps the symbols exactly consistent with the
-discrete operators.  The kernel suite reads them: the flat per-mode kernel
-oracle reads the pieces', and the symbol positivity records d1* d1's.
+Principal symbols are never extracted by finite plane-wave limits: with
+G(xi) the symbol of the covariant derivative on trace-free coordinates, a
+first-order piece's on a flat torus is A G(xi) (`flat_piece_symbols`) and
+d1* d1's is gscale G(xi)^T A G(xi), each A its operator's own cached
+structure tensor, so the symbols match the discrete operators exactly.
 """
 
 import itertools
@@ -87,30 +46,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import fiber, fields, gradients
+from . import allocation, fiber, fields, gradients
 from .fields import TensorField
 
-# bytes a Galerkin layer may hold by its first solves, the Gram build
-# included, as estimated by Galerkin._bytes_before_solve; the estimate
-# bounds the layer's traced peak (conformal 3-torus 0.1*cos(x1), N=12,
-# rank 3: 23 MiB estimated, 21 MiB traced through the kernel suite's
-# solves)
+# bytes a Galerkin layer may hold by its first solves, as its allocation plan
+# counts them (1.0-1.4 times a kernel run's traced peak on the tests' cells)
 GALERKIN_BYTES_CAP = 2**30
-# bytes of one chunk's working set when a Galerkin layer applies an
-# operator to a batch of its colours (Galerkin._probe); at 4 MiB the d1* d1
-# form's probe set the layer's peak on the conformal 2-torus at N=32, rank
-# 2, and at 2 MiB (chunks of 8 colours there, 14 at N=24) it traces 1.5
-# MiB above its cut stacks instead of 3.0, and the layer 3.3 MiB instead
-# of 4.4
+# bytes of one chunk of colours in a layer's widest probe step, as its plan
+# counts them: 8 colours of 31 on the conformal 2-torus at N=32, rank 2
 _PROBE_BYTES = 2**21
-# arrays of the widest per-point fiber an operator forms per colour
-# (Galerkin._colour_work_bytes); one chunk's application, its output
-# included, traces at most 2.9 of them (d1* d1 on the flat 2-torus at rank
-# 1; the gradient 1.7, the rough Laplacian 2.4; 2- and 3-tori, flat and
-# conformal, ranks 1-3)
-_WORK_FLOATS = 4
-# mass-sized arrays a layer holds while it solves (Galerkin._bytes_before_solve)
-_BLOCK_ARRAYS = 18
 _TINY = 1e-300
 # largest relative pencil residual an eigensolve may leave
 _RESIDUAL_TOL = 1e-8
@@ -440,27 +384,19 @@ class Galerkin:
     bins +k, a sector with k > 0 there counts its pairing twice.  On the
     other invariant axes the cut keeps the bins +k_a and -k_a, and every
     index of the (halved) varying axes.  Sectors with as many bins are
-    gathered together, as one stack, and are consecutive in `keys`, so
-    each such group is one contiguous run of the pairing's class
-    matrices.  With no invariant axis
-    the one sector spans the whole grid and its cut is the class parts
-    themselves.
+    consecutive in `keys`, one stack and one run of the pairing's class
+    matrices.  With no invariant axis the one sector's cut is the class
+    parts themselves.
 
-    Operators are applied to a batch of colours at a time (`_probe`): the
-    colours are synthesized and applied in chunks whose working set stays
-    near `_PROBE_BYTES`, and each chunk's images are folded and cut as soon
-    as they exist, into cut stacks preallocated for every colour; the
-    colours' own cut is probed the same way.  The four first-order pieces'
-    Grams come from one such stack, of the gradient, through each piece's
-    map (`_SPLIT`), one piece and one run of sectors at a time (`_pair`):
-    a constant fiber map commutes with the scalar weight and with the
-    reflections.
-
-    Blocks of equal size form a group, and every matrix the layer returns
-    (mass, Gram, form) is a list of stacks, one per group, in `_groups`
-    order.  Mass, its reduction and Gram blocks are cached on the layer: a
-    suite builds one per (grid, rank) and stacked systems add blocks.
-    Eigendecompositions are solved on each call and not kept.
+    Operators are applied to a chunk of colours at a time (`_probe`), each
+    chunk's images cut at once into stacks preallocated for every colour.
+    The four first-order pieces' Grams come from one such stack, of the
+    gradient, through each piece's constant fiber map (`_SPLIT`), a run of
+    sectors at a time (`_pair`).  Blocks of equal size form a group, and
+    every matrix the layer returns (mass, Gram, form) is a list of stacks,
+    one per group.  Mass, its reduction and Gram blocks are cached on the
+    layer; eigendecompositions are not kept.  Its `plan` (`allocation.plan`)
+    shapes its buffers, sizes its chunks and bounds its peak for admission.
     """
 
     def __init__(self, cache, p):
@@ -508,11 +444,10 @@ class Galerkin:
                 labels[zero] = []
                 for cols in self._classes:
                     label = np.unique(code[cols], return_inverse=True)[1]
-                    labels[zero].append((label, [np.flatnonzero(label == c)
-                                                 for c in range(label.max(initial=-1) + 1)]))
-            for q, (cols, (label, rows)) in enumerate(zip(self._classes, labels[zero])):
-                self.blocks += [Block(s, q, r, cols[r], 2 ** (len(key) - len(zero)))
-                                for r in rows]
+                    rows = [np.flatnonzero(label == c) for c in range(label.max(initial=-1) + 1)]
+                    labels[zero].append((label, [(r, cols[r]) for r in rows]))
+            for q, (label, rows) in enumerate(labels[zero]):
+                self.blocks += [Block(s, q, r, c, 2 ** (len(key) - len(zero))) for r, c in rows]
                 if len(rows) > 1:
                     split[s * len(self._classes) + q] = label
         # the classes of more than one block, as cells (sector * classes +
@@ -536,7 +471,7 @@ class Galerkin:
         self._half = tuple(size // 2 + 1 if a in self.mirrors or (self.axes and a == self.axes[-1])
                            else size for a, size in enumerate(spec.sizes))
         self._bins = self._sector_bins()
-        self._chunk = max(1, _PROBE_BYTES // self._colour_work_bytes())
+        self.plan = allocation.plan(self, _SPLIT, _PROBE_BYTES)
         need = self._bytes_before_solve()
         if need > GALERKIN_BYTES_CAP:
             raise SpectralError(
@@ -553,15 +488,12 @@ class Galerkin:
         self._grams = {}
 
     def _sector_bins(self):
-        """Sectors grouped by their count of FFT bins: per group the range
-        of its sector indices (the groups are contiguous and in order, see
-        `keys`), their gathers into the half spectrum (sector, bin) and
-        their Parseval factors (twice a nonzero bin of the real axis).
-
-        A sector keeps the bin +k_a of the real axis, the bins +k_a and
-        -k_a of the other invariant axes and every index of the (halved)
-        varying axes; with no invariant axis the one sector keeps every
-        point."""
+        """Sectors grouped by their count of FFT bins (contiguous and in
+        order, see `keys`): per group the range of its sector indices, their
+        gathers into the half spectrum (sector, bin) and their Parseval
+        factors (twice a nonzero bin of the real axis).  A sector keeps the
+        bin +k_a of the real axis, +k_a and -k_a of the other invariant
+        axes and every index of the (halved) varying axes."""
         spec = self.cache.spec
         norm = float(math.prod(spec.sizes[a] for a in self.axes))
         by_count = {}
@@ -620,80 +552,18 @@ class Galerkin:
         coef[c, table[c, q]] = 1.0
         return self._series(coef.reshape(len(coef), -1, self.t), self._sums)
 
-    def _colour_work_bytes(self):
-        """Bytes one colour takes while an operator acts on it, bounded by
-        `_WORK_FLOATS` arrays of the widest per-point fiber an operator
-        applied to the layer forms: n times the monomial dimension of rank
-        p + 1, the gradient of a rank p + 1 monomial field and its
-        connection term."""
-        n = self.cache.n
-        widest = n * fiber.sym_dim(n, self.p + 1)
-        return 8 * _WORK_FLOATS * widest * self.cache.spec.num_points
-
-    def _run(self, bins, width):
-        """Sectors of a group with `bins` bins each that a pairing maps and
-        multiplies at once (`_pair`), when its cuts carry `width` fiber
-        values per point: as many as keep one run's cut no larger than the
-        class-matrix array S the pairing fills, and at least one."""
-        parts = 2 if self.axes else 1
-        return max(1, len(self.keys) * self.colour_count // (bins * parts * width))
-
     def _bytes_before_solve(self):
-        """Bytes the layer holds at its peak by its first solves, the Gram
-        build included.
-
-        A cut stack (`_cut_stacks`) takes `cut` bytes per fiber value.
-        Held throughout: the colours' cut.  On top of that, the larger of
-        two phases: the Gram build (the cut gradient stack, six mass-sized
-        arrays for the mass, L^{-1} and the four Gram blocks, and the
-        larger of probing and pairing); and the solves (`_BLOCK_ARRAYS`
-        mass-sized arrays: the mass, L^{-1}, the Gram blocks and one
-        batched solve's working arrays).
-
-        Probing holds one chunk's colours with the operator's work
-        (`_colour_work_bytes`) and, per colour beyond its image, its folded
-        class parts (`_fold`) and either, with an invariant axis, their
-        half spectrum twice (`numpy.fft.rfftn` holds two complex arrays at
-        once; one group's gather replaces one of them in `_cut`), or, with
-        none, what each mirror axis's fold holds beside its new parts: the
-        two halves and the reflection, and from the second axis on the
-        previous parts.  A traced fold and cut of the gradient reads 0.93
-        to 1.02 of that on flat, conformal and two-axis 2- and 3-tori at
-        ranks 1-3, beside about 2 KiB of FFT scratch per chunk.  Pairing
-        holds the class-matrix array S, the largest run of one piece's
-        mapped cut (`_run`) and a second S-sized array for the gather of
-        the blocks that split a class.
-        """
-        sizes = self.cache.spec.sizes
-        grad = self.cache.n * self.t
-        classes = len(self._classes)
-        parts = 2 if self.axes else 1
-        mass = 8 * sum(len(b.columns) ** 2 for b in self.blocks)
-        cells = 8 * len(self.keys) * classes * self.colour_count ** 2
-        cut = 8 * classes * self.colour_count * parts * sum(g.size for _, g, _ in self._bins)
-        folded = classes * math.prod(half if a in self.mirrors else size
-                                     for a, (size, half) in enumerate(zip(sizes, self._half)))
-        spectrum = classes * math.prod(self._half)
-        fold = 8 * grad * ((folded if self.mirrors else 0) + (
-            4 * spectrum if self.axes else min(len(self.mirrors), 2) * folded))
-        probe = min(self._chunk, self.colour_count) * (self._colour_work_bytes() + fold)
-        widths = [len(structure(self.cache.n, self.p)) for structure in _SPLIT.values()]
-        run = max(8 * classes * self.colour_count * parts * g.shape[1] * width
-                  * min(len(sel), self._run(g.shape[1], width))
-                  for sel, g, _ in self._bins for width in widths)
-        pairing = run + 2 * cells
-        gram = cut * grad + 6 * mass + max(probe, pairing)
-        return cut * self.t + max(gram, _BLOCK_ARRAYS * mass)
+        """The peak by the first solves: the colours' cut and the plan's largest step."""
+        held = 8 * self.t * sum(map(math.prod, self.plan.cut))
+        return held + max(map(allocation.nbytes, itertools.chain(*self.plan.phases.values())))
 
     def _fold(self, images, tag):
-        """The class parts of a chunk of images (chunk, *grid, width) on the
-        rank-p bundle `tag`: (classes, chunk, *grid, width) with each mirror
-        axis halved.  On mirror axis a the parts are (1 +- R_a*) / 2 of the
-        previous ones, R_a* the index flip there times the fiber sign of
-        the bundle (the slot's for "cov_s0" times C D B on S0^p), kept on
-        points 0..N/2 and scaled by the root of the count of points each
-        stands for (itself and its mirror image), so a plain product of two
-        parts is their pairing on the whole axis."""
+        """The class parts (classes, chunk, *grid, width) of a chunk of images
+        on the rank-p bundle `tag`, each mirror axis halved: on axis a the
+        parts are (1 +- R_a*) / 2 of the previous ones, R_a* the index flip
+        times the bundle's fiber sign, kept on points 0..N/2 and scaled by
+        the root of the count of points each stands for (itself and its
+        mirror image), so a plain product of two parts pairs the whole axis."""
         parts = images[None]
         for a in self.mirrors:
             size = self.cache.spec.sizes[a]
@@ -719,16 +589,12 @@ class Galerkin:
         return np.kron(np.diag(slot), R)
 
     def _cut(self, parts, out, rows):
-        """Write the half-spectrum cut of a chunk's class parts (`_fold`) into
-        the per-group stacks `out` (`_cut_stacks`) at the colour rows `rows`.
-
-        parts: (classes, chunk, *grid, width) real, already scaled by the
-        root of their weight (`_probe`).  Row [s, q, c] of a group's stack
-        holds the FFT of class part q of colour c's image on sector s's
-        bins, as (bins, parts, width) with the parts (real, imaginary);
-        with no invariant axis it holds the class part itself, with one
-        part.
-        """
+        """Write the half-spectrum cut of a chunk's weighted class parts
+        (classes, chunk, *grid, width) into the per-group stacks `out` at
+        the colour rows `rows`: row [s, q, c] holds the FFT of class part q
+        of colour c's image on sector s's bins, as (bins, parts, width) with
+        the parts (real, imaginary), or with no invariant axis the class
+        part itself, with one part."""
         classes, count = parts.shape[:2]
         if not self.axes:
             out[0][0, :, rows] = parts.reshape(classes, count, -1, 1, parts.shape[-1])
@@ -745,41 +611,27 @@ class Galerkin:
     def _cut_stacks(self, width):
         """Empty per-group cut stacks for every colour, `width` fiber values
         per point: (sectors, classes, colours, bins, parts, width), in
-        `_bins` order."""
-        parts = 2 if self.axes else 1
-        shape = (len(self._classes), self.colour_count)
-        return [np.empty((len(sel),) + shape + (g.shape[1], parts, width))
-                for sel, g, _ in self._bins]
+        `_bins` order, shaped by the plan."""
+        return [np.empty(shape + (width,)) for shape in self.plan.cut]
 
     def _pair(self, left, right, floor, fiber_map=None):
         """Block stacks Re(L^H R) / prod N_a of two cuts, or of their images
         under a constant fiber map `fiber_map` (rows, width), one stack per
         group: a plain product, since the cuts carry the square root of
-        their weight (`_probe`) and a constant fiber map keeps that factor.
-        On (real, imaginary) parts the real part is one real product, and
-        no operand is copied.  A cut paired with itself is one symmetric
-        product, so the mass and the Grams are exactly symmetric.
-
-        Each class's whole matrix in each sector (a cell) is formed, into
-        one array S of cells (sector * classes + part) in which each group
-        of sectors is a contiguous run.  A group is paired a run of sectors
-        at a time (`_run`): the run's cut is mapped, multiplied into its
-        cells with `out=` and scaled there, so no whole mapped cut and no
-        product beside S ever exists.  A cell's entries between two blocks
-        pair images that the reflections of the invariant axes keep
-        orthogonal, so they are gated at
-        `_SYMMETRY_TOL` of the larger of `floor` and the pairing's largest
-        entry: an operator that does not commute with those reflections is
-        refused.  The floor (the mass's largest entry) measures an operator
-        that vanishes to roundoff, such as d3 on the 2-torus at p >= 2,
-        against the basis rather than its own noise.  A block that is a
-        whole class is a leading square of its cell, taken with no gather
-        index; only groups of blocks that split a class are gathered.
+        their weight (`_probe`), and a symmetric one for a cut paired with
+        itself.  Each class's matrix in each sector (a cell) is formed into S,
+        a run of sectors at a time (the plan's `runs`), and scaled there.
+        An operator whose entries between two blocks of a cell exceed
+        `_SYMMETRY_TOL` of the larger of `floor` (the mass's largest entry,
+        so an operator that vanishes to roundoff is measured against the
+        basis) and the pairing's largest entry is refused: the reflections
+        of the invariant axes keep those images orthogonal.  Each group's
+        block stack has the plan's shape.
         """
         classes, count = len(self._classes), self.colour_count
-        S = np.empty((len(self.keys) * classes, count, count))
-        for (sel, g, factor), L, R in zip(self._bins, left, right):
-            step = self._run(g.shape[1], L.shape[-1] if fiber_map is None else len(fiber_map))
+        S = np.empty(self.plan.cells)
+        width = left[0].shape[-1] if fiber_map is None else len(fiber_map)
+        for (sel, _, factor), L, R, step in zip(self._bins, left, right, self.plan.runs[width]):
             for a in range(0, len(sel), step):
                 b = min(a + step, len(sel))
                 into = S[(sel.start + a) * classes:(sel.start + b) * classes]
@@ -789,7 +641,9 @@ class Galerkin:
                 into *= np.repeat(factor[a:b], classes)[:, None, None]
                 del run, other  # before the next run's map exists
         if self._split.size:
-            cross = float(np.max(np.abs(S[self._split][self._cross]), initial=0.0))
+            between = S[self._split][self._cross]
+            cross = max(float(between.max(initial=0.0)), -float(between.min(initial=0.0)))
+            del between
             scale = max(float(S.max()), -float(S.min()), floor)
             if cross > _SYMMETRY_TOL * scale:
                 raise SpectralError(
@@ -798,38 +652,33 @@ class Galerkin:
                     "commute with the reflections of the invariant axes"
                 )
         out = []
-        for cells, rows in zip(self._group_cells, self._group_rows):
-            size = rows.shape[1]
-            if np.array_equal(rows, np.broadcast_to(np.arange(size), rows.shape)):
-                out.append(S[cells, :size, :size])
-            else:
-                out.append(S[cells[:, None, None], rows[:, :, None], rows[:, None, :]])
+        for shape, cells, rows in zip(self.plan.blocks, self._group_cells, self._group_rows):
+            if rows[:, -1].max() < shape[1]:  # whole classes: their cells' leading squares
+                out.append(S[cells, :shape[1], :shape[1]])
+            else:  # rows first, one row of every block at a time
+                out.append(np.empty(shape))
+                for i in range(shape[1]):
+                    out[-1][:, i] = S[cells[:, None], rows[:, i, None], rows]
         return out
 
     def _probe(self, apply, tag, width):
-        """Cut images of every colour under `apply`, one chunk of colours at
-        a time: the per-group cut stacks (`_cut_stacks`).
-
-        `apply` maps a batch of colour fields to a (chunk, *grid, width)
-        image array on the rank-p bundle `tag` ("s0" or "cov_s0").  Each
-        chunk's colours are synthesized here, and its images are scaled by
-        the square root of that bundle's weight, in real space, folded into
-        class parts (`_fold`) and cut.  The weight is constant along the
-        invariant axes the FFT transforms and even on the mirror axes, so
-        the cut is the weight's root times the cut of the parts, and a
-        constant fiber map of the cut (`_build_gram`) keeps that factor.
-
-        The last chunk also carries the last colour's reflection on each
-        mirror axis: the class parts are images of the classes only when
-        the operator commutes with those reflections, so its image of a
-        reflected colour must be the reflected image to `_SYMMETRY_TOL` of
-        the larger of the image and the colour, or the layer raises.
+        """The per-group cut stacks (`_cut_stacks`) of every colour's image
+        under `apply`, a chunk of the plan's size at a time.  `apply` maps a
+        batch of colour fields to (chunk, *grid, width) images on the rank-p
+        bundle `tag` ("s0" or "cov_s0"); they are scaled by the root of the
+        bundle's weight (constant along the invariant axes, even on the
+        mirror axes), folded into class parts (`_fold`) and cut.  The last
+        chunk carries the last colour's reflection on each mirror axis, and
+        its image must be the reflected image to `_SYMMETRY_TOL` (`_gate`):
+        the class parts are images of the classes only when the operator
+        commutes with the reflections.
         """
         root = np.sqrt(fields.fiber_weight_scalar(self.cache, tag, self.p))[..., None]
         stacks = self._cut_stacks(width)
-        for a in range(0, self.colour_count, self._chunk):
-            rows = slice(a, a + self._chunk)
-            gate = self.mirrors if a + self._chunk >= self.colour_count else ()
+        chunk = self.plan.chunk
+        for a in range(0, self.colour_count, chunk):
+            rows = slice(a, a + chunk)
+            gate = self.mirrors if a + chunk >= self.colour_count else ()
             colours = self._colours(rows, len(gate))
             count = len(colours) - len(gate)
             last = colours[count - 1]
@@ -842,6 +691,7 @@ class Galerkin:
             images = images[:count]
             images *= root  # in place: the images are the probe's own
             self._cut(self._fold(images, tag), stacks, rows)
+            del colours, last, images  # before the next chunk's colours exist
         return stacks
 
     def _gate(self, image, mirrored, tag, floor):

@@ -90,6 +90,30 @@ def test_check_json_byte_identical_between_runs(tiny_cfg, tmp_path):
     assert blobs[0] == blobs[1]
 
 
+# shipped configs whose reports must not depend on the BLAS thread count:
+# the flat 3-torus identity suite (flat L2 pairings), the conformal
+# 2-torus identity and convergence suites, the flat 2-torus kernel suite
+THREAD_CASES = {"flat3d": [], "conf2d": ["suites=identity,convergence"],
+                "flat2d": ["suites=kernel", "ranks=2"]}
+
+
+@pytest.mark.parametrize("name", THREAD_CASES)
+def test_check_reports_byte_identical_across_blas_threads(name, tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    reports = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        out = tmp_path / threads
+        argv = [sys.executable, "-m", "gradlab.cli", "check", "--config",
+                str(CONFIGS / f"{name}.cfg"), "--out", str(out)]
+        for pair in THREAD_CASES[name]:
+            argv += ["--override", pair]
+        subprocess.run(argv, env=env, capture_output=True, check=True, timeout=600)
+        reports.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+    assert reports[0] == reports[1]
+
+
 def test_check_override_merging(tiny_cfg, tmp_path):
     code, _ = run_cli([
         "check", "--config", str(tiny_cfg), "--out", str(tmp_path / "o"),

@@ -253,19 +253,21 @@ def random_slots(cache, p, batch, seed):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("tag", ["s0", "cov_s0"])
+@pytest.mark.parametrize("tag", ["s0", "cov_s0", "s", "cov_s"])
 def test_flat_pairing_matches_the_weighted_route(n, tag):
     # every weight of a flat metric is the cell volume, so the pairing is
-    # one dot.  Errors are relative to |a| |b|, the scale of the summed
-    # products.  The dot is held to the exactly rounded sum at 1e-15; the
+    # one sum of products, weighted by the multiplicities of a monomial
+    # fiber.  Errors are relative to |a| |b|, the scale of the summed
+    # products.  The sum is held to the exactly rounded sum at 1e-15; the
     # weighted route is itself up to 1.1e-15 from that sum (rank 1 on the
     # 3-torus), so the two routes are held to twice that
     cache = make_cache(n, 12 if n == 3 else 16)
     for rank in (1, 2, 3):
         a, b = random_pair(cache, tag, rank, seed=rank)
+        mult = fiber.multiplicities(n, rank) if tag in ("s", "cov_s") else 1.0
         scale = math.sqrt(l2_inner_weighted(a, a) * l2_inner_weighted(b, b))
         for u, v in ((a, b), (a, a)):
-            exact = cache.spec.cell_volume * math.fsum((u.data * v.data).ravel().tolist())
+            exact = cache.spec.cell_volume * math.fsum((u.data * v.data * mult).ravel().tolist())
             assert abs(l2_inner(u, v) - exact) <= 1e-15 * scale
             assert abs(l2_inner(u, v) - l2_inner_weighted(u, v)) <= 2e-15 * scale
 

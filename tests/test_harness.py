@@ -224,7 +224,8 @@ def test_insertion_coefficient_mutation_fails_the_insertion_trace(monkeypatch):
     # symmetrized derivative that the projection onto S0 hides: at p2 and
     # p3 it stays under d1's guard (1e-6) and only the insertion trace
     # record sees it; at p1 it exceeds the guard, which aborts the rank and
-    # the controls, both drawn at p1
+    # the d2 scale control, both decomposing at p1.  The sign control reads
+    # the gradient and the divergence itself, so it keeps its record
     clean = run_identity_suite(MUTATION_CFG)
     assert clean.status == "pass"
     assert all(r.value < 1e-15 for r in clean.records
@@ -239,7 +240,8 @@ def test_insertion_coefficient_mutation_fails_the_insertion_trace(monkeypatch):
     finally:
         _clear_structure_caches()
     aborted = [r.check_id for r in records if r.detail.startswith("aborted")]
-    assert aborted == ["identity.rank.p1", "control.suite"]
+    assert aborted == ["identity.rank.p1", "control.d2_scale"]
+    assert _controls_status(records) == {"control.d2_scale": "fail", "control.delta_sign": "pass"}
     failed = {r.check_id: r.value for r in records
               if r.status == "fail" and r.check_id not in aborted}
     assert sorted(failed) == ["decompose.insertion_trace.p2", "decompose.insertion_trace.p3"]
@@ -296,6 +298,10 @@ def _controls(report):
     return {r.check_id: r for r in report.records if r.check_id.startswith("control.")}
 
 
+def _controls_status(records):
+    return {r.check_id: r.status for r in records if r.check_id.startswith("control.")}
+
+
 def test_delta_sign_control_fails_without_the_trace_guard(monkeypatch):
     monkeypatch.setattr(gradients, "_TRACE_GUARD", float("inf"))
     controls = _controls(run_identity_suite(FLAT_SMALL))
@@ -319,6 +325,9 @@ def test_identity_abort_is_contained(monkeypatch):
     assert rep.status == "fail"
     aborted = [r for r in rep.records if r.detail.startswith("aborted")]
     assert aborted and all(r.anchor == PLUMBING for r in aborted)
+    # each control has its own record: only the one that decomposes aborts
+    assert "control.d2_scale" in {r.check_id for r in aborted}
+    assert _controls_status(rep.records)["control.delta_sign"] == "pass"
 
 
 def test_sign_control_degrades_where_coefficient_vanishes(flat_identity_report):

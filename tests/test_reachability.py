@@ -21,20 +21,20 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "gradlab"
 MODULES = {path.stem for path in PACKAGE.glob("*.py")}
 
-# oracles still to be wired into a suite (ROADMAP item 3); a name leaves
-# this set when a suite reaches it
+# oracles still to be wired into a suite (ROADMAP, "Correctness and
+# robustness"); a name leaves this set when a suite reaches it
 AWAITING_A_SUITE = set()
 # library entry points documented for users rather than called by the CLI:
 # the README's config section names the format_config round trip
 LIBRARY_API = {"config.format_config"}
 # handle factories only perfbench/selftest.py builds, to check that a handle
 # made after its tracer is installed captures the wrapped operators; they
-# go when that check reads `spectral.d1_star_d1_handle` (ROADMAP item 5)
+# go when that check reads `spectral.d1_star_d1_handle` (ROADMAP item 2)
 BENCHMARK_API = {"spectral.d1_handle", "spectral.gradient_handle"}
 # methods and properties no program code names, with the reason each stays
 UNREACHED_METHODS = {
     # perfbench/tracing.py patches it to count applications, so it stays
-    # until the program records its own spans (ROADMAP item 7)
+    # until the program records its own spans (ROADMAP item 3)
     "spectral.OperatorHandle.apply_vector",
 }
 

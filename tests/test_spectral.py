@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from gradlab import fiber, fields, gradients, spectral
+from gradlab import allocation, fiber, fields, gradients, spectral
 from gradlab.expressions import TrigPoly, parse_trig_poly
 from gradlab.fields import TensorField, l2_inner
 from gradlab.config import load_config
@@ -418,87 +418,174 @@ def test_lowest_fields_count_each_block_with_its_translates():
     assert np.any(np.abs(np.diff(values[2:])) <= 1e-10 * values[-1])
 
 
-# flat (every axis invariant), one invariant axis fewer than n, none
+# flat (every axis invariant), one invariant axis fewer than n, none (with
+# a mirror axis and without); then the shipped kernel cells at their finest
+# grid and highest rank: flat2d, conf2d and flat3d
 ADMISSION_CASES = [
     (2, 12, None, 2), (3, 8, None, 1),
     (2, 16, "0.1*cos(x1)", 2), (3, 8, "0.05*cos(x1)", 2),
     (2, 8, "0.1*cos(x1)+0.05*sin(x2)", 1), (2, 12, "0.1*cos(x1)+0.05*sin(x2)", 2),
-    (3, 8, "0.1*cos(x1)+0.05*sin(x2)", 2),
+    (3, 8, "0.1*cos(x1)+0.05*sin(x2)", 2), (2, 8, "0.1*sin(x1)+0.05*sin(x2)", 1),
+    (2, 32, None, 3), (2, 32, "0.1*cos(x1)", 2), (3, 16, None, 3),
 ]
+
+
+def traced_peak(fn):
+    """The traced peak of fn() above what was allocated when it started."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("n,size,f_text,p", ADMISSION_CASES)
 def test_galerkin_admission_covers_the_peak(n, size, f_text, p):
     # the estimate bounds the traced peak of a layer's whole life in a
-    # kernel run: build, Gram build, the d1* d1 form and every solve
+    # kernel run (build, Gram build, the d1* d1 form and every solve) and
+    # stays within half as much again of it
     cache = make_cache(n, size, metric="flat" if f_text is None else "conformal",
                        f_text=f_text)
     names = (["d1"], ["d1", "divergence"], ["d2", "d3"], ["divergence"])
+    layers = []
 
     def run():
         gal = Galerkin(cache, p)
         spectrum(d1_star_d1_handle(cache, p), galerkin=gal)
         for system in names:
             gal.joint_eigen(system)
-        return gal
+        layers.append(gal)
 
     run()  # fill the per-(n, p) structure caches outside the trace
+    layers.clear()
+    peak = traced_peak(run)
+    assert peak <= layers[0]._bytes_before_solve() <= 1.5 * peak
+
+
+# cells where the arrays a probe or a pairing allocates outweigh the small
+# objects beside them: one invariant axis on the 2- and 3-torus, three on
+# the flat 3-torus, none on the 2-torus
+PLAN_CASES = [(2, 16, "0.1*cos(x1)", 2), (3, 8, "0.05*cos(x1)", 2), (3, 16, None, 3),
+              (2, 12, "0.1*cos(x1)+0.05*sin(x2)", 2)]
+
+
+@pytest.mark.parametrize("n,size,f_text,p", PLAN_CASES)
+def test_plan_bounds_each_probe_and_pairing(n, size, f_text, p):
+    # each probe and each pairing, traced on its own, allocates no more than
+    # its phase's widest step lists beside the arrays it finds (the layer's
+    # tables, the mass, L^-1 and Grams, a pairing's cuts) and one record of
+    # small objects, and at least two thirds of it: this pins the bounded
+    # terms, the operators' work, the fold's halves, the FFT's half spectra
+    # and scratch, the ufunc buffers and the gather's index buffers
+    cache = make_cache(n, size, metric="flat" if f_text is None else "conformal",
+                       f_text=f_text)
+    gal = Galerkin(cache, p)
+    gal.mass()
+    h = d1_star_d1_handle(cache, p)
+    probes = {"colour": (lambda phi: phi.data, "s0", gal.t),
+              "form": (lambda phi: h.apply(phi).data, "s0", gal.t),
+              "gradient": (lambda phi: fields._merged(fields.gradient(phi).data), "cov_s0",
+                           n * gal.t)}
+    ops = {f"{name} probe": lambda args=args: gal._probe(*args) for name, args in probes.items()}
+    grad = gal._probe(*probes["gradient"])
+    for piece, structure in spectral._SPLIT.items():
+        ops[f"{piece} pairing"] = lambda m=fields._slots(structure(n, p)): gal._pair(
+            grad, grad, 1.0, m)
+    tables = {label for label, _, _ in gal.plan.phases["colour probe"][0]} - {
+        "colour synthesis, weight root", "ufunc buffer"}
+    cut = 8 * gal.t * sum(map(math.prod, gal.plan.cut))  # the colours' own
+    for name, op in ops.items():
+        found = tables | {"mass", "L^-1", "Grams"}
+        if name.endswith("pairing"):
+            found |= {"gradient cut", "form cut"}
+        planned = max(allocation.nbytes([a for a in step if a[0] not in found])
+                      for step in gal.plan.phases[name])
+        planned += cut if name == "colour probe" else 0
+        op()
+        peak = traced_peak(op)
+        assert peak <= planned + allocation._RECORD_BYTES, name
+        assert planned <= 1.5 * peak, name
+
+
+@pytest.mark.parametrize("n,size,f_text,p", PLAN_CASES + ADMISSION_CASES[:2])
+def test_plan_bounds_the_operators_work(n, size, f_text, p):
+    # the gradient's and the d1* d1 form's own work on a chunk of colours,
+    # beside the images they return, is bounded by the plan's term
+    # (`_GRADIENT_WORK` arrays of the gradient's image, `_FORM_WORK` of a
+    # rank p+1 monomial field, per colour)
+    cache = make_cache(n, size, metric="flat" if f_text is None else "conformal",
+                       f_text=f_text)
+    gal = Galerkin(cache, p)
+    h = d1_star_d1_handle(cache, p)
+    points = cache.spec.num_points
+    for chunk in (1, 4):
+        phi = TensorField(cache, "s0", p, gal._colours(slice(0, chunk)))
+        for apply, work in ((fields.gradient, allocation._GRADIENT_WORK * n * gal.t),
+                            (h.apply, allocation._FORM_WORK * fiber.sym_dim(n, p + 1))):
+            apply(phi)
+            images = 8 * chunk * points * (n * gal.t if apply is fields.gradient else gal.t)
+            assert traced_peak(lambda: apply(phi)) <= images + 8 * chunk * points * work
+
+
+@pytest.mark.parametrize("n,size,f_text,p", ADMISSION_CASES)
+def test_plan_bounds_the_layer_tables(n, size, f_text, p):
+    # what a built layer holds beside the colours' cut is bounded by the
+    # plan's tables: the sector sums, the gathers, rows and masks, a record
+    # per block and the layer's records
+    cache = make_cache(n, size, metric="flat" if f_text is None else "conformal",
+                       f_text=f_text)
+    Galerkin(cache, p)
+    layers = []
     tracemalloc.start()
     try:
-        gal = run()
-        peak = tracemalloc.get_traced_memory()[1]
+        layers.append(Galerkin(cache, p))
+        held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert peak <= gal._bytes_before_solve()
+    gal = layers[0]
+    tables = [a for a in gal.plan.phases["colour probe"][0]
+              if a[0] not in ("colour synthesis, weight root", "ufunc buffer")]
+    assert held - sum(X.nbytes for X in gal._colour_hat) <= allocation.nbytes(tables)
 
 
 def test_gram_pairing_allocates_no_operand_sized_array():
     # the cuts carry the root of their weight, so a pairing forms only
     # class matrices: every class's whole matrix in every sector, each run's
-    # product written into it in place, and the blocks it returns; a
-    # weighted copy of an operand, as large as a group's share of the cut,
-    # breaks this
+    # product written into it in place, and the blocks it gathers into the
+    # plan's stacks a row at a time; a weighted copy of an operand, as large
+    # as a group's share of the cut, breaks this
     cache = make_cache(3, 8, metric="conformal", f_text="0.1*cos(x1)")
     gal = Galerkin(cache, 2)
     grad = gal._probe(lambda phi: fields._merged(fields.gradient(phi).data), "cov_s0",
                       cache.n * gal.t)
-    sectors = 8 * len(gal.keys) * len(gal._classes) * gal.colour_count ** 2
-    assert 2 * sectors + 2**16 < max(X.nbytes for X in grad)
-    tracemalloc.start()
-    try:
-        gal._pair(grad, grad, 1.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * sectors + 2**16
+    sectors = 8 * math.prod(gal.plan.cells)
+    blocks = 8 * sum(map(math.prod, gal.plan.blocks))
+    assert sectors + blocks + 2**14 < max(X.nbytes for X in grad)
+    gal._pair(grad, grad, 1.0)
+    assert traced_peak(lambda: gal._pair(grad, grad, 1.0)) <= sectors + blocks + 2**14
 
 
 def test_gram_build_maps_one_run_of_sectors_at_a_time():
     # each piece's map is applied to the gradient's cut a run of sectors at
     # a time, and each run is paired at once, so beside the gradient's cut
     # stack the Gram build holds one run's mapped cut, the class-matrix
-    # array S, one more S-sized array for the gate and the gather, and the
-    # four Grams it returns, each no larger than S; a whole piece's cut
-    # (here as large as the gradient's, 4.4 S) breaks this, and the
-    # gradient's probe, in chunks of `_PROBE_BYTES`, stays under it too
+    # array S and the four Grams, each no larger than S (0.97 S here); a
+    # whole piece's cut (here as large as the gradient's, 4.4 S) breaks
+    # this, and the gradient's probe, in chunks of `_PROBE_BYTES`, stays
+    # under it too
     cache = make_cache(2, 32, metric="conformal")
     gal = Galerkin(cache, 2)
     gal.mass()
-    stacks = gal._cut_stacks(cache.n * gal.t)
-    cut = sum(X.nbytes for X in stacks)
-    run = max(X[:gal._run(X.shape[3], X.shape[-1])].nbytes for X in stacks)
-    cells = 8 * len(gal.keys) * len(gal._classes) * gal.colour_count ** 2
+    cut = 8 * cache.n * gal.t * sum(map(math.prod, gal.plan.cut))
+    run = max(allocation.nbytes([a]) for piece in spectral._SPLIT
+              for step in gal.plan.phases[f"{piece} pairing"] for a in step if a[0] == "run")
+    cells = 8 * math.prod(gal.plan.cells)
     assert run <= cells < cut
-    del stacks
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        gal._build_gram()
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(gal._build_gram)
     assert sorted(gal._grams) == sorted(spectral._SPLIT)
-    assert peak <= cut + run + 5 * cells
+    assert peak <= cut + run + 4.5 * cells
 
 
 def test_galerkin_admission_counts_the_reduction():
@@ -770,9 +857,9 @@ def test_gradient_stack_grams_match_the_piece_route(n, size, p, f_text, monkeypa
     first = Galerkin(cache, p)
     count = first.colour_count
     chunk = max(1, (count - 1) // 2)
-    monkeypatch.setattr(spectral, "_PROBE_BYTES", chunk * first._colour_work_bytes())
+    monkeypatch.setattr(spectral, "_PROBE_BYTES", chunk * first.plan.colour_bytes)
     gal = Galerkin(cache, p)
-    assert gal._chunk == chunk < count
+    assert gal.plan.chunk == chunk < count
     ref = galerkin_grams_reference(gal)
     scale = max(float(np.max(np.abs(B))) for B in ref["grad"])
     for piece in PIECES:
