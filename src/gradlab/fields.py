@@ -2,29 +2,35 @@
 
 Fields store fiber coordinates per grid point under one of four tags:
 
-    "s"       symmetric rank-p, monomial coordinates, (*grid, sym_dim)
+    "s"       symmetric rank-p, monomial coordinates, (sym_dim, *grid)
     "s0"      trace-free rank-p in the fixed flat-orthonormal basis,
-              (*grid, tracefree_dim)
-    "cov_s"   one covariant slot + symmetric part, (*grid, n, sym_dim)
-    "cov_s0"  one covariant slot + trace-free part, (*grid, n, tracefree_dim)
+              (tracefree_dim, *grid)
+    "cov_s"   one covariant slot + symmetric part, (n, sym_dim, *grid)
+    "cov_s0"  one covariant slot + trace-free part, (n, tracefree_dim, *grid)
 
-The data may carry leading batch axes, (*batch, *grid, *fiber): a stack of
-fields on one grid.  Every operator that `gradients.decompose` and
-`spectral.d1_star_d1_handle` reach, `gradients.weitzenbock_K` and its
-oracle `gradients.curvature_action`, and the projector and Ahlfors oracles
-of `gradients` act on each member of a stack independently, with the
-arithmetic of a single field; the L2 pairings (`l2_inner`, `l2_norm`) take
-single fields only.
+Array convention: fiber axes first, grid axes last.  The data may carry
+leading batch axes, (*batch, *fiber, *grid): a stack of fields on one
+grid.  So a constant fiber map S is one left product S @ data viewed as
+(..., fiber, points), a gradient's covariant slot i is the contiguous
+block data[..., i, :, *grid], and every derivative runs on contiguous grid
+lines (`geometry.differentiate`).  Every operator that
+`gradients.decompose` and `spectral.d1_star_d1_handle` reach,
+`gradients.weitzenbock_K` and its oracle `gradients.curvature_action`, and
+the projector and Ahlfors oracles of `gradients` act on each member of a
+stack independently, with the arithmetic of a single field; the L2
+pairings (`l2_inner`, `l2_norm`) take single fields only.
 
 Every metric is g = e^{2f} delta, given by its exponent f
 (`GeometryCache.exponent`; f = 0 is flat).  There the fiber Gram matrix
 in the flat orthonormal basis is a scalar multiple of the identity at
 every point, so trace-free storage, diagonal quadrature weights, and
-exact-transpose adjoints all stay cheap and exact.  On a flat metric
+exact-transpose adjoints all stay cheap and exact.  An L2 pairing is one
+numpy einsum reduction of the two data arrays, with the quadrature weight
+broadcast over the grid; on a flat metric
 (`GeometryCache.conformal_factor` is None) every weight is the cell
-volume: an L2 pairing is the cell volume times numpy's own sum of
-products of the data, the same at every BLAS thread count, and the two
-weights of an exact adjoint cancel.  The
+volume, which multiplies the plain sum of products, and the two weights of
+an exact adjoint cancel.  No pairing goes through BLAS, so each is the
+same at every thread count.  The
 derivation-side fact making "s0" storage lossless is that both the
 coordinate-derivative term and the connection term of the covariant
 derivative of a trace-free field are themselves pointwise trace-free for
@@ -36,18 +42,17 @@ h = df (`GeometryCache.h`), sampled exactly from f, so every connection
 term is sum_l h_l(x) C[l] with one cached constant fiber tensor C
 (`_connection_tensor`).  h_l is exactly 0 on every axis f does not depend
 on, so the sum runs over the axes it does (`TrigPoly.variables`): per
-axis one matmul by C[l], scaled by h_l in place and subtracted.  A flat
-metric depends on no axis, and the sum is empty.  Coordinate derivatives
-come from `geometry.differentiate` (a dense circulant matrix, or the fd4
-stencil).
+axis one left product by C[l], scaled by h_l in place and subtracted.  A
+flat metric depends on no axis, and the sum is empty.  Coordinate
+derivatives come from `geometry.differentiate` (a dense circulant matrix,
+or the fd4 stencil), each written straight into its slot of the gradient.
 
-Every other fiber contraction is one matmul too: the field's (n, t) fiber
-axes are merged (`_merged`) and the cached (rows, n, t) structure tensor
-is viewed as a (rows, n * t) matrix (`_slots`), so each contraction runs
-in BLAS with no second cached layout.  The transpose of the gradient
-differentiates covariant slot i along axis i, so it takes its input slot
-by slot, each slot a contiguous array: `differentiate` would copy a
-strided X[..., i, :] view.
+Every other fiber contraction is one left product too (`_left`): the
+cached (rows, n, t) structure tensor is viewed as a (rows, n * t) matrix
+(`_slots`) and the field's (n, t) fiber axes are merged, so each
+contraction runs in BLAS with no second cached layout.  The transpose of
+the gradient differentiates covariant slot i along axis i, and reads each
+slot where it lies.
 
 Each operator has one implementation here.  Adjoints are exact weighted
 transposes of the discrete operators (machine-precision pairings).  The
@@ -60,13 +65,14 @@ exact adjoint into rank p ends in the same weighted gradient transpose,
 Gᵀ(w slots) / w_dom (`_weighted_grad_transpose`, Gᵀ alone on a flat
 metric): `gradient_adjoint`
 here, and the adjoints of d1, d2 and d3 in `gradients`, which fold the
-transposes of their fiber maps into one slot-first input first, so that
-each adjoint differentiates n times.  The tests keep the unfused
+transposes of their fiber maps into one gradient-shaped input first, so
+that each adjoint differentiates n times.  The tests keep the unfused
 compositions, with exact adjoints of the divergence and the symmetrized
 derivative, as the reference.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -81,10 +87,12 @@ class FieldError(RuntimeError):
 _TAGS = ("s", "s0", "cov_s", "cov_s0")
 
 
+@lru_cache(maxsize=None)
 def fiber_shape(n, tag, rank):
     """Per-point shape of a field stored under `tag`: (d,) for a symmetric
     tensor, (n, d) with a leading covariant slot; d counts trace-free
-    coordinates for the s0 tags and monomial coordinates otherwise."""
+    coordinates for the s0 tags and monomial coordinates otherwise.  One
+    tuple per (n, tag, rank)."""
     d = fiber.tracefree_dim(n, rank) if "s0" in tag else fiber.sym_dim(n, rank)
     return (n, d) if tag.startswith("cov") else (d,)
 
@@ -103,11 +111,12 @@ class TensorField:
             raise FieldError(f"unknown storage tag {self.tag!r}")
         if self.rank < 0:
             raise FieldError("rank must be >= 0")
-        expect = self.cache.spec.shape + fiber_shape(self.cache.n, self.tag, self.rank)
+        expect = fiber_shape(self.cache.n, self.tag, self.rank) + self.cache.spec.shape
         if self.data.shape[self.data.ndim - len(expect):] != expect:
             raise FieldError(
                 f"data shape {self.data.shape} does not match {expect} for tag "
-                f"{self.tag!r}, after any leading batch axes"
+                f"{self.tag!r} (fiber axes before the grid axes), after any leading "
+                "batch axes"
             )
 
     @property
@@ -125,7 +134,7 @@ class TensorField:
         if self.tag in ("s", "cov_s"):
             return self.data
         B, _ = fiber.tracefree_basis(self.n, self.rank)
-        return self.data @ B.T
+        return _left(B, self.data, self.n)
 
     def __add__(self, other):
         self._compat(other)
@@ -148,7 +157,7 @@ class TensorField:
 def field_from_monomial(cache, rank, mono):
     """The trace-free field of monomial-coordinate samples, traces projected away."""
     _, C = fiber.tracefree_basis(cache.n, rank)
-    return TensorField(cache, "s0", rank, mono @ C.T)
+    return TensorField(cache, "s0", rank, _left(C, mono, cache.n))
 
 
 def to_tracefree(phi: TensorField):
@@ -157,17 +166,17 @@ def to_tracefree(phi: TensorField):
     if phi.tag != "s":
         raise FieldError("only plain symmetric fields can be compressed")
     _, C = fiber.tracefree_basis(phi.n, phi.rank)
-    return TensorField(phi.cache, "s0", phi.rank, phi.data @ C.T)
+    return TensorField(phi.cache, "s0", phi.rank, _left(C, phi.data, phi.n))
 
 
 # ---------------------------------------------------------------------------
 # conformal bookkeeping
 # ---------------------------------------------------------------------------
 
-def _scale(values, factor, extra_axes):
-    if factor is None:
-        return values
-    return values * factor.reshape(factor.shape + (1,) * extra_axes)
+def _scale(values, factor):
+    """values times a grid array `factor`, broadcast over the leading axes;
+    values itself when there is no factor (a flat metric)."""
+    return values if factor is None else values * factor
 
 
 def _covariant_rank(tag, rank):
@@ -193,25 +202,28 @@ def fiber_weight_scalar(cache, tag, rank):
 
 
 def l2_inner(a: TensorField, b: TensorField):
-    """The L2 pairing of two single fields: one weighted dot over the grid
-    points, or on a flat metric, where every weight is the cell volume, the
-    products of the data (times a monomial fiber's multiplicities) summed per
-    slice of the first grid axis (`numpy.einsum`) and then over the slices,
-    not by a BLAS dot, so the same at every thread count."""
+    """The L2 pairing of two single fields: one numpy einsum reduction of
+    the products of the data along the grid lines of the first axis, with a
+    monomial fiber's multiplicities and, on a conformal metric, the
+    quadrature weight broadcast over the grid, then the pairwise sum of the
+    per-line sums; on a flat metric, where every weight is the cell volume,
+    that number times the sum.  No BLAS dot is taken, so the pairing is the
+    same at every thread count."""
     a._compat(b)
     if a.batch_shape or b.batch_shape:
         raise FieldError("l2_inner pairs single fields, not batches")
-    if _weight_factor(a.cache, a.tag, a.rank) is None:
-        rows = [X.reshape(len(X), -1, X.shape[-1]) for X in (a.data, b.data)]
-        per_row = (np.einsum("ijk,ijk,k->i", *rows, fiber.multiplicities(a.n, a.rank))
-                   if a.tag in ("s", "cov_s") else np.einsum("ijk,ijk->i", *rows))
-        return float(a.cache.spec.cell_volume * per_row.sum())
-    w = fiber_weight_scalar(a.cache, a.tag, a.rank)
-    prod = a.data * b.data
+    spec = a.cache.spec
+    lines = (spec.sizes[0], spec.num_points // spec.sizes[0])
+    width = a.data.shape[a.data.ndim - a.n - 1]
+    operands = [X.reshape((-1, width) + lines) for X in (a.data, b.data)]
+    subscripts = "iarx,iarx"
     if a.tag in ("s", "cov_s"):
-        prod *= fiber.multiplicities(a.n, a.rank)
-    # one weighted dot over the grid points, then the fiber sum
-    return float(np.sum(w.ravel() @ prod.reshape(w.size, -1)))
+        operands.append(fiber.multiplicities(a.n, a.rank))
+        subscripts += ",a"
+    if _weight_factor(a.cache, a.tag, a.rank) is None:
+        return float(spec.cell_volume * np.einsum(subscripts + "->iar", *operands).sum())
+    operands.append(fiber_weight_scalar(a.cache, a.tag, a.rank).reshape(lines))
+    return float(np.einsum(subscripts + ",rx->iar", *operands).sum())
 
 
 def l2_norm(a: TensorField):
@@ -253,14 +265,31 @@ def _slots(T):
     return T.reshape(len(T), -1)
 
 
-def _merged(X):
-    """Fiber data (..., n, t) with its two fiber axes merged, (..., n * t)."""
-    return X.reshape(X.shape[:-2] + (-1,))
+def _left(S, X, n, axes=1, fiber_out=None):
+    """A constant fiber map S (rows, cols) applied to data X (..., *fiber,
+    *grid) on an n-dimensional grid: its last `axes` fiber axes, merged into
+    cols, times S as one left product per leading index, (..., rows, *grid),
+    or (..., *fiber_out, *grid)."""
+    lead = X.shape[:X.ndim - n - axes]
+    grid = X.shape[X.ndim - n:]
+    out = S @ X.reshape(lead + (S.shape[1], -1))
+    return out.reshape(lead + (fiber_out or (len(S),)) + grid)
+
+
+def _merged(X, n):
+    """Gradient-shaped data (..., n, t, *grid) with its two fiber axes
+    merged, (..., n * t, *grid), a view."""
+    return X.reshape(X.shape[:X.ndim - n - 2] + (-1,) + X.shape[X.ndim - n:])
+
+
+def _slot(X, i, n):
+    """Covariant slot i of gradient-shaped data X (..., n, t, *grid), a view."""
+    return X[(Ellipsis, i) + (slice(None),) * (n + 1)]
 
 
 def _sym_apply(n, p, X):
-    """Monomial rank p+1 symmetrization of a trace-free gradient X (..., i, a)."""
-    return _merged(X) @ _slots(_sym_insert_expanded(n, p)).T
+    """Monomial rank p+1 symmetrization of a trace-free gradient X (..., i, a, *grid)."""
+    return _left(_slots(_sym_insert_expanded(n, p)), X, n, 2)
 
 
 @fiber._frozen_cache
@@ -284,63 +313,56 @@ def _connection_tensor(n, p, tracefree):
 # ---------------------------------------------------------------------------
 
 def _grad_apply(cache, p, c, tracefree=True):
-    """The covariant derivative of fiber data c, in the (..., n, t) field
-    layout."""
+    """The covariant derivative of fiber data c (..., t, *grid), in the
+    (..., n, t, *grid) field layout: each coordinate derivative is written
+    into its slot."""
     spec = cache.spec
     n = spec.n
-    batch = c.ndim - n - 1
-    out = np.stack([differentiate(c, i, spec, cache.method, batch) for i in range(n)],
-                   axis=-2)
+    width = c.shape[c.ndim - n - 1]
+    out = np.empty(c.shape[:c.ndim - n - 1] + (n,) + c.shape[c.ndim - n - 1:])
+    for i in range(n):
+        differentiate(c, i, spec, cache.method, out=_slot(out, i, n))
     # h_l = 0 on every axis f does not depend on: a flat metric adds nothing
     for l in cache.exponent.variables:
         C = _connection_tensor(n, p, tracefree)[l]
-        Y = c @ C.reshape(-1, c.shape[-1]).T
-        Y *= cache.h[..., l, None]
-        out -= Y.reshape(out.shape)
-    return out
-
-
-def _grad_s0_transpose(cache, p, slots):
-    """Transpose of `_grad_apply` on trace-free data, given slot by slot:
-    slots[i] is the contiguous (..., t) covariant slot i."""
-    spec = cache.spec
-    n = spec.n
-    batch = slots[0].ndim - n - 1
-    out = differentiate(slots[0], 0, spec, cache.method, batch)
-    for i in range(1, n):
-        out += differentiate(slots[i], i, spec, cache.method, batch)
-    np.negative(out, out=out)
-    for l in cache.exponent.variables:
-        C = _connection_tensor(n, p, True)[l]
-        Y = slots[0] @ C[0]
-        for i in range(1, n):
-            Y += slots[i] @ C[i]
-        Y *= cache.h[..., l, None]
+        Y = _left(C.reshape(-1, width), c, n, fiber_out=(n, width))
+        Y *= cache.h[l]
         out -= Y
     return out
 
 
-def _weighted_grad_transpose(cache, p, slots):
-    """Gᵀ(w_cod slots) / w_dom, the last step of every exact adjoint into
-    trace-free rank p: G is `_grad_apply`, w_cod the weight of covariant
-    rank p + 1 and w_dom that of rank p.  slots is a slot-first
-    (n, ..., t) array, each slot contiguous; on a conformal metric it is
-    weighted in place.  On a flat metric both weights are the cell volume
-    and cancel, so this is Gᵀ alone and slots is left as it is."""
-    if _weight_factor(cache, "s0", p) is None:
-        return _grad_s0_transpose(cache, p, slots)
-    slots *= fiber_weight_scalar(cache, "cov_s0", p)[..., None]
-    out = _grad_s0_transpose(cache, p, slots)
-    out /= fiber_weight_scalar(cache, "s0", p)[..., None]
+def _grad_s0_transpose(cache, p, X):
+    """Transpose of `_grad_apply` on trace-free data, applied to
+    gradient-shaped data X (..., n, t, *grid), each slot read where it lies."""
+    spec = cache.spec
+    n = spec.n
+    out = differentiate(_slot(X, 0, n), 0, spec, cache.method)
+    if n > 1:
+        term = np.empty_like(out)
+        for i in range(1, n):
+            out += differentiate(_slot(X, i, n), i, spec, cache.method, out=term)
+    np.negative(out, out=out)
+    for l in cache.exponent.variables:
+        C = _connection_tensor(n, p, True)[l]
+        Y = _left(C.reshape(-1, C.shape[-1]).T, X, n, 2)
+        Y *= cache.h[l]
+        out -= Y
     return out
 
 
-def _slot_first_matmul(y, S):
-    """y @ _slots(S) for a cached (rows, n, t) structure tensor S, returned
-    slot-first, shape (n, ..., t), so that each slot is contiguous."""
-    rows, n, t = S.shape
-    out = np.matmul(y.reshape(-1, rows), np.moveaxis(S, 1, 0))
-    return out.reshape((n,) + y.shape[:-1] + (t,))
+def _weighted_grad_transpose(cache, p, X):
+    """Gᵀ(w_cod X) / w_dom, the last step of every exact adjoint into
+    trace-free rank p: G is `_grad_apply`, w_cod the weight of covariant
+    rank p + 1 and w_dom that of rank p.  X is gradient-shaped, (..., n, t,
+    *grid); on a conformal metric it is weighted in place.  On a flat
+    metric both weights are the cell volume and cancel, so this is Gᵀ alone
+    and X is left as it is."""
+    if _weight_factor(cache, "s0", p) is None:
+        return _grad_s0_transpose(cache, p, X)
+    X *= fiber_weight_scalar(cache, "cov_s0", p)
+    out = _grad_s0_transpose(cache, p, X)
+    out /= fiber_weight_scalar(cache, "s0", p)
+    return out
 
 
 def gradient(phi: TensorField):
@@ -356,9 +378,10 @@ def gradient_adjoint(X: TensorField):
     """Exact weighted adjoint of `gradient` on trace-free storage."""
     if X.tag != "cov_s0":
         raise FieldError("gradient_adjoint expects a 'cov_s0' field")
-    # one slot-first copy, which the transpose weights in place
-    slots = np.moveaxis(X.data, -2, 0).copy()
-    return TensorField(X.cache, "s0", X.rank, _weighted_grad_transpose(X.cache, X.rank, slots))
+    # the slots are read where they lie; a conformal weight needs a copy,
+    # which the transpose weights in place
+    data = X.data if X.cache.is_flat else X.data.copy()
+    return TensorField(X.cache, "s0", X.rank, _weighted_grad_transpose(X.cache, X.rank, data))
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +390,8 @@ def gradient_adjoint(X: TensorField):
 
 def _contract_apply(cache, p, X, tracefree=True):
     K = _k0(cache.n, p) if tracefree else fiber.div_contract_tensor(cache.n, p)
-    out = _merged(X) @ -_slots(K).T
-    return _scale(out, cache.conformal_factor(-2.0), 1)
+    out = _left(-_slots(K), X, cache.n, 2)
+    return _scale(out, cache.conformal_factor(-2.0))
 
 
 def divergence(phi: TensorField):
@@ -420,11 +443,7 @@ def max_trace_residual(phi: TensorField):
     """Max pointwise metric-trace magnitude of a field that claims S_0."""
     if phi.rank < 2:
         return 0.0
-    mono = phi.monomial()
-    Tm = fiber.trace_matrix(phi.n, phi.rank)
-    tr = mono @ Tm.T
-    factor = phi.cache.conformal_factor(-2.0)
-    if factor is not None:
-        tr = tr * factor.reshape(factor.shape + (1,) * (tr.ndim - factor.ndim))
+    tr = _left(fiber.trace_matrix(phi.n, phi.rank), phi.monomial(), phi.n)
+    tr = _scale(tr, phi.cache.conformal_factor(-2.0))
     return float(np.max(np.abs(tr)))
 

@@ -13,9 +13,12 @@ The spectral derivative along an axis is a cached dense circulant
 matrix (Nyquist bin zeroed) applied as one batched matmul, built from its
 first column so that it is exactly circulant and exactly antisymmetric.
 
-Array convention: sampled data has the n grid axes first, fiber or
-component axes after, e.g. T is (*grid, n, n).  Field data may put batch
-axes before the grid axes; `differentiate` is told how many.
+Array convention: the n grid axes are always the trailing axes.  Component
+or fiber axes come before them, e.g. h is (n, *grid) and T is (n, n,
+*grid), and field data may put batch axes before its fiber axes, (*batch,
+*fiber, *grid).  So every grid line is contiguous along the last axis, and
+`differentiate(values, axis, spec, method, out=None)` needs to know nothing
+of the axes in front of the grid.
 """
 
 import math
@@ -103,28 +106,44 @@ def _derivative_matrix(spec, axis):
     return D
 
 
-def differentiate(values, axis, spec, method="spectral", batch_ndim=0):
-    """Partial derivative along grid axis `axis` of data shaped
-    (*batch, *grid, ...), with `batch_ndim` leading batch axes."""
+def differentiate(values, axis, spec, method="spectral", out=None):
+    """Partial derivative along grid axis `axis` of data shaped (..., *grid),
+    written into `out` (an array of the same shape, or a view such as one
+    slot of a gradient) when given.
+
+    The spectral derivative reads the data as lines along the axis, (...,
+    lines, N, rest) with `rest` the points after the axis: along the last
+    axis a product (lines, N) @ D^T per leading index, along any other
+    products D @ (N, rest).  Only the grid axes are merged, so `out` may be
+    any view whose grid axes are contiguous."""
+    n = spec.n
     if method == "spectral":
         N = spec.sizes[axis]
         D = _derivative_matrix(spec, axis)
-        axis += batch_ndim
-        lead = math.prod(values.shape[:axis])
-        if values.ndim == axis + 1:
-            # one row-major gemm; a stack of matvecs is slower here
-            out = values.reshape(lead, N) @ D.T
+        lead = values.shape[:values.ndim - n]
+        lines = math.prod(spec.sizes[:axis])
+        if out is None:
+            out = np.empty(values.shape)
+        if axis == n - 1:
+            # a contiguous D^T (= -D) runs about twice as fast as the view
+            shape = lead + (lines, N)
+            np.matmul(values.reshape(shape), np.ascontiguousarray(D.T), out=out.reshape(shape))
         else:
-            out = D @ values.reshape(lead, N, -1)
-        return out.reshape(values.shape)
+            shape = lead + (lines, N, math.prod(spec.sizes[axis + 1:]))
+            np.matmul(D, values.reshape(shape), out=out.reshape(shape))
+        return out
     if method == "fd4":
         h = spec.spacings[axis]
-        axis += batch_ndim
+        axis += values.ndim - n
         f1 = np.roll(values, -1, axis=axis)
         f2 = np.roll(values, -2, axis=axis)
         b1 = np.roll(values, 1, axis=axis)
         b2 = np.roll(values, 2, axis=axis)
-        return (-f2 + 8.0 * f1 - 8.0 * b1 + b2) / (12.0 * h)
+        result = (-f2 + 8.0 * f1 - 8.0 * b1 + b2) / (12.0 * h)
+        if out is None:
+            return result
+        out[...] = result
+        return out
     raise GeometryError(f"unknown differentiation method {method!r}")
 
 
@@ -156,9 +175,9 @@ class GeometryCache:
     differentiated, never the geometry.  With flat derivatives of f:
 
       conf_exponent_values  f, (*grid,)
-      h        df, (*grid, n); the Christoffel symbols are
+      h        df, (n, *grid); the Christoffel symbols are
                Gamma^k_ij = delta_ki h_j + delta_kj h_i - delta_ij h_k
-      T        Hess f - df (x) df + (1/2) |df|^2 delta, (*grid, n, n)
+      T        Hess f - df (x) df + (1/2) |df|^2 delta, (n, n, *grid)
       weights  quadrature weights, cell volume * sqrt(det g) = cell
                volume * e^{nf}, (*grid,)
 
@@ -215,17 +234,17 @@ def build_geometry(spec: GridSpec, exponent: TrigPoly, method="spectral"):
         raise GeometryError(f"unknown differentiation method {method!r}")
     n = spec.n
     f = evaluate_on_grid(exponent, spec)
-    h = np.stack([coordinate_derivative(exponent, i, spec) for i in range(n)], axis=-1)
-    T = np.empty(spec.shape + (n, n))
+    h = np.stack([coordinate_derivative(exponent, i, spec) for i in range(n)])
+    T = np.empty((n, n) + spec.shape)
     for i in range(n):
         fi = exponent.angular_derivative(i)
         for j in range(i, n):
-            T[..., i, j] = evaluate_on_grid(fi.angular_derivative(j), spec)
-            T[..., i, j] -= h[..., i] * h[..., j]
-            T[..., j, i] = T[..., i, j]
-    half_grad_sq = 0.5 * np.einsum("...i,...i->...", h, h)
+            T[i, j] = evaluate_on_grid(fi.angular_derivative(j), spec)
+            T[i, j] -= h[i] * h[j]
+            T[j, i] = T[i, j]
+    half_grad_sq = 0.5 * np.einsum("i...,i...->...", h, h)
     for i in range(n):
-        T[..., i, i] += half_grad_sq
+        T[i, i] += half_grad_sq
     with np.errstate(over="ignore"):
         g = np.exp(2.0 * f)
         weights = spec.cell_volume * np.exp(n * f)

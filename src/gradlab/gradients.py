@@ -249,13 +249,13 @@ def _d1_from_grad(phi, X, dphi):
     max|X| and worst over a batch; ConventionError above _TRACE_GUARD."""
     cache, p, n = phi.cache, phi.rank, phi.n
     mono = fields._sym_apply(n, p, X)
-    corr = dphi @ _d1_correction_matrix(n, p).T
-    corr = fields._scale(corr, cache.conformal_factor(2.0), 1)
+    corr = fields._left(_d1_correction_matrix(n, p), dphi, n)
+    corr = fields._scale(corr, cache.conformal_factor(2.0))
     mono = mono + sym_insert_coefficient(n, p) * corr
     # the metric trace is e^{-2f} times the flat trace, so the flat trace
     # vanishes with it; held in the units of X it is free of the factor
     # e^{-2 min f}, which would amplify roundoff where f dips deep.
-    tr = mono @ fiber.trace_matrix(n, p + 1).T
+    tr = fields._left(fiber.trace_matrix(n, p + 1), mono, n)
     # relative to the gradient, not to the output: the output vanishes on
     # the kernel (conformal Killing tensors), the gradient does not.  Each
     # member of a batch is held to its own gradient.
@@ -268,14 +268,14 @@ def _d1_from_grad(phi, X, dphi):
             "normalization is inconsistent"
         )
     _, C = fiber.tracefree_basis(n, p + 1)
-    return TensorField(cache, "s0", p + 1, mono @ C.T), rel
+    return TensorField(cache, "s0", p + 1, fields._left(C, mono, n)), rel
 
 
 def _d2_from_delta(cache, p, dphi_coords):
     K2 = _d2_structure(cache.n, p)
-    out = dphi_coords @ -K2.reshape(-1, K2.shape[-1]).T
-    out = out.reshape(dphi_coords.shape[:-1] + K2.shape[:2])
-    return fields._scale(out, cache.conformal_factor(2.0), 2)
+    out = fields._left(-K2.reshape(-1, K2.shape[-1]), dphi_coords, cache.n,
+                       fiber_out=K2.shape[:2])
+    return fields._scale(out, cache.conformal_factor(2.0))
 
 
 def d2_insertion_oracle(dphi: TensorField):
@@ -286,11 +286,11 @@ def d2_insertion_oracle(dphi: TensorField):
     cache, n, p = dphi.cache, dphi.n, dphi.rank + 1
     lam = insertion_eigenvalue(n, p)
     E = _insertion_matrix_mono(n, p)
-    mono = -(1.0 / lam) * (dphi.data @ E.reshape(-1, E.shape[-1]).T)
-    mono = fields._scale(mono, cache.conformal_factor(2.0), 1)
+    mono = -(1.0 / lam) * fields._left(E.reshape(-1, E.shape[-1]), dphi.data, n,
+                                       fiber_out=E.shape[:2])
+    mono = fields._scale(mono, cache.conformal_factor(2.0))
     _, C = fiber.tracefree_basis(n, p)
-    out = mono.reshape(-1, C.shape[1]) @ C.T
-    return TensorField(cache, "cov_s0", p, out.reshape(dphi.data.shape[:-1] + (n, -1)))
+    return TensorField(cache, "cov_s0", p, fields._left(C, mono, n))
 
 
 def embed_symmetrized(omega: TensorField):
@@ -300,8 +300,7 @@ def embed_symmetrized(omega: TensorField):
     cache, p, n = omega.cache, omega.rank - 1, omega.n
     e = fiber.embed_matrix(n, p)
     t = fiber.tracefree_dim(n, p)
-    flat = omega.data @ e.T
-    return TensorField(cache, "cov_s0", p, flat.reshape(flat.shape[:-1] + (n, t)))
+    return TensorField(cache, "cov_s0", p, fields._left(e, omega.data, n, fiber_out=(n, t)))
 
 
 @dataclass(frozen=True)
@@ -309,8 +308,11 @@ class GradientSplit:
     """The three pieces of one covariant derivative, with diagnostics.
 
     divergence is delta phi, the contraction of the same gradient that d1
-    and d2 are built from.  The diagnostics are computed together on first
-    read, and only for a single field: reconstruction_residual is relative
+    and d2 are built from; embedded is d1 regrouped into T* (x) S0^p
+    (`embed_symmetrized`), formed once by `decompose` for d3 and read by
+    the diagnostics and the projector match.  The diagnostics are computed
+    together on first read, and only for a single field:
+    reconstruction_residual is relative
     and by construction at roundoff; orthogonality holds pairwise relative
     L2 inner products of the three embedded pieces, which vanish exactly
     when the conventions are right; norms holds the L2 norms of the
@@ -326,11 +328,11 @@ class GradientSplit:
     divergence: TensorField
     grad: TensorField
     insertion_trace: float
+    embedded: TensorField
 
     @cached_property
     def _diagnostics(self):
-        emb = embed_symmetrized(self.d1)
-        d2f, d3f = self.d2, self.d3
+        emb, d2f, d3f = self.embedded, self.d2, self.d3
         g_norm = l2_norm(self.grad)
         norms = {
             "grad": g_norm,
@@ -347,9 +349,7 @@ class GradientSplit:
             (("d2", d2f), ("d3", d3f)),
         ):
             ortho[f"{na}_{nb}"] = abs(l2_inner(a, b)) / (g_norm**2 + _TINY)
-        # the reconstruction last, so that emb is dropped once summed in
         recon = emb + d2f + d3f
-        del emb
         return l2_norm(self.grad - recon) / (g_norm + _TINY), ortho, norms
 
     @property
@@ -375,22 +375,25 @@ def decompose(phi: TensorField):
     dphi = fields._contract_apply(cache, p, grad.data)
     om, trace = _d1_from_grad(phi, grad.data, dphi)
     d2f = TensorField(cache, "cov_s0", p, _d2_from_delta(cache, p, dphi))
+    emb = embed_symmetrized(om)
     return GradientSplit(
         d1=om,
         d2=d2f,
-        d3=grad - embed_symmetrized(om) - d2f,
+        d3=grad - emb - d2f,
         divergence=TensorField(cache, "s0", p - 1, dphi),
         grad=grad,
         insertion_trace=trace,
+        embedded=emb,
     )
 
 
 def _projector_parts(X: TensorField):
     """The A, B and C parts of a 'cov_s0' field under the constant fiber
     projectors, formed one at a time as they are drawn."""
-    flat = fields._merged(X.data)
+    shape = X.data.shape[X.data.ndim - X.n - 2:X.data.ndim - X.n]
     for P in fiber.flat_projector_matrices(X.n, X.rank):
-        yield TensorField(X.cache, "cov_s0", X.rank, (flat @ P.T).reshape(X.data.shape))
+        yield TensorField(X.cache, "cov_s0", X.rank,
+                          fields._left(P, X.data, X.n, 2, fiber_out=shape))
 
 
 def projector_components(X: TensorField):
@@ -407,7 +410,7 @@ def projector_match_residuals(sp: GradientSplit):
     parts = _projector_parts(sp.grad)
     scale = sp.norms["grad"] + _TINY
     return {
-        "d1": l2_norm(embed_symmetrized(sp.d1) - next(parts)) / scale,
+        "d1": l2_norm(sp.embedded - next(parts)) / scale,
         "d2": l2_norm(sp.d2 - next(parts)) / scale,
         "d3": l2_norm(sp.d3 - next(parts)) / scale,
     }
@@ -459,13 +462,14 @@ def _d3_transpose_structure(n, p):
     return A.reshape(n * t, n, t)
 
 
-def _exact_adjoint(cache, p, y, A):
+def _exact_adjoint(cache, p, y, A, axes):
     """The exact adjoint into rank p of a first-order piece whose pointwise
     map from the gradient has the transpose A (rows, n, t_p), applied to
-    fiber data y (..., rows): one slot-first matmul, one weighted gradient
+    data y (..., *fiber, *grid) whose last `axes` fiber axes hold the rows:
+    one left product into the gradient's layout, one weighted gradient
     transpose."""
-    slots = fields._slot_first_matmul(y, A)
-    return TensorField(cache, "s0", p, fields._weighted_grad_transpose(cache, p, slots))
+    X = fields._left(fields._slots(A).T, y, cache.n, axes, fiber_out=A.shape[1:])
+    return TensorField(cache, "s0", p, fields._weighted_grad_transpose(cache, p, X))
 
 
 def d1_exact_adjoint(omega: TensorField):
@@ -473,23 +477,21 @@ def d1_exact_adjoint(omega: TensorField):
     if omega.tag != "s0" or omega.rank < 2:
         raise FieldError("d1_exact_adjoint expects an 's0' field of rank >= 2")
     p = omega.rank - 1
-    return _exact_adjoint(omega.cache, p, omega.data, _d1_transpose_structure(omega.n, p))
+    return _exact_adjoint(omega.cache, p, omega.data, _d1_transpose_structure(omega.n, p), 1)
 
 
 def d2_exact_adjoint(X: TensorField):
     """Exact weighted adjoint of d2."""
     if X.tag != "cov_s0":
         raise FieldError("d2_exact_adjoint expects a 'cov_s0' field")
-    return _exact_adjoint(X.cache, X.rank, fields._merged(X.data),
-                          _d2_transpose_structure(X.n, X.rank))
+    return _exact_adjoint(X.cache, X.rank, X.data, _d2_transpose_structure(X.n, X.rank), 2)
 
 
 def d3_exact_adjoint(X: TensorField):
     """Exact weighted adjoint of d3."""
     if X.tag != "cov_s0":
         raise FieldError("d3_exact_adjoint expects a 'cov_s0' field")
-    return _exact_adjoint(X.cache, X.rank, fields._merged(X.data),
-                          _d3_transpose_structure(X.n, X.rank))
+    return _exact_adjoint(X.cache, X.rank, X.data, _d3_transpose_structure(X.n, X.rank), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -527,15 +529,15 @@ def curvature_action(phi: TensorField):
     _check_phi(phi)
     cache, p, n = phi.cache, phi.rank, phi.n
     mono = phi.monomial()
-    m = mono.shape[-1]
+    m = fiber.sym_dim(n, p)
     out = np.zeros_like(mono)
     v = cache.exponent.variables
     entries = [(j, k) for j in range(n) for k in range(n)
                if v and (j == k or (j in v and k in v))]
     for j, k in entries:
         S = _curvature_matrix(n, p).reshape(n, n, m, m)[j, k]
-        Y = mono @ S.T
-        Y *= (cache.conformal_factor(-2.0) * cache.T[..., j, k])[..., None]
+        Y = fields._left(S, mono, n)
+        Y *= cache.conformal_factor(-2.0) * cache.T[j, k]
         out += Y
     return fields.field_from_monomial(cache, p, out)
 
@@ -546,9 +548,9 @@ def zeroth_order_residual(phi: TensorField, u_values: np.ndarray, K: TensorField
     A genuinely zeroth-order operator commutes with pointwise scalar
     multiplication, so this must vanish under grid refinement.
     """
-    up = TensorField(phi.cache, "s0", phi.rank, phi.data * u_values[..., None])
+    up = TensorField(phi.cache, "s0", phi.rank, phi.data * u_values)
     Ku = weitzenbock_K(up)
-    uK = K.data * u_values[..., None]
+    uK = K.data * u_values
     diff = TensorField(phi.cache, "s0", phi.rank, Ku.data - uK)
     return l2_norm(diff) / (l2_norm(phi) + _TINY)
 
@@ -690,13 +692,12 @@ def ahlfors_deformation(grad: TensorField):
     if grad.tag != "cov_s0" or grad.rank != 1:
         raise FieldError("ahlfors_deformation expects the gradient of a 1-form")
     X, n = grad.data, grad.n
-    S = X + np.swapaxes(X, -1, -2)
-    trg = np.einsum("...ii->...", X)
-    S = S - (2.0 / n) * trg[..., None, None] * np.eye(n)
-    m = fiber.sym_dim(n, 2)
-    mono = np.empty(S.shape[:-2] + (m,))
-    for A, (i, j) in enumerate(fiber.sym_indices(n, 2)):
-        mono[..., A] = S[..., i, j]
+    i, a = X.ndim - n - 2, X.ndim - n - 1  # the covariant and the fiber axis
+    S = X + np.swapaxes(X, i, a)
+    trg = np.expand_dims(np.trace(X, axis1=i, axis2=a), (i, a))
+    S = S - (2.0 / n) * trg * np.eye(n).reshape((n, n) + (1,) * n)
+    grid = (slice(None),) * n
+    mono = np.stack([S[(Ellipsis, j, k) + grid] for j, k in fiber.sym_indices(n, 2)], axis=i)
     return fields.field_from_monomial(grad.cache, 2, mono)
 
 

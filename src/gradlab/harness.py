@@ -174,10 +174,10 @@ def band_limited_field(cache, rank, band, rng, tag="s0"):
     own coefficients.
     """
     spec = cache.spec
-    modes = spectral.half_modes((band,) * spec.n)
+    modes = spectral._half_modes((band,) * spec.n)[1]
     # rows: the constant, then (cos, sin) coefficients per mode, in draw order
     coef = rng.standard_normal((2 * len(modes) + 1,) + fields.fiber_shape(spec.n, tag, rank))
-    data = spectral.trig_series(spec, modes, coef) * (1.0 / np.sqrt(2 * len(modes) + 1))
+    data = spectral.trig_series(spec, modes, coef * (1.0 / np.sqrt(2 * len(modes) + 1)))
     return TensorField(cache, tag, rank, data)
 
 
@@ -385,9 +385,9 @@ _CONTROL_D2_SCALE = 1.05
 def _scaled_d2_split(sp, scale):
     """sp with d2 times `scale` and d3 re-formed in the order of `decompose`."""
     d2f = scale * sp.d2
-    d3f = sp.grad - gradients.embed_symmetrized(sp.d1) - d2f
+    d3f = sp.grad - sp.embedded - d2f
     return gradients.GradientSplit(sp.d1, d2f, d3f, sp.divergence, sp.grad,
-                                   sp.insertion_trace)
+                                   sp.insertion_trace, sp.embedded)
 
 
 def _negative_controls(rec, config, caches):

@@ -5,21 +5,14 @@ are counted with an explicit tolerance policy that refuses to report a
 number when there is no clear spectral gap.
 
 One Galerkin layer (`Galerkin`, one per grid and rank) serves every study.
-It reduces the dealiased basis by the isometries the metric keeps.
-Translations along the invariant axes, where the conformal exponent is
-constant (every axis of a flat metric), split it into sectors; the
-reflections of those axes and of the mirror axes, where the exponent is
-even (`TrigPoly.is_even_in`), split each sector into reflection classes
-and blocks.  A block of `0.1*cos(x1)` at N=32 has 31 columns (124 without
-the reflections), one of the flat 2-torus at rank 2 has 2 (8 without).
-Each operator is applied once per colour (the sum of one column of every
-class of every sector), a chunk of colours at a time.  The images are
-weighted, folded into class parts and cut into the sectors' FFT bins, and
-every Galerkin matrix is a plain product of two cuts (Parseval).  The four
-first-order pieces' Grams come from one cut stack of gradient images,
-through each piece's constant fiber map, a run of sectors at a time.
-Blocks of equal size are solved as one batched pencil on a cached
-Cholesky reduction.  An allocation plan (`allocation.plan`) sizes the layer.
+It reduces the dealiased basis by the isometries the metric keeps, into
+sectors (translations) and reflection classes and blocks (reflections): a
+block of `0.1*cos(x1)` at N=32 has 31 columns (124 without the
+reflections), one of the flat 2-torus at rank 2 has 2 (8 without).  Each
+operator is applied once per colour, every Galerkin matrix is a plain
+product of two cuts of FFT bins (Parseval), and blocks of equal size are
+solved as one batched pencil; an allocation plan (`allocation.plan`)
+sizes the layer.
 
 Two discretization hazards shape the design:
 
@@ -89,7 +82,7 @@ class OperatorHandle:
     form a Galerkin layer assembles (`Galerkin.form`).
 
     `apply` acts on TensorField instances, single fields or batches; the
-    vector interface (one field) flattens grid-major, fiber-minor.
+    vector interface (one field) ravels the field layout.
     `symbol` maps (xi, gscale) to the principal-symbol fiber matrix, where
     gscale is the inverse conformal factor at the evaluation point.
     """
@@ -109,7 +102,7 @@ class OperatorHandle:
         return self.cache.spec.shape
 
     def field_from_vector(self, vec):
-        shape = self.grid + (fiber.tracefree_dim(self.n, self.domain_rank),)
+        shape = (fiber.tracefree_dim(self.n, self.domain_rank),) + self.grid
         data = np.asarray(vec, float).reshape(shape)
         return TensorField(self.cache, "s0", self.domain_rank, data)
 
@@ -169,16 +162,16 @@ def _eigh_pencil(G, M, scale, Linv):
 # ---------------------------------------------------------------------------
 
 def trig_series(spec, modes, coef):
-    """Sample a real trig series on the grid of `spec`.
+    """Sample a real trig series on the grid of `spec`, (*coef.shape[1:], *grid).
 
     Row 0 of `coef` multiplies the constant; rows 2k+1 and 2k+2 multiply
-    cos and sin of the phase m.theta of modes[k].  Trailing axes of `coef`
-    are carried through: the result has shape (*grid, *coef.shape[1:]).
-    Each (cos, sin) pair goes to the FFT bins +m and -m that lie in the
-    half spectrum of the last axis, and one real inverse FFT samples the
-    whole series, so every mode must lie strictly below the Nyquist index
-    of every axis.  The modes are distinct representatives of their {m, -m}
-    pairs (`half_modes`), so no two of them share a bin.
+    cos and sin of the phase m.theta of modes[k], each below the Nyquist
+    index of every axis and distinct representatives of their {m, -m}
+    pairs (`half_modes`).  z = (cos row - i sin row) / 2 goes to cell m of
+    a box of amplitudes over the modes' bands, or conj z to cell -m,
+    whichever has a last entry >= 0 (both at 0), and the box is summed one
+    axis at a time against e^{i k x}, the last axis against cos and sin
+    (`_axis_functions`): only the rows of the band are touched.
     """
     coef = np.asarray(coef, float)
     modes = np.asarray(modes, int).reshape(-1, spec.n)
@@ -187,17 +180,25 @@ def trig_series(spec, modes, coef):
                             f"need {1 + 2 * len(modes)}")
     if np.any(2 * np.abs(modes) >= np.asarray(spec.sizes)):
         raise SpectralError(f"trig series modes must lie below Nyquist on {spec.sizes}")
-    npts = spec.num_points
-    hat = np.zeros(spec.shape[:-1] + (spec.sizes[-1] // 2 + 1,) + coef.shape[1:], complex)
-    hat[(0,) * spec.n] = npts * coef[0]
-    up = 0.5 * npts * (coef[1::2] - 1j * coef[2::2])
-    for sign, values in ((1, up), (-1, up.conj())):
+    bands = np.max(np.abs(modes), axis=0, initial=0)
+    offset = np.append(bands[:-1], 0)
+    x = np.zeros(tuple(offset + bands + 1) + coef.shape[1:], complex)
+    z = 0.5 * (coef[1::2] - 1j * coef[2::2])
+    for sign, values in ((1, z), (-1, z.conj())):
         keep = sign * modes[:, -1] >= 0
-        # the bins are distinct, so one fancy-index add places them all; it
-        # adds to the zero bins rather than assigning, so that a -0.0 part
-        # of a conjugate lands as +0.0, as an accumulation would place it
-        hat[tuple(sign * modes[keep].T)] += values[keep]
-    return np.fft.irfftn(hat, s=spec.shape, axes=tuple(range(spec.n)))
+        x[tuple((sign * modes[keep] + offset).T)] = values[keep]
+    x[tuple(offset)] = coef[0]
+    for a, size in enumerate(spec.sizes):
+        T = _axis_functions(size, int(bands[a]))
+        if a < spec.n - 1:  # e^{i k x}, k = -b..b
+            up = T[1::2] + 1j * T[2::2]
+            T = np.concatenate([up[::-1].conj(), T[:1], up])
+        else:  # the conjugate half folded in: Re on cos, Im on sin
+            T = np.concatenate([T[:1], 2.0 * T[1::2], -2.0 * T[2::2]])
+            x = np.concatenate([x.real, x[1:].imag])
+        # the sampled axis goes last: the grid axes end in order
+        x = (x.reshape(len(T), -1).T @ T).reshape(x.shape[1:] + (size,))
+    return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,7 +208,7 @@ class DealiasedBasis:
 
     Scalar functions are the constant, then cos and sin of each of `modes`
     in turn (the row layout of `trig_series`); columns are indexed
-    scalar-major, fiber-minor.
+    scalar-major, fiber-minor, and rows fiber-major (the field layout).
     """
 
     cache: object
@@ -223,10 +224,10 @@ class DealiasedBasis:
         return fiber.tracefree_dim(self.cache.n, self.rank)
 
     def columns(self):
-        """Dense (points, dim) matrix of nodal column values."""
-        spec = self.cache.spec
-        scalars = trig_series(spec, self.modes, np.eye(self.n_scalar))
-        return np.kron(scalars.reshape(spec.num_points, -1), np.eye(self.t))
+        """Dense (t * points, dim) matrix of nodal column values."""
+        scalars = trig_series(self.cache.spec, self.modes, np.eye(self.n_scalar))
+        cols = np.einsum("jx,ab->axjb", scalars.reshape(self.n_scalar, -1), np.eye(self.t))
+        return cols.reshape(-1, self.n_scalar * self.t)
 
 
 def half_modes(bands):
@@ -235,9 +236,10 @@ def half_modes(bands):
     The representative is the mode whose first nonzero entry is positive.
     Modes come in lexicographic order, which fixes both the column order of
     the dealiased basis and the draw order of grid-independent test fields.
-    Returns a tuple of tuples, built once per bands.
+    Returns a tuple of tuples, built once per bands (`_half_modes` keeps
+    them as an int array too).
     """
-    return _half_modes(tuple(map(int, np.ravel(bands))))
+    return _half_modes(tuple(map(int, np.ravel(bands))))[0]
 
 
 @lru_cache(maxsize=None)
@@ -245,7 +247,9 @@ def _half_modes(bands):
     bands = np.array(bands, int)
     grid = np.indices(2 * bands + 1).reshape(len(bands), -1).T - bands
     first = grid[np.arange(len(grid)), np.argmax(grid != 0, axis=1)]
-    return tuple(map(tuple, grid[first > 0].tolist()))
+    modes = grid[first > 0]
+    modes.flags.writeable = False
+    return tuple(map(tuple, modes.tolist())), modes
 
 
 def build_dealiased_basis(cache, rank):
@@ -302,32 +306,25 @@ class Block:
     multiplicity: int
 
 
-def _axis_factor(size, k, odd, shifted=False):
-    """cos(k x) (even) or sin(k x) (odd) on a grid axis of `size` points,
-    or, `shifted`, its translate by pi/(2k): -sin(k x) or cos(k x)."""
+@lru_cache(maxsize=None)
+def _axis_functions(size, band):
+    """(2 band + 1, size): trig functions on one grid axis, the constant,
+    then cos(k x) and sin(k x) for k = 1..band; read-only.  Row i is odd
+    under x -> -x when i > 0 is even."""
     theta = 2.0 * math.pi * np.arange(size) / size
-    if shifted:
-        return np.cos(k * theta) if odd else -np.sin(k * theta)
-    return np.sin(k * theta) if odd else np.cos(k * theta)
-
-
-def _axis_functions(size):
-    """(2b + 1, size): the trig functions below Nyquist on one grid axis,
-    b = size // 2 - 1: the constant, then cos(k x) and sin(k x) for
-    k = 1..b.  Row i is odd under x -> -x when i > 0 is even."""
-    theta = 2.0 * math.pi * np.arange(size) / size
-    k = np.arange(1, size // 2)[:, None]
-    out = np.ones((2 * len(k) + 1, size))
+    k = np.arange(1, band + 1)[:, None]
+    out = np.ones((2 * band + 1, size))
     out[1::2] = np.cos(k * theta)
     out[2::2] = np.sin(k * theta)
+    out.flags.writeable = False
     return out
 
 
 def _mirror(data, axis, R):
-    """The reflection x_axis -> -x_axis of one field (*grid, width): an
+    """The reflection x_axis -> -x_axis of one field (width, *grid): an
     index flip along that grid axis times the fiber matrix R."""
-    size = data.shape[axis]
-    return np.take(data, -np.arange(size) % size, axis=axis) @ R.T
+    size = data.shape[1 + axis]
+    return fields._left(R, np.take(data, -np.arange(size) % size, axis=1 + axis), data.ndim - 1)
 
 
 def _mapped(X, fiber_map):
@@ -378,15 +375,11 @@ class Galerkin:
     every R_a* on one colour, and the entries between the blocks of a class
     are gated at roundoff.
 
-    Images are real, so the FFT is a half spectrum: the last invariant axis
-    is the real axis of `numpy.fft.rfftn`.  On that axis a sector's cut
-    keeps only its bin +k, and since the bins -k are the conjugates of the
-    bins +k, a sector with k > 0 there counts its pairing twice.  On the
-    other invariant axes the cut keeps the bins +k_a and -k_a, and every
-    index of the (halved) varying axes.  Sectors with as many bins are
-    consecutive in `keys`, one stack and one run of the pairing's class
-    matrices.  With no invariant axis the one sector's cut is the class
-    parts themselves.
+    Images are real, so the FFT is a half spectrum, the last invariant axis
+    the real axis of `numpy.fft.rfftn` (`_sector_bins`).  Sectors with as
+    many bins are consecutive in `keys`, one stack and one run of the
+    pairing's class matrices.  With no invariant axis the one sector's cut
+    is the class parts themselves.
 
     Operators are applied to a chunk of colours at a time (`_probe`), each
     chunk's images cut at once into stacks preallocated for every colour.
@@ -405,8 +398,8 @@ class Galerkin:
         self.cache, self.p, self.t = cache, p, t
         self.axes = invariant_axes(cache)
         self.mirrors = mirror_axes(cache)
-        self._tables = [_axis_functions(size) for a, size in enumerate(spec.sizes)
-                        if a not in self.axes]
+        self._tables = [_axis_functions(size, size // 2 - 1)
+                        for a, size in enumerate(spec.sizes) if a not in self.axes]
         self._width = width = math.prod(len(T) for T in self._tables)
         self._fiber, parity = fiber.parity_basis(cache.n, p)
         self._parity = parity[:, list(self.axes)]
@@ -480,9 +473,8 @@ class Galerkin:
                 "grid (or the rank) before assembling"
             )
         # per fiber column, the sum over sectors of the invariant axes' factors
-        sizes = [spec.sizes[a] for a in self.axes]
-        self._sums = self._fiber_products(lambda i, odd: 1.0 + sum(
-            _axis_factor(sizes[i], k, odd) for k in range(1, sizes[i] // 2)))
+        T = [_axis_functions(spec.sizes[a], bands[a]) for a in self.axes]
+        self._sums = self._fiber_products(lambda i, odd: T[i][0] + T[i][1 + odd::2].sum(axis=0))
         self._colour_hat = self._probe(lambda phi: phi.data, "s0", t)
         self._mass = self._mass_max = self._reduced = None
         self._grams = {}
@@ -493,24 +485,24 @@ class Galerkin:
         gathers into the half spectrum (sector, bin) and their Parseval
         factors (twice a nonzero bin of the real axis).  A sector keeps the
         bin +k_a of the real axis, +k_a and -k_a of the other invariant
-        axes and every index of the (halved) varying axes."""
-        spec = self.cache.spec
-        norm = float(math.prod(spec.sizes[a] for a in self.axes))
-        by_count = {}
-        for s, key in enumerate(self.keys):
-            k = dict(zip(self.axes, key))
-            per_axis = [range(half) if a not in k
-                        else [k[a]] if a == self.axes[-1]
-                        else sorted({k[a], -k[a] % size})
-                        for a, (size, half) in enumerate(zip(spec.sizes, self._half))]
-            by_count.setdefault(math.prod(map(len, per_axis)), []).append(
-                (s, np.ravel_multi_index(np.ix_(*per_axis), self._half).ravel(),
-                 (2.0 if key and key[-1] > 0 else 1.0) / norm))
-        out = []
-        for entries in by_count.values():
-            sel, g, factor = map(np.array, zip(*entries))
-            out.append((range(sel[0], sel[-1] + 1), g, factor))
-        return out
+        axes and every index of the (halved) varying axes, in C order."""
+        spec, axes = self.cache.spec, self.axes
+        keys = np.array(self.keys, int).reshape(len(self.keys), len(axes))
+        index, valid = np.zeros((len(keys),) + (1,) * spec.n, int), True
+        for a, (size, half) in enumerate(zip(spec.sizes, self._half)):
+            view = tuple(-1 if b == a else 1 for b in range(spec.n))
+            k = keys[:, axes.index(a), None] if a in axes else np.arange(half)[None]
+            if a in axes[:-1]:  # +k_a and -k_a, which is no option of k_a = 0
+                valid = valid & np.hstack([k >= 0, k > 0]).reshape((len(k),) + view)
+                k = np.hstack([k, -k % size])
+            index = index + math.prod(self._half[a + 1:]) * k.reshape((len(k),) + view)
+        valid = np.broadcast_to(valid, index.shape)
+        # sorted `keys` make each count of k_a > 0 off the real axis a run
+        nonzero = np.count_nonzero(keys[:, :-1], axis=1)
+        real = keys[:, -1] if axes else np.zeros(1, int)
+        factor = np.where(real > 0, 2.0, 1.0) / math.prod(spec.sizes[a] for a in axes)
+        return [(range(s[0], s[-1] + 1), index[s][valid[s]].reshape(len(s), -1), factor[s])
+                for s in np.split(np.arange(len(keys)), np.flatnonzero(np.diff(nonzero)) + 1)]
 
     def _fiber_products(self, factor):
         """(t, *grid), of size 1 along the varying axes: per fiber column
@@ -529,20 +521,21 @@ class Galerkin:
 
     def _series(self, coef, products):
         """Fields sum over (j, beta) of coef[..., j, beta] u_j products[beta]
-        e_beta in trace-free coordinates, (..., *grid, t): u_j the products
+        e_beta in trace-free coordinates, (..., t, *grid): u_j the products
         of the varying axes' trig functions, `products` from
         `_fiber_products`.  The varying axes are summed one at a time."""
         lead = coef.shape[:-2]
         x = coef.reshape(lead + tuple(len(T) for T in self._tables) + (self.t,))
-        for i, T in enumerate(self._tables):
-            x = np.moveaxis(np.tensordot(x, T, axes=(len(lead) + i, 0)), -1, len(lead) + i)
+        x = np.moveaxis(x, -1, len(lead))
+        for T in self._tables:  # each sampled axis goes last: they end in order
+            x = np.tensordot(x, T, axes=(len(lead) + 1, 0))
         view = tuple(1 if a in self.axes else size
                      for a, size in enumerate(self.cache.spec.sizes))
-        x = x.reshape(lead + view + (self.t,)) * np.moveaxis(products, 0, -1)
-        return x @ self._fiber.T
+        x = x.reshape(lead + (self.t,) + view) * products
+        return fields._left(self._fiber, x, self.cache.n)
 
     def _colours(self, rows, spare=0):
-        """The (chunk, *grid, t) colour fields of the colour slice `rows`,
+        """The (chunk, t, *grid) colour fields of the colour slice `rows`,
         followed by `spare` zero fields: colour c sums column c of each
         class over every sector, and the sum over sectors of a product is
         the product of the per-axis sums."""
@@ -558,20 +551,22 @@ class Galerkin:
         return held + max(map(allocation.nbytes, itertools.chain(*self.plan.phases.values())))
 
     def _fold(self, images, tag):
-        """The class parts (classes, chunk, *grid, width) of a chunk of images
+        """The class parts (classes, chunk, width, *grid) of a chunk of images
         on the rank-p bundle `tag`, each mirror axis halved: on axis a the
         parts are (1 +- R_a*) / 2 of the previous ones, R_a* the index flip
         times the bundle's fiber sign, kept on points 0..N/2 and scaled by
         the root of the count of points each stands for (itself and its
         mirror image), so a plain product of two parts pairs the whole axis."""
+        n = self.cache.n
         parts = images[None]
         for a in self.mirrors:
             size = self.cache.spec.sizes[a]
             half = np.arange(size // 2 + 1)
             weight = np.where(half == -half % size, 0.5, math.sqrt(0.5))
-            weight = weight.reshape((-1,) + (1,) * (self.cache.n - a))
-            here = np.take(parts, half, axis=2 + a)
-            there = np.take(parts, -half % size, axis=2 + a) @ self._reflection(tag, a).T
+            weight = weight.reshape((-1,) + (1,) * (n - 1 - a))
+            here = np.take(parts, half, axis=3 + a)
+            there = fields._left(self._reflection(tag, a),
+                                 np.take(parts, -half % size, axis=3 + a), n)
             parts = np.empty((2 * len(here),) + here.shape[1:])
             np.add(here, there, out=parts[:len(here)])
             np.subtract(here, there, out=parts[len(here):])
@@ -590,21 +585,21 @@ class Galerkin:
 
     def _cut(self, parts, out, rows):
         """Write the half-spectrum cut of a chunk's weighted class parts
-        (classes, chunk, *grid, width) into the per-group stacks `out` at
+        (classes, chunk, width, *grid) into the per-group stacks `out` at
         the colour rows `rows`: row [s, q, c] holds the FFT of class part q
         of colour c's image on sector s's bins, as (bins, parts, width) with
         the parts (real, imaginary), or with no invariant axis the class
         part itself, with one part."""
-        classes, count = parts.shape[:2]
+        classes, count, width = parts.shape[:3]
         if not self.axes:
-            out[0][0, :, rows] = parts.reshape(classes, count, -1, 1, parts.shape[-1])
+            out[0][0, :, rows] = np.moveaxis(parts.reshape(classes, count, width, -1, 1), 2, -1)
             return
-        hat = np.fft.rfftn(parts, axes=[2 + a for a in self.axes])
-        hat = hat.reshape(classes, count, math.prod(self._half), -1)
+        hat = np.fft.rfftn(parts, axes=[3 + a for a in self.axes])
+        hat = hat.reshape(classes, count, width, math.prod(self._half))
         for stack, (_, g, _) in zip(out, self._bins):
-            # the gather is (classes, chunk, sectors, bins, width); the
-            # sector axis is moved in front as a strided view
-            part = np.moveaxis(np.take(hat, g, axis=2), 2, 0)
+            # the gather (classes, chunk, width, sectors, bins), read as a
+            # strided (sectors, classes, chunk, bins, width)
+            part = np.take(hat, g, axis=3).transpose(3, 0, 1, 4, 2)
             stack[:, :, rows, :, 0] = part.real
             stack[:, :, rows, :, 1] = part.imag
 
@@ -617,10 +612,9 @@ class Galerkin:
     def _pair(self, left, right, floor, fiber_map=None):
         """Block stacks Re(L^H R) / prod N_a of two cuts, or of their images
         under a constant fiber map `fiber_map` (rows, width), one stack per
-        group: a plain product, since the cuts carry the square root of
-        their weight (`_probe`), and a symmetric one for a cut paired with
-        itself.  Each class's matrix in each sector (a cell) is formed into S,
-        a run of sectors at a time (the plan's `runs`), and scaled there.
+        group: a plain product, since the cuts carry the root of their
+        weight (`_probe`).  Each class's matrix in each sector (a cell) is
+        formed into S, a run of sectors at a time (the plan's `runs`).
         An operator whose entries between two blocks of a cell exceed
         `_SYMMETRY_TOL` of the larger of `floor` (the mass's largest entry,
         so an operator that vanishes to roundoff is measured against the
@@ -664,7 +658,7 @@ class Galerkin:
     def _probe(self, apply, tag, width):
         """The per-group cut stacks (`_cut_stacks`) of every colour's image
         under `apply`, a chunk of the plan's size at a time.  `apply` maps a
-        batch of colour fields to (chunk, *grid, width) images on the rank-p
+        batch of colour fields to (chunk, width, *grid) images on the rank-p
         bundle `tag` ("s0" or "cov_s0"); they are scaled by the root of the
         bundle's weight (constant along the invariant axes, even on the
         mirror axes), folded into class parts (`_fold`) and cut.  The last
@@ -673,7 +667,7 @@ class Galerkin:
         the class parts are images of the classes only when the operator
         commutes with the reflections.
         """
-        root = np.sqrt(fields.fiber_weight_scalar(self.cache, tag, self.p))[..., None]
+        root = np.sqrt(fields.fiber_weight_scalar(self.cache, tag, self.p))
         stacks = self._cut_stacks(width)
         chunk = self.plan.chunk
         for a in range(0, self.colour_count, chunk):
@@ -755,7 +749,7 @@ class Galerkin:
         # e^{-4f} (the sign of -K0 drops out of a Gram)
         n, p = self.cache.n, self.p
         self.mass()
-        grad = self._probe(lambda phi: fields._merged(fields.gradient(phi).data),
+        grad = self._probe(lambda phi: fields._merged(fields.gradient(phi).data, n),
                            "cov_s0", n * self.t)
         for piece, structure in _SPLIT.items():
             self._grams[piece] = self._pair(grad, grad, self._mass_max,
@@ -794,10 +788,13 @@ class Galerkin:
         coef[b.columns] = coeffs
 
         def factor(i, odd):
-            size = spec.sizes[self.axes[i]]
-            if key[i] == 0:
+            k, size = key[i], spec.sizes[self.axes[i]]
+            if k == 0:
                 return np.ones(size)
-            return _axis_factor(size, key[i], odd, bool(copy >> moving.index(i) & 1))
+            # the translate by pi/(2k): cos -> -sin, sin -> cos
+            shifted = bool(copy >> moving.index(i) & 1)
+            row = _axis_functions(size, size // 2 - 1)[2 * k - 1 + (odd != shifted)]
+            return -row if shifted and not odd else row
 
         data = self._series(coef.reshape(-1, self.t), self._fiber_products(factor))
         return TensorField(self.cache, "s0", self.p, data)

@@ -485,6 +485,8 @@ CACHED_BUILDERS = {
         "_d3_transpose_structure")},
     "geometry._derivative_matrix": (geometry.GridSpec(2, (8, 8)), 0),
     "spectral._half_modes": ((2, 2),),
+    "spectral._axis_functions": (8, 3),
+    "fields.fiber_shape": (3, "cov_s0", 2),
 }
 
 

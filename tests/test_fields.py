@@ -63,7 +63,7 @@ def make_cache(n=2, size=16, metric="flat", f_text="0.1*cos(x1)", method="spectr
 def metric_as_field(cache):
     n = cache.n
     R = restrict_matrix(n, 2)
-    mono = metric_samples(cache).reshape(cache.spec.shape + (n * n,)) @ R.T
+    mono = fields._left(R, metric_samples(cache), n, 2)
     return TensorField(cache, "s", 2, mono)
 
 
@@ -78,20 +78,61 @@ def as_symmetric(phi):
 def test_field_shape_validation():
     cache = make_cache()
     with pytest.raises(FieldError):
-        TensorField(cache, "s0", 2, np.zeros((16, 16, 3)))
+        TensorField(cache, "s0", 2, np.zeros((3, 16, 16)))
     with pytest.raises(FieldError):
-        TensorField(cache, "weird", 2, np.zeros((16, 16, 2)))
+        TensorField(cache, "weird", 2, np.zeros((2, 16, 16)))
     z = zero_field(cache, 2, "cov_s0")
-    assert z.data.shape == (16, 16, 2, 2)
+    assert z.data.shape == (2, 2, 16, 16)
 
 
 def test_batch_axes_lead_the_grid():
     cache = make_cache()
     assert zero_field(cache, 2).batch_shape == ()
-    stack = TensorField(cache, "cov_s0", 2, np.zeros((3, 4, 16, 16, 2, 2)))
+    stack = TensorField(cache, "cov_s0", 2, np.zeros((3, 4, 2, 2, 16, 16)))
     assert stack.batch_shape == (3, 4)
     with pytest.raises(FieldError, match="batch"):
-        TensorField(cache, "s0", 2, np.zeros((3, 16, 16, 3)))
+        TensorField(cache, "s0", 2, np.zeros((3, 3, 16, 16)))
+
+
+@pytest.mark.parametrize("tag,rank", [("s0", 2), ("cov_s0", 2), ("s", 3), ("cov_s", 1)])
+def test_field_layout_is_fiber_first(tag, rank):
+    # the layout contract: fiber axes before the grid axes, batch axes in
+    # front of both.  Grid-first data of the same field is refused
+    cache = make_cache(3, 8, metric="conformal_x2")
+    fib = fiber_shape(cache.n, tag, rank)
+    assert fields.fiber_shape(cache.n, tag, rank) is fib  # one tuple per key
+    assert TensorField(cache, tag, rank, np.zeros(fib + cache.spec.shape)).batch_shape == ()
+    assert TensorField(cache, tag, rank,
+                       np.zeros((2, 3) + fib + cache.spec.shape)).batch_shape == (2, 3)
+    for data in (np.zeros(cache.spec.shape + fib), np.zeros((2,) + cache.spec.shape + fib)):
+        with pytest.raises(FieldError, match="fiber axes before the grid"):
+            TensorField(cache, tag, rank, data)
+
+
+@pytest.mark.parametrize("metric", ["flat", "conformal", "conformal_x2"])
+@pytest.mark.parametrize("method", ["spectral", "fd4"])
+def test_gradient_is_per_component_differentiate(metric, method):
+    # slot i of the gradient is the derivative of every fiber component
+    # along axis i, minus the connection term; batch members are the
+    # single fields' gradients
+    cache = make_cache(metric=metric, size=8, method=method)
+    n, spec = cache.n, cache.spec
+    rng = np.random.default_rng(14)
+    phi = unit_field(cache, 2, 2, rng)
+    X = gradient(phi).data
+    for i in range(n):
+        expect = geometry.differentiate(phi.data, i, spec, method)
+        for l in cache.exponent.variables:
+            C = fields._connection_tensor(n, 2, True)[l, i]
+            expect = expect - cache.h[l] * np.einsum("ab,b...->a...", C, phi.data)
+        np.testing.assert_allclose(X[i], expect, rtol=0, atol=1e-13 * np.max(np.abs(X)))
+        if not cache.exponent.variables:
+            np.testing.assert_array_equal(X[i], expect)
+    stack = TensorField(cache, "s0", 2, np.stack([phi.data, 2.0 * phi.data]))
+    batch = gradient(stack).data
+    assert batch.shape == (2,) + X.shape
+    np.testing.assert_array_equal(batch[0], X)
+    np.testing.assert_array_equal(batch[1], gradient(2.0 * phi).data)
 
 
 def test_l2_pairings_refuse_batches():
@@ -112,7 +153,7 @@ def test_l2_pairings_refuse_batches():
 def test_gradient_of_constant_flat():
     cache = make_cache(metric="flat")
     phi = zero_field(cache, 2)
-    phi.data[...] = [0.7, -0.2]
+    phi.data[...] = np.array([0.7, -0.2])[:, None, None]
     X = gradient(phi)
     assert np.max(np.abs(X.data)) < 1e-12
 
@@ -137,11 +178,11 @@ def test_gradient_product_rule():
     rng = np.random.default_rng(0)
     phi = unit_field(cache, 2, band=4, rng=rng)
     fv = geometry.evaluate_on_grid(parse_trig_poly("cos(x1)"), cache.spec)
-    lhs = gradient(TensorField(cache, "s0", 2, phi.data * fv[..., None]))
-    rhs = gradient(phi).data * fv[..., None, None]
+    lhs = gradient(TensorField(cache, "s0", 2, phi.data * fv))
+    rhs = gradient(phi).data * fv
     for i in range(cache.n):
         dfi = geometry.coordinate_derivative(parse_trig_poly("cos(x1)"), i, cache.spec)
-        rhs[..., i, :] += dfi[..., None] * phi.data
+        rhs[i] += dfi * phi.data
     assert np.max(np.abs(lhs.data - rhs)) < 1e-11
 
 
@@ -155,7 +196,7 @@ def test_gradient_s0_path_matches_generic_path():
         X_fast = gradient(phi0)
         X_genc = gradient(as_symmetric(phi0))
         B, _ = fiber.tracefree_basis(cache.n, p)
-        assert np.max(np.abs(X_genc.data - X_fast.data @ B.T)) < 1e-12
+        assert np.max(np.abs(X_genc.data - fields._left(B, X_fast.data, cache.n))) < 1e-12
         assert max_trace_residual(X_genc) < 1e-11
 
 
@@ -175,11 +216,9 @@ def test_gradient_linearity():
 def test_divergence_exact_differential_flat():
     cache = make_cache(metric="flat", size=16)
     f = parse_trig_poly("cos(x1) + 0.5*sin(2*x2)")
-    df = np.stack(
-        [geometry.coordinate_derivative(f, i, cache.spec) for i in range(2)], axis=-1
-    )
+    df = np.stack([geometry.coordinate_derivative(f, i, cache.spec) for i in range(2)])
     phi = TensorField(cache, "s0", 1, df)
-    got = divergence(phi).data[..., 0]
+    got = divergence(phi).data[0]
     expect = -analytic_laplacian(f, cache.spec)
     assert np.max(np.abs(got - expect)) < 1e-11
 
@@ -187,7 +226,7 @@ def test_divergence_exact_differential_flat():
 def test_divergence_of_constant_is_zero():
     cache = make_cache(metric="flat")
     phi = zero_field(cache, 2)
-    phi.data[...] = [1.0, 2.0]
+    phi.data[...] = np.array([1.0, 2.0])[:, None, None]
     assert np.max(np.abs(divergence(phi).data)) < 1e-12
 
 
@@ -197,11 +236,11 @@ def test_divergence_preserves_tracefree_generic_cross_check():
     phi = unit_field(cache, 3, band=4, rng=rng)
     dphi = divergence(phi)
     # independent route: contract the generic-path covariant derivative
-    X = gradient(as_symmetric(phi))  # (*grid, i, A) monomial
+    X = gradient(as_symmetric(phi))  # (i, A, *grid) monomial
     n = cache.n
     Sl = slice_first_tensor(n, 3)
-    g_inv = np.linalg.inv(metric_samples(cache))
-    ginv_contract = np.einsum("...ij,jKA,...iA->...K", g_inv, Sl, X.data)
+    g_inv = np.linalg.inv(np.moveaxis(metric_samples(cache), (0, 1), (-2, -1)))
+    ginv_contract = np.einsum("...ij,jKA,iA...->K...", g_inv, Sl, X.data)
     expect = field_from_monomial(cache, 2, -ginv_contract)
     assert np.max(np.abs(dphi.data - expect.data)) < 1e-11
     assert max_trace_residual(dphi) < 1e-11
@@ -214,7 +253,7 @@ def test_sym_derivative_symmetry_and_p0():
     X = sym_derivative(phi)
     assert X.tag == "s" and X.rank == 1
     grad = gradient(phi)
-    assert np.max(np.abs(X.data - grad.data[..., :, 0])) < 1e-13
+    assert np.max(np.abs(X.data - grad.data[:, 0])) < 1e-13
 
 
 def test_flat_cache_forms_no_connection_product(monkeypatch):
@@ -228,7 +267,7 @@ def test_flat_cache_forms_no_connection_product(monkeypatch):
         cache = make_cache(metric=metric)
         rng = np.random.default_rng(11)
         phi = unit_field(cache, 2, 4, rng)
-        shape = cache.spec.shape + fiber_shape(cache.n, "cov_s0", 2)
+        shape = fiber_shape(cache.n, "cov_s0", 2) + cache.spec.shape
         X = TensorField(cache, "cov_s0", 2, rng.standard_normal(size=shape))
         assert np.all(np.isfinite(gradient(phi).data)) == finite, metric
         assert np.all(np.isfinite(gradient_adjoint(X).data)) == finite, metric
@@ -240,15 +279,15 @@ def test_flat_cache_forms_no_connection_product(monkeypatch):
 
 def random_pair(cache, tag, rank, seed):
     rng = np.random.default_rng(seed)
-    shape = cache.spec.shape + fiber_shape(cache.n, tag, rank)
+    shape = fiber_shape(cache.n, tag, rank) + cache.spec.shape
     return (TensorField(cache, tag, rank, rng.standard_normal(shape)),
             TensorField(cache, tag, rank, rng.standard_normal(shape)))
 
 
 def random_slots(cache, p, batch, seed):
-    """A slot-first (n, *batch, *grid, t) input of the weighted transpose."""
+    """A gradient-shaped (*batch, n, t, *grid) input of the weighted transpose."""
     t = fiber.tracefree_dim(cache.n, p)
-    shape = (cache.n,) + batch + cache.spec.shape + (t,)
+    shape = batch + (cache.n, t) + cache.spec.shape
     return np.random.default_rng(seed).standard_normal(shape)
 
 
@@ -267,7 +306,8 @@ def test_flat_pairing_matches_the_weighted_route(n, tag):
         mult = fiber.multiplicities(n, rank) if tag in ("s", "cov_s") else 1.0
         scale = math.sqrt(l2_inner_weighted(a, a) * l2_inner_weighted(b, b))
         for u, v in ((a, b), (a, a)):
-            exact = cache.spec.cell_volume * math.fsum((u.data * v.data * mult).ravel().tolist())
+            prod = u.data * v.data * np.reshape(mult, np.shape(mult) + (1,) * n)
+            exact = cache.spec.cell_volume * math.fsum(prod.ravel().tolist())
             assert abs(l2_inner(u, v) - exact) <= 1e-15 * scale
             assert abs(l2_inner(u, v) - l2_inner_weighted(u, v)) <= 2e-15 * scale
 
@@ -289,11 +329,18 @@ def test_flat_weighted_transpose_matches_the_weighted_route(n, batch):
 
 @pytest.mark.parametrize("metric", CONFORMAL)
 def test_conformal_pairing_and_transpose_are_the_weighted_routes(metric):
-    # a conformal metric keeps the weighted arithmetic bit for bit
+    # the weighted pairing is one reduction with the weight broadcast over
+    # the grid, held to the exactly rounded weighted sum as the flat one is;
+    # the transpose keeps the weighted arithmetic bit for bit
     cache = make_cache(metric=metric)
+    n = cache.n
     for tag, rank in (("s0", 2), ("cov_s0", 2), ("s", 2), ("cov_s", 1)):
         a, b = random_pair(cache, tag, rank, seed=rank)
-        assert l2_inner(a, b) == l2_inner_weighted(a, b), tag
+        mult = fiber.multiplicities(n, rank) if tag in ("s", "cov_s") else 1.0
+        w = fields.fiber_weight_scalar(cache, tag, rank)
+        prod = a.data * b.data * np.reshape(mult, np.shape(mult) + (1,) * n) * w
+        scale = math.sqrt(l2_inner_weighted(a, a) * l2_inner_weighted(b, b))
+        assert abs(l2_inner(a, b) - math.fsum(prod.ravel().tolist())) <= 1e-15 * scale, tag
     for p in (1, 2):
         slots = random_slots(cache, p, (2,), seed=p)
         ref = weighted_grad_transpose_reference(cache, p, slots)
@@ -334,7 +381,7 @@ def test_gradient_adjoint_exact_pairing(metric):
     cache = make_cache(metric=metric)
     rng = np.random.default_rng(5)
     phi = unit_field(cache, 2, 4, rng)
-    shape = cache.spec.shape + fiber_shape(cache.n, "cov_s0", 2)
+    shape = fiber_shape(cache.n, "cov_s0", 2) + cache.spec.shape
     X = TensorField(cache, "cov_s0", 2, rng.standard_normal(size=shape))
     lhs = l2_inner(gradient(phi), X)
     rhs = l2_inner(phi, gradient_adjoint(X))
@@ -358,7 +405,7 @@ def test_sym_derivative_adjoint_exact_pairing():
         cache = make_cache(metric=metric)
         rng = np.random.default_rng(7)
         phi = unit_field(cache, 2, 4, rng)
-        shape = cache.spec.shape + fiber_shape(cache.n, "s", 3)
+        shape = fiber_shape(cache.n, "s", 3) + cache.spec.shape
         omega = TensorField(cache, "s", 3, rng.standard_normal(size=shape))
         lhs = l2_inner(sym_derivative(phi), omega)
         rhs = l2_inner(phi, sym_derivative_exact_adjoint(omega))
@@ -385,8 +432,8 @@ def test_analytic_mutual_adjointness_of_div_and_symder():
 def test_rough_laplacian_flat_eigenfunction():
     cache = make_cache(metric="flat")
     t1 = cache.spec.theta_mesh()[0]
-    data = np.zeros((16, 16, 2))
-    data[..., 0] = np.cos(t1)
+    data = np.zeros((2, 16, 16))
+    data[0] = np.cos(t1)
     phi = TensorField(cache, "s0", 2, data)
     for route in (rough_laplacian, rough_laplacian_formula):
         got = route(phi)
@@ -418,8 +465,8 @@ def test_rough_laplacian_positive():
 def test_l2_norm_flat_closed_form():
     cache = make_cache(metric="flat")
     t1 = cache.spec.theta_mesh()[0]
-    data = np.zeros((16, 16, 2))
-    data[..., 0] = np.cos(t1)
+    data = np.zeros((2, 16, 16))
+    data[0] = np.cos(t1)
     phi = TensorField(cache, "s0", 2, data)
     assert abs(l2_inner(phi, phi) - 2 * math.pi**2) < 1e-12
 
@@ -428,7 +475,7 @@ def test_l2_norm_conformal_closed_form():
     a = 0.3
     cache = make_cache(metric="conformal", f_text=f"{a}*cos(x1)", size=32)
     phi = zero_field(cache, 2)
-    phi.data[..., 0] = 1.0
+    phi.data[0] = 1.0
     # n=2, p=2: weight e^{(n-2p)f} = e^{-2f}; integral = (2pi)^2 I0(2a)
     expect = (2 * math.pi) ** 2 * i0(2 * a)
     assert abs(l2_inner(phi, phi) - expect) < 1e-10 * expect

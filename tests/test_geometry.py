@@ -39,9 +39,9 @@ FLAT = TrigPoly([])
 
 def diagonal_samples(spec, exprs):
     """Samples of diag(a_1, ..., a_n), a metric outside the conformal family."""
-    g = np.zeros(spec.shape + (spec.n, spec.n))
+    g = np.zeros((spec.n, spec.n) + spec.shape)
     for i, expr in enumerate(exprs):
-        g[..., i, i] = geometry.evaluate_on_grid(parse_trig_poly(expr), spec)
+        g[i, i] = geometry.evaluate_on_grid(parse_trig_poly(expr), spec)
     return g
 
 
@@ -141,10 +141,10 @@ def test_spectral_derivative_real_fft_kernel(size):
     g = grid(1, size)
     x = axis_coords(g, 0)
     rng = np.random.default_rng(size)
-    data = rng.standard_normal((size, 3))
-    data[:, 0] += np.cos(size // 2 * x)  # pure Nyquist content
+    data = rng.standard_normal((3, size))
+    data[0] += np.cos(size // 2 * x)  # pure Nyquist content
     k = wavenumbers(g, 0)
-    ref = np.fft.ifft(1j * k[:, None] * np.fft.fft(data, axis=0), axis=0).real
+    ref = np.fft.ifft(1j * k * np.fft.fft(data, axis=-1), axis=-1).real
     got = differentiate(data, 0, g, "spectral")
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
     D = np.stack(
@@ -164,10 +164,12 @@ def test_derivative_matrix_exact_circulant(size):
 
 
 def _fft_derivative(data, axis, spec):
-    # complex-FFT reference with the Nyquist bin zeroed
+    # complex-FFT reference with the Nyquist bin zeroed, along grid axis
+    # `axis` of data whose grid axes are the trailing ones
     shape = [1] * data.ndim
-    shape[axis] = spec.sizes[axis]
-    symbol = (1j * wavenumbers(spec, axis)).reshape(shape)
+    axis += data.ndim - spec.n
+    shape[axis] = data.shape[axis]
+    symbol = (1j * wavenumbers(spec, axis - data.ndim + spec.n)).reshape(shape)
     return np.fft.ifft(symbol * np.fft.fft(data, axis=axis), axis=axis).real
 
 
@@ -176,15 +178,31 @@ def _fft_derivative(data, axis, spec):
 def test_spectral_derivative_matches_fft_reference(sizes, fiber_shape):
     spec = GridSpec(n=len(sizes), sizes=sizes)
     rng = np.random.default_rng(len(sizes) + len(fiber_shape))
-    data = rng.standard_normal(spec.shape + fiber_shape)
+    data = rng.standard_normal(fiber_shape + spec.shape)
     for N, theta in zip(spec.sizes, spec.theta_mesh()):
         # Nyquist content along every axis
-        data += np.cos(N // 2 * theta).reshape(spec.shape + (1,) * len(fiber_shape))
+        data += np.cos(N // 2 * theta)
     for a in range(spec.n):
         got = differentiate(data, a, spec)
         ref = _fft_derivative(data, a, spec)
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("method", ["spectral", "fd4"])
+@pytest.mark.parametrize("sizes", [(12,), (10, 16), (8, 12, 14)])
+def test_derivative_writes_into_a_strided_slot(sizes, method):
+    # the gradient's slot i of a batch, out[:, i], is strided across the
+    # batch and contiguous on the grid: the derivative lands in it, and the
+    # other slots are untouched
+    spec = GridSpec(n=len(sizes), sizes=sizes)
+    data = np.random.default_rng(len(sizes)).standard_normal((2, 3) + spec.shape)
+    for a in range(spec.n):
+        out = np.zeros((2, spec.n, 3) + spec.shape)
+        got = differentiate(data, a, spec, method, out=out[:, a])
+        assert np.shares_memory(got, out)
+        np.testing.assert_array_equal(out[:, a], differentiate(data, a, spec, method))
+        assert not np.any(np.delete(out, a, axis=1))
 
 
 def test_multi_axis_derivative_acts_on_named_axis():
@@ -299,7 +317,7 @@ def test_flat_cache_is_trivial():
 def test_christoffel_symmetric_in_lower_indices():
     cache = build_geometry(grid(2, 16), parse_trig_poly("0.1*cos(x1)"))
     g = reference(cache)["christoffel"]
-    assert np.max(np.abs(g - np.swapaxes(g, -1, -2))) < 1e-14
+    assert np.max(np.abs(g - np.swapaxes(g, 1, 2))) < 1e-14
 
 
 def test_conformal_christoffel_oracle_match():
@@ -310,7 +328,7 @@ def test_conformal_christoffel_oracle_match():
     assert np.max(np.abs(gamma - structural_christoffel(cache.h))) < 1e-10
     # named component: Gamma^1_11 = d_1 f
     d1f = geometry.coordinate_derivative(f, 0, spec)
-    assert np.max(np.abs(gamma[..., 0, 0, 0] - d1f)) < 1e-10
+    assert np.max(np.abs(gamma[0, 0, 0] - d1f)) < 1e-10
 
 
 @pytest.mark.parametrize("method", ["spectral", "fd4"])
@@ -321,9 +339,9 @@ def test_christoffel_metric_compatibility_diagonal(method):
     f = parse_trig_poly("0.2*cos(x1) + 0.1*sin(x2)")
     ref = reference(build_geometry(spec, f), method)
     gam, g = ref["christoffel"], ref["g"]
-    dg = np.stack([differentiate(g, a, spec, method) for a in range(2)], axis=-3)
-    rhs = np.einsum("...lai,...lj->...aij", gam, g) + np.einsum(
-        "...laj,...il->...aij", gam, g
+    dg = np.stack([differentiate(g, a, spec, method) for a in range(2)])
+    rhs = np.einsum("lai...,lj...->aij...", gam, g) + np.einsum(
+        "laj...,il...->aij...", gam, g
     )
     assert np.max(np.abs(dg - rhs)) < 1e-10
 
@@ -350,9 +368,9 @@ def test_conformal_h_matches_christoffel(n, metric, method):
     if metric == "flat":
         assert cache.exponent.variables == () and not np.any(h)
         return
-    assert h.shape == spec.shape + (n,)
+    assert h.shape == (n,) + spec.shape
     for i in range(n):
-        np.testing.assert_array_equal(h[..., i], geometry.coordinate_derivative(f, i, spec))
+        np.testing.assert_array_equal(h[i], geometry.coordinate_derivative(f, i, spec))
     # the reference Christoffel symbols take the structural form in h, up
     # to their discretization error (1.1e-4 on the 3-torus at N = 8)
     gam = reference(cache)["christoffel"]
@@ -375,7 +393,7 @@ def test_conformal_2d_curvature_oracles():
     assert np.max(np.abs(scal - direct)) < 1e-13
     # the cache's: R = g^{jl} Ric_jl = e^{-2f} tr Ric
     ricci, _ = closed_form_curvature(cache)
-    from_T = cache.conformal_factor(-2.0) * np.trace(ricci, axis1=-2, axis2=-1)
+    from_T = cache.conformal_factor(-2.0) * np.trace(ricci)
     assert np.max(np.abs(from_T - scal)) < 1e-13
 
 
@@ -388,7 +406,7 @@ def test_conformal_3d_ricci_oracle_match():
     assert np.max(np.abs(ref["ricci"] - ricci)) < 1e-8
     scal_oracle = conformal_scalar_curvature_oracle(f, spec)
     assert np.max(np.abs(ref["scalar_curvature"] - scal_oracle)) < 1e-8
-    from_T = cache.conformal_factor(-2.0) * np.trace(ricci, axis1=-2, axis2=-1)
+    from_T = cache.conformal_factor(-2.0) * np.trace(ricci)
     assert np.max(np.abs(from_T - scal_oracle)) < 1e-13
 
 
@@ -397,15 +415,15 @@ def _symmetry_residuals(R, ricci):
     scale = max(float(np.max(np.abs(R))), 1e-30)
     rel = lambda arr: float(np.max(np.abs(arr))) / scale
     return {
-        "antisym_last_pair": rel(R + np.einsum("...ismv->...isvm", R)),
-        "antisym_first_pair": rel(R + np.einsum("...ismv->...simv", R)),
-        "pair_interchange": rel(R - np.einsum("...ismv->...mvis", R)),
+        "antisym_last_pair": rel(R + np.einsum("ismv...->isvm...", R)),
+        "antisym_first_pair": rel(R + np.einsum("ismv...->simv...", R)),
+        "pair_interchange": rel(R - np.einsum("ismv...->mvis...", R)),
         "first_bianchi": rel(
             R
-            + np.einsum("...imvs->...ismv", R)
-            + np.einsum("...ivsm->...ismv", R)
+            + np.einsum("imvs...->ismv...", R)
+            + np.einsum("ivsm...->ismv...", R)
         ),
-        "ricci_symmetry": rel(ricci - np.swapaxes(ricci, -1, -2)),
+        "ricci_symmetry": rel(ricci - np.swapaxes(ricci, 0, 1)),
     }
 
 

@@ -71,18 +71,21 @@ def random_field(cache, rank, seed=0, band=4):
 
 
 def full_rank2(mono, n):
-    """Expand monomial rank-2 coordinates to full (j, k) components."""
-    F = np.empty(mono.shape[:-1] + (n, n))
+    """Expand monomial rank-2 coordinates (..., A, *grid) to full (..., j,
+    k, *grid) components."""
+    lead, grid = mono.shape[:mono.ndim - n - 1], mono.shape[mono.ndim - n:]
+    F = np.empty(lead + (n, n) + grid)
+    at = lambda *index: (Ellipsis,) + index + (slice(None),) * n
     for A, (j, k) in enumerate(fiber.sym_indices(n, 2)):
-        F[..., j, k] = mono[..., A]
-        F[..., k, j] = mono[..., A]
+        F[at(j, k)] = mono[at(A)]
+        F[at(k, j)] = mono[at(A)]
     return F
 
 
 def cov_components(X):
-    """(*grid, i, j, k) components of a 'cov_s0' rank-2 field."""
+    """(i, j, k, *grid) components of a 'cov_s0' rank-2 field."""
     B, _ = fiber.tracefree_basis(X.n, 2)
-    return full_rank2(X.data @ B.T, X.n)
+    return full_rank2(fields._left(B, X.data, X.n), X.n)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +166,7 @@ def test_d1_output_is_tracefree(metric, p):
 def test_d1_constant_field_flat():
     cache = make_cache(3, 8, "flat")
     phi = zero_field(cache, 2)
-    phi.data[...] = np.array([0.3, -0.1, 0.7, 0.2, 0.05])
+    phi.data[...] = np.array([0.3, -0.1, 0.7, 0.2, 0.05])[:, None, None, None]
     sp = decompose(phi)
     assert l2_norm(sp.grad) < 1e-13
     assert l2_norm(sp.d1) < 1e-13
@@ -242,8 +245,8 @@ def test_d1_accepts_conformal_killing_tensors(p):
     # only resolved to the grid's aliasing level (1e-10 at p = 2, N = 16)
     cache = make_cache(2, 16, "conformal", f_text="0.1*cos(x1) + 0.05*sin(x2)")
     phi = zero_field(cache, p)
-    c = np.arange(1.0, phi.data.shape[-1] + 1.0)
-    phi.data[...] = np.exp(2.0 * p * cache.conf_exponent_values)[..., None] * c
+    c = np.arange(1.0, len(phi.data) + 1.0)
+    phi.data[...] = c[:, None, None] * np.exp(2.0 * p * cache.conf_exponent_values)
     out = d1(phi)
     grad = fields.gradient(phi)
     assert l2_norm(out) <= 1e-8 * l2_norm(grad)
@@ -311,8 +314,8 @@ def test_d3_curl_part_in_two_dimensions_rank1():
     cache = make_cache(2, 16, "flat")
     phi = random_field(cache, 1, seed=4)
     d3f = decompose(phi).d3
-    comp = d3f.data  # (.., i, j): rank-1 trace-free basis is the identity
-    sym = comp + np.swapaxes(comp, -1, -2)
+    comp = d3f.data  # (i, j, ..): rank-1 trace-free basis is the identity
+    sym = comp + np.swapaxes(comp, 0, 1)
     assert np.max(np.abs(sym)) < 1e-12 * (np.max(np.abs(comp)) + 1e-300)
 
 
@@ -340,14 +343,14 @@ def test_d2_rank2_component_display(metric):
     dphi = fields.divergence(phi).data  # rank-1 coords are components
     g = metric_samples(cache)
     pref = -n / ((n + 2.0) * (n - 1.0))
-    want = np.empty(cache.spec.shape + (n, n, n))
+    want = np.empty((n, n, n) + cache.spec.shape)
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                want[..., i, j, k] = pref * (
-                    g[..., i, j] * dphi[..., k]
-                    + g[..., i, k] * dphi[..., j]
-                    - (2.0 / n) * g[..., j, k] * dphi[..., i]
+                want[i, j, k] = pref * (
+                    g[i, j] * dphi[k]
+                    + g[i, k] * dphi[j]
+                    - (2.0 / n) * g[j, k] * dphi[i]
                 )
     got = cov_components(decompose(phi).d2)
     assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want))
@@ -369,10 +372,10 @@ def test_d3_rank2_component_display(metric):
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                want[..., i, j, k] = (
-                    2.0 * (X[..., i, j, k] - c * g[..., j, k] * dphi[..., i])
-                    - (X[..., j, k, i] - c * g[..., k, i] * dphi[..., j])
-                    - (X[..., k, i, j] - c * g[..., i, j] * dphi[..., k])
+                want[i, j, k] = (
+                    2.0 * (X[i, j, k] - c * g[j, k] * dphi[i])
+                    - (X[j, k, i] - c * g[k, i] * dphi[j])
+                    - (X[k, i, j] - c * g[i, j] * dphi[k])
                 ) / 3.0
     got = cov_components(decompose(phi).d3)
     assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want) + 1e-300)
@@ -387,7 +390,6 @@ def test_d2_zero_for_divergence_free_field():
     comp = np.stack(
         [-differentiate(u, 1, cache.spec, "spectral"),
          differentiate(u, 0, cache.spec, "spectral")],
-        axis=-1,
     )
     phi = fields.field_from_monomial(cache, 1, comp)
     assert l2_norm(fields.divergence(phi)) < 1e-12
@@ -436,7 +438,7 @@ def _adjoint_input(cache, name, p, rng, batch):
         shape, tag, rank = (fiber.tracefree_dim(n, p + 1),), "s0", p + 1
     else:
         shape, tag, rank = (n, fiber.tracefree_dim(n, p)), "cov_s0", p
-    data = rng.standard_normal(batch + cache.spec.shape + shape)
+    data = rng.standard_normal(batch + shape + cache.spec.shape)
     return fields.TensorField(cache, tag, rank, data)
 
 
@@ -456,8 +458,8 @@ def test_fused_adjoints_match_unfused_compositions(n, p, metric, batch):
         ref = unfused(x)
         got = fused(x)
         assert got.tag == "s0" and got.rank == p
-        assert got.data.shape == ref.data.shape == batch + cache.spec.shape + (
-            fiber.tracefree_dim(n, p),)
+        assert got.data.shape == ref.data.shape == batch + (
+            fiber.tracefree_dim(n, p),) + cache.spec.shape
         scale = np.max(np.abs(gradient_adjoint_unfused(
             embed_symmetrized(x) if name == "d1" else x).data))
         assert np.max(np.abs(got.data - ref.data)) <= 1e-14 * scale, name
@@ -599,8 +601,8 @@ def test_sampson_nonnegative_flat():
 def test_constant_one_forms_in_sampson_kernel():
     cache = make_cache(2, 16, "flat")
     phi = zero_field(cache, 1)
-    phi.data[..., 0] = 0.6
-    phi.data[..., 1] = -0.2
+    phi.data[0] = 0.6
+    phi.data[1] = -0.2
     assert l2_norm(sampson(phi)) < 1e-13
 
 
@@ -630,19 +632,19 @@ def _curvature_route_einsum(phi):
     cache, p, n = phi.cache, phi.rank, phi.n
     mono = phi.monomial()
     ricci, riemann = closed_form_curvature(cache)
-    g_inv = np.exp(-2.0 * cache.conf_exponent_values)[..., None, None] * np.eye(n)
-    T1 = np.einsum("...jm,...mk->...jk", ricci, g_inv)
+    g_inv = np.exp(-2.0 * cache.conf_exponent_values) * np.eye(n).reshape((n, n) + (1,) * n)
+    T1 = np.einsum("jm...,mk...->jk...", ricci, g_inv)
     out = np.einsum(
-        "...jk,AjkB,...B->...A", T1, fiber.slot_replace_tensor(n, p), mono,
+        "jk...,AjkB,B...->A...", T1, fiber.slot_replace_tensor(n, p), mono,
         optimize=True,
     )
     if p >= 2:
         T2 = np.einsum(
-            "...jalb,...ak,...bs->...jkls",
+            "jalb...,ak...,bs...->jkls...",
             riemann, g_inv, g_inv, optimize=True,
         )
         out -= np.einsum(
-            "...jkls,AjklsB,...B->...A",
+            "jkls...,AjklsB,B...->A...",
             T2, double_slot_replace_tensor(n, p), mono, optimize=True,
         )
     return fields.field_from_monomial(cache, p, out)
@@ -669,14 +671,15 @@ def test_conformal_index_raising_matches_g_inv(n, size):
     # generic contractions with the inverted metric samples
     cache = make_cache(n, size, "conformal")
     f2, f4 = cache.conformal_factor(-2.0), cache.conformal_factor(-4.0)
-    g_inv = np.linalg.inv(metric_samples(cache))
-    assert np.max(np.abs(g_inv - f2[..., None, None] * np.eye(n))) <= 1e-15
+    g_inv = np.linalg.inv(np.moveaxis(metric_samples(cache), (0, 1), (-2, -1)))
+    g_inv = np.moveaxis(g_inv, (-2, -1), (0, 1))
+    assert np.max(np.abs(g_inv - f2 * np.eye(n).reshape((n, n) + (1,) * n))) <= 1e-15
     ricci, riemann = closed_form_curvature(cache)
-    T1 = np.einsum("...jm,...mk->...jk", ricci, g_inv)
-    T2 = np.einsum("...jalb,...ak,...bs->...jkls",
+    T1 = np.einsum("jm...,mk...->jk...", ricci, g_inv)
+    T2 = np.einsum("jalb...,ak...,bs...->jkls...",
                    riemann, g_inv, g_inv, optimize=True)
-    for got, ref in ((fields._scale(ricci, f2, 2), T1),
-                     (fields._scale(riemann, f4, 4), T2)):
+    for got, ref in ((fields._scale(ricci, f2), T1),
+                     (fields._scale(riemann, f4), T2)):
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
@@ -689,7 +692,7 @@ def test_curvature_route_is_zero_on_zero_curvature(n, p):
         cache = make_cache(n, 8, "flat", method=method)
         assert not np.any(cache.T) and not np.any(cache.h)
         t = fiber.tracefree_dim(n, p)
-        data = np.random.default_rng(p).standard_normal((2,) + cache.spec.shape + (t,))
+        data = np.random.default_rng(p).standard_normal((2, t) + cache.spec.shape)
         for phi in (fields.TensorField(cache, "s0", p, data),
                     fields.TensorField(cache, "s0", p, data[0])):
             K = curvature_action(phi).data
@@ -735,7 +738,7 @@ def test_curvature_term_2d_scalar_action(p):
     K = weitzenbock_K(phi)
     gauss = gauss_curvature_2d_oracle(cache.exponent, cache.spec)
     want = fields.TensorField(
-        cache, "s0", p, (p * p) * gauss[..., None] * phi.data
+        cache, "s0", p, (p * p) * gauss * phi.data
     )
     assert l2_norm(K - want) / (l2_norm(want) + 1e-300) < 1e-9
 
@@ -755,9 +758,7 @@ def test_curvature_term_zeroth_order_under_refinement():
     for size in (16, 32):
         cache = make_cache(2, size, "conformal", method="fd4")
         mono = np.stack(
-            [evaluate_on_grid(parse_trig_poly(t), cache.spec) for t in comp_texts],
-            axis=-1,
-        )
+            [evaluate_on_grid(parse_trig_poly(t), cache.spec) for t in comp_texts])
         phi = fields.field_from_monomial(cache, 2, mono)
         mesh = cache.spec.theta_mesh()
         u = 1.0 + 0.3 * np.cos(mesh[0]) * np.sin(mesh[1])
@@ -866,7 +867,7 @@ def test_double_divergence_is_generically_nonzero():
 
 
 # ---------------------------------------------------------------------------
-# fiber contractions: each one matmul, against the einsum it replaced
+# fiber contractions: each one left product, against the einsum it replaced
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("batch", [(), (2,)], ids=["single", "stacked"])
@@ -875,15 +876,16 @@ def test_double_divergence_is_generically_nonzero():
 def test_fiber_contractions_match_einsum(n, p, batch):
     cache = make_cache(n, 8, "conformal")
     rng = np.random.default_rng(10 * n + p)
-    lead = batch + cache.spec.shape
+    grid = cache.spec.shape
+    g = "wxyz"[:n]  # the grid axes' subscripts
     t, t_low = fiber.tracefree_dim(n, p), fiber.tracefree_dim(n, p - 1)
-    X = rng.standard_normal(lead + (n, t))
-    y = rng.standard_normal(lead + (t_low,))
-    omega = rng.standard_normal(lead + (fiber.sym_dim(n, p + 1),))
-    phi_s = rng.standard_normal(lead + (fiber.sym_dim(n, p),))
+    X = rng.standard_normal(batch + (n, t) + grid)
+    y = rng.standard_normal(batch + (t_low,) + grid)
+    omega = rng.standard_normal(batch + (fiber.sym_dim(n, p + 1),) + grid)
+    phi_s = rng.standard_normal(batch + (fiber.sym_dim(n, p),) + grid)
 
-    def scaled(values, power, extra_axes):
-        return fields._scale(values, cache.conformal_factor(power), extra_axes)
+    def scaled(values, power):
+        return fields._scale(values, cache.conformal_factor(power))
 
     S = fields._sym_insert_expanded(n, p)
     K0 = fields._k0(n, p)
@@ -893,26 +895,27 @@ def test_fiber_contractions_match_einsum(n, p, batch):
     # the unfused adjoint of the symmetrized derivative through the einsum
     w_cod = fields.fiber_weight_scalar(cache, "s", p + 1)
     w_dom = fields.fiber_weight_scalar(cache, "s0", p)
-    yy = omega * fiber.multiplicities(n, p + 1) * w_cod[..., None]
-    # _grad_s0_transpose takes its input slot-first, one covariant slot each
+    yy = omega * fiber.multiplicities(n, p + 1).reshape((-1,) + (1,) * n) * w_cod
+    # _grad_s0_transpose takes its input gradient-shaped, (..., i, a, *grid)
     sym_adj = fields._grad_s0_transpose(
-        cache, p, np.einsum("Jia,...J->i...a", S, yy, optimize=True)
-    ) / w_dom[..., None]
+        cache, p, np.einsum(f"Jia,...J{g}->...ia{g}", S, yy, optimize=True)
+    ) / w_dom
     # d2_exact_adjoint through the einsum and the unfused divergence adjoint
-    y2 = scaled(-np.einsum("iab,...ia->...b", K2, X), -2.0, 1)
+    y2 = scaled(-np.einsum(f"iab,...ia{g}->...b{g}", K2, X), -2.0)
     d2_adj = divergence_exact_adjoint(fields.TensorField(cache, "s0", p - 1, y2))
     # the 's'-tag divergence through the einsum
     grad_s = fields.gradient(fields.TensorField(cache, "s", p, phi_s)).data
-    div_s = scaled(-np.einsum("BiA,...iA->...B", Kc, grad_s), -2.0, 1)
+    div_s = scaled(-np.einsum(f"BiA,...iA{g}->...B{g}", Kc, grad_s), -2.0)
 
     pairs = [
-        (fields._sym_apply(n, p, X), np.einsum("Jia,...ia->...J", S, X, optimize=True)),
+        (fields._sym_apply(n, p, X),
+         np.einsum(f"Jia,...ia{g}->...J{g}", S, X, optimize=True)),
         (fields._contract_apply(cache, p, X),
-         scaled(-np.einsum("bia,...ia->...b", K0, X), -2.0, 1)),
+         scaled(-np.einsum(f"bia,...ia{g}->...b{g}", K0, X), -2.0)),
         (sym_derivative_exact_adjoint(
             fields.TensorField(cache, "s", p + 1, omega)).data, sym_adj),
         (gradients._d2_from_delta(cache, p, y),
-         scaled(-np.einsum("iab,...b->...ia", K2, y), 2.0, 2)),
+         scaled(-np.einsum(f"iab,...b{g}->...ia{g}", K2, y), 2.0)),
         (gradients.d2_exact_adjoint(fields.TensorField(cache, "cov_s0", p, X)).data,
          d2_adj.data),
         (fields.divergence(fields.TensorField(cache, "s", p, phi_s)).data, div_s),

@@ -88,9 +88,9 @@ def _integral_identity_report(phi):
 
 
 def _zeroth_order_residual(phi, u_values):
-    up = TensorField(phi.cache, "s0", phi.rank, phi.data * u_values[..., None])
+    up = TensorField(phi.cache, "s0", phi.rank, phi.data * u_values)
     Ku = gradients.weitzenbock_K(up)
-    uK = gradients.weitzenbock_K(phi).data * u_values[..., None]
+    uK = gradients.weitzenbock_K(phi).data * u_values
     diff = TensorField(phi.cache, "s0", phi.rank, Ku.data - uK)
     return l2_norm(diff) / (l2_norm(phi) + _TINY)
 

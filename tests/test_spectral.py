@@ -35,6 +35,7 @@ from testlib import (
     class_parts,
     codomain_weights,
     delta_symbol_matrices,
+    direct_trig_series,
     domain_dim,
     domain_weights,
     galerkin_form_reference,
@@ -42,7 +43,6 @@ from testlib import (
     piece_handle,
     rough_laplacian_formula,
     rough_laplacian_handle,
-    trig_series_add_at,
     weight_vector,
 )
 
@@ -75,8 +75,8 @@ def mode_field(cache, p, m, part="cos", component=0):
     phase = sum(mi * th for mi, th in zip(m, theta))
     wave = np.cos(phase) if part == "cos" else np.sin(phase)
     t = fiber.tracefree_dim(cache.n, p)
-    data = np.zeros(cache.spec.shape + (t,))
-    data[..., component] = wave
+    data = np.zeros((t,) + cache.spec.shape)
+    data[component] = wave
     return TensorField(cache, "s0", p, data)
 
 
@@ -90,7 +90,7 @@ def test_weight_vector_matches_l2_inner():
         w = weight_vector(cache, tag, rank)
         rng = np.random.default_rng(3)
         d = fiber.tracefree_dim(2, rank) if "s0" in tag else fiber.sym_dim(2, rank)
-        shape = cache.spec.shape + ((2, d) if tag.startswith("cov") else (d,))
+        shape = ((2, d) if tag.startswith("cov") else (d,)) + cache.spec.shape
         a = TensorField(cache, tag, rank, rng.standard_normal(shape))
         b = TensorField(cache, tag, rank, rng.standard_normal(shape))
         direct = l2_inner(a, b)
@@ -357,7 +357,8 @@ def test_symmetry_gate_refuses_a_non_equivariant_handle(n, f_text, p):
     def constant(A):
         return spectral.OperatorHandle(
             name="constant", cache=cache, domain_rank=p,
-            apply=lambda phi: TensorField(cache, "s0", p, phi.data @ A.T), symbol=None)
+            apply=lambda phi: TensorField(cache, "s0", p, fields._left(A, phi.data, n)),
+            symbol=None)
 
     equivariant = Q @ np.diag(np.arange(1.0, len(Q) + 1)) @ Q.T
     gal.form(constant(equivariant))
@@ -375,7 +376,7 @@ def test_mirror_gate_refuses_a_reflection_breaking_handle(n, f_text, p):
     cache = make_cache(n, 8, metric="conformal", f_text=f_text)
     gal = Galerkin(cache, p)
     assert gal.mirrors == (0,)
-    x1 = cache.spec.theta_mesh()[0][..., None]
+    x1 = cache.spec.theta_mesh()[0]
 
     def multiply(u):
         return spectral.OperatorHandle(
@@ -486,7 +487,7 @@ def test_plan_bounds_each_probe_and_pairing(n, size, f_text, p):
     h = d1_star_d1_handle(cache, p)
     probes = {"colour": (lambda phi: phi.data, "s0", gal.t),
               "form": (lambda phi: h.apply(phi).data, "s0", gal.t),
-              "gradient": (lambda phi: fields._merged(fields.gradient(phi).data), "cov_s0",
+              "gradient": (lambda phi: fields._merged(fields.gradient(phi).data, n), "cov_s0",
                            n * gal.t)}
     ops = {f"{name} probe": lambda args=args: gal._probe(*args) for name, args in probes.items()}
     grad = gal._probe(*probes["gradient"])
@@ -558,7 +559,7 @@ def test_gram_pairing_allocates_no_operand_sized_array():
     # as a group's share of the cut, breaks this
     cache = make_cache(3, 8, metric="conformal", f_text="0.1*cos(x1)")
     gal = Galerkin(cache, 2)
-    grad = gal._probe(lambda phi: fields._merged(fields.gradient(phi).data), "cov_s0",
+    grad = gal._probe(lambda phi: fields._merged(fields.gradient(phi).data, cache.n), "cov_s0",
                       cache.n * gal.t)
     sectors = 8 * math.prod(gal.plan.cells)
     blocks = 8 * sum(map(math.prod, gal.plan.blocks))
@@ -780,12 +781,12 @@ def full_spectrum_blocks(gal, left, right, weights, tag, rank):
     pairing counted once; a block is its class's matrix in its sector on
     the block's rows (the colours holding its columns)."""
     spec = gal.cache.spec
-    axes = [2 + a for a in gal.axes]
-    shape = (len(left),) + spec.shape + (-1,)
+    axes = [3 + a for a in gal.axes]
+    shape = (len(left), -1) + spec.shape
     L, R = (np.fft.fftn(class_parts(gal, X.reshape(shape), tag, rank), axes=axes)
             for X in (left, right))
-    L, R = (X.reshape(X.shape[:2] + (spec.num_points, -1)) for X in (L, R))
-    w = weights.reshape(spec.num_points, -1)
+    L, R = (X.reshape(X.shape[:3] + (spec.num_points,)) for X in (L, R))
+    w = weights.reshape(-1, spec.num_points)
     norm = math.prod(spec.sizes[a] for a in gal.axes)
     out = []
     for block in gal.blocks:
@@ -795,9 +796,9 @@ def full_spectrum_blocks(gal, left, right, weights, tag, rank):
         g = np.ravel_multi_index(np.ix_(*per_axis), spec.shape).ravel()
         ix = block.rows
         assert np.array_equal(gal._classes[block.part][ix], block.columns)
-        Ls = L[block.part, ix].take(g, axis=1).reshape(len(ix), -1)
-        Rs = R[block.part, ix].take(g, axis=1).reshape(len(ix), -1)
-        out.append(((Ls.conj() * w.take(g, axis=0).ravel()) @ Rs.T).real / norm)
+        Ls = L[block.part, ix].take(g, axis=-1).reshape(len(ix), -1)
+        Rs = R[block.part, ix].take(g, axis=-1).reshape(len(ix), -1)
+        out.append(((Ls.conj() * w.take(g, axis=1).ravel()) @ Rs.T).real / norm)
     return out
 
 
@@ -899,7 +900,7 @@ def test_batched_operators_match_single_fields(n, p, f_text, method):
     cache = make_cache(n, 8, metric="flat" if f_text is None else "conformal",
                        f_text=f_text, method=method)
     t = fiber.tracefree_dim(n, p)
-    data = np.random.default_rng(5).standard_normal((3,) + cache.spec.shape + (t,))
+    data = np.random.default_rng(5).standard_normal((3, t) + cache.spec.shape)
     batch = TensorField(cache, "s0", p, data)
     singles = [TensorField(cache, "s0", p, d) for d in data]
     splits = [gradients.decompose(phi) for phi in singles]
@@ -1004,18 +1005,7 @@ def test_galerkin_lowest_fields_are_the_flat_kernel():
     cache = make_cache(2, 12)
     gal = Galerkin(cache, 2)
     for phi in gal.lowest_fields(["d1"], 2):
-        assert np.max(np.abs(phi.data - phi.data[0, 0])) < 1e-12 * np.max(np.abs(phi.data))
-
-
-def direct_trig_series(spec, modes, coef):
-    """Reference: the series summed one cos and one sin at a time."""
-    theta = spec.theta_mesh()
-    out = np.zeros(spec.shape + coef.shape[1:]) + coef[0]
-    pad = (...,) + (None,) * (coef.ndim - 1)
-    for k, m in enumerate(modes):
-        phase = sum(mj * th for mj, th in zip(m, theta))
-        out += np.cos(phase)[pad] * coef[2 * k + 1] + np.sin(phase)[pad] * coef[2 * k + 2]
-    return out
+        assert np.max(np.abs(phi.data - phi.data[:, :1, :1])) < 1e-12 * np.max(np.abs(phi.data))
 
 
 @pytest.mark.parametrize("sizes,trailing", [((12, 8), (3,)), ((10, 10), (2, 3)), ((8, 10, 8), (2,))])
@@ -1025,25 +1015,35 @@ def test_trig_series_matches_direct_sum(sizes, trailing):
     coef = np.random.default_rng(len(sizes)).standard_normal((1 + 2 * len(modes),) + trailing)
     got = spectral.trig_series(spec, modes, coef)
     ref = direct_trig_series(spec, modes, coef)
-    assert got.shape == spec.shape + trailing
+    assert got.shape == trailing + spec.shape
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("sizes", [(12, 8), (8, 10, 8)])
-def test_trig_series_places_bins_as_add_at_does(sizes):
-    # the half-space modes below Nyquist fill distinct bins, so placing them
-    # by one fancy index gives the bytes of the accumulating reference; the
-    # modes come as a list, and those whose last entry is 0 fill a bin from
-    # each of +m and -m.  The unit rows have exact zeros, whose conjugates
-    # are -0.0
+@pytest.mark.parametrize("sizes,bands", [((12, 8), (2, 3)), ((10, 16), (4, 0)),
+                                         ((8, 10, 8), (1, 4, 2)), ((12, 8, 10), (3, 0, 1)),
+                                         ((8, 12, 10), (0, 2, 4))])
+def test_trig_series_matches_direct_sum_on_per_axis_bands(sizes, bands):
+    # the per-axis tables span each axis's own band, including a band of 0;
+    # the modes come as a list, those whose last entry is 0 fill a cell from
+    # each of +m and -m, and trailing coefficient axes lead the samples
     spec = GridSpec(n=len(sizes), sizes=sizes)
-    modes = [list(m) for m in spectral.half_modes([s // 2 - 1 for s in sizes])]
-    assert any(m[-1] == 0 for m in modes) and any(m[-1] < 0 for m in modes)
+    modes = [list(m) for m in spectral.half_modes(bands)]
+    assert any(m[-1] == 0 for m in modes)
+    assert any(m[-1] < 0 for m in modes) == (bands[-1] > 0)
     rows = 1 + 2 * len(modes)
     for coef in (np.random.default_rng(len(sizes)).standard_normal((rows, 2, 3)),
                  np.eye(rows)[:, :7]):
         got = spectral.trig_series(spec, modes, coef)
-        assert got.tobytes() == trig_series_add_at(spec, modes, coef).tobytes()
+        ref = direct_trig_series(spec, modes, coef)
+        assert got.shape == coef.shape[1:] + spec.shape
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_half_modes_keep_one_read_only_array():
+    # one read-only int array beside the cached tuple, the same modes
+    modes, table = spectral._half_modes((2, 3, 1))
+    assert modes is spectral.half_modes([2, 3, 1]) and not table.flags.writeable
+    assert table.dtype.kind == "i" and table.tolist() == [list(m) for m in modes]
 
 
 def test_trig_series_refuses_nyquist_and_row_count():
@@ -1232,7 +1232,7 @@ def test_second_order_symbols_match_mode_application_flat(n, p):
         sig = symbol(xi, 1.0)
         for a in range(t):
             out = apply(mode_field(cache, p, m, component=a)).data
-            pred = wave[..., None] * sig[:, a]
+            pred = np.multiply.outer(sig[:, a], wave)
             assert np.max(np.abs(out - pred)) < 1e-10, name
 
 
@@ -1243,7 +1243,7 @@ def test_first_order_symbol_matches_mode_application():
     theta = cache.spec.theta_mesh()
     phase = 2 * theta[0] + theta[1]
     out = gradients.d1(mode_field(cache, 2, m, part="sin")).data
-    pred = np.cos(phase)[..., None] * sig[:, 0]
+    pred = np.multiply.outer(sig[:, 0], np.cos(phase))
     assert np.max(np.abs(out - pred)) < 1e-10
 
 

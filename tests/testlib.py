@@ -17,7 +17,7 @@ from gradlab.harness import _unit, band_limited_field
 def zero_field(cache, rank, tag="s0"):
     """A zero field under `tag`, to be filled in place."""
     return TensorField(cache, tag, rank,
-                       np.zeros(cache.spec.shape + fiber_shape(cache.n, tag, rank)))
+                       np.zeros(fiber_shape(cache.n, tag, rank) + cache.spec.shape))
 
 
 def unit_field(cache, rank, band, rng):
@@ -34,33 +34,37 @@ def unit_field(cache, rank, band, rng):
 
 def divergence_exact_adjoint(psi: TensorField):
     """Exact weighted adjoint of `fields.divergence`, rank p-1 -> rank p."""
-    cache = psi.cache
+    cache, n = psi.cache, psi.n
     p = psi.rank + 1
     w_cod = fiber_weight_scalar(cache, "s0", p - 1)
     w_dom = fiber_weight_scalar(cache, "s0", p)
-    y = fields._scale(psi.data * w_cod[..., None], cache.conformal_factor(-2.0), 1)
-    Z = fields._grad_s0_transpose(cache, p, fields._slot_first_matmul(y, -fields._k0(cache.n, p)))
-    return TensorField(cache, "s0", p, Z / w_dom[..., None])
+    y = fields._scale(psi.data * w_cod, cache.conformal_factor(-2.0))
+    K0 = fields._k0(n, p)
+    Z = fields._grad_s0_transpose(
+        cache, p, fields._left(-fields._slots(K0).T, y, n, fiber_out=K0.shape[1:]))
+    return TensorField(cache, "s0", p, Z / w_dom)
 
 
 def sym_derivative_exact_adjoint(omega: TensorField):
     """Exact weighted adjoint of `fields.sym_derivative`, rank p+1 -> rank p."""
-    cache, p = omega.cache, omega.rank - 1
+    cache, p, n = omega.cache, omega.rank - 1, omega.n
     w_cod = fiber_weight_scalar(cache, "s", p + 1)
     w_dom = fiber_weight_scalar(cache, "s0", p)
-    y = omega.data * fiber.multiplicities(cache.n, p + 1) * w_cod[..., None]
+    mult = fiber.multiplicities(n, p + 1).reshape((-1,) + (1,) * n)
+    y = omega.data * mult * w_cod
+    S = fields._sym_insert_expanded(n, p)
     Z = fields._grad_s0_transpose(
-        cache, p, fields._slot_first_matmul(y, fields._sym_insert_expanded(cache.n, p)))
-    return TensorField(cache, "s0", p, Z / w_dom[..., None])
+        cache, p, fields._left(fields._slots(S).T, y, n, fiber_out=S.shape[1:]))
+    return TensorField(cache, "s0", p, Z / w_dom)
 
 
 def gradient_adjoint_unfused(X: TensorField):
-    """`fields.gradient_adjoint` with each weighted slot its own array."""
+    """`fields.gradient_adjoint` with both weights applied, on every metric."""
     cache, p = X.cache, X.rank
-    w_cod = fiber_weight_scalar(cache, "cov_s0", p)[..., None]
+    w_cod = fiber_weight_scalar(cache, "cov_s0", p)
     w_dom = fiber_weight_scalar(cache, "s0", p)
-    Z = fields._grad_s0_transpose(cache, p, [X.data[..., i, :] * w_cod for i in range(X.n)])
-    return TensorField(cache, "s0", p, Z / w_dom[..., None])
+    Z = fields._grad_s0_transpose(cache, p, X.data * w_cod)
+    return TensorField(cache, "s0", p, Z / w_dom)
 
 
 def d1_exact_adjoint_unfused(omega: TensorField):
@@ -71,8 +75,9 @@ def d1_exact_adjoint_unfused(omega: TensorField):
     p = omega.rank - 1
     om_s = TensorField(cache, "s", p + 1, omega.monomial())
     term1 = sym_derivative_exact_adjoint(om_s)
-    y = (om_s.data * fiber.multiplicities(n, p + 1)) @ gradients._d1_correction_matrix(n, p)
-    y = fields._scale(y, cache.conformal_factor(-2.0), 1)
+    mult = fiber.multiplicities(n, p + 1).reshape((-1,) + (1,) * n)
+    y = fields._left(gradients._d1_correction_matrix(n, p).T, om_s.data * mult, n)
+    y = fields._scale(y, cache.conformal_factor(-2.0))
     term2 = divergence_exact_adjoint(TensorField(cache, "s0", p - 1, y))
     return term1 + gradients.sym_insert_coefficient(n, p) * term2
 
@@ -81,8 +86,8 @@ def d2_exact_adjoint_unfused(X: TensorField):
     """d2* as the adjoint of the divergence after the reinsertion transpose."""
     cache, p = X.cache, X.rank
     K2 = gradients._d2_structure(X.n, p)
-    y = fields._merged(X.data) @ -K2.reshape(-1, K2.shape[-1])
-    y = fields._scale(y, cache.conformal_factor(-2.0), 1)
+    y = fields._left(-K2.reshape(-1, K2.shape[-1]).T, X.data, X.n, 2)
+    y = fields._scale(y, cache.conformal_factor(-2.0))
     return divergence_exact_adjoint(TensorField(cache, "s0", p - 1, y))
 
 
@@ -91,7 +96,7 @@ def embed_transpose(X: TensorField):
     weighted adjoint, since domain and codomain carry the same conformal
     weight."""
     e = fiber.embed_matrix(X.n, X.rank)
-    return TensorField(X.cache, "s0", X.rank + 1, fields._merged(X.data) @ e)
+    return TensorField(X.cache, "s0", X.rank + 1, fields._left(e.T, X.data, X.n, 2))
 
 
 def d3_exact_adjoint_unfused(X: TensorField):
@@ -109,37 +114,35 @@ def d3_exact_adjoint_unfused(X: TensorField):
 
 def l2_inner_weighted(a: TensorField, b: TensorField):
     """`fields.l2_inner` through the weight array: one weighted dot over
-    the grid points, then the fiber sum."""
+    the grid points per fiber coordinate, then the fiber sum."""
     w = fiber_weight_scalar(a.cache, a.tag, a.rank)
     prod = a.data * b.data
     if a.tag in ("s", "cov_s"):
-        prod *= fiber.multiplicities(a.n, a.rank)
-    return float(np.sum(w.ravel() @ prod.reshape(w.size, -1)))
+        prod *= fiber.multiplicities(a.n, a.rank).reshape((-1,) + (1,) * a.n)
+    return float(np.sum(prod.reshape(-1, w.size) @ w.ravel()))
 
 
-def weighted_grad_transpose_reference(cache, p, slots):
+def weighted_grad_transpose_reference(cache, p, X):
     """`fields._weighted_grad_transpose` with both weights applied: the
-    slot-first input times w_cod, Gᵀ, then divided by w_dom.  slots is
+    gradient-shaped input times w_cod, Gᵀ, then divided by w_dom.  X is
     left as it is."""
-    weighted = slots * fiber_weight_scalar(cache, "cov_s0", p)[..., None]
+    weighted = X * fiber_weight_scalar(cache, "cov_s0", p)
     out = fields._grad_s0_transpose(cache, p, weighted)
-    out /= fiber_weight_scalar(cache, "s0", p)[..., None]
+    out /= fiber_weight_scalar(cache, "s0", p)
     return out
 
 
-def trig_series_add_at(spec, modes, coef):
-    """`spectral.trig_series` with every coefficient accumulated into its
-    FFT bin by `np.add.at`."""
+def direct_trig_series(spec, modes, coef):
+    """`spectral.trig_series` summed one cos and one sin at a time, in the
+    field layout (*coef.shape[1:], *grid)."""
     coef = np.asarray(coef, float)
-    modes = np.asarray(modes, int).reshape(-1, spec.n)
-    npts = spec.num_points
-    hat = np.zeros(spec.shape[:-1] + (spec.sizes[-1] // 2 + 1,) + coef.shape[1:], complex)
-    hat[(0,) * spec.n] = npts * coef[0]
-    up = 0.5 * npts * (coef[1::2] - 1j * coef[2::2])
-    for sign, values in ((1, up), (-1, up.conj())):
-        keep = sign * modes[:, -1] >= 0
-        np.add.at(hat, tuple(sign * modes[keep].T), values[keep])
-    return np.fft.irfftn(hat, s=spec.shape, axes=tuple(range(spec.n)))
+    theta = spec.theta_mesh()
+    pad = (...,) + (None,) * spec.n
+    out = np.zeros(coef.shape[1:] + spec.shape) + coef[0][pad]
+    for k, m in enumerate(modes):
+        phase = sum(mj * th for mj, th in zip(m, theta))
+        out += np.cos(phase) * coef[2 * k + 1][pad] + np.sin(phase) * coef[2 * k + 2][pad]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -152,17 +155,17 @@ def rough_laplacian_formula(phi: TensorField):
     the exact weighted transpose of the gradient."""
     cache, p, n = phi.cache, phi.rank, phi.n
     spec = cache.spec
-    batch = len(phi.batch_shape)
-    # the gradient slot-first, (j, ..., a), each slot contiguous
-    X = np.ascontiguousarray(np.moveaxis(fields._grad_apply(cache, p, phi.data), -2, 0))
+    X = fields._grad_apply(cache, p, phi.data)
+    slot = [fields._slot(X, i, n) for i in range(n)]
     # sum_i (nabla_i X)_{i, J}: derivative, covariant-slot and symmetric-slot terms
-    out = -sum(differentiate(X[i], i, spec, cache.method, batch) for i in range(n))
+    out = -sum(differentiate(slot[i], i, spec, cache.method) for i in range(n))
     for l in cache.exponent.variables:
-        # the symmetric slots add sum_i X_i C[l, i]^T, and the covariant
+        # the symmetric slots add sum_i C[l, i] X_i, and the covariant
         # slot adds sum_i Gamma^k_ii = (2 - n) h_k, on slot k = l
         C = fields._connection_tensor(n, p, True)[l]
-        out += cache.h[..., l, None] * (sum(X[i] @ C[i].T for i in range(n)) + (2.0 - n) * X[l])
-    out = fields._scale(out, cache.conformal_factor(-2.0), 1)
+        out += cache.h[l] * (sum(fields._left(C[i], slot[i], n) for i in range(n))
+                             + (2.0 - n) * slot[l])
+    out = fields._scale(out, cache.conformal_factor(-2.0))
     return TensorField(cache, "s0", p, out)
 
 
@@ -183,17 +186,17 @@ def curvature_action_blocked(phi):
     once); the batch axes lead and share each block's matrices."""
     cache, p, n = phi.cache, phi.rank, phi.n
     mono = phi.monomial()
-    P, m = cache.spec.num_points, mono.shape[-1]
+    P, m = cache.spec.num_points, fiber.sym_dim(n, p)
     S = gradients._curvature_matrix(n, p)
-    T = fields._scale(cache.T, cache.conformal_factor(-2.0), 2).reshape(P, n * n)
-    x = mono.reshape(-1, P, m, 1)
+    T = fields._scale(cache.T, cache.conformal_factor(-2.0)).reshape(n * n, P).T
+    x = np.ascontiguousarray(np.swapaxes(mono.reshape(-1, m, P), 1, 2))[..., None]
     out = np.empty_like(x)
     block = max((1 << 20) // (8 * m * m), 1)
     for b in range(0, P, block):
         rows = slice(b, b + block)
         K = T[rows] @ S
         np.matmul(K.reshape(-1, m, m), x[:, rows], out=out[:, rows])
-    return fields.field_from_monomial(cache, p, out.reshape(mono.shape))
+    return fields.field_from_monomial(cache, p, np.swapaxes(out[..., 0], 1, 2).reshape(mono.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +257,7 @@ def weight_vector(cache, tag, rank):
         fib = fiber.multiplicities(n, rank).astype(float)
     if tag.startswith("cov"):
         fib = np.tile(fib, n)
-    return np.outer(w.ravel(), fib).ravel()
+    return np.outer(fib, w.ravel()).ravel()
 
 
 def domain_dim(handle):
@@ -307,42 +310,44 @@ def reflection(n, tag, rank, axis):
 
 
 def class_parts(gal, images, tag, rank):
-    """The reflection classes of a (colours, *grid, width) stack of images on
-    the bundle (`tag`, `rank`), on the whole grid: (classes, colours, *grid,
-    width), class q the product over the mirror axes a of (1 +- R_a*) / 2,
+    """The reflection classes of a (colours, width, *grid) stack of images on
+    the bundle (`tag`, `rank`), on the whole grid: (classes, colours, width,
+    *grid), class q the product over the mirror axes a of (1 +- R_a*) / 2,
     the sign - where bit i of q (the i-th mirror axis) is set."""
+    n = gal.cache.n
     parts = images[None]
     for a in gal.mirrors:
         size = gal.cache.spec.sizes[a]
-        flipped = np.take(parts, -np.arange(size) % size, axis=2 + a)
-        flipped = flipped @ reflection(gal.cache.n, tag, rank, a).T
+        flipped = np.take(parts, -np.arange(size) % size, axis=3 + a)
+        flipped = fields._left(reflection(n, tag, rank, a), flipped, n)
         parts = np.concatenate([(parts + flipped) / 2, (parts - flipped) / 2])
     return parts
 
 
 def whole_stack_cut(gal, images, tag, rank):
-    """The half-spectrum cut of a whole (colours, *grid, *fiber) stack of
+    """The half-spectrum cut of a whole (colours, *fiber, *grid) stack of
     images in the layout of `Galerkin._cut_stacks`: its class parts, kept on
     points 0..N/2 of each mirror axis times the root of the count of points
     each stands for, one FFT along the invariant axes and one gather per
     group of sectors; with no invariant axis, the kept parts themselves."""
     count = len(images)
     spec = gal.cache.spec
-    parts = class_parts(gal, images.reshape((count,) + spec.shape + (-1,)), tag, rank)
+    parts = class_parts(gal, images.reshape((count, -1) + spec.shape), tag, rank)
     for a in gal.mirrors:
         size = spec.sizes[a]
         half = np.arange(size // 2 + 1)
         weight = np.sqrt(np.where(2 * half % size == 0, 1.0, 2.0))
-        parts = np.take(parts, half, axis=2 + a) * weight.reshape(
-            (-1,) + (1,) * (spec.n - a))
-    classes = len(parts)
+        parts = np.take(parts, half, axis=3 + a) * weight.reshape(
+            (-1,) + (1,) * (spec.n - 1 - a))
+    classes, width = len(parts), parts.shape[2]
     if not gal.axes:
-        return [parts.reshape(1, classes, count, -1, 1, parts.shape[-1])]
-    hat = np.fft.rfftn(parts, axes=[2 + a for a in gal.axes])
-    hat = hat.reshape(classes, count, int(np.prod(gal._half)), -1)
+        parts = np.moveaxis(parts.reshape(classes, count, width, -1), 2, -1)
+        return [parts.reshape(1, classes, count, -1, 1, width)]
+    hat = np.fft.rfftn(parts, axes=[3 + a for a in gal.axes])
+    hat = hat.reshape(classes, count, width, int(np.prod(gal._half)))
     out = []
     for _, g, _ in gal._bins:
-        part = np.moveaxis(np.take(hat, g, axis=2), 2, 0)
+        part = np.take(hat, g, axis=3).transpose(3, 0, 1, 4, 2)
         out.append(np.stack([part.real, part.imag], axis=4))
     return out
 
@@ -351,8 +356,7 @@ def weighted_pairing(gal, left, right, tag, rank):
     """The layer's blocks of the pairing of two image stacks on the bundle
     (`tag`, `rank`): the left one times its weight, the right one bare,
     each cut whole."""
-    w = fiber_weight_scalar(gal.cache, tag, rank)
-    left = left * w.reshape(w.shape + (1,) * (left.ndim - 1 - w.ndim))
+    left = left * fiber_weight_scalar(gal.cache, tag, rank)
     floor = max(float(np.max(np.abs(M))) for M in gal.mass())
     return gal._pair(whole_stack_cut(gal, left, tag, rank),
                      whole_stack_cut(gal, right, tag, rank), floor)
@@ -666,50 +670,51 @@ def total_volume(cache):
 # ---------------------------------------------------------------------------
 
 def metric_samples(cache):
-    """Samples of the cache's metric e^{2f} delta, (*grid, n, n)."""
-    g = np.zeros(cache.spec.shape + (cache.n, cache.n))
+    """Samples of the cache's metric e^{2f} delta, (n, n, *grid)."""
+    g = np.zeros((cache.n, cache.n) + cache.spec.shape)
     conf = np.exp(2.0 * cache.conf_exponent_values)
     for i in range(cache.n):
-        g[..., i, i] = conf
+        g[i, i] = conf
     return g
 
 
 def metric_geometry(spec, g, method="spectral"):
     """Inverse, connection, curvature and quadrature weights of metric samples.
 
-    `g` is any metric sampled on the grid, (*grid, n, n); nothing here
-    assumes the conformal form, so its curvature is an independent route
-    to the closed forms of `GeometryCache`.  The metric is differentiated
-    with `method`.  riemann is fully lowered, indexed (*grid, i, j, k, l)
-    as R_{ijkl} = g_{im} R^m_{jkl}; ricci is the (j, l) contraction of
-    R^m_{jml}.  Raises GeometryError when a sample is not positive definite
-    or when any array is not finite.
+    `g` is any metric sampled on the grid, (n, n, *grid), component axes
+    first as in `GeometryCache`; nothing here assumes the conformal form, so
+    its curvature is an independent route to the closed forms of
+    `GeometryCache`.  The metric is differentiated with `method`.  riemann
+    is fully lowered, indexed (i, j, k, l, *grid) as R_{ijkl} = g_{im}
+    R^m_{jkl}; ricci is the (j, l) contraction of R^m_{jml}.  Raises
+    GeometryError when a sample is not positive definite or when any array
+    is not finite.
     """
     n = spec.n
+    # the pointwise linear algebra reads the samples grid-first
+    points = np.moveaxis(g, (0, 1), (-2, -1))
     with np.errstate(over="ignore", invalid="ignore"):
         _require_finite(g=g)
-        if np.min(np.linalg.eigvalsh(g)) <= 0:
+        if np.min(np.linalg.eigvalsh(points)) <= 0:
             raise GeometryError("metric sample is not positive definite")
-        g_inv = np.linalg.inv(g)
-        sqrt_det = np.sqrt(np.linalg.det(g))
+        g_inv = np.moveaxis(np.linalg.inv(points), (-2, -1), (0, 1))
+        sqrt_det = np.sqrt(np.linalg.det(points))
 
-        # dg[..., a, i, j] = d_a g_ij
-        dg = np.stack([differentiate(g, a, spec, method) for a in range(n)], axis=-3)
+        # dg[a, i, j] = d_a g_ij
+        dg = np.stack([differentiate(g, a, spec, method) for a in range(n)])
         gamma = christoffel(g_inv, dg)
 
-        dgamma = np.stack(
-            [differentiate(gamma, a, spec, method) for a in range(n)], axis=-4
-        )
+        dgamma = np.stack([differentiate(gamma, a, spec, method) for a in range(n)])
         # R^r_{s m v} = d_m G^r_{v s} - d_v G^r_{m s} + G^r_{m l} G^l_{v s} - G^r_{v l} G^l_{m s}
         r_up = (
-            np.einsum("...mrvs->...rsmv", dgamma)
-            - np.einsum("...vrms->...rsmv", dgamma)
-            + np.einsum("...rml,...lvs->...rsmv", gamma, gamma)
-            - np.einsum("...rvl,...lms->...rsmv", gamma, gamma)
+            np.einsum("mrvs...->rsmv...", dgamma)
+            - np.einsum("vrms...->rsmv...", dgamma)
+            + np.einsum("rml...,lvs...->rsmv...", gamma, gamma)
+            - np.einsum("rvl...,lms...->rsmv...", gamma, gamma)
         )
-        riemann = np.einsum("...ir,...rsmv->...ismv", g, r_up)
-        ricci = np.einsum("...msmv->...sv", r_up)
-        scalar = np.einsum("...sv,...sv->...", g_inv, ricci)
+        riemann = np.einsum("ir...,rsmv...->ismv...", g, r_up)
+        ricci = np.einsum("msmv...->sv...", r_up)
+        scalar = np.einsum("sv...,sv...->...", g_inv, ricci)
         weights = spec.cell_volume * sqrt_det
 
     out = dict(g=g, g_inv=g_inv, christoffel=gamma, riemann=riemann, ricci=ricci,
@@ -719,22 +724,22 @@ def metric_geometry(spec, g, method="spectral"):
 
 
 def christoffel(g_inv, dg):
-    """Gamma^k_ij from the inverse metric and dg[..., a, i, j] = d_a g_ij."""
+    """Gamma^k_ij from the inverse metric and dg[a, i, j] = d_a g_ij."""
     g_low = 0.5 * (
-        np.einsum("...ijl->...lij", dg)
-        + np.einsum("...jil->...lij", dg)
+        np.einsum("ijl...->lij...", dg)
+        + np.einsum("jil...->lij...", dg)
         - dg
     )
-    return np.einsum("...kl,...lij->...kij", g_inv, g_low)
+    return np.einsum("kl...,lij...->kij...", g_inv, g_low)
 
 
 def structural_christoffel(h):
-    """G^k_ij = delta_ki h_j + delta_kj h_i - delta_ij h_k, (*grid, n, n, n)."""
-    eye = np.eye(h.shape[-1])
+    """G^k_ij = delta_ki h_j + delta_kj h_i - delta_ij h_k, (n, n, n, *grid)."""
+    eye = np.eye(len(h))
     return (
-        np.einsum("ki,...j->...kij", eye, h)
-        + np.einsum("kj,...i->...kij", eye, h)
-        - np.einsum("ij,...k->...kij", eye, h)
+        np.einsum("ki,j...->kij...", eye, h)
+        + np.einsum("kj,i...->kij...", eye, h)
+        - np.einsum("ij,k...->kij...", eye, h)
     )
 
 
@@ -744,11 +749,10 @@ def closed_form_curvature(cache):
     (T o delta), o the Kulkarni-Nomizu product."""
     T, n = cache.T, cache.n
     eye = np.eye(n)
-    ricci = -((n - 2) * T + np.trace(T, axis1=-2, axis2=-1)[..., None, None] * eye)
-    kn = (np.einsum("...ik,jl->...ijkl", T, eye) + np.einsum("...jl,ik->...ijkl", T, eye)
-          - np.einsum("...il,jk->...ijkl", T, eye) - np.einsum("...jk,il->...ijkl", T, eye))
-    conf = np.exp(2.0 * cache.conf_exponent_values)
-    return ricci, -conf.reshape(conf.shape + (1,) * 4) * kn
+    ricci = -((n - 2) * T + np.trace(T) * eye.reshape((n, n) + (1,) * n))
+    kn = (np.einsum("ik...,jl->ijkl...", T, eye) + np.einsum("jl...,ik->ijkl...", T, eye)
+          - np.einsum("il...,jk->ijkl...", T, eye) - np.einsum("jk...,il->ijkl...", T, eye))
+    return ricci, -np.exp(2.0 * cache.conf_exponent_values) * kn
 
 
 def conformal_scalar_curvature_oracle(f, spec):
