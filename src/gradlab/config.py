@@ -36,14 +36,11 @@ DEFAULT_TOLERANCES = {
     "integral": 1e-9,
     "plateau": 1e-9,
     "refinement_factor": 10.0,
-    "slope_target": 4.0,
-    "slope_window": 0.5,
     "ellipticity_floor": 1e-3,
     "parallel": 1e-8,
     "control_floor": 1e-3,
 }
 
-_METHODS = ("spectral", "fd4")
 _SUITES = ("identity", "kernel", "convergence")
 
 
@@ -62,7 +59,6 @@ class ExperimentConfig:
     dimension: int = 2
     sizes: tuple = (16, 32)
     ranks: tuple = (1, 2)
-    method: str = "spectral"
     seed: int = 0
     suites: tuple = ("identity",)
     field_count: int = 6
@@ -75,8 +71,6 @@ class ExperimentConfig:
             raise ConfigError(
                 f"bad metric.conformal {self.conformal_exponent!r}: {exc}"
             ) from exc
-        if self.method not in _METHODS:
-            raise ConfigError(f"method must be one of {_METHODS}: {self.method!r}")
         if not 2 <= self.dimension <= 5:
             raise ConfigError(f"grid.dimension must be in [2, 5]: {self.dimension}")
         sizes = tuple(int(s) for s in self.sizes)
@@ -143,7 +137,6 @@ VALID_KEYS = {
     "grid.dimension": ("dimension", int, str),
     "grid.sizes": ("sizes", _int_list, _fmt_list),
     "ranks": ("ranks", _int_list, _fmt_list),
-    "method": ("method", str.strip, str),
     "seed": ("seed", int, str),
     "suites": ("suites", _str_list, _fmt_list),
     "fields.count": ("field_count", int, str),

@@ -44,8 +44,8 @@ term is sum_l h_l(x) C[l] with one cached constant fiber tensor C
 on, so the sum runs over the axes it does (`TrigPoly.variables`): per
 axis one left product by C[l], scaled by h_l in place and subtracted.  A
 flat metric depends on no axis, and the sum is empty.  Coordinate
-derivatives come from `geometry.differentiate` (a dense circulant matrix,
-or the fd4 stencil), each written straight into its slot of the gradient.
+derivatives come from `geometry.differentiate` (a dense circulant matrix),
+each written straight into its slot of the gradient.
 
 Every other fiber contraction is one left product too (`_left`): the
 cached (rows, n, t) structure tensor is viewed as a (rows, n * t) matrix
@@ -321,7 +321,7 @@ def _grad_apply(cache, p, c, tracefree=True):
     width = c.shape[c.ndim - n - 1]
     out = np.empty(c.shape[:c.ndim - n - 1] + (n,) + c.shape[c.ndim - n - 1:])
     for i in range(n):
-        differentiate(c, i, spec, cache.method, out=_slot(out, i, n))
+        differentiate(c, i, spec, out=_slot(out, i, n))
     # h_l = 0 on every axis f does not depend on: a flat metric adds nothing
     for l in cache.exponent.variables:
         C = _connection_tensor(n, p, tracefree)[l]
@@ -336,11 +336,11 @@ def _grad_s0_transpose(cache, p, X):
     gradient-shaped data X (..., n, t, *grid), each slot read where it lies."""
     spec = cache.spec
     n = spec.n
-    out = differentiate(_slot(X, 0, n), 0, spec, cache.method)
+    out = differentiate(_slot(X, 0, n), 0, spec)
     if n > 1:
         term = np.empty_like(out)
         for i in range(1, n):
-            out += differentiate(_slot(X, i, n), i, spec, cache.method, out=term)
+            out += differentiate(_slot(X, i, n), i, spec, out=term)
     np.negative(out, out=out)
     for l in cache.exponent.variables:
         C = _connection_tensor(n, p, True)[l]

@@ -1,4 +1,4 @@
-"""Periodic grids, derivative engines, and the conformal geometry.
+"""Periodic grids, the spectral derivative, and the conformal geometry.
 
 The manifolds are the tori (2 pi)^n with the metric g = e^{2f} delta, f a
 trig polynomial: the exponent f is the whole description of a metric, and
@@ -6,8 +6,7 @@ f = 0 is the flat torus.  The coordinates x_i run over [0, 2 pi), so they
 are the angular variables of the trig polynomials.  Everything is sampled
 on a tensor-product lattice.  The geometry (`build_geometry`) is sampled
 from closed forms in f and its exact symbolic derivatives; fields are
-differentiated pseudo-spectrally by default, with a 4th-order stencil as
-the alternative.
+differentiated pseudo-spectrally.
 
 The spectral derivative along an axis is a cached dense circulant
 matrix (Nyquist bin zeroed) applied as one batched matmul, built from its
@@ -17,13 +16,13 @@ Array convention: the n grid axes are always the trailing axes.  Component
 or fiber axes come before them, e.g. h is (n, *grid) and T is (n, n,
 *grid), and field data may put batch axes before its fiber axes, (*batch,
 *fiber, *grid).  So every grid line is contiguous along the last axis, and
-`differentiate(values, axis, spec, method, out=None)` needs to know nothing
+`differentiate(values, axis, spec, out=None)` needs to know nothing
 of the axes in front of the grid.
 """
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -68,11 +67,12 @@ class GridSpec:
     def num_points(self):
         return math.prod(self.sizes)
 
-    @property
+    # computed on first read and kept; equality and hashing stay on (n, sizes)
+    @cached_property
     def spacings(self):
         return tuple(TWO_PI / s for s in self.sizes)
 
-    @property
+    @cached_property
     def cell_volume(self):
         return math.prod(self.spacings)
 
@@ -106,7 +106,7 @@ def _derivative_matrix(spec, axis):
     return D
 
 
-def differentiate(values, axis, spec, method="spectral", out=None):
+def differentiate(values, axis, spec, out=None):
     """Partial derivative along grid axis `axis` of data shaped (..., *grid),
     written into `out` (an array of the same shape, or a view such as one
     slot of a gradient) when given.
@@ -117,34 +117,20 @@ def differentiate(values, axis, spec, method="spectral", out=None):
     products D @ (N, rest).  Only the grid axes are merged, so `out` may be
     any view whose grid axes are contiguous."""
     n = spec.n
-    if method == "spectral":
-        N = spec.sizes[axis]
-        D = _derivative_matrix(spec, axis)
-        lead = values.shape[:values.ndim - n]
-        lines = math.prod(spec.sizes[:axis])
-        if out is None:
-            out = np.empty(values.shape)
-        if axis == n - 1:
-            # a contiguous D^T (= -D) runs about twice as fast as the view
-            shape = lead + (lines, N)
-            np.matmul(values.reshape(shape), np.ascontiguousarray(D.T), out=out.reshape(shape))
-        else:
-            shape = lead + (lines, N, math.prod(spec.sizes[axis + 1:]))
-            np.matmul(D, values.reshape(shape), out=out.reshape(shape))
-        return out
-    if method == "fd4":
-        h = spec.spacings[axis]
-        axis += values.ndim - n
-        f1 = np.roll(values, -1, axis=axis)
-        f2 = np.roll(values, -2, axis=axis)
-        b1 = np.roll(values, 1, axis=axis)
-        b2 = np.roll(values, 2, axis=axis)
-        result = (-f2 + 8.0 * f1 - 8.0 * b1 + b2) / (12.0 * h)
-        if out is None:
-            return result
-        out[...] = result
-        return out
-    raise GeometryError(f"unknown differentiation method {method!r}")
+    N = spec.sizes[axis]
+    D = _derivative_matrix(spec, axis)
+    lead = values.shape[:values.ndim - n]
+    lines = math.prod(spec.sizes[:axis])
+    if out is None:
+        out = np.empty(values.shape)
+    if axis == n - 1:
+        # a contiguous D^T (= -D) runs about twice as fast as the view
+        shape = lead + (lines, N)
+        np.matmul(values.reshape(shape), np.ascontiguousarray(D.T), out=out.reshape(shape))
+    else:
+        shape = lead + (lines, N, math.prod(spec.sizes[axis + 1:]))
+        np.matmul(D, values.reshape(shape), out=out.reshape(shape))
+    return out
 
 
 def evaluate_on_grid(poly: TrigPoly, spec: GridSpec):
@@ -171,8 +157,7 @@ class GeometryCache:
 
     f = `exponent`; f = 0 is the flat torus.  Every array is sampled from a
     closed form in f and its exact symbolic derivatives, so no metric data
-    is differentiated numerically: `method` selects how fields are
-    differentiated, never the geometry.  With flat derivatives of f:
+    is differentiated numerically.  With flat derivatives of f:
 
       conf_exponent_values  f, (*grid,)
       h        df, (n, *grid); the Christoffel symbols are
@@ -192,7 +177,6 @@ class GeometryCache:
 
     spec: GridSpec
     exponent: TrigPoly
-    method: str
     conf_exponent_values: np.ndarray
     h: np.ndarray
     T: np.ndarray
@@ -222,7 +206,7 @@ class GeometryCache:
         return factor
 
 
-def build_geometry(spec: GridSpec, exponent: TrigPoly, method="spectral"):
+def build_geometry(spec: GridSpec, exponent: TrigPoly):
     """Sample the geometry of g = e^{2f} delta, f = `exponent`, in closed form.
 
     Raises GeometryError when `exponent` uses more variables than the grid
@@ -230,8 +214,6 @@ def build_geometry(spec: GridSpec, exponent: TrigPoly, method="spectral"):
     of e^{2f} that is not finite or not positive, or non-finite weights.
     That check replaces numpy's overflow warnings, which are silenced here.
     """
-    if method not in ("spectral", "fd4"):
-        raise GeometryError(f"unknown differentiation method {method!r}")
     n = spec.n
     f = evaluate_on_grid(exponent, spec)
     h = np.stack([coordinate_derivative(exponent, i, spec) for i in range(n)])
@@ -253,7 +235,7 @@ def build_geometry(spec: GridSpec, exponent: TrigPoly, method="spectral"):
         raise GeometryError("metric sample is not positive definite")
     for values in (f, h, T, weights):
         values.flags.writeable = False
-    return GeometryCache(spec, exponent, method, f, h, T, weights)
+    return GeometryCache(spec, exponent, f, h, T, weights)
 
 
 def _require_finite(**arrays):

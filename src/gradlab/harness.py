@@ -161,8 +161,7 @@ class _Recorder:
 
 def build_cache(config, size):
     spec = GridSpec(config.dimension, (size,) * config.dimension)
-    return build_geometry(spec, parse_trig_poly(config.conformal_exponent),
-                          method=config.method)
+    return build_geometry(spec, parse_trig_poly(config.conformal_exponent))
 
 
 def band_limited_field(cache, rank, band, rng, tag="s0"):
@@ -174,7 +173,7 @@ def band_limited_field(cache, rank, band, rng, tag="s0"):
     own coefficients.
     """
     spec = cache.spec
-    modes = spectral._half_modes((band,) * spec.n)[1]
+    modes = spectral.half_modes((band,) * spec.n)
     # rows: the constant, then (cos, sin) coefficients per mode, in draw order
     coef = rng.standard_normal((2 * len(modes) + 1,) + fields.fiber_shape(spec.n, tag, rank))
     data = spectral.trig_series(spec, modes, coef * (1.0 / np.sqrt(2 * len(modes) + 1)))
@@ -651,19 +650,6 @@ def _residual_profile(config, p, caches):
     return prof
 
 
-def _pair_slopes(sizes, residuals, floor=1e-12):
-    """Log-log slopes of residual vs grid spacing for adjacent size pairs.
-
-    The coarsest grids sit in the pre-asymptotic regime, so the finest
-    pair is the order estimate; the full list is kept for the record.
-    """
-    pts = [(s, r) for s, r in zip(sizes, residuals) if r > floor]
-    return [
-        float(np.log(r0 / r1) / np.log(s1 / s0))
-        for (s0, r0), (s1, r1) in zip(pts, pts[1:])
-    ]
-
-
 def _monotone_above_floor(residuals, floor):
     relevant = [r for r in residuals if r > floor]
     return all(b <= a * 1.5 for a, b in zip(relevant, relevant[1:]))
@@ -682,41 +668,20 @@ def _convergence_checks_for_rank(rec, config, p, caches):
                   "grid-independent identity, worst residual over all sizes")
     for name, anchor in sorted(_DISCRETIZATION.items()):
         values = prof[name]
-        monotone = _monotone_above_floor(values, plateau)
         trend = " -> ".join(f"{v:.2e}" for v in values)
-        if config.method == "spectral":
-            if not monotone:
-                rec.indeterminate(f"converge.plateau.{name}.p{p}", anchor,
-                                  value=values[-1],
-                                  detail=f"non-monotone residuals: {trend}")
-            else:
-                rec.check(f"converge.plateau.{name}.p{p}", anchor,
-                          values[-1], "plateau", trend)
+        if not _monotone_above_floor(values, plateau):
+            rec.indeterminate(f"converge.plateau.{name}.p{p}", anchor,
+                              value=values[-1],
+                              detail=f"non-monotone residuals: {trend}")
         else:
-            slopes = _pair_slopes(config.sizes, values)
-            if not slopes:
-                rec.check(f"converge.slope.{name}.p{p}", anchor,
-                          values[-1], "plateau",
-                          f"already at the floor: {trend}")
-            elif not monotone:
-                rec.indeterminate(f"converge.slope.{name}.p{p}", anchor,
-                                  value=slopes[-1],
-                                  detail=f"non-monotone residuals: {trend}")
-            else:
-                target = config.tolerance("slope_target")
-                window = config.tolerance("slope_window")
-                pairs = ", ".join(f"{s:.2f}" for s in slopes)
-                rec.flag(f"converge.slope.{name}.p{p}", anchor,
-                         abs(slopes[-1] - target) <= window, value=slopes[-1],
-                         detail=f"finest-pair slope {slopes[-1]:.2f} vs "
-                                f"{target}+-{window} (pairs {pairs}); {trend}")
+            rec.check(f"converge.plateau.{name}.p{p}", anchor,
+                      values[-1], "plateau", trend)
 
 
 def convergence_study(config):
     """Residuals of every identity across every configured grid (at least
     three): algebraic ones must be grid-independent, discretization-limited
-    ones must reach the spectral plateau or show fourth-order slopes under
-    fd4."""
+    ones must reach the spectral plateau."""
     return _run_suite("convergence", "converge", config, config.sizes,
                       _convergence_checks_for_rank)
 

@@ -213,7 +213,7 @@ class DealiasedBasis:
 
     cache: object
     rank: int
-    modes: tuple            # nonzero half-space integer mode vectors
+    modes: np.ndarray       # nonzero half-space integer modes, (count, n)
 
     @property
     def n_scalar(self):
@@ -230,31 +230,26 @@ class DealiasedBasis:
         return cols.reshape(-1, self.n_scalar * self.t)
 
 
+@lru_cache(maxsize=None)
 def half_modes(bands):
-    """Nonzero integer modes with |m_j| <= bands[j], one of each {m, -m} pair.
+    """Nonzero integer modes with |m_j| <= bands[j], one of each {m, -m} pair,
+    as one read-only (count, n) int array, built once per bands tuple.
 
     The representative is the mode whose first nonzero entry is positive.
     Modes come in lexicographic order, which fixes both the column order of
     the dealiased basis and the draw order of grid-independent test fields.
-    Returns a tuple of tuples, built once per bands (`_half_modes` keeps
-    them as an int array too).
     """
-    return _half_modes(tuple(map(int, np.ravel(bands))))[0]
-
-
-@lru_cache(maxsize=None)
-def _half_modes(bands):
     bands = np.array(bands, int)
     grid = np.indices(2 * bands + 1).reshape(len(bands), -1).T - bands
     first = grid[np.arange(len(grid)), np.argmax(grid != 0, axis=1)]
     modes = grid[first > 0]
     modes.flags.writeable = False
-    return tuple(map(tuple, modes.tolist())), modes
+    return modes
 
 
 def build_dealiased_basis(cache, rank):
     """The basis of every mode whose index is below Nyquist on each axis."""
-    bands = [s // 2 - 1 for s in cache.spec.sizes]
+    bands = tuple(s // 2 - 1 for s in cache.spec.sizes)
     return DealiasedBasis(cache=cache, rank=rank, modes=half_modes(bands))
 
 

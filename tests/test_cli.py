@@ -202,6 +202,22 @@ def test_check_malformed_config(tmp_path, capsys):
     assert "valid keys" in err
 
 
+@pytest.mark.parametrize("where", ["config", "override"])
+def test_check_method_key_is_refused(tiny_cfg, tmp_path, capsys, where):
+    # fields have one discretization: `method` is an unknown key, in a
+    # config file or on the command line, refused before any suite runs
+    argv = ["check", "--config", str(tiny_cfg), "--out", str(tmp_path / "m")]
+    if where == "config":
+        tiny_cfg.write_text(tiny_cfg.read_text() + "method = spectral\n")
+    else:
+        argv += ["--override", "method=spectral"]
+    code, text = run_cli(argv)
+    assert code == EXIT_USAGE and text == ""
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "unknown key 'method'" in err[0]
+    assert not (tmp_path / "m").exists()
+
+
 def test_check_bad_override(tiny_cfg, capsys):
     code, _ = run_cli(["check", "--config", str(tiny_cfg),
                        "--override", "ranks=[1,1]"])

@@ -30,7 +30,6 @@ def test_defaults_from_minimal_text():
     assert cfg.dimension == 2
     assert cfg.sizes == (16, 32)
     assert cfg.ranks == (1, 2)
-    assert cfg.method == "spectral"
     assert cfg.suites == ("identity",)
 
 
@@ -40,7 +39,6 @@ def test_every_key_parses():
         "grid.dimension = 3",
         "grid.sizes = 8, 12, 16",
         "ranks = [1, 3]",
-        "method = fd4",
         "seed = 42",
         "suites = identity, convergence",
         "fields.count = 2",
@@ -51,7 +49,6 @@ def test_every_key_parses():
     assert cfg.dimension == 3
     assert cfg.sizes == (8, 12, 16)
     assert cfg.ranks == (1, 3)
-    assert cfg.method == "fd4"
     assert cfg.seed == 42
     assert cfg.suites == ("identity", "convergence")
     assert cfg.field_count == 2
@@ -113,7 +110,7 @@ def test_kernel_tol_is_not_a_tolerance():
         ("ranks", (0,)),
         ("ranks", (1, 1)),
         ("ranks", (7,)),
-        ("method", "fem"),
+        ("seed", -1),
         ("suites", ("identity", "mystery")),
         ("suites", ("kernel", "kernel")),
         ("conformal_exponent", "cos("),
@@ -182,7 +179,6 @@ def configs(draw):
         dimension=draw(st.integers(min_value=2, max_value=5)),
         sizes=sizes,
         ranks=draw(ranks_strategy),
-        method=draw(st.sampled_from(["spectral", "fd4"])),
         seed=draw(st.integers(min_value=0, max_value=2**31 - 1)),
         suites=suites,
         field_count=draw(st.integers(min_value=1, max_value=12)),

@@ -484,7 +484,7 @@ CACHED_BUILDERS = {
         "_insertion_matrix_mono", "_d1_transpose_structure", "_d2_transpose_structure",
         "_d3_transpose_structure")},
     "geometry._derivative_matrix": (geometry.GridSpec(2, (8, 8)), 0),
-    "spectral._half_modes": ((2, 2),),
+    "spectral.half_modes": ((2, 2),),
     "spectral._axis_functions": (8, 3),
     "fields.fiber_shape": (3, "cov_s0", 2),
 }

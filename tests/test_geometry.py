@@ -45,9 +45,9 @@ def diagonal_samples(spec, exprs):
     return g
 
 
-def reference(cache, method="spectral"):
+def reference(cache):
     """The reference route's geometry of the cache's metric samples."""
-    return metric_geometry(cache.spec, metric_samples(cache), method)
+    return metric_geometry(cache.spec, metric_samples(cache))
 
 
 def _rel(a, b):
@@ -67,6 +67,20 @@ def test_grid_spec_examples():
     assert g2.spacings == (2 * math.pi / 16,) * 2
     assert abs(g2.cell_volume - (2 * math.pi / 16) ** 2) < 1e-15
     assert GridSpec(n=2, sizes=(2000, 1000)).num_points == geometry.POINT_CAP
+
+
+def test_grid_spec_spacings_are_computed_once():
+    # every L2 pairing reads the cell volume: both values are kept on the
+    # spec after the first read, with the expressions of their definition,
+    # and equality and hashing stay on (n, sizes), the cache key of the
+    # derivative matrices
+    spec = GridSpec(n=3, sizes=(8, 12, 16))
+    assert spec.spacings == tuple(2 * math.pi / s for s in (8, 12, 16))
+    assert spec.cell_volume == math.prod(spec.spacings)
+    assert spec.spacings is spec.spacings and spec.cell_volume is spec.cell_volume
+    fresh = GridSpec(n=3, sizes=[8, 12, 16])
+    assert fresh == spec and hash(fresh) == hash(spec)
+    assert geometry._derivative_matrix(fresh, 1) is geometry._derivative_matrix(spec, 1)
 
 
 @pytest.mark.parametrize(
@@ -100,38 +114,16 @@ def test_wavenumbers_zero_nyquist():
 def test_spectral_derivative_band_limited_exact():
     g = grid(1, 16)
     x = axis_coords(g, 0)
-    got = differentiate(np.sin(x), 0, g, "spectral")
+    got = differentiate(np.sin(x), 0, g)
     assert np.max(np.abs(got - np.cos(x))) < 1e-12
-    got3 = differentiate(np.cos(3 * x), 0, g, "spectral")
+    got3 = differentiate(np.cos(3 * x), 0, g)
     assert np.max(np.abs(got3 + 3 * np.sin(3 * x))) < 1e-12
 
 
 def test_derivative_of_constant():
     g = grid(2, 16)
     c = np.full(g.shape, 2.3)
-    for method in ("spectral", "fd4"):
-        assert np.max(np.abs(differentiate(c, 0, g, method))) < 1e-13
-
-
-def test_fd4_fourth_order_ratio():
-    errs = []
-    for size in (16, 32):
-        g = grid(1, size)
-        x = axis_coords(g, 0)
-        got = differentiate(np.sin(x), 0, g, "fd4")
-        errs.append(np.max(np.abs(got - np.cos(x))))
-    ratio = errs[0] / errs[1]
-    assert 12 < ratio < 20
-
-
-@pytest.mark.parametrize("method", ["spectral", "fd4"])
-def test_derivative_matrix_antisymmetric(method):
-    # exact antisymmetry underpins the exact-transpose adjoint checks
-    g = grid(1, 8)
-    D = np.stack(
-        [differentiate(col, 0, g, method) for col in np.eye(8)], axis=1
-    )
-    assert np.max(np.abs(D + D.T)) < 1e-13
+    assert np.max(np.abs(differentiate(c, 0, g))) < 1e-13
 
 
 @pytest.mark.parametrize("size", [8, 10, 12, 14, 16])
@@ -145,10 +137,10 @@ def test_spectral_derivative_real_fft_kernel(size):
     data[0] += np.cos(size // 2 * x)  # pure Nyquist content
     k = wavenumbers(g, 0)
     ref = np.fft.ifft(1j * k * np.fft.fft(data, axis=-1), axis=-1).real
-    got = differentiate(data, 0, g, "spectral")
+    got = differentiate(data, 0, g)
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
     D = np.stack(
-        [differentiate(col, 0, g, "spectral") for col in np.eye(size)], axis=1
+        [differentiate(col, 0, g) for col in np.eye(size)], axis=1
     )
     assert np.max(np.abs(D + D.T)) < 1e-13
 
@@ -189,9 +181,8 @@ def test_spectral_derivative_matches_fft_reference(sizes, fiber_shape):
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("method", ["spectral", "fd4"])
 @pytest.mark.parametrize("sizes", [(12,), (10, 16), (8, 12, 14)])
-def test_derivative_writes_into_a_strided_slot(sizes, method):
+def test_derivative_writes_into_a_strided_slot(sizes):
     # the gradient's slot i of a batch, out[:, i], is strided across the
     # batch and contiguous on the grid: the derivative lands in it, and the
     # other slots are untouched
@@ -199,9 +190,9 @@ def test_derivative_writes_into_a_strided_slot(sizes, method):
     data = np.random.default_rng(len(sizes)).standard_normal((2, 3) + spec.shape)
     for a in range(spec.n):
         out = np.zeros((2, spec.n, 3) + spec.shape)
-        got = differentiate(data, a, spec, method, out=out[:, a])
+        got = differentiate(data, a, spec, out=out[:, a])
         assert np.shares_memory(got, out)
-        np.testing.assert_array_equal(out[:, a], differentiate(data, a, spec, method))
+        np.testing.assert_array_equal(out[:, a], differentiate(data, a, spec))
         assert not np.any(np.delete(out, a, axis=1))
 
 
@@ -209,8 +200,8 @@ def test_multi_axis_derivative_acts_on_named_axis():
     g = grid(2, 16)
     t1, t2 = g.theta_mesh()
     f = np.cos(t1) * np.sin(2 * t2)
-    d0 = differentiate(f, 0, g, "spectral")
-    d1 = differentiate(f, 1, g, "spectral")
+    d0 = differentiate(f, 0, g)
+    d1 = differentiate(f, 1, g)
     assert np.max(np.abs(d0 + np.sin(t1) * np.sin(2 * t2))) < 1e-12
     assert np.max(np.abs(d1 - 2 * np.cos(t1) * np.cos(2 * t2))) < 1e-12
 
@@ -221,14 +212,13 @@ def test_multi_axis_derivative_acts_on_named_axis():
 
 def test_flat_preset_components():
     # exp(0) = 1.0 and the derivatives of f = 0 are 0.0 exactly: the flat
-    # cache is exactly flat under either field method
+    # cache is exactly flat
     spec = grid(2, 16)
-    for method in ("spectral", "fd4"):
-        cache = build_geometry(spec, FLAT, method=method)
-        assert cache.is_flat and cache.exponent.variables == ()
-        np.testing.assert_array_equal(cache.conf_exponent_values, 0.0)
-        assert not np.any(cache.h) and not np.any(cache.T)
-        np.testing.assert_array_equal(cache.weights, spec.cell_volume)
+    cache = build_geometry(spec, FLAT)
+    assert cache.is_flat and cache.exponent.variables == ()
+    np.testing.assert_array_equal(cache.conf_exponent_values, 0.0)
+    assert not np.any(cache.h) and not np.any(cache.T)
+    np.testing.assert_array_equal(cache.weights, spec.cell_volume)
 
 
 def test_conformal_zero_exponent_is_flat():
@@ -251,15 +241,6 @@ def test_cache_arrays_hold_at_most_n2_entries_per_point(n):
     for name, values in arrays.items():
         assert values.size <= n * n * cache.spec.num_points, name
         assert not values.flags.writeable, name
-
-
-def test_geometry_does_not_depend_on_the_field_method():
-    # fd4 differentiates fields only; the geometry is exact under both
-    spec = grid(3, 8)
-    f = parse_trig_poly("0.2*cos(x1) + 0.1*sin(x2 - x3)")
-    a, b = build_geometry(spec, f), build_geometry(spec, f, method="fd4")
-    for name in ("conf_exponent_values", "h", "T", "weights"):
-        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_conformal_oracles_vanish_for_zero_exponent():
@@ -331,15 +312,14 @@ def test_conformal_christoffel_oracle_match():
     assert np.max(np.abs(gamma[0, 0, 0] - d1f)) < 1e-10
 
 
-@pytest.mark.parametrize("method", ["spectral", "fd4"])
-def test_christoffel_metric_compatibility_diagonal(method):
+def test_christoffel_metric_compatibility_diagonal():
     # d_a g_ij = Gamma^l_ai g_lj + Gamma^l_aj g_il on a diagonal metric
     # e^{2f} delta whose factor varies along both axes
     spec = grid(2, 16)
     f = parse_trig_poly("0.2*cos(x1) + 0.1*sin(x2)")
-    ref = reference(build_geometry(spec, f), method)
+    ref = reference(build_geometry(spec, f))
     gam, g = ref["christoffel"], ref["g"]
-    dg = np.stack([differentiate(g, a, spec, method) for a in range(2)])
+    dg = np.stack([differentiate(g, a, spec) for a in range(2)])
     rhs = np.einsum("lai...,lj...->aij...", gam, g) + np.einsum(
         "laj...,il...->aij...", gam, g
     )
@@ -357,13 +337,12 @@ def test_conformal_factor_cached_per_power():
     assert build_geometry(spec, FLAT).conformal_factor(-2.0) is None
 
 
-@pytest.mark.parametrize("method", ["spectral", "fd4"])
 @pytest.mark.parametrize("metric", ["flat", "conformal"])
 @pytest.mark.parametrize("n", [2, 3])
-def test_conformal_h_matches_christoffel(n, metric, method):
+def test_conformal_h_matches_christoffel(n, metric):
     spec = grid(n, 8 if n == 3 else 16)
     f = FLAT if metric == "flat" else parse_trig_poly("0.2*cos(x1) + 0.1*sin(x2)")
-    cache = build_geometry(spec, f, method=method)
+    cache = build_geometry(spec, f)
     h = cache.h
     if metric == "flat":
         assert cache.exponent.variables == () and not np.any(h)
@@ -462,18 +441,6 @@ def test_spectral_curvature_error_drops_fast_under_refinement():
         oracle = conformal_scalar_curvature_oracle(f, spec)
         errs[size] = np.max(np.abs(ref["scalar_curvature"] - oracle))
     assert errs[16] / max(errs[32], 1e-16) > 10
-
-
-def test_fd4_curvature_error_fourth_order():
-    errs = {}
-    for size in (16, 32):
-        spec = grid(2, size)
-        f = parse_trig_poly("0.4*cos(x1)")
-        ref = reference(build_geometry(spec, f), "fd4")
-        oracle = conformal_scalar_curvature_oracle(f, spec)
-        errs[size] = np.max(np.abs(ref["scalar_curvature"] - oracle))
-    ratio = errs[16] / errs[32]
-    assert 10 < ratio < 24
 
 
 def test_non_spd_sample_raises():

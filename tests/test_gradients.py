@@ -51,7 +51,7 @@ from testlib import (
 )
 
 
-def make_cache(n=2, size=16, metric="flat", f_text=None, method="spectral"):
+def make_cache(n=2, size=16, metric="flat", f_text=None):
     spec = GridSpec(n=n, sizes=(size,) * n)
     if metric == "flat":
         f = TrigPoly([])
@@ -62,7 +62,7 @@ def make_cache(n=2, size=16, metric="flat", f_text=None, method="spectral"):
             x = "x2" if metric == "conformal_x2" else "x1"
             f_text = f"0.1*cos({x})" if n == 2 else f"0.05*cos({x})"
         f = parse_trig_poly(f_text)
-    return build_geometry(spec, f, method=method)
+    return build_geometry(spec, f)
 
 
 def random_field(cache, rank, seed=0, band=4):
@@ -388,8 +388,8 @@ def test_d2_zero_for_divergence_free_field():
 
     u = evaluate_on_grid(parse_trig_poly("cos(x1 + 2*x2) + 0.5*sin(2*x1)"), cache.spec)
     comp = np.stack(
-        [-differentiate(u, 1, cache.spec, "spectral"),
-         differentiate(u, 0, cache.spec, "spectral")],
+        [-differentiate(u, 1, cache.spec),
+         differentiate(u, 0, cache.spec)],
     )
     phi = fields.field_from_monomial(cache, 1, comp)
     assert l2_norm(fields.divergence(phi)) < 1e-12
@@ -686,17 +686,16 @@ def test_conformal_index_raising_matches_g_inv(n, size):
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_curvature_route_is_zero_on_zero_curvature(n, p):
-    # the flat cache is exactly flat under either field method (T = 0 and
-    # h = 0 exactly), and so is the route, single and stacked
-    for method in ("spectral", "fd4"):
-        cache = make_cache(n, 8, "flat", method=method)
-        assert not np.any(cache.T) and not np.any(cache.h)
-        t = fiber.tracefree_dim(n, p)
-        data = np.random.default_rng(p).standard_normal((2, t) + cache.spec.shape)
-        for phi in (fields.TensorField(cache, "s0", p, data),
-                    fields.TensorField(cache, "s0", p, data[0])):
-            K = curvature_action(phi).data
-            assert K.shape == phi.data.shape and not np.any(K)
+    # the flat cache is exactly flat (T = 0 and h = 0 exactly), and so is
+    # the route, single and stacked
+    cache = make_cache(n, 8, "flat")
+    assert not np.any(cache.T) and not np.any(cache.h)
+    t = fiber.tracefree_dim(n, p)
+    data = np.random.default_rng(p).standard_normal((2, t) + cache.spec.shape)
+    for phi in (fields.TensorField(cache, "s0", p, data),
+                fields.TensorField(cache, "s0", p, data[0])):
+        K = curvature_action(phi).data
+        assert K.shape == phi.data.shape and not np.any(K)
 
 
 @pytest.mark.parametrize("f_text", ["0", "0.1*cos(x1)", "0.1*cos(x1)+0.05*sin(x2)"])
@@ -744,9 +743,12 @@ def test_curvature_term_2d_scalar_action(p):
 
 
 def test_curvature_term_zeroth_order_under_refinement():
-    # with fourth-order stencils the commutator with a scalar multiplier
-    # is pure discretization error and must shrink ~16x per halving;
-    # use one fixed analytic field so both sizes sample the same function
+    # the commutator with a scalar multiplier is pure discretization
+    # error: the spectral derivative is exact below Nyquist, so what is
+    # left is the aliasing of the conformal factor's tail in the products.
+    # At N = 16 this field is under-resolved (residual ~4e-7), at N = 32
+    # it is at roundoff.  One fixed analytic field: both sizes sample the
+    # same function
     from gradlab.geometry import evaluate_on_grid
 
     comp_texts = [
@@ -756,14 +758,14 @@ def test_curvature_term_zeroth_order_under_refinement():
     ]
     vals = {}
     for size in (16, 32):
-        cache = make_cache(2, size, "conformal", method="fd4")
+        cache = make_cache(2, size, "conformal")
         mono = np.stack(
             [evaluate_on_grid(parse_trig_poly(t), cache.spec) for t in comp_texts])
         phi = fields.field_from_monomial(cache, 2, mono)
         mesh = cache.spec.theta_mesh()
         u = 1.0 + 0.3 * np.cos(mesh[0]) * np.sin(mesh[1])
         vals[size] = zeroth_order_residual(phi, u, weitzenbock_K(phi))
-    assert vals[32] < vals[16] / 10.0
+    assert vals[16] > 1e-8 and vals[32] < 1e-12
 
 
 def test_q_form_integral_matches_quadratic_route():

@@ -500,7 +500,7 @@ def test_convergence_needs_three_sizes():
 
 def test_convergence_spectral_plateaus():
     cfg = ExperimentConfig(conformal_exponent="0.1*cos(x1)", dimension=2,
-                           sizes=(12, 16, 24), ranks=(2,), method="spectral", seed=7,
+                           sizes=(12, 16, 24), ranks=(2,), seed=7,
                            suites=("convergence",))
     rep = convergence_study(cfg)
     assert rep.status == "pass"
@@ -511,30 +511,6 @@ def test_convergence_spectral_plateaus():
     res = [r for r in rep.records if r.check_id.startswith("converge.residual.")]
     assert len(res) == 7 * len(cfg.sizes)
     assert all(r.status == "measured" for r in res)
-
-
-def test_convergence_fd4_slopes():
-    cfg = ExperimentConfig(conformal_exponent="0.1*cos(x1)", dimension=2,
-                           sizes=(16, 24, 32, 48), ranks=(2,), method="fd4",
-                           seed=7, suites=("convergence",))
-    rep = convergence_study(cfg)
-    assert rep.status == "pass"
-    by_id = {r.check_id: r for r in rep.records}
-    slope = by_id["converge.slope.curvature_oracle.p2"]
-    assert abs(slope.value - cfg.tolerance("slope_target")) <= cfg.tolerance("slope_window")
-    # algebraic identities hold at machine precision on every fd4 grid
-    assert by_id["converge.flat_profile.reconstruction.p2"].status == "pass"
-    assert by_id["converge.flat_profile.splitting_form.p2"].status == "pass"
-
-
-def test_pair_slopes_reads_exact_order():
-    sizes = [8, 16, 32]
-    residuals = [1e-2 * (8.0 / s) ** 4 for s in sizes]
-    slopes = harness._pair_slopes(sizes, residuals)
-    assert slopes == pytest.approx([4.0, 4.0])
-    # pairs that straddle the noise floor are excluded
-    assert harness._pair_slopes(sizes, [1e-4, 1e-15, 1e-15]) == pytest.approx(
-        [], abs=0) or len(harness._pair_slopes(sizes, [1e-4, 1e-15, 1e-15])) == 1
 
 
 def test_refine_tolerance_covers_floor_and_ratio():

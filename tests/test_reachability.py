@@ -12,10 +12,17 @@ A public method or property of a program class counts as reached when
 some code under src/ or scripts/ accesses an attribute of that name.  A
 name is not resolved to its class, so this is the weaker rule: it catches
 a method no program code names at all.
+
+The config grammar is held to the same rule from outside config.py: every
+default tolerance is named by a string in the program code that checks
+against it, and every config key's attribute is read there, so a key or a
+tolerance goes when its last reader does.
 """
 
 import ast
 from pathlib import Path
+
+from gradlab.config import DEFAULT_TOLERANCES, VALID_KEYS
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "gradlab"
@@ -57,13 +64,17 @@ def _public_methods():
                         yield f"{path.stem}.{cls.name}.{node.name}", node.name
 
 
-def _attribute_names():
-    """Every attribute name accessed in code under src/ and scripts/."""
-    names = set()
+def _program_nodes(skip=()):
+    """Every AST node of the code under src/ and scripts/, except the files
+    named in `skip`."""
     for path in [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "scripts").rglob("*.py"))]:
-        tree = ast.parse(path.read_text(), filename=str(path))
-        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    return names
+        if path.name not in skip:
+            yield from ast.walk(ast.parse(path.read_text(), filename=str(path)))
+
+
+def _attribute_names(skip=()):
+    """Every attribute name accessed in code under src/ and scripts/."""
+    return {node.attr for node in _program_nodes(skip) if isinstance(node, ast.Attribute)}
 
 
 def _source_module(node):
@@ -144,3 +155,19 @@ def test_method_allowlist_names_only_unreached_methods():
     methods = dict(_public_methods())
     stale = [q for q in UNREACHED_METHODS if q not in methods or methods[q] in names]
     assert not stale, f"allowlisted but reached or gone: {stale}"
+
+
+def test_every_tolerance_is_named_outside_the_config():
+    # a tolerance no check names is a config key that changes nothing
+    strings = {node.value for node in _program_nodes(skip=("config.py",))
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    unread = sorted(set(DEFAULT_TOLERANCES) - strings)
+    assert not unread, f"tolerances no program code outside config.py names: {unread}"
+
+
+def test_every_config_key_is_read_outside_the_config():
+    # the report's config section reads every key through getattr, which is
+    # not an attribute access here: a key must change what a run does
+    names = _attribute_names(skip=("config.py",))
+    unread = sorted(key for key, (attr, _, _) in VALID_KEYS.items() if attr not in names)
+    assert not unread, f"config keys no program code outside config.py reads: {unread}"

@@ -47,7 +47,7 @@ from testlib import (
 )
 
 
-def make_cache(n=2, size=12, metric="flat", f_text=None, method="spectral"):
+def make_cache(n=2, size=12, metric="flat", f_text=None):
     spec = GridSpec(n=n, sizes=(size,) * n)
     if metric == "flat":
         f = TrigPoly([])
@@ -55,7 +55,7 @@ def make_cache(n=2, size=12, metric="flat", f_text=None, method="spectral"):
         if f_text is None:
             f_text = "0.1*cos(x1)" if n == 2 else "0.05*cos(x1)"
         f = parse_trig_poly(f_text)
-    return build_geometry(spec, f, method=method)
+    return build_geometry(spec, f)
 
 
 def d1_handle(cache, p):
@@ -733,15 +733,14 @@ GALERKIN_METRICS = [None, "0.1*cos(x1)", "0.1*cos(x1)+0.05*sin(x2)"]
 # the dense 3-torus reference (DOF 1029) is slow: two cases, and the
 # spectra compared there for the d1*d1 form only
 GALERKIN_CASES = [
-    (2, p, f_text, method)
-    for p in (1, 2) for f_text in GALERKIN_METRICS for method in ("spectral", "fd4")
-] + [(3, 1, None, "spectral"), (3, 1, "0.1*cos(x1)", "fd4")]
+    (2, p, f_text) for p in (1, 2) for f_text in GALERKIN_METRICS
+] + [(3, 1, None), (3, 1, "0.1*cos(x1)")]
 
 
-@pytest.mark.parametrize("n,p,f_text,method", GALERKIN_CASES)
-def test_galerkin_sectors_match_dense_reference(n, p, f_text, method):
+@pytest.mark.parametrize("n,p,f_text", GALERKIN_CASES)
+def test_galerkin_sectors_match_dense_reference(n, p, f_text):
     metric = "flat" if f_text is None else "conformal"
-    cache = make_cache(n, 8, metric=metric, f_text=f_text, method=method)
+    cache = make_cache(n, 8, metric=metric, f_text=f_text)
     gal = Galerkin(cache, p)
     first_invariant = {None: 0, GALERKIN_METRICS[1]: 1, GALERKIN_METRICS[2]: 2}[f_text]
     assert gal.axes == tuple(range(first_invariant, n))
@@ -890,15 +889,14 @@ def test_divergence_pairs_with_the_gradient_weight():
 
 # n = 2 at p = 2 has d3 = 0 identically: every output is held to the scale
 # of the gradient as well as its own
-BATCH_CASES = [(2, 1, None, "spectral"), (2, 2, "0.1*cos(x1)", "spectral"),
-               (2, 1, "0.1*cos(x1)+0.05*sin(x2)", "fd4"), (3, 2, None, "spectral"),
-               (3, 1, "0.05*cos(x1)", "spectral")]
+BATCH_CASES = [(2, 1, None), (2, 2, "0.1*cos(x1)"), (2, 1, "0.1*cos(x1)+0.05*sin(x2)"),
+               (3, 2, None), (3, 1, "0.05*cos(x1)")]
 
 
-@pytest.mark.parametrize("n,p,f_text,method", BATCH_CASES)
-def test_batched_operators_match_single_fields(n, p, f_text, method):
+@pytest.mark.parametrize("n,p,f_text", BATCH_CASES)
+def test_batched_operators_match_single_fields(n, p, f_text):
     cache = make_cache(n, 8, metric="flat" if f_text is None else "conformal",
-                       f_text=f_text, method=method)
+                       f_text=f_text)
     t = fiber.tracefree_dim(n, p)
     data = np.random.default_rng(5).standard_normal((3, t) + cache.spec.shape)
     batch = TensorField(cache, "s0", p, data)
@@ -1011,7 +1009,7 @@ def test_galerkin_lowest_fields_are_the_flat_kernel():
 @pytest.mark.parametrize("sizes,trailing", [((12, 8), (3,)), ((10, 10), (2, 3)), ((8, 10, 8), (2,))])
 def test_trig_series_matches_direct_sum(sizes, trailing):
     spec = GridSpec(n=len(sizes), sizes=sizes)
-    modes = spectral.half_modes([s // 2 - 1 for s in sizes])
+    modes = spectral.half_modes(tuple(s // 2 - 1 for s in sizes))
     coef = np.random.default_rng(len(sizes)).standard_normal((1 + 2 * len(modes),) + trailing)
     got = spectral.trig_series(spec, modes, coef)
     ref = direct_trig_series(spec, modes, coef)
@@ -1040,10 +1038,10 @@ def test_trig_series_matches_direct_sum_on_per_axis_bands(sizes, bands):
 
 
 def test_half_modes_keep_one_read_only_array():
-    # one read-only int array beside the cached tuple, the same modes
-    modes, table = spectral._half_modes((2, 3, 1))
-    assert modes is spectral.half_modes([2, 3, 1]) and not table.flags.writeable
-    assert table.dtype.kind == "i" and table.tolist() == [list(m) for m in modes]
+    # one read-only (count, n) int array per bands, shared by every caller
+    modes = spectral.half_modes((2, 3, 1))
+    assert spectral.half_modes((2, 3, 1)) is modes and not modes.flags.writeable
+    assert modes.dtype.kind == "i" and modes.shape == ((5 * 7 * 3 - 1) // 2, 3)
 
 
 def test_trig_series_refuses_nyquist_and_row_count():
@@ -1058,10 +1056,10 @@ def test_trig_series_refuses_nyquist_and_row_count():
 
 
 def test_half_modes_one_per_pair():
-    modes = spectral.half_modes([2, 1])
+    modes = [tuple(m) for m in spectral.half_modes((2, 1)).tolist()]
     assert len(modes) == (5 * 3 - 1) // 2
     assert len(set(modes) | {tuple(-v for v in m) for m in modes}) == 2 * len(modes)
-    assert list(modes) == sorted(modes)
+    assert modes == sorted(modes)
 
 
 def reference_half_modes(bands):
@@ -1074,11 +1072,11 @@ def reference_half_modes(bands):
 @pytest.mark.parametrize("bands", [[2, 1], (3, 3), [0, 2], (2, 0), [1], (0, 0),
                                    [4, 0, 2], (3, 3, 3), [1, 2, 1, 1]])
 def test_half_modes_match_the_enumeration(bands):
-    modes = spectral.half_modes(bands)
-    assert list(modes) == reference_half_modes(bands)
-    assert all(type(v) is int for m in modes for v in m)
+    modes = spectral.half_modes(tuple(bands))
+    assert [tuple(m) for m in modes.tolist()] == reference_half_modes(bands)
+    assert modes.shape == (len(modes), len(bands)) and modes.dtype.kind == "i"
     # built once per bands, and immutable: every draw shares it
-    assert spectral.half_modes(list(bands)) is modes and isinstance(modes, tuple)
+    assert spectral.half_modes(tuple(bands)) is modes and not modes.flags.writeable
 
 
 # ---------------------------------------------------------------------------

@@ -158,7 +158,7 @@ def rough_laplacian_formula(phi: TensorField):
     X = fields._grad_apply(cache, p, phi.data)
     slot = [fields._slot(X, i, n) for i in range(n)]
     # sum_i (nabla_i X)_{i, J}: derivative, covariant-slot and symmetric-slot terms
-    out = -sum(differentiate(slot[i], i, spec, cache.method) for i in range(n))
+    out = -sum(differentiate(slot[i], i, spec) for i in range(n))
     for l in cache.exponent.variables:
         # the symmetric slots add sum_i C[l, i] X_i, and the covariant
         # slot adds sum_i Gamma^k_ii = (2 - n) h_k, on slot k = l
@@ -678,13 +678,13 @@ def metric_samples(cache):
     return g
 
 
-def metric_geometry(spec, g, method="spectral"):
+def metric_geometry(spec, g):
     """Inverse, connection, curvature and quadrature weights of metric samples.
 
     `g` is any metric sampled on the grid, (n, n, *grid), component axes
     first as in `GeometryCache`; nothing here assumes the conformal form, so
     its curvature is an independent route to the closed forms of
-    `GeometryCache`.  The metric is differentiated with `method`.  riemann
+    `GeometryCache`.  The metric is differentiated spectrally.  riemann
     is fully lowered, indexed (i, j, k, l, *grid) as R_{ijkl} = g_{im}
     R^m_{jkl}; ricci is the (j, l) contraction of R^m_{jml}.  Raises
     GeometryError when a sample is not positive definite or when any array
@@ -701,10 +701,10 @@ def metric_geometry(spec, g, method="spectral"):
         sqrt_det = np.sqrt(np.linalg.det(points))
 
         # dg[a, i, j] = d_a g_ij
-        dg = np.stack([differentiate(g, a, spec, method) for a in range(n)])
+        dg = np.stack([differentiate(g, a, spec) for a in range(n)])
         gamma = christoffel(g_inv, dg)
 
-        dgamma = np.stack([differentiate(gamma, a, spec, method) for a in range(n)])
+        dgamma = np.stack([differentiate(gamma, a, spec) for a in range(n)])
         # R^r_{s m v} = d_m G^r_{v s} - d_v G^r_{m s} + G^r_{m l} G^l_{v s} - G^r_{v l} G^l_{m s}
         r_up = (
             np.einsum("mrvs...->rsmv...", dgamma)
