@@ -3,15 +3,18 @@
 Dotted keys, '#' comments, blank lines ignored.  The grammar is kept
 deliberately trivial so configs diff cleanly and the parser has no edge
 cases worth testing beyond "unknown key" and "bad value".  Every field of
-ExperimentConfig has exactly one key, so a config round-trips through
-format_config/parse_config_text unchanged.
+ExperimentConfig has exactly one key.
+
+A config chooses what runs, never how strictly it is judged: the check
+tolerances are the read-only table TOLERANCES, which no config key reaches.
 
 The metric is one key: ``metric.conformal`` is the exponent f of
 g = e^{2f} delta, and its default 0 is the flat torus.
 """
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 
 from .expressions import ExpressionError, parse_trig_poly
 
@@ -20,9 +23,8 @@ class ConfigError(RuntimeError):
     """Malformed configuration; message carries line/key diagnostics."""
 
 
-# Default tolerances for every named check family.  Overridable one by one
-# through ``tolerances.<name>`` keys; unknown names are rejected.
-DEFAULT_TOLERANCES = {
+# The tolerance of every named check family; read-only, and no config sets one.
+TOLERANCES = MappingProxyType({
     "reconstruction": 1e-10,
     "orthogonality": 1e-8,
     "trace_residual": 1e-10,
@@ -39,20 +41,19 @@ DEFAULT_TOLERANCES = {
     "ellipticity_floor": 1e-3,
     "parallel": 1e-8,
     "control_floor": 1e-3,
-}
+    "psd": 1e-9,
+})
 
 _SUITES = ("identity", "kernel", "convergence")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything an experiment run depends on; value semantics, hashable-ish.
+    """Everything an experiment run depends on; value semantics, hashable.
 
     ``conformal_exponent`` is the trig polynomial f of the metric e^{2f}
     delta; "0" is the flat torus.  ``sizes`` must be even, >= 8, strictly
     increasing, and at least three when the convergence suite runs.
-    ``tolerances`` holds only the overrides; resolve through
-    :meth:`tolerance`.
     """
 
     conformal_exponent: str = "0"
@@ -62,7 +63,6 @@ class ExperimentConfig:
     seed: int = 0
     suites: tuple = ("identity",)
     field_count: int = 6
-    tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
         try:
@@ -95,22 +95,12 @@ class ExperimentConfig:
             raise ConfigError(f"suites must be distinct: {suites}")
         if "convergence" in suites and len(sizes) < 3:
             raise ConfigError(f"the convergence suite needs >= 3 grid sizes: {sizes}")
-        for name in self.tolerances:
-            if name not in DEFAULT_TOLERANCES:
-                known = ", ".join(sorted(DEFAULT_TOLERANCES))
-                raise ConfigError(f"unknown tolerance {name!r}; known: {known}")
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "ranks", ranks)
         object.__setattr__(self, "suites", suites)
-        object.__setattr__(self, "tolerances", dict(self.tolerances))
-
-    def tolerance(self, name):
-        if name not in DEFAULT_TOLERANCES:
-            raise ConfigError(f"unknown tolerance {name!r}")
-        return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))
 
 
-# key -> (attribute, parser, formatter); single source of truth for the grammar
+# key -> (attribute, parser); single source of truth for the grammar
 def _int_list(text):
     body = text.strip()
     if body.startswith("[") and body.endswith("]"):
@@ -128,18 +118,14 @@ def _str_list(text):
     return tuple(s.strip() for s in body.split(",") if s.strip())
 
 
-def _fmt_list(values):
-    return ",".join(str(v) for v in values)
-
-
 VALID_KEYS = {
-    "metric.conformal": ("conformal_exponent", str.strip, str),
-    "grid.dimension": ("dimension", int, str),
-    "grid.sizes": ("sizes", _int_list, _fmt_list),
-    "ranks": ("ranks", _int_list, _fmt_list),
-    "seed": ("seed", int, str),
-    "suites": ("suites", _str_list, _fmt_list),
-    "fields.count": ("field_count", int, str),
+    "metric.conformal": ("conformal_exponent", str.strip),
+    "grid.dimension": ("dimension", int),
+    "grid.sizes": ("sizes", _int_list),
+    "ranks": ("ranks", _int_list),
+    "seed": ("seed", int),
+    "suites": ("suites", _str_list),
+    "fields.count": ("field_count", int),
 }
 
 
@@ -148,27 +134,17 @@ def _fail(source, lineno, message):
     raise ConfigError(where + message)
 
 
-def _assign(line, source, lineno, values, tolerances):
-    """Parse one 'key = value' line into `values` (attribute -> value) or
-    `tolerances` (name -> float); errors name source:line and the key."""
+def _assign(line, source, lineno, values):
+    """Parse one 'key = value' line into `values` (attribute -> value);
+    errors name source:line and the key."""
     if "=" not in line:
         _fail(source, lineno, f"expected 'key = value', got {line!r}")
     key, _, val = line.partition("=")
     key, val = key.strip(), val.strip()
-    if key.startswith("tolerances."):
-        name = key[len("tolerances."):]
-        if name not in DEFAULT_TOLERANCES:
-            known = ", ".join(f"tolerances.{k}" for k in sorted(DEFAULT_TOLERANCES))
-            _fail(source, lineno, f"unknown key {key!r}; tolerance keys: {known}")
-        try:
-            tolerances[name] = float(val)
-        except ValueError:
-            _fail(source, lineno, f"bad float for {key!r}: {val!r}")
-        return
     if key not in VALID_KEYS:
-        known = ", ".join(sorted(VALID_KEYS) + ["tolerances.<name>"])
+        known = ", ".join(sorted(VALID_KEYS))
         _fail(source, lineno, f"unknown key {key!r}; valid keys: {known}")
-    attr, parse, _ = VALID_KEYS[key]
+    attr, parse = VALID_KEYS[key]
     try:
         values[attr] = parse(val)
     except ValueError as exc:
@@ -178,13 +154,17 @@ def _assign(line, source, lineno, values, tolerances):
 def parse_config_text(text, source="<config>"):
     """Parse the flat key=value format into an ExperimentConfig."""
     values = {}
-    tolerances = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if line and not line.startswith("#"):
-            _assign(line, source, lineno, values, tolerances)
+            _assign(line, source, lineno, values)
+    return _validated(values, source)
+
+
+def _validated(values, source):
+    """ExperimentConfig(**values), its validation error prefixed by `source`."""
     try:
-        return ExperimentConfig(**values, tolerances=tolerances)
+        return ExperimentConfig(**values)
     except ConfigError as exc:
         raise ConfigError(f"{source}: {exc}") from exc
 
@@ -201,19 +181,6 @@ def load_config(path):
 def apply_overrides(cfg, pairs):
     """Apply command-line 'key=value' overrides on top of a parsed config."""
     merged = dataclasses.asdict(cfg)
-    tolerances = dict(cfg.tolerances)
     for lineno, pair in enumerate(pairs, start=1):
-        _assign(pair, "<override>", lineno, merged, tolerances)
-    merged["tolerances"] = tolerances
-    return ExperimentConfig(**merged)
-
-
-def format_config(cfg):
-    """Canonical text form; parse_config_text(format_config(c)) == c."""
-    lines = []
-    for key in sorted(VALID_KEYS):
-        attr, _, fmt = VALID_KEYS[key]
-        lines.append(f"{key} = {fmt(getattr(cfg, attr))}")
-    for name in sorted(cfg.tolerances):
-        lines.append(f"tolerances.{name} = {cfg.tolerances[name]!r}")
-    return "\n".join(lines) + "\n"
+        _assign(pair, "<override>", lineno, merged)
+    return _validated(merged, "<override>")

@@ -178,14 +178,19 @@ class _Parser:
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
 
+    def unexpected(self, expected, got):
+        """The error for the token value `got` where `expected` is due; None
+        means the text ended."""
+        if got is None:
+            return ExpressionError(f"unexpected end of expression: {self.text!r}")
+        return ExpressionError(f"expected {expected}, got {got!r} in {self.text!r}")
+
     def take(self, kind=None, value=None):
         got_kind, got_val = self.peek()
-        if got_kind is None:
-            raise ExpressionError(f"unexpected end of expression: {self.text!r}")
-        if kind is not None and got_kind != kind:
-            raise ExpressionError(f"expected {kind}, got {got_val!r} in {self.text!r}")
+        if got_kind is None or (kind is not None and got_kind != kind):
+            raise self.unexpected(kind, got_val)
         if value is not None and got_val != value:
-            raise ExpressionError(f"expected {value!r}, got {got_val!r} in {self.text!r}")
+            raise self.unexpected(repr(value), got_val)
         self.pos += 1
         return got_val
 
@@ -221,7 +226,7 @@ class _Parser:
         if kind == "func":
             f, wave = self.parse_trig()
             return [TrigTerm(sign, f, wave)]
-        raise ExpressionError(f"expected a number or cos/sin, got {val!r} in {self.text!r}")
+        raise self.unexpected("a number or cos/sin", val)
 
     def parse_trig(self):
         f = self.take("func")
@@ -242,7 +247,7 @@ class _Parser:
                 self.take()
                 self.parse_wave_atom(wave, -1 if val == "-" else 1)
             else:
-                raise ExpressionError(f"expected + - or ) inside {f}(...) in {self.text!r}")
+                raise self.unexpected(f"+ - or ) inside {f}(...)", val)
         if not wave:
             raise ExpressionError(f"empty wave vector in {self.text!r}")
         n = max(wave)
@@ -261,7 +266,7 @@ class _Parser:
             var = self.take()
             mult = sign
         else:
-            raise ExpressionError(f"expected k*x<i> or x<i>, got {val!r} in {self.text!r}")
+            raise self.unexpected("k*x<i> or x<i>", val)
         idx = int(var[1:])
         if idx < 1:
             raise ExpressionError(f"variables are numbered from x1: {var!r}")

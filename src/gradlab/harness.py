@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fiber, fields, gradients, spectral
-from .config import VALID_KEYS, ExperimentConfig
+from .config import TOLERANCES, VALID_KEYS, ExperimentConfig
 from .expressions import parse_trig_poly
 from .fields import TensorField, l2_inner, l2_norm
 from .geometry import GridSpec, build_geometry
@@ -117,8 +117,7 @@ def environment_metadata():
 
 
 class _Recorder:
-    def __init__(self, config):
-        self.config = config
+    def __init__(self):
         self.records = []
 
     def _add(self, check_id, anchor, value, tolerance, status, detail):
@@ -136,7 +135,7 @@ class _Recorder:
             None if tolerance is None else float(tolerance), status, detail))
 
     def check(self, check_id, anchor, value, tol_name, detail=""):
-        self.bounded(check_id, anchor, value, self.config.tolerance(tol_name), detail)
+        self.bounded(check_id, anchor, value, TOLERANCES[tol_name], detail)
 
     def bounded(self, check_id, anchor, value, tolerance, detail=""):
         status = "pass" if value <= tolerance else "fail"
@@ -184,13 +183,10 @@ def _unit(phi):
     return phi * (1.0 / (l2_norm(phi) + _TINY))
 
 
-def _refine_tolerance(config, r_coarse):
+def _refine_tolerance(r_coarse):
     """Pass bar for a residual after refinement: at the spectral floor, or
     smaller than the coarse-grid value by the required factor."""
-    return max(
-        config.tolerance("plateau"),
-        r_coarse / config.tolerance("refinement_factor"),
-    )
+    return max(TOLERANCES["plateau"], r_coarse / TOLERANCES["refinement_factor"])
 
 
 def _run_suite(suite, tag, config, sizes, rank_checks, closing=None):
@@ -203,7 +199,7 @@ def _run_suite(suite, tag, config, sizes, rank_checks, closing=None):
     per rank and in total, on the report only.
     """
     t0 = time.perf_counter()
-    rec = _Recorder(config)
+    rec = _Recorder()
     timing = {}
     caches = {size: build_cache(config, size) for size in sizes}
     for p in config.ranks:
@@ -347,7 +343,7 @@ def _identity_checks_for_rank(rec, config, p, caches):
                 "opposite-sign variant of the energy identity; must stay away from zero")
     if gradients.energy_coefficient(cache_hi.n, p) > 0:
         rec.flag(f"energy.sign_control.p{p}", A_ENERGY,
-                 flipped_min > config.tolerance("control_floor"), value=flipped_min,
+                 flipped_min > TOLERANCES["control_floor"], value=flipped_min,
                  detail="sign arbitration is falsifiable: the flipped variant does not vanish")
     else:
         rec.measure(f"energy.sign_control.p{p}", A_ENERGY, flipped_min,
@@ -373,7 +369,7 @@ def _identity_checks_for_rank(rec, config, p, caches):
         ):
             lo, hi = res[size_lo][name], res[size_hi][name]
             ratio = lo / (hi + _TINY)
-            rec.bounded(check_id, anchor, hi, _refine_tolerance(config, lo),
+            rec.bounded(check_id, anchor, hi, _refine_tolerance(lo),
                         f"{size_lo}->{size_hi}: {lo:.3e} -> {hi:.3e} (ratio {ratio:.1f})")
 
 
@@ -403,7 +399,7 @@ def _negative_controls(rec, config, caches):
     try:
         bad_orth = max(_scaled_d2_split(gradients.decompose(control_field()),
                                         _CONTROL_D2_SCALE).orthogonality.values())
-        rec.flag("control.d2_scale", PLUMBING, bad_orth > config.tolerance("control_floor"),
+        rec.flag("control.d2_scale", PLUMBING, bad_orth > TOLERANCES["control_floor"],
                  value=bad_orth,
                  detail="5% second-piece coefficient error must break orthogonality")
     except Exception as exc:  # noqa: BLE001
@@ -504,8 +500,8 @@ def _kernel_checks_for_rank(rec, config, p, caches):
 
     ck = _count_stability(rec, f"kernel.ck_count.p{p}", A_KERNEL,
                           "first-piece kernel", ck_by_size)
-    rec.bounded(f"kernel.psd.p{p}", A_ELLIPTIC, psd_worst, 1e-9,
-                "most negative eigenvalue relative to the largest")
+    rec.check(f"kernel.psd.p{p}", A_ELLIPTIC, psd_worst, "psd",
+              "most negative eigenvalue relative to the largest")
     rec.check(f"kernel.form_symmetry.p{p}", A_ADJOINT, symmetry_worst, "adjoint_transpose",
               "d1*d1 form: ||G - G^T|| / ||G||, worst over the grids")
     agree = all(ck_by_size[s].count == ck_gram_by_size[s].count for s in sizes)
@@ -591,7 +587,7 @@ def _symbol_checks_for_rank(rec, config, p, cache):
     floor = float(np.min(lowest / (gscale * np.sum(xi * xi, axis=1))[symmetric],
                          initial=np.inf))
     rec.flag(f"symbol.positive.p{p}", A_ELLIPTIC,
-             floor >= config.tolerance("ellipticity_floor"), value=floor,
+             floor >= TOLERANCES["ellipticity_floor"], value=floor,
              detail="min eigenvalue of the squared symbol over |xi|^2, 100 samples")
     rec.measure(f"symbol.distance_to_scalar.p{p}", A_ELLIPTIC, dist_max,
                 "largest relative distance of the squared symbol from a multiple "
@@ -656,7 +652,7 @@ def _monotone_above_floor(residuals, floor):
 
 
 def _convergence_checks_for_rank(rec, config, p, caches):
-    plateau = config.tolerance("plateau")
+    plateau = TOLERANCES["plateau"]
     prof = _residual_profile(config, p, caches)
     for name, values in sorted(prof.items()):
         anchor = _ALGEBRAIC.get(name, (None, None))[1] or _DISCRETIZATION[name]
@@ -701,13 +697,12 @@ def run_suites(config):
 # ---------------------------------------------------------------------------
 
 def _config_dict(config):
-    """The config section: one entry per config key, plus the tolerance
-    overrides."""
+    """The config section: one entry per config key.  The tolerances are
+    not config, and each record carries its own."""
     out = {}
-    for key, (attr, _, _) in VALID_KEYS.items():
+    for key, (attr, _) in VALID_KEYS.items():
         value = getattr(config, attr)
         out[key] = list(value) if isinstance(value, tuple) else value
-    out["tolerances"] = {k: config.tolerances[k] for k in sorted(config.tolerances)}
     return out
 
 

@@ -125,10 +125,10 @@ def test_check_override_merging(tiny_cfg, tmp_path):
 
 
 def test_check_failure_exit_code(tiny_cfg, tmp_path):
-    # an unreachable tolerance turns real residuals into failures
+    # f dips to -60: the residuals stay finite and exceed their tolerances
     code, text = run_cli([
         "check", "--config", str(tiny_cfg), "--out", str(tmp_path / "f"),
-        "--override", "tolerances.orthogonality=1e-30",
+        "--override", "metric.conformal=60*cos(x1)",
     ])
     assert code == EXIT_FAIL
     assert "fail" in text
@@ -202,19 +202,25 @@ def test_check_malformed_config(tmp_path, capsys):
     assert "valid keys" in err
 
 
-@pytest.mark.parametrize("where", ["config", "override"])
-def test_check_method_key_is_refused(tiny_cfg, tmp_path, capsys, where):
-    # fields have one discretization: `method` is an unknown key, in a
-    # config file or on the command line, refused before any suite runs
+@pytest.mark.parametrize("where,key,value", [
+    pytest.param("config", "method", "spectral", id="config"),
+    pytest.param("override", "method", "spectral", id="override"),
+    pytest.param("config", "tolerances.two_route", "1e-6", id="tolerance-config"),
+    pytest.param("override", "tolerances.plateau", "1e-7", id="tolerance-override"),
+])
+def test_check_method_key_is_refused(tiny_cfg, tmp_path, capsys, where, key, value):
+    # fields have one discretization and the program owns its tolerances:
+    # `method` and `tolerances.<name>` are unknown keys, in a config file or
+    # on the command line, refused before any suite runs
     argv = ["check", "--config", str(tiny_cfg), "--out", str(tmp_path / "m")]
     if where == "config":
-        tiny_cfg.write_text(tiny_cfg.read_text() + "method = spectral\n")
+        tiny_cfg.write_text(tiny_cfg.read_text() + f"{key} = {value}\n")
     else:
-        argv += ["--override", "method=spectral"]
+        argv += ["--override", f"{key}={value}"]
     code, text = run_cli(argv)
     assert code == EXIT_USAGE and text == ""
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and "unknown key 'method'" in err[0]
+    assert len(err) == 1 and f"unknown key {key!r}" in err[0]
     assert not (tmp_path / "m").exists()
 
 
@@ -326,12 +332,13 @@ def test_converge_runs_with_three_sizes(tiny_cfg, tmp_path):
 
 @pytest.mark.parametrize("rank", [0, 7])
 def test_rank_out_of_range_is_a_usage_error(rank, tiny_cfg, tmp_path, capsys):
-    # the rank is a config rank: one line, exit 2, no report
+    # the rank is a config rank: one line naming the override, exit 2, no report
     code, _ = run_cli(["check", "--config", str(tiny_cfg), "--out", str(tmp_path / "s"),
                        "--override", f"ranks={rank}"])
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
-    assert err.strip().splitlines() == [f"gradlab check: ranks must be in [1, 6]: ({rank},)"]
+    assert err.strip().splitlines() == [
+        f"gradlab check: <override>: ranks must be in [1, 6]: ({rank},)"]
     assert not (tmp_path / "s").exists()
 
 

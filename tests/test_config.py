@@ -1,6 +1,6 @@
 """Config-layer tests: the flat key=value grammar, line-numbered diagnostics,
-validation of grid/rank/suite/tolerance settings, override merging, and the
-format/parse round trip that keeps configs reproducible on disk."""
+validation of grid/rank/suite settings, override merging, the read-only
+tolerance table, and the text/parse round trip of every valid config."""
 
 import dataclasses
 
@@ -9,15 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradlab.config import (
-    DEFAULT_TOLERANCES,
+    TOLERANCES,
+    VALID_KEYS,
     ConfigError,
     ExperimentConfig,
     apply_overrides,
-    format_config,
     load_config,
     parse_config_text,
 )
 from gradlab.expressions import parse_trig_poly
+from testlib import config_text
 
 MINIMAL = "seed = 0\n"
 
@@ -42,7 +43,6 @@ def test_every_key_parses():
         "seed = 42",
         "suites = identity, convergence",
         "fields.count = 2",
-        "tolerances.two_route = 1e-6",
     ])
     cfg = parse_config_text(text, source="inline")
     assert cfg.conformal_exponent == "0.2*sin(x2)"
@@ -52,9 +52,6 @@ def test_every_key_parses():
     assert cfg.seed == 42
     assert cfg.suites == ("identity", "convergence")
     assert cfg.field_count == 2
-    assert cfg.tolerance("two_route") == 1e-6
-    # untouched tolerances still resolve to defaults
-    assert cfg.tolerance("reconstruction") == DEFAULT_TOLERANCES["reconstruction"]
 
 
 def test_comments_and_blank_lines_ignored():
@@ -85,17 +82,17 @@ def test_missing_equals_rejected():
 
 
 def test_unknown_tolerance_name_rejected():
-    with pytest.raises(ConfigError) as exc:
-        parse_config_text("tolerances.bogus = 1e-3\n", source="inline")
-    assert "bogus" in str(exc.value)
+    # no config line names a tolerance, a known one included
+    for name in ("bogus", "plateau"):
+        with pytest.raises(ConfigError) as exc:
+            parse_config_text(f"tolerances.{name} = 1e-3\n", source="inline")
+        assert f"inline:1: unknown key 'tolerances.{name}'" in str(exc.value)
 
 
-def test_kernel_tol_is_not_a_tolerance():
-    # the per-mode kernel oracle's rank cut is a constant, not a config key
-    assert "kernel_tol" not in DEFAULT_TOLERANCES
-    with pytest.raises(ConfigError) as exc:
-        parse_config_text("tolerances.kernel_tol = 1e-10\n", source="inline")
-    assert "kernel_tol" in str(exc.value)
+def test_tolerances_are_read_only():
+    assert TOLERANCES["plateau"] == 1e-9
+    with pytest.raises(TypeError):
+        TOLERANCES["plateau"] = 1e-7
 
 
 @pytest.mark.parametrize(
@@ -127,17 +124,12 @@ def test_metric_preset_is_not_a_key():
         parse_config_text("metric.preset = flat\n", source="inline")
 
 
-def test_unknown_tolerance_in_constructor_rejected():
-    with pytest.raises(ConfigError):
-        ExperimentConfig(tolerances={"nonsense": 1.0})
-
-
 def test_overrides_merge_and_validate():
     cfg = parse_config_text(MINIMAL, source="inline")
-    out = apply_overrides(cfg, ["ranks=[1,2]", "seed=9", "tolerances.plateau=1e-7"])
+    out = apply_overrides(cfg, ["ranks=[1,2]", "seed=9", "suites=kernel,identity"])
     assert out.ranks == (1, 2)
     assert out.seed == 9
-    assert out.tolerance("plateau") == 1e-7
+    assert out.suites == ("kernel", "identity")
     # original untouched (configs are frozen values, not shared state)
     assert cfg.seed == 0
     with pytest.raises(ConfigError):
@@ -182,30 +174,14 @@ def configs(draw):
         seed=draw(st.integers(min_value=0, max_value=2**31 - 1)),
         suites=suites,
         field_count=draw(st.integers(min_value=1, max_value=12)),
-        tolerances=draw(st.dictionaries(
-            st.sampled_from(sorted(DEFAULT_TOLERANCES)),
-            st.floats(min_value=1e-14, max_value=1e-2, allow_nan=False),
-            max_size=3,
-        )),
     )
 
 
 @settings(deadline=None, max_examples=60)
 @given(cfg=configs())
 def test_format_parse_round_trip(cfg):
-    text = format_config(cfg)
-    again = parse_config_text(text, source="round-trip")
-    assert again == cfg
-    # formatting is canonical: a second pass is byte-identical
-    assert format_config(again) == text
-
-
-def test_format_is_plain_key_value():
-    cfg = ExperimentConfig(tolerances={"two_route": 1e-6})
-    text = format_config(cfg)
-    for line in text.strip().splitlines():
-        assert "=" in line
-    assert "tolerances.two_route" in text
+    text = config_text({key: getattr(cfg, attr) for key, (attr, _) in VALID_KEYS.items()})
+    assert parse_config_text(text, source="round-trip") == cfg
 
 
 def test_config_is_hashable_value_object():

@@ -57,6 +57,15 @@ def test_rejects_outside_whitelist(bad):
         parse_trig_poly(bad)
 
 
+@pytest.mark.parametrize("text", ["0.1+", "-", "0.1*cos(", "0.1*cos(x1+", "0.1*cos(x1"])
+def test_text_ending_where_a_term_or_wave_is_due(text):
+    # a term (after a sign), a wave atom (after '(' or a sign), or the rest
+    # of a wave (after an atom) is due
+    with pytest.raises(ExpressionError) as exc:
+        parse_trig_poly(text)
+    assert str(exc.value) == f"unexpected end of expression: {text!r}"
+
+
 def test_canonicalization_identities():
     # cos is even, sin is odd in the wave vector
     assert parse_trig_poly("cos(-x1+x2)") == parse_trig_poly("cos(x1-x2)")

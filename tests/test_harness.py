@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from gradlab import fiber, fields, gradients, harness, spectral
-from gradlab.config import ConfigError, ExperimentConfig
+from gradlab.config import TOLERANCES, ConfigError, ExperimentConfig
 from gradlab.harness import (
     PLUMBING,
     CheckRecord,
@@ -476,7 +476,7 @@ def test_kernel_experiment_parallel_fields(kernel_report):
     for p in (1, 2):
         rec = by_id[f"kernel.parallel_fields.p{p}"]
         assert rec.status == "pass"
-        assert rec.value <= KERNEL_SMALL.tolerance("parallel")
+        assert rec.value <= TOLERANCES["parallel"]
 
 
 def test_symbol_checks(kernel_report):
@@ -514,12 +514,10 @@ def test_convergence_spectral_plateaus():
 
 
 def test_refine_tolerance_covers_floor_and_ratio():
-    cfg = ExperimentConfig()
     # far above the plateau: demand a tenfold drop
-    assert harness._refine_tolerance(cfg, 1e-5) == pytest.approx(1e-6)
+    assert harness._refine_tolerance(1e-5) == pytest.approx(1e-6)
     # at the plateau: only demand staying there
-    assert harness._refine_tolerance(cfg, 1e-12) == pytest.approx(
-        cfg.tolerance("plateau"))
+    assert harness._refine_tolerance(1e-12) == pytest.approx(TOLERANCES["plateau"])
 
 
 # ---------------------------------------------------------------------------

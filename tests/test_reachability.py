@@ -13,16 +13,16 @@ some code under src/ or scripts/ accesses an attribute of that name.  A
 name is not resolved to its class, so this is the weaker rule: it catches
 a method no program code names at all.
 
-The config grammar is held to the same rule from outside config.py: every
-default tolerance is named by a string in the program code that checks
-against it, and every config key's attribute is read there, so a key or a
+The config module is held to the same rule from outside config.py: every
+tolerance is named by a string in the program code that checks against
+it, and every config key's attribute is read there, so a key or a
 tolerance goes when its last reader does.
 """
 
 import ast
 from pathlib import Path
 
-from gradlab.config import DEFAULT_TOLERANCES, VALID_KEYS
+from gradlab.config import TOLERANCES, VALID_KEYS
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "gradlab"
@@ -31,9 +31,6 @@ MODULES = {path.stem for path in PACKAGE.glob("*.py")}
 # oracles still to be wired into a suite (ROADMAP, "Correctness and
 # robustness"); a name leaves this set when a suite reaches it
 AWAITING_A_SUITE = set()
-# library entry points documented for users rather than called by the CLI:
-# the README's config section names the format_config round trip
-LIBRARY_API = {"config.format_config"}
 # handle factories only perfbench/selftest.py builds, to check that a handle
 # made after its tracer is installed captures the wrapped operators; they
 # go when that check reads `spectral.d1_star_d1_handle` (ROADMAP item 2)
@@ -131,7 +128,7 @@ def _references():
 def test_every_public_function_is_reached():
     uses = _references()
     unreached = [q for q in _public_functions()
-                 if q not in uses and q not in AWAITING_A_SUITE | LIBRARY_API | BENCHMARK_API]
+                 if q not in uses and q not in AWAITING_A_SUITE | BENCHMARK_API]
     assert not unreached, f"public functions no module or script uses: {unreached}"
 
 
@@ -139,7 +136,7 @@ def test_allowlist_names_only_unreached_functions():
     # an oracle that a suite now reaches leaves the allowlist
     uses = _references()
     stale = [q for q in _public_functions()
-             if q in AWAITING_A_SUITE | LIBRARY_API | BENCHMARK_API and q in uses]
+             if q in AWAITING_A_SUITE | BENCHMARK_API and q in uses]
     assert not stale, f"allowlisted but reached: {stale}"
 
 
@@ -158,10 +155,10 @@ def test_method_allowlist_names_only_unreached_methods():
 
 
 def test_every_tolerance_is_named_outside_the_config():
-    # a tolerance no check names is a config key that changes nothing
+    # a tolerance no check names gates nothing
     strings = {node.value for node in _program_nodes(skip=("config.py",))
                if isinstance(node, ast.Constant) and isinstance(node.value, str)}
-    unread = sorted(set(DEFAULT_TOLERANCES) - strings)
+    unread = sorted(set(TOLERANCES) - strings)
     assert not unread, f"tolerances no program code outside config.py names: {unread}"
 
 
@@ -169,5 +166,5 @@ def test_every_config_key_is_read_outside_the_config():
     # the report's config section reads every key through getattr, which is
     # not an attribute access here: a key must change what a run does
     names = _attribute_names(skip=("config.py",))
-    unread = sorted(key for key, (attr, _, _) in VALID_KEYS.items() if attr not in names)
+    unread = sorted(key for key, (attr, _) in VALID_KEYS.items() if attr not in names)
     assert not unread, f"config keys no program code outside config.py reads: {unread}"

@@ -633,6 +633,17 @@ def trig_text(poly):
     return text
 
 
+def config_text(values):
+    """Config text with one `key = value` line per item of `values`, a
+    key -> value map such as a report's config section; a list or tuple
+    value is written comma-separated."""
+    lines = []
+    for key, value in values.items():
+        text = ",".join(map(str, value)) if isinstance(value, (list, tuple)) else str(value)
+        lines.append(f"{key} = {text}\n")
+    return "".join(lines)
+
+
 def analytic_laplacian(poly, spec):
     """Analytic coordinate Laplacian sum_j d2/dx_j^2 sampled on the grid."""
     out = np.zeros(spec.shape)
